@@ -316,16 +316,17 @@ func (v *ColVec) appendAll(src *ColVec) {
 }
 
 // reset empties the column for reuse, keeping payload capacity. String
-// headers are cleared through the full capacity: the GC scans a backing
-// array's whole allocation, so stale headers in the tail would pin
-// their payloads across pool dwell time.
+// headers are cleared so stale ones cannot pin their payloads across
+// pool dwell time (the GC scans a backing array's whole allocation).
+// Clearing the live prefix is enough: every write to strs is an append
+// onto a vector that was make-zeroed or reset, so nothing non-empty
+// ever sits beyond len — TestResetLeavesNoStaleHeaders pins that.
 func (v *ColVec) reset() {
 	v.kind = value.Null
 	v.n = 0
 	v.ints = v.ints[:0]
 	v.floats = v.floats[:0]
 	if v.strs != nil {
-		v.strs = v.strs[:cap(v.strs)]
 		clear(v.strs)
 		v.strs = v.strs[:0]
 	}

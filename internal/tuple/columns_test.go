@@ -303,13 +303,86 @@ func TestColumnsResetRecycles(t *testing.T) {
 	r := Tuple{value.NewString("s"), value.NewInt(1), value.NewFloat(2)}
 	c.AppendRow(r)
 	eqRow(t, c, 0, r)
-	// reset clears string headers through the full backing capacity so a
-	// pooled vector cannot pin stale payloads.
-	v := c.Col(0)
-	s := v.Strs()
-	for i := len(s); i < cap(s); i++ {
-		if s[:cap(s)][i] != "" {
-			t.Fatal("reset left a stale string header in vector capacity")
+}
+
+// noStaleHeaders fails when any string vector of c holds a non-empty
+// header anywhere in its backing array beyond the live rows.
+func noStaleHeaders(t *testing.T, c *Columns, when string) {
+	t.Helper()
+	for ci := 0; ci < c.NumCols(); ci++ {
+		s := c.Col(ci).Strs()
+		for i, h := range s[len(s):cap(s)] {
+			if h != "" {
+				t.Fatalf("%s: col %d holds stale header %q at %d (len %d, cap %d)", when, ci, h, len(s)+i, len(s), cap(s))
+			}
+		}
+	}
+}
+
+// TestResetLeavesNoStaleHeaders pins the invariant ColVec.reset relies
+// on to clear only the live prefix: every write path appends onto a
+// zeroed tail, so after any append/gather/reset sequence — also
+// across kind changes, NULL backfills and shrinking refills — nothing
+// non-empty sits in [len:cap], and right after a Reset nothing non-empty
+// sits anywhere in [0:cap]. A pooled vector therefore cannot pin
+// payloads it no longer exposes.
+func TestResetLeavesNoStaleHeaders(t *testing.T) {
+	rows := colRows(300, 7)
+	src := NewColumns(4)
+	src.AppendRows(rows)
+	idxs := make([]int32, 0, 150)
+	for i := 0; i < 300; i += 2 {
+		idxs = append(idxs, int32(i))
+	}
+	strFirst := Tuple{value.NewString("lead"), value.NewString("s"), value.Value{}, value.NewString("tail")}
+
+	c := NewColumns(4)
+	fills := []struct {
+		name string
+		fill func()
+	}{
+		{"AppendRows", func() { c.AppendRows(rows) }},
+		{"AppendRow short", func() {
+			for _, r := range rows[:9] {
+				c.AppendRow(r)
+			}
+		}},
+		{"gather", func() {
+			for ci := 0; ci < 4; ci++ {
+				c.AppendColumnGather(ci, src, ci, idxs)
+			}
+			c.AddRows(len(idxs))
+		}},
+		{"strings in every column", func() { c.AppendRow(strFirst); c.AppendRow(strFirst) }},
+		{"AppendColumns", func() { c.AppendColumns(src) }},
+		{"AppendRowFrom", func() {
+			for i := 0; i < 40; i++ {
+				c.AppendRowFrom(src, i)
+			}
+		}},
+		{"null-led string column", func() {
+			c.AppendRow(Tuple{value.Value{}, value.Value{}, value.Value{}, value.Value{}})
+			c.AppendRow(strFirst)
+		}},
+	}
+	// Every ordered pair of fills, so each path runs over a backing array
+	// every other path left behind.
+	for _, a := range fills {
+		for _, b := range fills {
+			for _, f := range []struct {
+				name string
+				fill func()
+			}{a, b} {
+				f.fill()
+				noStaleHeaders(t, c, "after "+f.name)
+				c.Reset(4)
+				for ci := 0; ci < 4; ci++ {
+					if s := c.Col(ci).Strs(); len(s) != 0 {
+						t.Fatalf("Reset after %s left %d live headers in col %d", f.name, len(s), ci)
+					}
+				}
+				noStaleHeaders(t, c, "Reset after "+f.name)
+			}
 		}
 	}
 }
