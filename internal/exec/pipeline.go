@@ -257,6 +257,24 @@ func NewColBatch(ncols int) *Batch {
 	return b
 }
 
+// DecodeColBatch returns a pooled columnar batch holding the rows of one
+// tuple run frame, decoded straight into the batch's recycled vectors —
+// how a received exchange frame re-enters the columnar path without
+// boxing a value. String headers alias one per-frame copy of the bytes,
+// so frame may be reused as soon as this returns. A frame of more than
+// DefaultBatchSize rows un-pools the batch (the AppendColRow rule).
+func DecodeColBatch(frame []byte) (*Batch, error) {
+	b := NewColBatch(0)
+	if _, err := b.cols.DecodeFrame(frame); err != nil {
+		b.Release()
+		return nil, err
+	}
+	if b.cols.FullLen() > DefaultBatchSize {
+		b.pooled = false
+	}
+	return b, nil
+}
+
 // Release returns a pooled batch's backing arrays (rows and value
 // arena) for reuse. Safe to call on view batches (no-op) and required
 // etiquette for every batch a consumer finishes with — Collect and

@@ -327,20 +327,26 @@ func TestMemBudgetBasics(t *testing.T) {
 
 func TestSpillDirDefaultsToOSTemp(t *testing.T) {
 	// Smoke: no SpillDir configured still works (uses os.TempDir) and
-	// cleans up after itself.
+	// cleans up after itself. TMPDIR points at a directory of this
+	// test's own: the shared one holds other packages' live spill dirs
+	// whenever packages run in parallel.
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
 	l := genOrders(300, 45)
 	r := genLineitem(300, 46)
 	store := dfs.NewStore(2, 1, 1)
 	ex := New(store, &cluster.Meter{})
 	ex.Mem = NewMemBudget(rowsBytes(l) / 4)
-	before, _ := filepath.Glob(filepath.Join(os.TempDir(), "adaptdb-join-*"))
-	got, err := Collect(ex.JoinOp(NewSource(l), 0, NewSource(r), 0, JoinOptions{}))
+	op := ex.JoinOp(NewSource(l), 0, NewSource(r), 0, JoinOptions{})
+	got, err := Collect(op)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rowsEqualSorted(t, got, NestedLoopJoin(l, r, 0, 0))
-	after, _ := filepath.Glob(filepath.Join(os.TempDir(), "adaptdb-join-*"))
-	if len(after) > len(before) {
-		t.Errorf("spill dirs leaked into os.TempDir: %d -> %d", len(before), len(after))
+	if op.(*hashJoinOp).SpilledBytes() == 0 {
+		t.Fatal("the join never spilled: the default spill location went unexercised")
+	}
+	if ents, err := os.ReadDir(tmp); err != nil || len(ents) != 0 {
+		t.Errorf("spill dirs leaked into os.TempDir: %d entries (%v)", len(ents), err)
 	}
 }

@@ -236,13 +236,13 @@ func (c *Cluster) acceptLoop() {
 		// arbitrarily long and the worker is silent throughout.
 		cc := newConn(nc, 0)
 		go func() {
-			typ, payload, _, err := cc.readFrame(nil)
-			if err != nil || typ != msgHello {
+			var fb frameBuf
+			if err := cc.readFrame(&fb); err != nil || fb.typ() != msgHello {
 				cc.die(fmt.Errorf("net: accept: bad hello"))
 				return
 			}
 			var h helloMsg
-			if json.Unmarshal(payload, &h) != nil || h.Proc < 1 {
+			if json.Unmarshal(fb.payload(), &h) != nil || h.Proc < 1 {
 				cc.die(fmt.Errorf("net: accept: bad hello"))
 				return
 			}
@@ -255,7 +255,7 @@ func (c *Cluster) acceptLoop() {
 			case c.helloCh <- h:
 			default:
 			}
-			cc.serve(c.handleFrame(cc), func(err error) { c.workerDied(h.Proc, err) })
+			cc.serve(c.ep.demux(cc, c.handleFrame(cc)), func(err error) { c.workerDied(h.Proc, err) })
 		}()
 	}
 }
@@ -280,8 +280,6 @@ func (c *Cluster) workerDied(proc int, cause error) {
 func (c *Cluster) handleFrame(cc *conn) func(typ byte, payload []byte) error {
 	return func(typ byte, payload []byte) error {
 		switch typ {
-		case msgData, msgEOS, msgCredit:
-			return c.ep.handleStreamFrame(cc, typ, payload)
 		case msgReady:
 			cc.enableKeepAlive(c.opts.KeepAlive)
 			select {

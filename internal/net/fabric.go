@@ -199,6 +199,10 @@ type pump struct {
 	op    exec.Operator
 	route int // shuffle key column, or routeBroadcast/Deal/Gather
 	deal  uint64
+	// enc is the pump's one encode buffer, reused for every remote frame
+	// (a pump sends from its own goroutine only): wire prefix reserved in
+	// front, then the stream header, then the run frame.
+	enc []byte
 }
 
 // dsts returns the destination fragment ids this pump may route to.
@@ -469,8 +473,9 @@ type exchMeter interface {
 
 // send ships one sealed batch to destination fragment d: metering
 // identical to the simulated exchange (wire-byte estimate, fragment-
-// level remoteness), then either the in-process bounded path or an
-// encoded run frame under the stream's credit window.
+// level remoteness), then either the in-process bounded path or a run
+// frame, encoded into the pump's reused buffer and written from it,
+// under the stream's credit window.
 func (p *pump) send(d int, b *exec.Batch, meter exchMeter) error {
 	if meter != nil {
 		remote := p.src != d && p.f.N() > 1
@@ -495,14 +500,16 @@ func (p *pump) send(d int, b *exec.Batch, meter exchMeter) error {
 		p.f.at.queueFor(qkey{p.exch, d}).push(inItem{b: b, bytes: wire, from: -1, key: key})
 		return nil
 	}
-	payload := appendStreamHdr(nil, streamHdr{qid: p.f.qid, exch: p.exch, src: p.src, dst: d})
-	hdrLen := len(payload)
-	payload, err := encodeBatch(payload, b)
+	var prefix [frameHdrLen]byte
+	buf := appendStreamHdr(append(p.enc[:0], prefix[:]...), streamHdr{qid: p.f.qid, exch: p.exch, src: p.src, dst: d})
+	hdrEnd := len(buf)
+	buf, err := encodeBatch(buf, b)
 	b.Release()
 	if err != nil {
 		return err
 	}
-	frameLen := len(payload) - hdrLen
+	p.enc = buf
+	frameLen := len(buf) - hdrEnd
 	if err := gate.acquire(frameLen); err != nil {
 		return err
 	}
@@ -511,7 +518,7 @@ func (p *pump) send(d int, b *exec.Batch, meter exchMeter) error {
 		return &NetError{Msg: "no connection for stream destination", Peer: proc}
 	}
 	t0 := time.Now()
-	if err := c.writeFrame(msgData, payload); err != nil {
+	if err := c.writeReserved(msgData, buf); err != nil {
 		return &NetError{Msg: err.Error(), Peer: proc}
 	}
 	// Measured per-link traffic: actual frame bytes and write time feed

@@ -73,10 +73,22 @@ func testModel(nodes int) cluster.CostModel {
 	return m
 }
 
+// privateTemp points os.TempDir at a directory of this test's own for
+// the rest of the test: workers (goroutines or spawned children, which
+// inherit the environment) make their spill dirs there, and so does a
+// session without a SpillDir, so no run observes or litters the temp
+// dir other packages' tests share. Called before the cluster starts, so
+// the cluster's cleanup runs before the directory's removal.
+func privateTemp(t *testing.T) {
+	t.Helper()
+	t.Setenv("TMPDIR", t.TempDir())
+}
+
 // startTPCH starts a cluster and builds the coordinator's session over
 // its own replica of the same dataset.
 func startTPCH(t *testing.T, workers, nodes int, inProcess bool) (*adbnet.Cluster, *session.Session, query.Catalog, *tpch.Dataset) {
 	t.Helper()
+	privateTemp(t)
 	p := testParams(nodes)
 	cl, err := adbnet.Start(adbnet.Options{
 		Workers:   workers,
@@ -233,6 +245,7 @@ func TestTCPRealProcesses(t *testing.T) {
 // under the faults too) and an observable coordinator spill dir.
 func startSweep(t *testing.T, workers, nodes int) (*adbnet.Cluster, *session.Session, query.Catalog, *tpch.Dataset) {
 	t.Helper()
+	privateTemp(t)
 	const memBudget = 1 << 20
 	p := testParams(nodes)
 	cl, err := adbnet.Start(adbnet.Options{

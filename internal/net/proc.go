@@ -1,9 +1,10 @@
 // endpoint is the per-process networking runtime shared by the
 // coordinator and the workers: the connection per peer process, the
 // active attempt per qid, and the demux that routes stream frames into
-// attempt queues. The demux never blocks — queue depth is bounded by
-// the senders' credit windows — so a connection's reader loop is
-// always able to drain control traffic even when a consumer is slow.
+// attempt queues. The demux never blocks and never decodes — a queue
+// holds raw frames, at most one credit window of bytes per producing
+// stream — so a connection's reader loop is always able to drain
+// control traffic even when a consumer is slow.
 package net
 
 import (
@@ -116,31 +117,52 @@ func (ep *endpoint) sendCredit(proc int, qid uint64, key streamKey, bytes int) {
 	c.writeFrame(msgCredit, p)
 }
 
-// handleStreamFrame demuxes data/eos/credit frames into the owning
-// attempt. Unknown (tombstoned) qids are dropped silently.
-func (ep *endpoint) handleStreamFrame(from *conn, typ byte, payload []byte) error {
-	h, rest, err := decodeStreamHdr(payload)
-	if err != nil {
-		return err
+// demux returns a connection's frame handler for conn.serve: stream
+// frames (data/eos/credit) route into the owning attempt, everything
+// else goes to the process's control handler.
+func (ep *endpoint) demux(from *conn, control func(typ byte, payload []byte) error) func(*frameBuf) (bool, error) {
+	return func(fb *frameBuf) (bool, error) {
+		switch fb.typ() {
+		case msgData, msgEOS, msgCredit:
+			return ep.handleStreamFrame(from, fb)
+		}
+		return false, control(fb.typ(), fb.payload())
 	}
-	switch typ {
+}
+
+// handleStreamFrame demuxes one stream frame into the owning attempt,
+// reporting whether it kept fb. A data frame is queued as it arrived —
+// raw, in its wire buffer — for the consuming fragment to decode, so the
+// reader goroutine only ever parses a stream header. Unknown
+// (tombstoned) qids are dropped silently.
+func (ep *endpoint) handleStreamFrame(from *conn, fb *frameBuf) (kept bool, err error) {
+	h, rest, err := decodeStreamHdr(fb.payload())
+	if err != nil {
+		return false, err
+	}
+	switch fb.typ() {
 	case msgData:
 		at := ep.attemptFor(h.qid)
 		if at == nil {
-			return nil
+			return false, nil
 		}
-		return at.deliverData(from.peer, h, rest)
+		at.queueFor(qkey{h.exch, h.dst}).push(inItem{
+			buf:   fb,
+			frame: rest,
+			bytes: len(rest),
+			from:  from.peer,
+			key:   streamKey{h.exch, h.src, h.dst},
+		})
+		return true, nil
 	case msgEOS:
-		at := ep.attemptFor(h.qid)
-		if at == nil {
-			return nil
+		if at := ep.attemptFor(h.qid); at != nil {
+			at.queueFor(qkey{h.exch, h.dst}).eosFrom(h.src)
 		}
-		at.queueFor(qkey{h.exch, h.dst}).eosFrom(h.src)
-		return nil
+		return false, nil
 	case msgCredit:
 		n, k := binary.Uvarint(rest)
 		if k <= 0 {
-			return fmt.Errorf("net: credit frame: bad byte count")
+			return false, fmt.Errorf("net: credit frame: bad byte count")
 		}
 		ep.mu.Lock()
 		at := ep.atts[h.qid] // no shell for credits: unknown qid is stale
@@ -148,7 +170,7 @@ func (ep *endpoint) handleStreamFrame(from *conn, typ byte, payload []byte) erro
 		if at != nil {
 			at.gateFor(streamKey{h.exch, h.src, h.dst}).grant(int(n))
 		}
-		return nil
+		return false, nil
 	}
-	return fmt.Errorf("net: unexpected stream frame %s", msgName(typ))
+	return false, fmt.Errorf("net: unexpected stream frame %s", msgName(fb.typ()))
 }

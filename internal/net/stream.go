@@ -3,12 +3,14 @@
 // fragment) and multiplexed over the single connection between its two
 // processes. The sender holds a per-stream credit gate initialized to
 // the window; each data frame spends its byte length and blocks when
-// the window is exhausted. The receiver queues decoded batches and
-// returns credit only when the consuming operator takes delivery — so
-// a slow consumer bounds the bytes buffered on BOTH ends to one
-// window, which is the backpressure contract the flow-control test
-// suite pins. Local (same-process) deliveries ride the same gates and
-// queues with no encode/decode, so one bounded path serves both.
+// the window is exhausted. The receiver queues frames as they arrived —
+// raw, so queued bytes are exactly the credited bytes — and the
+// consuming operator decodes one into a columnar batch, recycles its
+// wire buffer and only then returns the credit; so a slow consumer
+// bounds the bytes buffered on BOTH ends to one window, which is the
+// backpressure contract the flow-control test suite pins. Local
+// (same-process) deliveries ride the same gates and queues with no
+// encode/decode, so one bounded path serves both.
 package net
 
 import (
@@ -16,7 +18,6 @@ import (
 	"sync"
 
 	"adaptdb/internal/exec"
-	"adaptdb/internal/tuple"
 )
 
 // NetError marks transport-layer failures: peer death, reset or
@@ -122,24 +123,31 @@ func (g *creditGate) fail(err error) {
 	g.mu.Unlock()
 }
 
-// inItem is one delivered batch awaiting its consumer.
+// inItem is one delivery awaiting its consumer: a batch handed over
+// in-process, or a remote run frame still undecoded in the pooled wire
+// buffer it was read into. Whoever removes an item from its queue owns
+// it: next consumes it, discard drops it, and either way the buffer goes
+// back to the pool and the credit to the producer exactly once.
 type inItem struct {
-	b     *exec.Batch
+	b     *exec.Batch // local delivery; nil for a remote one
+	buf   *frameBuf   // remote delivery: the buffer frame points into
+	frame []byte
 	bytes int // credit to return on consumption
 	from  int // producing proc; -1 for a local delivery
 	key   streamKey
 }
 
-// recvQueue is the receiver side of one stream: decoded batches from
-// every producing fragment of the exchange, the per-producer EOS set,
-// and the failure latch. Buffering is bounded by the senders' credit
-// windows, never by this queue.
+// recvQueue is the receiver side of one stream: deliveries from every
+// producing fragment of the exchange, the per-producer EOS set, and the
+// failure latch. Buffering is bounded by the senders' credit windows,
+// never by this queue.
 type recvQueue struct {
 	at     *attempt
 	key    qkey
 	mu     sync.Mutex
 	cond   *sync.Cond
-	items  []inItem
+	items  []inItem // items[head:] are queued, oldest first
+	head   int
 	eos    map[int]bool
 	expect int // producer count; -1 until the local compile registers it
 	err    error
@@ -152,15 +160,21 @@ func newRecvQueue(at *attempt, key qkey) *recvQueue {
 	return q
 }
 
-// push delivers one batch. A closed or failed queue drops it and
-// returns the credit immediately so the producer never wedges.
+// push delivers one item. A closed or failed queue drops it and returns
+// the credit immediately so the producer never wedges.
 func (q *recvQueue) push(it inItem) {
 	q.mu.Lock()
 	if q.closed || q.err != nil {
 		q.mu.Unlock()
-		it.b.Release()
-		q.at.grantCredit(it)
+		q.at.discard(it)
 		return
+	}
+	if q.head > 0 && len(q.items) == cap(q.items) {
+		// Reuse the popped slots before growing: a queue that never quite
+		// drains must not drag its consumed prefix along.
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
 	}
 	q.items = append(q.items, it)
 	q.cond.Signal()
@@ -181,24 +195,34 @@ func (q *recvQueue) setExpect(n int) {
 	q.mu.Unlock()
 }
 
-// fail latches the stream error, releasing queued batches and granting
-// their credit so no sender stays blocked.
+// takeAll empties the queue for a caller (holding q.mu) that just moved
+// it to a terminal state, and wakes every waiter to observe that state.
+// The caller discards the returned items after unlocking.
+func (q *recvQueue) takeAll() []inItem {
+	items := q.items[q.head:]
+	q.items, q.head = nil, 0
+	q.cond.Broadcast()
+	return items
+}
+
+// fail latches the stream error, dropping queued deliveries — credit
+// granted, wire buffers recycled — so no sender stays blocked.
 func (q *recvQueue) fail(err error) {
 	q.mu.Lock()
 	if q.err == nil {
 		q.err = err
 	}
-	items := q.items
-	q.items = nil
-	q.cond.Broadcast()
+	items := q.takeAll()
 	q.mu.Unlock()
 	for _, it := range items {
-		it.b.Release()
-		q.at.grantCredit(it)
+		q.at.discard(it)
 	}
 }
 
-// next blocks for the next batch: (nil, nil) on clean exhaustion.
+// next blocks for the next batch: (nil, nil) on clean exhaustion. A
+// remote frame is decoded here, on the consumer's goroutine, straight
+// into a pooled columnar batch; its wire buffer is recycled as soon as
+// the vectors are filled, and only then does the credit go back.
 func (q *recvQueue) next() (*exec.Batch, error) {
 	q.mu.Lock()
 	for {
@@ -207,12 +231,23 @@ func (q *recvQueue) next() (*exec.Batch, error) {
 			q.mu.Unlock()
 			return nil, err
 		}
-		if len(q.items) > 0 {
-			it := q.items[0]
-			q.items = q.items[1:]
+		if q.head < len(q.items) {
+			it := q.items[q.head]
+			q.items[q.head] = inItem{} // the array must not pin what was consumed
+			if q.head++; q.head == len(q.items) {
+				q.items, q.head = q.items[:0], 0
+			}
 			q.mu.Unlock()
+			b, err := it.b, error(nil)
+			if it.buf != nil {
+				b, err = exec.DecodeColBatch(it.frame)
+				putFrameBuf(it.buf)
+			}
 			q.at.grantCredit(it)
-			return it.b, nil
+			if err != nil {
+				return nil, fmt.Errorf("net: stream (%d,%d→%d): %w", it.key.exch, it.key.src, it.key.dst, err)
+			}
+			return b, nil
 		}
 		if q.expect >= 0 && len(q.eos) >= q.expect {
 			q.mu.Unlock()
@@ -227,13 +262,10 @@ func (q *recvQueue) next() (*exec.Batch, error) {
 func (q *recvQueue) close() {
 	q.mu.Lock()
 	q.closed = true
-	items := q.items
-	q.items = nil
-	q.cond.Broadcast()
+	items := q.takeAll()
 	q.mu.Unlock()
 	for _, it := range items {
-		it.b.Release()
-		q.at.grantCredit(it)
+		q.at.discard(it)
 	}
 }
 
@@ -318,6 +350,17 @@ func (at *attempt) grantCredit(it inItem) {
 	at.ep.sendCredit(it.from, at.qid, it.key, it.bytes)
 }
 
+// discard drops an item nobody will consume: the batch or the wire
+// buffer goes back to its pool, the credit to the producer.
+func (at *attempt) discard(it inItem) {
+	if it.buf != nil {
+		putFrameBuf(it.buf)
+	} else {
+		it.b.Release()
+	}
+	at.grantCredit(it)
+}
+
 // fail cancels the whole attempt in this process: every queue and gate
 // unblocks with err, pumps and consumers wind down.
 func (at *attempt) fail(err error) {
@@ -347,24 +390,4 @@ func (at *attempt) failure() error {
 	at.mu.Lock()
 	defer at.mu.Unlock()
 	return at.failed
-}
-
-// deliverData routes an incoming data frame: decode the run frame into
-// a batch of view rows and queue it for the consuming fragment.
-func (at *attempt) deliverData(fromProc int, h streamHdr, frame []byte) error {
-	rows, _, err := tuple.DecodeFrame(frame)
-	if err != nil {
-		return fmt.Errorf("net: stream (%d,%d→%d): %w", h.exch, h.src, h.dst, err)
-	}
-	b := exec.NewBatch()
-	for _, r := range rows {
-		b.Append(r)
-	}
-	at.queueFor(qkey{h.exch, h.dst}).push(inItem{
-		b:     b,
-		bytes: len(frame),
-		from:  fromProc,
-		key:   streamKey{h.exch, h.src, h.dst},
-	})
-	return nil
 }

@@ -1,17 +1,25 @@
 // Flow-control unit suite: the credit gate's window arithmetic, and —
 // over a real socket pair — the backpressure contract (a slow consumer
-// bounds the sender's outstanding bytes to the credit window) and the
+// bounds the sender's outstanding bytes to the credit window), the
 // cancellation contract (failing an attempt unblocks a sender stuck in
-// acquire and a consumer stuck in next, on both ends, leaking nothing).
+// acquire and a consumer stuck in next, on both ends, leaking nothing —
+// no goroutine, no pooled wire buffer, no budgeted byte), and the
+// receive path's shape: frames off a socket reach their consumer as
+// columnar batches.
 package net
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	gonet "net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"adaptdb/internal/cluster"
+	"adaptdb/internal/dfs"
 	"adaptdb/internal/exec"
 	"adaptdb/internal/tuple"
 	"adaptdb/internal/value"
@@ -104,10 +112,9 @@ func pairEndpoints(t *testing.T, window int) (*endpoint, *endpoint, func()) {
 	ca.peer, cb.peer = 1, 0
 	epA.setPeer(1, ca)
 	epB.setPeer(0, cb)
-	go ca.serve(func(typ byte, p []byte) error { return epA.handleStreamFrame(ca, typ, p) },
-		func(err error) { epA.peerDied(1, err) })
-	go cb.serve(func(typ byte, p []byte) error { return epB.handleStreamFrame(cb, typ, p) },
-		func(err error) { epB.peerDied(0, err) })
+	noControl := func(typ byte, _ []byte) error { return fmt.Errorf("unexpected control frame %s", msgName(typ)) }
+	go ca.serve(epA.demux(ca, noControl), func(err error) { epA.peerDied(1, err) })
+	go cb.serve(epB.demux(cb, noControl), func(err error) { epB.peerDied(0, err) })
 	closer := func() {
 		ca.die(errors.New("test over"))
 		cb.die(errors.New("test over"))
@@ -267,4 +274,273 @@ func TestCancelUnblocksBothEnds(t *testing.T) {
 			t.Fatal("a blocked end did not unblock after retire")
 		}
 	}
+}
+
+// TestRecvQueuePopReleasesSlots pins the queue's storage discipline: a
+// popped slot is zeroed (the backing array must not pin a consumed
+// batch or wire buffer until the next reallocation), a drained queue
+// rewinds to the start of its array, and a queue that never quite
+// drains reuses its popped slots instead of growing past them.
+func TestRecvQueuePopReleasesSlots(t *testing.T) {
+	at := newAttempt(newEndpoint(0, 0), 1)
+	q := at.queueFor(qkey{1, 0})
+	q.setExpect(1)
+	local := func() inItem { return inItem{b: exec.NewBatch(), from: -1} }
+	for i := 0; i < 3; i++ {
+		q.push(local())
+	}
+	for i := 0; i < 3; i++ {
+		b, err := q.next()
+		if err != nil || b == nil {
+			t.Fatalf("pop %d: %v %v", i, b, err)
+		}
+		b.Release()
+	}
+	if q.head != 0 || len(q.items) != 0 {
+		t.Fatalf("drained queue did not rewind: head=%d len=%d", q.head, len(q.items))
+	}
+	for i, it := range q.items[:cap(q.items)] {
+		if it.b != nil || it.buf != nil || it.frame != nil {
+			t.Fatalf("slot %d still references a consumed item: %+v", i, it)
+		}
+	}
+	// Steady state with one item always queued: the array must not grow.
+	q.push(local())
+	grown := cap(q.items)
+	for i := 0; i < 10*grown; i++ {
+		q.push(local())
+		b, err := q.next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Release()
+	}
+	if cap(q.items) != grown {
+		t.Fatalf("a never-empty queue grew its array from %d to %d slots", grown, cap(q.items))
+	}
+	q.close()
+}
+
+// shuffleEnd is one process's half of a two-process shuffle: a fabric
+// over its endpoint with fragment i hosted by proc i.
+func shuffleEnd(t *testing.T, ep *endpoint, qid uint64, mem int64) (*netFabric, *exec.Executor) {
+	t.Helper()
+	ex := exec.New(dfs.NewStore(2, 1, 1), &cluster.Meter{})
+	ex.Mem = exec.NewMemBudget(mem)
+	ex.EnableNodes(0)
+	f, err := newNetFabric(ep, ep.attemptFor(qid), ex, []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f, ex
+}
+
+// TestRemoteShuffleDeliversColumnar runs a real shuffle across the
+// socket pair and pins the receive path's shape: every batch that
+// crossed the wire arrives columnar — even though the producer drained a
+// row source and shipped row-encoded frames — so the operators behind a
+// socket run their vectorized loops and the boxing receive path cannot
+// silently come back. Rows must arrive intact, exactly once.
+func TestRemoteShuffleDeliversColumnar(t *testing.T) {
+	defer exec.VerifyNoLeaks(t)
+	epA, epB, closePair := pairEndpoints(t, 0)
+	defer closePair()
+	const qid = 5
+	rows := make([]tuple.Tuple, 5000)
+	wantAt0 := map[int64]string{}
+	for i := range rows {
+		k, s := value.NewInt(int64(i)), "payload-"+fmt.Sprint(i%17)
+		rows[i] = tuple.Tuple{k, value.NewString(s), value.NewFloat(float64(i) / 4)}
+		if k.Hash64()%2 == 0 {
+			wantAt0[int64(i)] = s
+		}
+	}
+	// Fragment 1 (proc 1) produces everything; fragment 0 (proc 0) only
+	// consumes, so all it sees crossed the socket.
+	fA, _ := shuffleEnd(t, epA, qid, 0)
+	fB, _ := shuffleEnd(t, epB, qid, 0)
+	outA := fA.Shuffle([]exec.Operator{exec.NewSource(nil), exec.NewSource(nil)}, 0).Output(0)
+	outB := fB.Shuffle([]exec.Operator{exec.NewSource(nil), exec.NewSource(rows)}, 0).Output(1)
+	fA.Run(context.Background())
+	fB.Run(context.Background())
+	localDone := make(chan error, 1)
+	go func() { // fragment 1's own share stays in-process; drain it
+		_, err := exec.Count(outB)
+		localDone <- err
+	}()
+
+	if err := outA.Open(); err != nil {
+		t.Fatal(err)
+	}
+	batches := 0
+	for {
+		b, err := outA.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			break
+		}
+		cb := b.Cols()
+		if cb == nil {
+			t.Fatalf("batch %d off the socket is a row batch: the boxing receive path is back", batches)
+		}
+		if kind := cb.Col(0).Kind(); kind != value.Int || cb.Col(1).Kind() != value.String || cb.Col(2).Kind() != value.Float {
+			t.Fatalf("batch %d decoded into untyped vectors (col 0 %v)", batches, kind)
+		}
+		for i := 0; i < cb.Len(); i++ {
+			k := cb.Col(0).Ints()[i]
+			if want, ok := wantAt0[k]; !ok || cb.Col(1).Str(i) != want || cb.Col(2).Floats()[i] != float64(k)/4 {
+				t.Fatalf("key %d arrived wrong, twice, or at the wrong fragment", k)
+			}
+			delete(wantAt0, k)
+		}
+		batches++
+		b.Release()
+	}
+	outA.Close()
+	if len(wantAt0) != 0 || batches < 2 {
+		t.Fatalf("%d rows never arrived (%d batches)", len(wantAt0), batches)
+	}
+	if err := <-localDone; err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []*netFabric{fA, fB} {
+		if err := f.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	epA.retire(qid, nil)
+	epB.retire(qid, nil)
+}
+
+// TestCancelMidStreamReleasesEverything cancels an attempt while a join
+// build is consuming a remote stream — frames queued raw on the
+// consumer, more in flight, the producer parked on its credit gate, the
+// build holding budget for every row it took — and asserts that all of
+// it comes back: the join surfaces the cancellation, its MemBudget
+// returns to zero, every pooled wire buffer is back in the pool (queued
+// frames dropped by fail, late frames dropped at the tombstone, both
+// readers' buffers at connection close), and no goroutine survives.
+func TestCancelMidStreamReleasesEverything(t *testing.T) {
+	exec.VerifyNoLeaks(t) // let earlier tests' readers return their buffers
+	if out := frameBufsOut.Load(); out != 0 {
+		t.Fatalf("%d wire buffers outstanding before the test", out)
+	}
+	frame := testFrame(t, 256)
+	epA, epB, closePair := pairEndpoints(t, 4*len(frame))
+	const qid = 11
+	key := streamKey{exch: 2, src: 1, dst: 0}
+	hdr := appendStreamHdr(nil, streamHdr{qid: qid, exch: key.exch, src: key.src, dst: key.dst})
+	payload := append(append([]byte(nil), hdr...), frame...)
+
+	atB := epB.attemptFor(qid)
+	sendErr := make(chan error, 1)
+	go func() { // a producer that never ends its stream
+		gate := atB.gateFor(key)
+		c := epB.peerConn(0)
+		for {
+			if err := gate.acquire(len(frame)); err != nil {
+				sendErr <- err
+				return
+			}
+			if err := c.writeFrame(msgData, payload); err != nil {
+				sendErr <- err
+				return
+			}
+		}
+	}()
+
+	ex := exec.New(dfs.NewStore(1, 1, 1), &cluster.Meter{})
+	ex.Mem = exec.NewMemBudget(1 << 40)
+	q := epA.attemptFor(qid).queueFor(qkey{key.exch, key.dst})
+	q.setExpect(1)
+	probe := exec.NewSource([]tuple.Tuple{{value.NewInt(1), value.NewString("probe")}})
+	joinErr := make(chan error, 1)
+	go func() {
+		_, err := exec.Count(ex.JoinOp(&recvOp{q: q}, 0, probe, 0, exec.JoinOptions{}))
+		joinErr <- err
+	}()
+
+	// Mid-stream: the build has taken (and is charged for) a good many
+	// frames, and the producer keeps the window full behind it.
+	deadline := time.Now().Add(5 * time.Second)
+	for ex.Mem.Used() < int64(20*len(frame)) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the build consumed only %d bytes of the stream", ex.Mem.Used())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel := &NetError{Msg: "query canceled"}
+	epA.retire(qid, cancel)
+	epB.retire(qid, cancel)
+
+	for _, ch := range []chan error{sendErr, joinErr} {
+		select {
+		case err := <-ch:
+			if !IsNetError(err) {
+				t.Fatalf("a canceled end returned %v, want the cancellation NetError", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("an end did not unblock after retire")
+		}
+	}
+	if used := ex.Mem.Used(); used != 0 {
+		t.Fatalf("%d bytes still charged to the memory budget after the cancel", used)
+	}
+	closePair()
+	exec.VerifyNoLeaks(t)
+	if out := frameBufsOut.Load(); out != 0 {
+		t.Fatalf("%d pooled wire buffers still checked out after cancel and close", out)
+	}
+}
+
+// TestCorruptFrameSurfacesAtConsumer: decode runs on the consumer, so a
+// frame that does not decode is the consumer's error — naming the
+// stream — not a dead connection; its wire buffer and its credit still
+// go back, and the frames behind it stay deliverable.
+func TestCorruptFrameSurfacesAtConsumer(t *testing.T) {
+	defer exec.VerifyNoLeaks(t)
+	good := testFrame(t, 8)
+	epA, epB, closePair := pairEndpoints(t, 0)
+	defer closePair()
+	const qid = 3
+	key := streamKey{exch: 4, src: 1, dst: 0}
+	hdr := appendStreamHdr(nil, streamHdr{qid: qid, exch: key.exch, src: key.src, dst: key.dst})
+	gate := epB.attemptFor(qid).gateFor(key)
+	c := epB.peerConn(0)
+	for _, frame := range [][]byte{good[:len(good)-3], good} {
+		if err := gate.acquire(len(frame)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.writeFrame(msgData, append(append([]byte(nil), hdr...), frame...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := epA.attemptFor(qid).queueFor(qkey{key.exch, key.dst})
+	q.setExpect(1)
+	if b, err := q.next(); err == nil || IsNetError(err) || !strings.Contains(err.Error(), "stream (4,1→0)") {
+		t.Fatalf("truncated frame: batch %v, err %v; want a decode error naming the stream", b, err)
+	}
+	b, err := q.next()
+	if err != nil || b.Len() != 8 || b.Cols() == nil {
+		t.Fatalf("frame behind the corrupt one: %v, %v", b, err)
+	}
+	b.Release()
+	// Both frames' credit comes back: the window refills completely.
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		gate.mu.Lock()
+		avail := gate.avail
+		gate.mu.Unlock()
+		if avail == gate.max {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("credit not returned: %d of %d available", avail, gate.max)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	epA.retire(qid, nil)
+	epB.retire(qid, nil)
 }

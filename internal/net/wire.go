@@ -272,6 +272,39 @@ func decodeStreamHdr(b []byte) (streamHdr, []byte, error) {
 
 // creditMsg payload: stream header + uvarint byte count.
 
+// frameHdrLen is the wire prefix: uint32 length + type byte.
+const frameHdrLen = 5
+
+// frameBuf is one pooled wire buffer holding a received frame (type
+// byte + payload). A connection's reader reads every frame into one and
+// reuses it for the next — except a data frame, which leaves with its
+// buffer: it is queued undecoded, so a stream's queue holds exactly the
+// bytes its credit window paid for, and whoever takes the item off the
+// queue (the consumer after decoding, or fail/close when dropping it)
+// puts the buffer back.
+type frameBuf struct{ b []byte }
+
+func (fb *frameBuf) typ() byte       { return fb.b[0] }
+func (fb *frameBuf) payload() []byte { return fb.b[1:] }
+
+var (
+	frameBufs = sync.Pool{New: func() any { return new(frameBuf) }}
+	// frameBufsOut counts buffers checked out of frameBufs: readers hold
+	// one each, queued data frames one each, so it returns to zero when
+	// every connection is closed and every queue drained or dropped.
+	frameBufsOut atomic.Int64
+)
+
+func getFrameBuf() *frameBuf {
+	frameBufsOut.Add(1)
+	return frameBufs.Get().(*frameBuf)
+}
+
+func putFrameBuf(fb *frameBuf) {
+	frameBufsOut.Add(-1)
+	frameBufs.Put(fb)
+}
+
 // conn wraps one TCP connection to a peer process: a writer mutex (any
 // goroutine may send), a reader loop that demuxes frames into the
 // endpoint, a keepalive pinger, and the fault arm point.
@@ -352,10 +385,24 @@ func (c *conn) isDead() bool {
 	}
 }
 
-// writeFrame sends one frame. It is the fault arm point: an armed
-// fault matching typ fires here (reset, partial write, stall, or
-// process kill) before or instead of the real write.
+// writeFrame sends one frame, assembled in the connection's reused
+// buffer.
 func (c *conn) writeFrame(typ byte, payload []byte) error {
+	return c.write(typ, nil, payload)
+}
+
+// writeReserved sends b[frameHdrLen:] as one frame's payload straight
+// from the caller's buffer: its first frameHdrLen bytes are reserved for
+// the prefix, stamped here, so a pump's encoded frame reaches the socket
+// without a second copy.
+func (c *conn) writeReserved(typ byte, b []byte) error {
+	return c.write(typ, b, nil)
+}
+
+// write is the fault arm point: an armed fault matching typ fires here
+// (reset, partial write, stall, or process kill) before or instead of
+// the real write.
+func (c *conn) write(typ byte, b, payload []byte) error {
 	if c.isDead() {
 		return c.deadErr()
 	}
@@ -369,12 +416,13 @@ func (c *conn) writeFrame(typ byte, payload []byte) error {
 	if c.isDead() {
 		return c.deadErr()
 	}
-	n := 1 + len(payload)
-	b := c.wbuf[:0]
-	b = binary.LittleEndian.AppendUint32(b, uint32(n))
-	b = append(b, typ)
-	b = append(b, payload...)
-	c.wbuf = b[:0]
+	if b == nil {
+		var prefix [frameHdrLen]byte
+		b = append(append(c.wbuf[:0], prefix[:]...), payload...)
+		c.wbuf = b[:0]
+	}
+	binary.LittleEndian.PutUint32(b, uint32(len(b)-4))
+	b[4] = typ
 	if _, err := c.nc.Write(b); err != nil {
 		c.die(fmt.Errorf("net: write to proc %d: %w", c.peer, err))
 		return c.deadErr()
@@ -391,8 +439,8 @@ func (c *conn) writeJSON(typ byte, v any) error {
 	return c.writeFrame(typ, b)
 }
 
-// readFrame reads one frame under the keepalive deadline.
-func (c *conn) readFrame(buf []byte) (byte, []byte, []byte, error) {
+// readFrame reads one frame into fb under the keepalive deadline.
+func (c *conn) readFrame(fb *frameBuf) error {
 	if d := c.kaDur(); d > 0 {
 		c.nc.SetReadDeadline(time.Now().Add(3 * d))
 	} else {
@@ -400,33 +448,30 @@ func (c *conn) readFrame(buf []byte) (byte, []byte, []byte, error) {
 	}
 	var hdr [4]byte
 	if _, err := io.ReadFull(c.nc, hdr[:]); err != nil {
-		return 0, nil, buf, err
+		return err
 	}
 	n := binary.LittleEndian.Uint32(hdr[:])
 	if n == 0 || n > maxWireFrame {
-		return 0, nil, buf, fmt.Errorf("net: implausible frame length %d", n)
+		return fmt.Errorf("net: implausible frame length %d", n)
 	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
+	if cap(fb.b) < int(n) {
+		fb.b = make([]byte, n)
 	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(c.nc, buf); err != nil {
-		return 0, nil, buf, err
-	}
-	return buf[0], buf[1:], buf, nil
+	fb.b = fb.b[:n]
+	_, err := io.ReadFull(c.nc, fb.b)
+	return err
 }
 
 // serve runs the reader loop, dispatching every frame to handle until
-// the connection dies. Pings are answered here; pongs (and every other
-// frame) refresh the read deadline implicitly. onDead runs once with
-// the fatal error.
-func (c *conn) serve(handle func(typ byte, payload []byte) error, onDead func(error)) {
+// the connection dies. handle reports whether it kept the frame's buffer
+// (a queued data frame); the loop then reads on into a fresh one. Pings
+// are answered here; pongs (and every other frame) refresh the read
+// deadline implicitly. onDead runs once with the fatal error.
+func (c *conn) serve(handle func(fb *frameBuf) (kept bool, err error), onDead func(error)) {
 	c.enableKeepAlive(c.kaDur())
-	var buf []byte
+	fb := getFrameBuf()
 	for {
-		typ, payload, nbuf, err := c.readFrame(buf)
-		buf = nbuf
-		if err != nil {
+		if err := c.readFrame(fb); err != nil {
 			c.die(fmt.Errorf("net: read from proc %d: %w", c.peer, err))
 			break
 		}
@@ -435,18 +480,23 @@ func (c *conn) serve(handle func(typ byte, payload []byte) error, onDead func(er
 			// wait for the deadline to declare the conn dead.
 			continue
 		}
-		switch typ {
+		switch fb.typ() {
 		case msgPing:
 			c.writeFrame(msgPong, nil)
 			continue
 		case msgPong:
 			continue
 		}
-		if err := handle(typ, payload); err != nil {
+		kept, err := handle(fb)
+		if kept {
+			fb = getFrameBuf()
+		}
+		if err != nil {
 			c.die(err)
 			break
 		}
 	}
+	putFrameBuf(fb)
 	if onDead != nil {
 		onDead(c.deadErr())
 	}

@@ -105,14 +105,14 @@ func RunWorker(coordAddr string, proc int) error {
 
 	// The setup frame arrives before the endpoint exists; read it
 	// synchronously, then start the demux loops.
-	typ, payload, _, err := c.readFrame(nil)
-	if err != nil {
+	var fb frameBuf
+	if err := c.readFrame(&fb); err != nil {
 		return fmt.Errorf("net: worker %d: await setup: %w", proc, err)
 	}
-	if typ != msgSetup {
-		return fmt.Errorf("net: worker %d: expected setup, got %s", proc, msgName(typ))
+	if fb.typ() != msgSetup {
+		return fmt.Errorf("net: worker %d: expected setup, got %s", proc, msgName(fb.typ()))
 	}
-	if err := json.Unmarshal(payload, &w.setup); err != nil {
+	if err := json.Unmarshal(fb.payload(), &w.setup); err != nil {
 		return fmt.Errorf("net: worker %d: decode setup: %w", proc, err)
 	}
 	w.ka = time.Duration(w.setup.KeepAliveMs) * time.Millisecond
@@ -139,7 +139,7 @@ func RunWorker(coordAddr string, proc int) error {
 	c.enableKeepAlive(w.ka)
 
 	go w.queryLoop()
-	c.serve(w.handleFrame(c), func(err error) {
+	c.serve(w.ep.demux(c, w.handleFrame(c)), func(err error) {
 		w.ep.peerDied(0, err)
 		close(w.closing)
 	})
@@ -212,19 +212,19 @@ func (w *worker) acceptLoop() {
 		c := newConn(nc, 0) // keepalive deferred until the first query
 		go func() {
 			// The first frame must identify the dialer.
-			typ, payload, _, err := c.readFrame(nil)
-			if err != nil || typ != msgHello {
+			var fb frameBuf
+			if err := c.readFrame(&fb); err != nil || fb.typ() != msgHello {
 				c.die(fmt.Errorf("net: mesh accept: bad hello"))
 				return
 			}
 			var h helloMsg
-			if json.Unmarshal(payload, &h) != nil {
+			if json.Unmarshal(fb.payload(), &h) != nil {
 				c.die(fmt.Errorf("net: mesh accept: bad hello"))
 				return
 			}
 			c.peer = h.Proc
 			w.ep.setPeer(h.Proc, c)
-			c.serve(w.handleFrame(c), func(err error) { w.ep.peerDied(h.Proc, err) })
+			c.serve(w.ep.demux(c, w.handleFrame(c)), func(err error) { w.ep.peerDied(h.Proc, err) })
 		}()
 	}
 }
@@ -254,16 +254,14 @@ func (w *worker) dialPeer(proc int, addr string) error {
 		return &NetError{Msg: err.Error(), Peer: proc}
 	}
 	w.ep.setPeer(proc, c)
-	go c.serve(w.handleFrame(c), func(err error) { w.ep.peerDied(proc, err) })
+	go c.serve(w.ep.demux(c, w.handleFrame(c)), func(err error) { w.ep.peerDied(proc, err) })
 	return nil
 }
 
-// handleFrame demuxes one connection's frames into the worker.
+// handleFrame handles one connection's control frames.
 func (w *worker) handleFrame(c *conn) func(typ byte, payload []byte) error {
 	return func(typ byte, payload []byte) error {
 		switch typ {
-		case msgData, msgEOS, msgCredit:
-			return w.ep.handleStreamFrame(c, typ, payload)
 		case msgQuery:
 			var qm queryMsg
 			if err := json.Unmarshal(payload, &qm); err != nil {

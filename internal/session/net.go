@@ -23,9 +23,14 @@ import (
 )
 
 // runNet executes one query of the stream over the TCP fabric, with
-// replica failover. Mirrors run()'s accounting contract: adapt first
-// (migration I/O on this query's meter, once — workers adapt with
-// throwaway meters), counters captured and reset whatever happens.
+// replica failover. Mirrors run()'s accounting contract: adapt before
+// compiling (migration I/O on this query's meter, once — workers adapt
+// with throwaway meters), counters captured and reset whatever happens.
+// The first attempt is dispatched BEFORE the coordinator adapts: every
+// worker replays the identical adaptation when the query message
+// arrives, so dispatching first runs the replicas' migrations side by
+// side instead of the workers' after the coordinator's. Frames a fast
+// worker ships meanwhile park in the attempt's queues under credit.
 func (s *Session) runNet(q Query, collect bool, sink func(*exec.Batch) error) (*Result, error) {
 	res := &Result{Seq: s.seq, Label: q.Label}
 	seq := s.seq
@@ -44,16 +49,6 @@ func (s *Session) runNet(q Query, collect bool, sink func(*exec.Batch) error) (*
 		return res, fmt.Errorf("session: %q: the TCP transport requires declarative specs (hand-built plans cannot be dispatched)", q.Label)
 	}
 
-	// Adaptation votes come from the spec's join graph, never from a
-	// hand-set Uses list: every worker replica derives its votes from
-	// the same bound spec, and the coordinator must match them exactly
-	// or layouts drift apart.
-	adapt, err := s.opt.OnQuery(q.Spec.Uses(), s.meter)
-	if err != nil {
-		return res, fmt.Errorf("session: adapt %q: %w", q.Label, err)
-	}
-	res.Adapt = adapt
-
 	ctx := s.ex.Ctx()
 	if ctx == nil {
 		ctx = context.Background()
@@ -65,6 +60,19 @@ func (s *Session) runNet(q Query, collect bool, sink func(*exec.Batch) error) (*
 		at, err := s.net.Begin(q.Spec.Spec, seq, s.runner.LinkWeights)
 		if err != nil {
 			return res, fmt.Errorf("session: dispatch %q: %w", q.Label, err)
+		}
+		if attemptN == 1 {
+			// Adaptation votes come from the spec's join graph, never from
+			// a hand-set Uses list: every worker replica derives its votes
+			// from the same bound spec, and the coordinator must match them
+			// exactly or layouts drift apart. Once per query: a failover
+			// retry reuses seq, and the workers skip re-adapting on it too.
+			adapt, err := s.opt.OnQuery(q.Spec.Uses(), s.meter)
+			if err != nil {
+				at.Finish(err, s.meter) // the workers must abort, not wait for streams
+				return res, fmt.Errorf("session: adapt %q: %w", q.Label, err)
+			}
+			res.Adapt = adapt
 		}
 		fb, err := at.Fabric(s.ex)
 		if err != nil {

@@ -28,6 +28,7 @@ package tuple
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 
 	"adaptdb/internal/value"
@@ -164,18 +165,7 @@ func (v *ColVec) append(val value.Value) {
 		return
 	}
 	if val.K == value.Null {
-		v.noteValid(false)
-		// Keep the payload vector aligned when the kind is known; before
-		// adoption there is nothing to pad (adopt backfills).
-		switch {
-		case value.IntClass(v.kind):
-			v.ints = append(v.ints, 0)
-		case v.kind == value.Float:
-			v.floats = append(v.floats, 0)
-		case v.kind == value.String:
-			v.strs = append(v.strs, "")
-		}
-		v.n++
+		v.appendNull()
 		return
 	}
 	if v.kind == value.Null {
@@ -199,6 +189,22 @@ func (v *ColVec) append(val value.Value) {
 		v.floats = append(v.floats, val.F)
 	default:
 		v.strs = append(v.strs, val.S)
+	}
+	v.n++
+}
+
+// appendNull adds a NULL to a typed (non-boxed) column.
+func (v *ColVec) appendNull() {
+	v.noteValid(false)
+	// Keep the payload vector aligned when the kind is known; before
+	// adoption there is nothing to pad (adopt backfills).
+	switch {
+	case value.IntClass(v.kind):
+		v.ints = append(v.ints, 0)
+	case v.kind == value.Float:
+		v.floats = append(v.floats, 0)
+	case v.kind == value.String:
+		v.strs = append(v.strs, "")
 	}
 	v.n++
 }
@@ -691,6 +697,125 @@ func (c *Columns) AppendFrame(dst []byte) []byte {
 		}
 	}
 	return dst
+}
+
+// DecodeFrame replaces the set's contents with the rows of one run
+// frame — the inverse of AppendFrame (and of the row encoder, whose
+// bytes are identical) — and returns the bytes consumed. Each column's
+// values are read straight into its typed vector: no value is boxed
+// unless a column mixes kinds, and every string header of the frame
+// aliases one shared copy of its bytes (framePool), so a warmed,
+// recycled set decodes a numeric frame without allocating and a
+// string-bearing one with a single allocation. It applies the guards
+// tuple.DecodeFrame applies and fails on exactly the inputs that fails
+// on; after an error the set's contents are undefined until the next
+// Reset. A zero-row frame decodes to an empty zero-column set: with no
+// values behind it, the header's column count is backed by no bytes and
+// must not size anything.
+func (c *Columns) DecodeFrame(src []byte) (int, error) {
+	nRows, nCols, pos, err := frameHeader(src)
+	if err != nil {
+		return 0, err
+	}
+	if nRows == 0 {
+		c.Reset(0)
+		return pos, nil
+	}
+	c.Reset(nCols)
+	c.Reserve(nRows)
+	var pool framePool
+	for ci := range c.vecs {
+		if pos, err = c.vecs[ci].decodeColumn(src, pos, nRows, &pool); err != nil {
+			return 0, fmt.Errorf("tuple: frame: col %d: %w", ci, err)
+		}
+	}
+	c.n = nRows
+	return pos, nil
+}
+
+// decodeColumn appends nRows encoded values starting at src[pos] to an
+// empty column and returns the offset past them. The kind dispatch is
+// hoisted out of the per-value work: each run of same-kind values is one
+// tight loop that checks only the next kind byte, a NULL or a kind
+// change ends the run, and a column that mixes kinds falls back to
+// boxed appends (ColVec.append demotes it).
+func (v *ColVec) decodeColumn(src []byte, pos, nRows int, pool *framePool) (int, error) {
+	for v.n < nRows {
+		if pos >= len(src) {
+			return 0, fmt.Errorf("row %d: truncated", v.n)
+		}
+		k := value.Kind(src[pos])
+		switch {
+		case v.boxed != nil || (k != value.Null && v.kind != value.Null && k != v.kind):
+			var p string
+			if k == value.String {
+				p = pool.tail(src, pos)
+			}
+			val, n, err := value.DecodeValuePooled(src[pos:], p)
+			if err != nil {
+				return 0, fmt.Errorf("row %d: %w", v.n, err)
+			}
+			v.append(val)
+			pos += n
+		case k == value.Null:
+			v.appendNull()
+			pos++
+		case value.IntClass(k):
+			if v.kind == value.Null {
+				v.adopt(k)
+			}
+			for v.n < nRows && pos < len(src) && value.Kind(src[pos]) == k {
+				x, n := binary.Varint(src[pos+1:])
+				if n <= 0 {
+					return 0, fmt.Errorf("row %d: bad varint for kind %v", v.n, k)
+				}
+				if v.valid != nil {
+					v.noteValid(true)
+				}
+				v.ints = append(v.ints, x)
+				v.n++
+				pos += 1 + n
+			}
+		case k == value.Float:
+			if v.kind == value.Null {
+				v.adopt(k)
+			}
+			for v.n < nRows && pos < len(src) && value.Kind(src[pos]) == value.Float {
+				if len(src)-pos < 9 {
+					return 0, fmt.Errorf("row %d: short float payload", v.n)
+				}
+				if v.valid != nil {
+					v.noteValid(true)
+				}
+				v.floats = append(v.floats, math.Float64frombits(binary.LittleEndian.Uint64(src[pos+1:])))
+				v.n++
+				pos += 9
+			}
+		case k == value.String:
+			if v.kind == value.Null {
+				v.adopt(k)
+			}
+			for v.n < nRows && pos < len(src) && value.Kind(src[pos]) == value.String {
+				l, n := binary.Uvarint(src[pos+1:])
+				if n <= 0 {
+					return 0, fmt.Errorf("row %d: bad string length", v.n)
+				}
+				pos += 1 + n
+				if uint64(len(src)-pos) < l {
+					return 0, fmt.Errorf("row %d: short string payload (want %d have %d)", v.n, l, len(src)-pos)
+				}
+				if v.valid != nil {
+					v.noteValid(true)
+				}
+				v.strs = append(v.strs, pool.tail(src, pos)[:l])
+				v.n++
+				pos += int(l)
+			}
+		default:
+			return 0, fmt.Errorf("row %d: unknown kind %d", v.n, src[pos])
+		}
+	}
+	return pos, nil
 }
 
 // Hash64Column hashes column col of every physical row into dst

@@ -321,7 +321,7 @@ func noStaleHeaders(t *testing.T, c *Columns, when string) {
 
 // TestResetLeavesNoStaleHeaders pins the invariant ColVec.reset relies
 // on to clear only the live prefix: every write path appends onto a
-// zeroed tail, so after any append/gather/reset sequence — also
+// zeroed tail, so after any append/gather/decode/reset sequence — also
 // across kind changes, NULL backfills and shrinking refills — nothing
 // non-empty sits in [len:cap], and right after a Reset nothing non-empty
 // sits anywhere in [0:cap]. A pooled vector therefore cannot pin
@@ -334,6 +334,7 @@ func TestResetLeavesNoStaleHeaders(t *testing.T) {
 	for i := 0; i < 300; i += 2 {
 		idxs = append(idxs, int32(i))
 	}
+	frame := src.AppendFrame(nil)
 	strFirst := Tuple{value.NewString("lead"), value.NewString("s"), value.Value{}, value.NewString("tail")}
 
 	c := NewColumns(4)
@@ -358,6 +359,11 @@ func TestResetLeavesNoStaleHeaders(t *testing.T) {
 		{"AppendRowFrom", func() {
 			for i := 0; i < 40; i++ {
 				c.AppendRowFrom(src, i)
+			}
+		}},
+		{"DecodeFrame", func() {
+			if _, err := c.DecodeFrame(frame); err != nil {
+				t.Fatal(err)
 			}
 		}},
 		{"null-led string column", func() {

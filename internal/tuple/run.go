@@ -70,43 +70,71 @@ func (s *FrameScratch) Decode(src []byte) ([]Tuple, int, error) {
 	return decodeFrame(src, s)
 }
 
-func decodeFrame(src []byte, s *FrameScratch) ([]Tuple, int, error) {
-	nRows, n := binary.Uvarint(src)
+// frameHeader parses a frame's row and column counts and applies the
+// size guards every decoder shares, returning the counts and the offset
+// of the first value.
+func frameHeader(src []byte) (nRows, nCols, pos int, err error) {
+	r, n := binary.Uvarint(src)
 	if n <= 0 {
-		return nil, 0, fmt.Errorf("tuple: frame: bad row count")
+		return 0, 0, 0, fmt.Errorf("tuple: frame: bad row count")
 	}
-	pos := n
-	nCols, n := binary.Uvarint(src[pos:])
+	pos = n
+	c, n := binary.Uvarint(src[pos:])
 	if n <= 0 {
-		return nil, 0, fmt.Errorf("tuple: frame: bad column count")
+		return 0, 0, 0, fmt.Errorf("tuple: frame: bad column count")
 	}
 	pos += n
 	// Bound each factor before multiplying: a corrupt header like
 	// nRows=1<<62 would overflow the product past the guard and panic
-	// in the allocation below instead of erroring.
-	if nRows > frameLimit || nCols > frameLimit || nRows*nCols > frameLimit {
-		return nil, 0, fmt.Errorf("tuple: frame: implausible size %d×%d", nRows, nCols)
+	// in the decoder's allocation instead of erroring.
+	if r > frameLimit || c > frameLimit || r*c > frameLimit {
+		return 0, 0, 0, fmt.Errorf("tuple: frame: implausible size %d×%d", r, c)
 	}
-	if nRows == 0 {
-		return nil, pos, nil
-	}
-	nVals := int(nRows * nCols)
 	// Every encoded value takes at least one byte, so a frame claiming
-	// more values than it has bytes left is corrupt. Checking before the
+	// more values than it has bytes left is corrupt. Checking before any
 	// allocation bounds decode memory by the input length — a 20-byte
 	// frame with a fabricated 16M-value header allocates nothing, where
 	// the frameLimit guard alone would let it claim ~640MB of Tuple
 	// storage before the value decode loop failed.
-	if nVals > len(src)-pos {
-		return nil, 0, fmt.Errorf("tuple: frame: %d values claimed in %d remaining bytes", nVals, len(src)-pos)
+	if nVals := int(r * c); nVals > len(src)-pos {
+		return 0, 0, 0, fmt.Errorf("tuple: frame: %d values claimed in %d remaining bytes", nVals, len(src)-pos)
 	}
+	return int(r), int(c), pos, nil
+}
+
+// framePool is the one string copy of a frame's bytes that backs every
+// string payload decoded from it. It is made at the first string value,
+// from there on: numeric frames, and the numeric columns ahead of the
+// first string column, are never copied.
+type framePool struct {
+	s   string
+	off int // s[i] mirrors src[off+i]
+}
+
+// tail returns the pooled copy of src[pos:].
+func (p *framePool) tail(src []byte, pos int) string {
+	if p.s == "" {
+		p.s, p.off = string(src[pos:]), pos
+	}
+	return p.s[pos-p.off:]
+}
+
+func decodeFrame(src []byte, s *FrameScratch) ([]Tuple, int, error) {
+	nRows, nCols, pos, err := frameHeader(src)
+	if err != nil {
+		return nil, 0, err
+	}
+	if nRows == 0 {
+		return nil, pos, nil
+	}
+	nVals := nRows * nCols
 	var flat Tuple
 	var rows []Tuple
 	if s != nil {
 		if cap(s.flat) < nVals {
 			s.flat = make(Tuple, nVals)
 		}
-		if cap(s.rows) < int(nRows) {
+		if cap(s.rows) < nRows {
 			s.rows = make([]Tuple, nRows)
 		}
 		flat, rows = s.flat[:nVals], s.rows[:nRows]
@@ -116,29 +144,25 @@ func decodeFrame(src []byte, s *FrameScratch) ([]Tuple, int, error) {
 	}
 	// One string copy of the frame backs every string payload
 	// (DecodeValuePooled); created lazily so all-numeric frames pay
-	// nothing. pool[i] corresponds to src[i], making offset slicing
-	// valid at any position.
-	pool := ""
-	for c := 0; c < int(nCols); c++ {
-		for r := 0; r < int(nRows); r++ {
-			if pool == "" && pos < len(src) && value.Kind(src[pos]) == value.String {
-				pool = string(src)
-			}
+	// nothing.
+	var pool framePool
+	for c := 0; c < nCols; c++ {
+		for r := 0; r < nRows; r++ {
 			var vpool string
-			if pool != "" {
-				vpool = pool[pos:]
+			if pos < len(src) && value.Kind(src[pos]) == value.String {
+				vpool = pool.tail(src, pos)
 			}
 			v, vn, err := value.DecodeValuePooled(src[pos:], vpool)
 			if err != nil {
 				return nil, 0, fmt.Errorf("tuple: frame: row %d col %d: %w", r, c, err)
 			}
-			flat[r*int(nCols)+c] = v
+			flat[r*nCols+c] = v
 			pos += vn
 		}
 	}
 	for r := range rows {
-		off := r * int(nCols)
-		rows[r] = flat[off : off+int(nCols) : off+int(nCols)]
+		off := r * nCols
+		rows[r] = flat[off : off+nCols : off+nCols]
 	}
 	return rows, pos, nil
 }
