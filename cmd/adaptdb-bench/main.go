@@ -1,5 +1,7 @@
 // Command adaptdb-bench regenerates every table and figure of the
 // paper's evaluation (§7) and prints the series in plain-text tables.
+// Wall-clock performance is measured by the benchmark under bench/
+// (bash bench/run.sh), not here.
 //
 // Usage:
 //
@@ -7,38 +9,20 @@
 //	adaptdb-bench -fig fig12      # one experiment
 //	adaptdb-bench -sf 0.004       # larger micro scale factor
 //	adaptdb-bench -list           # list experiments
-//	adaptdb-bench -pipeline -sf 0.1   # materialized vs pipelined executor
-//	adaptdb-bench -json -sf 0.01      # machine-readable pipeline results
-//	                                  # + adaptive replay at 1/4/8 node
-//	                                  # executors (BENCH_PR4.json, CI-gated
-//	                                  # by cmd/benchdiff)
-//	adaptdb-bench -session -sf 0.01   # adaptive session replay, on vs off,
-//	                                  # on per-node executors (-nodes N)
-//	adaptdb-bench -session -json      # per-operator records (BENCH_PR3.json)
-//	adaptdb-bench -spill -sf 0.1      # shuffle join across memory budgets
-//	                                  # {inf, 1/2, 1/8 build} × columnar/row
-//	                                  # paths × 1/4/8 nodes; -json emits
-//	                                  # BENCH_PR7.json (self-gates on result
-//	                                  # checksums and the columnar A/B)
-//	adaptdb-bench -mem 50000000 ...   # budget the -pipeline/-session runs
+//	adaptdb-bench -pr9 [-json]    # greedy vs fixed join order, and the
+//	                              # RDF-style shifting workload adaptive
+//	                              # vs static (self-gating on equal results)
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
-	"adaptdb/internal/cluster"
-	"adaptdb/internal/core"
-	"adaptdb/internal/dfs"
-	"adaptdb/internal/exec"
 	"adaptdb/internal/experiments"
-	"adaptdb/internal/tpch"
 )
 
 type runner struct {
@@ -76,17 +60,13 @@ func main() {
 	var (
 		fig      = flag.String("fig", "", "run a single experiment (e.g. fig12); empty = all")
 		list     = flag.Bool("list", false, "list experiments and exit")
-		pipeline = flag.Bool("pipeline", false, "compare materialized vs pipelined executor paths and exit")
-		spill    = flag.Bool("spill", false, "sweep the shuffle join across memory budgets {inf, 1/2 build, 1/8 build}, columnar vs row paths, at 1/4/8 nodes unless -nodes is set, and exit (BENCH_PR7.json with -json)")
-		sess     = flag.Bool("session", false, "replay a join-attribute-shifting TPC-H stream through adaptive sessions (adaptation on vs off) and exit")
-		pr9      = flag.Bool("pr9", false, "run the PR-9 acceptance benchmarks — greedy vs fixed join order, and the RDF-style shifting workload adaptive vs static — and exit (BENCH_PR9.json with -json)")
-		jsonOut  = flag.Bool("json", false, "emit machine-readable JSON (implies -pipeline, or the session replay with -session); track results in BENCH_*.json")
+		pr9      = flag.Bool("pr9", false, "run the PR-9 acceptance benchmarks — greedy vs fixed join order, and the RDF-style shifting workload adaptive vs static — and exit")
+		jsonOut  = flag.Bool("json", false, "with -pr9, emit the report as JSON")
 		sf       = flag.Float64("sf", 0, "TPC-H micro scale factor (default 0.002)")
 		rpb      = flag.Int("rows-per-block", 0, "rows per block (default 256)")
 		budget   = flag.Int("budget", 0, "hyper-join buffer in blocks (default 8)")
-		nodes    = flag.Int("nodes", 0, "simulated cluster nodes; with -session, also the per-node executor count (default 10)")
+		nodes    = flag.Int("nodes", 0, "simulated cluster nodes (default 10)")
 		seed     = flag.Int64("seed", 0, "random seed (default 42)")
-		mem      = flag.Int64("mem", 0, "operator memory budget in bytes for -pipeline/-session runs (0 = unlimited; joins spill to disk run files beyond it)")
 		trips    = flag.Int("trips", 4000, "CMT trips for fig18")
 		ilpSteps = flag.Int64("ilp-steps", 0, "exact-search step cap for fig17")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (pprof format)")
@@ -94,9 +74,6 @@ func main() {
 	)
 	flag.Parse()
 
-	// Profile artifacts ride along with regression reports: when benchdiff
-	// flags a slowdown, the same command re-run with -cpuprofile hands the
-	// investigation a pprof file instead of a guess.
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -147,30 +124,9 @@ func main() {
 		f17.MaxSteps = *ilpSteps
 	}
 
-	if *spill {
-		if err := runSpillBench(cfg, *jsonOut, *nodes > 0); err != nil {
-			fmt.Fprintf(os.Stderr, "spill: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *sess {
-		if err := runSessionCompare(cfg, *jsonOut, *mem); err != nil {
-			fmt.Fprintf(os.Stderr, "session: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *pr9 {
 		if err := runPR9(cfg, *jsonOut); err != nil {
 			fmt.Fprintf(os.Stderr, "pr9: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *pipeline || *jsonOut {
-		if err := runPipelineCompare(cfg, *jsonOut, *mem); err != nil {
-			fmt.Fprintf(os.Stderr, "pipeline: %v\n", err)
 			os.Exit(1)
 		}
 		return
@@ -201,156 +157,5 @@ func main() {
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q (try -list)\n", *fig)
 		os.Exit(2)
-	}
-}
-
-// benchRecord is one machine-readable benchmark measurement, the unit
-// future PRs track in BENCH_*.json to follow the perf trajectory.
-type benchRecord struct {
-	Op          string `json:"op"`
-	Rows        int    `json:"rows"`
-	NsPerOp     int64  `json:"ns_per_op"`
-	AllocsPerOp uint64 `json:"allocs_per_op"`
-	BytesPerOp  uint64 `json:"bytes_per_op"`
-}
-
-// benchReport wraps the records with enough configuration to make runs
-// comparable across PRs.
-type benchReport struct {
-	SF           float64       `json:"sf"`
-	RowsPerBlock int           `json:"rows_per_block"`
-	Nodes        int           `json:"nodes"`
-	BatchSize    int           `json:"batch_size"`
-	Results      []benchRecord `json:"results"`
-}
-
-// runPipelineCompare loads TPC-H lineitem and orders co-partitioned on
-// orderkey at the configured scale factor and runs the same scan and
-// shuffle-join work through the legacy materializing executor methods
-// and the batched Operator pipeline, reporting wall time, result rows,
-// and allocations per path — as a plain-text table, or as JSON when
-// jsonOut is set.
-func runPipelineCompare(cfg experiments.Config, jsonOut bool, mem int64) error {
-	if !jsonOut {
-		fmt.Printf("executor pipeline comparison (SF=%.4g, rows/block=%d, %d nodes, batch=%d rows, mem=%d)\n\n",
-			cfg.SF, cfg.RowsPerBlock, cfg.Nodes, exec.DefaultBatchSize, mem)
-	}
-	ds := tpch.Generate(cfg.SF, cfg.Seed)
-	store := dfs.NewStore(cfg.Nodes, 3, cfg.Seed)
-	line, err := core.Load(store, "lineitem", tpch.LineitemSchema, ds.Lineitem, core.LoadOptions{
-		RowsPerBlock: cfg.RowsPerBlock, Seed: cfg.Seed, JoinAttr: tpch.LOrderKey,
-	})
-	if err != nil {
-		return err
-	}
-	ord, err := core.Load(store, "orders", tpch.OrdersSchema, ds.Orders, core.LoadOptions{
-		RowsPerBlock: cfg.RowsPerBlock, Seed: cfg.Seed + 1, JoinAttr: tpch.OOrderKey,
-	})
-	if err != nil {
-		return err
-	}
-	ex := exec.New(store, &cluster.Meter{})
-	ex.Mem = exec.NewMemBudget(mem)
-
-	report := benchReport{
-		SF: cfg.SF, RowsPerBlock: cfg.RowsPerBlock, Nodes: cfg.Nodes, BatchSize: exec.DefaultBatchSize,
-	}
-	if !jsonOut {
-		fmt.Printf("%-28s %12s %12s %14s %12s\n", "path", "wall", "rows", "allocated", "allocs")
-	}
-	measure := func(name string, run func() (int, error)) error {
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		rows, err := run()
-		wall := time.Since(start)
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		runtime.ReadMemStats(&after)
-		rec := benchRecord{
-			Op:          name,
-			Rows:        rows,
-			NsPerOp:     wall.Nanoseconds(),
-			AllocsPerOp: after.Mallocs - before.Mallocs,
-			BytesPerOp:  after.TotalAlloc - before.TotalAlloc,
-		}
-		report.Results = append(report.Results, rec)
-		if !jsonOut {
-			fmt.Printf("%-28s %12s %12d %14s %12d\n", name, wall.Round(time.Millisecond), rows,
-				fmtBytes(rec.BytesPerOp), rec.AllocsPerOp)
-		}
-		return nil
-	}
-
-	steps := []struct {
-		name string
-		run  func() (int, error)
-	}{
-		{"scan/materialized", func() (int, error) {
-			return len(ex.Scan(line, nil)), nil
-		}},
-		{"scan/pipelined", func() (int, error) {
-			return exec.Count(ex.TableScanOp(line, nil))
-		}},
-		{"shuffle-join/materialized", func() (int, error) {
-			return len(ex.ShuffleJoinTables(line, nil, tpch.LOrderKey, ord, nil, tpch.OOrderKey)), nil
-		}},
-		{"shuffle-join/pipelined", func() (int, error) {
-			return exec.Count(ex.JoinOp(
-				ex.TableScanOp(ord, nil), tpch.OOrderKey,
-				ex.TableScanOp(line, nil), tpch.LOrderKey,
-				exec.JoinOptions{BuildIsRight: true, BuildCharge: exec.ChargeShuffle, ProbeCharge: exec.ChargeShuffle},
-			))
-		}},
-		{"hyper-join/materialized", func() (int, error) {
-			rows, _ := ex.HyperJoin(line.Refs(0, nil), nil, tpch.LOrderKey,
-				ord.Refs(0, nil), nil, tpch.OOrderKey, cfg.Budget)
-			return len(rows), nil
-		}},
-		{"hyper-join/pipelined", func() (int, error) {
-			return exec.Count(ex.NewHyperJoinOp(line.Refs(0, nil), nil, tpch.LOrderKey,
-				ord.Refs(0, nil), nil, tpch.OOrderKey, cfg.Budget))
-		}},
-	}
-	for _, s := range steps {
-		if err := measure(s.name, s.run); err != nil {
-			return err
-		}
-	}
-	// The locality sweep: the PR-3 adaptive session stream replayed on
-	// per-node executors at 1, 4, and 8 nodes. On multi-core hardware
-	// cross-node parallelism shows up as falling wall time; on the
-	// 1-core CI container node counts only add exchange overhead (see
-	// ARCHITECTURE.md), so BENCH_PR4.json + cmd/benchdiff gate these
-	// records against gross wall-time cliffs relative to the checked-in
-	// baseline, not against an absolute scaling curve.
-	for _, n := range []int{1, 4, 8} {
-		n := n
-		if err := measure(fmt.Sprintf("adaptive-session/nodes=%d", n), func() (int, error) {
-			return replayAdaptiveOnce(cfg, ds, n, mem)
-		}); err != nil {
-			return err
-		}
-	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(report)
-	}
-	return nil
-}
-
-func fmtBytes(n uint64) string {
-	switch {
-	case n >= 1<<30:
-		return fmt.Sprintf("%.1f GiB", float64(n)/(1<<30))
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1f MiB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1f KiB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%d B", n)
 	}
 }

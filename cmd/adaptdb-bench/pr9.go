@@ -3,8 +3,7 @@
 // grouped three-way TPC-H query whose selective edge sits last in
 // declaration order, and (b) the RDF-style subject→object shifting
 // workload replayed through adaptive vs static sessions. Both halves
-// self-gate on result equality between the compared configurations;
-// the JSON report is what BENCH_PR9.json tracks.
+// self-gate on result equality between the compared configurations.
 package main
 
 import (

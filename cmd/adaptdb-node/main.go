@@ -75,7 +75,7 @@ func main() {
 		kill      = flag.Bool("kill", true, "arm a mid-query node kill when a replica remains to fail over to")
 		inProcess = flag.Bool("inprocess", false, "run workers as goroutines instead of spawned processes")
 		jsonOut   = flag.Bool("json", false, "emit the report as JSON on stdout")
-		outPath   = flag.String("out", "", "also write the JSON report to this file (e.g. BENCH_PR10.json)")
+		outPath   = flag.String("out", "", "also write the JSON report to this file")
 	)
 	flag.Parse()
 	nodes, err := parseNodes(*nodeList)

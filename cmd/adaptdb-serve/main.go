@@ -100,7 +100,7 @@ func main() {
 		transport = flag.String("transport", "sim", "execution transport: sim (in-process simulated fabric) or tcp (real worker processes; -nodes workers, serial replay vs in-process oracle)")
 		tcpQ      = flag.Int("tcp-queries", 16, "schedule length for -transport tcp")
 		jsonOut   = flag.Bool("json", false, "emit the report as JSON on stdout")
-		outPath   = flag.String("out", "", "also write the JSON report to this file (e.g. BENCH_PR8.json)")
+		outPath   = flag.String("out", "", "also write the JSON report to this file")
 	)
 	flag.Parse()
 	var err error

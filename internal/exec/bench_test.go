@@ -1,10 +1,9 @@
 package exec_test
 
-// Benchmarks comparing the materialized (legacy slice-returning) and
-// pipelined (Operator/Batch) execution paths on TPC-H-shaped data:
-// a predicated lineitem scan and the lineitem⋈orders join on orderkey.
-// The pipelined consumer aggregates batch-at-a-time, so the difference
-// in B/op is exactly the materialization the legacy API forces.
+// Micro-benchmarks of the Operator/Batch pipeline on TPC-H-shaped data:
+// a predicated lineitem scan, the lineitem⋈orders join on orderkey
+// (unbudgeted, starved-budget and per-worker-count) and the hyper-join,
+// each consumed batch-at-a-time without materializing output.
 //
 // Run with:
 //
@@ -82,18 +81,6 @@ func shipPreds() []predicate.Predicate {
 	return []predicate.Predicate{predicate.NewCmp(tpch.LShipDate, predicate.LT, value.NewDate(mid))}
 }
 
-func BenchmarkScanMaterialized(b *testing.B) {
-	env := benchTables(b)
-	ex := benchExecutor(env)
-	preds := shipPreds()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows := ex.Scan(env.line, preds)
-		b.ReportMetric(float64(len(rows)), "rows")
-	}
-}
-
 func BenchmarkScanPipelined(b *testing.B) {
 	env := benchTables(b)
 	ex := benchExecutor(env)
@@ -106,17 +93,6 @@ func BenchmarkScanPipelined(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(float64(n), "rows")
-	}
-}
-
-func BenchmarkShuffleJoinMaterialized(b *testing.B) {
-	env := benchTables(b)
-	ex := benchExecutor(env)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows := ex.ShuffleJoinTables(env.line, nil, tpch.LOrderKey, env.ord, nil, tpch.OOrderKey)
-		b.ReportMetric(float64(len(rows)), "rows")
 	}
 }
 
@@ -141,13 +117,12 @@ func BenchmarkShuffleJoinPipelined(b *testing.B) {
 	}
 }
 
-// benchSpillJoin is the shuffle join under a starved memory budget
-// (~1/8 of the SF 0.1 build side), the spilling hybrid hash join's hot
-// path, with the columnar/row switch exposed for A/B profiling.
-func benchSpillJoin(b *testing.B, rowPath bool) {
+// BenchmarkSpillJoinPipelined is the shuffle join under a starved
+// memory budget (~1/8 of the SF 0.1 build side), the spilling hybrid
+// hash join's hot path.
+func BenchmarkSpillJoinPipelined(b *testing.B) {
 	env := benchTables(b)
 	ex := benchExecutor(env)
-	ex.DisableColumnar = rowPath
 	ex.Mem = exec.NewMemBudget(6 << 20)
 	ex.SpillDir = b.TempDir()
 	b.ReportAllocs()
@@ -165,9 +140,6 @@ func benchSpillJoin(b *testing.B, rowPath bool) {
 		b.ReportMetric(float64(n), "rows")
 	}
 }
-
-func BenchmarkSpillJoinPipelined(b *testing.B)    { benchSpillJoin(b, false) }
-func BenchmarkSpillJoinPipelinedRow(b *testing.B) { benchSpillJoin(b, true) }
 
 func BenchmarkHyperJoinMaterialized(b *testing.B) {
 	env := benchTables(b)

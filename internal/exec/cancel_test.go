@@ -107,15 +107,19 @@ func TestCancelBeforeExecution(t *testing.T) {
 }
 
 // TestCancelMidBuild: the build-side source cancels after its second
-// batch; the feeder/build workers observe ctx at the next batch
-// boundary and the join winds down through the failure path.
+// of 40 batches; the feeder checks ctx before every build.Next, so it
+// stops pulling the input instead of reading it to the end, and the
+// join winds down through the failure path.
 func TestCancelMidBuild(t *testing.T) {
 	ex, _, cancel, dir := cancelExec(t, 1<<30)
-	l, r := genOrders(4000, 53), genLineitem(100, 54)
+	l, r := genOrders(40000, 53), genLineitem(100, 54)
 	build := &cancelSource{Source: NewSource(l), cancel: cancel, after: 2}
 	_, err := Collect(ex.JoinOp(build, 0, NewSource(r), 0, JoinOptions{}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-build cancel error = %v, want context.Canceled", err)
+	}
+	if max := build.after + ex.workers(); build.emitted > max {
+		t.Errorf("cancelled build read %d batches, want <= %d", build.emitted, max)
 	}
 	assertTornDown(t, ex, dir)
 }
@@ -257,8 +261,9 @@ func TestCancelMidExchange(t *testing.T) {
 	VerifyNoLeaks(t)
 }
 
-// TestCancelColumnarJoin: the vectorized build/probe loops carry the
-// same ctx checks as the row path.
+// TestCancelColumnarJoin: cancellation with columnar inputs — the
+// build's columnar ingest branch and probeColsBatch sit behind the same
+// ctx checks as the row-input seam the tests above drive.
 func TestCancelColumnarJoin(t *testing.T) {
 	ex, _, cancel, dir := cancelExec(t, 1<<30)
 	l, r := genOrders(4000, 62), genLineitem(3000, 63)

@@ -1,9 +1,5 @@
-// The columnar hash-join hot path: vectorized build, batch hashing,
+// The hash join's build and probe: vectorized build, batch hashing,
 // kind-specialized probe, and gathered columnar emission.
-//
-// The row path (pipeline.go) partitions boxed tuples into per-worker
-// joinBufs and probes with value.Equal per candidate. This file is the
-// same join with the inner loops de-boxed:
 //
 //   - build workers transpose incoming batches into per-partition
 //     columnar stores (tuple.Columns), hashing key columns a batch at a
@@ -17,10 +13,14 @@
 //   - matches accumulate as (build row, probe row) index pairs and are
 //     gathered column-at-a-time into columnar output batches.
 //
-// Spill interplay is unchanged: demoted partitions stream rows to the
-// same run files (materialized via RowTo), and the second pass joins
-// them row-wise exactly as before. Executor.DisableColumnar reverts
-// the whole join to the row path for A/B measurement.
+// Row batches (Source views, hyper-join and second-pass outputs) enter
+// through the row-input seam: the build's else branch copies each row
+// into the columnar stores (colBuf.addRow) and probeRowsBatch probes
+// boxed keys against the flat key vector.
+//
+// Under a memory budget, demoted partitions stream rows to run files
+// (columnar frames via writeCol, row frames via write) and the second
+// pass joins them row-wise (spill.go).
 package exec
 
 import (
@@ -94,10 +94,16 @@ type colBuild struct {
 	keyVec *tuple.ColVec // store.Col(bCol); nil while the store is empty
 }
 
-// buildTablesCol is buildTables for the columnar path: same worker
-// fan-out, same spill protocol, but batches transpose into columnar
-// stores and the key column hashes vectorized.
-func (j *hashJoinOp) buildTablesCol() error {
+// buildTables drains the build input, partitioning rows by hash radix
+// across the worker pool (each worker owns one colBuf per partition, so
+// no locks) — batches transpose into the columnar stores and the key
+// column hashes vectorized — then seals the partition tables.
+//
+// Under a memory budget each retained row also charges the MemBudget;
+// on pressure the best-scoring partition is demoted (joinSpill.pressure)
+// and its rows — resident and future — stream to run files instead,
+// each worker flushing its own share locklessly (spill.go).
+func (j *hashJoinOp) buildTables() error {
 	w := j.workerCount()
 	bufs := make([][]colBuf, w)
 	in := make(chan *Batch, w)
@@ -146,7 +152,7 @@ func (j *hashJoinOp) buildTablesCol() error {
 						h := hv[i]
 						p := int(h >> j.radixShift)
 						if sp != nil && sp.isSpilled(p) {
-							if err := spw.evictCol(p, &my[p], &myBytes[p]); err != nil {
+							if err := spw.evict(p, &my[p], &myBytes[p]); err != nil {
 								j.fail(err)
 								break
 							}
@@ -175,7 +181,7 @@ func (j *hashJoinOp) buildTablesCol() error {
 						h := key.Hash64()
 						p := int(h >> j.radixShift)
 						if sp != nil && sp.isSpilled(p) {
-							if err := spw.evictCol(p, &my[p], &myBytes[p]); err != nil {
+							if err := spw.evict(p, &my[p], &myBytes[p]); err != nil {
 								j.fail(err)
 								break
 							}
@@ -203,7 +209,7 @@ func (j *hashJoinOp) buildTablesCol() error {
 				// touched them still hold resident rows here.
 				for p := range my {
 					if sp.isSpilled(p) {
-						if err := spw.evictCol(p, &my[p], &myBytes[p]); err != nil {
+						if err := spw.evict(p, &my[p], &myBytes[p]); err != nil {
 							j.fail(err)
 							break
 						}
@@ -215,8 +221,16 @@ func (j *hashJoinOp) buildTablesCol() error {
 			}
 		}(i, bufs[i])
 	}
+	// A single goroutine owns build.Next (operators need not be
+	// concurrency-safe); input charging happens in the chargeRows
+	// wrappers JoinOp installed, not here.
 	var err error
 	for {
+		if cerr := j.e.ctxErr(); cerr != nil {
+			j.fail(cerr) // workers drop in-flight batches instead of retaining rows
+			err = cerr
+			break
+		}
 		b, berr := j.build.Next()
 		if berr != nil {
 			err = berr
@@ -241,7 +255,11 @@ func (j *hashJoinOp) buildTablesCol() error {
 		return err
 	}
 	if j.spill != nil {
-		if err := j.spill.flushLeftoversCol(bufs); err != nil {
+		// A partition demoted after some worker already finished leaves
+		// rows stranded in that worker's buffer; flush every demoted
+		// partition's leftovers now that the spilled set is frozen and
+		// no worker is running.
+		if err := j.spill.flushLeftovers(bufs); err != nil {
 			return err
 		}
 	}
@@ -313,60 +331,6 @@ func (j *hashJoinOp) sealColTables(bufs [][]colBuf) {
 	cb.keyVec = store.Col(j.bCol)
 }
 
-// evictCol flushes one build worker's resident columnar rows for a
-// freshly demoted partition into its run file — flat typed copies into
-// the writer's column buffer, no row materialized — and returns their
-// bytes to the budget.
-func (s *partSpiller) evictCol(p int, buf *colBuf, bytes *int64) error {
-	if buf.len() == 0 && *bytes == 0 {
-		return nil
-	}
-	for k, h := range buf.hashes {
-		if err := s.writeCol(p, h, buf.store, k); err != nil {
-			return err
-		}
-	}
-	buf.reset()
-	s.sp.partBytes[p].Add(-*bytes)
-	s.sp.release(*bytes)
-	*bytes = 0
-	return nil
-}
-
-// flushLeftoversCol is flushLeftovers for columnar build buffers: a
-// partition demoted after a worker's final sweep still holds rows in
-// that worker's store; flush them once the spilled set is frozen.
-func (sp *joinSpill) flushLeftoversCol(bufs [][]colBuf) error {
-	var spw *partSpiller
-	for p := 0; p < sp.j.nParts; p++ {
-		if !sp.spilled[p].Load() {
-			continue
-		}
-		if freed := sp.partBytes[p].Swap(0); freed != 0 {
-			sp.release(freed)
-		}
-		for wi := range bufs {
-			buf := &bufs[wi][p]
-			if buf.len() == 0 {
-				continue
-			}
-			if spw == nil {
-				spw = sp.newPartSpiller(len(bufs), false)
-			}
-			for k, h := range buf.hashes {
-				if err := spw.writeCol(p, h, buf.store, k); err != nil {
-					return err
-				}
-			}
-			buf.reset()
-		}
-	}
-	if spw != nil {
-		return spw.finish()
-	}
-	return nil
-}
-
 // colProbe is one probe worker's match accumulator: (build row, probe
 // row) index pairs, flushed into gathered columnar output batches.
 type colProbe struct {
@@ -435,10 +399,16 @@ func (st *colProbe) flush() {
 	}
 }
 
-// probeWorkerCol is the columnar probeWorker body: batches route
-// through kind-specialized probe loops and matches leave as gathered
-// columnar batches.
-func (j *hashJoinOp) probeWorkerCol(spw *partSpiller) {
+// probeWorker streams probe batches through the partition tables:
+// batches route through kind-specialized probe loops and matches leave
+// as gathered columnar batches. The worker owns its colProbe
+// exclusively, so output batches are never written by two goroutines.
+func (j *hashJoinOp) probeWorker(id int) {
+	defer j.wg.Done()
+	var spw *partSpiller
+	if j.hasSpilled {
+		spw = j.spill.newPartSpiller(id, true)
+	}
 	st := &colProbe{j: j, ok: true}
 	skipped := int64(0)
 	for pb := range j.in {
@@ -460,8 +430,8 @@ func (j *hashJoinOp) probeWorkerCol(spw *partSpiller) {
 		st.cols, st.rows = nil, nil
 		pb.Release()
 		if !st.ok {
-			// Consumer closed (send failed): exit like the row path; the
-			// dispatcher releases remaining batches.
+			// Consumer closed (send failed): the dispatcher releases the
+			// remaining batches.
 			return
 		}
 	}

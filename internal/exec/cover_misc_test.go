@@ -8,28 +8,21 @@ import (
 	"adaptdb/internal/tuple"
 )
 
-// TestScanRefsMatchesScan: the materializing ref-scan adapter returns
-// the same rows as the table scan it wraps.
-func TestScanRefsMatchesScan(t *testing.T) {
-	f := newFixture(t, true)
-	refs := f.ex.TableRefs(f.line, nil)
-	got := f.ex.ScanRefs(refs, nil)
-	if len(got) != len(f.lrows) {
-		t.Fatalf("ScanRefs returned %d rows, want %d", len(got), len(f.lrows))
-	}
-}
-
 // TestShuffleJoinIntermediates: the §4.3 intermediate-to-intermediate
 // join matches the oracle and meters its rows as intermediates, not
 // shuffles.
 func TestShuffleJoinIntermediates(t *testing.T) {
 	f := newFixture(t, true)
 	l, r := genOrders(400, 71), genLineitem(600, 72)
-	got := f.ex.ShuffleJoinIntermediates(l, r, 0, 0)
+	got, err := Collect(f.ex.JoinOp(NewSource(l), 0, NewSource(r), 0,
+		JoinOptions{BuildCharge: ChargeIntermediate, ProbeCharge: ChargeIntermediate}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	rowsEqualSorted(t, got, NestedLoopJoin(l, r, 0, 0))
 	c := f.meter.Snapshot()
-	if c.IntermediateRows == 0 {
-		t.Error("intermediate join metered no intermediate rows")
+	if c.IntermediateRows != float64(len(l)+len(r)) {
+		t.Errorf("IntermediateRows = %v, want %d", c.IntermediateRows, len(l)+len(r))
 	}
 	if c.ShuffleRows != 0 {
 		t.Errorf("intermediate join metered %v shuffle rows, want 0", c.ShuffleRows)

@@ -335,6 +335,10 @@ func (c Case) estRows(n int) int {
 // Bloom-filtered spill writes, and the estimate-steered fan-out). A
 // budgeted case also runs once with Bloom filtering disabled, so a
 // divergence between the filtered and classic spill paths cannot hide.
+// The input forms cross too: row batches (NewSource) and columnar
+// batches (NewColSource) on either side, so both arms of the join's
+// row/columnar input seam — the build's ingest branches and
+// probeRowsBatch/probeColsBatch — meet every key distribution.
 func RunCentralized(c Case) error {
 	oracle := exec.NestedLoopJoin(c.Left, c.Right, c.LCol, c.RCol)
 
@@ -342,27 +346,34 @@ func RunCentralized(c Case) error {
 		return fmt.Errorf("%s: %w", c, err)
 	}
 
+	rowSrc := func(rows []tuple.Tuple) exec.Operator { return exec.NewSource(rows) }
+	colSrc := func(rows []tuple.Tuple) exec.Operator { return exec.NewColSource(rows) }
 	type variant struct {
-		name         string
-		build, probe []tuple.Tuple
-		bCol, pCol   int
-		opts         exec.JoinOptions
+		name             string
+		build, probe     []tuple.Tuple
+		bCol, pCol       int
+		buildIn, probeIn func([]tuple.Tuple) exec.Operator
+		opts             exec.JoinOptions
 	}
+	leftOpts := exec.JoinOptions{BuildRowsEst: c.estRows(len(c.Left))}
 	variants := []variant{
-		{"build-left", c.Left, c.Right, c.LCol, c.RCol,
-			exec.JoinOptions{BuildRowsEst: c.estRows(len(c.Left))}},
-		{"build-right", c.Right, c.Left, c.RCol, c.LCol,
+		{"build-left", c.Left, c.Right, c.LCol, c.RCol, rowSrc, rowSrc, leftOpts},
+		{"build-right", c.Right, c.Left, c.RCol, c.LCol, rowSrc, rowSrc,
 			exec.JoinOptions{BuildIsRight: true, BuildRowsEst: c.estRows(len(c.Right))}},
+		{"colsource", c.Left, c.Right, c.LCol, c.RCol, colSrc, colSrc, leftOpts},
+		{"rowbuild-colprobe", c.Left, c.Right, c.LCol, c.RCol, rowSrc, colSrc, leftOpts},
+		{"colbuild-rowprobe", c.Left, c.Right, c.LCol, c.RCol, colSrc, rowSrc, leftOpts},
 	}
 	if c.Budget > 0 {
-		variants = append(variants, variant{"build-left-nobloom", c.Left, c.Right, c.LCol, c.RCol,
-			exec.JoinOptions{DisableBloom: true, BuildRowsEst: c.estRows(len(c.Left))}})
+		noBloom := leftOpts
+		noBloom.DisableBloom = true
+		variants = append(variants, variant{"build-left-nobloom", c.Left, c.Right, c.LCol, c.RCol, rowSrc, rowSrc, noBloom})
 	}
 	for _, v := range variants {
 		store := dfs.NewStore(2, 1, c.Seed)
 		ex := exec.New(store, &cluster.Meter{})
 		ex.Mem = exec.NewMemBudget(c.Budget)
-		op := ex.JoinOp(exec.NewSource(v.build), v.bCol, exec.NewSource(v.probe), v.pCol, v.opts)
+		op := ex.JoinOp(v.buildIn(v.build), v.bCol, v.probeIn(v.probe), v.pCol, v.opts)
 		got, err := exec.Collect(op)
 		if err != nil {
 			return fmt.Errorf("%s: JoinOp[%s]: %w", c, v.name, err)
@@ -372,33 +383,6 @@ func RunCentralized(c Case) error {
 		}
 		if used := ex.Mem.Used(); used != 0 {
 			return fmt.Errorf("%s: JoinOp[%s] leaked %d budget bytes", c, v.name, used)
-		}
-	}
-
-	// Columnar-source runs: the same join fed columnar batches (the
-	// vectorized probe's native input form), once on the columnar path
-	// and once forced onto the row path — the inputs then cross the
-	// row-view adapter seam — both against the same oracle.
-	opts := exec.JoinOptions{BuildRowsEst: c.estRows(len(c.Left))}
-	for _, rowPath := range []bool{false, true} {
-		name := "colsource"
-		if rowPath {
-			name = "colsource-rowpath"
-		}
-		store := dfs.NewStore(2, 1, c.Seed)
-		ex := exec.New(store, &cluster.Meter{})
-		ex.Mem = exec.NewMemBudget(c.Budget)
-		ex.DisableColumnar = rowPath
-		op := ex.JoinOp(exec.NewColSource(c.Left), c.LCol, exec.NewColSource(c.Right), c.RCol, opts)
-		got, err := exec.Collect(op)
-		if err != nil {
-			return fmt.Errorf("%s: JoinOp[%s]: %w", c, name, err)
-		}
-		if err := diffRows("JoinOp["+name+"]", got, oracle); err != nil {
-			return fmt.Errorf("%s: %w", c, err)
-		}
-		if used := ex.Mem.Used(); used != 0 {
-			return fmt.Errorf("%s: JoinOp[%s] leaked %d budget bytes", c, name, used)
 		}
 	}
 
@@ -416,7 +400,7 @@ func RunCentralized(c Case) error {
 		ex.Mem = exec.NewMemBudget(c.Budget)
 		op := ex.JoinOp(
 			exec.Where(exec.NewColSource(c.Left), lPreds), c.LCol,
-			exec.Where(exec.NewColSource(c.Right), rPreds), c.RCol, opts)
+			exec.Where(exec.NewColSource(c.Right), rPreds), c.RCol, leftOpts)
 		got, err := exec.Collect(op)
 		if err != nil {
 			return fmt.Errorf("%s: JoinOp[selfilter]: %w", c, err)
@@ -487,29 +471,19 @@ func RunDistributed(c Case, nodes int) error {
 		Right: &planner.Scan{Table: rt},
 		LCol:  c.LCol, RCol: c.RCol,
 	}
-	// Both execution paths run the same compiled DAG: the columnar
-	// default (vectorized scans, exchanges, and joins) and the forced
-	// row path, each against the oracle — so a divergence between the
-	// paths can never hide behind a shared wrong answer.
-	for _, rowPath := range []bool{false, true} {
-		label := fmt.Sprintf("distributed[nodes=%d]", nodes)
-		if rowPath {
-			label = fmt.Sprintf("distributed-rowpath[nodes=%d]", nodes)
-		}
-		ex := exec.New(store, &cluster.Meter{})
-		ex.Mem = exec.NewMemBudget(c.Budget)
-		ex.DisableColumnar = rowPath
-		ex.EnableNodes(1)
-		runner := planner.NewRunner(ex, cluster.Default())
-		runner.EstScale = c.EstFactor // inject the case's estimate error into every compiled join
-		got, _, err := runner.Run(plan)
-		if err != nil {
-			return fmt.Errorf("%s: %s: %w", c, label, err)
-		}
-		if err := diffRows(label, got, oracle); err != nil {
-			return fmt.Errorf("%s: %w", c, err)
-		}
-		ex.Nodes().Flush()
+	label := fmt.Sprintf("distributed[nodes=%d]", nodes)
+	ex := exec.New(store, &cluster.Meter{})
+	ex.Mem = exec.NewMemBudget(c.Budget)
+	ex.EnableNodes(1)
+	runner := planner.NewRunner(ex, cluster.Default())
+	runner.EstScale = c.EstFactor // inject the case's estimate error into every compiled join
+	got, _, err := runner.Run(plan)
+	if err != nil {
+		return fmt.Errorf("%s: %s: %w", c, label, err)
 	}
+	if err := diffRows(label, got, oracle); err != nil {
+		return fmt.Errorf("%s: %w", c, err)
+	}
+	ex.Nodes().Flush()
 	return nil
 }

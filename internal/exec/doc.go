@@ -12,22 +12,28 @@
 //     PlanHyper computes the block-read schedule the optimizer prices.
 //   - §4.2 — every operator meters block reads and shuffled rows into a
 //     cluster.Meter, from which the cost model derives simulated time.
-//   - §4.3 — ShuffleJoinIntermediates charges the cheaper pipelined
-//     factor for shuffling materialized intermediates between joins.
-//   - §6 — Scan/ScanRefs implement predicate-based data access with
-//     tree and zone-map pruning; Executor.RoundRobin and NoPrune are
-//     the Fig. 7 locality and §7.3 full-scan baseline switches.
+//   - §4.3 — JoinOptions.BuildCharge/ProbeCharge = ChargeIntermediate
+//     charges the cheaper pipelined factor for shuffling materialized
+//     intermediates between joins (ChargeShuffle is eq. 1's CSJ factor).
+//   - §6 — ScanOp/TableScanOp implement predicate-based data access
+//     with tree and zone-map pruning; Executor.RoundRobin and NoPrune
+//     are the Fig. 7 locality and §7.3 full-scan baseline switches.
 //
-// The package has two API layers. The batched pipeline layer
-// (pipeline.go) is the execution engine proper: fixed-capacity Batch
-// chunks stream through Open/Next/Close Operators — block scans
-// (ScanOp, TableScanOp), hash joins (JoinOp), hyper-joins
-// (NewHyperJoinOp), filters (Where) and in-memory sources (NewSource)
-// — with scans, hyper-join groups, and the radix-partitioned join's
-// build and probe phases all running on a bounded worker pool. Every
-// join path shares the specialized hash table of joinht.go (value.Hash64
-// keys, chained row indices, value.Equal collision checks, NULL keys
-// never matching). The structural operators of ops.go — Instrument
+// The engine is one batched pipeline (pipeline.go): fixed-capacity
+// Batch chunks — columnar out of scans, exchanges and joins, boxed rows
+// out of sources and hyper-joins — stream through Open/Next/Close
+// Operators: block scans (ScanOp, TableScanOp), the hash join (JoinOp),
+// hyper-joins (NewHyperJoinOp), filters (Where) and in-memory sources
+// (NewSource, NewColSource), with scans, hyper-join groups, and the
+// radix-partitioned join's build and probe phases all running on a
+// bounded worker pool. There is one hash join: a columnar build and
+// probe (coljoin.go) that accepts row or columnar batches on either
+// input and spills under a MemBudget (spill.go); the row-keyed table of
+// joinht.go (value.Hash64 keys, chained row indices, value.Equal
+// collision checks, NULL keys never matching) serves its second pass,
+// the hyper-join groups and HashJoinRows. Drain is the one run loop —
+// Collect and Count, the session and the serving layer all pull a DAG
+// through it. The structural operators of ops.go — Instrument
 // (per-operator rows/batches/time + completion hooks), Concat
 // (sequential stream union) and SwapSides (column-order repair for
 // flipped builds) — are what the planner's compiler wires around these
@@ -41,11 +47,10 @@
 // fragments, metering the rows and bytes that cross nodes. Gather
 // merges per-node streams at the coordinator. A co-located hyper-join
 // uses no exchange at all — zero rows cross the simulated network.
-// The legacy slice-returning layer (Scan, ScanRefs, ShuffleJoin*,
-// HyperJoin) consists of thin Collect() adapters over those operators,
-// kept so the planner, experiments and baselines can stay
-// materialization-oriented where result sets are small. New code that
-// cares about memory or latency should compose Operators and consume
-// batches directly; see README.md in this directory for an example
-// pipeline.
+//
+// Three slice-returning joins remain because each has a caller the
+// operators do not serve: HashJoinRows (the PREF baseline's unmetered
+// join), HyperJoin (fig14–16 read its HyperStats) and NestedLoopJoin
+// (the test oracle). Everything else composes Operators and consumes
+// batches; see README.md in this directory for an example pipeline.
 package exec

@@ -1,6 +1,8 @@
-// Legacy slice-returning executor entry points and the hyper-join
-// planning/statistics shared with the optimizer. See doc.go for the
-// package overview and pipeline.go for the batched engine underneath.
+// The Executor, the slice-returning joins that still have callers
+// (HashJoinRows: the PREF baseline; HyperJoin: fig14–16's HyperStats;
+// NestedLoopJoin: the test oracle) and the hyper-join planning and
+// statistics shared with the optimizer. See doc.go for the package
+// overview and pipeline.go for the batched engine.
 package exec
 
 import (
@@ -41,10 +43,6 @@ type Executor struct {
 	// directories ("" = the OS temp dir). Each join creates and removes
 	// its own subdirectory.
 	SpillDir string
-	// DisableColumnar reverts scans, filters and hash joins to the boxed
-	// row path (pre-columnar behavior) — the A/B knob the bench harness
-	// flips to measure the vectorized hot path against its baseline.
-	DisableColumnar bool
 
 	// fs intercepts run-file I/O inside the spill directory; nil means
 	// the real filesystem. Package-internal so only white-box tests can
@@ -104,21 +102,6 @@ func (e *Executor) taskNode(path string) dfs.NodeID {
 	return 0
 }
 
-// ScanRefs reads the given blocks in parallel, filters by the predicate
-// conjunction, and returns matching rows. Block reads are metered as
-// scans. It is the materializing adapter over ScanOp.
-func (e *Executor) ScanRefs(refs []core.BlockRef, preds []predicate.Predicate) []tuple.Tuple {
-	return MustCollect(e.ScanOp(refs, preds))
-}
-
-// Scan reads every live tree of a table with predicate and zone-map
-// pruning: the paper's predicate-based data access. With NoPrune set it
-// reads everything and filters row by row. It is the materializing
-// adapter over TableScanOp.
-func (e *Executor) Scan(tbl *core.Table, preds []predicate.Predicate) []tuple.Tuple {
-	return MustCollect(e.TableScanOp(tbl, preds))
-}
-
 // HashJoinRows joins two in-memory row sets with a single-threaded hash
 // join, concatenating matching pairs. Null join keys never match (NULL ≠
 // NULL). No metering — callers meter the I/O that produced the inputs.
@@ -166,64 +149,6 @@ func HashJoinRows(left, right []tuple.Tuple, lCol, rCol int) []tuple.Tuple {
 		}
 	}
 	return out
-}
-
-// ShuffleJoinRows joins two materialized row sets, charging the CSJ
-// shuffle factor on every input row (eq. 1: each record is read,
-// partitioned and written, and read again). It is the materializing
-// adapter over JoinOp, building on the smaller side.
-func (e *Executor) ShuffleJoinRows(left, right []tuple.Tuple, lCol, rCol int) []tuple.Tuple {
-	return e.joinRows(left, right, lCol, rCol, ChargeShuffle)
-}
-
-// ShuffleJoinIntermediates joins two materialized intermediate row sets,
-// charging the cheaper pipelined-shuffle factor per row (§4.3's shuffle
-// of two hyper-join outputs).
-func (e *Executor) ShuffleJoinIntermediates(left, right []tuple.Tuple, lCol, rCol int) []tuple.Tuple {
-	return e.joinRows(left, right, lCol, rCol, ChargeIntermediate)
-}
-
-func (e *Executor) joinRows(left, right []tuple.Tuple, lCol, rCol int, charge JoinCharge) []tuple.Tuple {
-	opts := JoinOptions{BuildCharge: charge, ProbeCharge: charge}
-	build, probe := left, right
-	bCol, pCol := lCol, rCol
-	if len(right) < len(left) {
-		build, probe = right, left
-		bCol, pCol = rCol, lCol
-		opts.BuildIsRight = true
-	}
-	opts.BuildRowsEst = len(build) // materialized input: the estimate is exact
-	return MustCollect(e.JoinOp(NewSource(build), bCol, NewSource(probe), pCol, opts))
-}
-
-// ShuffleJoinTables scans both tables (with predicate pushdown) and
-// shuffle-joins the results — the baseline join strategy. The probe-side
-// scan streams straight into the join; only the smaller side (by block
-// metadata row counts) is materialized into the hash table.
-func (e *Executor) ShuffleJoinTables(left *core.Table, lPreds []predicate.Predicate, lCol int,
-	right *core.Table, rPreds []predicate.Predicate, rCol int) []tuple.Tuple {
-	opts := JoinOptions{BuildCharge: ChargeShuffle, ProbeCharge: ChargeShuffle}
-	build, probe := e.TableRefs(left, lPreds), e.TableRefs(right, rPreds)
-	bPreds, pPreds := lPreds, rPreds
-	bCol, pCol := lCol, rCol
-	if metaRows(probe) < metaRows(build) {
-		build, probe = probe, build
-		bPreds, pPreds = rPreds, lPreds
-		bCol, pCol = rCol, lCol
-		opts.BuildIsRight = true
-	}
-	opts.BuildRowsEst = metaRows(build) // zone-map cardinality, pre-predicate
-	return MustCollect(e.JoinOp(e.ScanOp(build, bPreds), bCol, e.ScanOp(probe, pPreds), pCol, opts))
-}
-
-// metaRows sums zone-map row counts over a ref set — a pre-scan
-// cardinality estimate for build-side selection.
-func metaRows(refs []core.BlockRef) int {
-	n := 0
-	for _, r := range refs {
-		n += r.Meta.Count
-	}
-	return n
 }
 
 // HyperPlan is the block-read schedule of a prospective hyper-join: the

@@ -88,10 +88,34 @@ func newFixture(t *testing.T, coPartitioned bool) *fixture {
 	return &fixture{store: store, meter: meter, ex: New(store, meter), line: line, ord: ord, lrows: lrows, orows: orows}
 }
 
+// scanRows materializes a pruned, predicated table scan.
+func scanRows(t *testing.T, ex *Executor, tbl *core.Table, preds []predicate.Predicate) []tuple.Tuple {
+	t.Helper()
+	rows, err := Collect(ex.TableScanOp(tbl, preds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// shuffleJoinTables scans both tables (with predicate pushdown) and
+// joins them charging the CSJ shuffle factor on every input row — the
+// baseline join strategy, in (left, right) column order.
+func shuffleJoinTables(t *testing.T, ex *Executor, left *core.Table, lPreds []predicate.Predicate, lCol int,
+	right *core.Table, rPreds []predicate.Predicate, rCol int) []tuple.Tuple {
+	t.Helper()
+	rows, err := Collect(ex.JoinOp(ex.TableScanOp(left, lPreds), lCol, ex.TableScanOp(right, rPreds), rCol,
+		JoinOptions{BuildCharge: ChargeShuffle, ProbeCharge: ChargeShuffle}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
 func TestScanMatchesNaiveFilter(t *testing.T) {
 	f := newFixture(t, true)
 	preds := []predicate.Predicate{predicate.NewCmp(2, predicate.LT, value.NewInt(1000))}
-	got := f.ex.Scan(f.line, preds)
+	got := scanRows(t, f.ex, f.line, preds)
 	want := 0
 	for _, r := range f.lrows {
 		if r[2].Int64() < 1000 {
@@ -110,9 +134,9 @@ func TestScanMatchesNaiveFilter(t *testing.T) {
 
 func TestScanPrunesBlocks(t *testing.T) {
 	f := newFixture(t, false)
-	f.ex.Scan(f.line, nil)
+	scanRows(t, f.ex, f.line, nil)
 	full := f.meter.Reset()
-	f.ex.Scan(f.line, []predicate.Predicate{predicate.NewCmp(2, predicate.LT, value.NewInt(100))})
+	scanRows(t, f.ex, f.line, []predicate.Predicate{predicate.NewCmp(2, predicate.LT, value.NewInt(100))})
 	narrow := f.meter.Reset()
 	if narrow.BlocksScanned >= full.BlocksScanned {
 		t.Errorf("selective scan read %d blocks, full scan %d — no pruning",
@@ -145,20 +169,17 @@ func TestHashJoinRowsMatchesOracle(t *testing.T) {
 func TestShuffleJoinTablesCorrect(t *testing.T) {
 	f := newFixture(t, true)
 	preds := []predicate.Predicate{predicate.NewCmp(2, predicate.LT, value.NewInt(1500))}
-	got := f.ex.ShuffleJoinTables(f.line, preds, 0, f.ord, nil, 0)
+	got := shuffleJoinTables(t, f.ex, f.line, preds, 0, f.ord, nil, 0)
 	var lf []tuple.Tuple
 	for _, r := range f.lrows {
 		if r[2].Int64() < 1500 {
 			lf = append(lf, r)
 		}
 	}
-	want := NestedLoopJoin(lf, f.orows, 0, 0)
-	if len(got) != len(want) {
-		t.Fatalf("shuffle join %d rows, oracle %d", len(got), len(want))
-	}
+	rowsEqualSorted(t, got, NestedLoopJoin(lf, f.orows, 0, 0))
 	c := f.meter.Snapshot()
-	if c.ShuffleRows == 0 {
-		t.Errorf("shuffle join did not meter shuffled rows")
+	if c.ShuffleRows != float64(len(lf)+len(f.orows)) {
+		t.Errorf("ShuffleRows = %v, want %d (every filtered input row)", c.ShuffleRows, len(lf)+len(f.orows))
 	}
 	if c.ResultRows != len(got) {
 		t.Errorf("result rows metered %d, want %d", c.ResultRows, len(got))
@@ -177,19 +198,8 @@ func TestHyperJoinMatchesShuffleJoin(t *testing.T) {
 			lf = append(lf, r)
 		}
 	}
-	want := NestedLoopJoin(lf, f.orows, 0, 0)
-	if len(hyperRows) != len(want) {
-		t.Fatalf("hyper join %d rows, oracle %d", len(hyperRows), len(want))
-	}
-	SortRows(hyperRows)
-	SortRows(want)
-	for i := range want {
-		for c := range want[i] {
-			if value.Compare(hyperRows[i][c], want[i][c]) != 0 {
-				t.Fatalf("row %d differs from oracle", i)
-			}
-		}
-	}
+	rowsEqualSorted(t, hyperRows, NestedLoopJoin(lf, f.orows, 0, 0))
+	rowsEqualSorted(t, shuffleJoinTables(t, f.ex, f.line, preds, 0, f.ord, nil, 0), hyperRows)
 	if stats.CHyJ < 1.0 {
 		t.Errorf("CHyJ = %v < 1 is impossible when all S blocks overlap", stats.CHyJ)
 	}
@@ -222,7 +232,7 @@ func TestHyperJoinCheaperThanShuffleWhenCoPartitioned(t *testing.T) {
 	f.ex.HyperJoin(rRefs, nil, 0, sRefs, nil, 0, 8)
 	hyper := f.meter.Reset()
 
-	f.ex.ShuffleJoinTables(f.line, nil, 0, f.ord, nil, 0)
+	shuffleJoinTables(t, f.ex, f.line, nil, 0, f.ord, nil, 0)
 	shuffle := f.meter.Reset()
 
 	if hyper.CostUnits(model) >= shuffle.CostUnits(model) {
@@ -269,10 +279,16 @@ func TestShuffleJoinRowsMeters(t *testing.T) {
 	f := newFixture(t, true)
 	l := genLineitem(100, 9)
 	r := genOrders(50, 10)
-	f.ex.ShuffleJoinRows(l, r, 0, 0)
+	opts := JoinOptions{BuildCharge: ChargeShuffle, ProbeCharge: ChargeShuffle}
+	if _, err := Count(f.ex.JoinOp(NewSource(l), 0, NewSource(r), 0, opts)); err != nil {
+		t.Fatal(err)
+	}
 	c := f.meter.Snapshot()
 	if c.ShuffleRows != 150 {
 		t.Errorf("ShuffleRows = %v, want 150", c.ShuffleRows)
+	}
+	if c.IntermediateRows != 0 {
+		t.Errorf("shuffle join metered %v intermediate rows, want 0", c.IntermediateRows)
 	}
 }
 
@@ -325,7 +341,7 @@ func TestSortRowsDeterministic(t *testing.T) {
 func TestExecutorWorkersOverride(t *testing.T) {
 	f := newFixture(t, true)
 	f.ex.Workers = 1
-	rows := f.ex.Scan(f.line, nil)
+	rows := scanRows(t, f.ex, f.line, nil)
 	if len(rows) != len(f.lrows) {
 		t.Errorf("single-worker scan lost rows")
 	}
@@ -371,7 +387,7 @@ func TestHyperJoinNullKeysNeverMatch(t *testing.T) {
 	}
 	// The shuffle path over the same tables must agree.
 	meter.Reset()
-	shuffled := ex.ShuffleJoinTables(line, nil, 0, ord, nil, 0)
+	shuffled := shuffleJoinTables(t, ex, line, nil, 0, ord, nil, 0)
 	if len(shuffled) != len(want) {
 		t.Fatalf("shuffle join with null keys: %d rows, oracle %d", len(shuffled), len(want))
 	}

@@ -1,5 +1,8 @@
-// The specialized join hash table: u64 hash → chained row indices over
-// flat entry storage, fed by chunked accumulation buffers.
+// The row-keyed join hash table: u64 hash → chained row indices over
+// flat entry storage, fed by chunked accumulation buffers. It serves the
+// joins whose build side arrives as boxed rows — the spill second pass
+// (loadAndProbe, chunkedJoin), hyper-join groups and HashJoinRows; the
+// first-pass hash join builds columnar tables instead (coljoin.go).
 //
 // The previous join core keyed a map[string][]tuple.Tuple on each key's
 // binary encoding, which paid an encode pass plus a slice allocation per
@@ -30,10 +33,8 @@ type joinEntry struct {
 }
 
 // joinBuf accumulates build-side rows in fixed-size chunks: appending
-// never moves existing entries and allocates only when a chunk fills,
-// unlike the old per-distinct-key slice growth. Not safe for concurrent
-// use — the parallel join gives each worker its own set, one per radix
-// partition, and merges them at seal time.
+// never moves existing entries and allocates only when a chunk fills.
+// Not safe for concurrent use — each second-pass load owns its own.
 type joinBuf struct {
 	chunks [][]joinEntry
 	n      int
@@ -89,34 +90,21 @@ func tableBuckets(n, hint int) int {
 	return nb
 }
 
-// newJoinTable seals one or more accumulation buffers (the same radix
-// partition from every build worker) into a table. Entry storage is
-// compacted into one exact-size flat slice — the copy is a tiny, cache-
-// friendly fraction of probe cost — and the bucket array is sized to the
-// next power of two ≥ the row count, for load factor ≤ 1.
-func newJoinTable(col int, parts ...*joinBuf) *joinTable {
-	return newJoinTableHint(col, 0, parts...)
-}
-
-// newJoinTableHint is newJoinTable with a planner row estimate: buckets
-// are sized from max(rows, clamped hint), so partitions sealed before
-// their siblings (or resealed after spill demotions) don't thrash.
-func newJoinTableHint(col, hint int, parts ...*joinBuf) *joinTable {
-	n := 0
-	for _, p := range parts {
-		n += p.n
-	}
+// newJoinTable seals an accumulation buffer into a table. Entry storage
+// is compacted into one exact-size flat slice — the copy is a tiny,
+// cache-friendly fraction of probe cost — and the bucket array is sized
+// to the next power of two ≥ the row count, for load factor ≤ 1.
+func newJoinTable(col int, buf *joinBuf) *joinTable {
+	n := buf.n
 	t := &joinTable{col: col}
 	if n == 0 {
 		return t
 	}
 	entries := make([]joinEntry, 0, n)
-	for _, p := range parts {
-		for _, c := range p.chunks {
-			entries = append(entries, c...)
-		}
+	for _, c := range buf.chunks {
+		entries = append(entries, c...)
 	}
-	nb := tableBuckets(n, hint)
+	nb := tableBuckets(n, 0)
 	t.entries = entries
 	t.buckets = make([]int32, nb)
 	t.next = make([]int32, n)

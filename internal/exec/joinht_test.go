@@ -143,27 +143,28 @@ func TestJoinTableEmpty(t *testing.T) {
 }
 
 func TestJoinTableMergesBuffersAcrossChunks(t *testing.T) {
-	// Seal several buffers (as the parallel build does, one per worker)
-	// with enough rows to span many chunks; every row must survive.
-	const perBuf = 3*joinChunkSize + 17
-	bufs := make([]*joinBuf, 3)
-	for w := range bufs {
-		bufs[w] = &joinBuf{}
-		for i := 0; i < perBuf; i++ {
-			key := value.NewInt(int64(i % 97))
-			bufs[w].add(key.Hash64(), jtRow(key, int64(w*perBuf+i)))
-		}
+	// Seal a buffer with enough rows to span many chunks (a second-pass
+	// load); the seal merges the chunks into one flat entry slice and
+	// every row must survive.
+	const n = 9*joinChunkSize + 51
+	var buf joinBuf
+	for i := 0; i < n; i++ {
+		key := value.NewInt(int64(i % 97))
+		buf.add(key.Hash64(), jtRow(key, int64(i)))
 	}
-	jt := newJoinTable(0, bufs...)
-	if jt.len() != 3*perBuf {
-		t.Fatalf("merged table has %d rows, want %d", jt.len(), 3*perBuf)
+	if len(buf.chunks) < 10 {
+		t.Fatalf("buffer holds %d chunks, want >= 10", len(buf.chunks))
+	}
+	jt := newJoinTable(0, &buf)
+	if jt.len() != n {
+		t.Fatalf("sealed table has %d rows, want %d", jt.len(), n)
 	}
 	total := 0
 	for k := int64(0); k < 97; k++ {
 		total += len(drainMatches(jt, value.NewInt(k)))
 	}
-	if total != 3*perBuf {
-		t.Errorf("probing every key found %d rows, want %d", total, 3*perBuf)
+	if total != n {
+		t.Errorf("probing every key found %d rows, want %d", total, n)
 	}
 }
 
@@ -229,28 +230,23 @@ func TestJoinTableCapNoGrow(t *testing.T) {
 	}
 }
 
-// TestJoinTableHintPresize covers the sealed-table variant: the bucket
-// array is sized from the planner hint (clamped to 4x the actual rows),
-// not just the sealed row count, so partitions sealed early don't start
+// TestJoinTableHintPresize covers the sealed partition tables' bucket
+// sizing (tableBuckets, used by sealColTables): the bucket array is
+// sized from the planner hint (clamped to 4x the actual rows), not just
+// the sealed row count, so partitions sealed early don't start
 // undersized relative to what the estimate promised.
 func TestJoinTableHintPresize(t *testing.T) {
-	var buf joinBuf
-	for i := int64(0); i < 100; i++ {
-		key := value.NewInt(i)
-		buf.add(key.Hash64(), jtRow(key, i))
+	plain := tableBuckets(100, 0)
+	hinted := tableBuckets(100, 300)
+	if hinted < 300 {
+		t.Errorf("hint 300 sized %d buckets, want >= 300", hinted)
 	}
-	plain := newJoinTable(0, &buf)
-	hinted := newJoinTableHint(0, 300, &buf)
-	if len(hinted.buckets) < 300 {
-		t.Errorf("hint 300 sized %d buckets, want >= 300", len(hinted.buckets))
-	}
-	if len(plain.buckets) >= len(hinted.buckets) {
-		t.Errorf("hint had no effect: plain %d buckets, hinted %d", len(plain.buckets), len(hinted.buckets))
+	if plain >= hinted {
+		t.Errorf("hint had no effect: plain %d buckets, hinted %d", plain, hinted)
 	}
 	// The clamp: an absurd hint must not allocate more than 4x rows
 	// rounded up to a power of two.
-	huge := newJoinTableHint(0, 1<<20, &buf)
-	if len(huge.buckets) > 512 { // pow2 >= 4*100
-		t.Errorf("hint 1<<20 for 100 rows sized %d buckets, want <= 512", len(huge.buckets))
+	if huge := tableBuckets(100, 1<<20); huge > 512 { // pow2 >= 4*100
+		t.Errorf("hint 1<<20 for 100 rows sized %d buckets, want <= 512", huge)
 	}
 }

@@ -52,17 +52,16 @@ func (e *Executor) EnableNodes(workersPerNode int) *NodeSet {
 	ns := &NodeSet{parent: e, shards: shards, flush: flush, perNode: workersPerNode}
 	for i := 0; i < n; i++ {
 		ns.execs = append(ns.execs, &Executor{
-			Store:           e.Store,
-			Meter:           shards[i],
-			Workers:         workersPerNode,
-			NoPrune:         e.NoPrune,
-			Mem:             mems[i],
-			SpillDir:        e.SpillDir,
-			DisableColumnar: e.DisableColumnar,
-			fs:              e.fs,
-			pin:             dfs.NodeID(i),
-			pinned:          true,
-			ctx:             e.ctx,
+			Store:    e.Store,
+			Meter:    shards[i],
+			Workers:  workersPerNode,
+			NoPrune:  e.NoPrune,
+			Mem:      mems[i],
+			SpillDir: e.SpillDir,
+			fs:       e.fs,
+			pin:      dfs.NodeID(i),
+			pinned:   true,
+			ctx:      e.ctx,
 		})
 	}
 	e.nodes = ns

@@ -1,19 +1,16 @@
 // Batched, pipelined execution: the Operator/Batch data plane.
 //
-// The original executor materialized a full []tuple.Tuple at every
-// operator boundary, so a scan→filter→join chain paid O(total rows)
-// allocation before the first output row existed. The pipeline API
-// streams fixed-capacity Batches through Open/Next/Close operators
-// instead: scans read blocks on a bounded worker pool and emit batches
-// as they fill, joins build a hash table from their build input and
-// then stream probe batches through it. The legacy slice-returning
-// Executor methods (Scan, ScanRefs, ShuffleJoin*, HyperJoin) are thin
-// Collect() adapters over these operators, so existing callers keep
-// working while new code can consume batches without materializing
-// anything.
+// Operators stream fixed-capacity Batches through Open/Next/Close
+// instead of materializing a []tuple.Tuple at every boundary: scans
+// read blocks on a bounded worker pool and emit columnar batches as
+// they fill, joins build a hash table from their build input and then
+// stream probe batches through it (the build and probe bodies live in
+// coljoin.go, the spilling half in spill.go). Drain is the one run
+// loop; Collect and Count are its materializing and counting forms.
 package exec
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 
@@ -303,25 +300,52 @@ type Operator interface {
 	Close() error
 }
 
-// Collect drains an operator into a materialized row slice — the bridge
-// from the pipelined world back to the legacy slice APIs. Rows owned by
-// their batch (join outputs) are copied out through an arena before the
-// batch is released; view rows are referenced directly.
-func Collect(op Operator) ([]tuple.Tuple, error) {
+// Drain is the engine's one run loop: it opens op, pulls it to
+// exhaustion handing every batch to sink, and closes it, returning the
+// rows seen. A nil sink just counts. The batch is released after sink
+// returns, so a sink that retains owned rows (OwnsRows) must copy them
+// first. A non-nil ctx is checked at every batch boundary: even when
+// the operators have already buffered the remaining output (so no
+// worker observes the cancellation), a cancelled query stops
+// delivering and errors promptly.
+func Drain(ctx context.Context, op Operator, sink func(*Batch) error) (int, error) {
 	if err := op.Open(); err != nil {
-		return nil, err
+		return 0, err
 	}
 	defer op.Close()
-	var out []tuple.Tuple
-	var arena tuple.Arena
+	n := 0
 	for {
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return n, err
+			}
+		}
 		b, err := op.Next()
 		if err != nil {
-			return out, err
+			return n, err
 		}
 		if b == nil {
-			return out, nil
+			return n, nil
 		}
+		n += b.Len()
+		if sink != nil {
+			err = sink(b)
+		}
+		b.Release()
+		if err != nil {
+			return n, err
+		}
+	}
+}
+
+// Collect drains an operator into a materialized row slice. Rows owned
+// by their batch (join outputs, columnar batches) are copied out
+// through an arena before the batch is released; view rows are
+// referenced directly.
+func Collect(op Operator) ([]tuple.Tuple, error) {
+	var out []tuple.Tuple
+	var arena tuple.Arena
+	_, err := Drain(nil, op, func(b *Batch) error {
 		rows := b.Rows()
 		if b.OwnsRows() {
 			for _, r := range rows {
@@ -330,15 +354,14 @@ func Collect(op Operator) ([]tuple.Tuple, error) {
 		} else {
 			out = append(out, rows...)
 		}
-		b.Release()
-	}
+		return nil
+	})
+	return out, err
 }
 
-// MustCollect is Collect for callers with no error path — the legacy
-// slice-returning adapters. None of the built-in operators can fail
-// today, but future ones (spill-to-disk joins, remote shuffles) can;
-// panicking here is loud, whereas dropping the error would silently
-// truncate query results.
+// MustCollect is Collect for callers with no error path (HyperJoin).
+// Panicking is loud, whereas dropping the error would silently truncate
+// query results.
 func MustCollect(op Operator) []tuple.Tuple {
 	rows, err := Collect(op)
 	if err != nil {
@@ -351,22 +374,7 @@ func MustCollect(op Operator) []tuple.Tuple {
 // materializing any output — what a pipelined consumer that aggregates
 // in place pays.
 func Count(op Operator) (int, error) {
-	if err := op.Open(); err != nil {
-		return 0, err
-	}
-	defer op.Close()
-	n := 0
-	for {
-		b, err := op.Next()
-		if err != nil {
-			return n, err
-		}
-		if b == nil {
-			return n, nil
-		}
-		n += b.Len()
-		b.Release()
-	}
+	return Drain(nil, op, nil)
 }
 
 // Source adapts an in-memory row slice into an Operator. Batches are
@@ -438,16 +446,17 @@ func (s *ColSource) Close() error { return nil }
 // ScanOp returns an operator that reads the refs' blocks on the
 // executor's bounded worker pool, filters by the predicate conjunction,
 // and streams matching rows in batches. Block reads are metered as
-// scans; vanished blocks (concurrent repartition) are skipped, matching
-// ScanRefs. Batch order across blocks is nondeterministic when more
-// than one worker runs.
+// scans; vanished blocks (concurrent repartition) are skipped. Batch
+// order across blocks is nondeterministic when more than one worker
+// runs.
 func (e *Executor) ScanOp(refs []core.BlockRef, preds []predicate.Predicate) Operator {
 	return &scanOp{e: e, refs: refs, preds: preds}
 }
 
 // TableScanOp returns a scan operator over every live tree of a table
-// with predicate and zone-map pruning (or none under NoPrune) — the
-// pipelined form of Scan.
+// with predicate and zone-map pruning — the paper's predicate-based
+// data access (§6). With NoPrune set it reads everything and filters
+// row by row.
 func (e *Executor) TableScanOp(tbl *core.Table, preds []predicate.Predicate) Operator {
 	return e.ScanOp(e.TableRefs(tbl, preds), preds)
 }
@@ -544,58 +553,38 @@ func (s *scanOp) worker() {
 			continue // vanished (concurrent repartition): rows moved elsewhere
 		}
 		s.e.Meter.AddScan(blk.Len(), local)
-		if !s.e.DisableColumnar && len(blk.Tuples) > 0 {
-			// Columnar emit: transpose matching rows into typed vectors a
-			// block at a time (Columns.AppendRows hoists kind dispatch out
-			// of the per-value loop). Repeated string payloads dedup
-			// against the previous row in the column arena
-			// (ColVec.appendStr), so runs of TPC-H flags/modes share bytes
-			// across the whole batch.
-			rows := blk.Tuples
-			if len(s.preds) > 0 {
-				match = match[:0]
-				for _, r := range rows {
-					if predicate.MatchesAll(s.preds, r) {
-						match = append(match, r)
-					}
-				}
-				rows = match
-			}
-			ncols := len(blk.Tuples[0])
-			b := NewColBatch(ncols)
-			for len(rows) > 0 {
-				take := DefaultBatchSize - b.Len()
-				if take > len(rows) {
-					take = len(rows)
-				}
-				b.AppendColRows(rows[:take])
-				rows = rows[take:]
-				if b.Full() {
-					if !s.send(b) {
-						return
-					}
-					b = NewColBatch(ncols)
+		if len(blk.Tuples) == 0 {
+			continue
+		}
+		// Transpose matching rows into typed vectors a block at a time
+		// (Columns.AppendRows hoists kind dispatch out of the per-value
+		// loop). Repeated string payloads dedup against the previous row
+		// in the column arena (ColVec.appendStr), so runs of TPC-H
+		// flags/modes share bytes across the whole batch.
+		rows := blk.Tuples
+		if len(s.preds) > 0 {
+			match = match[:0]
+			for _, r := range rows {
+				if predicate.MatchesAll(s.preds, r) {
+					match = append(match, r)
 				}
 			}
-			if b.Len() > 0 {
+			rows = match
+		}
+		ncols := len(blk.Tuples[0])
+		b := NewColBatch(ncols)
+		for len(rows) > 0 {
+			take := DefaultBatchSize - b.Len()
+			if take > len(rows) {
+				take = len(rows)
+			}
+			b.AppendColRows(rows[:take])
+			rows = rows[take:]
+			if b.Full() {
 				if !s.send(b) {
 					return
 				}
-			} else {
-				b.Release()
-			}
-			continue
-		}
-		b := NewBatch()
-		for _, r := range blk.Tuples {
-			if predicate.MatchesAll(s.preds, r) {
-				b.Append(r)
-				if b.Full() {
-					if !s.send(b) {
-						return
-					}
-					b = NewBatch()
-				}
+				b = NewColBatch(ncols)
 			}
 		}
 		if b.Len() > 0 {
@@ -738,8 +727,8 @@ type JoinOptions struct {
 	BuildRowsEst int
 	// DisableBloom turns off the Bloom filters on demoted partitions
 	// (every probe row of a spilled partition is then written, as in
-	// the classic Grace join) — the A/B knob the -spill bench and
-	// difftest use to isolate the filter's effect.
+	// the classic Grace join) — the knob difftest uses to isolate the
+	// filter's effect.
 	DisableBloom bool
 }
 
@@ -793,12 +782,12 @@ func pickRadixBits(estRows int, limit int64) int {
 // dwarf the budget and a second pass with no load parallelism.
 const estRowBytes = 256
 
-// ChargeRows wraps an operator so every row flowing through it is
+// chargeRows wraps an operator so every row flowing through it is
 // metered at the given rate — the virtual-shuffle accounting point. The
-// join itself no longer calls Meter.Add* anywhere: in centralized mode
-// its inputs are wrapped here, and in distributed mode the Exchange
-// operators meter the rows that physically move instead.
-func ChargeRows(child Operator, m *cluster.Meter, charge JoinCharge) Operator {
+// join itself calls Meter.Add* only for its result rows: in centralized
+// mode its inputs are wrapped here, and in distributed mode the
+// Exchange operators meter the rows that physically move instead.
+func chargeRows(child Operator, m *cluster.Meter, charge JoinCharge) Operator {
 	if charge == ChargeNone {
 		return child
 	}
@@ -830,25 +819,23 @@ func (c *chargeOp) Close() error { return c.child.Close() }
 
 // JoinOp returns a pipelined, partition-parallel hash join: Open drains
 // the build input, radix-partitioning rows by key hash across the
-// executor's worker pool and sealing one joinTable per partition; Next
-// then streams probe batches through the tables, with probe workers
-// emitting concatenated match rows into partition-local output batches
-// (per-worker arenas, no per-row allocation). Result rows are metered
-// once at end of stream. The probe side is never materialized — this is
-// where the pipeline beats the slice APIs on wide joins. Output batch
+// executor's worker pool into columnar stores and sealing one chained
+// table per partition (buildTables, coljoin.go); Next then streams
+// probe batches through the tables, with probe workers gathering
+// matches into columnar output batches. Result rows are metered once at
+// end of stream. The probe side is never materialized. Output batch
 // order is nondeterministic when more than one worker runs.
 //
 // The input-charge options are applied by wrapping the inputs in
-// ChargeRows; the join body itself never touches the meter beyond its
+// chargeRows; the join body itself never touches the meter beyond its
 // result-row count.
 func (e *Executor) JoinOp(build Operator, buildCol int, probe Operator, probeCol int, opts JoinOptions) Operator {
-	build = ChargeRows(build, e.Meter, opts.BuildCharge)
-	probe = ChargeRows(probe, e.Meter, opts.ProbeCharge)
+	build = chargeRows(build, e.Meter, opts.BuildCharge)
+	probe = chargeRows(probe, e.Meter, opts.ProbeCharge)
 	bits := pickRadixBits(opts.BuildRowsEst, e.Mem.Limit())
 	return &hashJoinOp{
 		e: e, build: build, probe: probe, bCol: buildCol, pCol: probeCol, opts: opts,
 		radixBits: bits, radixShift: uint(64 - bits), nParts: 1 << bits,
-		parts: make([]*joinTable, 1<<bits),
 	}
 }
 
@@ -865,10 +852,8 @@ type hashJoinOp struct {
 	radixShift uint
 	nParts     int
 
-	parts []*joinTable
-	// cbuild is the columnar build store + per-partition hash tables,
-	// non-nil exactly when the columnar path is on (coljoin.go); parts
-	// stays nil then.
+	// cbuild is the sealed build side: one columnar store plus a chained
+	// hash table per partition (coljoin.go).
 	cbuild    *colBuild
 	buildRows int
 	// spill is the hybrid-hash-join state, non-nil exactly when the
@@ -958,187 +943,9 @@ func (j *hashJoinOp) Open() error {
 	return nil
 }
 
-// buildTables drains the build input, partitioning rows by hash radix
-// across the worker pool (each worker owns one joinBuf per partition, so
-// no locks), then seals one joinTable per partition in parallel.
-//
-// Under a memory budget each retained row also charges the MemBudget;
-// on pressure the largest partition is demoted (joinSpill.pressure) and
-// its rows — resident and future — stream to run files instead, each
-// worker flushing its own share locklessly (spill.go).
-func (j *hashJoinOp) buildTables() error {
-	if !j.e.DisableColumnar {
-		return j.buildTablesCol()
-	}
-	w := j.workerCount()
-	bufs := make([][]joinBuf, w)
-	in := make(chan *Batch, w)
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		bufs[i] = make([]joinBuf, j.nParts)
-		wg.Add(1)
-		go func(id int, my []joinBuf) {
-			defer wg.Done()
-			var arena tuple.Arena
-			sp := j.spill
-			var spw *partSpiller
-			myBytes := make([]int64, j.nParts)
-			if sp != nil {
-				spw = sp.newPartSpiller(id, false)
-			}
-			for b := range in {
-				if cerr := j.e.ctxErr(); cerr != nil {
-					j.fail(cerr)
-				}
-				if j.failed.Load() {
-					b.Release()
-					continue // keep draining so the feeder never blocks
-				}
-				owned := b.OwnsRows()
-				for _, r := range b.Rows() {
-					key := r[j.bCol]
-					if key.IsNull() {
-						continue // NULL never equals NULL in a join
-					}
-					h := key.Hash64()
-					p := int(h >> j.radixShift)
-					if sp != nil && sp.isSpilled(p) {
-						// Demoted partition: flush this worker's resident
-						// rows first (table and run file stay disjoint),
-						// then the new row goes straight to disk (copied
-						// when the batch owns it — those rows die at
-						// Release).
-						if err := spw.evict(p, &my[p], &myBytes[p]); err != nil {
-							j.fail(err)
-							break
-						}
-						if err := spw.write(p, h, r, owned); err != nil {
-							j.fail(err)
-							break
-						}
-						continue
-					}
-					if owned {
-						// The batch's rows die at Release (a join feeding
-						// this join's build side); copy what the table
-						// retains.
-						r = arena.Concat(r, nil)
-					}
-					my[p].add(h, r)
-					if sp != nil {
-						n := int64(r.MemBytes())
-						myBytes[p] += n
-						sp.noteBuildRow(p, h, n)
-						if sp.charge(n) {
-							sp.pressure()
-						}
-					}
-				}
-				b.Release()
-			}
-			if spw != nil {
-				// Final sweep: partitions demoted after this worker last
-				// touched them still hold resident rows here.
-				for p := range my {
-					if sp.isSpilled(p) {
-						if err := spw.evict(p, &my[p], &myBytes[p]); err != nil {
-							j.fail(err)
-							break
-						}
-					}
-				}
-				if err := spw.finish(); err != nil {
-					j.fail(err)
-				}
-			}
-		}(i, bufs[i])
-	}
-	// A single goroutine owns build.Next (operators need not be
-	// concurrency-safe); input charging happens in the ChargeRows
-	// wrappers JoinOp installed, not here.
-	var err error
-	for {
-		if cerr := j.e.ctxErr(); cerr != nil {
-			j.fail(cerr) // workers drop in-flight batches instead of retaining rows
-			err = cerr
-			break
-		}
-		b, berr := j.build.Next()
-		if berr != nil {
-			err = berr
-			break
-		}
-		if b == nil {
-			break
-		}
-		in <- b
-	}
-	close(in)
-	wg.Wait()
-	if cerr := j.build.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		j.werrMu.Lock()
-		err = j.werr
-		j.werrMu.Unlock()
-	}
-	if err != nil {
-		return err
-	}
-	if j.spill != nil {
-		// A partition demoted after some worker already finished leaves
-		// rows stranded in that worker's buffer; flush every demoted
-		// partition's leftovers now that the spilled set is frozen and
-		// no worker is running.
-		if err := j.spill.flushLeftovers(bufs); err != nil {
-			return err
-		}
-	}
-	// Seal tables: partitions are handed to workers via an atomic
-	// counter; each table merges the same partition's buffer from every
-	// build worker. Demoted partitions seal empty — their rows live in
-	// run files and join in the second pass. Buckets are raised toward
-	// the planner's per-partition estimate so skewed partitions seal at
-	// load factor ≤ 1 without a hash-time penalty on their siblings.
-	perHint := 0
-	if j.opts.BuildRowsEst > 0 {
-		perHint = j.opts.BuildRowsEst >> uint(j.radixBits)
-	}
-	var next atomic.Int64
-	var swg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		swg.Add(1)
-		go func() {
-			defer swg.Done()
-			srcs := make([]*joinBuf, w)
-			for {
-				p := int(next.Add(1) - 1)
-				if p >= j.nParts {
-					return
-				}
-				if j.spill != nil && j.spill.isSpilled(p) {
-					j.parts[p] = newJoinTable(j.bCol)
-					continue
-				}
-				for wi := range bufs {
-					srcs[wi] = &bufs[wi][p]
-				}
-				j.parts[p] = newJoinTableHint(j.bCol, perHint, srcs...)
-			}
-		}()
-	}
-	swg.Wait()
-	for _, t := range j.parts {
-		j.buildRows += t.len()
-	}
-	return nil
-}
-
 // dispatchProbe feeds probe batches to the workers. A single goroutine
 // owns probe.Next; even with an empty hash table the probe side drains
-// so its rows pass the ChargeRows wrapper and are metered, matching
-// ShuffleJoinRows on an empty side.
+// so its rows pass the chargeRows wrapper and are metered.
 func (j *hashJoinOp) dispatchProbe() {
 	defer close(j.in)
 	for {
@@ -1162,98 +969,6 @@ func (j *hashJoinOp) dispatchProbe() {
 		case <-j.done:
 			b.Release()
 			return
-		}
-	}
-}
-
-// probeWorker streams probe batches through the partition tables,
-// concatenating matches into a partition-local output batch's own value
-// arena (AppendConcat — no per-row allocation, and the arena recycles
-// through the batch pool). The worker owns cur exclusively until it
-// rotates a full batch into the shared out channel, so output batches
-// are never written by two goroutines.
-func (j *hashJoinOp) probeWorker(id int) {
-	defer j.wg.Done()
-	var cur *Batch
-	var spw *partSpiller
-	if j.hasSpilled {
-		spw = j.spill.newPartSpiller(id, true)
-	}
-	if j.cbuild != nil {
-		j.probeWorkerCol(spw)
-		return
-	}
-	skipped := int64(0)
-	for pb := range j.in {
-		if cerr := j.e.ctxErr(); cerr != nil {
-			j.fail(cerr)
-		}
-		if (j.buildRows == 0 && spw == nil) || j.failed.Load() {
-			pb.Release() // metered by the dispatcher; nothing can match
-			continue
-		}
-		powned := pb.OwnsRows()
-		for _, p := range pb.Rows() {
-			key := p[j.pCol]
-			if key.IsNull() {
-				continue // NULL never equals NULL in a join
-			}
-			h := key.Hash64()
-			part := int(h >> j.radixShift)
-			if spw != nil && j.spill.isSpilled(part) {
-				// The partition's build rows are on disk. Ask its Bloom
-				// filter first: a negative is exact (the key matches no
-				// build row), so the probe row needs no spill round-trip
-				// at all. Otherwise park it beside the build runs for
-				// the second pass (copied when the batch owns it).
-				if bf := j.spill.bloomAt(part); bf != nil && !bf.mayContain(h) {
-					skipped++
-					continue
-				}
-				if err := spw.write(part, h, p, powned); err != nil {
-					j.fail(err)
-					break
-				}
-				continue
-			}
-			it := j.parts[part].lookup(h, key)
-			for {
-				b, ok := it.next()
-				if !ok {
-					break
-				}
-				if cur == nil {
-					cur = NewBatch()
-				}
-				if j.opts.BuildIsRight {
-					cur.AppendConcat(p, b)
-				} else {
-					cur.AppendConcat(b, p)
-				}
-				if cur.Full() {
-					if !j.send(cur) {
-						pb.Release()
-						return
-					}
-					cur = nil
-				}
-			}
-		}
-		pb.Release()
-	}
-	if spw != nil {
-		if skipped > 0 {
-			j.spill.skipped.Add(skipped)
-		}
-		if err := spw.finish(); err != nil {
-			j.fail(err)
-		}
-	}
-	if cur != nil {
-		if cur.Len() > 0 {
-			j.send(cur)
-		} else {
-			cur.Release()
 		}
 	}
 }
@@ -1316,9 +1031,6 @@ func (j *hashJoinOp) Close() error {
 		}
 	})
 	j.cbuild = nil
-	for i := range j.parts {
-		j.parts[i] = nil
-	}
 	return j.probe.Close()
 }
 

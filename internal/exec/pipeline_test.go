@@ -44,28 +44,6 @@ func TestScanOpMoreWorkersThanBlocks(t *testing.T) {
 	}
 }
 
-func TestScanOpMatchesScan(t *testing.T) {
-	f := newFixture(t, true)
-	preds := []predicate.Predicate{predicate.NewCmp(2, predicate.LT, value.NewInt(1200))}
-	pipelined, err := Collect(f.ex.TableScanOp(f.line, preds))
-	if err != nil {
-		t.Fatal(err)
-	}
-	materialized := f.ex.Scan(f.line, preds)
-	if len(pipelined) != len(materialized) {
-		t.Fatalf("pipelined scan %d rows, materialized %d", len(pipelined), len(materialized))
-	}
-	SortRows(pipelined)
-	SortRows(materialized)
-	for i := range pipelined {
-		for c := range pipelined[i] {
-			if value.Compare(pipelined[i][c], materialized[i][c]) != 0 {
-				t.Fatalf("row %d differs between paths", i)
-			}
-		}
-	}
-}
-
 func TestScanOpEmptyRefs(t *testing.T) {
 	f := newFixture(t, true)
 	rows, err := Collect(f.ex.ScanOp(nil, nil))
@@ -148,13 +126,16 @@ func TestJoinOpBuildIsRightKeepsColumnOrder(t *testing.T) {
 }
 
 func TestJoinOpChargesEmptyBuildProbeRows(t *testing.T) {
-	// With an empty build side the probe must still drain and meter,
-	// matching the legacy ShuffleJoinRows metering.
+	// With an empty build side the probe must still drain and meter.
 	r := genOrders(50, 25)
 	store := dfs.NewStore(2, 1, 1)
 	meter := &cluster.Meter{}
 	ex := New(store, meter)
-	rows := ex.ShuffleJoinRows(nil, r, 0, 0)
+	rows, err := Collect(ex.JoinOp(NewSource(nil), 0, NewSource(r), 0,
+		JoinOptions{BuildCharge: ChargeShuffle, ProbeCharge: ChargeShuffle}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rows != nil {
 		t.Errorf("empty build side should produce no rows")
 	}

@@ -60,16 +60,15 @@ func (e *Executor) ForQuery(q QueryCtx) *Executor {
 		workers = q.Workers
 	}
 	v := &Executor{
-		Store:           e.Store,
-		Meter:           meter,
-		Workers:         workers,
-		RoundRobin:      e.RoundRobin,
-		NoPrune:         e.NoPrune,
-		Mem:             q.Mem,
-		SpillDir:        spill,
-		DisableColumnar: e.DisableColumnar,
-		fs:              e.fs,
-		ctx:             q.Ctx,
+		Store:      e.Store,
+		Meter:      meter,
+		Workers:    workers,
+		RoundRobin: e.RoundRobin,
+		NoPrune:    e.NoPrune,
+		Mem:        q.Mem,
+		SpillDir:   spill,
+		fs:         e.fs,
+		ctx:        q.Ctx,
 	}
 	if q.Distributed {
 		v.EnableNodes(q.WorkersPerNode)

@@ -1,7 +1,7 @@
 // The spilling half of the hybrid hash join: run-file I/O, partition
 // demotion under memory pressure, and the second-pass probe.
 //
-// The in-memory radix join (pipeline.go) assumes every build-side
+// The in-memory radix join (coljoin.go) assumes every build-side
 // partition fits in RAM; one oversized build OOMs the whole session.
 // When the executor carries a MemBudget, the join becomes a classic
 // Grace/hybrid hash join instead: build rows charge the budget as they
@@ -633,23 +633,20 @@ func (s *partSpiller) finish() error {
 	return first
 }
 
-// evict flushes one build worker's in-memory rows for a freshly demoted
-// partition into its run file and returns their bytes to the budget.
-// bytes is the worker's per-partition byte ledger.
-func (s *partSpiller) evict(p int, buf *joinBuf, bytes *int64) error {
-	if buf.n == 0 && *bytes == 0 {
+// evict flushes one build worker's resident rows for a freshly demoted
+// partition into its run file — flat typed copies into the writer's
+// column buffer, no row materialized — and returns their bytes to the
+// budget. bytes is the worker's per-partition byte ledger.
+func (s *partSpiller) evict(p int, buf *colBuf, bytes *int64) error {
+	if buf.len() == 0 && *bytes == 0 {
 		return nil
 	}
-	for _, c := range buf.chunks {
-		for i := range c {
-			// Buffered build rows are stable by construction (view rows
-			// or the worker's arena copies) — no re-copy on eviction.
-			if err := s.write(p, c[i].hash, c[i].row, false); err != nil {
-				return err
-			}
+	for k, h := range buf.hashes {
+		if err := s.writeCol(p, h, buf.store, k); err != nil {
+			return err
 		}
 	}
-	*buf = joinBuf{}
+	buf.reset()
 	s.sp.partBytes[p].Add(-*bytes)
 	s.sp.release(*bytes)
 	*bytes = 0
@@ -661,11 +658,10 @@ func (s *partSpiller) evict(p int, buf *joinBuf, bytes *int64) error {
 // can be demoted AFTER a worker has already drained its input and run
 // its final sweep (another worker's charge triggered the demotion), so
 // per-worker eviction alone can strand rows in a buffer the seal phase
-// would then drop — the exact row-loss the -spill bench self-gate
-// caught. Leftovers are only complete once every worker has exited;
-// this runs between the build drain and table sealing, with the
+// would then drop. Leftovers are only complete once every worker has
+// exited; this runs between the build drain and table sealing, with the
 // spilled set frozen.
-func (sp *joinSpill) flushLeftovers(bufs [][]joinBuf) error {
+func (sp *joinSpill) flushLeftovers(bufs [][]colBuf) error {
 	var spw *partSpiller
 	for p := 0; p < sp.j.nParts; p++ {
 		if !sp.spilled[p].Load() {
@@ -676,7 +672,7 @@ func (sp *joinSpill) flushLeftovers(bufs [][]joinBuf) error {
 		}
 		for wi := range bufs {
 			buf := &bufs[wi][p]
-			if buf.n == 0 {
+			if buf.len() == 0 {
 				continue
 			}
 			if spw == nil {
@@ -684,14 +680,12 @@ func (sp *joinSpill) flushLeftovers(bufs [][]joinBuf) error {
 				// names collision-free.
 				spw = sp.newPartSpiller(len(bufs), false)
 			}
-			for _, c := range buf.chunks {
-				for i := range c {
-					if err := spw.write(p, c[i].hash, c[i].row, false); err != nil {
-						return err
-					}
+			for k, h := range buf.hashes {
+				if err := spw.writeCol(p, h, buf.store, k); err != nil {
+					return err
 				}
 			}
-			*buf = joinBuf{}
+			buf.reset()
 		}
 	}
 	if spw != nil {
@@ -751,11 +745,10 @@ func (e *spillEmit) finish() {
 func (j *hashJoinOp) secondPass() {
 	sp := j.spill
 	// The first-pass tables are done: their probe stream has drained.
-	// Drop them (row tables or the columnar store) and return their
-	// budget bytes — that headroom funds the second-pass loads.
+	// Drop the build store and return every partition's budget bytes —
+	// that headroom funds the second-pass loads.
 	j.cbuild = nil
-	for p := range j.parts {
-		j.parts[p] = nil
+	for p := 0; p < j.nParts; p++ {
 		if held := sp.partBytes[p].Swap(0); held != 0 {
 			sp.release(held)
 		}

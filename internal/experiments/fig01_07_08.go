@@ -101,7 +101,9 @@ func Fig07(cfg Config) (*Result, error) {
 		meter := &cluster.Meter{}
 		ex := exec.New(store, meter)
 		ex.RoundRobin = true
-		ex.ScanRefs(refs, nil)
+		if _, err := exec.Count(ex.ScanOp(refs, nil)); err != nil {
+			return nil, err
+		}
 		secs := meter.Snapshot().SimSeconds(model)
 		if pct == 100 {
 			base = secs

@@ -304,7 +304,7 @@ func (s *Service) run(ctx context.Context, tenantID string, q session.Query, col
 		}
 		return nil
 	}
-	n, err := drain(ctx, comp.Root, wrapped)
+	n, err := exec.Drain(ctx, comp.Root, wrapped)
 	res.RowCount = n
 	res.Checksum = sum
 	if err != nil {
@@ -397,41 +397,6 @@ func (s *Service) CacheStats() (hits, misses int64) {
 
 // Store exposes the served store.
 func (s *Service) Store() *dfs.Store { return s.store }
-
-// drain pulls a DAG to exhaustion, forwarding batches to sink. The
-// context is checked at every batch boundary — the serving-layer end
-// of the cancellation thread: even when the operators have already
-// buffered the remaining output (so no worker observes ctx), a
-// cancelled query stops delivering and errors promptly.
-func drain(ctx context.Context, op exec.Operator, sink func(*exec.Batch) error) (int, error) {
-	if err := op.Open(); err != nil {
-		return 0, err
-	}
-	defer op.Close()
-	n := 0
-	for {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return n, err
-			}
-		}
-		b, err := op.Next()
-		if err != nil {
-			return n, err
-		}
-		if b == nil {
-			return n, nil
-		}
-		n += b.Len()
-		if sink != nil {
-			if err := sink(b); err != nil {
-				b.Release()
-				return n, err
-			}
-		}
-		b.Release()
-	}
-}
 
 // fnv1a is the 64-bit FNV-1a of buf — the per-row term of the
 // order-independent result checksum.

@@ -270,39 +270,15 @@ func (s *Session) run(q Query, collect bool, sink func(*exec.Batch) error) (*Res
 		}
 		res.Rows, res.RowCount = rows, len(rows)
 	} else {
-		n, err := s.drain(comp.Root, sink)
+		// nil ctx: the operators observe the context StreamContext bound
+		// to the executor.
+		n, err := exec.Drain(nil, comp.Root, sink)
 		if err != nil {
 			return res, fmt.Errorf("session: execute %q: %w", q.Label, err)
 		}
 		res.RowCount = n
 	}
 	return res, nil
-}
-
-// drain pulls the DAG to exhaustion, forwarding batches to sink.
-func (s *Session) drain(op exec.Operator, sink func(*exec.Batch) error) (int, error) {
-	if err := op.Open(); err != nil {
-		return 0, err
-	}
-	defer op.Close()
-	n := 0
-	for {
-		b, err := op.Next()
-		if err != nil {
-			return n, err
-		}
-		if b == nil {
-			return n, nil
-		}
-		n += b.Len()
-		if sink != nil {
-			if err := sink(b); err != nil {
-				b.Release()
-				return n, err
-			}
-		}
-		b.Release()
-	}
 }
 
 // NodeLoad aggregates one node's share of a query's work — rows and
