@@ -16,6 +16,7 @@ package amoeba
 
 import (
 	"fmt"
+	"sort"
 
 	"adaptdb/internal/block"
 	"adaptdb/internal/cluster"
@@ -23,7 +24,6 @@ import (
 	"adaptdb/internal/predicate"
 	"adaptdb/internal/sample"
 	"adaptdb/internal/tree"
-	"adaptdb/internal/tuple"
 	"adaptdb/internal/value"
 	"adaptdb/internal/workload"
 )
@@ -86,6 +86,14 @@ func (a *Adapter) bestCandidate(tbl *core.Table, ti *core.TreeInfo) *candidate {
 	if len(predCols) == 0 {
 		return nil
 	}
+	// Candidates are tried in column order, so equal net benefits break
+	// the same way in every process: replicas of a TCP cluster adapt side
+	// by side and must reach the same tree.
+	cols := make([]int, 0, len(predCols))
+	for col := range predCols {
+		cols = append(cols, col)
+	}
+	sort.Ints(cols)
 	queries := a.Window.Queries()
 	var best *candidate
 	ti.Tree.Walk(func(n *tree.Node) {
@@ -108,7 +116,7 @@ func (a *Adapter) bestCandidate(tbl *core.Table, ti *core.TreeInfo) *candidate {
 			return
 		}
 		curSaved := a.savedRows(queries, n.Attr, n.Cut, tbl, ti, n)
-		for col := range predCols {
+		for _, col := range cols {
 			if col == n.Attr {
 				continue
 			}
@@ -177,8 +185,9 @@ func (a *Adapter) chooseCut(tbl *core.Table, ti *core.TreeInfo, n *tree.Node, co
 			continue
 		}
 		_ = meta
-		for _, r := range blk.Tuples {
-			vals = append(vals, r[col])
+		cols := blk.Cols()
+		for i, n := 0, cols.FullLen(); i < n; i++ {
+			vals = append(vals, cols.Value(col, i))
 		}
 	}
 	if len(vals) < 2 {
@@ -214,7 +223,12 @@ func treeIndexOf(tbl *core.Table, ti *core.TreeInfo) int {
 func (a *Adapter) apply(tbl *core.Table, treeIdx int, c *candidate, meter *cluster.Meter) error {
 	ti := tbl.Trees[treeIdx]
 	lB, rB := c.node.Left.Bucket, c.node.Right.Bucket
-	var rows []tuple.Tuple
+	// Both source blocks are read and split before either path is
+	// rewritten: rows go left or right of the new cut by a typed compare
+	// and move by columnar gather, the left bucket's rows first.
+	left := block.New(tbl.Schema)
+	right := block.New(tbl.Schema)
+	var lIdx, rIdx []int32
 	for _, b := range []block.ID{lB, rB} {
 		if _, ok := ti.Metas[b]; !ok {
 			continue
@@ -227,19 +241,21 @@ func (a *Adapter) apply(tbl *core.Table, treeIdx int, c *candidate, meter *clust
 			meter.AddScan(blk.Len(), local)
 			meter.AddRepartWrite(blk.Len())
 		}
-		rows = append(rows, blk.Tuples...)
+		cols := blk.Cols()
+		key := cols.Col(c.attr)
+		lIdx, rIdx = lIdx[:0], rIdx[:0]
+		for i, n := 0, cols.FullLen(); i < n; i++ {
+			if key.CompareValue(i, c.cut) <= 0 {
+				lIdx = append(lIdx, int32(i))
+			} else {
+				rIdx = append(rIdx, int32(i))
+			}
+		}
+		left.AppendGather(cols, lIdx)
+		right.AppendGather(cols, rIdx)
 	}
 	c.node.Attr = c.attr
 	c.node.Cut = c.cut
-	left := block.New(tbl.Schema)
-	right := block.New(tbl.Schema)
-	for _, r := range rows {
-		if value.Compare(r[c.attr], c.cut) <= 0 {
-			left.Append(r)
-		} else {
-			right.Append(r)
-		}
-	}
 	writeOrDrop := func(b block.ID, blk *block.Block) {
 		path := tbl.BlockPath(treeIdx, b)
 		if blk.Len() == 0 {

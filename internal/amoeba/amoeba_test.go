@@ -116,7 +116,7 @@ func TestAdaptsTowardPredicateColumn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range blk.Tuples {
+		for _, r := range blk.Rows() {
 			if r[2].Int64() < 200 {
 				got++
 			}

@@ -97,9 +97,7 @@ func BuildPREF(d *tpch.Dataset, k int) *PREF {
 		out := make([]*block.Block, k)
 		for i, rows := range parts {
 			b := &block.Block{}
-			for _, r := range rows {
-				b.Append(r)
-			}
+			b.AppendRows(rows)
 			out[i] = b
 		}
 		return out

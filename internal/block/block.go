@@ -1,15 +1,17 @@
 // Package block implements AdaptDB data blocks: the unit of storage,
-// partitioning and I/O accounting. A block holds a batch of tuples plus a
-// zone map (per-attribute min/max). Zone maps serve two roles from the
-// paper: they are the Ranget(x) function hyper-join uses to compute
-// overlap vectors (§4.1.1), and they let scans skip blocks whose ranges
-// cannot satisfy a query's predicates.
+// partitioning and I/O accounting. A block holds its rows column-major
+// — one typed vector per attribute plus a validity bitmap (a
+// tuple.Columns), the same layout the executor's batches, the spill
+// runs and the wire frames use, so a scan filters and copies vectors
+// instead of re-boxing rows — and a zone map (per-attribute min/max).
+// Zone maps serve two roles from the paper: they are the Ranget(x)
+// function hyper-join uses to compute overlap vectors (§4.1.1), and they
+// let scans skip blocks whose ranges cannot satisfy a query's
+// predicates. Cols().AppendFrame / Columns.DecodeFrame is the block's
+// one serialized form.
 package block
 
 import (
-	"encoding/binary"
-	"fmt"
-
 	"adaptdb/internal/predicate"
 	"adaptdb/internal/schema"
 	"adaptdb/internal/tuple"
@@ -20,47 +22,182 @@ import (
 // the table's partitioning tree (leaf ids) or by the repartitioner.
 type ID int32
 
-// Block is an in-memory batch of rows with maintained zone maps. The zero
-// Block is empty and usable.
+// Block is an in-memory batch of rows, stored column-major, with
+// maintained zone maps. The zero Block is empty and usable; it takes its
+// column count from the first rows appended. Every row of a block has
+// the same arity.
 type Block struct {
-	Tuples []tuple.Tuple
-	mins   []value.Value
-	maxs   []value.Value
+	cols tuple.Columns
+	mins []value.Value
+	maxs []value.Value
 }
 
 // New returns an empty block sized for the given schema.
 func New(s *schema.Schema) *Block {
-	return &Block{
-		mins: make([]value.Value, s.NumCols()),
-		maxs: make([]value.Value, s.NumCols()),
+	b := &Block{}
+	b.shape(s.NumCols())
+	return b
+}
+
+// shape gives a still-empty block its column count; a block that holds
+// rows keeps the one it has.
+func (b *Block) shape(ncols int) {
+	if b.Len() > 0 || len(b.mins) == ncols {
+		return
+	}
+	b.cols.Reset(ncols)
+	b.mins = make([]value.Value, ncols)
+	b.maxs = make([]value.Value, ncols)
+}
+
+// Len returns the number of rows.
+func (b *Block) Len() int { return b.cols.FullLen() }
+
+// Cols returns the block's column vectors. The view is read-only: it
+// carries no selection, is shared by every reader of the block, and
+// stays valid only until the next append.
+func (b *Block) Cols() *tuple.Columns { return &b.cols }
+
+// Rows materializes the block's rows, in order, as boxed tuples over
+// one fresh arena — the accessor for tests and oracles; engine code
+// reads Cols.
+func (b *Block) Rows() []tuple.Tuple {
+	n, ncols := b.Len(), b.cols.NumCols()
+	arena := make(tuple.Tuple, n*ncols)
+	rows := make([]tuple.Tuple, n)
+	for i := range rows {
+		rows[i] = b.cols.RowTo(arena[i*ncols:i*ncols:(i+1)*ncols], i)
+	}
+	return rows
+}
+
+// Append adds one row and folds it into the zone map.
+func (b *Block) Append(t tuple.Tuple) {
+	b.shape(len(t))
+	from := b.Len()
+	b.cols.AppendRow(t)
+	b.extendZones(from)
+}
+
+// AppendRows adds rows in order — the load path's bulk form of Append:
+// one transpose and one zone-map pass per column instead of per cell.
+func (b *Block) AppendRows(rows []tuple.Tuple) {
+	if len(rows) == 0 {
+		return
+	}
+	b.shape(len(rows[0]))
+	from := b.Len()
+	if from == 0 {
+		b.cols.Reserve(len(rows)) // a loaded block's vectors are born exact-size
+	}
+	b.cols.AppendRows(rows)
+	b.extendZones(from)
+}
+
+// AppendGather adds src's physical rows idxs, in order — how migration
+// moves rows between blocks without boxing them. src must have the
+// block's column layout.
+func (b *Block) AppendGather(src *tuple.Columns, idxs []int32) {
+	b.shape(src.NumCols())
+	from := b.Len()
+	b.cols.AppendGather(src, idxs)
+	b.extendZones(from)
+}
+
+// extendZones folds rows [from, Len) into the zone map, one typed loop
+// per column. The result is what folding the boxed cells one by one
+// with value.Less gives: NULLs are skipped, floats order NaN first, a
+// mixed-kind (boxed) column orders across kinds, and of several equal
+// extremes the first appended one is kept.
+func (b *Block) extendZones(from int) {
+	to := b.Len()
+	for ci := range b.mins {
+		v := b.cols.Col(ci)
+		if bx := v.Boxed(); bx != nil {
+			for _, x := range bx[from:to] {
+				if !x.IsNull() {
+					b.fold(ci, x, x)
+				}
+			}
+			continue
+		}
+		k := v.Kind()
+		var lo, hi value.Value
+		switch {
+		case value.IntClass(k):
+			mn, mx, ok := rangeOf(v, v.Ints(), from, to)
+			if !ok {
+				continue
+			}
+			lo, hi = value.Value{K: k, I: mn}, value.Value{K: k, I: mx}
+		case k == value.Float:
+			mn, mx, ok := floatRangeOf(v, v.Floats(), from, to)
+			if !ok {
+				continue
+			}
+			lo, hi = value.NewFloat(mn), value.NewFloat(mx)
+		case k == value.String:
+			mn, mx, ok := rangeOf(v, v.Strs(), from, to)
+			if !ok {
+				continue
+			}
+			lo, hi = value.NewString(mn), value.NewString(mx)
+		default:
+			continue // kindless: every row so far is NULL
+		}
+		b.fold(ci, lo, hi)
 	}
 }
 
-// Len returns the number of tuples.
-func (b *Block) Len() int { return len(b.Tuples) }
-
-// Append adds a tuple and folds it into the zone map.
-func (b *Block) Append(t tuple.Tuple) {
-	if len(b.mins) < len(t) {
-		grown := make([]value.Value, len(t))
-		copy(grown, b.mins)
-		b.mins = grown
-		grown = make([]value.Value, len(t))
-		copy(grown, b.maxs)
-		b.maxs = grown
-	}
-	for i, v := range t {
-		if v.IsNull() {
+// rangeOf returns the first-seen minimum and maximum of xs[from:to],
+// skipping v's NULL rows; ok is false when all are NULL.
+func rangeOf[T int64 | string](v *tuple.ColVec, xs []T, from, to int) (mn, mx T, ok bool) {
+	nulls := v.Valid() != nil
+	for i := from; i < to; i++ {
+		if nulls && !v.IsValid(i) {
 			continue
 		}
-		if b.mins[i].IsNull() || value.Less(v, b.mins[i]) {
-			b.mins[i] = v
-		}
-		if b.maxs[i].IsNull() || value.Less(b.maxs[i], v) {
-			b.maxs[i] = v
+		switch x := xs[i]; {
+		case !ok:
+			mn, mx, ok = x, x, true
+		case x < mn:
+			mn = x
+		case mx < x:
+			mx = x
 		}
 	}
-	b.Tuples = append(b.Tuples, t)
+	return mn, mx, ok
+}
+
+// floatRangeOf is rangeOf under value.CompareFloat's order: a NaN is
+// below every other float and equal to any other NaN.
+func floatRangeOf(v *tuple.ColVec, xs []float64, from, to int) (mn, mx float64, ok bool) {
+	less := func(a, b float64) bool { return a < b || (a != a && b == b) }
+	nulls := v.Valid() != nil
+	for i := from; i < to; i++ {
+		if nulls && !v.IsValid(i) {
+			continue
+		}
+		switch x := xs[i]; {
+		case !ok:
+			mn, mx, ok = x, x, true
+		case less(x, mn):
+			mn = x
+		case less(mx, x):
+			mx = x
+		}
+	}
+	return mn, mx, ok
+}
+
+// fold widens column ci's zone to cover [lo, hi].
+func (b *Block) fold(ci int, lo, hi value.Value) {
+	if b.mins[ci].IsNull() || value.Less(lo, b.mins[ci]) {
+		b.mins[ci] = lo
+	}
+	if b.maxs[ci].IsNull() || value.Less(b.maxs[ci], hi) {
+		b.maxs[ci] = hi
+	}
 }
 
 // Range returns the zone-map interval of column col: the paper's
@@ -146,54 +283,4 @@ func (m Meta) MaybeMatches(ranges map[int]predicate.Range) bool {
 		}
 	}
 	return true
-}
-
-const serialMagic = uint32(0xADB10C)
-
-// AppendBinary serializes the block (magic, tuple count, tuples). Zone
-// maps are rebuilt on decode, so the on-disk format stays minimal, like
-// HDFS blocks that carry no index.
-func (b *Block) AppendBinary(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(serialMagic))
-	dst = binary.AppendUvarint(dst, uint64(len(b.Tuples)))
-	for _, t := range b.Tuples {
-		dst = binary.AppendUvarint(dst, uint64(len(t)))
-		dst = t.AppendBinary(dst)
-	}
-	return dst
-}
-
-// Decode parses a serialized block, rebuilding zone maps.
-func Decode(src []byte, s *schema.Schema) (*Block, error) {
-	magic, n := binary.Uvarint(src)
-	if n <= 0 || uint32(magic) != serialMagic {
-		return nil, fmt.Errorf("block: bad magic")
-	}
-	pos := n
-	count, n := binary.Uvarint(src[pos:])
-	if n <= 0 {
-		return nil, fmt.Errorf("block: bad tuple count")
-	}
-	pos += n
-	b := New(s)
-	for i := uint64(0); i < count; i++ {
-		arity, n := binary.Uvarint(src[pos:])
-		if n <= 0 {
-			return nil, fmt.Errorf("block: tuple %d: bad arity", i)
-		}
-		pos += n
-		t := make(tuple.Tuple, arity)
-		for c := range t {
-			// Interned decode: repeated short strings (flags, modes, names)
-			// share one allocation across the whole decoded block set.
-			v, vn, err := value.DecodeValueInterned(src[pos:])
-			if err != nil {
-				return nil, fmt.Errorf("block: tuple %d col %d: %w", i, c, err)
-			}
-			t[c] = v
-			pos += vn
-		}
-		b.Append(t)
-	}
-	return b, nil
 }

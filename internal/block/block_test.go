@@ -1,10 +1,11 @@
 package block
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
-	"unsafe"
 
 	"adaptdb/internal/predicate"
 	"adaptdb/internal/schema"
@@ -159,78 +160,160 @@ func TestMetaOf(t *testing.T) {
 	}
 }
 
+// viaFrame round-trips a block through its one serialized form: the
+// column-major run frame of its vectors, decoded and gathered back.
+func viaFrame(t *testing.T, b *Block) *Block {
+	t.Helper()
+	cols := tuple.NewColumns(0)
+	if _, err := cols.DecodeFrame(b.Cols().AppendFrame(nil)); err != nil {
+		t.Fatalf("DecodeFrame: %v", err)
+	}
+	got := New(sch)
+	got.AppendGather(cols, identity(cols.FullLen()))
+	return got
+}
+
+func identity(n int) []int32 {
+	idxs := make([]int32, n)
+	for i := range idxs {
+		idxs[i] = int32(i)
+	}
+	return idxs
+}
+
 func TestSerializeRoundTrip(t *testing.T) {
 	b := New(sch)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 100; i++ {
 		b.Append(row(rng.Int63n(1000), rng.Float64(), "str"))
 	}
-	buf := b.AppendBinary(nil)
-	got, err := Decode(buf, sch)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if got.Len() != b.Len() {
-		t.Fatalf("Len: got %d want %d", got.Len(), b.Len())
-	}
-	for i := range b.Tuples {
-		for c := range b.Tuples[i] {
-			if value.Compare(got.Tuples[i][c], b.Tuples[i][c]) != 0 {
-				t.Fatalf("tuple %d col %d mismatch", i, c)
-			}
-		}
+	got := viaFrame(t, b)
+	if !reflect.DeepEqual(got.Rows(), b.Rows()) {
+		t.Fatalf("rows differ after the frame round trip")
 	}
 	// Zone maps rebuilt identically.
-	for c := 0; c < sch.NumCols(); c++ {
-		if value.Compare(got.Min(c), b.Min(c)) != 0 || value.Compare(got.Max(c), b.Max(c)) != 0 {
-			t.Errorf("zone map col %d differs after decode", c)
-		}
-	}
-}
-
-// TestDecodeInternsStrings pins the scan decode path's intern wiring:
-// the same short string decoded in many rows shares ONE backing
-// allocation, instead of one per occurrence.
-func TestDecodeInternsStrings(t *testing.T) {
-	b := New(sch)
-	for i := 0; i < 50; i++ {
-		b.Append(row(int64(i), 0, "DELIVER IN PERSON"))
-	}
-	got, err := Decode(b.AppendBinary(nil), sch)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	first := got.Tuples[0][2].S
-	for i := range got.Tuples {
-		s := got.Tuples[i][2].S
-		if s != "DELIVER IN PERSON" {
-			t.Fatalf("row %d decoded %q", i, s)
-		}
-		if unsafe.StringData(s) != unsafe.StringData(first) {
-			t.Fatalf("row %d's string has its own allocation — decode not interned", i)
-		}
-	}
-}
-
-func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode([]byte{0xFF, 0xFF}, sch); err == nil {
-		t.Errorf("bad magic accepted")
-	}
-	b := New(sch)
-	b.Append(row(1, 1, "x"))
-	buf := b.AppendBinary(nil)
-	if _, err := Decode(buf[:len(buf)-2], sch); err == nil {
-		t.Errorf("truncated block accepted")
+	if !reflect.DeepEqual(MetaOf(0, got), MetaOf(0, b)) {
+		t.Errorf("zone map differs after decode: %+v vs %+v", MetaOf(0, got), MetaOf(0, b))
 	}
 }
 
 func TestSerializeEmpty(t *testing.T) {
-	buf := New(sch).AppendBinary(nil)
-	got, err := Decode(buf, sch)
-	if err != nil {
-		t.Fatalf("Decode empty: %v", err)
-	}
+	got := viaFrame(t, New(sch))
 	if got.Len() != 0 {
 		t.Fatalf("empty round trip has %d tuples", got.Len())
 	}
+	if !got.Range(0).Empty() || got.MaybeMatches(nil) {
+		t.Errorf("empty round trip is not an empty block")
+	}
+}
+
+// randCell draws a cell for a column of the given flavour: the typed
+// flavours stay one kind (plus NULLs), "mixed" crosses kinds so the
+// column demotes to boxed storage.
+func randCell(rng *rand.Rand, flavour int) value.Value {
+	if rng.Intn(6) == 0 {
+		return value.Value{}
+	}
+	floats := []float64{math.NaN(), math.Copysign(0, -1), 0, -1.5, 2.5, math.Inf(1), math.Inf(-1)}
+	switch flavour {
+	case 0:
+		return value.NewInt(rng.Int63n(20) - 10)
+	case 1:
+		return value.NewFloat(floats[rng.Intn(len(floats))])
+	case 2:
+		return value.NewString(string(rune('a' + rng.Intn(5))))
+	case 3:
+		return value.NewDate(rng.Int63n(20))
+	case 4:
+		return value.NewBool(rng.Intn(2) == 0)
+	case 5:
+		return value.Value{} // an all-NULL column
+	default:
+		return randCell(rng, rng.Intn(5))
+	}
+}
+
+// Property: however a block is assembled — Append, AppendRows and
+// AppendGather in any interleaving — its rows are the input in order and
+// its zone map is the one the boxed row-at-a-time fold produces, cell
+// for cell (same kind, same payload: the first-seen extreme wins ties
+// such as -0.0 vs +0.0 or two NaNs).
+func TestAnyInterleavingMatchesRowBuiltZoneMap(t *testing.T) {
+	const ncols = 7
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var b Block
+		var want []tuple.Tuple
+		mins := make([]value.Value, ncols)
+		maxs := make([]value.Value, ncols)
+		draw := func(n int) []tuple.Tuple {
+			rows := make([]tuple.Tuple, n)
+			for i := range rows {
+				rows[i] = make(tuple.Tuple, ncols)
+				for c := range rows[i] {
+					v := randCell(rng, c)
+					rows[i][c] = v
+					if v.IsNull() {
+						continue
+					}
+					if mins[c].IsNull() || value.Less(v, mins[c]) {
+						mins[c] = v
+					}
+					if maxs[c].IsNull() || value.Less(maxs[c], v) {
+						maxs[c] = v
+					}
+				}
+			}
+			want = append(want, rows...)
+			return rows
+		}
+		for step := 0; step < 1+rng.Intn(8); step++ {
+			switch rng.Intn(3) {
+			case 0:
+				b.Append(draw(1)[0])
+			case 1:
+				b.AppendRows(draw(rng.Intn(6)))
+			default:
+				// Gather the drawn rows out of a larger shuffled source.
+				rows := draw(rng.Intn(6))
+				src := tuple.NewColumns(ncols)
+				pad := make(tuple.Tuple, ncols)
+				idxs := make([]int32, len(rows))
+				for i, r := range rows {
+					src.AppendRow(pad)
+					src.AppendRow(r)
+					idxs[i] = int32(2*i + 1)
+				}
+				b.AppendGather(src, idxs)
+			}
+		}
+		if b.Len() != len(want) {
+			return false
+		}
+		for i, r := range b.Rows() {
+			for c := range r {
+				if !sameCell(r[c], want[i][c]) {
+					t.Logf("seed %d: row %d col %d is %v, want %v", seed, i, c, r[c], want[i][c])
+					return false
+				}
+			}
+		}
+		m := MetaOf(0, &b)
+		for c := 0; c < len(m.Mins); c++ {
+			if !sameCell(m.Mins[c], mins[c]) || !sameCell(m.Maxs[c], maxs[c]) {
+				t.Logf("seed %d col %d: zone [%v, %v], row-built [%v, %v]", seed, c, m.Mins[c], m.Maxs[c], mins[c], maxs[c])
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sameCell is bit-level equality (NaN payloads and the sign of zero
+// included), stricter than value.Equal.
+func sameCell(a, b value.Value) bool {
+	return a.K == b.K && a.I == b.I && a.S == b.S && math.Float64bits(a.F) == math.Float64bits(b.F)
 }

@@ -2,12 +2,14 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"adaptdb/internal/block"
 	"adaptdb/internal/cluster"
 	"adaptdb/internal/predicate"
 	"adaptdb/internal/tree"
+	"adaptdb/internal/tuple"
 	"adaptdb/internal/twophase"
 	"adaptdb/internal/value"
 )
@@ -67,11 +69,20 @@ func TestBlockSerializationThroughStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf := blk.AppendBinary(nil)
+		buf := blk.Cols().AppendFrame(nil)
 		store.Delete(path)
-		restored, err := block.Decode(buf, sch)
-		if err != nil {
+		cols := tuple.NewColumns(0)
+		if _, err := cols.DecodeFrame(buf); err != nil {
 			t.Fatal(err)
+		}
+		idxs := make([]int32, cols.FullLen())
+		for i := range idxs {
+			idxs[i] = int32(i)
+		}
+		restored := block.New(sch)
+		restored.AppendGather(cols, idxs)
+		if !reflect.DeepEqual(block.MetaOf(b, restored), ti.Metas[b]) {
+			t.Fatalf("bucket %d: zone map changed across the frame round trip", b)
 		}
 		store.PutBlock(path, restored)
 	}
@@ -108,7 +119,7 @@ func TestMigrationPreservesEveryRowExactlyOnce(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, r := range blk.Tuples {
+				for _, r := range blk.Rows() {
 					out[string(r.AppendBinary(nil))]++
 				}
 			}
@@ -128,7 +139,7 @@ func TestMigrationPreservesEveryRowExactlyOnce(t *testing.T) {
 		if n > len(live) {
 			n = len(live)
 		}
-		if err := tbl.MoveBuckets(0, idx, live[:n], &meter, nil); err != nil {
+		if err := tbl.MoveBuckets(0, idx, live[:n], &meter); err != nil {
 			t.Fatal(err)
 		}
 		got := counts()

@@ -286,26 +286,36 @@ func (t *Table) AllRefs(preds []predicate.Predicate) []BlockRef {
 }
 
 // MoveBuckets migrates whole buckets from one tree to another: each
-// row is re-routed through the destination tree and appended to its
-// bucket's block (HDFS-append semantics; coordination handled by the
-// store). The source buckets are deleted. Emit, when non-nil, receives
-// every moved row so a query can piggyback its scan on the migration
-// (the optimizer's Type-2 blocks, §6). Reads and writes are metered as
-// scan + repartition-write.
-func (t *Table) MoveBuckets(fromIdx, toIdx int, buckets []block.ID, meter *cluster.Meter, emit func(tuple.Tuple)) error {
+// row is re-routed through the destination tree on its typed cells and
+// appended to its bucket's block (HDFS-append semantics; coordination
+// handled by the store). The source buckets are deleted. Reads and
+// writes are metered as scan + repartition-write.
+//
+// A source bucket's rows scatter over most of the destination tree, so
+// moving bucket by bucket would append a row or two at a time. Instead
+// the picked buckets are first concatenated into one staging set (flat
+// range copies), routed once, and every destination takes all of its
+// rows in a single columnar gather — in source order: buckets as
+// listed, rows as stored. Nothing is written until every source block
+// has been read.
+func (t *Table) MoveBuckets(fromIdx, toIdx int, buckets []block.ID, meter *cluster.Meter) error {
 	from := t.treeAt(fromIdx)
 	to := t.treeAt(toIdx)
 	if from == nil || to == nil {
 		return fmt.Errorf("core: bad tree pair %d -> %d on %s", fromIdx, toIdx, t.Name)
 	}
-	touched := make(map[block.ID]bool)
+	total := 0
 	for _, b := range buckets {
 		meta, ok := from.Metas[b]
 		if !ok {
 			return fmt.Errorf("core: bucket %d not live in tree %d of %s", b, fromIdx, t.Name)
 		}
-		path := t.BlockPath(fromIdx, b)
-		blk, local, err := t.store.GetBlock(path, 0)
+		total += meta.Count
+	}
+	staged := tuple.NewColumns(t.Schema.NumCols())
+	staged.Reserve(total)
+	for _, b := range buckets {
+		blk, local, err := t.store.GetBlock(t.BlockPath(fromIdx, b), 0)
 		if err != nil {
 			return err
 		}
@@ -313,31 +323,35 @@ func (t *Table) MoveBuckets(fromIdx, toIdx int, buckets []block.ID, meter *clust
 			meter.AddScan(blk.Len(), local)
 			meter.AddRepartWrite(blk.Len())
 		}
-		byDest := make(map[block.ID][]tuple.Tuple)
-		for _, row := range blk.Tuples {
-			dest := to.Tree.Route(row)
-			byDest[dest] = append(byDest[dest], row)
-			if emit != nil {
-				emit(row)
-			}
-		}
-		for dest, rows := range byDest {
-			t.store.Append(t.BlockPath(toIdx, dest), t.Schema, rows)
-			touched[dest] = true
-		}
-		t.store.Delete(path)
-		delete(from.Metas, b)
-		_ = meta
+		staged.AppendRange(blk.Cols(), 0, blk.Len())
 	}
-	// Refresh destination metadata from the stored blocks.
-	for dest := range touched {
-		blk, _, err := t.store.GetBlock(t.BlockPath(toIdx, dest), 0)
+	for dest, idxs := range routeCols(to.Tree, staged) {
+		path := t.BlockPath(toIdx, dest)
+		t.store.Append(path, t.Schema, staged, idxs)
+		// Refresh destination metadata from the stored block.
+		blk, _, err := t.store.GetBlock(path, 0)
 		if err != nil {
 			return err
 		}
 		to.Metas[dest] = block.MetaOf(dest, blk)
 	}
+	for _, b := range buckets {
+		t.store.Delete(t.BlockPath(fromIdx, b))
+		delete(from.Metas, b)
+	}
 	return nil
+}
+
+// routeCols groups the physical rows of cols by the bucket tr routes
+// them to: one index list per bucket, in row order, ready for a
+// columnar gather.
+func routeCols(tr *tree.Tree, cols *tuple.Columns) map[block.ID][]int32 {
+	byDest := make(map[block.ID][]int32)
+	for i, n := 0, cols.FullLen(); i < n; i++ {
+		dest := tr.RouteCols(cols, i)
+		byDest[dest] = append(byDest[dest], int32(i))
+	}
+	return byDest
 }
 
 // ReplaceTreeData rewrites one tree in place with a new structure — the
@@ -362,14 +376,14 @@ func (t *Table) ReplaceTreeData(srcIdx int, newTree *tree.Tree, meter *cluster.M
 			meter.AddScan(blk.Len(), local)
 			meter.AddRepartWrite(blk.Len())
 		}
-		for _, row := range blk.Tuples {
-			dest := newTree.Route(row)
+		cols := blk.Cols()
+		for dest, idxs := range routeCols(newTree, cols) {
 			nb, ok := parts[dest]
 			if !ok {
 				nb = block.New(t.Schema)
 				parts[dest] = nb
 			}
-			nb.Append(row)
+			nb.AppendGather(cols, idxs)
 		}
 		t.store.Delete(path)
 	}

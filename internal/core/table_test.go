@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"adaptdb/internal/block"
@@ -137,7 +138,7 @@ func TestAllRefsSpansTrees(t *testing.T) {
 	idx := tbl.AddTree(newTree)
 	live := tbl.Trees[0].LiveBuckets()
 	var meter cluster.Meter
-	if err := tbl.MoveBuckets(0, idx, live[:2], &meter, nil); err != nil {
+	if err := tbl.MoveBuckets(0, idx, live[:2], &meter); err != nil {
 		t.Fatalf("MoveBuckets: %v", err)
 	}
 	if got := countRows(t, tbl); got != 1024 {
@@ -158,23 +159,19 @@ func TestAllRefsSpansTrees(t *testing.T) {
 	}
 }
 
-func TestMoveBucketsMetersAndEmits(t *testing.T) {
+func TestMoveBucketsMeters(t *testing.T) {
 	rows := genRows(512, 5)
 	tbl, _ := loadTable(t, rows, LoadOptions{RowsPerBlock: 64, Seed: 1, JoinAttr: -1})
 	newTree := twophase.Builder{Schema: sch, JoinAttr: 0, JoinLevels: 2, TotalDepth: 3, Seed: 6}.Build(tbl.SampleRows)
 	idx := tbl.AddTree(newTree)
 	var meter cluster.Meter
-	emitted := 0
 	live := tbl.Trees[0].LiveBuckets()
 	moved := 0
 	for _, b := range live[:3] {
 		moved += tbl.Trees[0].Metas[b].Count
 	}
-	if err := tbl.MoveBuckets(0, idx, live[:3], &meter, func(tuple.Tuple) { emitted++ }); err != nil {
+	if err := tbl.MoveBuckets(0, idx, live[:3], &meter); err != nil {
 		t.Fatalf("MoveBuckets: %v", err)
-	}
-	if emitted != moved {
-		t.Errorf("emitted %d rows, want %d", emitted, moved)
 	}
 	c := meter.Snapshot()
 	if int(c.ScanLocal+c.ScanRemote) != moved {
@@ -192,7 +189,7 @@ func TestMoveBucketsMetersAndEmits(t *testing.T) {
 		if err != nil {
 			t.Fatalf("GetBlock: %v", err)
 		}
-		for _, r := range blk.Tuples {
+		for _, r := range blk.Rows() {
 			if newTree.Route(r) != b {
 				t.Fatalf("moved row in wrong destination bucket")
 			}
@@ -200,16 +197,104 @@ func TestMoveBucketsMetersAndEmits(t *testing.T) {
 	}
 }
 
+// TestMoveBucketsKeepsSourceOrder pins the layout a migration writes:
+// two calls — the second appending to blocks the first created — leave
+// every destination bucket holding exactly the rows the boxed route
+// sends it, in source order (buckets as listed, rows as stored), with
+// the zone map the row-at-a-time fold gives. Equal block contents on
+// every replica is what lets TCP workers adapt side by side.
+func TestMoveBucketsKeepsSourceOrder(t *testing.T) {
+	rows := genRows(1500, 9)
+	rows[7][1], rows[300][1], rows[301][0] = value.Value{}, value.Value{}, value.NewString("odd") // NULL keys, a mixed-kind column
+	tbl, store := loadTable(t, rows, LoadOptions{RowsPerBlock: 64, Seed: 2, JoinAttr: -1})
+	newTree := twophase.Builder{Schema: sch, JoinAttr: 1, JoinLevels: 2, TotalDepth: 4, Seed: 6}.Build(tbl.SampleRows)
+	idx := tbl.AddTree(newTree)
+	live := tbl.Trees[0].LiveBuckets()
+	want := make(map[block.ID][]tuple.Tuple)
+	var meter cluster.Meter
+	for _, pick := range [][]block.ID{{live[3], live[0], live[5]}, live[6:]} {
+		for _, b := range pick {
+			blk, _, err := store.GetBlock(tbl.BlockPath(0, b), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range blk.Rows() {
+				dest := newTree.Route(r)
+				want[dest] = append(want[dest], r)
+			}
+		}
+		if err := tbl.MoveBuckets(0, idx, pick, &meter); err != nil {
+			t.Fatalf("MoveBuckets: %v", err)
+		}
+	}
+	if got := tbl.Trees[idx].LiveBuckets(); len(got) != len(want) {
+		t.Fatalf("%d destination buckets live, want %d", len(got), len(want))
+	}
+	for dest, rs := range want {
+		blk, _, err := store.GetBlock(tbl.BlockPath(idx, dest), 0)
+		if err != nil {
+			t.Fatalf("bucket %d: %v", dest, err)
+		}
+		got := blk.Rows()
+		if len(got) != len(rs) {
+			t.Fatalf("bucket %d holds %d rows, want %d", dest, len(got), len(rs))
+		}
+		oracle := block.New(sch)
+		for i, r := range rs {
+			for c := range r {
+				if got[i][c] != r[c] {
+					t.Fatalf("bucket %d row %d col %d = %v, want %v: source order lost", dest, i, c, got[i][c], r[c])
+				}
+			}
+			oracle.Append(r)
+		}
+		if !reflect.DeepEqual(tbl.Trees[idx].Metas[dest], block.MetaOf(dest, oracle)) {
+			t.Fatalf("bucket %d meta %+v, row-built %+v", dest, tbl.Trees[idx].Metas[dest], block.MetaOf(dest, oracle))
+		}
+	}
+	if _, ok := tbl.Trees[0].Metas[live[3]]; ok || store.Exists(tbl.BlockPath(0, live[3])) {
+		t.Errorf("moved source bucket still live")
+	}
+}
+
+// BenchmarkMoveBuckets is the migration layer's own number: ns per
+// moved row for draining a 64k-row tree into a two-phase tree on
+// another attribute, a fifth of its buckets per call.
+func BenchmarkMoveBuckets(b *testing.B) {
+	rows := genRows(1<<16, 4)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		store := dfs.NewStore(4, 2, 1)
+		tbl, err := Load(store, "lineitem", sch, rows, LoadOptions{RowsPerBlock: 256, Seed: 1, JoinAttr: 0})
+		if err != nil {
+			b.Fatal(err)
+		}
+		idx := tbl.AddTree(twophase.Builder{Schema: sch, JoinAttr: 1, JoinLevels: 4, TotalDepth: 8, Seed: 6}.Build(tbl.SampleRows))
+		live := tbl.Trees[0].LiveBuckets()
+		step := (len(live) + 4) / 5
+		b.StartTimer()
+		for len(live) > 0 {
+			n := min(step, len(live))
+			if err := tbl.MoveBuckets(0, idx, live[:n], nil); err != nil {
+				b.Fatal(err)
+			}
+			live = live[n:]
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(rows)), "ns/row")
+}
+
 func TestMoveBucketsErrors(t *testing.T) {
 	rows := genRows(256, 6)
 	tbl, _ := loadTable(t, rows, LoadOptions{RowsPerBlock: 64, Seed: 1, JoinAttr: -1})
 	var meter cluster.Meter
-	if err := tbl.MoveBuckets(0, 5, []block.ID{0}, &meter, nil); err == nil {
+	if err := tbl.MoveBuckets(0, 5, []block.ID{0}, &meter); err == nil {
 		t.Errorf("bad destination accepted")
 	}
 	newTree := twophase.Builder{Schema: sch, JoinAttr: 0, JoinLevels: 1, TotalDepth: 2, Seed: 6}.Build(tbl.SampleRows)
 	idx := tbl.AddTree(newTree)
-	if err := tbl.MoveBuckets(0, idx, []block.ID{9999}, &meter, nil); err == nil {
+	if err := tbl.MoveBuckets(0, idx, []block.ID{9999}, &meter); err == nil {
 		t.Errorf("missing bucket accepted")
 	}
 }
@@ -223,7 +308,7 @@ func TestDropTree(t *testing.T) {
 	newTree := twophase.Builder{Schema: sch, JoinAttr: 0, JoinLevels: 2, TotalDepth: 3, Seed: 6}.Build(tbl.SampleRows)
 	idx := tbl.AddTree(newTree)
 	var meter cluster.Meter
-	if err := tbl.MoveBuckets(0, idx, tbl.Trees[0].LiveBuckets(), &meter, nil); err != nil {
+	if err := tbl.MoveBuckets(0, idx, tbl.Trees[0].LiveBuckets(), &meter); err != nil {
 		t.Fatalf("MoveBuckets: %v", err)
 	}
 	if err := tbl.DropTree(0); err != nil {
@@ -252,7 +337,7 @@ func TestPrimaryTree(t *testing.T) {
 	newTree := twophase.Builder{Schema: sch, JoinAttr: 0, JoinLevels: 2, TotalDepth: 3, Seed: 6}.Build(tbl.SampleRows)
 	idx := tbl.AddTree(newTree)
 	var meter cluster.Meter
-	if err := tbl.MoveBuckets(0, idx, tbl.Trees[0].LiveBuckets(), &meter, nil); err != nil {
+	if err := tbl.MoveBuckets(0, idx, tbl.Trees[0].LiveBuckets(), &meter); err != nil {
 		t.Fatalf("MoveBuckets: %v", err)
 	}
 	if tbl.PrimaryTree() != idx {
@@ -284,7 +369,7 @@ func TestReplaceTreeData(t *testing.T) {
 		if err != nil {
 			t.Fatalf("GetBlock: %v", err)
 		}
-		for _, r := range blk.Tuples {
+		for _, r := range blk.Rows() {
 			if newTree.Route(r) != b {
 				t.Fatalf("row misplaced after replace")
 			}
@@ -302,7 +387,7 @@ func TestZoneMapsMatchDataAfterMoves(t *testing.T) {
 	idx := tbl.AddTree(newTree)
 	var meter cluster.Meter
 	live := tbl.Trees[0].LiveBuckets()
-	if err := tbl.MoveBuckets(0, idx, live[:len(live)/2], &meter, nil); err != nil {
+	if err := tbl.MoveBuckets(0, idx, live[:len(live)/2], &meter); err != nil {
 		t.Fatalf("MoveBuckets: %v", err)
 	}
 	for _, ti := range []int{0, idx} {

@@ -116,11 +116,13 @@ func (s *Store) isLocal(e *entry, from NodeID) bool {
 	return false
 }
 
-// Append appends rows to the block at path, creating it when absent.
-// This is the repartitioning iterator's flush path; several concurrent
-// repartitioners may target the same file, so the whole operation is
-// serialized (the paper uses ZooKeeper for this coordination).
-func (s *Store) Append(path string, sch *schema.Schema, rows []tuple.Tuple) {
+// Append appends src's physical rows idxs, in order, to the block at
+// path (a columnar gather — see block.AppendGather), creating it when
+// absent. This is the repartitioning iterator's flush path; several
+// concurrent repartitioners may target the same file, so the whole
+// operation is serialized (the paper uses ZooKeeper for this
+// coordination).
+func (s *Store) Append(path string, sch *schema.Schema, src *tuple.Columns, idxs []int32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.files[path]
@@ -131,9 +133,7 @@ func (s *Store) Append(path string, sch *schema.Schema, rows []tuple.Tuple) {
 	if e.blk == nil {
 		e.blk = block.New(sch)
 	}
-	for _, r := range rows {
-		e.blk.Append(r)
-	}
+	e.blk.AppendGather(src, idxs)
 }
 
 // PutBytes stores raw metadata (serialized partitioning trees, catalogs).
@@ -217,7 +217,7 @@ func (s *Store) SetPlacement(path string, nodes []NodeID) error {
 type Stats struct {
 	Files  int
 	Blocks int
-	Tuples int
+	Rows   int
 }
 
 // Stats returns current totals.
@@ -228,7 +228,7 @@ func (s *Store) Stats() Stats {
 	for _, e := range s.files {
 		if e.blk != nil {
 			st.Blocks++
-			st.Tuples += e.blk.Len()
+			st.Rows += e.blk.Len()
 		}
 	}
 	return st

@@ -25,6 +25,18 @@ func blockOf(ks ...int64) *block.Block {
 	return b
 }
 
+// appendRows is Store.Append for row-shaped test input: transpose, then
+// gather every row.
+func appendRows(s *Store, path string, rows ...tuple.Tuple) {
+	cols := tuple.NewColumns(sch.NumCols())
+	cols.AppendRows(rows)
+	idxs := make([]int32, len(rows))
+	for i := range idxs {
+		idxs[i] = int32(i)
+	}
+	s.Append(path, sch, cols, idxs)
+}
+
 func TestPutGetBlock(t *testing.T) {
 	s := NewStore(4, 2, 1)
 	s.PutBlock("t/0/0", blockOf(1, 2, 3))
@@ -109,8 +121,8 @@ func TestPlacementDeterministicAndSpread(t *testing.T) {
 
 func TestAppendCreatesAndAccumulates(t *testing.T) {
 	s := NewStore(3, 1, 1)
-	s.Append("t/1/5", sch, []tuple.Tuple{row(1), row(2)})
-	s.Append("t/1/5", sch, []tuple.Tuple{row(3)})
+	appendRows(s, "t/1/5", row(1), row(2))
+	appendRows(s, "t/1/5", row(3))
 	got, _, err := s.GetBlock("t/1/5", 0)
 	if err != nil {
 		t.Fatalf("GetBlock after append: %v", err)
@@ -134,7 +146,7 @@ func TestConcurrentAppend(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				s.Append("shared", sch, []tuple.Tuple{row(int64(w*perWriter + i))})
+				appendRows(s, "shared", row(int64(w*perWriter+i)))
 			}
 		}(w)
 	}
@@ -216,7 +228,7 @@ func TestStats(t *testing.T) {
 	s.PutBlock("b", blockOf(3))
 	s.PutBytes("m", []byte{0})
 	st := s.Stats()
-	if st.Files != 3 || st.Blocks != 2 || st.Tuples != 3 {
+	if st.Files != 3 || st.Blocks != 2 || st.Rows != 3 {
 		t.Errorf("Stats = %+v", st)
 	}
 }
@@ -256,7 +268,7 @@ func TestConcurrentReadersWithMigration(t *testing.T) {
 	}
 	for round := 0; round < 50; round++ {
 		i := round % 16
-		s.Append(fmt.Sprintf("t/1/%d", i), sch, []tuple.Tuple{row(int64(round))})
+		appendRows(s, fmt.Sprintf("t/1/%d", i), row(int64(round)))
 		if err := s.SetPlacement(fmt.Sprintf("t/0/%d", i), []NodeID{NodeID(round % 4)}); err != nil {
 			t.Fatal(err)
 		}

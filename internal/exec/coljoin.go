@@ -13,8 +13,8 @@
 //   - matches accumulate as (build row, probe row) index pairs and are
 //     gathered column-at-a-time into columnar output batches.
 //
-// Row batches (Source views, hyper-join and second-pass outputs) enter
-// through the row-input seam: the build's else branch copies each row
+// Row batches (Source views, second-pass outputs) enter through the
+// row-input seam: the build's else branch copies each row
 // into the columnar stores (colBuf.addRow) and probeRowsBatch probes
 // boxed keys against the flat key vector.
 //
@@ -129,6 +129,7 @@ func (j *hashJoinOp) buildTables() error {
 				spw = sp.newPartSpiller(id, false)
 			}
 			var hv []uint64
+			var rowBytes []int32 // budgeted builds: the batch's per-row charges
 			for b := range in {
 				if cerr := j.e.ctxErr(); cerr != nil {
 					j.fail(cerr)
@@ -139,6 +140,9 @@ func (j *hashJoinOp) buildTables() error {
 				}
 				if cb := b.Cols(); cb != nil {
 					hv = cb.Hash64Column(j.bCol, hv)
+					if sp != nil {
+						rowBytes = cb.MemBytesRows(rowBytes)
+					}
 					n := cb.Len()
 					sel := cb.Sel()
 					for k := 0; k < n; k++ {
@@ -164,7 +168,7 @@ func (j *hashJoinOp) buildTables() error {
 						}
 						my[p].addFrom(h, cb, i)
 						if sp != nil {
-							nb := int64(cb.MemBytesRow(i))
+							nb := int64(rowBytes[i])
 							myBytes[p] += nb
 							sp.noteBuildRow(p, h, nb)
 							if sp.charge(nb) {
@@ -312,23 +316,31 @@ func (j *hashJoinOp) sealColTables(bufs [][]colBuf) {
 		if n == 0 {
 			continue // empty or spilled partition: zero colPart, probe skips
 		}
-		nb := tableBuckets(n, perHint)
-		part := colPart{
-			base:    int32(base),
-			buckets: make([]int32, nb),
-			next:    make([]int32, n),
-			mask:    uint64(nb - 1),
-		}
-		for e := 0; e < n; e++ {
-			slot := hashes[base+e] & part.mask
-			part.next[e] = part.buckets[slot]
-			part.buckets[slot] = int32(e + 1)
-		}
-		cb.parts[p] = part
+		cb.parts[p] = newColPart(hashes, base, perHint)
 	}
 	cb.store = store
 	cb.hashes = hashes
 	cb.keyVec = store.Col(j.bCol)
+}
+
+// newColPart chains the store rows [base, len(hashes)) into one
+// partition's table, buckets sized from the row count and the hint
+// (tableBuckets).
+func newColPart(hashes []uint64, base, hint int) colPart {
+	n := len(hashes) - base
+	nb := tableBuckets(n, hint)
+	part := colPart{
+		base:    int32(base),
+		buckets: make([]int32, nb),
+		next:    make([]int32, n),
+		mask:    uint64(nb - 1),
+	}
+	for e := 0; e < n; e++ {
+		slot := hashes[base+e] & part.mask
+		part.next[e] = part.buckets[slot]
+		part.buckets[slot] = int32(e + 1)
+	}
+	return part
 }
 
 // colProbe is one probe worker's match accumulator: (build row, probe

@@ -14,6 +14,7 @@ import (
 // returns from MaybeWorker.
 func TestMain(m *testing.M) {
 	RegisterSpecDataset()
+	RegisterMixedDataset()
 	adbnet.MaybeWorker()
 	os.Exit(m.Run())
 }

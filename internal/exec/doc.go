@@ -20,18 +20,25 @@
 //     are the Fig. 7 locality and §7.3 full-scan baseline switches.
 //
 // The engine is one batched pipeline (pipeline.go): fixed-capacity
-// Batch chunks — columnar out of scans, exchanges and joins, boxed rows
-// out of sources and hyper-joins — stream through Open/Next/Close
+// Batch chunks — columnar out of scans, exchanges, joins and
+// hyper-joins, boxed rows out of row sources and the spill second pass
+// — stream through Open/Next/Close
 // Operators: block scans (ScanOp, TableScanOp), the hash join (JoinOp),
 // hyper-joins (NewHyperJoinOp), filters (Where) and in-memory sources
 // (NewSource, NewColSource), with scans, hyper-join groups, and the
 // radix-partitioned join's build and probe phases all running on a
-// bounded worker pool. There is one hash join: a columnar build and
+// bounded worker pool. Blocks are stored column-major, so a scan is
+// filter-then-copy: the vectorized predicate kernel
+// (predicate.FilterSel) narrows a selection over the block's own
+// vectors and the survivors are bulk-copied into a pooled batch;
+// Batch.Rows() is the one place left that boxes values. There is one hash join: a columnar build and
 // probe (coljoin.go) that accepts row or columnar batches on either
 // input and spills under a MemBudget (spill.go); the row-keyed table of
 // joinht.go (value.Hash64 keys, chained row indices, value.Equal
-// collision checks, NULL keys never matching) serves its second pass,
-// the hyper-join groups and HashJoinRows. Drain is the one run loop —
+// collision checks, NULL keys never matching) serves its second pass
+// and HashJoinRows, while a hyper-join group is that same columnar
+// build and probe with a single partition, fed straight from block
+// vectors. Drain is the one run loop —
 // Collect and Count, the session and the serving layer all pull a DAG
 // through it. The structural operators of ops.go — Instrument
 // (per-operator rows/batches/time + completion hooks), Concat

@@ -211,6 +211,47 @@ func TestHyperJoinMatchesShuffleJoin(t *testing.T) {
 	}
 }
 
+// TestHyperJoinEmitsColumnarBatches: a group joins block vectors
+// directly, so what streams out are columnar batches — R's columns then
+// S's, typed — never boxed rows.
+func TestHyperJoinEmitsColumnarBatches(t *testing.T) {
+	f := newFixture(t, true)
+	preds := []predicate.Predicate{predicate.NewCmp(2, predicate.LT, value.NewInt(2000))}
+	op := f.ex.NewHyperJoinOp(f.line.Refs(0, preds), preds, 0, f.ord.Refs(0, nil), nil, 0, 4)
+	if err := op.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer op.Close()
+	rows := 0
+	for {
+		b, err := op.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			break
+		}
+		cb := b.Cols()
+		if cb == nil {
+			t.Fatalf("hyper-join emitted a row batch of %d rows", b.Len())
+		}
+		if cb.NumCols() != lineSch.NumCols()+orderSch.NumCols() || cb.Col(0).Kind() != value.Int {
+			t.Fatalf("batch has %d columns, first of kind %v", cb.NumCols(), cb.Col(0).Kind())
+		}
+		keys, okeys := cb.Col(0).Ints(), cb.Col(lineSch.NumCols()).Ints()
+		for i := range keys {
+			if keys[i] != okeys[i] {
+				t.Fatalf("row %d joins lineitem key %d with orders key %d", i, keys[i], okeys[i])
+			}
+		}
+		rows += b.Len()
+		b.Release()
+	}
+	if rows == 0 {
+		t.Fatal("hyper-join produced nothing")
+	}
+}
+
 func TestHyperJoinCoPartitionedCHyJNearOne(t *testing.T) {
 	// Co-partitioned two-phase trees: each lineitem block overlaps few
 	// orders blocks, so CHyJ should be near 1 with a decent budget (§4.2).

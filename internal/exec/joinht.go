@@ -1,8 +1,9 @@
 // The row-keyed join hash table: u64 hash → chained row indices over
 // flat entry storage, fed by chunked accumulation buffers. It serves the
 // joins whose build side arrives as boxed rows — the spill second pass
-// (loadAndProbe, chunkedJoin), hyper-join groups and HashJoinRows; the
-// first-pass hash join builds columnar tables instead (coljoin.go).
+// (loadAndProbe, chunkedJoin) and HashJoinRows; the first-pass hash
+// join and the hyper-join groups build columnar tables instead
+// (coljoin.go).
 //
 // The previous join core keyed a map[string][]tuple.Tuple on each key's
 // binary encoding, which paid an encode pass plus a slice allocation per
@@ -120,9 +121,8 @@ func newJoinTable(col int, buf *joinBuf) *joinTable {
 // newJoinTableCap returns an empty table ready for incremental insert,
 // with buckets pre-sized to 2× the capacity hint: any estimate within
 // 2× of the true row count (high or low) yields zero rehash-grows,
-// the property TestJoinTableCapNoGrow pins. Used by builders that
-// insert as rows arrive instead of sealing buffers (hyper-join groups,
-// the slice-API join).
+// the property TestJoinTableCapNoGrow pins. Used by the builder that
+// inserts as rows arrive instead of sealing a buffer (HashJoinRows).
 func newJoinTableCap(col, capHint int) *joinTable {
 	if capHint < 1 {
 		capHint = 1

@@ -2,8 +2,8 @@
 //
 // Operators stream fixed-capacity Batches through Open/Next/Close
 // instead of materializing a []tuple.Tuple at every boundary: scans
-// read blocks on a bounded worker pool and emit columnar batches as
-// they fill, joins build a hash table from their build input and then
+// read column-major blocks on a bounded worker pool, filter their
+// vectors and copy the survivors into columnar batches, joins build a hash table from their build input and then
 // stream probe batches through it (the build and probe bodies live in
 // coljoin.go, the spilling half in spill.go). Drain is the one run
 // loop; Collect and Count are its materializing and counting forms.
@@ -20,6 +20,7 @@ import (
 	"adaptdb/internal/hyperjoin"
 	"adaptdb/internal/predicate"
 	"adaptdb/internal/tuple"
+	"adaptdb/internal/value"
 )
 
 // DefaultBatchSize is the row capacity of pipeline batches. 1024 rows
@@ -31,10 +32,11 @@ const DefaultBatchSize = 1024
 // A batch received from Next is owned by the caller until it calls
 // Release; the rows are immutable and must not be mutated.
 //
-// Rows come in two lifetimes, reported by OwnsRows: view rows (scans,
+// Rows come in two lifetimes, reported by OwnsRows: view rows (row
 // sources) reference storage that outlives the batch, while owned rows
-// (join outputs) are carved from the batch's recycled value arena and
-// die at Release. Consumers that retain rows past Release must copy
+// (columnar batches — scans copy block vectors, they never alias them —
+// and row-shaped join outputs) live in the batch's recycled vectors or
+// value arena and die at Release. Consumers that retain rows past Release must copy
 // owned rows first — Collect does. This is what lets a streaming join
 // produce zero garbage per row: the output arena cycles through the
 // batch pool instead of through the garbage collector.
@@ -145,20 +147,28 @@ func (b *Batch) AppendColRowFrom(src *tuple.Columns, i int) {
 
 // AppendColGather bulk-appends the listed physical rows of src to a
 // columnar batch — one monomorphic gather loop per column, the exchange
-// repack path. Same un-pool rule as AppendColRow.
+// repack path and the scan's copy of a filtered block. Same un-pool rule
+// as AppendColRow.
 func (b *Batch) AppendColGather(src *tuple.Columns, idxs []int32) {
 	if b.pooled && b.cols.FullLen()+len(idxs) > DefaultBatchSize {
 		b.pooled = false
 	}
-	for ci, ncols := 0, src.NumCols(); ci < ncols; ci++ {
-		b.cols.AppendColumnGather(ci, src, ci, idxs)
-	}
-	b.cols.AddRows(len(idxs))
+	b.cols.AppendGather(src, idxs)
 }
 
-// AppendColRows bulk-transposes rows into a columnar batch — the scan
-// path's block-at-a-time form of AppendColRow, with the same un-pool
-// rule for growth past the standard capacity.
+// AppendColRange bulk-appends src's physical rows [from, to) to a
+// columnar batch — flat memmoves, the scan's copy of an unfiltered
+// block. Same un-pool rule as AppendColRow.
+func (b *Batch) AppendColRange(src *tuple.Columns, from, to int) {
+	if b.pooled && b.cols.FullLen()+to-from > DefaultBatchSize {
+		b.pooled = false
+	}
+	b.cols.AppendRange(src, from, to)
+}
+
+// AppendColRows bulk-transposes rows into a columnar batch —
+// ColSource's batch-at-a-time form of AppendColRow, with the same
+// un-pool rule for growth past the standard capacity.
 func (b *Batch) AppendColRows(rows []tuple.Tuple) {
 	if b.pooled && b.cols.FullLen()+len(rows) > DefaultBatchSize {
 		b.pooled = false
@@ -533,7 +543,7 @@ func (s *scanOp) worker() {
 	if n < 1 {
 		n = 1
 	}
-	var match []tuple.Tuple // per-worker scratch for predicate survivors
+	var sel []int32 // per-worker scratch for predicate survivors
 	for {
 		if cerr := s.e.ctxErr(); cerr != nil {
 			s.setErr(cerr)
@@ -553,48 +563,46 @@ func (s *scanOp) worker() {
 			continue // vanished (concurrent repartition): rows moved elsewhere
 		}
 		s.e.Meter.AddScan(blk.Len(), local)
-		if len(blk.Tuples) == 0 {
-			continue
-		}
-		// Transpose matching rows into typed vectors a block at a time
-		// (Columns.AppendRows hoists kind dispatch out of the per-value
-		// loop). Repeated string payloads dedup against the previous row
-		// in the column arena (ColVec.appendStr), so runs of TPC-H
-		// flags/modes share bytes across the whole batch.
-		rows := blk.Tuples
-		if len(s.preds) > 0 {
-			match = match[:0]
-			for _, r := range rows {
-				if predicate.MatchesAll(s.preds, r) {
-					match = append(match, r)
-				}
-			}
-			rows = match
-		}
-		ncols := len(blk.Tuples[0])
-		b := NewColBatch(ncols)
-		for len(rows) > 0 {
-			take := DefaultBatchSize - b.Len()
-			if take > len(rows) {
-				take = len(rows)
-			}
-			b.AppendColRows(rows[:take])
-			rows = rows[take:]
-			if b.Full() {
-				if !s.send(b) {
-					return
-				}
-				b = NewColBatch(ncols)
-			}
-		}
-		if b.Len() > 0 {
-			if !s.send(b) {
-				return
-			}
-		} else {
-			b.Release()
+		var ok bool
+		if sel, ok = s.emitBlock(blk.Cols(), sel); !ok {
+			return
 		}
 	}
+}
+
+// emitBlock is the scan of one block: filter, then copy. The predicate
+// kernel narrows a selection over the block's own vectors, and the
+// survivors are copied into pooled batches of at most DefaultBatchSize
+// rows — flat range copies when every row survives, per-column gathers
+// otherwise — so no value is boxed and block storage is never aliased
+// by a batch. scratch is the worker's selection buffer; it comes back
+// (possibly grown) for the next block. Reports false once the consumer
+// has closed the stream.
+func (s *scanOp) emitBlock(cols *tuple.Columns, scratch []int32) ([]int32, bool) {
+	n := cols.FullLen()
+	var sel []int32 // nil: every row survives, range copies below
+	if len(s.preds) > 0 {
+		sel = predicate.FilterSel(s.preds, cols, nil, scratch)
+		scratch = sel[:0]
+		if len(sel) < n {
+			n = len(sel)
+		} else {
+			sel = nil
+		}
+	}
+	for from := 0; from < n; from += DefaultBatchSize {
+		to := min(from+DefaultBatchSize, n)
+		b := NewColBatch(cols.NumCols())
+		if sel == nil {
+			b.AppendColRange(cols, from, to)
+		} else {
+			b.AppendColGather(cols, sel[from:to])
+		}
+		if !s.send(b) {
+			return scratch, false
+		}
+	}
+	return scratch, true
 }
 
 func (s *scanOp) send(b *Batch) bool {
@@ -641,13 +649,15 @@ func (s *scanOp) Close() error {
 // Where exists for filters that only apply mid-pipeline (e.g. on join
 // outputs).
 func Where(child Operator, preds []predicate.Predicate) Operator {
+	if len(preds) == 0 {
+		return child
+	}
 	return &filterOp{child: child, preds: preds}
 }
 
 type filterOp struct {
-	child   Operator
-	preds   []predicate.Predicate
-	scratch tuple.Tuple
+	child Operator
+	preds []predicate.Predicate
 }
 
 func (f *filterOp) Open() error { return f.child.Open() }
@@ -659,12 +669,12 @@ func (f *filterOp) Next() (*Batch, error) {
 			return nil, err
 		}
 		if cb := in.Cols(); cb != nil {
-			// Columnar batch: refine the selection vector in place — no
-			// row moves, no new batch. Rejected rows just leave the
-			// selection; downstream operators iterate what survives.
-			cb.FilterSel(func(i int) bool {
-				f.scratch = cb.RowTo(f.scratch, i)
-				return predicate.MatchesAll(f.preds, f.scratch)
+			// Columnar batch: the predicate kernel narrows the selection
+			// vector in place — no row moves, no value is boxed, no new
+			// batch. Rejected rows just leave the selection; downstream
+			// operators iterate what survives.
+			cb.NarrowSel(func(sel, buf []int32) []int32 {
+				return predicate.FilterSel(f.preds, cb, sel, buf)
 			})
 			if cb.Len() > 0 {
 				return in, nil
@@ -1043,8 +1053,11 @@ type HyperJoinOp struct {
 	rRefs, sRefs []core.BlockRef
 	rPreds       []predicate.Predicate
 	sPreds       []predicate.Predicate
-	rCol, sCol   int
-	budget       int
+	// rPredsKeyed is rPreds plus "build key is not NULL", applied to R
+	// blocks whose key column can hold a NULL.
+	rPredsKeyed []predicate.Predicate
+	rCol, sCol  int
+	budget      int
 
 	plan    HyperPlan
 	stats   HyperStats
@@ -1082,6 +1095,8 @@ func (h *HyperJoinOp) Open() error {
 		return nil
 	}
 	h.plan = PlanHyper(h.rRefs, h.rCol, h.sRefs, h.sCol, h.budget)
+	h.rPredsKeyed = append(h.rPreds[:len(h.rPreds):len(h.rPreds)],
+		predicate.NewCmp(h.rCol, predicate.NE, value.Value{}))
 	h.stats = HyperStats{
 		Groups:       len(h.plan.Grouping),
 		SBlocks:      len(h.sRefs),
@@ -1131,37 +1146,77 @@ func (h *HyperJoinOp) worker() {
 // runGroup executes one group of the §4.1 algorithm: build a join table
 // over the group's R blocks, probe it with every overlapping S block,
 // streaming output batches. Returns false when the operator was closed.
+//
+// A group is a one-partition hash join over block columns: the R
+// blocks' surviving rows are gathered into one columnar store with
+// their Hash64Column hashes and chained (newColPart), and every S block
+// is probed in place — a selection over the block's own vectors —
+// through the typed probe loops and pair-gather emission of coljoin.go,
+// so output batches are columnar (R columns, then S columns) and no row
+// is boxed.
 func (h *HyperJoinOp) runGroup(group []int) bool {
 	// The group's task runs where its first R block lives. Block metadata
-	// knows the group's exact row count up front, so the table is built
-	// incrementally into pre-sized buckets — zero rehash-grows whenever
-	// the predicates keep at least half the rows.
+	// knows the group's exact row count up front, so the store is born at
+	// its final size whenever the predicates keep every row.
 	node := h.e.taskNode(h.rRefs[group[0]].Path)
 	est := 0
 	for _, i := range group {
 		est += h.rRefs[i].Meta.Count
 	}
-	ht := newJoinTableCap(h.rCol, est)
+	gj := &hashJoinOp{
+		e: h.e, bCol: h.rCol, pCol: h.sCol,
+		// One partition: every hash shifts to partition 0.
+		radixShift: 64, nParts: 1,
+		// Output goes straight to the hyper-join's stream.
+		out: h.out, done: h.done,
+	}
+	var store *tuple.Columns
+	hashes := make([]uint64, 0, est)
+	var hv []uint64
+	var scratch []int32
 	for _, i := range group {
 		blk, local, err := h.e.Store.GetBlock(h.rRefs[i].Path, node)
 		if err != nil {
 			continue
 		}
 		h.e.Meter.AddBuild(blk.Len(), local)
-		for _, r := range blk.Tuples {
-			if predicate.MatchesAll(h.rPreds, r) {
-				key := r[h.rCol]
-				if key.IsNull() {
-					continue // NULL never equals NULL in a join
-				}
-				ht.insert(key.Hash64(), r)
-			}
+		cols := blk.Cols()
+		if cols.FullLen() == 0 {
+			continue
+		}
+		if store == nil {
+			store = tuple.NewColumns(cols.NumCols())
+			store.Reserve(est)
+		}
+		// NULL never equals NULL in a join: a key column that can hold one
+		// is filtered through "key != NULL" as well.
+		preds := h.rPreds
+		if key := cols.Col(h.rCol); key.Valid() != nil || key.Boxed() != nil {
+			preds = h.rPredsKeyed
+		}
+		hv = cols.Hash64Column(h.rCol, hv)
+		if len(preds) == 0 {
+			store.AppendRange(cols, 0, cols.FullLen())
+			hashes = append(hashes, hv...)
+			continue
+		}
+		sel := predicate.FilterSel(preds, cols, nil, scratch)
+		scratch = sel[:0]
+		store.AppendGather(cols, sel)
+		for _, r := range sel {
+			hashes = append(hashes, hv[r])
+		}
+	}
+	if gj.buildRows = len(hashes); gj.buildRows > 0 {
+		gj.cbuild = &colBuild{
+			store: store, hashes: hashes, keyVec: store.Col(h.rCol),
+			parts: []colPart{newColPart(hashes, 0, 0)},
 		}
 	}
 	// Probe phase: only overlapping S blocks.
 	union := hyperjoin.Union(h.plan.V, group)
 	probed := 0
-	b := NewBatch()
+	st := &colProbe{j: gj, ok: true}
 	for _, j := range union.Ones() {
 		if j >= len(h.sRefs) {
 			break
@@ -1172,50 +1227,30 @@ func (h *HyperJoinOp) runGroup(group []int) bool {
 		}
 		h.e.Meter.AddProbe(blk.Len(), local)
 		probed++
-		for _, s := range blk.Tuples {
-			if !predicate.MatchesAll(h.sPreds, s) {
-				continue
-			}
-			key := s[h.sCol]
-			if key.IsNull() {
-				continue // NULL never equals NULL in a join
-			}
-			it := ht.lookup(key.Hash64(), key)
-			for {
-				r, ok := it.next()
-				if !ok {
-					break
-				}
-				b.AppendConcat(r, s)
-				if b.Full() {
-					if !h.send(b) {
-						return false
-					}
-					b = NewBatch()
-				}
-			}
+		if gj.buildRows == 0 {
+			continue // nothing can match; the read is still metered
+		}
+		cols := blk.Cols()
+		var sel []int32
+		if len(h.sPreds) > 0 {
+			sel = predicate.FilterSel(h.sPreds, cols, nil, scratch)
+			scratch = sel[:0]
+		}
+		// No partition of a group is ever spilled, so the probe loops touch
+		// neither a spiller nor the skip counter.
+		gj.probeColsBatch(cols.View(sel), st, nil, nil)
+		// Pairs index this block's vectors: gather them before moving on.
+		st.flush()
+		if !st.ok {
+			return false
 		}
 	}
+	h.results.Add(gj.results.Load())
 	h.statsMu.Lock()
 	h.stats.BuildBlocks += len(group)
 	h.stats.ProbeBlocks += probed
 	h.statsMu.Unlock()
-	if b.Len() > 0 {
-		return h.send(b)
-	}
-	b.Release()
 	return true
-}
-
-func (h *HyperJoinOp) send(b *Batch) bool {
-	h.results.Add(int64(b.Len()))
-	select {
-	case h.out <- b:
-		return true
-	case <-h.done:
-		b.Release()
-		return false
-	}
 }
 
 func (h *HyperJoinOp) Next() (*Batch, error) {

@@ -224,6 +224,13 @@ func (w *worker) acceptLoop() {
 			}
 			c.peer = h.Proc
 			w.ep.setPeer(h.Proc, c)
+			// Acknowledge only once the dialer is registered here: it holds
+			// back its ready until then, so no query can find this side of
+			// the pair still missing.
+			if err := c.writeFrame(msgHello, nil); err != nil {
+				c.die(err)
+				return
+			}
 			c.serve(w.ep.demux(c, w.handleFrame(c)), func(err error) { w.ep.peerDied(h.Proc, err) })
 		}()
 	}
@@ -252,6 +259,14 @@ func (w *worker) dialPeer(proc int, addr string) error {
 	c.peer = proc
 	if err := c.writeJSON(msgHello, helloMsg{Proc: w.proc}); err != nil {
 		return &NetError{Msg: err.Error(), Peer: proc}
+	}
+	// Wait for the acceptor's hello back: it is sent after the acceptor
+	// registered this connection, and this worker reports ready only
+	// after every dial returned — so once the coordinator dispatches, both
+	// ends of every mesh pair know each other.
+	var fb frameBuf
+	if err := c.readFrame(&fb); err != nil || fb.typ() != msgHello {
+		return &NetError{Msg: fmt.Sprintf("mesh hello not acknowledged: %v", err), Peer: proc}
 	}
 	w.ep.setPeer(proc, c)
 	go c.serve(w.ep.demux(c, w.handleFrame(c)), func(err error) { w.ep.peerDied(proc, err) })

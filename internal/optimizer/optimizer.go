@@ -136,7 +136,7 @@ func (o *Optimizer) OnQuery(uses []TableUse, meter *cluster.Meter) (StepReport, 
 			}
 		case ModeAdaptive:
 			sm := o.smoothFor(use.Table.Name)
-			res, err := sm.Step(use.Table, q, meter, nil)
+			res, err := sm.Step(use.Table, q, meter)
 			if err != nil {
 				return rep, err
 			}

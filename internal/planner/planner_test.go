@@ -185,7 +185,7 @@ func TestCase2CombinationDuringTransition(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		q := workload.Query{JoinAttr: 1}
 		w.Add(q)
-		if _, err := m.Step(f.line, q, &meter, nil); err != nil {
+		if _, err := m.Step(f.line, q, &meter); err != nil {
 			t.Fatal(err)
 		}
 	}

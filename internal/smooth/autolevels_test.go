@@ -16,7 +16,7 @@ func TestAutoJoinLevelsNonSelectiveWorkload(t *testing.T) {
 	q := workload.Query{JoinAttr: 1} // no predicates
 	m.Window.Add(q)
 	var meter cluster.Meter
-	res, err := m.Step(tbl, q, &meter, nil)
+	res, err := m.Step(tbl, q, &meter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestAutoJoinLevelsSelectiveWorkloadKeepsSelectionLevels(t *testing.T) {
 	}
 	q := workload.Query{JoinAttr: 1, Preds: selPreds()}
 	m.Window.Add(q)
-	res, err := m.Step(tbl, q, &meter, nil)
+	res, err := m.Step(tbl, q, &meter)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func replay(t *testing.T, m *Manager, storeSeed int64) []StepResult {
 	for i := 0; i < 8; i++ {
 		q := workload.Query{JoinAttr: []int{1, 1, 0, 1, 1, 1, 0, 1}[i]}
 		m.Window.Add(q)
-		res, err := m.Step(tbl, q, &meter, nil)
+		res, err := m.Step(tbl, q, &meter)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func TestZeroValueManagerDoesNotPanic(t *testing.T) {
 	q := workload.Query{JoinAttr: 1}
 	m.Window.Add(q)
 	var meter cluster.Meter
-	if _, err := m.Step(tbl, q, &meter, nil); err != nil {
+	if _, err := m.Step(tbl, q, &meter); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -30,7 +30,6 @@ import (
 	"adaptdb/internal/block"
 	"adaptdb/internal/cluster"
 	"adaptdb/internal/core"
-	"adaptdb/internal/tuple"
 	"adaptdb/internal/twophase"
 	"adaptdb/internal/workload"
 )
@@ -92,9 +91,8 @@ type StepResult struct {
 
 // Step runs the Fig. 11 algorithm for one incoming query against the
 // table. The query must already have been added to the window by the
-// caller. Emit, when non-nil, receives migrated rows so the current
-// query can scan Type-2 blocks while they move (§6).
-func (m *Manager) Step(tbl *core.Table, q workload.Query, meter *cluster.Meter, emit func(tuple.Tuple)) (StepResult, error) {
+// caller.
+func (m *Manager) Step(tbl *core.Table, q workload.Query, meter *cluster.Meter) (StepResult, error) {
 	m.ensureRand()
 	res := StepResult{CreatedTree: -1}
 	t := q.JoinAttr
@@ -148,7 +146,7 @@ func (m *Manager) Step(tbl *core.Table, q workload.Query, meter *cluster.Meter, 
 		tIdx = tbl.AddTree(nt)
 		res.CreatedTree = tIdx
 		target := float64(m.FMin) / float64(w)
-		moved, buckets, err := m.moveFraction(tbl, tIdx, target, total, meter, emit)
+		moved, buckets, err := m.moveFraction(tbl, tIdx, target, total, meter)
 		res.MovedRows, res.MovedBuckets = moved, buckets
 		if err != nil {
 			return res, err
@@ -158,7 +156,7 @@ func (m *Manager) Step(tbl *core.Table, q workload.Query, meter *cluster.Meter, 
 		share := float64(tbl.RowsUnder(tIdx)) / float64(total)
 		p := float64(n)/float64(w) - share
 		if p > 0 {
-			moved, buckets, err := m.moveFraction(tbl, tIdx, p, total, meter, emit)
+			moved, buckets, err := m.moveFraction(tbl, tIdx, p, total, meter)
 			res.MovedRows, res.MovedBuckets = moved, buckets
 			if err != nil {
 				return res, err
@@ -178,7 +176,7 @@ func (m *Manager) Step(tbl *core.Table, q workload.Query, meter *cluster.Meter, 
 
 // moveFraction migrates ≈ frac × total rows into tree toIdx, pulling
 // randomly chosen buckets from the other trees, largest donors first.
-func (m *Manager) moveFraction(tbl *core.Table, toIdx int, frac float64, total int, meter *cluster.Meter, emit func(tuple.Tuple)) (int, int, error) {
+func (m *Manager) moveFraction(tbl *core.Table, toIdx int, frac float64, total int, meter *cluster.Meter) (int, int, error) {
 	budget := int(frac * float64(total))
 	if budget <= 0 {
 		return 0, 0, nil
@@ -213,7 +211,7 @@ func (m *Manager) moveFraction(tbl *core.Table, toIdx int, frac float64, total i
 		if len(pick) == 0 {
 			continue
 		}
-		if err := tbl.MoveBuckets(from, toIdx, pick, meter, emit); err != nil {
+		if err := tbl.MoveBuckets(from, toIdx, pick, meter); err != nil {
 			return movedRows, movedBuckets, err
 		}
 		movedBuckets += len(pick)

@@ -60,7 +60,7 @@ func TestNoJoinAttrIsNoop(t *testing.T) {
 	q := workload.Query{JoinAttr: -1}
 	m.Window.Add(q)
 	var meter cluster.Meter
-	res, err := m.Step(tbl, q, &meter, nil)
+	res, err := m.Step(tbl, q, &meter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestNewAttributeCreatesTreeAndMovesSlice(t *testing.T) {
 	q := workload.Query{JoinAttr: 1} // partkey: new
 	m.Window.Add(q)
 	var meter cluster.Meter
-	res, err := m.Step(tbl, q, &meter, nil)
+	res, err := m.Step(tbl, q, &meter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestFMinGatesTreeCreation(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		q := workload.Query{JoinAttr: 1}
 		m.Window.Add(q)
-		res, err := m.Step(tbl, q, &meter, nil)
+		res, err := m.Step(tbl, q, &meter)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestFMinGatesTreeCreation(t *testing.T) {
 	}
 	q := workload.Query{JoinAttr: 1}
 	m.Window.Add(q)
-	res, err := m.Step(tbl, q, &meter, nil)
+	res, err := m.Step(tbl, q, &meter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestShareTracksWindowFraction(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		q := workload.Query{JoinAttr: 1}
 		m.Window.Add(q)
-		if _, err := m.Step(tbl, q, &meter, nil); err != nil {
+		if _, err := m.Step(tbl, q, &meter); err != nil {
 			t.Fatal(err)
 		}
 		if totalRows(tbl) != 2048 {
@@ -164,7 +164,7 @@ func TestOldTreeDroppedWhenDrained(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		q := workload.Query{JoinAttr: 1}
 		m.Window.Add(q)
-		res, err := m.Step(tbl, q, &meter, nil)
+		res, err := m.Step(tbl, q, &meter)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,21 +177,6 @@ func TestOldTreeDroppedWhenDrained(t *testing.T) {
 		}
 	}
 	t.Errorf("old tree never dropped after full shift")
-}
-
-func TestEmitDeliversMovedRows(t *testing.T) {
-	tbl, m := setup(t)
-	q := workload.Query{JoinAttr: 1}
-	m.Window.Add(q)
-	var meter cluster.Meter
-	emitted := 0
-	res, err := m.Step(tbl, q, &meter, func(tuple.Tuple) { emitted++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if emitted != res.MovedRows {
-		t.Errorf("emit saw %d rows, moved %d", emitted, res.MovedRows)
-	}
 }
 
 func TestMixedWorkloadKeepsBothTrees(t *testing.T) {
@@ -208,7 +193,7 @@ func TestMixedWorkloadKeepsBothTrees(t *testing.T) {
 		}
 		q := workload.Query{JoinAttr: attr}
 		m.Window.Add(q)
-		if _, err := m.Step(tbl, q, &meter, nil); err != nil {
+		if _, err := m.Step(tbl, q, &meter); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -233,7 +218,7 @@ func TestStepOnEmptyWindowAttr(t *testing.T) {
 	q := workload.Query{JoinAttr: 0}
 	m.Window.Add(q)
 	var meter cluster.Meter
-	res, err := m.Step(tbl, q, &meter, nil)
+	res, err := m.Step(tbl, q, &meter)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,6 +99,21 @@ func (t *Tree) Route(tp tuple.Tuple) block.ID {
 	return n.Bucket
 }
 
+// RouteCols is Route for physical row i of a column-major row set: the
+// same descent, comparing typed cells against the cut points
+// (ColVec.CompareValue) instead of boxed values.
+func (t *Tree) RouteCols(cols *tuple.Columns, i int) block.ID {
+	n := t.Root
+	for !n.Leaf {
+		if cols.Col(n.Attr).CompareValue(i, n.Cut) <= 0 {
+			n = n.Left
+		} else {
+			n = n.Right
+		}
+	}
+	return n.Bucket
+}
+
 // Buckets returns all bucket IDs, sorted.
 func (t *Tree) Buckets() []block.ID {
 	var out []block.ID

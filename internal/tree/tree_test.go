@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -309,5 +310,47 @@ func TestString(t *testing.T) {
 	want := "(a<=5 b0 b1)"
 	if tr.String() != want {
 		t.Errorf("String = %q, want %q", tr.String(), want)
+	}
+}
+
+// Property: the columnar route (typed cells against the cut points)
+// lands every row in the bucket the boxed route picks, NULL and
+// mixed-kind cells included.
+func TestRouteColsMatchesRouteQuick(t *testing.T) {
+	cell := func(rng *rand.Rand, col int) value.Value {
+		switch {
+		case rng.Intn(8) == 0:
+			return value.Value{}
+		case col == 2 && rng.Intn(3) == 0:
+			return value.NewString(string(rune('a' + rng.Intn(3)))) // column c mixes kinds
+		case col == 1:
+			return value.NewFloat([]float64{math.NaN(), math.Copysign(0, -1), 0, 1.5, 40, 90}[rng.Intn(6)])
+		}
+		return value.NewInt(rng.Int63n(100))
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		tr := figure3Tree()
+		tr.Walk(func(n *Node) {
+			if !n.Leaf {
+				n.Cut = cell(rng, n.Attr) // any cut, NULL included
+			}
+		})
+		rows := make([]tuple.Tuple, 1+rng.Intn(80))
+		for i := range rows {
+			rows[i] = tuple.Tuple{cell(rng, 0), cell(rng, 1), cell(rng, 2)}
+		}
+		cols := tuple.NewColumns(3)
+		cols.AppendRows(rows)
+		for i, r := range rows {
+			if got, want := tr.RouteCols(cols, i), tr.Route(r); got != want {
+				t.Logf("seed %d row %v: RouteCols %d, Route %d", seed, r, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,6 +1,11 @@
 // Columnar row storage: typed vectors, validity bitmaps, selection
-// vectors. This is the payload of the executor's columnar batches and
-// of the vectorized join's build-side stores.
+// vectors. One layout end to end: it is how a stored block holds its
+// rows (block.Block), the payload of the executor's columnar batches,
+// the vectorized join's build-side store, and — through AppendFrame /
+// DecodeFrame — a spill run and a wire frame. Rows enter it once, at
+// load (AppendRows); from there scans, joins and migration move them
+// with range copies and gathers (AppendRange, AppendGather) and compare
+// cells in place (CompareValue), never re-boxing them.
 //
 // A column is stored by kind class: Int/Date/Bool payloads in a flat
 // []int64, Float in []float64, String as a flat []string of headers.
@@ -292,11 +297,11 @@ func (v *ColVec) appendGather(src *ColVec, idxs []int32) {
 	}
 }
 
-// appendAll bulk-appends every row of src (no selection). Same-kind
-// all-valid typed columns concatenate flat payloads; otherwise it
-// degrades to per-row appends.
-func (v *ColVec) appendAll(src *ColVec) {
-	if src.n == 0 {
+// appendRange bulk-appends src rows [from, to). Same-kind all-valid
+// typed columns concatenate flat payloads; otherwise it degrades to
+// per-row appends.
+func (v *ColVec) appendRange(src *ColVec, from, to int) {
+	if from >= to {
 		return
 	}
 	if v.boxed == nil && src.boxed == nil && src.valid == nil && v.valid == nil {
@@ -306,19 +311,64 @@ func (v *ColVec) appendAll(src *ColVec) {
 		if src.kind == v.kind && v.kind != value.Null {
 			switch {
 			case value.IntClass(v.kind):
-				v.ints = append(v.ints, src.ints...)
+				v.ints = append(v.ints, src.ints[from:to]...)
 			case v.kind == value.Float:
-				v.floats = append(v.floats, src.floats...)
+				v.floats = append(v.floats, src.floats[from:to]...)
 			default:
-				v.strs = append(v.strs, src.strs...)
+				v.strs = append(v.strs, src.strs[from:to]...)
 			}
-			v.n += src.n
+			v.n += to - from
 			return
 		}
 	}
-	for i := 0; i < src.n; i++ {
+	for i := from; i < to; i++ {
 		v.appendFrom(src, i)
 	}
+}
+
+// CompareValue orders row i's cell against x exactly as value.Compare
+// orders the boxed cell against x — NULL first, then by Kind, then by
+// payload with NaN-first floats — without boxing the cell. It is the
+// one cell-vs-constant comparison: the predicate kernel's fallback and
+// the partitioning tree's columnar route both stand on it.
+func (v *ColVec) CompareValue(i int, x value.Value) int {
+	if v.boxed != nil {
+		return value.Compare(v.boxed[i], x)
+	}
+	k := v.kind
+	if !v.IsValid(i) {
+		k = value.Null
+	}
+	if k != x.K {
+		switch {
+		case k == value.Null:
+			return -1
+		case x.K == value.Null:
+			return 1
+		case k < x.K:
+			return -1
+		}
+		return 1
+	}
+	switch {
+	case value.IntClass(k):
+		switch a := v.ints[i]; {
+		case a < x.I:
+			return -1
+		case a > x.I:
+			return 1
+		}
+	case k == value.Float:
+		return value.CompareFloat(v.floats[i], x.F)
+	case k == value.String:
+		switch a := v.strs[i]; {
+		case a < x.S:
+			return -1
+		case a > x.S:
+			return 1
+		}
+	}
+	return 0
 }
 
 // reset empties the column for reuse, keeping payload capacity. String
@@ -405,20 +455,32 @@ func (c *Columns) SetSel(sel []int32) { c.sel = sel }
 // live physical row index, and rows it rejects leave the selection.
 // This is how a filter narrows a columnar batch without moving a byte.
 func (c *Columns) FilterSel(keep func(phys int) bool) {
-	out := c.selB[:0]
-	if c.sel != nil {
-		for _, i := range c.sel {
-			if keep(int(i)) {
-				out = append(out, i)
+	c.NarrowSel(func(sel, out []int32) []int32 {
+		if sel != nil {
+			for _, i := range sel {
+				if keep(int(i)) {
+					out = append(out, i)
+				}
 			}
+			return out
 		}
-	} else {
 		for i := 0; i < c.n; i++ {
 			if keep(i) {
 				out = append(out, int32(i))
 			}
 		}
-	}
+		return out
+	})
+}
+
+// NarrowSel replaces the selection with narrow(sel, buf) — the batch
+// form of FilterSel for kernels that test a whole column per call
+// (predicate.FilterSel). sel is the current selection (nil = every
+// row), buf the set's recycled backing, emptied; when sel was itself
+// produced here it is that same array, so narrow must never write past
+// the position it has read (a filter's survivors never do).
+func (c *Columns) NarrowSel(narrow func(sel, buf []int32) []int32) {
+	out := narrow(c.sel, c.selB[:0])
 	if out == nil {
 		// Zero survivors on a fresh backing: the selection must still be
 		// non-nil — nil means "every row live", not "no rows".
@@ -426,6 +488,13 @@ func (c *Columns) FilterSel(keep func(phys int) bool) {
 	}
 	c.selB = out[:0]
 	c.sel = out
+}
+
+// View returns a read-only alias of the set under a different
+// selection: it shares every vector with c, so a reader can narrow a
+// set it does not own (a stored block) without touching it.
+func (c *Columns) View(sel []int32) *Columns {
+	return &Columns{vecs: c.vecs, n: c.n, sel: sel}
 }
 
 // Col returns column i's vector.
@@ -566,15 +635,29 @@ func (c *Columns) AppendRowFrom(src *Columns, i int) {
 // AppendColumns appends every live row of src. Layouts must match.
 func (c *Columns) AppendColumns(src *Columns) {
 	if src.sel != nil {
-		for _, i := range src.sel {
-			c.AppendRowFrom(src, int(i))
-		}
+		c.AppendGather(src, src.sel)
 		return
 	}
+	c.AppendRange(src, 0, src.n)
+}
+
+// AppendRange appends src's physical rows [from, to), ignoring any
+// selection — flat memmoves for typed all-valid columns. Layouts must
+// match.
+func (c *Columns) AppendRange(src *Columns, from, to int) {
 	for ci := range c.vecs {
-		c.vecs[ci].appendAll(&src.vecs[ci])
+		c.vecs[ci].appendRange(&src.vecs[ci], from, to)
 	}
-	c.n += src.n
+	c.n += to - from
+}
+
+// AppendGather appends src's physical rows idxs, in order — one
+// monomorphic gather loop per column. Layouts must match.
+func (c *Columns) AppendGather(src *Columns, idxs []int32) {
+	for ci := range c.vecs {
+		c.vecs[ci].appendGather(&src.vecs[ci], idxs)
+	}
+	c.n += len(idxs)
 }
 
 // AppendColumnGather appends src's column srcCol at physical rows idxs
@@ -881,4 +964,36 @@ func (c *Columns) MemBytesRow(i int) int {
 		}
 	}
 	return n
+}
+
+// MemBytesRows fills dst (resized to FullLen) with MemBytesRow of every
+// physical row: the constant boxed footprint plus one pass over each
+// string or boxed column — what a budgeted build indexes per retained
+// row instead of touching every vector per row.
+func (c *Columns) MemBytesRows(dst []int32) []int32 {
+	if cap(dst) < c.n {
+		dst = make([]int32, c.n)
+	}
+	dst = dst[:c.n]
+	base := int32(24 + 40*len(c.vecs))
+	for i := range dst {
+		dst[i] = base
+	}
+	for ci := range c.vecs {
+		v := &c.vecs[ci]
+		switch {
+		case v.boxed != nil:
+			for i := range dst {
+				if v.boxed[i].K == value.String {
+					dst[i] += int32(len(v.boxed[i].S))
+				}
+			}
+		case v.kind == value.String:
+			// NULL cells hold "", so the validity bitmap need not be read.
+			for i, s := range v.strs {
+				dst[i] += int32(len(s))
+			}
+		}
+	}
+	return dst
 }

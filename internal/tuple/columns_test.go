@@ -409,9 +409,110 @@ func TestMemBytesRowMatchesTuple(t *testing.T) {
 	rows := colRows(50, 4)
 	c := NewColumns(4)
 	c.AppendRows(rows)
+	// A mixed-kind column (boxed storage) sizes its string cells too.
+	rows[3][0], rows[8][0] = value.NewString("boxed-now"), value.Value{}
+	c.Reset(4)
+	c.AppendRows(rows)
+	all := c.MemBytesRows(make([]int32, 2)) // a too-small buffer is regrown
+	if len(all) != len(rows) {
+		t.Fatalf("MemBytesRows sized %d rows, want %d", len(all), len(rows))
+	}
 	for i, r := range rows {
 		if got, want := c.MemBytesRow(i), r.MemBytes(); got != want {
 			t.Fatalf("row %d: MemBytesRow=%d, Tuple.MemBytes=%d", i, got, want)
 		}
+		if int(all[i]) != r.MemBytes() {
+			t.Fatalf("row %d: MemBytesRows=%d, Tuple.MemBytes=%d", i, all[i], r.MemBytes())
+		}
+	}
+}
+
+// TestAppendRangeAndGather: the two bulk copies a scan makes of a block
+// — a physical row range, a gathered index list — reproduce the rows
+// for every column shape (typed, NULL-bearing, mixed-kind), onto empty
+// and non-empty destinations.
+func TestAppendRangeAndGather(t *testing.T) {
+	for _, nullEvery := range []int{0, 5} {
+		rows := colRows(40, nullEvery)
+		rows[9][1] = value.NewString("mixed") // column 1 demotes to boxed
+		src := NewColumns(4)
+		src.AppendRows(rows)
+		src.SetSel([]int32{2}) // a selection on the source is ignored by both
+
+		dst := NewColumns(4)
+		dst.AppendRange(src, 30, 40)
+		dst.AppendRange(src, 0, 12)
+		dst.AppendRange(src, 5, 5)
+		want := append(append([]Tuple{}, rows[30:40]...), rows[0:12]...)
+		idxs := []int32{39, 9, 9, 0}
+		dst.AppendGather(src, idxs)
+		for _, i := range idxs {
+			want = append(want, rows[i])
+		}
+		if dst.FullLen() != len(want) || dst.Sel() != nil {
+			t.Fatalf("nullEvery=%d: %d rows (sel %v), want %d and no selection", nullEvery, dst.FullLen(), dst.Sel(), len(want))
+		}
+		for i, r := range want {
+			eqRow(t, dst, i, r)
+		}
+	}
+}
+
+// TestViewSharesVectors: a view narrows a set it does not own without
+// touching it.
+func TestViewSharesVectors(t *testing.T) {
+	rows := colRows(10, 0)
+	c := NewColumns(4)
+	c.AppendRows(rows)
+	v := c.View([]int32{4, 7})
+	if v.Len() != 2 || v.FullLen() != 10 || c.Sel() != nil || c.Len() != 10 {
+		t.Fatalf("view Len=%d FullLen=%d, owner Sel=%v Len=%d", v.Len(), v.FullLen(), c.Sel(), c.Len())
+	}
+	eqRow(t, v, 7, rows[7])
+	if &v.Col(0).Ints()[0] != &c.Col(0).Ints()[0] {
+		t.Fatalf("view copied the vectors")
+	}
+	if all := c.View(nil); all.Len() != 10 {
+		t.Fatalf("nil-selection view has %d live rows, want 10", all.Len())
+	}
+}
+
+// TestNarrowSel: a batch kernel narrows through the recycled backing,
+// in place on the second pass, and "no survivors" never reads as "all".
+func TestNarrowSel(t *testing.T) {
+	c := NewColumns(1)
+	for i := 0; i < 8; i++ {
+		c.AppendRow(Tuple{value.NewInt(int64(i))})
+	}
+	keep := func(ok func(int32) bool) func(sel, buf []int32) []int32 {
+		return func(sel, buf []int32) []int32 {
+			if sel == nil {
+				for i := int32(0); i < 8; i++ {
+					if ok(i) {
+						buf = append(buf, i)
+					}
+				}
+				return buf
+			}
+			for _, i := range sel {
+				if ok(i) {
+					buf = append(buf, i)
+				}
+			}
+			return buf
+		}
+	}
+	c.NarrowSel(keep(func(i int32) bool { return i%2 == 1 }))
+	first := c.Sel()
+	c.NarrowSel(keep(func(i int32) bool { return i > 2 }))
+	if got := c.Sel(); len(got) != 3 || got[0] != 3 || got[2] != 7 || &got[0] != &first[0] {
+		t.Fatalf("second narrowing gave %v (in place: %v)", got, len(got) > 0 && &got[0] == &first[0])
+	}
+	c.SetSel(nil)
+	fresh := NewColumns(1)
+	fresh.AppendRow(Tuple{value.NewInt(1)})
+	fresh.NarrowSel(func(sel, buf []int32) []int32 { return buf })
+	if fresh.Sel() == nil || fresh.Len() != 0 {
+		t.Fatalf("zero survivors: Sel=%v Len=%d, want empty non-nil", fresh.Sel(), fresh.Len())
 	}
 }

@@ -170,7 +170,7 @@ func TestRoutingMatchesPartition(t *testing.T) {
 	tr := Builder{Schema: sch, JoinAttr: 0, JoinLevels: 2, TotalDepth: 4, Seed: 2}.Build(rows)
 	parts := upfront.Partition(tr, rows)
 	for b, blk := range parts {
-		for _, r := range blk.Tuples {
+		for _, r := range blk.Rows() {
 			if tr.Route(r) != b {
 				t.Fatalf("row routed inconsistently")
 			}

@@ -175,15 +175,35 @@ func medianCut(rows []tuple.Tuple, attr int) (value.Value, bool) {
 // blocks keyed by bucket ID. This is the single load pass Amoeba performs
 // after computing the tree from the sample.
 func Partition(t *tree.Tree, rows []tuple.Tuple) map[block.ID]*block.Block {
+	// Route first, then transpose each bucket's rows in one bulk append:
+	// the load pays one typed loop per column per bucket, not a kind
+	// dispatch and a zone-map fold per cell. The rows are grouped by a
+	// counting sort on their bucket, which keeps their order.
+	dest := make([]block.ID, len(rows))
+	count := make([]int, t.NextBucket())
+	for i, r := range rows {
+		dest[i] = t.Route(r)
+		count[dest[i]]++
+	}
+	// end[b] starts as bucket b's first slot in grouped and, once the rows
+	// are dealt out, is one past its last.
+	end := make([]int, len(count))
+	for b := 1; b < len(count); b++ {
+		end[b] = end[b-1] + count[b-1]
+	}
+	grouped := make([]tuple.Tuple, len(rows))
+	for i, r := range rows {
+		grouped[end[dest[i]]] = r
+		end[dest[i]]++
+	}
 	out := make(map[block.ID]*block.Block)
-	for _, r := range rows {
-		b := t.Route(r)
-		blk, ok := out[b]
-		if !ok {
-			blk = block.New(t.Schema)
-			out[b] = blk
+	for b, c := range count {
+		if c == 0 {
+			continue
 		}
-		blk.Append(r)
+		blk := block.New(t.Schema)
+		blk.AppendRows(grouped[end[b]-c : end[b]])
+		out[block.ID(b)] = blk
 	}
 	return out
 }

@@ -148,7 +148,7 @@ func TestPartitionRoutesEveryRow(t *testing.T) {
 	}
 	// Each block's rows must actually route to that bucket.
 	for b, blk := range parts {
-		for _, r := range blk.Tuples {
+		for _, r := range blk.Rows() {
 			if tr.Route(r) != b {
 				t.Fatalf("row %v in bucket %d routes to %d", r, b, tr.Route(r))
 			}
@@ -183,7 +183,7 @@ func TestLookupSoundOnBuiltTreeQuick(t *testing.T) {
 			hit[int32(b)] = true
 		}
 		for b, blk := range parts {
-			for _, r := range blk.Tuples {
+			for _, r := range blk.Rows() {
 				if predicate.MatchesAll(preds, r) && !hit[int32(b)] {
 					return false
 				}

@@ -166,29 +166,7 @@ func Compare(a, b Value) int {
 		}
 		return 0
 	case Float:
-		// IEEE comparisons are all false against NaN, which would make
-		// NaN "equal" to every float and break the total order (and
-		// disagree with Hash64, which buckets NaNs alone — the PR-5
-		// differential harness caught exactly that). Order NaNs
-		// explicitly: all NaNs are equal to each other and sort before
-		// every other float.
-		an, bn := a.F != a.F, b.F != b.F
-		if an || bn {
-			switch {
-			case an && bn:
-				return 0
-			case an:
-				return -1
-			}
-			return 1
-		}
-		switch {
-		case a.F < b.F:
-			return -1
-		case a.F > b.F:
-			return 1
-		}
-		return 0
+		return CompareFloat(a.F, b.F)
 	case String:
 		switch {
 		case a.S < b.S:
@@ -197,6 +175,33 @@ func Compare(a, b Value) int {
 			return 1
 		}
 		return 0
+	}
+	return 0
+}
+
+// CompareFloat is Compare's order on two Float payloads, for code that
+// holds bare float64s (typed column vectors). IEEE comparisons are all
+// false against NaN, which would make NaN "equal" to every float and
+// break the total order (and disagree with Hash64, which buckets NaNs
+// alone — the PR-5 differential harness caught exactly that), so NaNs
+// are ordered explicitly: all NaNs are equal to each other and sort
+// before every other float. +0.0 and -0.0 compare equal.
+func CompareFloat(a, b float64) int {
+	an, bn := a != a, b != b
+	if an || bn {
+		switch {
+		case an && bn:
+			return 0
+		case an:
+			return -1
+		}
+		return 1
+	}
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
 	}
 	return 0
 }
