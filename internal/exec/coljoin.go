@@ -18,9 +18,10 @@
 // into the columnar stores (colBuf.addRow) and probeRowsBatch probes
 // boxed keys against the flat key vector.
 //
-// Under a memory budget, demoted partitions stream rows to run files
-// (columnar frames via writeCol, row frames via write) and the second
-// pass joins them row-wise (spill.go).
+// Under a memory budget, demoted partitions stream rows to run files —
+// columnar rows queued per partition and gathered once per batch, boxed
+// rows one at a time — and the second pass joins them row-wise
+// (spill.go).
 package exec
 
 import (
@@ -126,7 +127,7 @@ func (j *hashJoinOp) buildTables() error {
 			var spw *partSpiller
 			myBytes := make([]int64, j.nParts)
 			if sp != nil {
-				spw = sp.newPartSpiller(id, false)
+				spw = sp.firstPassSpiller(id, false)
 			}
 			var hv []uint64
 			var rowBytes []int32 // budgeted builds: the batch's per-row charges
@@ -156,14 +157,13 @@ func (j *hashJoinOp) buildTables() error {
 						h := hv[i]
 						p := int(h >> j.radixShift)
 						if sp != nil && sp.isSpilled(p) {
+							// Resident rows first, then this batch's rows of
+							// p in batch order: the per-row write order.
 							if err := spw.evict(p, &my[p], &myBytes[p]); err != nil {
 								j.fail(err)
 								break
 							}
-							if err := spw.writeCol(p, h, cb, i); err != nil {
-								j.fail(err)
-								break
-							}
+							spw.queue(p, i)
 							continue
 						}
 						my[p].addFrom(h, cb, i)
@@ -174,6 +174,11 @@ func (j *hashJoinOp) buildTables() error {
 							if sp.charge(nb) {
 								sp.pressure()
 							}
+						}
+					}
+					if spw != nil {
+						if err := spw.spillBatch(cb, hv, rowBytes); err != nil {
+							j.fail(err)
 						}
 					}
 				} else {
@@ -189,7 +194,7 @@ func (j *hashJoinOp) buildTables() error {
 								j.fail(err)
 								break
 							}
-							if err := spw.write(p, h, r, b.OwnsRows()); err != nil {
+							if err := spw.writeRow(p, h, r); err != nil {
 								j.fail(err)
 								break
 							}
@@ -219,7 +224,7 @@ func (j *hashJoinOp) buildTables() error {
 						}
 					}
 				}
-				if err := spw.finish(); err != nil {
+				if err := sp.finishFirstPass(spw, false); err != nil {
 					j.fail(err)
 				}
 			}
@@ -418,11 +423,19 @@ func (st *colProbe) flush() {
 func (j *hashJoinOp) probeWorker(id int) {
 	defer j.wg.Done()
 	var spw *partSpiller
+	skipped := int64(0)
 	if j.hasSpilled {
-		spw = j.spill.newPartSpiller(id, true)
+		spw = j.spill.firstPassSpiller(id, true)
+		defer func() {
+			if skipped > 0 {
+				j.spill.skipped.Add(skipped)
+			}
+			if err := j.spill.finishFirstPass(spw, true); err != nil {
+				j.fail(err)
+			}
+		}()
 	}
 	st := &colProbe{j: j, ok: true}
-	skipped := int64(0)
 	for pb := range j.in {
 		if cerr := j.e.ctxErr(); cerr != nil {
 			j.fail(cerr)
@@ -447,30 +460,18 @@ func (j *hashJoinOp) probeWorker(id int) {
 			return
 		}
 	}
-	if spw != nil {
-		if skipped > 0 {
-			j.spill.skipped.Add(skipped)
-		}
-		if err := spw.finish(); err != nil {
-			j.fail(err)
-		}
-	}
 }
 
-// spillRouteCol parks one probe row of a spilled partition beside its
-// build runs (Bloom negatives skip the round-trip entirely). Reports
-// false when the write failed (error recorded).
-func (j *hashJoinOp) spillRouteCol(spw *partSpiller, st *colProbe, cb *tuple.Columns,
-	part int, h uint64, i int, skipped *int64) bool {
+// spillRouteCol queues physical row i, a probe row of a spilled
+// partition, for the run beside the partition's build runs (Bloom
+// negatives skip the round-trip entirely); probeColsBatch writes the
+// queues once the batch is routed.
+func (j *hashJoinOp) spillRouteCol(spw *partSpiller, part int, h uint64, i int, skipped *int64) {
 	if bf := j.spill.bloomAt(part); bf != nil && !bf.mayContain(h) {
 		*skipped++
-		return true
+		return
 	}
-	if err := spw.writeCol(part, h, cb, i); err != nil {
-		j.fail(err)
-		return false
-	}
-	return true
+	spw.queue(part, i)
 }
 
 // probeColsBatch probes one columnar batch. The key column is hashed
@@ -499,6 +500,11 @@ func (j *hashJoinOp) probeColsBatch(cb *tuple.Columns, st *colProbe, spw *partSp
 	default:
 		j.probeColGeneric(cb, st, spw, skipped)
 	}
+	if spw != nil {
+		if err := spw.spillBatch(cb, nil, nil); err != nil {
+			j.fail(err)
+		}
+	}
 }
 
 func (j *hashJoinOp) probeColInts(cb *tuple.Columns, st *colProbe, spw *partSpiller, skipped *int64) {
@@ -522,9 +528,7 @@ func (j *hashJoinOp) probeColInts(cb *tuple.Columns, st *colProbe, spw *partSpil
 		h := hv[i]
 		part := int(h >> j.radixShift)
 		if spw != nil && j.spill.isSpilled(part) {
-			if !j.spillRouteCol(spw, st, cb, part, h, i, skipped) {
-				return
-			}
+			j.spillRouteCol(spw, part, h, i, skipped)
 			continue
 		}
 		p := &t.parts[part]
@@ -563,9 +567,7 @@ func (j *hashJoinOp) probeColFloats(cb *tuple.Columns, st *colProbe, spw *partSp
 		h := hv[i]
 		part := int(h >> j.radixShift)
 		if spw != nil && j.spill.isSpilled(part) {
-			if !j.spillRouteCol(spw, st, cb, part, h, i, skipped) {
-				return
-			}
+			j.spillRouteCol(spw, part, h, i, skipped)
 			continue
 		}
 		p := &t.parts[part]
@@ -604,9 +606,7 @@ func (j *hashJoinOp) probeColStrings(cb *tuple.Columns, st *colProbe, spw *partS
 		h := hv[i]
 		part := int(h >> j.radixShift)
 		if spw != nil && j.spill.isSpilled(part) {
-			if !j.spillRouteCol(spw, st, cb, part, h, i, skipped) {
-				return
-			}
+			j.spillRouteCol(spw, part, h, i, skipped)
 			continue
 		}
 		p := &t.parts[part]
@@ -644,9 +644,7 @@ func (j *hashJoinOp) probeColGeneric(cb *tuple.Columns, st *colProbe, spw *partS
 		h := hv[i]
 		part := int(h >> j.radixShift)
 		if spw != nil && j.spill.isSpilled(part) {
-			if !j.spillRouteCol(spw, st, cb, part, h, i, skipped) {
-				return
-			}
+			j.spillRouteCol(spw, part, h, i, skipped)
 			continue
 		}
 		if t.keyVec == nil {
@@ -673,7 +671,6 @@ func (j *hashJoinOp) probeRowsBatch(pb *Batch, st *colProbe, spw *partSpiller, s
 	rows := pb.Rows()
 	st.cols, st.rows = nil, rows
 	t := j.cbuild
-	powned := pb.OwnsRows()
 	for ri := range rows {
 		key := rows[ri][j.pCol]
 		if key.IsNull() {
@@ -686,7 +683,7 @@ func (j *hashJoinOp) probeRowsBatch(pb *Batch, st *colProbe, spw *partSpiller, s
 				*skipped++
 				continue
 			}
-			if err := spw.write(part, h, rows[ri], powned); err != nil {
+			if err := spw.writeRow(part, h, rows[ri]); err != nil {
 				j.fail(err)
 				return
 			}

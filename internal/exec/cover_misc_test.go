@@ -49,9 +49,10 @@ func TestDealRoundRobin(t *testing.T) {
 	}
 }
 
-// TestExchangeBudgetedBatches: with per-node budgets attached, parked
-// exchange batches are charged on send and released on delivery — the
-// ledger returns to zero once the exchange drains.
+// TestExchangeBudgetedBatches: with per-node budgets attached, a
+// shuffle delivers every row and charges nothing — in-flight batches
+// are bounded by the channels, not the budget — so the ledgers read
+// zero once the exchange drains.
 func TestExchangeBudgetedBatches(t *testing.T) {
 	const n = 2
 	store := dfs.NewStore(n, 1, 1)

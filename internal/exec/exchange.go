@@ -19,6 +19,17 @@
 // arena; view rows (scan outputs, backed by block storage) are
 // referenced as-is — the simulated store outlives the query, as HDFS
 // blocks outlive a task.
+//
+// Exchanges charge no MemBudget: the batches in flight are bounded by
+// construction, not by accounting. Each destination channel queues at
+// most exchQueue batches, and each producer holds at most one pending
+// batch per destination (the one it is filling, or the one blocked in
+// send), so a destination never has more than exchQueue + producers
+// batches in flight. That is the simulated counterpart of the TCP
+// fabric's per-stream credit window, which bounds the same bytes and
+// charges nothing either. The budget is for operator state that grows
+// with the input; charging flow too would only make spill volume
+// depend on producer timing.
 package exec
 
 import (
@@ -100,38 +111,20 @@ func (ns *NodeSet) Deal(in Operator) *Exchange {
 	return x
 }
 
+// exchQueue is the per-destination channel capacity in batches: the
+// queued half of an exchange's in-flight bound.
+const exchQueue = 4
+
 func (x *Exchange) build() {
 	n := x.ns.N()
 	for i := 0; i < n; i++ {
 		x.outs = append(x.outs, &exchOut{
 			x:      x,
 			node:   i,
-			mem:    x.ns.execs[i].Mem,
-			ch:     make(chan *Batch, 4),
+			ch:     make(chan *Batch, exchQueue),
 			closed: make(chan struct{}),
 		})
 	}
-}
-
-// batchMemBytes is the budget charge for a batch parked in an exchange
-// channel. Only computed when the destination node carries a MemBudget.
-func batchMemBytes(b *Batch) int64 {
-	n := int64(0)
-	if cb := b.Cols(); cb != nil {
-		sel := cb.Sel()
-		for k, ln := 0, cb.Len(); k < ln; k++ {
-			i := k
-			if sel != nil {
-				i = int(sel[k])
-			}
-			n += int64(cb.MemBytesRow(i))
-		}
-		return n
-	}
-	for _, r := range b.rows {
-		n += int64(r.MemBytes())
-	}
-	return n
 }
 
 // Output returns the operator node i's fragment consumes: the stream of
@@ -373,16 +366,9 @@ func (x *Exchange) send(d int, b *Batch, src int, meter meterSink) {
 	}
 	meter.AddExchangeAt(src, d, b.Len(), bytes, remote)
 	o := x.outs[d]
-	if o.mem != nil {
-		// In-flight exchange batches charge the destination node's
-		// budget (advisory — the bounded channels are the backpressure);
-		// the consumer releases the charge as it takes delivery.
-		o.mem.Charge(batchMemBytes(b))
-	}
 	select {
 	case o.ch <- b:
 	case <-o.closed:
-		o.releaseMem(b)
 		b.Release() // consumer gone; its share of the stream is dropped
 	}
 }
@@ -455,18 +441,9 @@ func colWireBytes(c *tuple.Columns) int {
 type exchOut struct {
 	x      *Exchange
 	node   int
-	mem    *MemBudget // destination node's budget, nil when unlimited
 	ch     chan *Batch
 	closed chan struct{}
 	once   sync.Once
-}
-
-// releaseMem returns a delivered (or dropped) batch's charge to the
-// destination node's budget.
-func (o *exchOut) releaseMem(b *Batch) {
-	if o.mem != nil {
-		o.mem.Release(batchMemBytes(b))
-	}
 }
 
 func (o *exchOut) Open() error {
@@ -481,7 +458,6 @@ func (o *exchOut) Next() (*Batch, error) {
 		// error (if any) is published by now.
 		return nil, o.x.firstErr()
 	}
-	o.releaseMem(b)
 	return b, nil
 }
 
@@ -499,7 +475,6 @@ func (o *exchOut) Close() error {
 			for {
 				select {
 				case b := <-o.ch:
-					o.releaseMem(b)
 					b.Release()
 				default:
 					return
@@ -510,7 +485,6 @@ func (o *exchOut) Close() error {
 		// channel closes once every producer exits (all outputs are
 		// eventually drained or closed during teardown).
 		for b := range o.ch {
-			o.releaseMem(b)
 			b.Release()
 		}
 	})

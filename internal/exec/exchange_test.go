@@ -252,6 +252,86 @@ func TestExchangeCloseWithoutOpen(t *testing.T) {
 	}
 }
 
+// TestSpillIndependentOfExchangeTiming: the budget charges operator
+// state, not batches in flight, so how full the exchange channels are
+// while a join builds cannot change what it spills. A budgeted 2-node
+// shuffle join with one worker per node runs twice — plainly, and with
+// the probe exchange started first and left unconsumed until every one
+// of its channels is full. Each side's fragments hold exactly the keys
+// that route to their own node, so every destination has one producer
+// and every build sees one fixed row order. Both runs must spill the
+// same bytes and rows.
+func TestSpillIndependentOfExchangeTiming(t *testing.T) {
+	const n = 2
+	split := func(rows []tuple.Tuple) []Operator {
+		parts := make([][]tuple.Tuple, n)
+		for _, r := range rows {
+			d := r[0].Hash64() % n
+			parts[d] = append(parts[d], r)
+		}
+		ops := make([]Operator, n)
+		for i := range ops {
+			ops[i] = NewColSource(parts[i])
+		}
+		return ops
+	}
+	build := keyedRows(40_000, func(i int) int64 { return int64(i) })
+	probe := keyedRows(16*DefaultBatchSize, func(i int) int64 { return int64(i * 7 % 40_000) })
+	run := func(stall bool) (spilledBytes, spilledRows int64) {
+		ex := New(dfs.NewStore(n, 1, 1), &cluster.Meter{})
+		ex.Mem = NewMemBudget(rowsBytes(build) / 2) // each node holds about half its build
+		ex.SpillDir = t.TempDir()
+		ns := ex.EnableNodes(1)
+		bx := ns.Shuffle(split(build), 0)
+		px := ns.Shuffle(split(probe), 0)
+		if stall {
+			for i := 0; i < n; i++ {
+				px.Output(i).Open()
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for full := false; !full; {
+				full = true
+				for _, o := range px.outs {
+					full = full && len(o.ch) == cap(o.ch)
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("the probe exchange's channels never filled")
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+		joins := make([]*hashJoinOp, n)
+		parts := make([]Operator, n)
+		for i := range parts {
+			joins[i] = ns.At(i).JoinOp(bx.Output(i), 0, px.Output(i), 0, JoinOptions{}).(*hashJoinOp)
+			parts[i] = joins[i]
+		}
+		got, err := Collect(Gather(parts...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(probe) {
+			t.Fatalf("stall=%v: %d rows, want %d", stall, len(got), len(probe))
+		}
+		for i, j := range joins {
+			spilledBytes += j.SpilledBytes()
+			spilledRows += j.spill.spilledRows.Load()
+			if used := ns.At(i).Mem.Used(); used != 0 {
+				t.Fatalf("stall=%v: node %d budget holds %d bytes after drain", stall, i, used)
+			}
+		}
+		return spilledBytes, spilledRows
+	}
+	b0, r0 := run(false)
+	if b0 == 0 {
+		t.Fatal("the join never spilled: the budget is too loose to test anything")
+	}
+	b1, r1 := run(true)
+	if b0 != b1 || r0 != r1 {
+		t.Fatalf("spill depends on exchange timing: %d bytes / %d rows plain, %d bytes / %d rows with full channels", b0, r0, b1, r1)
+	}
+}
+
 type failingOp struct{ err error }
 
 func (f *failingOp) Open() error           { return nil }

@@ -34,10 +34,11 @@ type Executor struct {
 	// this way.
 	NoPrune bool
 	// Mem is the executor's operator memory budget; nil means unlimited.
-	// Hash joins charge their build side against it and demote
-	// partitions to disk run files under pressure (the hybrid hash join
-	// of spill.go); exchanges charge their in-flight batches. EnableNodes
-	// splits it into equal per-node shares.
+	// Only state that grows with the input charges it: hash-join build
+	// tables (which demote partitions to disk run files under pressure,
+	// the hybrid hash join of spill.go), second-pass loads and group-by.
+	// Exchanges charge nothing; their channel capacity bounds what is in
+	// flight. EnableNodes splits it into equal per-node shares.
 	Mem *MemBudget
 	// SpillDir is where budget-pressured joins place their run-file temp
 	// directories ("" = the OS temp dir). Each join creates and removes

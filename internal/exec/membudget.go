@@ -1,9 +1,12 @@
-// Operator-level memory accounting: the MemBudget that joins, spill
-// buffers, and exchanges charge against. AdaptDB's hyper-join already
-// bounds its build side by grouping splits under a per-node budget
-// (§4.1); MemBudget extends that discipline to the whole data plane, so
+// Operator-level memory accounting: the MemBudget that operator state
+// charges against. AdaptDB's hyper-join already bounds its build side
+// by grouping splits under a per-node budget (§4.1); MemBudget extends
+// that discipline to every operator whose state grows with its input —
+// hash-join build tables, spill second-pass loads, group-by tables — so
 // a hash join whose build side outgrows its share demotes partitions to
-// disk (spill.go) instead of OOMing the process.
+// disk (spill.go) instead of OOMing the process. Flow is not charged:
+// batches in flight through an exchange are bounded by its channel
+// capacity (exchange.go), as the TCP fabric's are by its credit window.
 package exec
 
 import "sync/atomic"
@@ -15,8 +18,8 @@ import "sync/atomic"
 //
 // Charging is advisory, not blocking: Charge always succeeds and
 // reports whether the budget is now exceeded. The caller decides how to
-// get back under — the hash join spills its largest build partition,
-// exchanges merely account (their channels already bound buffering).
+// get back under — the hash join demotes a build partition to disk,
+// group-by merely accounts (it has no spill path).
 // This mirrors how a real per-operator memory manager grants
 // reservations optimistically and triggers spilling on pressure rather
 // than deadlocking producers.

@@ -34,6 +34,12 @@
 //     and swaps roles when the probe run is the smaller one, so a
 //     mis-estimated build side degrades into one extra comparison, not
 //     a recursive re-partitioning storm.
+//
+// Run files are few. Each spill stream — one side of one build or probe
+// worker, the post-build leftover flush, one side of a re-partitioning
+// split — writes every partition it spills into one file, and a
+// partition's run is the list of byte ranges (extents) it owns there.
+// The file goes when the last partition reading it is released.
 package exec
 
 import (
@@ -52,10 +58,11 @@ import (
 )
 
 const (
-	// spillFrameRows is the row granularity of run-file frames: big
-	// enough that frame headers and write calls amortize, small enough
-	// that the writer's pending copies stay a rounding error against the
-	// budget.
+	// spillFrameRows is the pending-row count at which a partition
+	// flushes a run-file frame: big enough that frame headers and reads
+	// amortize, small enough that the writer's pending copies stay a
+	// rounding error against the budget. A batch gather can carry a frame
+	// past it.
 	spillFrameRows = 256
 	// spillSubBits is the radix width of one recursive re-partitioning
 	// level: each level splits a spilled partition 16 ways on the next
@@ -73,198 +80,291 @@ const (
 // mid-stream; it is swallowed at the top (early close is not an error).
 var errSpillClosed = errors.New("exec: spill join closed")
 
-// runFile is one finished run file: its path and the row/byte totals
-// the second pass sizes loads with. memBytes is the in-memory footprint
-// of the rows (tuple.MemBytes), the number budget decisions use;
-// diskBytes is the encoded size, the number the spill meter charges.
+// runFile is one partition's share of a spill file: the extents its
+// frames occupy, in write order, plus the row/byte totals the second
+// pass sizes loads with. memBytes is the in-memory footprint of the rows
+// (tuple.MemBytes), the number budget decisions use; diskBytes is the
+// encoded size, the number the spill meter charges. Each runFile holds
+// one reference on its file until release.
 type runFile struct {
-	path      string
+	file      *spillFile
+	ext       []extent
 	rows      int64
 	diskBytes int64
 	memBytes  int64
 }
 
-// runWriter streams rows into one run file, buffering spillFrameRows
-// copies and flushing them as a length-prefixed columnar frame
-// (tuple.AppendFrame) through a bufio layer, so syscall count scales
-// with bytes, not frames. Rows are copied into the writer's arena at
-// append, so callers may hand over rows that die with their batch.
+// extent is one frame's byte range in a spill file: the uvarint length
+// prefix and the frame behind it.
+type extent struct{ off, n int64 }
+
+// spillFile is one file on disk, shared by the runFiles of every
+// partition its writer wrote. refs counts the runFiles not yet released;
+// the last release removes the file, so a file lives exactly as long as
+// some partition still needs it.
+type spillFile struct {
+	path string
+	refs atomic.Int32
+}
+
+// release drops rf's reference on its file, removing the file when it
+// was the last one. Idempotent: a released runFile holds nothing.
+func (rf *runFile) release(fs spillFS) {
+	f := rf.file
+	if f == nil {
+		return
+	}
+	rf.file = nil
+	if f.refs.Add(-1) == 0 {
+		fs.Remove(f.path)
+	}
+}
+
+func releaseRuns(fs spillFS, runs []*runFile) {
+	for _, rf := range runs {
+		if rf != nil {
+			rf.release(fs)
+		}
+	}
+}
+
+// runWriter writes the frames of many partitions into one spill file.
+// Each partition buffers its rows in a pending column store and, once
+// spillFrameRows are pending, flushes them as one length-prefixed
+// columnar frame (Columns.AppendFrame) through the writer's single
+// bufio layer, recording the frame's extent. The file is created at the
+// first flush, so a writer that never spills touches no filesystem. Rows
+// are copied in at append, so callers may recycle their batches right
+// after. The first I/O error is sticky: every later call returns it.
 type runWriter struct {
+	sp    *joinSpill
+	name  string // file-name stem; a sequence number makes it unique
 	f     io.WriteCloser
 	bw    *bufio.Writer
-	path  string
-	pend  []tuple.Tuple
-	arena tuple.Arena
+	file  *spillFile
+	off   int64 // bytes written so far, buffered ones included
 	enc   []byte
-	file  runFile
-
-	// pendCols buffers rows spilled from columnar batches: flat typed
-	// copies instead of boxed tuples, encoded straight to the (column-
-	// major) frame format at flush. Row and columnar rows may interleave
-	// on one writer; they flush as separate frames of the same file.
-	pendCols *tuple.Columns
+	parts []runPart
+	err   error
 }
 
-func newRunWriter(fs spillFS, path string) (*runWriter, error) {
-	f, err := fs.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	return &runWriter{f: f, bw: bufio.NewWriterSize(f, 1<<16), path: path, file: runFile{path: path}}, nil
+// runPart is one partition's pending rows and its extents so far.
+type runPart struct {
+	pend *tuple.Columns
+	run  runFile
 }
 
-// append buffers one row for the next frame. copyRow must be true when
-// the row dies with its batch (owned rows); view rows referencing block
-// storage skip the arena copy — most of the spill stream on scan-fed
-// joins, which keeps the demotion path cheap.
-func (w *runWriter) append(r tuple.Tuple, copyRow bool) error {
-	if copyRow {
-		r = w.arena.Concat(r, nil)
-	}
-	w.pend = append(w.pend, r)
-	w.file.memBytes += int64(r.MemBytes())
-	if len(w.pend) >= spillFrameRows {
-		return w.flush()
-	}
-	return nil
+func (sp *joinSpill) newRunWriter(name string, nparts int) *runWriter {
+	return &runWriter{sp: sp, name: name, parts: make([]runPart, nparts)}
 }
 
-// appendCol buffers physical row i of a columnar batch — a flat typed
-// copy into the writer's column store, no boxing, no arena copy. The
-// vectorized twin of append(r, true): src may be recycled right after.
-func (w *runWriter) appendCol(src *tuple.Columns, i int) error {
-	if w.pendCols == nil {
-		w.pendCols = tuple.NewColumns(src.NumCols())
+func (w *runWriter) pending(p, ncols int) *tuple.Columns {
+	pp := &w.parts[p]
+	if pp.pend == nil {
+		pp.pend = tuple.NewColumns(ncols)
 	}
-	w.pendCols.AppendRowFrom(src, i)
-	w.file.memBytes += int64(src.MemBytesRow(i))
-	if w.pendCols.FullLen() >= spillFrameRows {
-		return w.flush()
-	}
-	return nil
+	return pp.pend
 }
 
-// writeFrame writes one encoded frame with its length prefix.
-func (w *runWriter) writeFrame(frame []byte, rows int) error {
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(frame)))
-	if _, err := w.bw.Write(hdr[:n]); err != nil {
-		return err
+// appendCols buffers src's physical rows idxs — every row when idxs is
+// nil — for partition p, in order: one gather per column. mem is the
+// rows' MemBytes total.
+func (w *runWriter) appendCols(p int, src *tuple.Columns, idxs []int32, mem int64) error {
+	if w.err != nil {
+		return w.err
 	}
-	if _, err := w.bw.Write(frame); err != nil {
-		return err
-	}
-	w.file.rows += int64(rows)
-	w.file.diskBytes += int64(n + len(frame))
-	return nil
-}
-
-func (w *runWriter) flush() error {
-	if len(w.pend) > 0 {
-		frame, err := tuple.AppendFrame(w.enc[:0], w.pend)
-		if err != nil {
-			return err
-		}
-		if err := w.writeFrame(frame, len(w.pend)); err != nil {
-			return err
-		}
-		w.enc = frame[:0]
-		w.pend = w.pend[:0]
-	}
-	if w.pendCols != nil && w.pendCols.FullLen() > 0 {
-		frame := w.pendCols.AppendFrame(w.enc[:0])
-		if err := w.writeFrame(frame, w.pendCols.FullLen()); err != nil {
-			return err
-		}
-		w.enc = frame[:0]
-		w.pendCols.Reset(w.pendCols.NumCols())
-	}
-	return nil
-}
-
-// finish flushes the tail frame and closes the file, returning its
-// totals. The writer is dead afterwards.
-func (w *runWriter) finish() (runFile, error) {
-	ferr := w.flush()
-	if ferr == nil {
-		ferr = w.bw.Flush()
+	pend := w.pending(p, src.NumCols())
+	if idxs == nil {
+		pend.AppendRange(src, 0, src.FullLen())
 	} else {
-		w.bw.Flush()
+		pend.AppendGather(src, idxs)
 	}
-	cerr := w.f.Close()
-	if ferr != nil {
-		return w.file, ferr
-	}
-	return w.file, cerr
+	return w.added(p, mem)
 }
 
-// eachRunFrame streams every frame of the given run files through fn in
-// file order. With a nil scratch, frames decode into fresh storage and
-// fn may retain the rows (the second pass builds tables from them);
-// with a scratch, storage is reused across frames — allocation-free
-// streaming for fns that drop every row before returning (the probe
-// side of a spilled-partition join).
-func eachRunFrame(fs spillFS, files []runFile, sc *tuple.FrameScratch, fn func([]tuple.Tuple) error) error {
-	buf := make([]byte, 0, 1<<16)
-	for _, rf := range files {
-		f, err := fs.Open(rf.path)
+// appendRow buffers one boxed row for partition p.
+func (w *runWriter) appendRow(p int, r tuple.Tuple) error {
+	if w.err != nil {
+		return w.err
+	}
+	w.pending(p, len(r)).AppendRow(r)
+	return w.added(p, int64(r.MemBytes()))
+}
+
+// added accounts rows just buffered for partition p, flushing them once
+// a frame's worth is pending.
+func (w *runWriter) added(p int, mem int64) error {
+	pp := &w.parts[p]
+	pp.run.memBytes += mem
+	if pp.pend.FullLen() >= spillFrameRows {
+		return w.flush(p)
+	}
+	return nil
+}
+
+// flush writes partition p's pending rows as one frame.
+func (w *runWriter) flush(p int) error {
+	pp := &w.parts[p]
+	if w.err != nil || pp.pend == nil || pp.pend.FullLen() == 0 {
+		return w.err
+	}
+	if w.f == nil {
+		if w.err = w.create(); w.err != nil {
+			return w.err
+		}
+	}
+	frame := pp.pend.AppendFrame(w.enc[:0])
+	w.enc = frame[:0]
+	var hdr [binary.MaxVarintLen64]byte
+	h := binary.PutUvarint(hdr[:], uint64(len(frame)))
+	if _, w.err = w.bw.Write(hdr[:h]); w.err == nil {
+		_, w.err = w.bw.Write(frame)
+	}
+	if w.err != nil {
+		return w.err
+	}
+	n := int64(h + len(frame))
+	pp.run.ext = append(pp.run.ext, extent{off: w.off, n: n})
+	pp.run.rows += int64(pp.pend.FullLen())
+	pp.run.diskBytes += n
+	w.off += n
+	pp.pend.Reset(pp.pend.NumCols())
+	return nil
+}
+
+func (w *runWriter) create() error {
+	dir, err := w.sp.tempDir()
+	if err != nil {
+		return err
+	}
+	path := filepath.Join(dir, fmt.Sprintf("%s-%d.run", w.name, w.sp.fileSeq.Add(1)))
+	f, err := w.sp.fs().Create(path)
+	if err != nil {
+		return err
+	}
+	w.f, w.bw, w.file = f, bufio.NewWriterSize(f, 1<<16), &spillFile{path: path}
+	return nil
+}
+
+// finish flushes every partition's tail frame and closes the file. It
+// returns, indexed by partition, a runFile for each partition holding
+// rows (nil elsewhere), each with a reference on the shared file. On
+// error it returns no runFiles and leaves the file to the spill dir's
+// removal at Close. The writer is dead afterwards.
+func (w *runWriter) finish() ([]*runFile, error) {
+	for p := range w.parts {
+		if w.flush(p) != nil {
+			break
+		}
+	}
+	if w.f == nil {
+		return nil, w.err
+	}
+	if w.err == nil {
+		w.err = w.bw.Flush()
+	}
+	if cerr := w.f.Close(); w.err == nil {
+		w.err = cerr
+	}
+	w.f = nil
+	if w.err != nil {
+		return nil, w.err
+	}
+	runs := make([]*runFile, len(w.parts))
+	for p := range w.parts {
+		if pp := &w.parts[p]; pp.run.rows > 0 {
+			rf := pp.run
+			rf.file = w.file
+			w.file.refs.Add(1)
+			runs[p] = &rf
+		}
+	}
+	return runs, nil
+}
+
+// eachFrame reads every frame of the given runs, run by run in extent
+// (= write) order, handing fn the encoded frame. One ReadAt per frame;
+// the buffer is reused, so fn must not retain it.
+func eachFrame(fs spillFS, runs []*runFile, fn func(frame []byte) error) error {
+	var buf []byte
+	for _, rf := range runs {
+		path := rf.file.path
+		r, err := fs.Open(path)
 		if err != nil {
 			return err
 		}
-		br := bufio.NewReaderSize(f, 1<<16)
-		for {
-			n, err := binary.ReadUvarint(br)
-			if err == io.EOF {
-				break
+		for _, e := range rf.ext {
+			if cap(buf) < int(e.n) {
+				buf = make([]byte, e.n)
 			}
-			if err != nil {
-				f.Close()
-				return fmt.Errorf("exec: run %s: %w", rf.path, err)
+			b := buf[:e.n]
+			if n, err := r.ReadAt(b, e.off); n < len(b) {
+				r.Close()
+				return fmt.Errorf("exec: run %s at %d: %w", path, e.off, err)
 			}
-			if cap(buf) < int(n) {
-				buf = make([]byte, n)
+			flen, h := binary.Uvarint(b)
+			if h <= 0 || flen != uint64(len(b)-h) {
+				r.Close()
+				return fmt.Errorf("exec: run %s at %d: frame length does not match its extent", path, e.off)
 			}
-			buf = buf[:n]
-			if _, err := io.ReadFull(br, buf); err != nil {
-				f.Close()
-				return fmt.Errorf("exec: run %s: %w", rf.path, err)
-			}
-			var rows []tuple.Tuple
-			if sc != nil {
-				rows, _, err = sc.Decode(buf)
-			} else {
-				rows, _, err = tuple.DecodeFrame(buf)
-			}
-			if err != nil {
-				f.Close()
-				return fmt.Errorf("exec: run %s: %w", rf.path, err)
-			}
-			if err := fn(rows); err != nil {
-				f.Close()
+			if err := fn(b[h:]); err != nil {
+				r.Close()
 				return err
 			}
 		}
-		if err := f.Close(); err != nil {
+		if err := r.Close(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// sumRunBytes totals the in-memory footprint a set of run files would
-// load to.
-func sumRunBytes(files []runFile) int64 {
+// eachRunFrame decodes every frame of the given runs into rows for fn.
+// With a nil scratch, frames decode into fresh storage and fn may retain
+// the rows (the second pass builds tables from them); with a scratch,
+// storage is reused across frames — allocation-free streaming for fns
+// that drop every row before returning (the probe side of a
+// spilled-partition join).
+func eachRunFrame(fs spillFS, runs []*runFile, sc *tuple.FrameScratch, fn func([]tuple.Tuple) error) error {
+	return eachFrame(fs, runs, func(frame []byte) error {
+		var rows []tuple.Tuple
+		var err error
+		if sc != nil {
+			rows, _, err = sc.Decode(frame)
+		} else {
+			rows, _, err = tuple.DecodeFrame(frame)
+		}
+		if err != nil {
+			return fmt.Errorf("exec: spill frame: %w", err)
+		}
+		return fn(rows)
+	})
+}
+
+// sumRunBytes totals the in-memory footprint a set of runs would load
+// to.
+func sumRunBytes(runs []*runFile) int64 {
 	n := int64(0)
-	for _, f := range files {
-		n += f.memBytes
+	for _, rf := range runs {
+		n += rf.memBytes
 	}
 	return n
 }
 
-func removeRuns(fs spillFS, files []runFile) {
-	for _, f := range files {
-		fs.Remove(f.path)
+// sumRowBytes totals rowBytes over idxs, or over every row when idxs is
+// nil.
+func sumRowBytes(rowBytes []int32, idxs []int32) int64 {
+	n := int64(0)
+	if idxs == nil {
+		for _, b := range rowBytes {
+			n += int64(b)
+		}
+		return n
 	}
+	for _, i := range idxs {
+		n += int64(rowBytes[i])
+	}
+	return n
 }
 
 // joinSpill is the shared spill state of one budgeted hashJoinOp. All
@@ -296,15 +396,16 @@ type joinSpill struct {
 	// Bloom filtering is disabled or the partition never spilled.
 	blooms []atomic.Pointer[bloomFilter]
 
-	mu         sync.Mutex // victim selection + file registries
-	buildFiles [][]runFile
-	probeFiles [][]runFile
+	mu        sync.Mutex // victim selection + run registries
+	buildRuns [][]*runFile
+	probeRuns [][]*runFile
 
 	fileSeq      atomic.Int64
 	spilledRows  atomic.Int64
 	spilledBytes atomic.Int64
 	skipped      atomic.Int64 // probe rows the Bloom filter spared from spilling
 	reversals    atomic.Int64 // second-pass loads that swapped build/probe roles
+	repartitions atomic.Int64 // second-pass 16-way re-partitionings (white-box test hook)
 	memHeld      atomic.Int64 // net budget bytes this join has charged
 
 	// sem gates concurrent second-pass loads: fit decisions use the full
@@ -366,8 +467,8 @@ func newJoinSpill(j *hashJoinOp) *joinSpill {
 		partRows:   make([]atomic.Int64, n),
 		partSample: make([]atomic.Uint64, n),
 		blooms:     make([]atomic.Pointer[bloomFilter], n),
-		buildFiles: make([][]runFile, n),
-		probeFiles: make([][]runFile, n),
+		buildRuns:  make([][]*runFile, n),
+		probeRuns:  make([][]*runFile, n),
 	}
 }
 
@@ -506,32 +607,32 @@ func (sp *joinSpill) pressure() {
 	}
 }
 
-// noteRun registers a finished run file on one side's registry and
-// meters the spill I/O.
-func (sp *joinSpill) noteRun(p int, probe bool, rf runFile) {
-	if rf.rows == 0 {
-		sp.fs().Remove(rf.path)
-		return
-	}
+// noteRun registers one partition's finished run on one side's
+// registry and meters the spill I/O.
+func (sp *joinSpill) noteRun(p int, probe bool, rf *runFile) {
 	sp.mu.Lock()
 	if probe {
-		sp.probeFiles[p] = append(sp.probeFiles[p], rf)
+		sp.probeRuns[p] = append(sp.probeRuns[p], rf)
 	} else {
-		sp.buildFiles[p] = append(sp.buildFiles[p], rf)
+		sp.buildRuns[p] = append(sp.buildRuns[p], rf)
 	}
 	sp.mu.Unlock()
+	sp.meterRun(rf)
+}
+
+func (sp *joinSpill) meterRun(rf *runFile) {
 	sp.spilledRows.Add(rf.rows)
 	sp.spilledBytes.Add(rf.diskBytes)
 	sp.j.e.Meter.AddSpill(int(rf.rows), int(rf.diskBytes))
 }
 
-// takeFiles hands a partition's run files to the second pass, clearing
-// the registries.
-func (sp *joinSpill) takeFiles(p int) (build, probe []runFile) {
+// takeRuns hands a partition's runs to the second pass, clearing the
+// registries.
+func (sp *joinSpill) takeRuns(p int) (build, probe []*runFile) {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	build, probe = sp.buildFiles[p], sp.probeFiles[p]
-	sp.buildFiles[p], sp.probeFiles[p] = nil, nil
+	build, probe = sp.buildRuns[p], sp.probeRuns[p]
+	sp.buildRuns[p], sp.probeRuns[p] = nil, nil
 	return build, probe
 }
 
@@ -548,101 +649,133 @@ func (sp *joinSpill) cleanup() {
 	}
 }
 
-// partSpiller owns one worker's lazy per-partition run writers for one
-// side of the join. Not safe for concurrent use — each build/probe
-// worker has its own.
+// partSpiller is one spill stream of a join — one side of one build or
+// probe worker, the leftover flush, or one re-partitioning split — over
+// a single runWriter, so the stream writes one file whatever the number
+// of partitions it spills. Columnar rows are queued per partition while
+// a batch is routed and written with one gather per partition
+// (spillBatch); row order within a partition is routing order. Not safe
+// for concurrent use.
 type partSpiller struct {
-	sp    *joinSpill
-	side  string // "b" or "p"
-	id    int    // worker id, part of the file name
-	probe bool
-	wr    []*runWriter
+	sp *joinSpill
+	w  *runWriter
+	// bloom marks a first-pass build-side stream: every row it spills
+	// lands in its partition's Bloom filter — direct writes, evictions
+	// and leftover flushes alike, which is what makes a negative filter
+	// answer exact.
+	bloom   bool
+	lists   [][]int32 // per-partition queued physical rows of the batch
+	touched []int     // partitions with a non-empty list
+	rb      []int32   // MemBytesRows scratch
 }
 
-func (sp *joinSpill) newPartSpiller(id int, probe bool) *partSpiller {
-	side := "b"
+func (sp *joinSpill) newPartSpiller(name string, nparts int, bloom bool) *partSpiller {
+	return &partSpiller{sp: sp, w: sp.newRunWriter(name, nparts), bloom: bloom, lists: make([][]int32, nparts)}
+}
+
+// firstPassSpiller is worker id's spill stream for one side of the join.
+func (sp *joinSpill) firstPassSpiller(id int, probe bool) *partSpiller {
 	if probe {
-		side = "p"
+		return sp.newPartSpiller(fmt.Sprintf("p-w%02d", id), sp.j.nParts, false)
 	}
-	return &partSpiller{sp: sp, side: side, id: id, probe: probe, wr: make([]*runWriter, sp.j.nParts)}
+	return sp.newPartSpiller(fmt.Sprintf("b-w%02d", id), sp.j.nParts, true)
 }
 
-// write spills one row of partition p under its key hash. Build-side
-// rows also land in the partition's Bloom filter — every spill write of
-// a demoted partition's build side passes through here (direct writes,
-// evictions, and leftover flushes alike), which is what makes a
-// negative filter answer exact.
-func (s *partSpiller) write(p int, h uint64, r tuple.Tuple, copyRow bool) error {
-	w, err := s.writer(p, h)
-	if err != nil {
-		return err
+// queue marks physical row i of the batch being routed for partition p.
+func (s *partSpiller) queue(p, i int) {
+	if len(s.lists[p]) == 0 {
+		s.touched = append(s.touched, p)
 	}
-	return w.append(r, copyRow)
+	s.lists[p] = append(s.lists[p], int32(i))
 }
 
-// writeCol spills physical row i of a columnar batch — same protocol as
-// write (Bloom maintenance included) without materializing the row.
-func (s *partSpiller) writeCol(p int, h uint64, src *tuple.Columns, i int) error {
-	w, err := s.writer(p, h)
-	if err != nil {
-		return err
+// spillBatch writes the rows queued from src, one gather per partition,
+// and clears the queues. hv holds src's key hashes (read only by Bloom
+// streams); rowBytes its MemBytesRows, computed here when nil.
+func (s *partSpiller) spillBatch(src *tuple.Columns, hv []uint64, rowBytes []int32) error {
+	if len(s.touched) == 0 {
+		return nil
 	}
-	return w.appendCol(src, i)
+	if rowBytes == nil {
+		s.rb = src.MemBytesRows(s.rb)
+		rowBytes = s.rb
+	}
+	var err error
+	for _, p := range s.touched {
+		list := s.lists[p]
+		s.lists[p] = list[:0]
+		if err != nil {
+			continue
+		}
+		if s.bloom {
+			s.sp.bloomAdd(p, hv, list)
+		}
+		err = s.w.appendCols(p, src, list, sumRowBytes(rowBytes, list))
+	}
+	s.touched = s.touched[:0]
+	return err
 }
 
-// writer returns partition p's run writer, creating it on first use,
-// and folds build-side hashes into the partition's Bloom filter.
-func (s *partSpiller) writer(p int, h uint64) (*runWriter, error) {
-	if !s.probe {
+// writeRow spills one boxed row of partition p under its key hash.
+func (s *partSpiller) writeRow(p int, h uint64, r tuple.Tuple) error {
+	if s.bloom {
 		if bf := s.sp.bloomAt(p); bf != nil {
 			bf.add(h)
 		}
 	}
-	w := s.wr[p]
-	if w == nil {
-		dir, err := s.sp.tempDir()
-		if err != nil {
-			return nil, err
-		}
-		name := fmt.Sprintf("%s-p%02d-w%02d-%d.run", s.side, p, s.id, s.sp.fileSeq.Add(1))
-		w, err = newRunWriter(s.sp.fs(), filepath.Join(dir, name))
-		if err != nil {
-			return nil, err
-		}
-		s.wr[p] = w
-	}
-	return w, nil
+	return s.w.appendRow(p, r)
 }
 
-// finish seals every open writer, registering its run file.
-func (s *partSpiller) finish() error {
-	var first error
-	for p, w := range s.wr {
-		if w == nil {
-			continue
+// writeBuf spills every row of a build buffer into partition p; mem is
+// their MemBytes total.
+func (s *partSpiller) writeBuf(p int, buf *colBuf, mem int64) error {
+	if s.bloom {
+		s.sp.bloomAdd(p, buf.hashes, nil)
+	}
+	return s.w.appendCols(p, buf.store, nil, mem)
+}
+
+// bloomAdd folds spilled build rows' key hashes into partition p's Bloom
+// filter: hv[i] for each i in idxs, or every hash when idxs is nil.
+func (sp *joinSpill) bloomAdd(p int, hv []uint64, idxs []int32) {
+	bf := sp.bloomAt(p)
+	if bf == nil {
+		return
+	}
+	if idxs == nil {
+		for _, h := range hv {
+			bf.add(h)
 		}
-		rf, err := w.finish()
-		if err != nil && first == nil {
-			first = err
-		}
-		s.wr[p] = nil
-		if err == nil {
-			s.sp.noteRun(p, s.probe, rf)
+		return
+	}
+	for _, i := range idxs {
+		bf.add(hv[i])
+	}
+}
+
+// finishFirstPass seals a first-pass stream, registering each
+// partition's run on the given side.
+func (sp *joinSpill) finishFirstPass(s *partSpiller, probe bool) error {
+	runs, err := s.w.finish()
+	for p, rf := range runs {
+		if rf != nil {
+			sp.noteRun(p, probe, rf)
 		}
 	}
-	return first
+	return err
 }
 
 // evict flushes one build worker's resident rows for a freshly demoted
-// partition into its run file — flat typed copies into the writer's
-// column buffer, no row materialized — and returns their bytes to the
-// budget. bytes is the worker's per-partition byte ledger.
+// partition into its run — one range copy into the writer's column
+// buffer, no row materialized — and returns their bytes to the budget.
+// bytes is the worker's per-partition byte ledger, which is exactly the
+// rows' MemBytes total.
 func (s *partSpiller) evict(p int, buf *colBuf, bytes *int64) error {
 	if buf.len() == 0 && *bytes == 0 {
 		return nil
 	}
-	for k, h := range buf.hashes {
-		if err := s.writeCol(p, h, buf.store, k); err != nil {
+	if buf.len() > 0 {
+		if err := s.writeBuf(p, buf, *bytes); err != nil {
 			return err
 		}
 	}
@@ -654,16 +787,18 @@ func (s *partSpiller) evict(p int, buf *colBuf, bytes *int64) error {
 }
 
 // flushLeftovers writes every build worker's still-resident rows of
-// demoted partitions to one final run file per partition. A partition
-// can be demoted AFTER a worker has already drained its input and run
-// its final sweep (another worker's charge triggered the demotion), so
-// per-worker eviction alone can strand rows in a buffer the seal phase
-// would then drop. Leftovers are only complete once every worker has
-// exited; this runs between the build drain and table sealing, with the
-// spilled set frozen.
+// demoted partitions into one final run file. A partition can be
+// demoted AFTER a worker has already drained its input and run its final
+// sweep (another worker's charge triggered the demotion), so per-worker
+// eviction alone can strand rows in a buffer the seal phase would then
+// drop. Leftovers are only complete once every worker has exited; this
+// runs between the build drain and table sealing, with the spilled set
+// frozen.
 func (sp *joinSpill) flushLeftovers(bufs [][]colBuf) error {
 	var spw *partSpiller
-	for p := 0; p < sp.j.nParts; p++ {
+	var err error
+	var rb []int32
+	for p := 0; p < sp.j.nParts && err == nil; p++ {
 		if !sp.spilled[p].Load() {
 			continue
 		}
@@ -676,22 +811,21 @@ func (sp *joinSpill) flushLeftovers(bufs [][]colBuf) error {
 				continue
 			}
 			if spw == nil {
-				// One extra spiller id past the worker range keeps file
-				// names collision-free.
-				spw = sp.newPartSpiller(len(bufs), false)
+				spw = sp.newPartSpiller("l", sp.j.nParts, true)
 			}
-			for k, h := range buf.hashes {
-				if err := spw.writeCol(p, h, buf.store, k); err != nil {
-					return err
-				}
+			rb = buf.store.MemBytesRows(rb)
+			if err = spw.writeBuf(p, buf, sumRowBytes(rb, nil)); err != nil {
+				break
 			}
 			buf.reset()
 		}
 	}
 	if spw != nil {
-		return spw.finish()
+		if ferr := sp.finishFirstPass(spw, false); err == nil {
+			err = ferr
+		}
 	}
-	return nil
+	return err
 }
 
 // ---- second pass ----
@@ -785,10 +919,10 @@ func (j *hashJoinOp) secondPass() {
 				if k >= len(parts) || j.failed.Load() {
 					break
 				}
-				build, probe := sp.takeFiles(parts[k])
+				build, probe := sp.takeRuns(parts[k])
 				if err := j.joinSpilled(0, build, probe, em, limit); err != nil {
-					removeRuns(sp.fs(), build)
-					removeRuns(sp.fs(), probe)
+					releaseRuns(sp.fs(), build)
+					releaseRuns(sp.fs(), probe)
 					if err != errSpillClosed {
 						j.fail(err)
 					}
@@ -816,19 +950,19 @@ func (j *hashJoinOp) secondPass() {
 //     side and re-streams the larger side per chunk (correct for any
 //     key distribution, including a single key repeated millions of
 //     times).
-func (j *hashJoinOp) joinSpilled(level int, build, probe []runFile, em *spillEmit, limit int64) error {
+func (j *hashJoinOp) joinSpilled(level int, build, probe []*runFile, em *spillEmit, limit int64) error {
 	fs := j.spill.fs()
 	// Checked per (sub-)partition: the recursion re-enters here, so a
 	// cancelled query abandons a spilled join between loads rather than
 	// finishing a multi-level repartition.
 	if cerr := j.e.ctxErr(); cerr != nil {
-		removeRuns(fs, build)
-		removeRuns(fs, probe)
+		releaseRuns(fs, build)
+		releaseRuns(fs, probe)
 		return cerr
 	}
 	if len(build) == 0 || len(probe) == 0 {
-		removeRuns(fs, build)
-		removeRuns(fs, probe)
+		releaseRuns(fs, build)
+		releaseRuns(fs, probe)
 		return nil
 	}
 	load, stream := build, probe
@@ -860,10 +994,10 @@ func (j *hashJoinOp) joinSpilled(level int, build, probe []runFile, em *spillEmi
 // the partition joins exactly like a first-pass partition — one table,
 // one probe stream. reversed marks the table as holding probe-side rows
 // (role reversal), which only flips the emit orientation.
-func (j *hashJoinOp) loadAndProbe(load []runFile, loadCol int, stream []runFile, streamCol int, reversed bool, em *spillEmit) error {
+func (j *hashJoinOp) loadAndProbe(load []*runFile, loadCol int, stream []*runFile, streamCol int, reversed bool, em *spillEmit) error {
 	fs := j.spill.fs()
-	defer removeRuns(fs, load)
-	defer removeRuns(fs, stream)
+	defer releaseRuns(fs, load)
+	defer releaseRuns(fs, stream)
 	if sem := j.spill.sem; sem != nil {
 		granted := sem.acquire(sumRunBytes(load))
 		defer sem.release(granted)
@@ -911,86 +1045,78 @@ func (j *hashJoinOp) loadAndProbe(load []runFile, loadCol int, stream []runFile,
 }
 
 // repartition splits both sides of an oversized partition on the next
-// spillSubBits hash bits and recurses per sub-partition. The parent run
-// files are removed as soon as the sub-runs are written, so peak disk
-// stays ~2× the spilled data regardless of depth.
-func (j *hashJoinOp) repartition(level, shift int, build, probe []runFile, em *spillEmit, limit int64) error {
+// spillSubBits hash bits and recurses per sub-partition. Each side's
+// split writes one file holding all 16 sub-runs and releases its parent
+// runs once written; a file goes when its last sub-run is joined, so
+// peak disk stays ~2× the spilled data regardless of depth.
+func (j *hashJoinOp) repartition(level, shift int, build, probe []*runFile, em *spillEmit, limit int64) error {
 	fs := j.spill.fs()
-	split := func(files []runFile, col int) ([][]runFile, error) {
-		defer removeRuns(fs, files)
-		var wr [spillFanout]*runWriter
-		dir, err := j.spill.tempDir()
-		if err != nil {
-			return nil, err
-		}
-		// No scratch: appended rows sit in the sub-writers' pending
-		// buffers past the frame that produced them.
-		err = eachRunFrame(fs, files, nil, func(rows []tuple.Tuple) error {
-			for _, r := range rows {
-				h := r[col].Hash64()
-				i := int((h >> uint(shift)) & (spillFanout - 1))
-				if wr[i] == nil {
-					name := fmt.Sprintf("sub-l%d-%d.run", level+1, j.spill.fileSeq.Add(1))
-					w, err := newRunWriter(fs, filepath.Join(dir, name))
-					if err != nil {
-						return err
-					}
-					wr[i] = w
-				}
-				// Decoded frame rows are fresh allocations; no copy.
-				if err := wr[i].append(r, false); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		out := make([][]runFile, spillFanout)
-		for i, w := range wr {
-			if w == nil {
-				continue
-			}
-			rf, ferr := w.finish()
-			if ferr != nil && err == nil {
-				err = ferr
-			}
-			if rf.rows > 0 {
-				out[i] = []runFile{rf}
-				j.spill.spilledRows.Add(rf.rows)
-				j.spill.spilledBytes.Add(rf.diskBytes)
-				j.e.Meter.AddSpill(int(rf.rows), int(rf.diskBytes))
-			} else {
-				fs.Remove(rf.path)
-			}
-		}
-		return out, err
-	}
-	subBuild, err := split(build, j.bCol)
+	j.spill.repartitions.Add(1)
+	subBuild, err := j.split(level, shift, build, j.bCol)
 	if err != nil {
-		for _, f := range subBuild {
-			removeRuns(fs, f)
-		}
+		releaseRuns(fs, probe)
 		return err
 	}
-	subProbe, err := split(probe, j.pCol)
+	subProbe, err := j.split(level, shift, probe, j.pCol)
 	if err != nil {
-		for _, f := range subBuild {
-			removeRuns(fs, f)
-		}
-		for _, f := range subProbe {
-			removeRuns(fs, f)
-		}
+		releaseRuns(fs, subBuild)
 		return err
 	}
 	for i := 0; i < spillFanout; i++ {
-		if err := j.joinSpilled(level+1, subBuild[i], subProbe[i], em, limit); err != nil {
-			for k := i + 1; k < spillFanout; k++ {
-				removeRuns(fs, subBuild[k])
-				removeRuns(fs, subProbe[k])
-			}
+		if err := j.joinSpilled(level+1, runsOf(subBuild[i]), runsOf(subProbe[i]), em, limit); err != nil {
+			releaseRuns(fs, subBuild[i+1:])
+			releaseRuns(fs, subProbe[i+1:])
 			return err
 		}
 	}
 	return nil
+}
+
+// split re-partitions one side's runs 16 ways on the hash bits at shift,
+// reading each frame into columns and gathering every sub-partition's
+// rows into one new file. It releases the parent runs and returns the
+// sub-runs indexed by sub-partition (nil where empty).
+func (j *hashJoinOp) split(level, shift int, runs []*runFile, col int) ([]*runFile, error) {
+	sp := j.spill
+	defer releaseRuns(sp.fs(), runs)
+	spw := sp.newPartSpiller(fmt.Sprintf("sub-l%d", level+1), spillFanout, false)
+	cols := tuple.NewColumns(0)
+	var hv []uint64
+	err := eachFrame(sp.fs(), runs, func(frame []byte) error {
+		if _, err := cols.DecodeFrame(frame); err != nil {
+			return fmt.Errorf("exec: spill frame: %w", err)
+		}
+		if cols.FullLen() == 0 {
+			return nil
+		}
+		hv = cols.Hash64Column(col, hv)
+		for i, h := range hv {
+			spw.queue(int((h>>uint(shift))&(spillFanout-1)), i)
+		}
+		return spw.spillBatch(cols, nil, nil)
+	})
+	sub, ferr := spw.w.finish()
+	if err == nil {
+		err = ferr
+	}
+	if err != nil {
+		releaseRuns(sp.fs(), sub)
+		return nil, err
+	}
+	for _, rf := range sub {
+		if rf != nil {
+			sp.meterRun(rf)
+		}
+	}
+	return sub, nil
+}
+
+// runsOf wraps one optional run as a run list.
+func runsOf(rf *runFile) []*runFile {
+	if rf == nil {
+		return nil
+	}
+	return []*runFile{rf}
 }
 
 // chunkedJoin is the terminal fallback: the load side streams in
@@ -1001,10 +1127,10 @@ func (j *hashJoinOp) repartition(level, shift int, build, probe []runFile, em *s
 // split. Role reversal applies here too: the chunks come from the
 // smaller side, so the re-streaming multiplier hits the side where it
 // costs least.
-func (j *hashJoinOp) chunkedJoin(load []runFile, loadCol int, stream []runFile, streamCol int, reversed bool, em *spillEmit, limit int64) error {
+func (j *hashJoinOp) chunkedJoin(load []*runFile, loadCol int, stream []*runFile, streamCol int, reversed bool, em *spillEmit, limit int64) error {
 	fs := j.spill.fs()
-	defer removeRuns(fs, load)
-	defer removeRuns(fs, stream)
+	defer releaseRuns(fs, load)
+	defer releaseRuns(fs, stream)
 	if sem := j.spill.sem; sem != nil {
 		// Chunks grow to the full limit, so a chunked partition owns the
 		// whole budget for its duration.

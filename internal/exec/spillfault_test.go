@@ -1,10 +1,10 @@
 // Fault injection for the spill path. A faultFS counts every run-file
-// write, read, and remove, and fails exactly the Nth one; the sweep
-// drives N across the whole range a spilling join performs, asserting
-// the three invariants every failure point must hold:
+// create, write, read and remove, and fails exactly the Nth one; the
+// sweep drives N across the whole range a spilling join performs,
+// asserting the three invariants every failure point must hold:
 //
-//   - injected write/read faults surface as errors (never silent row
-//     loss); remove faults are absorbed (removal is best-effort),
+//   - injected create/write/read faults surface as errors (never silent
+//     row loss); remove faults are absorbed (removal is best-effort),
 //   - the MemBudget is fully released once the operator closes,
 //   - no run files survive Close — the RemoveAll of last resort runs on
 //     the real filesystem, so even a failing Remove leaks nothing.
@@ -24,16 +24,20 @@ import (
 
 var errInjected = errors.New("exec: injected spill fault")
 
-// faultFS wraps the production spillFS, failing the Nth write, read, or
-// remove operation (1-based; 0 = never). Counters are global across
-// files and workers, so a sweep over [1, total] hits build writes,
-// probe writes, repartition writes, and second-pass reads alike.
+// faultFS wraps the production spillFS, failing the Nth create, write,
+// read (ReadAt) or remove operation (1-based; 0 = never). Counters are
+// global across files and workers, so a sweep over [1, total] hits
+// build writes, probe writes, repartition writes, and second-pass reads
+// alike.
 type faultFS struct {
-	writes, reads, removes          atomic.Int64
-	failWrite, failRead, failRemove int64
+	creates, writes, reads, removes             atomic.Int64
+	failCreate, failWrite, failRead, failRemove int64
 }
 
 func (f *faultFS) Create(name string) (io.WriteCloser, error) {
+	if n := f.creates.Add(1); f.failCreate != 0 && n == f.failCreate {
+		return nil, errInjected
+	}
 	w, err := osSpillFS{}.Create(name)
 	if err != nil {
 		return nil, err
@@ -41,7 +45,7 @@ func (f *faultFS) Create(name string) (io.WriteCloser, error) {
 	return &faultWriter{fs: f, w: w}, nil
 }
 
-func (f *faultFS) Open(name string) (io.ReadCloser, error) {
+func (f *faultFS) Open(name string) (spillReader, error) {
 	r, err := osSpillFS{}.Open(name)
 	if err != nil {
 		return nil, err
@@ -72,14 +76,14 @@ func (w *faultWriter) Close() error { return w.w.Close() }
 
 type faultReader struct {
 	fs *faultFS
-	r  io.ReadCloser
+	r  spillReader
 }
 
-func (r *faultReader) Read(p []byte) (int, error) {
+func (r *faultReader) ReadAt(p []byte, off int64) (int, error) {
 	if n := r.fs.reads.Add(1); r.fs.failRead != 0 && n == r.fs.failRead {
 		return 0, errInjected
 	}
-	return r.r.Read(p)
+	return r.r.ReadAt(p, off)
 }
 
 func (r *faultReader) Close() error { return r.r.Close() }
@@ -139,9 +143,12 @@ func TestSpillFaultSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	totalW, totalR, totalM := calib.writes.Load(), calib.reads.Load(), calib.removes.Load()
-	if totalW == 0 || totalR == 0 || totalM == 0 {
-		t.Fatalf("calibration run did not spill (writes=%d reads=%d removes=%d)", totalW, totalR, totalM)
+	totalC, totalW, totalR, totalM := calib.creates.Load(), calib.writes.Load(), calib.reads.Load(), calib.removes.Load()
+	if totalC == 0 || totalW == 0 || totalR == 0 || totalM == 0 {
+		t.Fatalf("calibration run did not spill (creates=%d writes=%d reads=%d removes=%d)", totalC, totalW, totalR, totalM)
+	}
+	if totalM != totalC {
+		t.Fatalf("a clean run removed %d of its %d files itself; the rest waited for Close", totalM, totalC)
 	}
 
 	// check validates one faulted run. Concurrency moves the op layout
@@ -162,6 +169,13 @@ func TestSpillFaultSweep(t *testing.T) {
 		}
 	}
 
+	t.Run("create", func(t *testing.T) {
+		for _, n := range sweepPoints(totalC, 10) {
+			ff := &faultFS{failCreate: n}
+			got, err := runFaultJoin(t, ff)
+			check(t, got, err, ff.creates.Load() >= n, true)
+		}
+	})
 	t.Run("write", func(t *testing.T) {
 		for _, n := range sweepPoints(totalW, 10) {
 			ff := &faultFS{failWrite: n}

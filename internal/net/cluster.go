@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"fmt"
 	gonet "net"
+	"os"
 	"sync"
 	"time"
 
@@ -172,6 +173,7 @@ func Start(opts Options) (*Cluster, error) {
 		Exec:        opts.Exec,
 		Window:      opts.Window,
 		KeepAliveMs: opts.KeepAlive.Milliseconds(),
+		SpillRoot:   os.TempDir(),
 	}
 	c.mu.Lock()
 	conns := make([]*conn, 0, len(c.conns))
@@ -411,7 +413,9 @@ func (a *Attempt) Assign() []int { return append([]int(nil), a.assign...) }
 // Begin dispatches a new attempt for one query of the stream: assign
 // fragments round-robin over the live workers, send the serialized
 // spec (with the stream seq, the link weights, and any armed fault) to
-// every live worker.
+// every live worker. A query message that cannot be sent aborts the
+// attempt and returns a NetError, which the caller retries like any
+// other transport failure.
 func (c *Cluster) Begin(spec query.Spec, seq int, lw cluster.LinkWeights) (*Attempt, error) {
 	live := c.liveProcs()
 	if len(live) == 0 {
@@ -456,12 +460,22 @@ func (c *Cluster) Begin(spec query.Spec, seq int, lw cluster.LinkWeights) (*Atte
 	}
 	qm := queryMsg{QID: qid, Seq: seq, Spec: spec, Assign: assign, Weights: weightsToRecs(lw), Fault: fault}
 	for _, proc := range live {
-		cc := c.ep.peerConn(proc)
-		if cc == nil {
-			continue // death races dispatch; the report ledger notices
+		var err error
+		if cc := c.ep.peerConn(proc); cc == nil {
+			err = fmt.Errorf("connection closed")
+		} else {
+			err = cc.writeJSON(msgQuery, qm)
 		}
-		if err := cc.writeJSON(msgQuery, qm); err != nil {
-			continue
+		if err != nil {
+			// A worker that never got the query would never send its
+			// streams or report: abort what was dispatched and hand the
+			// transport failure to the caller's failover.
+			nerr := &NetError{Msg: fmt.Sprintf("dispatch query %d: %v", qid, err), Peer: proc}
+			a.abort(nerr)
+			c.mu.Lock()
+			delete(c.active, qid)
+			c.mu.Unlock()
+			return nil, nerr
 		}
 	}
 	return a, nil

@@ -6,6 +6,7 @@ package net_test
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"os"
 	"testing"
@@ -16,10 +17,12 @@ import (
 	adbnet "adaptdb/internal/net"
 	"adaptdb/internal/net/datasets"
 	"adaptdb/internal/optimizer"
+	"adaptdb/internal/predicate"
 	"adaptdb/internal/query"
 	"adaptdb/internal/session"
 	"adaptdb/internal/tpch"
 	"adaptdb/internal/tuple"
+	"adaptdb/internal/value"
 )
 
 func TestMain(m *testing.M) {
@@ -339,6 +342,118 @@ func TestTCPFaultSweep(t *testing.T) {
 			cl.Close() // before the parent's deferred leak check
 		})
 	}
+}
+
+// TestTCPLostQueryWrite resets the coordinator's connection to one
+// worker as the query message is written to it. The lost dispatch must
+// fail over like a lost stream — the query completes on the survivors
+// with the simulated fabric's checksum, or surfaces a typed NetError —
+// never hang, and leave the budget, the pooled wire buffers and the
+// goroutines back at zero.
+func TestTCPLostQueryWrite(t *testing.T) {
+	defer exec.VerifyNoLeaks(t)
+	const nodes = 4
+	schedule := []tpch.Template{tpch.Q5, tpch.Q3}
+	want := simDigests(t, nodes, schedule)
+	cl, s, cat, data := startSweep(t, nodes, nodes)
+	rng := rand.New(rand.NewSource(testSeed))
+	for qi, tpl := range schedule {
+		if qi == 0 {
+			cl.ArmFault(&adbnet.FaultPlan{Proc: 0, Peer: 2, Msg: "query", After: 1, Kind: adbnet.FaultReset})
+		}
+		q, err := session.FromSpec(cat, tpch.NewInstance(tpl, data, rng).Spec())
+		if err != nil {
+			t.Fatalf("q%d (%s): %v", qi, tpl, err)
+		}
+		done := make(chan struct{})
+		var res *session.Result
+		go func() {
+			defer close(done)
+			res, err = s.Execute(q)
+		}()
+		select {
+		case <-done:
+		case <-time.After(time.Minute):
+			t.Fatalf("q%d (%s): the coordinator hung", qi, tpl)
+		}
+		if err != nil {
+			if qi > 0 || !adbnet.IsNetError(err) {
+				t.Fatalf("q%d (%s): %v", qi, tpl, err)
+			}
+			t.Logf("q%d: surfaced: %v", qi, err)
+			continue
+		}
+		if got := rowsChecksum(res.Rows); got != want[qi] {
+			t.Fatalf("q%d (%s): checksum %016x != sim %016x", qi, tpl, got, want[qi])
+		}
+		if used := s.Executor().Mem.Used(); used != 0 {
+			t.Fatalf("q%d: %d bytes still charged to the memory budget", qi, used)
+		}
+	}
+	if live := cl.LiveWorkers(); live != nodes-1 {
+		t.Fatalf("expected %d live workers after the reset, have %d", nodes-1, live)
+	}
+	cl.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for adbnet.FrameBufsOut() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d pooled wire buffers still checked out after Close", adbnet.FrameBufsOut())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestTCPUnsendableQuery dispatches a spec whose constant JSON cannot
+// encode (NaN). The query write fails on a connection that stays up, so
+// no death notice ever fails the attempt over: the failure must come
+// back from Begin as a typed NetError instead of a coordinator waiting
+// on workers that never got the query. The cluster keeps every worker
+// and answers the next query exactly.
+func TestTCPUnsendableQuery(t *testing.T) {
+	defer exec.VerifyNoLeaks(t)
+	const nodes = 2
+	schedule := []tpch.Template{tpch.Q3, tpch.Q5}
+	want := simDigests(t, nodes, schedule)
+	cl, s, cat, data := startSweep(t, nodes, nodes)
+	rng := rand.New(rand.NewSource(testSeed))
+	for qi, tpl := range schedule {
+		spec := tpch.NewInstance(tpl, data, rng).Spec()
+		if qi == 0 {
+			spec.Tables[0].Preds = append(spec.Tables[0].Preds,
+				query.Cmp("l_extendedprice", predicate.NE, value.NewFloat(math.NaN())))
+		}
+		q, err := session.FromSpec(cat, spec)
+		if err != nil {
+			t.Fatalf("q%d (%s): %v", qi, tpl, err)
+		}
+		done := make(chan struct{})
+		var res *session.Result
+		go func() {
+			defer close(done)
+			res, err = s.Execute(q)
+		}()
+		select {
+		case <-done:
+		case <-time.After(time.Minute):
+			t.Fatalf("q%d (%s): the coordinator hung", qi, tpl)
+		}
+		if qi == 0 {
+			if !adbnet.IsNetError(err) {
+				t.Fatalf("unsendable query: got %v, want a NetError", err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("q%d (%s): %v", qi, tpl, err)
+		}
+		if got := rowsChecksum(res.Rows); got != want[qi] {
+			t.Fatalf("q%d (%s): checksum %016x != sim %016x", qi, tpl, got, want[qi])
+		}
+	}
+	if live := cl.LiveWorkers(); live != nodes {
+		t.Fatalf("a failed dispatch cost workers: %d of %d live", live, nodes)
+	}
+	cl.Close()
 }
 
 // TestTCPFewerWorkersThanFragments covers the round-robin assignment:

@@ -129,6 +129,10 @@ type setupMsg struct {
 	Exec        ExecConfig
 	Window      int   // credit window bytes per stream
 	KeepAliveMs int64 // keepalive interval; 0 disables
+	// SpillRoot is where the worker makes its spill directory: the
+	// coordinator's temp dir, where a coordinator executor without a
+	// SpillDir spills too, so a worker never reads its own environment.
+	SpillRoot string
 }
 
 // linkRec is one per-link traffic record in a qdone message (a slice,
@@ -409,6 +413,9 @@ func (c *conn) write(typ byte, b, payload []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	if c.checkFault(typ) {
+		if c.isDead() {
+			return c.deadErr() // reset, partial write or kill: the write failed
+		}
 		// Stalled: swallow the write. The peer's read deadline will
 		// declare this connection dead; so will ours.
 		return nil

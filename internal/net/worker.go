@@ -194,7 +194,7 @@ func (w *worker) buildReplica() error {
 		EnableAmoeba: cfg.Optimizer.Amoeba,
 		Seed:         cfg.Optimizer.Seed,
 	})
-	dir, err := os.MkdirTemp("", fmt.Sprintf("adaptdb-net-w%d-", w.proc))
+	dir, err := os.MkdirTemp(w.setup.SpillRoot, fmt.Sprintf("adaptdb-net-w%d-", w.proc))
 	if err != nil {
 		return err
 	}

@@ -56,12 +56,17 @@ func (s *Session) runNet(q Query, collect bool, sink func(*exec.Batch) error) (*
 
 	var comp *planner.Compiled
 	var rows []tuple.Tuple
+	adapted := false
 	for attemptN := 1; ; attemptN++ {
 		at, err := s.net.Begin(q.Spec.Spec, seq, s.runner.LinkWeights)
 		if err != nil {
+			if adbnet.IsNetError(err) && attemptN < s.net.MaxAttempts() && s.net.LiveWorkers() > 0 {
+				continue // a lost dispatch fails over like a lost stream
+			}
 			return res, fmt.Errorf("session: dispatch %q: %w", q.Label, err)
 		}
-		if attemptN == 1 {
+		if !adapted {
+			adapted = true
 			// Adaptation votes come from the spec's join graph, never from
 			// a hand-set Uses list: every worker replica derives its votes
 			// from the same bound spec, and the coordinator must match them

@@ -947,29 +947,11 @@ func (c *Columns) Hash64Column(col int, dst []uint64) []uint64 {
 	return dst
 }
 
-// MemBytesRow estimates physical row i's boxed in-memory footprint,
-// matching Tuple.MemBytes on the materialized row so budget accounting
-// agrees across the columnar and row paths.
-func (c *Columns) MemBytesRow(i int) int {
-	n := 24 + 40*len(c.vecs)
-	for ci := range c.vecs {
-		v := &c.vecs[ci]
-		switch {
-		case v.boxed != nil:
-			if v.boxed[i].K == value.String {
-				n += len(v.boxed[i].S)
-			}
-		case v.kind == value.String && v.IsValid(i):
-			n += len(v.strs[i])
-		}
-	}
-	return n
-}
-
-// MemBytesRows fills dst (resized to FullLen) with MemBytesRow of every
-// physical row: the constant boxed footprint plus one pass over each
-// string or boxed column — what a budgeted build indexes per retained
-// row instead of touching every vector per row.
+// MemBytesRows fills dst (resized to FullLen) with every physical row's
+// boxed in-memory footprint, matching Tuple.MemBytes on the materialized
+// row so budget accounting agrees across the columnar and row paths: the
+// constant boxed footprint plus one pass over each string or boxed
+// column, so a caller sizing a batch never touches every vector per row.
 func (c *Columns) MemBytesRows(dst []int32) []int32 {
 	if cap(dst) < c.n {
 		dst = make([]int32, c.n)

@@ -418,9 +418,6 @@ func TestMemBytesRowMatchesTuple(t *testing.T) {
 		t.Fatalf("MemBytesRows sized %d rows, want %d", len(all), len(rows))
 	}
 	for i, r := range rows {
-		if got, want := c.MemBytesRow(i), r.MemBytes(); got != want {
-			t.Fatalf("row %d: MemBytesRow=%d, Tuple.MemBytes=%d", i, got, want)
-		}
 		if int(all[i]) != r.MemBytes() {
 			t.Fatalf("row %d: MemBytesRows=%d, Tuple.MemBytes=%d", i, all[i], r.MemBytes())
 		}
