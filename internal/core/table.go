@@ -8,6 +8,8 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 
 	"adaptdb/internal/block"
 	"adaptdb/internal/cluster"
@@ -145,9 +147,19 @@ func (t *Table) Store() *dfs.Store { return t.store }
 // TotalRows returns the table's row count across all trees.
 func (t *Table) TotalRows() int { return t.totalRows }
 
-// BlockPath is the store path of a bucket's block.
+// BlockPath is the store path of a bucket's block, "<table>/t<tree>/b<bucket>".
+// Built with strconv in one allocation: compiles resolve a path per
+// scanned block ref.
 func (t *Table) BlockPath(treeIdx int, b block.ID) string {
-	return fmt.Sprintf("%s/t%d/b%d", t.Name, treeIdx, b)
+	var num [20]byte
+	var sb strings.Builder
+	sb.Grow(len(t.Name) + 24)
+	sb.WriteString(t.Name)
+	sb.WriteString("/t")
+	sb.Write(strconv.AppendInt(num[:0], int64(treeIdx), 10))
+	sb.WriteString("/b")
+	sb.Write(strconv.AppendInt(num[:0], int64(b), 10))
+	return sb.String()
 }
 
 // treePath is the store path of a tree's serialized metadata.

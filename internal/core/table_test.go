@@ -409,3 +409,21 @@ func TestZoneMapsMatchDataAfterMoves(t *testing.T) {
 		}
 	}
 }
+
+// TestBlockPathFormat pins the store path layout, "<table>/t<tree>/b<bucket>":
+// stored blocks, replicas and placement hashing all key on it.
+func TestBlockPathFormat(t *testing.T) {
+	tbl := &Table{Name: "lineitem"}
+	for _, tc := range []struct {
+		tree int
+		b    block.ID
+		want string
+	}{{0, 0, "lineitem/t0/b0"}, {3, 17, "lineitem/t3/b17"}, {12, 1<<31 - 1, "lineitem/t12/b2147483647"}} {
+		if got := tbl.BlockPath(tc.tree, tc.b); got != tc.want {
+			t.Errorf("BlockPath(%d, %d) = %q, want %q", tc.tree, tc.b, got, tc.want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { tbl.BlockPath(3, 12345) }); n > 1 {
+		t.Errorf("BlockPath allocates %.0f times, want 1", n)
+	}
+}

@@ -1,9 +1,10 @@
 // The hash join's build and probe: vectorized build, batch hashing,
 // kind-specialized probe, and gathered columnar emission.
 //
-//   - build workers transpose incoming batches into per-partition
-//     columnar stores (tuple.Columns), hashing key columns a batch at a
-//     time via Hash64Column;
+//   - build workers route each incoming batch once — hash the key
+//     column (Hash64Column), queue every row under its partition — and
+//     then append each touched partition's rows to their per-partition
+//     columnar store (tuple.Columns) with one gather per column;
 //   - sealing bulk-merges the worker stores into ONE global store plus
 //     per-partition chained hash tables over global row indices — match
 //     pairs from any partition can then gather from a single store;
@@ -12,6 +13,11 @@
 //     compares only for mixed-kind columns;
 //   - matches accumulate as (build row, probe row) index pairs and are
 //     gathered column-at-a-time into columnar output batches.
+//
+// Build stores grow with the rows that arrive. The planner's estimate
+// (JoinOptions.BuildRowsEst) steers only the radix fan-out and the
+// Bloom filters of demoted partitions: it never reserves memory, so a
+// wrong estimate costs no allocation in proportion to its error.
 //
 // Row batches (Source views, second-pass outputs) enter through the
 // row-input seam: the build's else branch copies each row
@@ -32,30 +38,30 @@ import (
 )
 
 // colBuf is one build worker's private slice of one partition: hashes
-// plus a columnar store, appended without locks. hint pre-sizes the
-// store from the planner's build estimate so steady growth doesn't pay
-// append-doubling garbage.
+// plus a columnar store, appended without locks and grown by append as
+// rows arrive.
 type colBuf struct {
 	hashes []uint64
 	store  *tuple.Columns
-	hint   int
 }
 
 func (b *colBuf) init(ncols int) {
 	if b.store == nil {
 		b.store = tuple.NewColumns(ncols)
-		if b.hint > 0 {
-			b.store.Reserve(b.hint)
-			b.hashes = make([]uint64, 0, b.hint)
-		}
 	}
 }
 
-// addFrom retains physical row i of src (deep copy into the store).
-func (b *colBuf) addFrom(h uint64, src *tuple.Columns, i int) {
+// addGather retains src's physical rows idxs, in order, under their key
+// hashes hv[i]: one gather per column, then one over the hashes.
+func (b *colBuf) addGather(src *tuple.Columns, hv []uint64, idxs []int32) {
+	if len(idxs) == 0 {
+		return
+	}
 	b.init(src.NumCols())
-	b.store.AppendRowFrom(src, i)
-	b.hashes = append(b.hashes, h)
+	b.store.AppendGather(src, idxs)
+	for _, i := range idxs {
+		b.hashes = append(b.hashes, hv[i])
+	}
 }
 
 // addRow retains one boxed row (deep copy — batch ownership is moot).
@@ -97,29 +103,23 @@ type colBuild struct {
 
 // buildTables drains the build input, partitioning rows by hash radix
 // across the worker pool (each worker owns one colBuf per partition, so
-// no locks) — batches transpose into the columnar stores and the key
-// column hashes vectorized — then seals the partition tables.
+// no locks), then seals the partition tables. A columnar batch is routed
+// once: its key column hashes vectorized, each row queues under its
+// partition, and every touched partition then takes its rows in one
+// gather.
 //
-// Under a memory budget each retained row also charges the MemBudget;
-// on pressure the best-scoring partition is demoted (joinSpill.pressure)
-// and its rows — resident and future — stream to run files instead,
-// each worker flushing its own share locklessly (spill.go).
+// Under a memory budget each retained row also charges the MemBudget,
+// row by row as it is queued; on pressure the best-scoring partition is
+// demoted (joinSpill.pressure) and its rows — resident and future —
+// stream to run files instead, each worker flushing its own share
+// locklessly (spill.go).
 func (j *hashJoinOp) buildTables() error {
 	w := j.workerCount()
 	bufs := make([][]colBuf, w)
 	in := make(chan *Batch, w)
-	// Per-(worker, partition) share of the planner's build estimate; 0
-	// (no estimate) falls back to append growth.
-	hint := 0
-	if j.opts.BuildRowsEst > 0 {
-		hint = j.opts.BuildRowsEst / (w * j.nParts)
-	}
 	var wg sync.WaitGroup
 	for i := 0; i < w; i++ {
 		bufs[i] = make([]colBuf, j.nParts)
-		for p := range bufs[i] {
-			bufs[i][p].hint = hint
-		}
 		wg.Add(1)
 		go func(id int, my []colBuf) {
 			defer wg.Done()
@@ -129,6 +129,7 @@ func (j *hashJoinOp) buildTables() error {
 			if sp != nil {
 				spw = sp.firstPassSpiller(id, false)
 			}
+			res := newPartQueue(j.nParts) // the batch's resident rows, per partition
 			var hv []uint64
 			var rowBytes []int32 // budgeted builds: the batch's per-row charges
 			for b := range in {
@@ -157,8 +158,11 @@ func (j *hashJoinOp) buildTables() error {
 						h := hv[i]
 						p := int(h >> j.radixShift)
 						if sp != nil && sp.isSpilled(p) {
-							// Resident rows first, then this batch's rows of
-							// p in batch order: the per-row write order.
+							// Resident rows first — including this batch's
+							// rows of p queued before its demotion — then
+							// the rest of the batch's rows of p in batch
+							// order: the per-row write order.
+							my[p].addGather(cb, hv, res.take(p))
 							if err := spw.evict(p, &my[p], &myBytes[p]); err != nil {
 								j.fail(err)
 								break
@@ -166,7 +170,7 @@ func (j *hashJoinOp) buildTables() error {
 							spw.queue(p, i)
 							continue
 						}
-						my[p].addFrom(h, cb, i)
+						res.queue(p, i)
 						if sp != nil {
 							nb := int64(rowBytes[i])
 							myBytes[p] += nb
@@ -176,6 +180,7 @@ func (j *hashJoinOp) buildTables() error {
 							}
 						}
 					}
+					res.flush(func(p int, idxs []int32) { my[p].addGather(cb, hv, idxs) })
 					if spw != nil {
 						if err := spw.spillBatch(cb, hv, rowBytes); err != nil {
 							j.fail(err)
@@ -279,9 +284,9 @@ func (j *hashJoinOp) buildTables() error {
 // sealColTables merges every worker's per-partition stores into one
 // global store (bulk column concatenation — flat memmoves for typed
 // vectors) and chains each partition's rows into its hash table.
-// Buckets are pre-sized from BuildRowsEst so a decent estimate means
-// the table is born at its final size. Runs single-threaded: the merge
-// is memmove-bound and partition chains index disjoint ranges.
+// Each table's buckets are sized from the partition's exact row count.
+// Runs single-threaded: the merge is memmove-bound and partition chains
+// index disjoint ranges.
 func (j *hashJoinOp) sealColTables(bufs [][]colBuf) {
 	cb := &colBuild{parts: make([]colPart, j.nParts)}
 	total, ncols := 0, 0
@@ -302,10 +307,6 @@ func (j *hashJoinOp) sealColTables(bufs [][]colBuf) {
 	store := tuple.NewColumns(ncols)
 	store.Reserve(total)
 	hashes := make([]uint64, 0, total)
-	perHint := 0
-	if j.opts.BuildRowsEst > 0 {
-		perHint = j.opts.BuildRowsEst >> uint(j.radixBits)
-	}
 	for p := 0; p < j.nParts; p++ {
 		base := len(hashes)
 		for wi := range bufs {
@@ -321,7 +322,7 @@ func (j *hashJoinOp) sealColTables(bufs [][]colBuf) {
 		if n == 0 {
 			continue // empty or spilled partition: zero colPart, probe skips
 		}
-		cb.parts[p] = newColPart(hashes, base, perHint)
+		cb.parts[p] = newColPart(hashes, base)
 	}
 	cb.store = store
 	cb.hashes = hashes
@@ -329,11 +330,10 @@ func (j *hashJoinOp) sealColTables(bufs [][]colBuf) {
 }
 
 // newColPart chains the store rows [base, len(hashes)) into one
-// partition's table, buckets sized from the row count and the hint
-// (tableBuckets).
-func newColPart(hashes []uint64, base, hint int) colPart {
+// partition's table, buckets sized from the row count (tableBuckets).
+func newColPart(hashes []uint64, base int) colPart {
 	n := len(hashes) - base
-	nb := tableBuckets(n, hint)
+	nb := tableBuckets(n)
 	part := colPart{
 		base:    int32(base),
 		buckets: make([]int32, nb),

@@ -70,22 +70,12 @@ type joinTable struct {
 	grows   int // bucket-array rehashes since creation (incremental mode)
 }
 
-// tableBuckets picks a bucket count: the next power of two ≥ the known
-// row count n, raised toward the planner's estimate hint so a table
-// that will keep growing is born near its final size. The hint is
-// clamped to 4n — a wildly high estimate may only overshoot the
-// known-size table by one doubling, bounding wasted memory on
-// mispredictions (hint ≤ 0 means no estimate).
-func tableBuckets(n, hint int) int {
-	target := n
-	if hint > target {
-		if max := 4 * n; hint > max && max > 0 {
-			hint = max
-		}
-		target = hint
-	}
+// tableBuckets picks a sealed table's bucket count: the next power of
+// two ≥ its row count n, for load factor ≤ 1. Sealed tables know their
+// exact size, so no estimate enters.
+func tableBuckets(n int) int {
 	nb := 1
-	for nb < target {
+	for nb < n {
 		nb <<= 1
 	}
 	return nb
@@ -105,7 +95,7 @@ func newJoinTable(col int, buf *joinBuf) *joinTable {
 	for _, c := range buf.chunks {
 		entries = append(entries, c...)
 	}
-	nb := tableBuckets(n, 0)
+	nb := tableBuckets(n)
 	t.entries = entries
 	t.buckets = make([]int32, nb)
 	t.next = make([]int32, n)

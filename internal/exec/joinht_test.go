@@ -230,23 +230,14 @@ func TestJoinTableCapNoGrow(t *testing.T) {
 	}
 }
 
-// TestJoinTableHintPresize covers the sealed partition tables' bucket
-// sizing (tableBuckets, used by sealColTables): the bucket array is
-// sized from the planner hint (clamped to 4x the actual rows), not just
-// the sealed row count, so partitions sealed early don't start
-// undersized relative to what the estimate promised.
-func TestJoinTableHintPresize(t *testing.T) {
-	plain := tableBuckets(100, 0)
-	hinted := tableBuckets(100, 300)
-	if hinted < 300 {
-		t.Errorf("hint 300 sized %d buckets, want >= 300", hinted)
-	}
-	if plain >= hinted {
-		t.Errorf("hint had no effect: plain %d buckets, hinted %d", plain, hinted)
-	}
-	// The clamp: an absurd hint must not allocate more than 4x rows
-	// rounded up to a power of two.
-	if huge := tableBuckets(100, 1<<20); huge > 512 { // pow2 >= 4*100
-		t.Errorf("hint 1<<20 for 100 rows sized %d buckets, want <= 512", huge)
+// TestJoinTableBucketsExact covers the sealed tables' bucket sizing
+// (tableBuckets, used by sealColTables and newJoinTable): the next
+// power of two at or above the row count, so the load factor stays ≤ 1
+// and no estimate can inflate a table past its rows.
+func TestJoinTableBucketsExact(t *testing.T) {
+	for _, tc := range []struct{ n, want int }{{0, 1}, {1, 1}, {2, 2}, {3, 4}, {100, 128}, {128, 128}, {129, 256}} {
+		if got := tableBuckets(tc.n); got != tc.want {
+			t.Errorf("tableBuckets(%d) = %d, want %d", tc.n, got, tc.want)
+		}
 	}
 }

@@ -476,10 +476,17 @@ func (e *Executor) TableScanOp(tbl *core.Table, preds []predicate.Predicate) Ope
 // strategies and picks build sides from the same set, so cost estimates
 // always match what a scan would actually touch.
 func (e *Executor) TableRefs(tbl *core.Table, preds []predicate.Predicate) []core.BlockRef {
+	return tbl.AllRefs(e.PrunePreds(preds))
+}
+
+// PrunePreds returns the predicates block pruning applies under the
+// executor's pruning mode: preds, or none with NoPrune set (the scan
+// still filters every row by preds).
+func (e *Executor) PrunePreds(preds []predicate.Predicate) []predicate.Predicate {
 	if e.NoPrune {
-		return tbl.AllRefs(nil)
+		return nil
 	}
-	return tbl.AllRefs(preds)
+	return preds
 }
 
 type scanOp struct {
@@ -732,8 +739,10 @@ type JoinOptions struct {
 	// BuildRowsEst is the planner's build-side cardinality estimate
 	// (zone-map row counts); 0 means unknown. It sizes the radix
 	// fan-out (pickRadixBits) and the Bloom filters of demoted
-	// partitions. Estimates steer only performance — a wrong one costs
-	// extra recursion or filter saturation, never correctness.
+	// partitions, and nothing else: build buffers and tables are sized
+	// by the rows that actually arrive. Estimates steer only
+	// performance — a wrong one costs extra recursion or filter
+	// saturation, never correctness or allocation in proportion.
 	BuildRowsEst int
 	// DisableBloom turns off the Bloom filters on demoted partitions
 	// (every probe row of a spilled partition is then written, as in
@@ -1210,7 +1219,7 @@ func (h *HyperJoinOp) runGroup(group []int) bool {
 	if gj.buildRows = len(hashes); gj.buildRows > 0 {
 		gj.cbuild = &colBuild{
 			store: store, hashes: hashes, keyVec: store.Col(h.rCol),
-			parts: []colPart{newColPart(hashes, 0, 0)},
+			parts: []colPart{newColPart(hashes, 0)},
 		}
 	}
 	// Probe phase: only overlapping S blocks.

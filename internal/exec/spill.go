@@ -649,28 +649,64 @@ func (sp *joinSpill) cleanup() {
 	}
 }
 
+// partQueue collects one batch's physical rows per partition while the
+// batch is routed, so each partition then takes its rows with one gather
+// instead of a copy per row. Row order within a partition is routing
+// order. Not safe for concurrent use.
+type partQueue struct {
+	lists   [][]int32 // per-partition queued physical rows of the batch
+	touched []int     // partitions queued since the last flush
+}
+
+func newPartQueue(nparts int) partQueue { return partQueue{lists: make([][]int32, nparts)} }
+
+// queue marks physical row i of the batch being routed for partition p.
+func (q *partQueue) queue(p, i int) {
+	if len(q.lists[p]) == 0 {
+		q.touched = append(q.touched, p)
+	}
+	q.lists[p] = append(q.lists[p], int32(i))
+}
+
+// take empties partition p's queue and returns the rows it held, valid
+// until p is queued again.
+func (q *partQueue) take(p int) []int32 {
+	list := q.lists[p]
+	q.lists[p] = list[:0]
+	return list
+}
+
+// flush hands every partition's queued rows to fn, in first-queued
+// order, and empties the queue. Partitions emptied by take are skipped.
+func (q *partQueue) flush(fn func(p int, idxs []int32)) {
+	for _, p := range q.touched {
+		if list := q.take(p); len(list) > 0 {
+			fn(p, list)
+		}
+	}
+	q.touched = q.touched[:0]
+}
+
 // partSpiller is one spill stream of a join — one side of one build or
 // probe worker, the leftover flush, or one re-partitioning split — over
 // a single runWriter, so the stream writes one file whatever the number
 // of partitions it spills. Columnar rows are queued per partition while
 // a batch is routed and written with one gather per partition
-// (spillBatch); row order within a partition is routing order. Not safe
-// for concurrent use.
+// (spillBatch). Not safe for concurrent use.
 type partSpiller struct {
+	partQueue
 	sp *joinSpill
 	w  *runWriter
 	// bloom marks a first-pass build-side stream: every row it spills
 	// lands in its partition's Bloom filter — direct writes, evictions
 	// and leftover flushes alike, which is what makes a negative filter
 	// answer exact.
-	bloom   bool
-	lists   [][]int32 // per-partition queued physical rows of the batch
-	touched []int     // partitions with a non-empty list
-	rb      []int32   // MemBytesRows scratch
+	bloom bool
+	rb    []int32 // MemBytesRows scratch
 }
 
 func (sp *joinSpill) newPartSpiller(name string, nparts int, bloom bool) *partSpiller {
-	return &partSpiller{sp: sp, w: sp.newRunWriter(name, nparts), bloom: bloom, lists: make([][]int32, nparts)}
+	return &partSpiller{partQueue: newPartQueue(nparts), sp: sp, w: sp.newRunWriter(name, nparts), bloom: bloom}
 }
 
 // firstPassSpiller is worker id's spill stream for one side of the join.
@@ -679,14 +715,6 @@ func (sp *joinSpill) firstPassSpiller(id int, probe bool) *partSpiller {
 		return sp.newPartSpiller(fmt.Sprintf("p-w%02d", id), sp.j.nParts, false)
 	}
 	return sp.newPartSpiller(fmt.Sprintf("b-w%02d", id), sp.j.nParts, true)
-}
-
-// queue marks physical row i of the batch being routed for partition p.
-func (s *partSpiller) queue(p, i int) {
-	if len(s.lists[p]) == 0 {
-		s.touched = append(s.touched, p)
-	}
-	s.lists[p] = append(s.lists[p], int32(i))
 }
 
 // spillBatch writes the rows queued from src, one gather per partition,
@@ -701,18 +729,15 @@ func (s *partSpiller) spillBatch(src *tuple.Columns, hv []uint64, rowBytes []int
 		rowBytes = s.rb
 	}
 	var err error
-	for _, p := range s.touched {
-		list := s.lists[p]
-		s.lists[p] = list[:0]
+	s.flush(func(p int, list []int32) {
 		if err != nil {
-			continue
+			return
 		}
 		if s.bloom {
 			s.sp.bloomAdd(p, hv, list)
 		}
 		err = s.w.appendCols(p, src, list, sumRowBytes(rowBytes, list))
-	}
-	s.touched = s.touched[:0]
+	})
 	return err
 }
 

@@ -525,7 +525,9 @@ func (a *Attempt) noteReport(proc int, r report) {
 func (a *Attempt) abort(cause error) {
 	for _, proc := range a.procs {
 		if cc := a.c.ep.peerConn(proc); cc != nil {
-			cc.writeJSON(msgAbort, abortMsg{QID: a.qid})
+			// Best-effort: a failed write has killed the link, and a worker
+			// whose coordinator link dies retires every attempt it runs.
+			_ = cc.writeJSON(msgAbort, abortMsg{QID: a.qid})
 		}
 	}
 	a.c.ep.retire(a.qid, cause)

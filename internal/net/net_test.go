@@ -125,6 +125,13 @@ func startTPCH(t *testing.T, workers, nodes int, inProcess bool) (*adbnet.Cluste
 // (a fresh identical store) — the oracle every TCP run must match.
 func simDigests(t *testing.T, nodes int, schedule []tpch.Template) []uint64 {
 	t.Helper()
+	sums, _ := simResults(t, nodes, schedule)
+	return sums
+}
+
+// simResults is simDigests plus each query's row count.
+func simResults(t *testing.T, nodes int, schedule []tpch.Template) ([]uint64, []int) {
+	t.Helper()
 	store, data, tables, err := datasets.BuildTPCH(testParams(nodes))
 	if err != nil {
 		t.Fatalf("build sim replica: %v", err)
@@ -137,6 +144,7 @@ func simDigests(t *testing.T, nodes int, schedule []tpch.Template) []uint64 {
 	cat := tables.Catalog()
 	rng := rand.New(rand.NewSource(testSeed))
 	out := make([]uint64, 0, len(schedule))
+	counts := make([]int, 0, len(schedule))
 	for qi, tpl := range schedule {
 		q, err := session.FromSpec(cat, tpch.NewInstance(tpl, data, rng).Spec())
 		if err != nil {
@@ -147,8 +155,9 @@ func simDigests(t *testing.T, nodes int, schedule []tpch.Template) []uint64 {
 			t.Fatalf("sim q%d (%s): %v", qi, tpl, err)
 		}
 		out = append(out, rowsChecksum(res.Rows))
+		counts = append(counts, len(res.Rows))
 	}
-	return out
+	return out, counts
 }
 
 // TestTCPSessionMatchesSim is the tentpole assertion: the adaptive
@@ -401,6 +410,62 @@ func TestTCPLostQueryWrite(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// TestTCPLostQDoneWrite fails a worker's completion report: its qdone
+// write resets the link after every data frame it owed has gone out.
+// The query must end in a typed NetError or the simulated fabric's
+// result — never a coordinator waiting on a report that will not come —
+// and the next query must run exactly on the survivors. The queries
+// stream with no sink, so the coordinator counts rows instead of
+// materializing them; the count must match the oracle's.
+func TestTCPLostQDoneWrite(t *testing.T) {
+	defer exec.VerifyNoLeaks(t)
+	const nodes = 4
+	schedule := []tpch.Template{tpch.Q5, tpch.Q3}
+	_, want := simResults(t, nodes, schedule)
+	cl, s, cat, data := startSweep(t, nodes, nodes)
+	rng := rand.New(rand.NewSource(testSeed))
+	for qi, tpl := range schedule {
+		if qi == 0 {
+			cl.ArmFault(&adbnet.FaultPlan{Proc: 2, Peer: 0, Msg: "qdone", After: 1, Kind: adbnet.FaultReset})
+		}
+		q, err := session.FromSpec(cat, tpch.NewInstance(tpl, data, rng).Spec())
+		if err != nil {
+			t.Fatalf("q%d (%s): %v", qi, tpl, err)
+		}
+		done := make(chan struct{})
+		var res *session.Result
+		go func() {
+			defer close(done)
+			res, err = s.Stream(q, nil)
+		}()
+		select {
+		case <-done:
+		case <-time.After(time.Minute):
+			t.Fatalf("q%d (%s): the coordinator hung on a lost completion report", qi, tpl)
+		}
+		if err != nil {
+			if qi > 0 || !adbnet.IsNetError(err) {
+				t.Fatalf("q%d (%s): %v", qi, tpl, err)
+			}
+			t.Logf("q%d: surfaced: %v", qi, err)
+			continue
+		}
+		if res.Rows != nil {
+			t.Fatalf("q%d: a sinkless stream materialized %d rows", qi, len(res.Rows))
+		}
+		if res.RowCount != want[qi] {
+			t.Fatalf("q%d (%s): counted %d rows, sim %d", qi, tpl, res.RowCount, want[qi])
+		}
+		if used := s.Executor().Mem.Used(); used != 0 {
+			t.Fatalf("q%d: %d bytes still charged to the memory budget", qi, used)
+		}
+	}
+	if live := cl.LiveWorkers(); live != nodes-1 {
+		t.Fatalf("expected %d live workers after the lost report, have %d", nodes-1, live)
+	}
+	cl.Close()
 }
 
 // TestTCPUnsendableQuery dispatches a spec whose constant JSON cannot

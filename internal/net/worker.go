@@ -121,13 +121,15 @@ func RunWorker(coordAddr string, proc int) error {
 
 	if err := w.buildReplica(); err != nil {
 		// Report the failure so the coordinator surfaces it instead of
-		// timing out on a missing ready.
-		c.writeJSON(msgQErr, qerrMsg{Msg: err.Error()})
+		// timing out on a missing ready. Best-effort: the worker exits
+		// with err either way, and its link's death tells the
+		// coordinator too.
+		_ = c.writeJSON(msgQErr, qerrMsg{Msg: err.Error()})
 		return err
 	}
 	go w.acceptLoop()
 	if err := w.dialPeers(); err != nil {
-		c.writeJSON(msgQErr, qerrMsg{Msg: err.Error()})
+		_ = c.writeJSON(msgQErr, qerrMsg{Msg: err.Error()}) // best-effort, as above
 		return err
 	}
 	if err := c.writeFrame(msgReady, nil); err != nil {
@@ -318,12 +320,11 @@ func (w *worker) queryLoop() {
 }
 
 // report sends the attempt outcome to the coordinator.
-func (w *worker) report(qid uint64, counters cluster.Counters, links cluster.LinkStats, err error) {
+func (w *worker) report(qid uint64, counters cluster.Counters, links cluster.LinkStats, err error) error {
 	if err != nil {
-		w.coord.writeJSON(msgQErr, qerrMsg{QID: qid, Msg: err.Error(), Net: IsNetError(err)})
-		return
+		return w.coord.writeJSON(msgQErr, qerrMsg{QID: qid, Msg: err.Error(), Net: IsNetError(err)})
 	}
-	w.coord.writeJSON(msgQDone, qdoneMsg{QID: qid, Counters: counters, Links: linksToRecs(links)})
+	return w.coord.writeJSON(msgQDone, qdoneMsg{QID: qid, Counters: counters, Links: linksToRecs(links)})
 }
 
 // runQuery executes one attempt end to end.
@@ -336,7 +337,13 @@ func (w *worker) runQuery(qm queryMsg) {
 	w.ep.retire(qm.QID, fmt.Errorf("net: attempt %d finished", qm.QID))
 	// An aborted attempt reports its abort error; the coordinator has
 	// tombstoned the qid and discards the stale report.
-	w.report(qm.QID, counters, links, err)
+	if rerr := w.report(qm.QID, counters, links, err); rerr != nil {
+		// An undeliverable outcome leaves the coordinator waiting on this
+		// worker: drop the link so it sees the death and fails over
+		// instead. (A failed write has usually killed the link already;
+		// a payload that cannot encode has not.)
+		w.coord.die(rerr)
+	}
 }
 
 func (w *worker) attemptRun(qm queryMsg, at *attempt) (cluster.Counters, cluster.LinkStats, error) {

@@ -12,6 +12,7 @@ import (
 
 	"adaptdb/internal/core"
 	"adaptdb/internal/exec"
+	"adaptdb/internal/predicate"
 )
 
 // Compiled is an executable operator DAG plus the report its run will
@@ -43,6 +44,7 @@ func (c *Compiled) OpStats() []exec.OpStats {
 // post-order) once the DAG is drained. The caller owns the lifecycle
 // of Root (Open/Next/Close, or exec.Collect / exec.Count).
 func (r *Runner) Compile(n Node) (*Compiled, error) {
+	defer r.memoRefs()()
 	c := &Compiled{Report: &Report{}}
 	if fb := r.Ex.ExecFabric(); fb != nil {
 		// Distributed regime: per-node fragments wired with exchanges
@@ -75,7 +77,7 @@ func (r *Runner) compile(n Node, c *Compiled) (exec.Operator, error) {
 	switch nd := n.(type) {
 	case *Scan:
 		label := "scan(" + nd.Table.Name + ")"
-		return r.instrument(c, label, r.Ex.TableScanOp(nd.Table, nd.Preds), nil), nil
+		return r.instrument(c, label, r.scanOp(nd), nil), nil
 	case *Join:
 		return r.compileJoin(nd, c)
 	default:
@@ -169,7 +171,7 @@ func (r *Runner) compileSemiShuffle(c *Compiled, build exec.Operator, buildRows,
 		strategy = StratShuffle
 	}
 	fill := r.reportJoin(c, JoinReport{Strategy: strategy}, nil)
-	probe := r.instrument(c, "scan("+sc.Table.Name+")", r.Ex.TableScanOp(sc.Table, sc.Preds), nil)
+	probe := r.instrument(c, "scan("+sc.Table.Name+")", r.scanOp(sc), nil)
 	op := r.Ex.JoinOp(build, buildCol, probe, tblCol, opts)
 	return r.instrument(c, "join["+strategy+"]("+sc.Table.Name+")", op, fill)
 }
@@ -198,7 +200,7 @@ func (r *Runner) compileTableJoin(j *Join, l, rt *Scan, c *Compiled) (exec.Opera
 		if len(p.l2) > 0 {
 			// shuffle(A2 ⋈ B): A2's residual rows against all of B again.
 			lOp := r.instrument(c, "scan("+l.Table.Name+":residual)", r.Ex.ScanOp(p.l2, l.Preds), nil)
-			rOp := r.instrument(c, "scan("+rt.Table.Name+")", r.Ex.TableScanOp(rt.Table, rt.Preds), nil)
+			rOp := r.instrument(c, "scan("+rt.Table.Name+")", r.scanOp(rt), nil)
 			parts = append(parts, r.shuffleRowsOp(lOp, j.LCol, refRows(p.l2), rOp, j.RCol, refRows(p.r1)+refRows(p.r2)))
 		}
 		if len(p.r2) > 0 {
@@ -230,8 +232,8 @@ func (r *Runner) hyperOp(p tableJoinPlan, l *Scan, lCol int, rt *Scan, rCol int)
 // both sides scan with pushdown, the smaller (by zone-map row counts)
 // builds, and every row is charged the CSJ shuffle factor.
 func (r *Runner) shuffleTablesOp(c *Compiled, l *Scan, lCol int, rt *Scan, rCol int) exec.Operator {
-	lOp := r.instrument(c, "scan("+l.Table.Name+")", r.Ex.TableScanOp(l.Table, l.Preds), nil)
-	rOp := r.instrument(c, "scan("+rt.Table.Name+")", r.Ex.TableScanOp(rt.Table, rt.Preds), nil)
+	lOp := r.instrument(c, "scan("+l.Table.Name+")", r.scanOp(l), nil)
+	rOp := r.instrument(c, "scan("+rt.Table.Name+")", r.scanOp(rt), nil)
 	return r.shuffleRowsOp(lOp, lCol, refRows(r.scanRefs(l)), rOp, rCol, refRows(r.scanRefs(rt)))
 }
 
@@ -253,11 +255,80 @@ func (r *Runner) shuffleRowsOp(lOp exec.Operator, lCol, lRows int, rOp exec.Oper
 	return r.Ex.JoinOp(build, bCol, probe, pCol, opts)
 }
 
-// scanRefs resolves the blocks a scan node would read under the
-// executor's pruning mode — the cardinality basis for build-side
-// selection (the same set TableScanOp scans).
+// scanRefs resolves the blocks a scan node reads under the executor's
+// pruning mode (exec.Executor.TableRefs, memoized) — what scanOp scans
+// and the cardinality basis for build-side selection.
 func (r *Runner) scanRefs(s *Scan) []core.BlockRef {
-	return r.Ex.TableRefs(s.Table, s.Preds)
+	return r.allRefs(s.Table, r.Ex.PrunePreds(s.Preds))
+}
+
+// scanOp is the operator form of scanRefs.
+func (r *Runner) scanOp(s *Scan) exec.Operator {
+	return r.Ex.ScanOp(r.scanRefs(s), s.Preds)
+}
+
+// refKey names one ref resolution of a compile: a table, a tree (-1 for
+// every live tree) and a predicate list by identity. The Scans of one
+// compile share their table's bound predicate slice, and nothing
+// mutates a predicate list or a layout while a compile runs.
+type refKey struct {
+	tbl   *core.Table
+	tree  int
+	preds *predicate.Predicate
+	n     int
+}
+
+// memoRefs scopes ref memoization to one compile: every entry point
+// that resolves refs calls it, nested calls share the outermost scope,
+// and the returned func ends it. Layouts may change between compiles
+// (adaptation runs before each query), so nothing outlives the scope.
+func (r *Runner) memoRefs() (end func()) {
+	if r.refMemo != nil {
+		return func() {}
+	}
+	r.refMemo = make(map[refKey][]core.BlockRef)
+	return func() { r.refMemo = nil }
+}
+
+// treeRefs is core.Table.Refs, memoized for the current compile. The
+// result is capacity-capped, so a caller's append copies instead of
+// writing into the shared array.
+func (r *Runner) treeRefs(tbl *core.Table, tree int, preds []predicate.Predicate) []core.BlockRef {
+	return r.memoized(refKey{tbl: tbl, tree: tree}, preds, func() []core.BlockRef {
+		return tbl.Refs(tree, preds)
+	})
+}
+
+// allRefs is core.Table.AllRefs, memoized for the current compile and
+// assembled from the per-tree resolutions.
+func (r *Runner) allRefs(tbl *core.Table, preds []predicate.Predicate) []core.BlockRef {
+	return r.memoized(refKey{tbl: tbl, tree: -1}, preds, func() []core.BlockRef {
+		live := tbl.LiveTrees()
+		if len(live) == 1 {
+			return r.treeRefs(tbl, live[0], preds)
+		}
+		var out []core.BlockRef
+		for _, i := range live {
+			out = append(out, r.treeRefs(tbl, i, preds)...)
+		}
+		return out
+	})
+}
+
+func (r *Runner) memoized(key refKey, preds []predicate.Predicate, resolve func() []core.BlockRef) []core.BlockRef {
+	key.n = len(preds)
+	if len(preds) > 0 {
+		key.preds = &preds[0]
+	}
+	if out, ok := r.refMemo[key]; ok {
+		return out
+	}
+	out := resolve()
+	out = out[:len(out):len(out)]
+	if r.refMemo != nil {
+		r.refMemo[key] = out
+	}
+	return out
 }
 
 // estimateRows guesses a sub-plan's output cardinality from zone-map
@@ -290,6 +361,7 @@ func (r *Runner) estimateRows(n Node) int {
 // correctness — an underestimate makes the join spill inside its
 // share, an overestimate queues a query that would have fit.
 func (r *Runner) EstimateFootprint(n Node) int64 {
+	defer r.memoRefs()()
 	nd, ok := n.(*Join)
 	if !ok {
 		return 0

@@ -4,8 +4,10 @@
 // per join with the §4.2 cost model — strategy choices are operator
 // choices, decided at compile time from block zone maps alone.
 //
-// Compile is the engine: scans become TableScanOps with predicate
-// pushdown, base-table joins become HyperJoinOp / JoinOp / Concat
+// Compile is the engine: scans become ScanOps with predicate pushdown
+// over block refs resolved once per compile (the costing, ordering and
+// scans of one compile share them), base-table joins become
+// HyperJoinOp / JoinOp / Concat
 // compositions, and multi-relation joins stream their sub-plan DAGs
 // straight into the next join's build side (§4.3's semi-shuffle: only
 // the intermediate shuffles when the base table has a tree on the join

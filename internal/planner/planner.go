@@ -93,6 +93,10 @@ type Runner struct {
 	// vs-computation pricing). Nil means unmeasured: weight 1, the flat
 	// eq. 1 pricing, bit-identical to the pre-link behavior.
 	LinkWeights cluster.LinkWeights
+
+	// refMemo holds the ref sets resolved during the current compile
+	// (memoRefs); nil outside one.
+	refMemo map[refKey][]core.BlockRef
 }
 
 // netWeight is the scalar the shuffle estimates multiply their network
@@ -256,8 +260,8 @@ func (r *Runner) planTableJoin(l *Scan, lCol int, rt *Scan, rCol int) tableJoinP
 		// Case 3: no co-partitioning. Consider opportunistic hyper-join
 		// over whatever trees exist (zone maps may still be tight).
 		if !r.ForceShuffle {
-			lRefs := l.Table.AllRefs(l.Preds)
-			rRefs := rt.Table.AllRefs(rt.Preds)
+			lRefs := r.allRefs(l.Table, l.Preds)
+			rRefs := r.allRefs(rt.Table, rt.Preds)
 			if hy := r.estimateHyper(lRefs, lCol, rRefs, rCol); hy > 0 && hy < r.estimateShuffle(lRefs, rRefs) {
 				return tableJoinPlan{strategy: StratHyper, l1: lRefs, r1: rRefs}
 			}
@@ -267,15 +271,15 @@ func (r *Runner) planTableJoin(l *Scan, lCol int, rt *Scan, rCol int) tableJoinP
 
 	// Split each side into the co-partitioned portion (the tree on the
 	// join attribute) and the residual portion (all other live trees).
-	p := tableJoinPlan{l1: l.Table.Refs(lIdx, l.Preds), r1: rt.Table.Refs(rIdx, rt.Preds)}
+	p := tableJoinPlan{l1: r.treeRefs(l.Table, lIdx, l.Preds), r1: r.treeRefs(rt.Table, rIdx, rt.Preds)}
 	for _, i := range l.Table.LiveTrees() {
 		if i != lIdx {
-			p.l2 = append(p.l2, l.Table.Refs(i, l.Preds)...)
+			p.l2 = append(p.l2, r.treeRefs(l.Table, i, l.Preds)...)
 		}
 	}
 	for _, i := range rt.Table.LiveTrees() {
 		if i != rIdx {
-			p.r2 = append(p.r2, rt.Table.Refs(i, rt.Preds)...)
+			p.r2 = append(p.r2, r.treeRefs(rt.Table, i, rt.Preds)...)
 		}
 	}
 

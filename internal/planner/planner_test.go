@@ -304,3 +304,49 @@ func TestPredicatePushdownInJoin(t *testing.T) {
 	want := oracleJoin(filter(f.lrows, preds), f.orows, 0, 0)
 	sameRows(t, rows, want, "pushdown")
 }
+
+// TestRefMemoScopedToCompile pins the per-compile ref memo: inside one
+// scope a (table, tree, predicates) resolution runs once and is shared
+// capacity-capped, it matches what the executor's TableRefs resolves,
+// and no scope outlives its compile — layouts change between queries.
+func TestRefMemoScopedToCompile(t *testing.T) {
+	f := setup(t, true)
+	r := f.runner
+	preds := []predicate.Predicate{predicate.NewCmp(2, predicate.LT, value.NewInt(1200))}
+	s := &Scan{Table: f.line, Preds: preds}
+	want := r.Ex.TableRefs(f.line, preds)
+
+	end := r.memoRefs()
+	a, b := r.scanRefs(s), r.scanRefs(&Scan{Table: f.line, Preds: preds})
+	if len(a) == 0 || len(a) != len(want) {
+		t.Fatalf("memoized scan resolved %d refs, TableRefs %d", len(a), len(want))
+	}
+	for i := range a {
+		if a[i].Path != want[i].Path {
+			t.Fatalf("ref %d: memoized %q, TableRefs %q", i, a[i].Path, want[i].Path)
+		}
+	}
+	if &a[0] != &b[0] {
+		t.Fatal("the same scan resolved twice inside one compile")
+	}
+	if cap(a) != len(a) {
+		t.Fatalf("memoized refs have spare capacity %d > %d: an append would write into the shared array", cap(a), len(a))
+	}
+	if tr := r.treeRefs(f.line, f.line.TreeFor(0), preds); &tr[0] != &a[0] {
+		t.Fatal("a single-tree table's scan set was not shared with its tree resolution")
+	}
+	end()
+	if r.refMemo != nil {
+		t.Fatal("memo outlived its scope")
+	}
+	if c := r.scanRefs(s); &c[0] == &a[0] {
+		t.Fatal("refs resolved outside a compile came from a finished compile's memo")
+	}
+
+	if _, err := r.Compile(&Join{Left: s, Right: &Scan{Table: f.ord}, LCol: 0, RCol: 0}); err != nil {
+		t.Fatal(err)
+	}
+	if r.refMemo != nil {
+		t.Fatal("Compile left its ref memo behind")
+	}
+}

@@ -55,6 +55,7 @@ type specOrder struct {
 // filters for graph edges the tree did not consume, and hash
 // aggregation or a declaration-order projection on top.
 func (r *Runner) CompileSpec(b *query.Bound) (*Compiled, error) {
+	defer r.memoRefs()()
 	ord := r.cachedSpecOrder(b)
 
 	if ord.empty {
@@ -110,6 +111,7 @@ func (r *Runner) RunSpec(b *query.Bound) ([]tuple.Tuple, *Report, error) {
 // runner would pick. Aggregation state is not priced — group counts are
 // unknowable from zone maps; the budget charge at runtime is advisory.
 func (r *Runner) EstimateSpecFootprint(b *query.Bound) int64 {
+	defer r.memoRefs()()
 	ord := r.cachedSpecOrder(b)
 	if ord.empty {
 		return 0
@@ -246,7 +248,7 @@ func (r *Runner) planSpecOrder(b *query.Bound) specOrder {
 	refs := make([][]core.BlockRef, n)
 	ests := make([]int, n)
 	for i, t := range b.Tables {
-		refs[i] = r.Ex.TableRefs(t.Table, t.Preds)
+		refs[i] = r.scanRefs(&Scan{Table: t.Table, Preds: t.Preds})
 		ests[i] = refRows(refs[i])
 		if ests[i] == 0 {
 			return specOrder{empty: true}

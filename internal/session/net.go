@@ -56,6 +56,11 @@ func (s *Session) runNet(q Query, collect bool, sink func(*exec.Batch) error) (*
 
 	var comp *planner.Compiled
 	var rows []tuple.Tuple
+	count := 0
+	// With no sink and no collect, no caller wants rows: an attempt
+	// counts its batches instead of materializing them. A failed
+	// attempt's count is discarded like its rows would be.
+	countOnly := !collect && sink == nil
 	adapted := false
 	for attemptN := 1; ; attemptN++ {
 		at, err := s.net.Begin(q.Spec.Spec, seq, s.runner.LinkWeights)
@@ -93,7 +98,12 @@ func (s *Session) runNet(q Query, collect bool, sink func(*exec.Batch) error) (*
 		}
 		at.Start(ctx)
 
-		rows, err = exec.Collect(comp.Root)
+		if countOnly {
+			count, err = exec.Count(comp.Root)
+		} else {
+			rows, err = exec.Collect(comp.Root)
+			count = len(rows)
+		}
 		execErr := err
 		retry, ferr := at.Finish(execErr, s.meter)
 		if execErr == nil && ferr == nil {
@@ -115,7 +125,7 @@ func (s *Session) runNet(q Query, collect bool, sink func(*exec.Batch) error) (*
 
 	res.Report = comp.Report
 	res.Ops = comp.OpStats()
-	res.RowCount = len(rows)
+	res.RowCount = count
 	if collect {
 		res.Rows = rows
 	} else if sink != nil {
