@@ -189,43 +189,26 @@ func (g *groupByOp) Open() error {
 		if b == nil {
 			break
 		}
-		if cb := b.Cols(); cb != nil {
-			// Columnar input: read cells straight from the vectors
-			// through the selection — no row materialization.
-			n := cb.Len()
-			sel := cb.Sel()
-			for k := 0; k < n; k++ {
-				i := k
-				if sel != nil {
-					i = int(sel[k])
-				}
-				for ci, col := range g.spec.GroupCols {
-					g.keybuf[ci] = cb.Value(col, i)
-				}
-				gs := g.lookup(g.keybuf)
-				for ai := range g.spec.Aggs {
-					a := g.spec.Aggs[ai]
-					if a.Fn == AggCount && a.Col < 0 {
-						gs.accs[ai].add(a.Fn, value.Value{})
-						continue
-					}
-					gs.accs[ai].add(a.Fn, cb.Value(a.Col, i))
-				}
+		// Read cells straight from the vectors through the selection.
+		cb := b.Cols()
+		n := cb.Len()
+		sel := cb.Sel()
+		for k := 0; k < n; k++ {
+			i := k
+			if sel != nil {
+				i = int(sel[k])
 			}
-		} else {
-			for _, r := range b.Rows() {
-				for ci, col := range g.spec.GroupCols {
-					g.keybuf[ci] = r[col]
+			for ci, col := range g.spec.GroupCols {
+				g.keybuf[ci] = cb.Value(col, i)
+			}
+			gs := g.lookup(g.keybuf)
+			for ai := range g.spec.Aggs {
+				a := g.spec.Aggs[ai]
+				if a.Fn == AggCount && a.Col < 0 {
+					gs.accs[ai].add(a.Fn, value.Value{})
+					continue
 				}
-				gs := g.lookup(g.keybuf)
-				for ai := range g.spec.Aggs {
-					a := g.spec.Aggs[ai]
-					if a.Fn == AggCount && a.Col < 0 {
-						gs.accs[ai].add(a.Fn, value.Value{})
-						continue
-					}
-					gs.accs[ai].add(a.Fn, r[a.Col])
-				}
+				gs.accs[ai].add(a.Fn, cb.Value(a.Col, i))
 			}
 		}
 		b.Release()
@@ -289,14 +272,16 @@ func (g *groupByOp) Next() (*Batch, error) {
 	if g.pos >= len(g.groups) {
 		return nil, nil
 	}
-	out := NewBatch()
-	vals := make(tuple.Tuple, len(g.spec.Aggs))
+	nk := len(g.spec.GroupCols)
+	out := NewColBatch(nk + len(g.spec.Aggs))
+	row := make(tuple.Tuple, nk+len(g.spec.Aggs))
 	for g.pos < len(g.groups) && !out.Full() {
 		gs := g.groups[g.pos]
+		copy(row, gs.key)
 		for ai := range g.spec.Aggs {
-			vals[ai] = gs.accs[ai].result(g.spec.Aggs[ai].Fn)
+			row[nk+ai] = gs.accs[ai].result(g.spec.Aggs[ai].Fn)
 		}
-		out.AppendConcat(gs.key, vals)
+		out.AppendColRow(row)
 		g.pos++
 	}
 	return out, nil

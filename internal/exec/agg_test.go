@@ -79,21 +79,11 @@ func TestGroupByMatchesReference(t *testing.T) {
 			{Fn: AggAvg, Col: 0},
 		},
 	}
-	want := refGroupBy(rows, spec)
-	for _, columnar := range []bool{false, true} {
-		ex := testExec()
-		var src Operator = NewSource(rows)
-		name := "rows"
-		if columnar {
-			src = NewColSource(rows)
-			name = "columnar"
-		}
-		got, err := Collect(ex.GroupByOp(src, spec))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		rowsEqualSorted(t, got, want)
+	got, err := Collect(testExec().GroupByOp(NewSource(rows), spec))
+	if err != nil {
+		t.Fatal(err)
 	}
+	rowsEqualSorted(t, got, refGroupBy(rows, spec))
 }
 
 // TestGroupBySortedOutput: groups come out in key order, so two runs
@@ -249,18 +239,11 @@ func TestWhereColsEq(t *testing.T) {
 		{value.Value{}, value.Value{}, value.NewInt(9)}, // NULL != NULL under join semantics
 		{value.NewInt(4), value.NewInt(4), value.NewInt(9)},
 	}
-	want := []tuple.Tuple{rows[0], rows[3]}
-	for _, columnar := range []bool{false, true} {
-		var src Operator = NewSource(rows)
-		if columnar {
-			src = NewColSource(rows)
-		}
-		got, err := Collect(WhereColsEq(src, [][2]int{{0, 1}}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rowsEqualSorted(t, got, want)
+	got, err := Collect(WhereColsEq(NewSource(rows), [][2]int{{0, 1}}))
+	if err != nil {
+		t.Fatal(err)
 	}
+	rowsEqualSorted(t, got, []tuple.Tuple{rows[0], rows[3]})
 	// No pairs: pass-through (same operator back).
 	src := NewSource(rows)
 	if WhereColsEq(src, nil) != Operator(src) {
@@ -274,17 +257,11 @@ func TestProject(t *testing.T) {
 	for i, r := range rows {
 		want[i] = tuple.Tuple{r[2], r[0]}
 	}
-	for _, columnar := range []bool{false, true} {
-		var src Operator = NewSource(rows)
-		if columnar {
-			src = NewColSource(rows)
-		}
-		got, err := Collect(Project(src, []int{2, 0}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rowsEqualSorted(t, got, want)
+	got, err := Collect(Project(NewSource(rows), []int{2, 0}))
+	if err != nil {
+		t.Fatal(err)
 	}
+	rowsEqualSorted(t, got, want)
 }
 
 // TestProjectAfterFilterSel: projection through a refined selection
@@ -298,7 +275,7 @@ func TestProjectAfterFilterSel(t *testing.T) {
 			want = append(want, tuple.Tuple{r[1], r[2]})
 		}
 	}
-	src := WhereColsEqTestFilter(NewColSource(rows), keep)
+	src := WhereColsEqTestFilter(NewSource(rows), keep)
 	got, err := Collect(Project(src, []int{1, 2}))
 	if err != nil {
 		t.Fatal(err)
@@ -326,9 +303,6 @@ func (f *selTestFilter) Next() (*Batch, error) {
 			return nil, err
 		}
 		cb := in.Cols()
-		if cb == nil {
-			return in, nil
-		}
 		cb.FilterSel(func(i int) bool {
 			f.scratch = cb.RowTo(f.scratch, i)
 			return f.keep(f.scratch)
@@ -340,28 +314,3 @@ func (f *selTestFilter) Next() (*Batch, error) {
 	}
 }
 func (f *selTestFilter) Close() error { return f.child.Close() }
-
-// TestCollectAliasesViewRows pins the Batch-ownership contract the
-// double-copy audit relies on: Collect over view batches (Source)
-// returns the caller's rows without copying, while owned batches are
-// copied out. Callers that copy Collect output again are paying twice.
-func TestCollectAliasesViewRows(t *testing.T) {
-	rows := genOrders(100, 29)
-	out, err := Collect(NewSource(rows))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(rows) {
-		t.Fatalf("%d rows, want %d", len(out), len(rows))
-	}
-	if &out[0][0] != &rows[0][0] {
-		t.Error("Collect copied view rows; they should alias the source")
-	}
-	// Owned path: a columnar source materializes owned rows, which must
-	// NOT alias the (released) batch arena.
-	out2, err := Collect(NewColSource(rows))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rowsEqualSorted(t, out2, rows)
-}

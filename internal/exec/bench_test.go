@@ -149,7 +149,7 @@ func BenchmarkHyperJoinMaterialized(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := exec.Collect(ex.NewHyperJoinOp(rRefs, nil, tpch.LOrderKey, sRefs, nil, tpch.OOrderKey, 8))
+		rows, err := exec.Collect(ex.NewHyperJoinOp(rRefs, nil, tpch.LOrderKey, sRefs, nil, tpch.OOrderKey, 8, false))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -165,7 +165,7 @@ func BenchmarkHyperJoinPipelined(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		op := ex.NewHyperJoinOp(rRefs, nil, tpch.LOrderKey, sRefs, nil, tpch.OOrderKey, 8)
+		op := ex.NewHyperJoinOp(rRefs, nil, tpch.LOrderKey, sRefs, nil, tpch.OOrderKey, 8, false)
 		n, err := exec.Count(op)
 		if err != nil {
 			b.Fatal(err)

@@ -22,7 +22,7 @@ func buildAlloc(t *testing.T, rows []tuple.Tuple, est int) uint64 {
 	t.Helper()
 	ex := New(dfs.NewStore(2, 1, 1), &cluster.Meter{})
 	ex.Workers = 2
-	op := ex.JoinOp(NewColSource(rows), 0, NewColSource(nil), 0, JoinOptions{BuildRowsEst: est})
+	op := ex.JoinOp(NewSource(rows), 0, NewSource(nil), 0, JoinOptions{BuildRowsEst: est})
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -165,7 +165,7 @@ func TestBuildGatherMatchesPerRowRule(t *testing.T) {
 		ex.Workers = 1 // one worker: the per-row sequence is deterministic
 		ex.Mem = NewMemBudget(budget)
 		ex.SpillDir = t.TempDir()
-		j := ex.JoinOp(NewColSource(rows), 0, NewSource(nil), 0, JoinOptions{BuildRowsEst: est}).(*hashJoinOp)
+		j := ex.JoinOp(NewSource(rows), 0, NewSource(nil), 0, JoinOptions{BuildRowsEst: est}).(*hashJoinOp)
 		if ex.Mem != nil {
 			j.spill = newJoinSpill(j)
 		}

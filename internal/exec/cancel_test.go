@@ -200,7 +200,7 @@ func TestCancelMidHyperJoin(t *testing.T) {
 	cancel()
 	op := f.ex.NewHyperJoinOp(
 		f.ex.TableRefs(f.ord, nil), nil, 0,
-		f.ex.TableRefs(f.line, nil), nil, 0, 4)
+		f.ex.TableRefs(f.line, nil), nil, 0, 4, false)
 	_, err := Collect(op)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled hyper-join error = %v, want context.Canceled", err)
@@ -261,45 +261,25 @@ func TestCancelMidExchange(t *testing.T) {
 	VerifyNoLeaks(t)
 }
 
-// TestCancelColumnarJoin: cancellation with a columnar probe input,
-// which reaches the probe workers without a transpose, hits the same
-// ctx checks as the row inputs the tests above drive.
+// TestCancelColumnarJoin: cancellation mid-build and mid-probe, with
+// the cancelling source on either side of the join.
 func TestCancelColumnarJoin(t *testing.T) {
 	ex, _, cancel, dir := cancelExec(t, 1<<30)
 	l, r := genOrders(4000, 62), genLineitem(3000, 63)
 	build := &cancelSource{Source: NewSource(l), cancel: cancel, after: 2}
-	// Columnar probe side; the build side converts on ingest.
-	_, err := Collect(ex.JoinOp(build, 0, NewColSource(r), 0, JoinOptions{}))
+	_, err := Collect(ex.JoinOp(build, 0, NewSource(r), 0, JoinOptions{}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("columnar mid-build cancel error = %v, want context.Canceled", err)
 	}
 	assertTornDown(t, ex, dir)
 
 	ex2, _, cancel2, dir2 := cancelExec(t, 1<<30)
-	probe := &colCancelSource{ColSource: NewColSource(r), cancel: cancel2, after: 2}
-	_, err = Collect(ex2.JoinOp(NewColSource(l), 0, probe, 0, JoinOptions{}))
+	probe := &cancelSource{Source: NewSource(r), cancel: cancel2, after: 2}
+	_, err = Collect(ex2.JoinOp(NewSource(l), 0, probe, 0, JoinOptions{}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("columnar mid-probe cancel error = %v, want context.Canceled", err)
 	}
 	assertTornDown(t, ex2, dir2)
-}
-
-type colCancelSource struct {
-	*ColSource
-	cancel  context.CancelFunc
-	after   int
-	emitted int
-}
-
-func (c *colCancelSource) Next() (*Batch, error) {
-	b, err := c.ColSource.Next()
-	if b != nil {
-		c.emitted++
-		if c.emitted == c.after {
-			c.cancel()
-		}
-	}
-	return b, err
 }
 
 // TestCancelledJoinLeavesExecutorReusable: after a cancelled query,

@@ -19,10 +19,6 @@
 // Bloom filters of demoted partitions: it never reserves memory, so a
 // wrong estimate costs no allocation in proportion to its error.
 //
-// The build and probe bodies see only columns: the two feeder
-// goroutines transpose a row batch (a Source view, a row operator's
-// output) once into a pooled columnar batch before it reaches a worker.
-//
 // Under a memory budget, demoted partitions stream rows to run files —
 // queued per partition and gathered once per batch — and the second
 // pass joins them with the same one-partition table and probe loops a
@@ -245,21 +241,14 @@ func (j *hashJoinOp) buildTables() error {
 	return nil
 }
 
-// joinInput readies one input batch for the join's workers, which see
-// only columns: a row batch (a Source view, a row operator's output) is
-// transposed once into a pooled columnar batch, as ColSource.Next does.
-// An empty batch is released and nil returned — it has nothing to route.
+// joinInput drops an empty input batch: it is released and nil
+// returned, since it has nothing to route.
 func joinInput(b *Batch) *Batch {
 	if b.Len() == 0 {
 		b.Release()
 		return nil
 	}
-	if b.Cols() != nil {
-		return b
-	}
-	cb := transposeRows(b.Rows())
-	b.Release()
-	return cb
+	return b
 }
 
 // sealColTables merges every worker's per-partition stores into one

@@ -243,15 +243,23 @@ func TestParallelJoinBuildProbeRace(t *testing.T) {
 	rowsEqualSorted(t, got, NestedLoopJoin(l, r, 0, 0))
 }
 
-// TestJoinInputTransposesRowBatches: the join's workers see only
-// columns, so a row batch fed to either side reaches them transposed,
-// and an empty batch not at all.
+// TestJoinInputTransposesRowBatches: rows enter the engine only through
+// a Source, which transposes them, so the join's workers see them as
+// the columns they were given; an empty batch reaches them not at all.
 func TestJoinInputTransposesRowBatches(t *testing.T) {
 	rows := genLineitem(10, 1)
-	b := joinInput(&Batch{rows: rows})
+	src := NewSource(rows)
+	if err := src.Open(); err != nil {
+		t.Fatal(err)
+	}
+	sb, err := src.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := joinInput(sb)
 	cb := b.Cols()
-	if cb == nil || cb.Len() != len(rows) || cb.NumCols() != len(rows[0]) {
-		t.Fatalf("row batch of %d rows reached the join as %+v", len(rows), b)
+	if cb.Len() != len(rows) || cb.NumCols() != len(rows[0]) {
+		t.Fatalf("%d rows reached the join as %d×%d", len(rows), cb.Len(), cb.NumCols())
 	}
 	for i, r := range rows {
 		for c := range r {
@@ -261,11 +269,11 @@ func TestJoinInputTransposesRowBatches(t *testing.T) {
 		}
 	}
 	b.Release()
-	if joinInput(NewBatch()) != nil {
+	if joinInput(NewColBatch(len(rows[0]))) != nil {
 		t.Error("an empty batch reached the join's workers")
 	}
 	ex := New(dfs.NewStore(2, 1, 1), &cluster.Meter{})
-	got, err := Collect(ex.JoinOp(NewSource(rows), 0, NewColSource(rows), 0, JoinOptions{}))
+	got, err := Collect(ex.JoinOp(NewSource(rows), 0, NewSource(rows), 0, JoinOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}

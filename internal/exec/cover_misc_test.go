@@ -5,7 +5,6 @@ import (
 
 	"adaptdb/internal/cluster"
 	"adaptdb/internal/dfs"
-	"adaptdb/internal/tuple"
 )
 
 // TestShuffleJoinIntermediates: the §4.3 intermediate-to-intermediate
@@ -85,7 +84,7 @@ func TestExchangeBudgetedBatches(t *testing.T) {
 // row exactly.
 func TestAppendColRowFrom(t *testing.T) {
 	rows := genOrders(8, 75)
-	src := NewColSource(rows)
+	src := NewSource(rows)
 	if err := src.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +99,5 @@ func TestAppendColRowFrom(t *testing.T) {
 	if dst.Len() != len(rows) {
 		t.Fatalf("dst has %d rows, want %d", dst.Len(), len(rows))
 	}
-	// dst is never released, so its materialized rows stay valid —
-	// retaining them without a per-row copy is safe here.
-	got := append([]tuple.Tuple(nil), dst.Rows()...)
-	rowsEqualSorted(t, got, rows)
+	rowsEqualSorted(t, dst.Rows(), rows)
 }

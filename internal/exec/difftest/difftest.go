@@ -331,33 +331,28 @@ func (c Case) estRows(n int) int {
 // the oracle: JoinOp in both build orientations under the case's budget
 // (nil budget = the untouched fast path; non-nil exercises the spilling
 // hybrid hash join — role reversal, Bloom-filtered spill writes, the
-// columnar second pass and the estimate-steered fan-out). The input
-// forms vary too: row batches (NewSource), which the join transposes
-// once on entry, and columnar batches (NewColSource).
+// columnar second pass and the estimate-steered fan-out), fed plain and
+// through a selection-vector filter.
 func RunCentralized(c Case) error {
 	oracle := exec.NestedLoopJoin(c.Left, c.Right, c.LCol, c.RCol)
 
-	rowSrc := func(rows []tuple.Tuple) exec.Operator { return exec.NewSource(rows) }
-	colSrc := func(rows []tuple.Tuple) exec.Operator { return exec.NewColSource(rows) }
 	type variant struct {
-		name             string
-		build, probe     []tuple.Tuple
-		bCol, pCol       int
-		buildIn, probeIn func([]tuple.Tuple) exec.Operator
-		opts             exec.JoinOptions
+		name         string
+		build, probe []tuple.Tuple
+		bCol, pCol   int
+		opts         exec.JoinOptions
 	}
 	leftOpts := exec.JoinOptions{BuildRowsEst: c.estRows(len(c.Left))}
 	variants := []variant{
-		{"build-left", c.Left, c.Right, c.LCol, c.RCol, rowSrc, rowSrc, leftOpts},
-		{"build-right", c.Right, c.Left, c.RCol, c.LCol, rowSrc, rowSrc,
+		{"build-left", c.Left, c.Right, c.LCol, c.RCol, leftOpts},
+		{"build-right", c.Right, c.Left, c.RCol, c.LCol,
 			exec.JoinOptions{BuildIsRight: true, BuildRowsEst: c.estRows(len(c.Right))}},
-		{"colsource", c.Left, c.Right, c.LCol, c.RCol, colSrc, colSrc, leftOpts},
 	}
 	for _, v := range variants {
 		store := dfs.NewStore(2, 1, c.Seed)
 		ex := exec.New(store, &cluster.Meter{})
 		ex.Mem = exec.NewMemBudget(c.Budget)
-		op := ex.JoinOp(v.buildIn(v.build), v.bCol, v.probeIn(v.probe), v.pCol, v.opts)
+		op := ex.JoinOp(exec.NewSource(v.build), v.bCol, exec.NewSource(v.probe), v.pCol, v.opts)
 		got, err := exec.Collect(op)
 		if err != nil {
 			return fmt.Errorf("%s: JoinOp[%s]: %w", c, v.name, err)
@@ -383,8 +378,8 @@ func RunCentralized(c Case) error {
 		ex := exec.New(store, &cluster.Meter{})
 		ex.Mem = exec.NewMemBudget(c.Budget)
 		op := ex.JoinOp(
-			exec.Where(exec.NewColSource(c.Left), lPreds), c.LCol,
-			exec.Where(exec.NewColSource(c.Right), rPreds), c.RCol, leftOpts)
+			exec.Where(exec.NewSource(c.Left), lPreds), c.LCol,
+			exec.Where(exec.NewSource(c.Right), rPreds), c.RCol, leftOpts)
 		got, err := exec.Collect(op)
 		if err != nil {
 			return fmt.Errorf("%s: JoinOp[selfilter]: %w", c, err)

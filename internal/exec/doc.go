@@ -19,31 +19,30 @@
 //     with tree and zone-map pruning; Executor.RoundRobin and NoPrune
 //     are the Fig. 7 locality and §7.3 full-scan baseline switches.
 //
-// The engine is one batched pipeline (pipeline.go): fixed-capacity
-// Batch chunks — columnar out of scans, exchanges, joins and
-// hyper-joins, boxed rows only out of row sources (NewSource) — stream
-// through Open/Next/Close
-// Operators: block scans (ScanOp, TableScanOp), the hash join (JoinOp),
-// hyper-joins (NewHyperJoinOp), filters (Where) and in-memory sources
-// (NewSource, NewColSource), with scans, hyper-join groups, and the
+// The engine is one batched pipeline (pipeline.go): fixed-capacity,
+// columnar Batch chunks stream through Open/Next/Close. Rows enter in
+// one place — NewSource transposes an in-memory row slice — and leave
+// in one place: Batch.Rows, the client edge's materializer (Collect,
+// the serving layer's result rows). Operators: block scans (ScanOp,
+// TableScanOp), the hash join (JoinOp), hyper-joins (NewHyperJoinOp),
+// filters (Where, WhereColsEq), Project, GroupByOp and in-memory
+// sources (NewSource), with scans, hyper-join groups, and the
 // radix-partitioned join's build and probe phases all running on a
 // bounded worker pool. Blocks are stored column-major, so a scan is
 // filter-then-copy: the vectorized predicate kernel
 // (predicate.FilterSel) narrows a selection over the block's own
-// vectors and the survivors are bulk-copied into a pooled batch;
-// Batch.Rows() is the one place left that boxes values. There is one
-// hash join and one join table: a columnar build and probe (coljoin.go)
-// that transposes a row batch once on entry and spills under a
-// MemBudget (spill.go). A hyper-join group and a second-pass load of a
-// spilled partition are that same build and probe with a single
-// partition, fed from block vectors or decoded run frames. Drain is the
-// one run loop —
-// Collect and Count, the session and the serving layer all pull a DAG
-// through it. The structural operators of ops.go — Instrument
-// (per-operator rows/batches/time + completion hooks), Concat
-// (sequential stream union) and SwapSides (column-order repair for
-// flipped builds) — are what the planner's compiler wires around these
-// to turn a whole plan tree into one executable DAG.
+// vectors and the survivors are bulk-copied into a pooled batch. There
+// is one hash join and one join table: a columnar build and probe
+// (coljoin.go) that spills under a MemBudget (spill.go). A hyper-join
+// group and a second-pass load of a spilled partition are that same
+// build and probe with a single partition, fed from block vectors or
+// decoded run frames; either join can build on the plan's right side
+// and still emit (left, right) column order. Drain is the one run loop
+// — Collect and Count, the session and the serving layer all pull a
+// DAG through it. The structural operators of ops.go — Instrument
+// (per-operator rows/batches/time + completion hooks) and Concat
+// (sequential stream union) — are what the planner's compiler wires
+// around these to turn a whole plan tree into one executable DAG.
 //
 // The per-node fabric (nodes.go, exchange.go) turns the executor into
 // an N-node simulated cluster: EnableNodes gives every dfs node its own

@@ -10,15 +10,13 @@
 // charging inside the join: what the cost model prices is exactly what
 // physically crossed between nodes.
 //
-// Batch row-ownership rules across an exchange: a batch never crosses
-// the wire — only rows do. The producer packs rows into fresh batches,
-// one pending batch per destination node; ownership of a packed batch
-// passes to the destination node's consumer at channel handoff, and the
-// consumer Releases it. Rows owned by the source batch (join outputs,
-// which die at Release) are carved into the destination batch's own
-// arena; view rows (scan outputs, backed by block storage) are
-// referenced as-is — the simulated store outlives the query, as HDFS
-// blocks outlive a task.
+// Batch ownership across an exchange: a batch never crosses the wire —
+// only rows do. The producer gathers rows into fresh columnar batches,
+// one pending batch per destination node, copying vectors (string
+// payloads are shared, immutable headers), so the source batch can be
+// released at once; ownership of a packed batch passes to the
+// destination node's consumer at channel handoff, and the consumer
+// Releases it.
 //
 // Exchanges charge no MemBudget: the batches in flight are bounded by
 // construction, not by accounting. Each destination channel queues at
@@ -181,86 +179,57 @@ func (x *Exchange) produce(in Operator, src int) {
 		if b == nil {
 			break
 		}
-		if cb := b.Cols(); cb != nil {
-			// Columnar batches route without materializing: the key column
-			// hashes vectorized (Hash64Column matches value.Hash64, so a
-			// row reaches the same node on either path), rows split into
-			// per-destination gather lists, and each list bulk-gathers
-			// column-at-a-time into the destination's pending batch.
-			ln := cb.Len()
-			sel := cb.Sel()
-			if dIdx == nil {
-				dIdx = make([][]int32, n)
-			}
-			switch {
-			case x.key == -1 || x.key == -2:
-				// Broadcast and deal move whole row sets: one gather list
-				// of every selected row, delivered to all nodes or one.
-				list := dIdx[0][:0]
-				for k := 0; k < ln; k++ {
-					i := k
-					if sel != nil {
-						i = int(sel[k])
-					}
-					list = append(list, int32(i))
-				}
-				dIdx[0] = list
-				if x.key == -2 {
-					d := int(x.deal % uint64(n))
-					x.deal++
-					x.packColGather(pend, d, cb, list, src, meter)
-				} else {
-					for d := 0; d < n; d++ {
-						x.packColGather(pend, d, cb, list, src, meter)
-					}
-				}
-			default:
-				hv = cb.Hash64Column(x.key, hv)
-				for k := 0; k < ln; k++ {
-					i := k
-					if sel != nil {
-						i = int(sel[k])
-					}
-					d := 0
-					if !cb.IsNull(x.key, i) {
-						d = int(hv[i] % uint64(n))
-					}
-					dIdx[d] = append(dIdx[d], int32(i))
-				}
-				for d := 0; d < n; d++ {
-					if len(dIdx[d]) == 0 {
-						continue
-					}
-					x.packColGather(pend, d, cb, dIdx[d], src, meter)
-					dIdx[d] = dIdx[d][:0]
-				}
-			}
-			b.Release()
-			continue
+		// Rows route without being boxed: the key column hashes
+		// vectorized (Hash64Column matches value.Hash64), rows split into
+		// per-destination gather lists, and each list bulk-gathers
+		// column-at-a-time into the destination's pending batch.
+		cb := b.Cols()
+		ln := cb.Len()
+		sel := cb.Sel()
+		if dIdx == nil {
+			dIdx = make([][]int32, n)
 		}
-		owned := b.OwnsRows()
 		switch {
-		case x.key == -1:
-			// Broadcast: every node gets every row exactly once.
-			for _, r := range b.Rows() {
-				for d := 0; d < n; d++ {
-					x.pack(pend, d, r, owned, src, meter)
+		case x.key == -1 || x.key == -2:
+			// Broadcast and deal move whole row sets: one gather list of
+			// every selected row, delivered to all nodes or one.
+			list := dIdx[0][:0]
+			for k := 0; k < ln; k++ {
+				i := k
+				if sel != nil {
+					i = int(sel[k])
 				}
+				list = append(list, int32(i))
 			}
-		case x.key == -2:
-			// Deal: the whole batch goes to one node, batches rotate.
-			d := int(x.deal % uint64(n))
-			x.deal++
-			for _, r := range b.Rows() {
-				x.pack(pend, d, r, owned, src, meter)
+			dIdx[0] = list
+			if x.key == -2 {
+				d := int(x.deal % uint64(n))
+				x.deal++
+				x.packColGather(pend, d, cb, list, src, meter)
+			} else {
+				for d := 0; d < n; d++ {
+					x.packColGather(pend, d, cb, list, src, meter)
+				}
 			}
 		default:
-			for _, r := range b.Rows() {
-				d := 0
-				if k := r[x.key]; !k.IsNull() {
-					d = int(k.Hash64() % uint64(n))
+			hv = cb.Hash64Column(x.key, hv)
+			for k := 0; k < ln; k++ {
+				i := k
+				if sel != nil {
+					i = int(sel[k])
 				}
-				x.pack(pend, d, r, owned, src, meter)
+				d := 0
+				if !cb.IsNull(x.key, i) {
+					d = int(hv[i] % uint64(n))
+				}
+				dIdx[d] = append(dIdx[d], int32(i))
+			}
+			for d := 0; d < n; d++ {
+				if len(dIdx[d]) == 0 {
+					continue
+				}
+				x.packColGather(pend, d, cb, dIdx[d], src, meter)
+				dIdx[d] = dIdx[d][:0]
 			}
 		}
 		b.Release()
@@ -277,34 +246,6 @@ func (x *Exchange) produce(in Operator, src int) {
 	}
 }
 
-// pack appends a row to the pending batch of destination d, rotating
-// full batches onto the destination channel.
-func (x *Exchange) pack(pend []*Batch, d int, r tuple.Tuple, owned bool, src int, meter meterSink) {
-	pb := pend[d]
-	if pb != nil && pb.Cols() != nil {
-		// Form flip: a row batch follows columnar packing (e.g. a spill
-		// second pass behind gathered first-pass output). Seal the pending
-		// columnar batch short rather than materializing it.
-		x.send(d, pb, src, meter)
-		pb = nil
-	}
-	if pb == nil {
-		pb = NewBatch()
-		pend[d] = pb
-	}
-	if owned {
-		// The source batch's rows die at its Release; carve a copy into
-		// the destination batch's own arena.
-		pb.AppendConcat(r, nil)
-	} else {
-		pb.Append(r)
-	}
-	if pb.Full() {
-		x.send(d, pb, src, meter)
-		pend[d] = nil
-	}
-}
-
 // packColGather appends the listed physical rows of a columnar source
 // to destination d's pending columnar batch in capacity-sized chunks —
 // one bulk gather per column per chunk, string payloads shared, never
@@ -313,10 +254,6 @@ func (x *Exchange) pack(pend []*Batch, d int, r tuple.Tuple, owned bool, src int
 func (x *Exchange) packColGather(pend []*Batch, d int, cb *tuple.Columns, idxs []int32, src int, meter meterSink) {
 	for len(idxs) > 0 {
 		pb := pend[d]
-		if pb != nil && pb.Cols() == nil {
-			x.send(d, pb, src, meter) // form flip, row → columnar
-			pb = nil
-		}
 		if pb == nil {
 			pb = NewColBatch(cb.NumCols())
 			pend[d] = pb
@@ -341,7 +278,7 @@ func (x *Exchange) packColGather(pend []*Batch, d int, cb *tuple.Columns, idxs [
 }
 
 // meterSink is the single method exchanges need from a meter; it keeps
-// produce/pack testable and the accounting point explicit. The (src,
+// produce/packColGather testable and the accounting point explicit. The (src,
 // dst) link identity feeds the per-link accounting of cluster/links.go
 // (cluster.Meter satisfies this via AddExchangeAt).
 type meterSink interface {
@@ -356,13 +293,7 @@ func (x *Exchange) send(d int, b *Batch, src int, meter meterSink) {
 	remote := src != d && x.ns.N() > 1
 	bytes := 0
 	if remote {
-		if cb := b.Cols(); cb != nil {
-			bytes = colWireBytes(cb)
-		} else {
-			for _, r := range b.Rows() {
-				bytes += rowWireBytes(r)
-			}
-		}
+		bytes = BatchWireBytes(b)
 	}
 	meter.AddExchangeAt(src, d, b.Len(), bytes, remote)
 	o := x.outs[d]
@@ -387,24 +318,14 @@ func (x *Exchange) firstErr() error {
 	return x.err
 }
 
-// rowWireBytes approximates a row's serialized size: the fixed value
-// header plus string payloads — cheap to compute per row, stable across
-// runs, and close enough for a simulated network's byte counters.
-func rowWireBytes(r tuple.Tuple) int {
-	n := 0
-	for _, v := range r {
-		n += 16
-		if v.K == value.String {
-			n += len(v.S)
-		}
-	}
-	return n
-}
-
-// colWireBytes is rowWireBytes over a columnar batch: the same fixed
-// header per cell plus string payload lengths, summed column-at-a-time
-// (null cells hold zero-length headers, matching the row accounting).
-func colWireBytes(c *tuple.Columns) int {
+// BatchWireBytes approximates a batch's serialized size: a fixed 16-byte
+// value header per cell plus string payloads, summed column-at-a-time
+// (null cells count the header only) — cheap, stable across runs, and
+// close enough for a simulated network's byte counters. The TCP fabric
+// meters with it too, so its exchange counters price identically to
+// the simulated fabric's for the same row flow.
+func BatchWireBytes(b *Batch) int {
+	c := b.Cols()
 	ln := c.Len()
 	ncols := c.NumCols()
 	total := ln * 16 * ncols

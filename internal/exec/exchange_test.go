@@ -271,7 +271,7 @@ func TestSpillIndependentOfExchangeTiming(t *testing.T) {
 		}
 		ops := make([]Operator, n)
 		for i := range ops {
-			ops[i] = NewColSource(parts[i])
+			ops[i] = NewSource(parts[i])
 		}
 		return ops
 	}

@@ -116,7 +116,7 @@ func shuffleJoinTables(t *testing.T, ex *Executor, left *core.Table, lPreds []pr
 func hyperJoin(tb testing.TB, ex *Executor, rRefs []core.BlockRef, rPreds []predicate.Predicate, rCol int,
 	sRefs []core.BlockRef, sPreds []predicate.Predicate, sCol int, budget int) ([]tuple.Tuple, HyperStats) {
 	tb.Helper()
-	op := ex.NewHyperJoinOp(rRefs, rPreds, rCol, sRefs, sPreds, sCol, budget)
+	op := ex.NewHyperJoinOp(rRefs, rPreds, rCol, sRefs, sPreds, sCol, budget, false)
 	rows, err := Collect(op)
 	if err != nil {
 		tb.Fatal(err)
@@ -226,7 +226,7 @@ func TestHyperJoinMatchesShuffleJoin(t *testing.T) {
 func TestHyperJoinEmitsColumnarBatches(t *testing.T) {
 	f := newFixture(t, true)
 	preds := []predicate.Predicate{predicate.NewCmp(2, predicate.LT, value.NewInt(2000))}
-	op := f.ex.NewHyperJoinOp(f.line.Refs(0, preds), preds, 0, f.ord.Refs(0, nil), nil, 0, 4)
+	op := f.ex.NewHyperJoinOp(f.line.Refs(0, preds), preds, 0, f.ord.Refs(0, nil), nil, 0, 4, false)
 	if err := op.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -241,9 +241,6 @@ func TestHyperJoinEmitsColumnarBatches(t *testing.T) {
 			break
 		}
 		cb := b.Cols()
-		if cb == nil {
-			t.Fatalf("hyper-join emitted a row batch of %d rows", b.Len())
-		}
 		if cb.NumCols() != lineSch.NumCols()+orderSch.NumCols() || cb.Col(0).Kind() != value.Int {
 			t.Fatalf("batch has %d columns, first of kind %v", cb.NumCols(), cb.Col(0).Kind())
 		}
@@ -259,6 +256,36 @@ func TestHyperJoinEmitsColumnarBatches(t *testing.T) {
 	if rows == 0 {
 		t.Fatal("hyper-join produced nothing")
 	}
+}
+
+// TestHyperJoinBuildIsRightEmitsLeftRight: a hyper-join that builds on
+// the plan's right side (orders) emits columnar batches in (left,
+// right) order by itself — lineitem's columns, then orders' — holding
+// the same rows as the unflipped join and the nested-loop oracle.
+func TestHyperJoinBuildIsRightEmitsLeftRight(t *testing.T) {
+	f := newFixture(t, true)
+	lRefs, oRefs := f.line.Refs(0, nil), f.ord.Refs(0, nil)
+	op := f.ex.NewHyperJoinOp(oRefs, nil, 0, lRefs, nil, 0, 4, true)
+	var got []tuple.Tuple
+	if _, err := Drain(nil, op, func(b *Batch) error {
+		cb := b.Cols()
+		if cb == nil {
+			t.Fatalf("flipped hyper-join emitted a row batch of %d rows", b.Len())
+		}
+		if cb.NumCols() != lineSch.NumCols()+orderSch.NumCols() {
+			t.Fatalf("batch has %d columns", cb.NumCols())
+		}
+		got = append(got, b.Rows()...)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) == 0 {
+		t.Fatal("flipped hyper-join produced nothing")
+	}
+	unflipped, _ := hyperJoin(t, f.ex, lRefs, nil, 0, oRefs, nil, 0, 4)
+	rowsEqualSorted(t, got, unflipped)
+	rowsEqualSorted(t, got, NestedLoopJoin(f.lrows, f.orows, 0, 0))
 }
 
 func TestHyperJoinCoPartitionedCHyJNearOne(t *testing.T) {

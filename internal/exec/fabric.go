@@ -97,21 +97,6 @@ func (f simFabric) Deal(in Operator) Exchanger      { return f.ns.Deal(in) }
 
 func (f simFabric) Gather(parts []Operator) Operator { return Gather(parts...) }
 
-// BatchWireBytes approximates a batch's serialized size with the same
-// estimate the simulated exchanges meter (fixed header per value plus
-// string payloads), so a TCP fabric's exchange counters price
-// identically to the simulated fabric's for the same row flow.
-func BatchWireBytes(b *Batch) int {
-	if cb := b.Cols(); cb != nil {
-		return colWireBytes(cb)
-	}
-	n := 0
-	for _, r := range b.Rows() {
-		n += rowWireBytes(r)
-	}
-	return n
-}
-
 // NotHere returns the placeholder operator a multi-process fabric hands
 // out for fragments hosted in another process. Opening one is a plan
 // wiring bug — a fragment was driven in a process that does not own it —

@@ -1,8 +1,8 @@
 // Structural operators for composing plan DAGs: per-operator
-// instrumentation (Instrument), sequential stream union (Concat), and
-// column-order repair for flipped joins (SwapSides). The planner's
-// compiler (internal/planner) wires these around scans and joins to
-// turn a plan tree into one executable, fully pipelined Operator.
+// instrumentation (Instrument) and sequential stream union (Concat).
+// The planner's compiler (internal/planner) wires these around scans
+// and joins to turn a plan tree into one executable, fully pipelined
+// Operator.
 package exec
 
 import (
@@ -196,45 +196,3 @@ func (c *concatOp) Close() error {
 	}
 	return nil
 }
-
-// SwapSides moves each row's trailing tail columns to the front:
-// x‖y → y‖x with len(y) == tail. A hyper-join that builds on the plan's
-// right side emits (right, left) rows; wrapping it in SwapSides(op,
-// leftWidth) restores the plan's (left, right) column order without
-// materializing anything. Output rows are carved into the output
-// batch's own arena (owned rows), so inputs of either lifetime are
-// handled.
-func SwapSides(child Operator, tail int) Operator {
-	return &swapOp{child: child, tail: tail}
-}
-
-type swapOp struct {
-	child Operator
-	tail  int
-}
-
-func (s *swapOp) Open() error { return s.child.Open() }
-
-func (s *swapOp) Next() (*Batch, error) {
-	for {
-		in, err := s.child.Next()
-		if err != nil || in == nil {
-			return nil, err
-		}
-		out := NewBatch()
-		for _, r := range in.Rows() {
-			cut := len(r) - s.tail
-			if cut < 0 {
-				cut = 0
-			}
-			out.AppendConcat(r[cut:], r[:cut])
-		}
-		in.Release()
-		if out.Len() > 0 {
-			return out, nil
-		}
-		out.Release()
-	}
-}
-
-func (s *swapOp) Close() error { return s.child.Close() }

@@ -107,25 +107,3 @@ func TestConcatPropagatesChildErrors(t *testing.T) {
 		t.Fatalf("next error not propagated: %v", err)
 	}
 }
-
-func TestSwapSidesRestoresColumnOrder(t *testing.T) {
-	// Rows laid out (right‖left) with left width 1: [r1, r2, l].
-	rows := []tuple.Tuple{
-		{value.NewInt(10), value.NewInt(11), value.NewInt(1)},
-		{value.NewInt(20), value.NewInt(21), value.NewInt(2)},
-	}
-	out, err := Collect(SwapSides(NewSource(rows), 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	SortRows(out)
-	if len(out) != 2 {
-		t.Fatalf("rows = %d, want 2", len(out))
-	}
-	if out[0][0].Int64() != 1 || out[0][1].Int64() != 10 || out[0][2].Int64() != 11 {
-		t.Fatalf("swapped row = %v", out[0])
-	}
-	if out[1][0].Int64() != 2 || out[1][1].Int64() != 20 || out[1][2].Int64() != 21 {
-		t.Fatalf("swapped row = %v", out[1])
-	}
-}

@@ -1,12 +1,15 @@
 // Batched, pipelined execution: the Operator/Batch data plane.
 //
-// Operators stream fixed-capacity Batches through Open/Next/Close
-// instead of materializing a []tuple.Tuple at every boundary: scans
-// read column-major blocks on a bounded worker pool, filter their
-// vectors and copy the survivors into columnar batches, joins build a hash table from their build input and then
-// stream probe batches through it (the build and probe bodies live in
-// coljoin.go, the spilling half in spill.go). Drain is the one run
-// loop; Collect and Count are its materializing and counting forms.
+// Operators stream fixed-capacity, columnar Batches through
+// Open/Next/Close instead of materializing a []tuple.Tuple at every
+// boundary: scans read column-major blocks on a bounded worker pool,
+// filter their vectors and copy the survivors into batches; filters
+// narrow a batch's selection in place; joins build a hash table from
+// their build input and then stream probe batches through it (the
+// build and probe bodies live in coljoin.go, the spilling half in
+// spill.go). Rows enter only through NewSource and leave only through
+// Batch.Rows. Drain is the one run loop; Collect and Count are its
+// materializing and counting forms.
 package exec
 
 import (
@@ -28,106 +31,60 @@ import (
 // interface-call overhead across the chunk.
 const DefaultBatchSize = 1024
 
-// Batch is a fixed-capacity chunk of rows flowing between operators.
-// A batch received from Next is owned by the caller until it calls
-// Release; the rows are immutable and must not be mutated.
-//
-// Rows come in two lifetimes, reported by OwnsRows: view rows (row
-// sources) reference storage that outlives the batch, while owned rows
-// (columnar batches — scans copy block vectors, they never alias them —
-// and row-shaped join outputs) live in the batch's recycled vectors or
-// value arena and die at Release. Consumers that retain rows past Release must copy
-// owned rows first — Collect does. This is what lets a streaming join
-// produce zero garbage per row: the output arena cycles through the
-// batch pool instead of through the garbage collector.
+// Batch is a fixed-capacity chunk of rows flowing between operators,
+// held column-major: a pooled tuple.Columns of typed vectors, validity
+// bitmaps and an optional selection vector. A batch received from Next
+// is owned by the caller until it calls Release; its vectors are
+// immutable and die at Release, when the pool recycles them — which is
+// what lets scans, joins and exchanges stream with zero garbage per
+// row. Rows boxes a batch's rows into storage that outlives it.
 type Batch struct {
-	rows []tuple.Tuple
-	// vals is the batch-owned value arena AppendConcat carves output
-	// rows from; it is recycled (uncleared) with the batch.
-	vals tuple.Tuple
-	// cols is the batch's columnar payload (typed vectors, validity
-	// bitmaps, selection vector — see tuple.Columns), live while colsOn
-	// is set. Columnar batches keep rows empty until a consumer asks for
-	// the row view; Rows() then materializes once and flips colsOn off.
-	// The Columns value is retained across pool cycles so its vectors
-	// recycle like the row arena does.
-	cols   *tuple.Columns
-	colsOn bool
-	// pooled marks batches whose backing array the pool owns. Batches
-	// that alias caller-provided slices (Source views) are never
-	// recycled, so releasing them cannot corrupt the source rows.
+	// cols is retained across pool cycles so its vectors recycle.
+	cols *tuple.Columns
+	// pooled marks batches the pool may recycle. A batch whose vectors
+	// grew past DefaultBatchSize is un-pooled, so the pool never
+	// accumulates oversized vector storage (string payloads are shared
+	// headers, so vectors never balloon on payload bytes).
 	pooled bool
-	// owned marks batches whose rows live in vals (see OwnsRows).
-	owned bool
 }
 
-// Rows returns the batch's rows. The slice is only valid until Release;
-// so are the rows themselves when OwnsRows reports true.
-//
-// On a columnar batch this is the adapter seam: the first call boxes
-// the selected rows into the batch's value arena (string payload bytes
-// are shared with the vectors' backing, never copied — only headers
-// move) and the batch behaves as an owned-row batch from then on. Cold
-// operators — Collect, sorts — keep working unchanged; hot operators
-// ask for Cols() first and never pay this.
+// Rows boxes the batch's selected rows into fresh storage the caller
+// owns: the rows stay valid after Release and after the pool reuses the
+// batch (string payloads are shared, immutable headers). It is the
+// client edge's materializer — Collect and the serving layer's result
+// rows; operators read Cols and never box a value.
 func (b *Batch) Rows() []tuple.Tuple {
-	if b.colsOn {
-		b.materializeRows()
+	c := b.cols
+	n, ncols := c.Len(), c.NumCols()
+	rows := make([]tuple.Tuple, n)
+	vals := make(tuple.Tuple, n*ncols)
+	sel := c.Sel()
+	for k := range rows {
+		i := k
+		if sel != nil {
+			i = int(sel[k])
+		}
+		r := vals[k*ncols : (k+1)*ncols : (k+1)*ncols]
+		for ci := range r {
+			r[ci] = c.Value(ci, i)
+		}
+		rows[k] = r
 	}
-	return b.rows
+	return rows
 }
 
-// Cols returns the batch's live columnar payload, nil for row batches
-// (including columnar batches already materialized through Rows).
-func (b *Batch) Cols() *tuple.Columns {
-	if b.colsOn {
-		return b.cols
-	}
-	return nil
-}
+// Cols returns the batch's columnar payload (never nil).
+func (b *Batch) Cols() *tuple.Columns { return b.cols }
 
-// OwnsRows reports whether the rows are carved from the batch's own
-// storage and become invalid at Release. Consumers that retain such
-// rows must copy them first.
-func (b *Batch) OwnsRows() bool { return b.owned }
-
-// Len returns the number of rows in the batch.
-func (b *Batch) Len() int {
-	if b.colsOn {
-		return b.cols.Len()
-	}
-	return len(b.rows)
-}
+// Len returns the number of live rows in the batch.
+func (b *Batch) Len() int { return b.cols.Len() }
 
 // Full reports whether the batch reached its capacity.
-func (b *Batch) Full() bool {
-	if b.colsOn {
-		return b.cols.Len() >= DefaultBatchSize
-	}
-	return len(b.rows) == cap(b.rows)
-}
+func (b *Batch) Full() bool { return b.cols.Len() >= DefaultBatchSize }
 
-// Append adds a row. Appending beyond capacity grows the batch rather
-// than failing; operators check Full() to keep batches fixed-size. A
-// pooled batch that grows is un-pooled first, so the pool never
-// accumulates oversized backing arrays. Appending a row to a columnar
-// batch materializes its row view first.
-func (b *Batch) Append(t tuple.Tuple) {
-	if b.colsOn {
-		b.materializeRows()
-	}
-	if b.pooled && len(b.rows) == cap(b.rows) {
-		b.pooled = false
-	}
-	b.rows = append(b.rows, t)
-}
-
-// AppendColRow adds one row to a columnar batch's vectors — the
-// transpose step scans and columnar sources use. Mirroring Append's
-// rule for row batches, growing the vectors past the standard batch
-// capacity un-pools the batch so the pool never accumulates oversized
-// vector storage (the columnar pool-poisoning defense; string payloads
-// are shared headers, so vectors never balloon on payload bytes).
+// AppendColRow adds one row to the batch's vectors — how group-by emits
+// its groups. Growing the vectors past the standard batch capacity
+// un-pools the batch (see Batch.pooled).
 func (b *Batch) AppendColRow(t tuple.Tuple) {
 	if b.pooled && b.cols.FullLen() >= DefaultBatchSize {
 		b.pooled = false
@@ -166,9 +123,8 @@ func (b *Batch) AppendColRange(src *tuple.Columns, from, to int) {
 	b.cols.AppendRange(src, from, to)
 }
 
-// AppendColRows bulk-transposes rows into a columnar batch —
-// ColSource's batch-at-a-time form of AppendColRow, with the same
-// un-pool rule for growth past the standard capacity.
+// AppendColRows bulk-transposes rows into the batch — Source's
+// batch-at-a-time form of AppendColRow, with the same un-pool rule.
 func (b *Batch) AppendColRows(rows []tuple.Tuple) {
 	if b.pooled && b.cols.FullLen()+len(rows) > DefaultBatchSize {
 		b.pooled = false
@@ -176,91 +132,18 @@ func (b *Batch) AppendColRows(rows []tuple.Tuple) {
 	b.cols.AppendRows(rows)
 }
 
-// materializeRows converts the columnar payload into owned rows, once.
-func (b *Batch) materializeRows() {
-	c := b.cols
-	b.colsOn = false
-	b.owned = true
-	n := c.Len()
-	if n == 0 {
-		return
-	}
-	ncols := c.NumCols()
-	if need := n * ncols; cap(b.vals)-len(b.vals) < need {
-		b.vals = make(tuple.Tuple, 0, need)
-	}
-	if b.pooled && n > cap(b.rows) {
-		b.pooled = false
-	}
-	sel := c.Sel()
-	for k := 0; k < n; k++ {
-		i := k
-		if sel != nil {
-			i = int(sel[k])
-		}
-		off := len(b.vals)
-		for ci := 0; ci < ncols; ci++ {
-			b.vals = append(b.vals, c.Value(ci, i))
-		}
-		b.rows = append(b.rows, b.vals[off:off+ncols:off+ncols])
-	}
-}
-
-// AppendConcat carves x‖y into the batch's own value arena and appends
-// the row — the allocation-free emit path for join outputs. The arena
-// grows at most once per batch fill (sized for the remaining row
-// capacity) and is recycled with the batch; rows appended this way are
-// only valid until Release (see OwnsRows).
-func (b *Batch) AppendConcat(x, y tuple.Tuple) {
-	b.owned = true
-	n := len(x) + len(y)
-	if n == 0 {
-		b.Append(tuple.Tuple{})
-		return
-	}
-	if cap(b.vals)-len(b.vals) < n {
-		// Earlier rows keep the outgrown array alive until Release; the
-		// new array is sized so a uniform-width fill never regrows.
-		need := n * (cap(b.rows) - len(b.rows))
-		if need < n {
-			need = n
-		}
-		b.vals = make(tuple.Tuple, 0, need)
-	}
-	off := len(b.vals)
-	b.vals = append(b.vals, x...)
-	b.vals = append(b.vals, y...)
-	b.Append(b.vals[off : off+n : off+n])
-}
-
 var batchPool = sync.Pool{
-	New: func() any {
-		return &Batch{rows: make([]tuple.Tuple, 0, DefaultBatchSize), pooled: true}
-	},
+	New: func() any { return &Batch{pooled: true} },
 }
 
-// NewBatch returns an empty pooled batch with DefaultBatchSize capacity.
-func NewBatch() *Batch {
-	b := batchPool.Get().(*Batch)
-	b.rows = b.rows[:0]
-	b.owned = false
-	b.colsOn = false
-	return b
-}
-
-// NewColBatch returns an empty pooled batch in columnar form with ncols
-// columns. Columnar batches always own their storage (vectors and
-// string arenas die at Release), so OwnsRows reports true from birth.
+// NewColBatch returns an empty pooled batch with ncols columns.
 func NewColBatch(ncols int) *Batch {
 	b := batchPool.Get().(*Batch)
-	b.rows = b.rows[:0]
-	b.owned = true
 	if b.cols == nil {
 		b.cols = tuple.NewColumns(ncols)
 	} else {
 		b.cols.Reset(ncols)
 	}
-	b.colsOn = true
 	return b
 }
 
@@ -282,16 +165,13 @@ func DecodeColBatch(frame []byte) (*Batch, error) {
 	return b, nil
 }
 
-// Release returns a pooled batch's backing arrays (rows and value
-// arena) for reuse. Safe to call on view batches (no-op) and required
-// etiquette for every batch a consumer finishes with — Collect and
-// Count do it automatically. The arena is truncated, not cleared: stale
-// values linger until overwritten, a bounded retention the zero-GC emit
-// path deliberately trades for.
+// Release returns a pooled batch's vectors for reuse — required
+// etiquette for every batch a consumer finishes with; Drain does it
+// automatically. The vectors are truncated, not cleared: stale values
+// linger until overwritten, a bounded retention the zero-GC emit path
+// deliberately trades for.
 func (b *Batch) Release() {
 	if b.pooled {
-		b.vals = b.vals[:0]
-		b.colsOn = false
 		batchPool.Put(b)
 	}
 }
@@ -313,11 +193,11 @@ type Operator interface {
 // Drain is the engine's one run loop: it opens op, pulls it to
 // exhaustion handing every batch to sink, and closes it, returning the
 // rows seen. A nil sink just counts. The batch is released after sink
-// returns, so a sink that retains owned rows (OwnsRows) must copy them
-// first. A non-nil ctx is checked at every batch boundary: even when
-// the operators have already buffered the remaining output (so no
-// worker observes the cancellation), a cancelled query stops
-// delivering and errors promptly.
+// returns, so a sink that retains rows must box them first (Rows). A
+// non-nil ctx is checked at every batch boundary: even when the
+// operators have already buffered the remaining output (so no worker
+// observes the cancellation), a cancelled query stops delivering and
+// errors promptly.
 func Drain(ctx context.Context, op Operator, sink func(*Batch) error) (int, error) {
 	if err := op.Open(); err != nil {
 		return 0, err
@@ -348,22 +228,12 @@ func Drain(ctx context.Context, op Operator, sink func(*Batch) error) (int, erro
 	}
 }
 
-// Collect drains an operator into a materialized row slice. Rows owned
-// by their batch (join outputs, columnar batches) are copied out
-// through an arena before the batch is released; view rows are
-// referenced directly.
+// Collect drains an operator into a materialized row slice, boxing each
+// batch's rows (Rows) before the batch is released.
 func Collect(op Operator) ([]tuple.Tuple, error) {
 	var out []tuple.Tuple
-	var arena tuple.Arena
 	_, err := Drain(nil, op, func(b *Batch) error {
-		rows := b.Rows()
-		if b.OwnsRows() {
-			for _, r := range rows {
-				out = append(out, arena.Concat(r, nil))
-			}
-		} else {
-			out = append(out, rows...)
-		}
+		out = append(out, b.Rows()...)
 		return nil
 	})
 	return out, err
@@ -376,9 +246,9 @@ func Count(op Operator) (int, error) {
 	return Drain(nil, op, nil)
 }
 
-// Source adapts an in-memory row slice into an Operator. Batches are
-// zero-copy views of the slice (see tuple.Views), so a Source costs no
-// allocation beyond the view headers.
+// Source adapts an in-memory row slice into an Operator — the one place
+// rows enter the engine. Each batch is a fresh pooled transpose of up to
+// DefaultBatchSize rows, the in-memory analogue of a scan.
 type Source struct {
 	views [][]tuple.Tuple
 	pos   int
@@ -392,60 +262,20 @@ func NewSource(rows []tuple.Tuple) *Source {
 // Open resets the source to the first batch.
 func (s *Source) Open() error { s.pos = 0; return nil }
 
-// Next returns the next view batch.
-func (s *Source) Next() (*Batch, error) {
-	if s.pos >= len(s.views) {
-		return nil, nil
-	}
-	b := &Batch{rows: s.views[s.pos]}
-	s.pos++
-	return b, nil
-}
-
-// Close is a no-op for sources.
-func (s *Source) Close() error { return nil }
-
-// ColSource adapts an in-memory row slice into a columnar Operator:
-// each batch is a fresh transpose of up to DefaultBatchSize rows — the
-// in-memory analogue of the columnar scan path. Tests and the
-// differential harness use it to drive the vectorized operators with
-// columnar inputs directly.
-type ColSource struct {
-	views [][]tuple.Tuple
-	pos   int
-}
-
-// NewColSource builds a columnar source over rows.
-func NewColSource(rows []tuple.Tuple) *ColSource {
-	return &ColSource{views: tuple.Views(rows, DefaultBatchSize)}
-}
-
-// Open resets the source to the first batch.
-func (s *ColSource) Open() error { s.pos = 0; return nil }
-
 // Next transposes and returns the next batch.
-func (s *ColSource) Next() (*Batch, error) {
+func (s *Source) Next() (*Batch, error) {
 	if s.pos >= len(s.views) {
 		return nil, nil
 	}
 	rows := s.views[s.pos]
 	s.pos++
-	return transposeRows(rows), nil
-}
-
-// transposeRows copies rows into a fresh pooled columnar batch.
-func transposeRows(rows []tuple.Tuple) *Batch {
-	ncols := 0
-	if len(rows) > 0 {
-		ncols = len(rows[0])
-	}
-	b := NewColBatch(ncols)
+	b := NewColBatch(len(rows[0]))
 	b.AppendColRows(rows)
-	return b
+	return b, nil
 }
 
 // Close is a no-op for sources.
-func (s *ColSource) Close() error { return nil }
+func (s *Source) Close() error { return nil }
 
 // ScanOp returns an operator that reads the refs' blocks on the
 // executor's bounded worker pool, filters by the predicate conjunction,
@@ -669,38 +499,17 @@ func (f *filterOp) Next() (*Batch, error) {
 		if err != nil || in == nil {
 			return nil, err
 		}
-		if cb := in.Cols(); cb != nil {
-			// Columnar batch: the predicate kernel narrows the selection
-			// vector in place — no row moves, no value is boxed, no new
-			// batch. Rejected rows just leave the selection; downstream
-			// operators iterate what survives.
-			cb.NarrowSel(func(sel, buf []int32) []int32 {
-				return predicate.FilterSel(f.preds, cb, sel, buf)
-			})
-			if cb.Len() > 0 {
-				return in, nil
-			}
-			in.Release()
-			continue
-		}
-		out := NewBatch()
-		owned := in.OwnsRows()
-		for _, r := range in.Rows() {
-			if predicate.MatchesAll(f.preds, r) {
-				if owned {
-					// The child batch's rows die when it is released;
-					// carve survivors into this batch's own arena.
-					out.AppendConcat(r, nil)
-				} else {
-					out.Append(r)
-				}
-			}
+		// The predicate kernel narrows the selection vector in place — no
+		// row moves, no value is boxed, no new batch. Rejected rows just
+		// leave the selection; downstream operators iterate what survives.
+		cb := in.Cols()
+		cb.NarrowSel(func(sel, buf []int32) []int32 {
+			return predicate.FilterSel(f.preds, cb, sel, buf)
+		})
+		if cb.Len() > 0 {
+			return in, nil
 		}
 		in.Release()
-		if out.Len() > 0 {
-			return out, nil
-		}
-		out.Release()
 	}
 }
 
@@ -951,7 +760,7 @@ func (j *hashJoinOp) Open() error {
 	return nil
 }
 
-// dispatchProbe feeds probe batches to the workers, in columnar form
+// dispatchProbe feeds non-empty probe batches to the workers
 // (joinInput). A single goroutine owns probe.Next; even with an empty
 // hash table the probe side drains so its rows pass the chargeRows
 // wrapper and are metered.
@@ -1064,6 +873,9 @@ type HyperJoinOp struct {
 	rPredsKeyed []predicate.Predicate
 	rCol, sCol  int
 	budget      int
+	// buildIsRight emits S‖R instead of R‖S: the planner builds on the
+	// plan's right side and still gets (left, right) column order.
+	buildIsRight bool
 
 	plan    HyperPlan
 	stats   HyperStats
@@ -1082,12 +894,14 @@ type HyperJoinOp struct {
 }
 
 // NewHyperJoinOp builds the streaming hyper-join over pre-pruned build
-// (R) and probe (S) refs.
+// (R) and probe (S) refs. Output rows are R‖S, or S‖R with buildIsRight
+// set — how a join that builds on the plan's right side keeps the
+// plan's (left, right) column order.
 func (e *Executor) NewHyperJoinOp(rRefs []core.BlockRef, rPreds []predicate.Predicate, rCol int,
-	sRefs []core.BlockRef, sPreds []predicate.Predicate, sCol int, budget int) *HyperJoinOp {
+	sRefs []core.BlockRef, sPreds []predicate.Predicate, sCol int, budget int, buildIsRight bool) *HyperJoinOp {
 	return &HyperJoinOp{
 		e: e, rRefs: rRefs, sRefs: sRefs, rPreds: rPreds, sPreds: sPreds,
-		rCol: rCol, sCol: sCol, budget: budget,
+		rCol: rCol, sCol: sCol, budget: budget, buildIsRight: buildIsRight,
 	}
 }
 
@@ -1158,8 +972,8 @@ func (h *HyperJoinOp) worker() {
 // their Hash64Column hashes and chained (newColPart), and every S block
 // is probed in place — a selection over the block's own vectors —
 // through the typed probe loops and pair-gather emission of coljoin.go,
-// so output batches are columnar (R columns, then S columns) and no row
-// is boxed.
+// so output batches are columnar (R columns, then S columns, or the
+// reverse with buildIsRight) and no row is boxed.
 func (h *HyperJoinOp) runGroup(group []int) bool {
 	// The group's task runs where its first R block lives. Block metadata
 	// knows the group's exact row count up front, so the store is born at
@@ -1169,7 +983,7 @@ func (h *HyperJoinOp) runGroup(group []int) bool {
 	for _, i := range group {
 		est += h.rRefs[i].Meta.Count
 	}
-	gj := onePartJoin(h.e, h.rCol, h.sCol, false, h.out, h.done)
+	gj := onePartJoin(h.e, h.rCol, h.sCol, h.buildIsRight, h.out, h.done)
 	var store *tuple.Columns
 	hashes := make([]uint64, 0, est)
 	var hv []uint64

@@ -77,23 +77,15 @@ func TestScanOpEarlyClose(t *testing.T) {
 }
 
 func TestJoinOpMatchesHashJoinRows(t *testing.T) {
-	// A join fed row batches (transposed by the feeders) and one fed
-	// columnar batches must both match the oracle.
 	l := genLineitem(400, 21)
 	r := genOrders(300, 22)
 	store := dfs.NewStore(2, 1, 1)
 	ex := New(store, &cluster.Meter{})
-	want := NestedLoopJoin(l, r, 0, 0)
-	rowsGot, err := Collect(ex.JoinOp(NewSource(l), 0, NewSource(r), 0, JoinOptions{}))
+	got, err := Collect(ex.JoinOp(NewSource(l), 0, NewSource(r), 0, JoinOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowsEqualSorted(t, rowsGot, want)
-	colGot, err := Collect(ex.JoinOp(NewColSource(l), 0, NewColSource(r), 0, JoinOptions{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rowsEqualSorted(t, colGot, want)
+	rowsEqualSorted(t, got, NestedLoopJoin(l, r, 0, 0))
 }
 
 func TestJoinOpBuildIsRightKeepsColumnOrder(t *testing.T) {
@@ -153,7 +145,7 @@ func TestHyperJoinOpStreamsSameRowsAsAdapter(t *testing.T) {
 	f := newFixture(t, true)
 	rRefs := f.line.Refs(0, nil)
 	sRefs := f.ord.Refs(0, nil)
-	op := f.ex.NewHyperJoinOp(rRefs, nil, 0, sRefs, nil, 0, 4)
+	op := f.ex.NewHyperJoinOp(rRefs, nil, 0, sRefs, nil, 0, 4, false)
 	n, err := Count(op)
 	if err != nil {
 		t.Fatal(err)
@@ -169,48 +161,19 @@ func TestHyperJoinOpStreamsSameRowsAsAdapter(t *testing.T) {
 	}
 }
 
-func TestSourceBatchesAreViews(t *testing.T) {
-	rows := genLineitem(3*DefaultBatchSize+17, 27)
-	src := NewSource(rows)
-	if err := src.Open(); err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for {
-		b, err := src.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b == nil {
-			break
-		}
-		if b.Len() > DefaultBatchSize {
-			t.Errorf("batch of %d rows exceeds DefaultBatchSize", b.Len())
-		}
-		if &b.Rows()[0][0] != &rows[total][0] {
-			t.Errorf("source batch at row %d is a copy, want a view", total)
-		}
-		total += b.Len()
-		b.Release() // must be a no-op for view batches
-	}
-	if total != len(rows) {
-		t.Errorf("source streamed %d rows, want %d", total, len(rows))
-	}
-}
-
 func TestBatchPoolRoundTrip(t *testing.T) {
-	b := NewBatch()
-	if b.Len() != 0 || cap(b.rows) != DefaultBatchSize {
-		t.Fatalf("fresh batch len=%d cap=%d", b.Len(), cap(b.rows))
+	b := NewColBatch(1)
+	if b.Len() != 0 || b.Cols().NumCols() != 1 {
+		t.Fatalf("fresh batch len=%d cols=%d", b.Len(), b.Cols().NumCols())
 	}
-	b.Append(tuple.Tuple{value.NewInt(1)})
+	b.AppendColRow(tuple.Tuple{value.NewInt(1)})
 	if b.Len() != 1 || b.Full() {
 		t.Fatalf("after one append: len=%d full=%v", b.Len(), b.Full())
 	}
 	b.Release()
-	b2 := NewBatch()
-	if b2.Len() != 0 {
-		t.Errorf("pooled batch not reset: len=%d", b2.Len())
+	b2 := NewColBatch(2)
+	if b2.Len() != 0 || b2.Cols().NumCols() != 2 {
+		t.Errorf("pooled batch not reset: len=%d cols=%d", b2.Len(), b2.Cols().NumCols())
 	}
 	b2.Release()
 }
@@ -230,46 +193,12 @@ func TestCollectAndCountAgree(t *testing.T) {
 	}
 }
 
+// TestBatchAppendBeyondCapacityUnpools: a pooled batch whose vectors
+// grow past DefaultBatchSize rows one append at a time must leave the
+// pool, or the pool accumulates ever-larger vector storage (pool
+// poisoning).
 func TestBatchAppendBeyondCapacityUnpools(t *testing.T) {
-	// Growing a pooled batch past DefaultBatchSize must un-pool it:
-	// otherwise the pool silently accumulates oversized backing arrays.
-	b := NewBatch()
-	if !b.pooled {
-		t.Fatal("NewBatch returned an un-pooled batch")
-	}
-	row := tuple.Tuple{value.NewInt(1)}
-	for i := 0; i < DefaultBatchSize; i++ {
-		b.Append(row)
-	}
-	if !b.pooled {
-		t.Fatal("batch un-pooled before exceeding capacity")
-	}
-	b.Append(row) // grows past capacity
-	if b.pooled {
-		t.Error("grown batch still pooled — oversized array would enter the pool")
-	}
-	if b.Len() != DefaultBatchSize+1 {
-		t.Errorf("grown batch len %d, want %d", b.Len(), DefaultBatchSize+1)
-	}
-	b.Release() // must be a no-op now
-	// Pool round-trips must keep handing out DefaultBatchSize arrays.
-	for i := 0; i < 8; i++ {
-		nb := NewBatch()
-		if cap(nb.rows) != DefaultBatchSize {
-			t.Fatalf("pool handed out a batch with cap %d, want %d", cap(nb.rows), DefaultBatchSize)
-		}
-		nb.Release()
-	}
-}
-
-// TestColBatchGrowthUnpools is the columnar twin of the test above: a
-// pooled columnar batch whose vectors grow past DefaultBatchSize rows
-// must leave the pool, both on the row-at-a-time and the bulk transpose
-// path, or the pool accumulates ever-larger vector storage (columnar
-// pool poisoning).
-func TestColBatchGrowthUnpools(t *testing.T) {
 	row := tuple.Tuple{value.NewInt(7), value.NewString("x")}
-
 	b := NewColBatch(2)
 	if !b.pooled {
 		t.Fatal("NewColBatch returned an un-pooled batch")
@@ -278,18 +207,22 @@ func TestColBatchGrowthUnpools(t *testing.T) {
 		b.AppendColRow(row)
 	}
 	if !b.pooled {
-		t.Fatal("columnar batch un-pooled before exceeding capacity")
+		t.Fatal("batch un-pooled before exceeding capacity")
 	}
 	b.AppendColRow(row) // grows the vectors past capacity
 	if b.pooled {
-		t.Error("grown columnar batch still pooled — oversized vectors would enter the pool")
+		t.Error("grown batch still pooled — oversized vectors would enter the pool")
 	}
 	if b.Len() != DefaultBatchSize+1 {
-		t.Errorf("grown columnar batch len %d, want %d", b.Len(), DefaultBatchSize+1)
+		t.Errorf("grown batch len %d, want %d", b.Len(), DefaultBatchSize+1)
 	}
 	b.Release() // must be a no-op on the un-pooled batch
+}
 
-	// Bulk path: one oversized transpose un-pools up front.
+// TestColBatchGrowthUnpools is the bulk-transpose twin of the test
+// above: one oversized AppendColRows un-pools the batch up front.
+func TestColBatchGrowthUnpools(t *testing.T) {
+	row := tuple.Tuple{value.NewInt(7), value.NewString("x")}
 	rows := make([]tuple.Tuple, DefaultBatchSize+1)
 	for i := range rows {
 		rows[i] = row
@@ -380,120 +313,61 @@ func TestHashJoinRowsNullKeysNeverMatch(t *testing.T) {
 	}
 }
 
-func TestAppendConcatCarvesOwnedRows(t *testing.T) {
-	b := NewBatch()
-	if b.OwnsRows() {
-		t.Fatal("fresh batch claims to own rows")
-	}
-	x := tuple.Tuple{value.NewInt(1), value.NewString("a")}
-	y := tuple.Tuple{value.NewInt(2)}
-	b.AppendConcat(x, y)
-	b.AppendConcat(y, x)
-	if !b.OwnsRows() {
-		t.Fatal("AppendConcat did not mark the batch as owning its rows")
-	}
-	rows := b.Rows()
-	if len(rows) != 2 || len(rows[0]) != 3 || len(rows[1]) != 3 {
-		t.Fatalf("carved rows malformed: %v", rows)
-	}
-	want := tuple.Concat(x, y)
-	for c := range want {
-		if value.Compare(rows[0][c], want[c]) != 0 {
-			t.Fatalf("carved row differs from Concat at column %d", c)
-		}
-	}
-	// Carved rows are capacity-clipped: appending reallocates rather
-	// than clobbering the neighbour row.
-	_ = append(rows[0], value.NewInt(99))
-	if rows[1][0].Int64() != 2 {
-		t.Fatalf("append to carved row corrupted its neighbour: %v", rows[1])
-	}
-	b.Release()
-}
-
-func TestOutputBatchArenaRecycles(t *testing.T) {
-	// An owned batch released and reacquired must produce correct fresh
-	// rows from its recycled arena.
-	row := tuple.Tuple{value.NewInt(7)}
-	for i := 0; i < 3; i++ {
-		b := NewBatch()
-		for k := 0; k < DefaultBatchSize; k++ {
-			b.AppendConcat(row, row)
-		}
-		for k, r := range b.Rows() {
-			if len(r) != 2 || r[0].Int64() != 7 || r[1].Int64() != 7 {
-				t.Fatalf("round %d row %d corrupted: %v", i, k, r)
-			}
-		}
-		b.Release()
-	}
-}
-
+// TestCollectCopiesOwnedRows: the rows Collect returns — boxed by
+// Batch.Rows — stay intact after their batches are released and the
+// pool hands those batches' vectors to other operators, whether they
+// come straight from a join or through a Where over one. Nor do they
+// alias the rows a Source was built from.
 func TestCollectCopiesOwnedRows(t *testing.T) {
-	// Rows Collect returns from a join must stay valid after the join's
-	// batches are released and their arenas recycled by other operators.
 	l := genLineitem(4000, 28)
 	r := genOrders(2000, 29)
 	store := dfs.NewStore(2, 1, 1)
 	ex := New(store, &cluster.Meter{})
-	got, err := Collect(ex.JoinOp(NewSource(r), 0, NewSource(l), 0, JoinOptions{BuildIsRight: true}))
+	join := func() Operator {
+		return ex.JoinOp(NewSource(r), 0, NewSource(l), 0, JoinOptions{BuildIsRight: true})
+	}
+	got, err := Collect(join())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Churn the batch pool so recycled join arenas get overwritten.
-	junk := tuple.Tuple{value.NewInt(-777), value.NewInt(-777), value.NewInt(-777), value.NewInt(-777), value.NewInt(-777), value.NewInt(-777)}
+	preds := []predicate.Predicate{predicate.NewCmp(2, predicate.LT, value.NewInt(1200))}
+	filtered, err := Collect(Where(join(), preds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := Collect(NewSource(r))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &src[0][0] == &r[0][0] {
+		t.Error("Collect over a Source aliases the source rows")
+	}
+	// Churn the batch pool so recycled vectors get overwritten.
+	junk := tuple.Tuple{value.NewInt(-777), value.NewInt(-777), value.NewInt(-777),
+		value.NewInt(-777), value.NewInt(-777), value.NewInt(-777)}
 	for i := 0; i < 64; i++ {
-		b := NewBatch()
+		b := NewColBatch(len(junk))
 		for k := 0; k < DefaultBatchSize; k++ {
-			b.AppendConcat(junk, junk)
+			b.AppendColRow(junk)
 		}
 		b.Release()
 	}
-	for i, row := range got {
-		for _, v := range row {
-			if v.K == value.Int && v.Int64() == -777 {
-				t.Fatalf("collected row %d was clobbered by arena reuse: %v", i, row)
-			}
-		}
-	}
-	if want := NestedLoopJoin(l, r, 0, 0); len(got) != len(want) {
-		t.Fatalf("join returned %d rows, want %d", len(got), len(want))
-	}
-}
-
-func TestWhereOverJoinOutputKeepsRowsValid(t *testing.T) {
-	// Where repacks join-output batches; the repacked rows must survive
-	// the source batch's release (filterOp carves copies).
-	l := genLineitem(3000, 33)
-	r := genOrders(1500, 34)
-	store := dfs.NewStore(2, 1, 1)
-	ex := New(store, &cluster.Meter{})
-	join := ex.JoinOp(NewSource(r), 0, NewSource(l), 0, JoinOptions{BuildIsRight: true})
-	preds := []predicate.Predicate{predicate.NewCmp(2, predicate.LT, value.NewInt(1200))}
-	got, err := Collect(Where(join, preds))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 0
-	for _, row := range NestedLoopJoin(l, r, 0, 0) {
+	want := NestedLoopJoin(l, r, 0, 0)
+	var wantFiltered []tuple.Tuple
+	for _, row := range want {
 		if row[2].Int64() < 1200 {
-			want++
+			wantFiltered = append(wantFiltered, row)
 		}
 	}
-	if len(got) != want {
-		t.Fatalf("Where over join kept %d rows, want %d", len(got), want)
-	}
-	for _, row := range got {
-		if row[2].Int64() >= 1200 {
-			t.Fatalf("non-matching row survived: %v", row)
-		}
-	}
+	rowsEqualSorted(t, got, want)
+	rowsEqualSorted(t, filtered, wantFiltered)
+	rowsEqualSorted(t, src, r)
 }
 
 func TestJoinOverJoinBuildSideOwnedRows(t *testing.T) {
 	// Regression: a join whose BUILD side is another join receives
-	// owned-row batches; the build must copy those rows before releasing
-	// the batch, or recycled arenas corrupt the hash table.
+	// pooled batches; the build must copy their rows before releasing
+	// the batch, or recycled vectors corrupt the hash table.
 	a := genLineitem(2000, 51)
 	b := genOrders(1500, 52)
 	c := genOrders(2500, 53)

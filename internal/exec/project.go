@@ -2,14 +2,11 @@
 // relational operators the spec compiler wraps around a lowered join
 // tree: WhereColsEq applies the join-graph edges the ordered tree did
 // not consume (cyclic edges, extra attribute pairs of multi-attribute
-// edges), Project restores declaration column order after greedy
-// ordering permuted the tables, and Empty is the zero-cost plan for
-// queries zone maps prove produce nothing.
+// edges) by narrowing a batch's selection, Project restores declaration
+// column order after greedy ordering permuted the tables by gathering
+// whole vectors, and Empty is the zero-cost plan for queries zone maps
+// prove produce nothing.
 package exec
-
-import (
-	"adaptdb/internal/tuple"
-)
 
 // WhereColsEq filters rows where every listed column pair is equal
 // under join-key semantics (NULL never equals anything, matching the
@@ -35,65 +32,36 @@ func (f *colsEqOp) Next() (*Batch, error) {
 		if err != nil || in == nil {
 			return nil, err
 		}
-		if cb := in.Cols(); cb != nil {
-			// Columnar: refine the selection vector in place, reading
-			// cells straight from the vectors.
-			cb.FilterSel(func(i int) bool {
-				for _, p := range f.pairs {
-					if !joinKeyEqual(cb.Value(p[0], i), cb.Value(p[1], i)) {
-						return false
-					}
-				}
-				return true
-			})
-			if cb.Len() > 0 {
-				return in, nil
-			}
-			in.Release()
-			continue
-		}
-		out := NewBatch()
-		owned := in.OwnsRows()
-		for _, r := range in.Rows() {
-			keep := true
+		// Refine the selection vector in place, reading cells straight
+		// from the vectors.
+		cb := in.Cols()
+		cb.FilterSel(func(i int) bool {
 			for _, p := range f.pairs {
-				if !joinKeyEqual(r[p[0]], r[p[1]]) {
-					keep = false
-					break
+				if !joinKeyEqual(cb.Value(p[0], i), cb.Value(p[1], i)) {
+					return false
 				}
 			}
-			if !keep {
-				continue
-			}
-			if owned {
-				out.AppendConcat(r, nil)
-			} else {
-				out.Append(r)
-			}
+			return true
+		})
+		if cb.Len() > 0 {
+			return in, nil
 		}
 		in.Release()
-		if out.Len() > 0 {
-			return out, nil
-		}
-		out.Release()
 	}
 }
 
 func (f *colsEqOp) Close() error { return f.child.Close() }
 
-// Project emits only the listed child columns, in the listed order.
-// Columnar batches project by gathering whole vectors through the
-// selection; row batches gather through a scratch tuple into the
-// output batch's arena.
+// Project emits only the listed child columns, in the listed order,
+// gathering whole vectors through the child batch's selection.
 func Project(child Operator, cols []int) Operator {
 	return &projectOp{child: child, cols: cols}
 }
 
 type projectOp struct {
-	child   Operator
-	cols    []int
-	scratch tuple.Tuple
-	idxbuf  []int32
+	child  Operator
+	cols   []int
+	idxbuf []int32
 }
 
 func (p *projectOp) Open() error { return p.child.Open() }
@@ -108,40 +76,26 @@ func (p *projectOp) Next() (*Batch, error) {
 			in.Release()
 			continue
 		}
-		if cb := in.Cols(); cb != nil {
-			idxs := cb.Sel()
-			if idxs == nil {
-				n := cb.Len()
-				if cap(p.idxbuf) < n {
-					p.idxbuf = make([]int32, n)
-				}
-				idxs = p.idxbuf[:n]
-				for i := range idxs {
-					idxs[i] = int32(i)
-				}
+		cb := in.Cols()
+		idxs := cb.Sel()
+		if idxs == nil {
+			n := cb.Len()
+			if cap(p.idxbuf) < n {
+				p.idxbuf = make([]int32, n)
 			}
-			out := NewColBatch(len(p.cols))
-			if out.pooled && len(idxs) > DefaultBatchSize {
-				out.pooled = false
+			idxs = p.idxbuf[:n]
+			for i := range idxs {
+				idxs[i] = int32(i)
 			}
-			for ci, c := range p.cols {
-				out.cols.AppendColumnGather(ci, cb, c, idxs)
-			}
-			out.cols.AddRows(len(idxs))
-			in.Release()
-			return out, nil
 		}
-		out := NewBatch()
-		if cap(p.scratch) < len(p.cols) {
-			p.scratch = make(tuple.Tuple, len(p.cols))
+		out := NewColBatch(len(p.cols))
+		if out.pooled && len(idxs) > DefaultBatchSize {
+			out.pooled = false
 		}
-		s := p.scratch[:len(p.cols)]
-		for _, r := range in.Rows() {
-			for ci, c := range p.cols {
-				s[ci] = r[c]
-			}
-			out.AppendConcat(s, nil)
+		for ci, c := range p.cols {
+			out.cols.AppendColumnGather(ci, cb, c, idxs)
 		}
+		out.cols.AddRows(len(idxs))
 		in.Release()
 		return out, nil
 	}

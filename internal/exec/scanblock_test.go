@@ -84,8 +84,8 @@ func TestScanBlockFiltersThenCopies(t *testing.T) {
 	for len(s.out) > 0 {
 		b := <-s.out
 		cb := b.Cols()
-		if cb == nil || b.Len() > DefaultBatchSize || cb.Sel() != nil {
-			t.Fatalf("batch: cols=%v len=%d sel=%v", cb != nil, b.Len(), cb.Sel())
+		if b.Len() > DefaultBatchSize || cb.Sel() != nil {
+			t.Fatalf("batch: len=%d sel=%v", b.Len(), cb.Sel())
 		}
 		if cb.Col(0).Kind() != value.Int || cb.Col(4).Kind() != value.String {
 			t.Fatalf("batch vectors lost their kinds: %v %v", cb.Col(0).Kind(), cb.Col(4).Kind())

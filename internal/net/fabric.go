@@ -280,103 +280,65 @@ func (p *pump) run(ctx context.Context) error {
 		if b == nil {
 			break
 		}
-		if cb := b.Cols(); cb != nil {
-			// Columnar routing, mirroring the simulated exchange: hash the
-			// key column vectorized, split into per-destination gather
-			// lists, bulk-gather into pending columnar batches.
-			ln := cb.Len()
-			sel := cb.Sel()
-			if dIdx == nil {
-				dIdx = make([][]int32, n)
-			}
-			switch {
-			case p.route < 0:
-				list := dIdx[0][:0]
-				for k := 0; k < ln; k++ {
-					i := k
-					if sel != nil {
-						i = int(sel[k])
-					}
-					list = append(list, int32(i))
+		// Routing mirrors the simulated exchange: hash the key column
+		// vectorized, split into per-destination gather lists,
+		// bulk-gather into pending batches.
+		cb := b.Cols()
+		ln := cb.Len()
+		sel := cb.Sel()
+		if dIdx == nil {
+			dIdx = make([][]int32, n)
+		}
+		switch {
+		case p.route < 0:
+			list := dIdx[0][:0]
+			for k := 0; k < ln; k++ {
+				i := k
+				if sel != nil {
+					i = int(sel[k])
 				}
-				dIdx[0] = list
-				switch p.route {
-				case routeGather:
-					if err := p.packColGather(pend, slot, -1, cb, list, meter); err != nil {
-						return fail(err)
-					}
-				case routeDeal:
-					d := int(p.deal % uint64(n))
-					p.deal++
+				list = append(list, int32(i))
+			}
+			dIdx[0] = list
+			switch p.route {
+			case routeGather:
+				if err := p.packColGather(pend, slot, -1, cb, list, meter); err != nil {
+					return fail(err)
+				}
+			case routeDeal:
+				d := int(p.deal % uint64(n))
+				p.deal++
+				if err := p.packColGather(pend, slot, d, cb, list, meter); err != nil {
+					return fail(err)
+				}
+			default: // broadcast
+				for d := 0; d < n; d++ {
 					if err := p.packColGather(pend, slot, d, cb, list, meter); err != nil {
 						return fail(err)
 					}
-				default: // broadcast
-					for d := 0; d < n; d++ {
-						if err := p.packColGather(pend, slot, d, cb, list, meter); err != nil {
-							return fail(err)
-						}
-					}
-				}
-			default:
-				hv = cb.Hash64Column(p.route, hv)
-				for k := 0; k < ln; k++ {
-					i := k
-					if sel != nil {
-						i = int(sel[k])
-					}
-					d := 0
-					if !cb.IsNull(p.route, i) {
-						d = int(hv[i] % uint64(n))
-					}
-					dIdx[d] = append(dIdx[d], int32(i))
-				}
-				for d := 0; d < n; d++ {
-					if len(dIdx[d]) == 0 {
-						continue
-					}
-					if err := p.packColGather(pend, slot, d, cb, dIdx[d], meter); err != nil {
-						return fail(err)
-					}
-					dIdx[d] = dIdx[d][:0]
-				}
-			}
-			b.Release()
-			continue
-		}
-		owned := b.OwnsRows()
-		switch p.route {
-		case routeGather:
-			for _, r := range b.Rows() {
-				if err := p.pack(pend, slot, -1, r, owned, meter); err != nil {
-					return fail(err)
-				}
-			}
-		case routeBroadcast:
-			for _, r := range b.Rows() {
-				for d := 0; d < n; d++ {
-					if err := p.pack(pend, slot, d, r, owned, meter); err != nil {
-						return fail(err)
-					}
-				}
-			}
-		case routeDeal:
-			d := int(p.deal % uint64(n))
-			p.deal++
-			for _, r := range b.Rows() {
-				if err := p.pack(pend, slot, d, r, owned, meter); err != nil {
-					return fail(err)
 				}
 			}
 		default:
-			for _, r := range b.Rows() {
-				d := 0
-				if k := r[p.route]; !k.IsNull() {
-					d = int(k.Hash64() % uint64(n))
+			hv = cb.Hash64Column(p.route, hv)
+			for k := 0; k < ln; k++ {
+				i := k
+				if sel != nil {
+					i = int(sel[k])
 				}
-				if err := p.pack(pend, slot, d, r, owned, meter); err != nil {
+				d := 0
+				if !cb.IsNull(p.route, i) {
+					d = int(hv[i] % uint64(n))
+				}
+				dIdx[d] = append(dIdx[d], int32(i))
+			}
+			for d := 0; d < n; d++ {
+				if len(dIdx[d]) == 0 {
+					continue
+				}
+				if err := p.packColGather(pend, slot, d, cb, dIdx[d], meter); err != nil {
 					return fail(err)
 				}
+				dIdx[d] = dIdx[d][:0]
 			}
 		}
 		b.Release()
@@ -400,45 +362,12 @@ func (p *pump) run(ctx context.Context) error {
 	return p.sendEOSAll(dsts)
 }
 
-// pack appends a row to destination d's pending batch, sealing full
-// ones — the simulated exchange's packing rules verbatim.
-func (p *pump) pack(pend []*exec.Batch, slot func(int) int, d int, r tuple.Tuple, owned bool, meter exchMeter) error {
-	s := slot(d)
-	pb := pend[s]
-	if pb != nil && pb.Cols() != nil {
-		if err := p.send(d, pb, meter); err != nil {
-			return err
-		}
-		pb = nil
-	}
-	if pb == nil {
-		pb = exec.NewBatch()
-		pend[s] = pb
-	}
-	if owned {
-		pb.AppendConcat(r, nil)
-	} else {
-		pb.Append(r)
-	}
-	if pb.Full() {
-		pend[s] = nil
-		return p.send(d, pb, meter)
-	}
-	return nil
-}
-
 // packColGather bulk-gathers listed rows into destination d's pending
 // columnar batch in capacity-sized chunks.
 func (p *pump) packColGather(pend []*exec.Batch, slot func(int) int, d int, cb *tuple.Columns, idxs []int32, meter exchMeter) error {
 	s := slot(d)
 	for len(idxs) > 0 {
 		pb := pend[s]
-		if pb != nil && pb.Cols() == nil {
-			if err := p.send(d, pb, meter); err != nil {
-				return err
-			}
-			pb, pend[s] = nil, nil
-		}
 		if pb == nil {
 			pb = exec.NewColBatch(cb.NumCols())
 			pend[s] = pb
@@ -551,16 +480,13 @@ func (p *pump) sendEOSAll(dsts []int) error {
 	return first
 }
 
-// encodeBatch appends the batch's tuple run frame: the columnar
-// encoder for columnar batches (pump-packed batches are always
-// selection-free, which the columnar encoder requires), the row
-// encoder otherwise.
+// encodeBatch appends the batch's tuple run frame, encoded straight
+// from its vectors. Pump-packed batches are always selection-free,
+// which the columnar encoder requires.
 func encodeBatch(dst []byte, b *exec.Batch) ([]byte, error) {
-	if cb := b.Cols(); cb != nil {
-		if cb.Sel() != nil {
-			return nil, fmt.Errorf("net: cannot encode a columnar batch with a selection")
-		}
-		return cb.AppendFrame(dst), nil
+	cb := b.Cols()
+	if cb.Sel() != nil {
+		return nil, fmt.Errorf("net: cannot encode a columnar batch with a selection")
 	}
-	return tuple.AppendFrame(dst, b.Rows())
+	return cb.AppendFrame(dst), nil
 }

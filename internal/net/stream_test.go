@@ -285,7 +285,7 @@ func TestRecvQueuePopReleasesSlots(t *testing.T) {
 	at := newAttempt(newEndpoint(0, 0), 1)
 	q := at.queueFor(qkey{1, 0})
 	q.setExpect(1)
-	local := func() inItem { return inItem{b: exec.NewBatch(), from: -1} }
+	local := func() inItem { return inItem{b: exec.NewColBatch(0), from: -1} }
 	for i := 0; i < 3; i++ {
 		q.push(local())
 	}
@@ -382,9 +382,6 @@ func TestRemoteShuffleDeliversColumnar(t *testing.T) {
 			break
 		}
 		cb := b.Cols()
-		if cb == nil {
-			t.Fatalf("batch %d off the socket is a row batch: the boxing receive path is back", batches)
-		}
 		if kind := cb.Col(0).Kind(); kind != value.Int || cb.Col(1).Kind() != value.String || cb.Col(2).Kind() != value.Float {
 			t.Fatalf("batch %d decoded into untyped vectors (col 0 %v)", batches, kind)
 		}
@@ -523,7 +520,7 @@ func TestCorruptFrameSurfacesAtConsumer(t *testing.T) {
 		t.Fatalf("truncated frame: batch %v, err %v; want a decode error naming the stream", b, err)
 	}
 	b, err := q.next()
-	if err != nil || b.Len() != 8 || b.Cols() == nil {
+	if err != nil || b.Len() != 8 {
 		t.Fatalf("frame behind the corrupt one: %v, %v", b, err)
 	}
 	b.Release()

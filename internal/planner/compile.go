@@ -188,15 +188,15 @@ func (r *Runner) compileTableJoin(j *Join, l, rt *Scan, c *Compiled) (exec.Opera
 		return r.instrument(c, "join[shuffle]("+pair+")", op, fill), nil
 
 	case StratHyper:
-		hy, op := r.hyperOp(p, l, j.LCol, rt, j.RCol)
+		hy := r.hyperOp(p, l, j.LCol, rt, j.RCol)
 		fill := r.reportJoin(c, JoinReport{Strategy: StratHyper}, hy)
-		return r.instrument(c, "join[hyper]("+pair+")", op, fill), nil
+		return r.instrument(c, "join[hyper]("+pair+")", hy, fill), nil
 
 	case StratCombination:
 		// A⋈B = hyper(A1⋈B1) ∪ shuffle(A2⋈B) ∪ shuffle(A1⋈B2) — disjoint
 		// and complete; the parts stream one after another through Concat.
-		hy, hyOp := r.hyperOp(p, l, j.LCol, rt, j.RCol)
-		parts := []exec.Operator{r.instrument(c, "join[hyper-part]("+pair+")", hyOp, nil)}
+		hy := r.hyperOp(p, l, j.LCol, rt, j.RCol)
+		parts := []exec.Operator{r.instrument(c, "join[hyper-part]("+pair+")", hy, nil)}
 		if len(p.l2) > 0 {
 			// shuffle(A2 ⋈ B): A2's residual rows against all of B again.
 			lOp := r.instrument(c, "scan("+l.Table.Name+":residual)", r.Ex.ScanOp(p.l2, l.Preds), nil)
@@ -217,15 +217,13 @@ func (r *Runner) compileTableJoin(j *Join, l, rt *Scan, c *Compiled) (exec.Opera
 
 // hyperOp builds the streaming hyper-join for a decided plan, building
 // on the left refs or (when the decision flipped the build side onto
-// the smaller co-partitioned portion) on the right refs with a SwapSides
-// wrapper restoring the plan's (left, right) column order.
-func (r *Runner) hyperOp(p tableJoinPlan, l *Scan, lCol int, rt *Scan, rCol int) (*exec.HyperJoinOp, exec.Operator) {
+// the smaller co-partitioned portion) on the right refs, emitting in
+// the plan's (left, right) column order either way.
+func (r *Runner) hyperOp(p tableJoinPlan, l *Scan, lCol int, rt *Scan, rCol int) *exec.HyperJoinOp {
 	if !p.flip {
-		h := r.Ex.NewHyperJoinOp(p.l1, l.Preds, lCol, p.r1, rt.Preds, rCol, r.budget())
-		return h, h
+		return r.Ex.NewHyperJoinOp(p.l1, l.Preds, lCol, p.r1, rt.Preds, rCol, r.budget(), false)
 	}
-	h := r.Ex.NewHyperJoinOp(p.r1, rt.Preds, rCol, p.l1, l.Preds, lCol, r.budget())
-	return h, exec.SwapSides(h, l.Table.Schema.NumCols())
+	return r.Ex.NewHyperJoinOp(p.r1, rt.Preds, rCol, p.l1, l.Preds, lCol, r.budget(), true)
 }
 
 // shuffleTablesOp is the operator form of a plain table shuffle join:

@@ -156,17 +156,17 @@ func (r *Runner) distTableJoin(j *Join, l, rt *Scan, c *Compiled) (distOut, erro
 	case StratHyper:
 		// Co-located: hyper-join groups already run at the nodes holding
 		// their build blocks (taskNode locality); nothing is exchanged.
-		hy, op := r.hyperOp(p, l, j.LCol, rt, j.RCol)
+		hy := r.hyperOp(p, l, j.LCol, rt, j.RCol)
 		fill := r.reportJoin(c, JoinReport{Strategy: StratHyper}, hy)
-		return distOut{global: r.instrument(c, "join[hyper]("+pair+")", op, fill)}, nil
+		return distOut{global: r.instrument(c, "join[hyper]("+pair+")", hy, fill)}, nil
 
 	case StratCombination:
 		// hyper(A1⋈B1) ∪ shuffle(A2⋈B) ∪ shuffle(A1⋈B2), the hyper part
 		// co-located and the residual parts exchanged.
-		hy, hyOp := r.hyperOp(p, l, j.LCol, rt, j.RCol)
+		hy := r.hyperOp(p, l, j.LCol, rt, j.RCol)
 		fill := r.reportJoinAccum(c, JoinReport{Strategy: StratCombination}, hy)
 		fb := r.Ex.ExecFabric()
-		parts := []exec.Operator{r.instrument(c, "join[hyper-part]("+pair+")", hyOp, nil)}
+		parts := []exec.Operator{r.instrument(c, "join[hyper-part]("+pair+")", hy, nil)}
 		if len(p.l2) > 0 {
 			lsc := r.distRefsScan(c, l.Table.Name+":residual", p.l2, l.Preds)
 			rsc := r.distScan(c, rt)

@@ -44,6 +44,6 @@
 // parallel radix-partitioned hash join core (exec/coljoin.go), so
 // strategy choice changes I/O metering and block schedules, never join
 // semantics: output column order follows the plan's (left, right) via
-// JoinOptions.BuildIsRight or exec.SwapSides, and NULL join keys never
-// match.
+// JoinOptions.BuildIsRight or NewHyperJoinOp's buildIsRight, and NULL
+// join keys never match.
 package planner

@@ -254,21 +254,41 @@ func TestRightScanLeftIntermediateOrder(t *testing.T) {
 	sameRows(t, rows, want, "right-scan order")
 }
 
+// TestHyperBuildSideFlipKeepsColumnOrder: orders is smaller than
+// lineitem, so the hyper-join builds on orders — on the plan's right
+// side when lineitem is the left input. Compiled in both orientations,
+// the root emits only columnar batches, and its rows are the oracle's
+// in (left, right) column order.
 func TestHyperBuildSideFlipKeepsColumnOrder(t *testing.T) {
 	f := setup(t, true)
-	// orders is smaller than lineitem, so the hyper-join builds on orders
-	// internally when orders is the left input; output order must remain
-	// (left, right) regardless.
-	plan := &Join{Left: &Scan{Table: f.ord}, Right: &Scan{Table: f.line}, LCol: 0, RCol: 0}
-	rows, rep, err := f.runner.Run(plan)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name         string
+		left, right  *Scan
+		lrows, rrows []tuple.Tuple
+		flip         bool
+	}{
+		{"orders-left", &Scan{Table: f.ord}, &Scan{Table: f.line}, f.orows, f.lrows, false},
+		{"lineitem-left", &Scan{Table: f.line}, &Scan{Table: f.ord}, f.lrows, f.orows, true},
+	} {
+		if p := f.runner.planTableJoin(tc.left, 0, tc.right, 0); p.strategy != StratHyper || p.flip != tc.flip {
+			t.Fatalf("%s: strategy %q flip %v, want hyper flip %v", tc.name, p.strategy, p.flip, tc.flip)
+		}
+		comp, err := f.runner.Compile(&Join{Left: tc.left, Right: tc.right, LCol: 0, RCol: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []tuple.Tuple
+		if _, err := exec.Drain(nil, comp.Root, func(b *exec.Batch) error {
+			if b.Cols() == nil {
+				t.Fatalf("%s: root emitted a row batch of %d rows", tc.name, b.Len())
+			}
+			rows = append(rows, b.Rows()...)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, rows, oracleJoin(tc.lrows, tc.rrows, 0, 0), tc.name)
 	}
-	if rep.Joins[0].Strategy != StratHyper {
-		t.Fatalf("expected hyper: %+v", rep.Joins)
-	}
-	want := oracleJoin(f.orows, f.lrows, 0, 0)
-	sameRows(t, rows, want, "flip order")
 }
 
 func TestHyperCheaperThanShuffleEndToEnd(t *testing.T) {

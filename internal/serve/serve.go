@@ -283,21 +283,18 @@ func (s *Service) run(ctx context.Context, tenantID string, q session.Query, col
 	sum := uint64(0)
 	var scratch []byte
 	wrapped := func(b *exec.Batch) error {
-		for _, r := range b.Rows() {
-			scratch = r.AppendBinary(scratch[:0])
+		cb := b.Cols()
+		sel := cb.Sel()
+		for k, n := 0, cb.Len(); k < n; k++ {
+			i := k
+			if sel != nil {
+				i = int(sel[k])
+			}
+			scratch = cb.AppendRowBinary(scratch[:0], i)
 			sum += fnv1a(scratch)
 		}
 		if collect {
-			if b.OwnsRows() {
-				// Owned rows die with the batch arena at Release — copy.
-				for _, r := range b.Rows() {
-					res.Rows = append(res.Rows, append(tuple.Tuple(nil), r...))
-				}
-			} else {
-				// View rows alias storage that outlives the batch; copying
-				// them again would double every materialized scan result.
-				res.Rows = append(res.Rows, b.Rows()...)
-			}
+			res.Rows = append(res.Rows, b.Rows()...)
 		}
 		if sink != nil {
 			return sink(b)

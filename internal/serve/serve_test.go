@@ -235,6 +235,16 @@ func TestServeExecuteMatchesStream(t *testing.T) {
 	if st.Rows != nil {
 		t.Fatal("Stream materialized rows")
 	}
+	// The checksum is defined on the row form: fnv1a over each result
+	// row's binary encoding, summed. Computing it from the vectors must
+	// not change a bit.
+	var sum uint64
+	for _, r := range ex.Rows {
+		sum += fnv1a(r.AppendBinary(nil))
+	}
+	if sum != ex.Checksum {
+		t.Fatalf("Checksum %016x, row-form checksum %016x", ex.Checksum, sum)
+	}
 }
 
 // TestServePlanCacheHitRepeatMissOnBump: a repeated (tables, attrs,

@@ -133,20 +133,8 @@ func (s *Session) runNet(q Query, collect bool, sink func(*exec.Batch) error) (*
 		// (Streaming straight into the sink would hand it rows from
 		// attempts that later fail over; materializing first keeps the
 		// sink exactly-once.)
-		for off := 0; off < len(rows); off += exec.DefaultBatchSize {
-			end := off + exec.DefaultBatchSize
-			if end > len(rows) {
-				end = len(rows)
-			}
-			b := exec.NewBatch()
-			for _, r := range rows[off:end] {
-				b.Append(r)
-			}
-			err := sink(b)
-			b.Release()
-			if err != nil {
-				return res, err
-			}
+		if _, err := exec.Drain(nil, exec.NewSource(rows), sink); err != nil {
+			return res, err
 		}
 	}
 	return res, nil

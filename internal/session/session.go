@@ -197,7 +197,7 @@ func (s *Session) Execute(q Query) (*Result, error) {
 // Stream runs one query of the stream without materializing the
 // result: each output batch is passed to sink (which may be nil to
 // just count rows). The batch is only valid during the call — sink
-// must copy any owned rows it wants to retain (see exec.Batch).
+// must box any rows it wants to retain (exec.Batch.Rows).
 func (s *Session) Stream(q Query, sink func(*exec.Batch) error) (*Result, error) {
 	return s.run(q, false, sink)
 }

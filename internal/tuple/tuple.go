@@ -89,44 +89,6 @@ func Concat(a, b Tuple) Tuple {
 	return out
 }
 
-// arenaChunkValues is the value capacity of one Arena chunk: at 40 bytes
-// per Value a chunk is ~320 KB, amortizing one allocation over a few
-// hundred typical join-output rows.
-const arenaChunkValues = 8192
-
-// Arena batch-allocates join output rows: Concat carves each row out of
-// a shared chunk instead of allocating per row, so a join emitting
-// millions of rows pays one allocation per chunk rather than per row.
-// Chunks are never reused — rows stay valid as long as they are
-// referenced, and a chunk becomes garbage once its rows do.
-//
-// An Arena is not safe for concurrent use; parallel operators give each
-// worker its own.
-type Arena struct {
-	buf Tuple // tail of the current chunk still open for carving
-}
-
-// Concat appends a‖b as one row carved from the arena. The returned
-// tuple is capacity-clipped, so appending to it allocates instead of
-// clobbering the neighbouring row.
-func (ar *Arena) Concat(a, b Tuple) Tuple {
-	n := len(a) + len(b)
-	if n == 0 {
-		return Tuple{}
-	}
-	if cap(ar.buf)-len(ar.buf) < n {
-		size := arenaChunkValues
-		if size < n {
-			size = n
-		}
-		ar.buf = make(Tuple, 0, size)
-	}
-	off := len(ar.buf)
-	ar.buf = append(ar.buf, a...)
-	ar.buf = append(ar.buf, b...)
-	return ar.buf[off : off+n : off+n]
-}
-
 // ConcatSchemas builds the join-output schema, prefixing column names to
 // keep them unique across the two sides.
 func ConcatSchemas(prefixA string, a *schema.Schema, prefixB string, b *schema.Schema) *schema.Schema {

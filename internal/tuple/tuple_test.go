@@ -196,71 +196,3 @@ func TestViewsEdgeCases(t *testing.T) {
 		t.Errorf("oversized view split wrong: %d views", len(got))
 	}
 }
-
-func TestArenaConcatMatchesConcat(t *testing.T) {
-	var ar Arena
-	a := Tuple{value.NewInt(1), value.NewString("x")}
-	b := Tuple{value.NewFloat(2.5)}
-	got := ar.Concat(a, b)
-	want := Concat(a, b)
-	if len(got) != len(want) {
-		t.Fatalf("arena concat arity %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if value.Compare(got[i], want[i]) != 0 {
-			t.Errorf("column %d: got %v want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestArenaRowsDoNotAlias(t *testing.T) {
-	// Consecutive rows share a chunk but must not overlap, and appending
-	// to one row must not clobber the next (capacity-clipped slices).
-	var ar Arena
-	r1 := ar.Concat(Tuple{value.NewInt(1)}, Tuple{value.NewInt(2)})
-	r2 := ar.Concat(Tuple{value.NewInt(3)}, Tuple{value.NewInt(4)})
-	_ = append(r1, value.NewInt(99)) // must reallocate, not overwrite r2
-	if r2[0].Int64() != 3 || r2[1].Int64() != 4 {
-		t.Fatalf("appending to row 1 corrupted row 2: %v", r2)
-	}
-	r1[0] = value.NewInt(77)
-	if r2[0].Int64() != 3 {
-		t.Fatalf("rows alias the same cells")
-	}
-}
-
-func TestArenaChunkRollover(t *testing.T) {
-	// Rows written before a chunk rolls over must survive the rollover.
-	var ar Arena
-	wide := make(Tuple, 100)
-	for i := range wide {
-		wide[i] = value.NewInt(int64(i))
-	}
-	var rows []Tuple
-	for i := 0; i < 300; i++ { // 300 × 200 values ≫ one chunk
-		rows = append(rows, ar.Concat(wide, wide))
-	}
-	for i, r := range rows {
-		if len(r) != 200 || r[0].Int64() != 0 || r[199].Int64() != 99 {
-			t.Fatalf("row %d corrupted after rollover", i)
-		}
-	}
-}
-
-func TestArenaOversizedRow(t *testing.T) {
-	// A single row wider than the chunk size gets its own chunk.
-	var ar Arena
-	big := make(Tuple, 9000)
-	for i := range big {
-		big[i] = value.NewInt(int64(i))
-	}
-	r := ar.Concat(big, big)
-	if len(r) != 18000 || r[17999].Int64() != 8999 {
-		t.Fatalf("oversized row mangled")
-	}
-	// And the arena keeps working afterwards.
-	small := ar.Concat(Tuple{value.NewInt(5)}, nil)
-	if len(small) != 1 || small[0].Int64() != 5 {
-		t.Fatalf("arena broken after oversized row")
-	}
-}
