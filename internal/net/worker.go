@@ -421,8 +421,11 @@ func (w *worker) attemptRun(qm queryMsg, at *attempt) (cluster.Counters, cluster
 	}
 	counters := qmeter.Reset()
 	links := qmeter.ResetLinks()
-	if err == nil {
-		err = at.failure() // an abort or peer death is the attempt's error
+	// The attempt's first failure is its error: an abort or a peer death
+	// cancels ctx, and the pumps then report only the cancellation, which
+	// the coordinator would not recognise as a transport failure to retry.
+	if ferr := at.failure(); ferr != nil {
+		err = ferr
 	}
 	if err != nil {
 		return zero, nil, err
