@@ -313,36 +313,9 @@ func TestHashJoinRowsNullKeysNeverMatch(t *testing.T) {
 	}
 }
 
-// TestCollectCopiesOwnedRows: the rows Collect returns — boxed by
-// Batch.Rows — stay intact after their batches are released and the
-// pool hands those batches' vectors to other operators, whether they
-// come straight from a join or through a Where over one. Nor do they
-// alias the rows a Source was built from.
-func TestCollectCopiesOwnedRows(t *testing.T) {
-	l := genLineitem(4000, 28)
-	r := genOrders(2000, 29)
-	store := dfs.NewStore(2, 1, 1)
-	ex := New(store, &cluster.Meter{})
-	join := func() Operator {
-		return ex.JoinOp(NewSource(r), 0, NewSource(l), 0, JoinOptions{BuildIsRight: true})
-	}
-	got, err := Collect(join())
-	if err != nil {
-		t.Fatal(err)
-	}
-	preds := []predicate.Predicate{predicate.NewCmp(2, predicate.LT, value.NewInt(1200))}
-	filtered, err := Collect(Where(join(), preds))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := Collect(NewSource(r))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &src[0][0] == &r[0][0] {
-		t.Error("Collect over a Source aliases the source rows")
-	}
-	// Churn the batch pool so recycled vectors get overwritten.
+// churnBatchPool fills and releases enough pooled batches that the
+// vectors of any batch released before it are overwritten.
+func churnBatchPool() {
 	junk := tuple.Tuple{value.NewInt(-777), value.NewInt(-777), value.NewInt(-777),
 		value.NewInt(-777), value.NewInt(-777), value.NewInt(-777)}
 	for i := 0; i < 64; i++ {
@@ -352,16 +325,63 @@ func TestCollectCopiesOwnedRows(t *testing.T) {
 		}
 		b.Release()
 	}
-	want := NestedLoopJoin(l, r, 0, 0)
-	var wantFiltered []tuple.Tuple
-	for _, row := range want {
+}
+
+// TestCollectCopiesOwnedRows: the rows Collect returns from a join —
+// boxed by Batch.Rows — stay intact after the join's batches are
+// released and the pool hands their vectors to other operators.
+func TestCollectCopiesOwnedRows(t *testing.T) {
+	l := genLineitem(4000, 28)
+	r := genOrders(2000, 29)
+	store := dfs.NewStore(2, 1, 1)
+	ex := New(store, &cluster.Meter{})
+	got, err := Collect(ex.JoinOp(NewSource(r), 0, NewSource(l), 0, JoinOptions{BuildIsRight: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	churnBatchPool()
+	rowsEqualSorted(t, got, NestedLoopJoin(l, r, 0, 0))
+}
+
+// TestWhereOverJoinOutputKeepsRowsValid: Where narrows the selection of
+// join-output batches; the rows Collect boxes from them must survive
+// the batches' release and pool reuse, and only matching rows survive.
+func TestWhereOverJoinOutputKeepsRowsValid(t *testing.T) {
+	l := genLineitem(3000, 33)
+	r := genOrders(1500, 34)
+	store := dfs.NewStore(2, 1, 1)
+	ex := New(store, &cluster.Meter{})
+	join := ex.JoinOp(NewSource(r), 0, NewSource(l), 0, JoinOptions{BuildIsRight: true})
+	preds := []predicate.Predicate{predicate.NewCmp(2, predicate.LT, value.NewInt(1200))}
+	got, err := Collect(Where(join, preds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	churnBatchPool()
+	var want []tuple.Tuple
+	for _, row := range NestedLoopJoin(l, r, 0, 0) {
 		if row[2].Int64() < 1200 {
-			wantFiltered = append(wantFiltered, row)
+			want = append(want, row)
 		}
 	}
 	rowsEqualSorted(t, got, want)
-	rowsEqualSorted(t, filtered, wantFiltered)
-	rowsEqualSorted(t, src, r)
+}
+
+// TestCollectAliasesViewRows pins what Collect over a Source returns
+// now that every batch is columnar: rows equal to the caller's, boxed
+// into fresh storage. They no longer alias the source rows, so a
+// caller may keep or mutate them without touching its input.
+func TestCollectAliasesViewRows(t *testing.T) {
+	rows := genOrders(100, 29)
+	out, err := Collect(NewSource(rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &out[0][0] == &rows[0][0] {
+		t.Error("Collect over a Source aliases the source rows")
+	}
+	churnBatchPool()
+	rowsEqualSorted(t, out, rows)
 }
 
 func TestJoinOverJoinBuildSideOwnedRows(t *testing.T) {
