@@ -306,22 +306,30 @@ func (t *Table) AllRefs(preds []predicate.Predicate) []BlockRef {
 // A source bucket's rows scatter over most of the destination tree, so
 // moving bucket by bucket would append a row or two at a time. Instead
 // the picked buckets are first concatenated into one staging set (flat
-// range copies), routed once, and every destination takes all of its
-// rows in a single columnar gather — in source order: buckets as
-// listed, rows as stored. Nothing is written until every source block
-// has been read.
+// range copies), routed once (Tree.RouteCols), grouped by destination
+// with a counting sort over the tree's bucket IDs, and every
+// destination takes all of its rows in a single columnar gather — in
+// source order: buckets as listed, rows as stored. The destination's
+// meta is the block's zone map, which the append extends by the new
+// rows only. A move within one tree, a bucket listed twice or one not
+// live in the source is rejected before anything is read or written.
 func (t *Table) MoveBuckets(fromIdx, toIdx int, buckets []block.ID, meter *cluster.Meter) error {
 	from := t.treeAt(fromIdx)
 	to := t.treeAt(toIdx)
-	if from == nil || to == nil {
+	if from == nil || to == nil || fromIdx == toIdx {
 		return fmt.Errorf("core: bad tree pair %d -> %d on %s", fromIdx, toIdx, t.Name)
 	}
 	total := 0
+	seen := make(map[block.ID]bool, len(buckets))
 	for _, b := range buckets {
 		meta, ok := from.Metas[b]
 		if !ok {
 			return fmt.Errorf("core: bucket %d not live in tree %d of %s", b, fromIdx, t.Name)
 		}
+		if seen[b] {
+			return fmt.Errorf("core: bucket %d listed twice in a move from tree %d of %s", b, fromIdx, t.Name)
+		}
+		seen[b] = true
 		total += meta.Count
 	}
 	staged := tuple.NewColumns(t.Schema.NumCols())
@@ -337,10 +345,15 @@ func (t *Table) MoveBuckets(fromIdx, toIdx int, buckets []block.ID, meter *clust
 		}
 		staged.AppendRange(blk.Cols(), 0, blk.Len())
 	}
-	for dest, idxs := range routeCols(to.Tree, staged) {
+	order, start := groupByBucket(to.Tree, staged)
+	for b := range start[:len(start)-1] {
+		idxs := order[start[b]:start[b+1]]
+		if len(idxs) == 0 {
+			continue
+		}
+		dest := block.ID(b)
 		path := t.BlockPath(toIdx, dest)
 		t.store.Append(path, t.Schema, staged, idxs)
-		// Refresh destination metadata from the stored block.
 		blk, _, err := t.store.GetBlock(path, 0)
 		if err != nil {
 			return err
@@ -354,23 +367,36 @@ func (t *Table) MoveBuckets(fromIdx, toIdx int, buckets []block.ID, meter *clust
 	return nil
 }
 
-// routeCols groups the physical rows of cols by the bucket tr routes
-// them to: one index list per bucket, in row order, ready for a
-// columnar gather.
-func routeCols(tr *tree.Tree, cols *tuple.Columns) map[block.ID][]int32 {
-	byDest := make(map[block.ID][]int32)
-	for i, n := 0, cols.FullLen(); i < n; i++ {
-		dest := tr.RouteCols(cols, i)
-		byDest[dest] = append(byDest[dest], int32(i))
+// groupByBucket routes the physical rows of cols through tr and groups
+// them by bucket with a counting sort (the idiom upfront.Partition
+// loads with): bucket b's rows are order[start[b]:start[b+1]], in row
+// order, ready for a columnar gather.
+func groupByBucket(tr *tree.Tree, cols *tuple.Columns) (order []int32, start []int) {
+	dest := make([]block.ID, cols.FullLen())
+	tr.RouteCols(cols, dest)
+	start = make([]int, tr.NextBucket()+1)
+	for _, b := range dest {
+		start[b+1]++
 	}
-	return byDest
+	for b := 1; b < len(start); b++ {
+		start[b] += start[b-1]
+	}
+	next := append([]int(nil), start...)
+	order = make([]int32, len(dest))
+	for i, b := range dest {
+		order[next[b]] = int32(i)
+		next[b]++
+	}
+	return order, start
 }
 
 // ReplaceTreeData rewrites one tree in place with a new structure — the
 // full-repartitioning baseline (§7.3 "Repartitioning") and Amoeba's
 // selection-driven subtree rebuilds both land here. All rows currently
-// under tree srcIdx are re-routed through newTree; blocks are rewritten;
-// the tree metadata is replaced. Costs are metered as scan +
+// under tree srcIdx are re-routed through newTree, block by block in
+// bucket order and grouped by destination as MoveBuckets does, so each
+// new block holds its rows in source order; blocks are rewritten; the
+// tree metadata is replaced. Costs are metered as scan +
 // repartition-write of everything moved.
 func (t *Table) ReplaceTreeData(srcIdx int, newTree *tree.Tree, meter *cluster.Meter) error {
 	src := t.treeAt(srcIdx)
@@ -378,7 +404,7 @@ func (t *Table) ReplaceTreeData(srcIdx int, newTree *tree.Tree, meter *cluster.M
 		return fmt.Errorf("core: no tree %d on %s", srcIdx, t.Name)
 	}
 	parts := make(map[block.ID]*block.Block)
-	for b := range src.Metas {
+	for _, b := range src.LiveBuckets() {
 		path := t.BlockPath(srcIdx, b)
 		blk, local, err := t.store.GetBlock(path, 0)
 		if err != nil {
@@ -389,11 +415,16 @@ func (t *Table) ReplaceTreeData(srcIdx int, newTree *tree.Tree, meter *cluster.M
 			meter.AddRepartWrite(blk.Len())
 		}
 		cols := blk.Cols()
-		for dest, idxs := range routeCols(newTree, cols) {
-			nb, ok := parts[dest]
+		order, start := groupByBucket(newTree, cols)
+		for dest := range start[:len(start)-1] {
+			idxs := order[start[dest]:start[dest+1]]
+			if len(idxs) == 0 {
+				continue
+			}
+			nb, ok := parts[block.ID(dest)]
 			if !ok {
 				nb = block.New(t.Schema)
-				parts[dest] = nb
+				parts[block.ID(dest)] = nb
 			}
 			nb.AppendGather(cols, idxs)
 		}

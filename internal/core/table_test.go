@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -286,17 +288,177 @@ func BenchmarkMoveBuckets(b *testing.B) {
 }
 
 func TestMoveBucketsErrors(t *testing.T) {
-	rows := genRows(256, 6)
-	tbl, _ := loadTable(t, rows, LoadOptions{RowsPerBlock: 64, Seed: 1, JoinAttr: -1})
-	var meter cluster.Meter
-	if err := tbl.MoveBuckets(0, 5, []block.ID{0}, &meter); err == nil {
-		t.Errorf("bad destination accepted")
+	rows := genRows(512, 6)
+	for _, tc := range []struct {
+		name     string
+		from, to int   // tree 1 is the destination tree
+		buckets  []int // positions in tree 0's live buckets
+		missing  bool  // list a bucket that is not live instead
+	}{
+		{"bad destination", 0, 5, []int{0}, false},
+		{"missing bucket", 0, 1, nil, true},
+		{"move within one tree", 0, 0, []int{0, 1}, false},
+		{"bucket listed twice", 0, 1, []int{0, 1, 0}, false},
+	} {
+		tbl, _ := loadTable(t, rows, LoadOptions{RowsPerBlock: 64, Seed: 1, JoinAttr: -1})
+		idx := tbl.AddTree(twophase.Builder{Schema: sch, JoinAttr: 0, JoinLevels: 1, TotalDepth: 2, Seed: 6}.Build(tbl.SampleRows))
+		live := tbl.Trees[0].LiveBuckets()
+		var buckets []block.ID
+		for _, p := range tc.buckets {
+			buckets = append(buckets, live[p])
+		}
+		if tc.missing {
+			buckets = append(buckets, 9999)
+		}
+		var meter cluster.Meter
+		if err := tbl.MoveBuckets(tc.from, tc.to, buckets, &meter); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+		if got := countRows(t, tbl); got != len(rows) {
+			t.Errorf("%s: table holds %d rows after the rejected move, want %d", tc.name, got, len(rows))
+		}
+		if got := tbl.RowsUnder(idx); got != 0 {
+			t.Errorf("%s: rejected move wrote %d rows", tc.name, got)
+		}
+		if c := meter.Snapshot(); c.ScanLocal+c.ScanRemote+c.RepartRows != 0 {
+			t.Errorf("%s: rejected move was metered: %v", tc.name, c)
+		}
 	}
-	newTree := twophase.Builder{Schema: sch, JoinAttr: 0, JoinLevels: 1, TotalDepth: 2, Seed: 6}.Build(tbl.SampleRows)
-	idx := tbl.AddTree(newTree)
-	if err := tbl.MoveBuckets(0, idx, []block.ID{9999}, &meter); err == nil {
-		t.Errorf("missing bucket accepted")
+}
+
+// TestMigrationMatchesPerRowRoute replays a multi-step migration over
+// NULL, NaN/−0 and mixed-kind cells — moves from the load tree into a
+// second tree, from there into a third, then a full rewrite of the
+// second — against a model that routes boxed rows one at a time with
+// Tree.Route. After every step each live bucket must hold the model's
+// rows in order (buckets as listed, rows as stored; a rewrite reads
+// buckets in ascending order) and the meta a row-by-row fold gives.
+func TestMigrationMatchesPerRowRoute(t *testing.T) {
+	mixed := schema.MustNew(
+		schema.Column{Name: "k", Kind: value.Int},
+		schema.Column{Name: "f", Kind: value.Float},
+		schema.Column{Name: "m", Kind: value.Int},
+	)
+	rng := rand.New(rand.NewSource(31))
+	rows := make([]tuple.Tuple, 1200)
+	for i := range rows {
+		r := tuple.Tuple{
+			value.NewInt(rng.Int63n(300)),
+			value.NewFloat([]float64{math.NaN(), math.Copysign(0, -1), 0, 1.5, 7, 40}[rng.Intn(6)]),
+			value.NewInt(rng.Int63n(90)),
+		}
+		if rng.Intn(9) == 0 {
+			r[0] = value.Value{}
+		}
+		if rng.Intn(7) == 0 {
+			r[2] = value.NewString(string(rune('a' + rng.Intn(4)))) // column m mixes kinds
+		}
+		rows[i] = r
 	}
+	store := dfs.NewStore(4, 2, 1)
+	tbl, err := Load(store, "mixed", mixed, rows, LoadOptions{RowsPerBlock: 64, Seed: 3, JoinAttr: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// model[tree][bucket] is what the bucket must hold, in order.
+	model := map[int]map[block.ID][]tuple.Tuple{0: {}}
+	for _, b := range tbl.Trees[0].LiveBuckets() {
+		blk, _, err := store.GetBlock(tbl.BlockPath(0, b), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		model[0][b] = blk.Rows()
+	}
+	addTree := func(joinAttr int, seed int64) int {
+		tr := twophase.Builder{Schema: mixed, JoinAttr: joinAttr, JoinLevels: 2, TotalDepth: 4, Seed: seed}.Build(tbl.SampleRows)
+		idx := tbl.AddTree(tr)
+		model[idx] = map[block.ID][]tuple.Tuple{}
+		return idx
+	}
+	move := func(from, to int, pick []block.ID) {
+		t.Helper()
+		tr := tbl.Trees[to].Tree
+		for _, b := range pick {
+			for _, r := range model[from][b] {
+				dest := tr.Route(r)
+				model[to][dest] = append(model[to][dest], r)
+			}
+			delete(model[from], b)
+		}
+		if err := tbl.MoveBuckets(from, to, pick, nil); err != nil {
+			t.Fatalf("MoveBuckets %d -> %d: %v", from, to, err)
+		}
+	}
+	check := func(step string) {
+		t.Helper()
+		for ti, buckets := range model {
+			if got := tbl.Trees[ti].LiveBuckets(); len(got) != len(buckets) {
+				t.Fatalf("%s: tree %d has %d live buckets, model %d", step, ti, len(got), len(buckets))
+			}
+			for b, want := range buckets {
+				blk, _, err := store.GetBlock(tbl.BlockPath(ti, b), 0)
+				if err != nil {
+					t.Fatalf("%s: tree %d bucket %d: %v", step, ti, b, err)
+				}
+				got := blk.Rows()
+				if len(got) != len(want) {
+					t.Fatalf("%s: tree %d bucket %d holds %d rows, model %d", step, ti, b, len(got), len(want))
+				}
+				oracle := block.New(mixed)
+				for i, r := range want {
+					if !bytes.Equal(got[i].AppendBinary(nil), r.AppendBinary(nil)) {
+						t.Fatalf("%s: tree %d bucket %d row %d = %v, model %v", step, ti, b, i, got[i], r)
+					}
+					oracle.Append(r)
+				}
+				if m, o := tbl.Trees[ti].Metas[b], block.MetaOf(b, oracle); !metaEqual(m, o) {
+					t.Fatalf("%s: tree %d bucket %d meta %+v, row-built %+v", step, ti, b, m, o)
+				}
+			}
+		}
+	}
+	t1, t2 := addTree(1, 5), addTree(2, 9)
+	live := tbl.Trees[0].LiveBuckets()
+	move(0, t1, []block.ID{live[4], live[0], live[9]})
+	check("first move")
+	move(0, t1, live[10:])
+	check("second move")
+	l1 := tbl.Trees[t1].LiveBuckets()
+	move(t1, t2, []block.ID{l1[len(l1)-1], l1[0]})
+	check("move on")
+	move(0, t2, []block.ID{live[1], live[2]})
+	check("fourth move")
+
+	newTree := twophase.Builder{Schema: mixed, JoinAttr: 0, JoinLevels: 1, TotalDepth: 3, Seed: 12}.Build(tbl.SampleRows)
+	rewritten := map[block.ID][]tuple.Tuple{}
+	for _, b := range tbl.Trees[t1].LiveBuckets() {
+		for _, r := range model[t1][b] {
+			dest := newTree.Route(r)
+			rewritten[dest] = append(rewritten[dest], r)
+		}
+	}
+	model[t1] = rewritten
+	if err := tbl.ReplaceTreeData(t1, newTree, nil); err != nil {
+		t.Fatal(err)
+	}
+	check("rewrite")
+	if got := countRows(t, tbl); got != len(rows) {
+		t.Fatalf("table holds %d rows, want %d", got, len(rows))
+	}
+}
+
+// metaEqual compares block metas by their cells' encodings, so NaN
+// bounds compare equal to themselves.
+func metaEqual(a, b block.Meta) bool {
+	enc := func(vs []value.Value) []byte {
+		var out []byte
+		for _, v := range vs {
+			out = v.AppendBinary(out)
+		}
+		return out
+	}
+	return a.ID == b.ID && a.Count == b.Count && len(a.Mins) == len(b.Mins) &&
+		bytes.Equal(enc(a.Mins), enc(b.Mins)) && bytes.Equal(enc(a.Maxs), enc(b.Maxs))
 }
 
 func TestDropTree(t *testing.T) {

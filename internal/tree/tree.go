@@ -99,19 +99,80 @@ func (t *Tree) Route(tp tuple.Tuple) block.ID {
 	return n.Bucket
 }
 
-// RouteCols is Route for physical row i of a column-major row set: the
-// same descent, comparing typed cells against the cut points
-// (ColVec.CompareValue) instead of boxed values.
-func (t *Tree) RouteCols(cols *tuple.Columns, i int) block.ID {
-	n := t.Root
-	for !n.Leaf {
-		if cols.Col(n.Attr).CompareValue(i, n.Cut) <= 0 {
-			n = n.Left
-		} else {
-			n = n.Right
+// RouteCols routes every physical row of cols at once: dst[i] becomes
+// the bucket Route picks for row i. dst must hold cols.FullLen()
+// entries; any selection is ignored. The rows descend the tree
+// together as an index vector that every node stably partitions into
+// its left (cell ≤ cut) and right halves — one loop per node over one
+// column instead of one descent per row.
+func (t *Tree) RouteCols(cols *tuple.Columns, dst []block.ID) {
+	n := cols.FullLen()
+	idx := make([]int32, 2*n)
+	idx, scratch := idx[:n], idx[n:]
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	routeNode(t.Root, cols, idx, scratch, dst)
+}
+
+// routeNode routes the rows idx under node n; scratch is as long as idx.
+func routeNode(n *Node, cols *tuple.Columns, idx, scratch []int32, dst []block.ID) {
+	if len(idx) == 0 {
+		return
+	}
+	if n.Leaf {
+		for _, i := range idx {
+			dst[i] = n.Bucket
+		}
+		return
+	}
+	l := splitLE(cols.Col(n.Attr), n.Cut, idx, scratch)
+	routeNode(n.Left, cols, idx[:l], scratch[:l], dst)
+	routeNode(n.Right, cols, idx[l:], scratch[l:], dst)
+}
+
+// splitLE stably reorders idx so that the rows whose cell in v is at or
+// below cut come first, and returns their count. An all-valid int-class
+// or string column cut by a value of its own kind compares payloads in
+// a typed loop; every other cell — boxed, NULL-bearing, float, or of a
+// kind other than the cut's — goes through ColVec.CompareValue, which
+// keeps value.Compare's order (NULL first, NaN first, kinds ordered).
+func splitLE(v *tuple.ColVec, cut value.Value, idx, scratch []int32) int {
+	var l, r int
+	switch k := v.Kind(); {
+	case v.Valid() == nil && k == cut.K && value.IntClass(k):
+		l, r = splitTyped(v.Ints(), cut.I, idx, scratch)
+	case v.Valid() == nil && k == cut.K && k == value.String:
+		l, r = splitTyped(v.Strs(), cut.S, idx, scratch)
+	default:
+		for _, i := range idx {
+			if v.CompareValue(int(i), cut) <= 0 {
+				idx[l] = i
+				l++
+			} else {
+				scratch[r] = i
+				r++
+			}
 		}
 	}
-	return n.Bucket
+	copy(idx[l:], scratch[:r])
+	return l
+}
+
+// splitTyped is splitLE's typed loop: rows with xs[i] ≤ cut are packed
+// at the front of idx (never past the read position) and the others
+// into scratch, both in order.
+func splitTyped[T int64 | string](xs []T, cut T, idx, scratch []int32) (l, r int) {
+	for _, i := range idx {
+		if xs[i] <= cut {
+			idx[l] = i
+			l++
+		} else {
+			scratch[r] = i
+			r++
+		}
+	}
+	return l, r
 }
 
 // Buckets returns all bucket IDs, sorted.

@@ -313,44 +313,106 @@ func TestString(t *testing.T) {
 	}
 }
 
-// Property: the columnar route (typed cells against the cut points)
-// lands every row in the bucket the boxed route picks, NULL and
-// mixed-kind cells included.
+// Property: the batch router (typed cells against the cut points, one
+// partition per node) lands every row in the bucket the boxed route
+// picks — NULL cuts and cells, NaN/−0 floats, a mixed-kind (boxed)
+// column, an all-NULL column and cuts of another kind than the column
+// included.
 func TestRouteColsMatchesRouteQuick(t *testing.T) {
-	cell := func(rng *rand.Rand, col int) value.Value {
-		switch {
-		case rng.Intn(8) == 0:
-			return value.Value{}
-		case col == 2 && rng.Intn(3) == 0:
-			return value.NewString(string(rune('a' + rng.Intn(3)))) // column c mixes kinds
-		case col == 1:
-			return value.NewFloat([]float64{math.NaN(), math.Copysign(0, -1), 0, 1.5, 40, 90}[rng.Intn(6)])
-		}
-		return value.NewInt(rng.Int63n(100))
-	}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tr := figure3Tree()
-		tr.Walk(func(n *Node) {
-			if !n.Leaf {
-				n.Cut = cell(rng, n.Attr) // any cut, NULL included
-			}
-		})
-		rows := make([]tuple.Tuple, 1+rng.Intn(80))
-		for i := range rows {
-			rows[i] = tuple.Tuple{cell(rng, 0), cell(rng, 1), cell(rng, 2)}
-		}
-		cols := tuple.NewColumns(3)
-		cols.AppendRows(rows)
-		for i, r := range rows {
-			if got, want := tr.RouteCols(cols, i), tr.Route(r); got != want {
-				t.Logf("seed %d row %v: RouteCols %d, Route %d", seed, r, got, want)
-				return false
-			}
-		}
-		return true
-	}
+	f := func(seed int64) bool { return checkRouteCols(t, seed) }
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
+	if !checkRouteCols(t, -1) { // seed -1 routes an empty input
+		t.Fatal("empty input")
+	}
+}
+
+// FuzzRouteCols widens TestRouteColsMatchesRouteQuick: the fuzzer picks
+// the seed that shapes the tree, the cuts and the rows.
+func FuzzRouteCols(f *testing.F) {
+	for seed := int64(-1); seed < 16; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		if !checkRouteCols(t, seed) {
+			t.Fatal("RouteCols disagrees with Route")
+		}
+	})
+}
+
+// checkRouteCols routes a seeded random row set through a seeded random
+// tree over five columns — ints (NULL-bearing for some seeds), floats
+// with NaN and −0, strings that some seeds mix with ints, an all-NULL
+// column and dates — and reports whether RouteCols agrees with Route on
+// every row. Seed -1 makes the row set empty.
+func checkRouteCols(t testing.TB, seed int64) bool {
+	rng := rand.New(rand.NewSource(seed))
+	nullInts, mixed := rng.Intn(2) == 0, rng.Intn(2) == 0
+	cell := func(col int) value.Value {
+		switch col {
+		case 0:
+			if nullInts && rng.Intn(8) == 0 {
+				return value.Value{}
+			}
+			return value.NewInt(rng.Int63n(100))
+		case 1:
+			return value.NewFloat([]float64{math.NaN(), math.Copysign(0, -1), 0, 1.5, 40, 90}[rng.Intn(6)])
+		case 2:
+			if mixed && rng.Intn(3) == 0 {
+				return value.NewInt(rng.Int63n(3))
+			}
+			return value.NewString(string(rune('a' + rng.Intn(3))))
+		case 3:
+			return value.Value{}
+		}
+		return value.NewDate(rng.Int63n(100))
+	}
+	const ncols = 5
+	var next block.ID
+	var grow func(depth int) *Node
+	grow = func(depth int) *Node {
+		if depth == 0 || rng.Intn(4) == 0 {
+			next++
+			return &Node{Leaf: true, Bucket: next - 1}
+		}
+		n := &Node{Attr: rng.Intn(ncols)}
+		n.Cut = cell(n.Attr)
+		if rng.Intn(4) == 0 {
+			n.Cut = cell(rng.Intn(ncols)) // a cut of another column's kind
+		}
+		n.Left, n.Right = grow(depth-1), grow(depth-1)
+		return n
+	}
+	tr := NewWithRoot(schema.MustNew(
+		schema.Column{Name: "i", Kind: value.Int},
+		schema.Column{Name: "f", Kind: value.Float},
+		schema.Column{Name: "s", Kind: value.String},
+		schema.Column{Name: "n", Kind: value.Int},
+		schema.Column{Name: "d", Kind: value.Date},
+	), grow(1+rng.Intn(5)), -1, 0)
+	rows := make([]tuple.Tuple, rng.Intn(120))
+	if seed == -1 {
+		rows = nil
+	}
+	for i := range rows {
+		rows[i] = make(tuple.Tuple, ncols)
+		for c := range rows[i] {
+			rows[i][c] = cell(c)
+		}
+	}
+	cols := tuple.NewColumns(ncols)
+	cols.AppendRows(rows)
+	dst := make([]block.ID, len(rows))
+	for i := range dst {
+		dst[i] = -1
+	}
+	tr.RouteCols(cols, dst)
+	for i, r := range rows {
+		if want := tr.Route(r); dst[i] != want {
+			t.Logf("seed %d, tree %v, row %d %v: RouteCols %d, Route %d", seed, tr, i, r, dst[i], want)
+			return false
+		}
+	}
+	return true
 }

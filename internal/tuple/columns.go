@@ -35,6 +35,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"adaptdb/internal/value"
 )
@@ -263,7 +264,8 @@ func (v *ColVec) appendFrom(src *ColVec, i int) {
 }
 
 // appendGather appends src rows idxs in order. The monomorphic fast
-// paths keep join-output gathering free of per-value branching.
+// paths keep join-output gathering free of per-value branching and grow
+// the destination once per call.
 func (v *ColVec) appendGather(src *ColVec, idxs []int32) {
 	if v.boxed == nil && src.boxed == nil && src.valid == nil && v.valid == nil {
 		if v.kind == value.Null && src.kind != value.Null && v.n == 0 {
@@ -272,29 +274,32 @@ func (v *ColVec) appendGather(src *ColVec, idxs []int32) {
 		if src.kind == v.kind && v.kind != value.Null {
 			switch {
 			case value.IntClass(v.kind):
-				for _, i := range idxs {
-					v.ints = append(v.ints, src.ints[i])
-				}
-				v.n += len(idxs)
-				return
+				v.ints = gather(v.ints, src.ints, idxs)
 			case v.kind == value.Float:
-				for _, i := range idxs {
-					v.floats = append(v.floats, src.floats[i])
-				}
-				v.n += len(idxs)
-				return
+				v.floats = gather(v.floats, src.floats, idxs)
 			default:
-				for _, i := range idxs {
-					v.strs = append(v.strs, src.strs[i])
-				}
-				v.n += len(idxs)
-				return
+				v.strs = gather(v.strs, src.strs, idxs)
 			}
+			v.n += len(idxs)
+			return
 		}
 	}
 	for _, i := range idxs {
 		v.appendFrom(src, int(i))
 	}
+}
+
+// gather appends src[i] for each i in idxs to dst: one grow, then
+// writes by index. Every slot it exposes is written, so a string
+// vector still holds nothing non-empty beyond its length (see reset).
+func gather[T int64 | float64 | string](dst, src []T, idxs []int32) []T {
+	n := len(dst)
+	dst = slices.Grow(dst, len(idxs))[:n+len(idxs)]
+	out := dst[n:]
+	for j, i := range idxs {
+		out[j] = src[i]
+	}
+	return dst
 }
 
 // appendRange bulk-appends src rows [from, to). Same-kind all-valid

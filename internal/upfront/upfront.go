@@ -7,7 +7,9 @@
 package upfront
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"adaptdb/internal/block"
@@ -106,36 +108,22 @@ func GrowNode(rows []tuple.Tuple, attrs []int, depth int, ways map[int]int, rng 
 // chooseSplit picks the least-used splittable attribute and its median
 // cut. An attribute is splittable when the local sample has at least two
 // distinct values for it. Returns ok=false when nothing can split.
+//
+// Ties break by a seeded shuffle of attrs: of the splittable attributes
+// with the fewest ways, the first in shuffled order wins. A stable sort
+// of the shuffled candidates by ways puts that attribute first among
+// the splittable ones, so the search stops there, without sorting the
+// sample for attributes that cannot win.
 func chooseSplit(rows []tuple.Tuple, attrs []int, ways map[int]int, rng *rand.Rand) (attr int, cut value.Value, ok bool) {
-	type cand struct {
-		attr int
-		cut  value.Value
-	}
-	var best []cand
-	bestWays := -1
-	// Shuffle candidate order deterministically so ties break randomly but
-	// reproducibly.
 	order := append([]int(nil), attrs...)
 	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(ways[a], ways[b]) })
 	for _, a := range order {
-		c, can := medianCut(rows, a)
-		if !can {
-			continue
-		}
-		w := ways[a]
-		switch {
-		case bestWays == -1 || w < bestWays:
-			bestWays = w
-			best = []cand{{a, c}}
-		case w == bestWays:
-			best = append(best, cand{a, c})
+		if c, can := medianCut(rows, a); can {
+			return a, c, true
 		}
 	}
-	if len(best) == 0 {
-		return 0, value.Value{}, false
-	}
-	pick := best[0]
-	return pick.attr, pick.cut, true
+	return 0, value.Value{}, false
 }
 
 // medianCut returns a cut point for attr such that the local sample is

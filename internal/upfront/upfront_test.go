@@ -1,12 +1,16 @@
 package upfront
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"adaptdb/internal/block"
 	"adaptdb/internal/predicate"
 	"adaptdb/internal/schema"
+	"adaptdb/internal/tree"
 	"adaptdb/internal/tuple"
 	"adaptdb/internal/value"
 )
@@ -193,5 +197,135 @@ func TestLookupSoundOnBuiltTreeQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refChooseSplit is the exhaustive split search chooseSplit replaced: it
+// computes the median cut of every candidate and keeps the first
+// least-used splittable one in shuffled order. It is the oracle the
+// lazy search must match, RNG draws included.
+func refChooseSplit(rows []tuple.Tuple, attrs []int, ways map[int]int, rng *rand.Rand) (attr int, cut value.Value, ok bool) {
+	type cand struct {
+		attr int
+		cut  value.Value
+	}
+	var best []cand
+	bestWays := -1
+	order := append([]int(nil), attrs...)
+	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	for _, a := range order {
+		c, can := medianCut(rows, a)
+		if !can {
+			continue
+		}
+		w := ways[a]
+		switch {
+		case bestWays == -1 || w < bestWays:
+			bestWays = w
+			best = []cand{{a, c}}
+		case w == bestWays:
+			best = append(best, cand{a, c})
+		}
+	}
+	if len(best) == 0 {
+		return 0, value.Value{}, false
+	}
+	pick := best[0]
+	return pick.attr, pick.cut, true
+}
+
+// RefGrowNode is GrowNode over refChooseSplit. It is exported for the
+// two-phase oracle in package upfront_test.
+func RefGrowNode(rows []tuple.Tuple, attrs []int, depth int, ways map[int]int, rng *rand.Rand, alloc func() block.ID) *tree.Node {
+	if depth <= 0 {
+		return &tree.Node{Leaf: true, Bucket: alloc()}
+	}
+	attr, cut, ok := refChooseSplit(rows, attrs, ways, rng)
+	if !ok {
+		return &tree.Node{Leaf: true, Bucket: alloc()}
+	}
+	ways[attr]++
+	var left, right []tuple.Tuple
+	for _, t := range rows {
+		if value.Compare(t[attr], cut) <= 0 {
+			left = append(left, t)
+		} else {
+			right = append(right, t)
+		}
+	}
+	return &tree.Node{
+		Attr:  attr,
+		Cut:   cut,
+		Left:  RefGrowNode(left, attrs, depth-1, ways, rng, alloc),
+		Right: RefGrowNode(right, attrs, depth-1, ways, rng, alloc),
+	}
+}
+
+// OracleSchema is the column layout of OracleSample.
+var OracleSchema = schema.MustNew(
+	schema.Column{Name: "tied", Kind: value.Int},
+	schema.Column{Name: "const", Kind: value.Int},
+	schema.Column{Name: "nullable", Kind: value.Int},
+	schema.Column{Name: "str", Kind: value.String},
+	schema.Column{Name: "float", Kind: value.Float},
+	schema.Column{Name: "maybe_null", Kind: value.Date},
+)
+
+// OracleSample is a seeded sample that stresses the split search: a
+// column of few, heavily tied values, a constant column, NULL cells in
+// ints and strings, NaN and −0 floats, and a column that is all NULL
+// for every third seed. Sizes run from empty to 700 rows.
+func OracleSample(seed int64) []tuple.Tuple {
+	rng := rand.New(rand.NewSource(seed))
+	domain := int64(2 + rng.Intn(6))
+	rows := make([]tuple.Tuple, rng.Intn(700))
+	for i := range rows {
+		r := tuple.Tuple{
+			value.NewInt(rng.Int63n(domain)),
+			value.NewInt(7),
+			value.NewInt(rng.Int63n(50)),
+			value.NewString(string(rune('a' + rng.Intn(5)))),
+			value.NewFloat([]float64{math.NaN(), math.Copysign(0, -1), 0, 1.5, 2.5, 9}[rng.Intn(6)]),
+			value.Value{},
+		}
+		if rng.Intn(4) == 0 {
+			r[2] = value.Value{}
+		}
+		if rng.Intn(6) == 0 {
+			r[3] = value.Value{}
+		}
+		if seed%3 != 0 {
+			r[5] = value.NewDate(rng.Int63n(1000))
+		}
+		rows[i] = r
+	}
+	return rows
+}
+
+// The lazy search picks what the exhaustive one picks and leaves the
+// RNG where it left it, whatever the ways counts and candidate lists.
+func TestChooseSplitMatchesExhaustive(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		rows := OracleSample(seed)
+		var attrs []int
+		ways := make(map[int]int)
+		for a := 0; a < OracleSchema.NumCols(); a++ {
+			if rng.Intn(4) != 0 {
+				attrs = append(attrs, a)
+			}
+			if w := rng.Intn(4); w > 0 {
+				ways[a] = w
+			}
+		}
+		lazy, ref := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		a, c, ok := chooseSplit(rows, attrs, ways, lazy)
+		ra, rc, rok := refChooseSplit(rows, attrs, ways, ref)
+		if a != ra || ok != rok || !bytes.Equal(c.AppendBinary(nil), rc.AppendBinary(nil)) {
+			t.Fatalf("seed %d attrs %v ways %v: lazy (%d, %v, %v), exhaustive (%d, %v, %v)", seed, attrs, ways, a, c, ok, ra, rc, rok)
+		}
+		if lazy.Int63() != ref.Int63() {
+			t.Fatalf("seed %d: the searches left the RNG in different states", seed)
+		}
 	}
 }
