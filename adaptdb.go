@@ -29,12 +29,11 @@ import (
 	"adaptdb/internal/cluster"
 	"adaptdb/internal/core"
 	"adaptdb/internal/dfs"
-	"adaptdb/internal/exec"
 	"adaptdb/internal/optimizer"
-	"adaptdb/internal/planner"
 	"adaptdb/internal/predicate"
 	"adaptdb/internal/query"
 	"adaptdb/internal/schema"
+	"adaptdb/internal/session"
 	"adaptdb/internal/tuple"
 	"adaptdb/internal/value"
 )
@@ -161,9 +160,9 @@ type DB struct {
 	opts   Options
 	store  *dfs.Store
 	model  cluster.CostModel
-	opt    *optimizer.Optimizer
+	sess   *session.Session
 	tables map[string]*core.Table
-	total  cluster.Counters
+	total  cluster.Meter
 }
 
 // Open creates an empty database over a fresh simulated cluster.
@@ -171,15 +170,20 @@ func Open(opts Options) *DB {
 	opts = opts.withDefaults()
 	model := cluster.Default()
 	model.Nodes = opts.Nodes
+	store := dfs.NewStore(opts.Nodes, opts.Replication, opts.Seed)
 	return &DB{
 		opts:  opts,
-		store: dfs.NewStore(opts.Nodes, opts.Replication, opts.Seed),
+		store: store,
 		model: model,
-		opt: optimizer.New(optimizer.Config{
-			Mode:         opts.Mode,
-			WindowSize:   opts.WindowSize,
-			EnableAmoeba: opts.EnableSelectionAdaptation,
-			Seed:         opts.Seed,
+		sess: session.New(store, session.Config{
+			Model: model,
+			Optimizer: optimizer.Config{
+				Mode:         opts.Mode,
+				WindowSize:   opts.WindowSize,
+				EnableAmoeba: opts.EnableSelectionAdaptation,
+				Seed:         opts.Seed,
+			},
+			BudgetBlocks: opts.BudgetBlocks,
 		}),
 		tables: make(map[string]*core.Table),
 	}
@@ -415,51 +419,40 @@ type Result struct {
 	Stats Stats
 }
 
-// Run executes the query: the spec binds against the catalog, the
-// optimizer adapts partitioning per the query window (touch
-// descriptors derived from the join graph — never hand-maintained),
-// then the planner greedily orders the join graph and picks join
-// strategies per the cost model, and the executor runs them.
+// Run executes the query as the next query of the database's
+// session: the spec binds against the catalog, the optimizer records
+// the votes derived from its join graph and adapts partitioning per
+// the query windows, then the planner greedily orders the join graph
+// and picks join strategies per the cost model, and the executor runs
+// them.
 func (qb *QueryBuilder) Run() (*Result, error) {
 	if qb.err != nil {
 		return nil, qb.err
 	}
 	db := qb.db
-	meter := &cluster.Meter{}
-
 	spec, err := qb.buildSpec()
 	if err != nil {
 		return nil, err
 	}
-	bound, err := spec.Bind(query.Catalog(db.tables))
+	q, err := session.FromSpec(query.Catalog(db.tables), spec)
 	if err != nil {
 		return nil, err
 	}
-
-	// Optimizer step: record usage and repartition.
-	rep, err := db.opt.OnQuery(bound.Uses(), meter)
+	res, err := db.sess.Execute(q)
 	if err != nil {
 		return nil, err
 	}
-
-	runner := planner.NewRunner(exec.New(db.store, meter), db.model)
-	runner.BudgetBlocks = db.opts.BudgetBlocks
-	rows, prep, err := runner.RunSpec(bound)
-	if err != nil {
-		return nil, err
-	}
-	c := meter.Snapshot()
-	db.total = mergeCounters(db.total, c)
+	db.total.Merge(res.Counters)
 	st := Stats{
-		SimSeconds:        c.SimSeconds(db.model),
-		BlocksScanned:     c.BlocksScanned,
-		ProbeBlocks:       c.ProbeBlocks,
-		RepartitionedRows: rep.MovedRows,
+		SimSeconds:        res.SimSeconds,
+		BlocksScanned:     res.Counters.BlocksScanned,
+		ProbeBlocks:       res.Counters.ProbeBlocks,
+		RepartitionedRows: res.Adapt.MovedRows,
 	}
-	for _, j := range prep.Joins {
+	for _, j := range res.Report.Joins {
 		st.Strategies = append(st.Strategies, j.Strategy)
 	}
-	return &Result{Rows: rows, Stats: st}, nil
+	return &Result{Rows: res.Rows, Stats: st}, nil
 }
 
 // resolveLeft finds which previously referenced table owns leftCol,
@@ -502,15 +495,8 @@ func (qb *QueryBuilder) buildSpec() (query.Spec, error) {
 	return s, nil
 }
 
-func mergeCounters(a, b cluster.Counters) cluster.Counters {
-	var m cluster.Meter
-	m.Merge(a)
-	m.Merge(b)
-	return m.Snapshot()
-}
-
 // TotalSimSeconds returns cumulative simulated time across all queries.
-func (db *DB) TotalSimSeconds() float64 { return db.total.SimSeconds(db.model) }
+func (db *DB) TotalSimSeconds() float64 { return db.total.Snapshot().SimSeconds(db.model) }
 
 // TotalCounters returns the cumulative I/O counters.
-func (db *DB) TotalCounters() cluster.Counters { return db.total }
+func (db *DB) TotalCounters() cluster.Counters { return db.total.Snapshot() }

@@ -157,7 +157,11 @@ func pr9GreedyVsFixed(cfg experiments.Config, model cluster.CostModel, nodes int
 		var sim float64
 		for rep := 0; rep < 3; rep++ {
 			start := time.Now()
-			out, _, err := runner.RunSpec(bound)
+			comp, err := runner.CompileSpec(bound)
+			if err != nil {
+				return pr9GreedyReport{}, err
+			}
+			out, err := exec.Collect(comp.Root)
 			if err != nil {
 				return pr9GreedyReport{}, err
 			}

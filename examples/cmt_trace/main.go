@@ -11,9 +11,8 @@ import (
 	"adaptdb/internal/cluster"
 	"adaptdb/internal/cmt"
 	"adaptdb/internal/dfs"
-	"adaptdb/internal/exec"
 	"adaptdb/internal/optimizer"
-	"adaptdb/internal/planner"
+	"adaptdb/internal/session"
 )
 
 func main() {
@@ -28,21 +27,18 @@ func main() {
 		store := dfs.NewStore(model.Nodes, 2, 11)
 		tb, err := cmt.LoadAll(store, data, cmt.LoadConfig{RowsPerBlock: 512, Seed: 11})
 		check(err)
-		opt := optimizer.New(optimizer.Config{Mode: mode, WindowSize: 10, Seed: 11})
-		meter := &cluster.Meter{}
-		ex := exec.New(store, meter)
-		ex.NoPrune = noPrune
-		runner := planner.NewRunner(ex, model)
-		runner.BudgetBlocks = 8
-		runner.ForceShuffle = forceShuffle
+		s := session.New(store, session.Config{
+			Model:        model,
+			Optimizer:    optimizer.Config{Mode: mode, WindowSize: 10, Seed: 11},
+			BudgetBlocks: 8,
+			ForceShuffle: forceShuffle,
+		})
+		s.Executor().NoPrune = noPrune
 		var out []float64
 		for i := range trace {
-			q := trace[i]
-			_, err := opt.OnQuery(q.Uses(tb), meter)
+			res, err := s.Execute(session.Query{Plan: trace[i].Plan(tb)})
 			check(err)
-			_, _, err = runner.Run(q.Plan(tb))
-			check(err)
-			out = append(out, meter.Reset().SimSeconds(model))
+			out = append(out, res.SimSeconds)
 		}
 		// Report the converged layout.
 		if mode == optimizer.ModeAdaptive {

@@ -6,7 +6,6 @@ import (
 
 	"adaptdb/internal/core"
 	"adaptdb/internal/dfs"
-	"adaptdb/internal/optimizer"
 	"adaptdb/internal/planner"
 	"adaptdb/internal/predicate"
 	"adaptdb/internal/schema"
@@ -278,24 +277,6 @@ func (q *TraceQuery) Plan(tb *Tables) planner.Node {
 	default: // history-join and big-scan both join history
 		return &planner.Join{Left: trips, Right: &planner.Scan{Table: tb.History},
 			LCol: TTripID, RCol: HTripID}
-	}
-}
-
-// Uses lists the optimizer-visible table touches.
-func (q *TraceQuery) Uses(tb *Tables) []optimizer.TableUse {
-	switch q.Kind {
-	case KindLookup:
-		return []optimizer.TableUse{{Table: tb.Trips, JoinAttr: -1, Preds: q.TripPreds}}
-	case KindLatestJoin:
-		return []optimizer.TableUse{
-			{Table: tb.Trips, JoinAttr: TTripID, Preds: q.TripPreds},
-			{Table: tb.Latest, JoinAttr: LTripID},
-		}
-	default:
-		return []optimizer.TableUse{
-			{Table: tb.Trips, JoinAttr: TTripID, Preds: q.TripPreds},
-			{Table: tb.History, JoinAttr: HTripID},
-		}
 	}
 }
 

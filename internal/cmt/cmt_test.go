@@ -1,6 +1,7 @@
 package cmt
 
 import (
+	"reflect"
 	"testing"
 
 	"adaptdb/internal/cluster"
@@ -113,7 +114,11 @@ func TestTraceQueriesMatchOracle(t *testing.T) {
 	meter := &cluster.Meter{}
 	runner := planner.NewRunner(exec.New(store, meter), cluster.Default())
 	for _, q := range Trace(d, 4)[:25] {
-		rows, _, err := runner.Run(q.Plan(tb))
+		comp, err := runner.Compile(q.Plan(tb))
+		if err != nil {
+			t.Fatalf("q%d: %v", q.Seq, err)
+		}
+		rows, err := exec.Collect(comp.Root)
 		if err != nil {
 			t.Fatalf("q%d: %v", q.Seq, err)
 		}
@@ -133,6 +138,9 @@ func TestTraceQueriesMatchOracle(t *testing.T) {
 	}
 }
 
+// TestUsesJoinAttrs pins the votes planner.Uses derives from every
+// trace query kind's plan: trips votes trip_id when it joins, and only
+// trips carries predicates — the Scan's own slice.
 func TestUsesJoinAttrs(t *testing.T) {
 	d := Generate(200, 3)
 	store := dfs.NewStore(2, 1, 1)
@@ -140,14 +148,38 @@ func TestUsesJoinAttrs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := TraceQuery{Kind: KindHistoryJoin}
-	uses := q.Uses(tb)
-	if len(uses) != 2 || uses[0].JoinAttr != TTripID || uses[1].JoinAttr != HTripID {
-		t.Errorf("history join uses wrong: %+v", uses)
+	type vote struct {
+		table string
+		attr  int
 	}
-	q.Kind = KindLookup
-	if u := q.Uses(tb); len(u) != 1 || u[0].JoinAttr != -1 {
-		t.Errorf("lookup uses wrong: %+v", u)
+	want := map[Kind][]vote{
+		KindLookup:      {{"trips", -1}},
+		KindHistoryJoin: {{"trips", TTripID}, {"history", HTripID}},
+		KindLatestJoin:  {{"trips", TTripID}, {"latest", LTripID}},
+		KindBigScan:     {{"trips", TTripID}, {"history", HTripID}},
+	}
+	seen := map[Kind]bool{}
+	for _, q := range Trace(d, 4) {
+		seen[q.Kind] = true
+		uses := planner.Uses(q.Plan(tb))
+		var got []vote
+		for _, u := range uses {
+			got = append(got, vote{u.Table.Name, u.JoinAttr})
+		}
+		if !reflect.DeepEqual(got, want[q.Kind]) {
+			t.Fatalf("q%d (%s): votes %v, want %v", q.Seq, q.Kind, got, want[q.Kind])
+		}
+		if &uses[0].Preds[0] != &q.TripPreds[0] {
+			t.Fatalf("q%d: trips votes a copy of its predicates, not the Scan's slice", q.Seq)
+		}
+		for _, u := range uses[1:] {
+			if u.Preds != nil {
+				t.Fatalf("q%d: %s votes predicates %v, want none", q.Seq, u.Table.Name, u.Preds)
+			}
+		}
+	}
+	if len(seen) != len(want) {
+		t.Fatalf("trace covers kinds %v, want all of %d", seen, len(want))
 	}
 }
 
@@ -179,7 +211,7 @@ func TestAdaptationConvergesInFirstTenQueries(t *testing.T) {
 	opt := optimizer.New(optimizer.Config{Mode: optimizer.ModeAdaptive, WindowSize: 10, Seed: 7})
 	for _, q := range Trace(d, 4)[:12] {
 		var meter cluster.Meter
-		if _, err := opt.OnQuery(q.Uses(tb), &meter); err != nil {
+		if _, err := opt.OnQuery(planner.Uses(q.Plan(tb)), &meter); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -121,7 +121,7 @@ func RunConcurrent(cfg ConcurrentConfig) (*ConcurrentReport, error) {
 	run := func(svc *serve.Service, tbls *tpch.Tables, rng *rand.Rand, c, qi int) (QueryDigest, error) {
 		in := tpch.NewInstance(sched[qi], data, rng)
 		res, err := svc.Stream(context.Background(), fmt.Sprintf("c%d", c), session.Query{
-			Label: string(sched[qi]), Plan: in.Plan(tbls), Uses: in.Uses(tbls),
+			Label: string(sched[qi]), Plan: in.Plan(tbls),
 		}, nil)
 		if err != nil {
 			return QueryDigest{}, fmt.Errorf("client %d query %d (%s): %w", c, qi, sched[qi], err)

@@ -456,7 +456,11 @@ func RunDistributed(c Case, nodes int) error {
 	ex.EnableNodes(1)
 	runner := planner.NewRunner(ex, cluster.Default())
 	runner.EstScale = c.EstFactor // inject the case's estimate error into every compiled join
-	got, _, err := runner.Run(plan)
+	comp, err := runner.Compile(plan)
+	if err != nil {
+		return fmt.Errorf("%s: %s: %w", c, label, err)
+	}
+	got, err := exec.Collect(comp.Root)
 	if err != nil {
 		return fmt.Errorf("%s: %s: %w", c, label, err)
 	}

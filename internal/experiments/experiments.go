@@ -13,6 +13,10 @@ import (
 	"strings"
 
 	"adaptdb/internal/cluster"
+	"adaptdb/internal/dfs"
+	"adaptdb/internal/optimizer"
+	"adaptdb/internal/planner"
+	"adaptdb/internal/session"
 )
 
 // Config holds the common experiment knobs.
@@ -123,6 +127,27 @@ func dashes(widths []int) []string {
 		out[i] = strings.Repeat("-", w)
 	}
 	return out
+}
+
+// staticSession runs queries over store without adapting: ModeStatic
+// only records the query windows. budget 0 keeps the planner default.
+func staticSession(store *dfs.Store, model cluster.CostModel, budget int, forceShuffle bool) *session.Session {
+	return session.New(store, session.Config{
+		Model:        model,
+		Optimizer:    optimizer.Config{Mode: optimizer.ModeStatic},
+		BudgetBlocks: budget,
+		ForceShuffle: forceShuffle,
+	})
+}
+
+// simSeconds runs plan as the next query of s and returns its
+// simulated seconds, adaptation included.
+func simSeconds(s *session.Session, plan planner.Node) (float64, error) {
+	res, err := s.Execute(session.Query{Plan: plan})
+	if err != nil {
+		return 0, err
+	}
+	return res.SimSeconds, nil
 }
 
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }

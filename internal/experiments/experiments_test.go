@@ -20,6 +20,7 @@ func TestFig01ShuffleSlower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, res)
 	sh := res.Series["shuffle"][0]
 	co := res.Series["copartitioned"][0]
 	if sh <= co {
@@ -35,6 +36,7 @@ func TestFig07LocalityNearlyIrrelevant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, res)
 	slow := res.Series["slowdown"]
 	if len(slow) != 4 {
 		t.Fatalf("want 4 locality points, got %d", len(slow))
@@ -55,6 +57,7 @@ func TestFig08Linear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, res)
 	secs := res.Series["seconds"]
 	rows := res.Series["rows"]
 	// Cost per row stays within 15% across sizes: linear scaling.
@@ -72,6 +75,7 @@ func TestFig12HyperWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, res)
 	hyper := res.Series["hyper"]
 	shuffle := res.Series["shuffle"]
 	amoeba := res.Series["amoeba"]
@@ -116,6 +120,7 @@ func TestFig13aAdaptDBBeatsBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, res)
 	fsTotal, _ := Summarize(res.Series["FullScan"])
 	rpTotal, rpPeak := Summarize(res.Series["Repartitioning"])
 	adTotal, adPeak := Summarize(res.Series["AdaptDB"])
@@ -136,6 +141,7 @@ func TestFig13bAdaptDBBeatsFullScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, res)
 	fsTotal, _ := Summarize(res.Series["FullScan"])
 	adTotal, adPeak := Summarize(res.Series["AdaptDB"])
 	_, rpPeak := Summarize(res.Series["Repartitioning"])
@@ -155,6 +161,7 @@ func TestFig14BufferMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, res)
 	blocks := res.Series["blocks"]
 	for i := 1; i < len(blocks); i++ {
 		if blocks[i] > blocks[i-1] {
@@ -174,6 +181,7 @@ func TestFig15WindowSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, res)
 	if len(res.Series["w5"]) != 70 || len(res.Series["w35"]) != 70 {
 		t.Fatalf("workload should be 70 queries: %d / %d", len(res.Series["w5"]), len(res.Series["w35"]))
 	}
@@ -190,6 +198,7 @@ func TestFig16PredicateSweetSpot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, res)
 	// Locate the grid minimum; with predicates the no-join corner (0,0)
 	// must not be optimal (paper: minimum near half the levels).
 	minV := 1e18
@@ -212,6 +221,7 @@ func TestFig16NoPredicatesMoreLevelsBetter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, res)
 	// Without predicates the fully joined corner beats the unjoined one.
 	maxLine := -1
 	for name := range res.Series {
@@ -238,6 +248,7 @@ func TestFig17ApproxNearOptimalAndFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, res)
 	for i := range res.Series["ilp"] {
 		ilpCost := res.Series["ilp"][i]
 		appCost := res.Series["approx"][i]
@@ -264,6 +275,7 @@ func TestFig18CMTTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, res)
 	fsTotal, _ := Summarize(res.Series["FullScan"])
 	adTotal, _ := Summarize(res.Series["AdaptDB"])
 	if adTotal >= fsTotal {

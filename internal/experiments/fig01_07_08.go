@@ -7,6 +7,7 @@ import (
 	"adaptdb/internal/dfs"
 	"adaptdb/internal/exec"
 	"adaptdb/internal/planner"
+	"adaptdb/internal/session"
 	"adaptdb/internal/tpch"
 )
 
@@ -26,38 +27,30 @@ func Fig01(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	meter := &cluster.Meter{}
-	runner := planner.NewRunner(exec.New(store, meter), model)
-	runner.BudgetBlocks = cfg.Budget
 	plan := &planner.Join{
 		Left:  &planner.Scan{Table: tb.Lineitem},
 		Right: &planner.Scan{Table: tb.Orders},
 		LCol:  tpch.LOrderKey, RCol: tpch.OOrderKey,
 	}
-
-	runner.ForceShuffle = true
-	if _, _, err := runner.Run(plan); err != nil {
-		return nil, err
-	}
-	shuffle := meter.Reset().SimSeconds(model)
-
-	runner.ForceShuffle = false
-	_, rep, err := runner.Run(plan)
+	shuffle, err := staticSession(store, model, cfg.Budget, true).Execute(session.Query{Plan: plan})
 	if err != nil {
 		return nil, err
 	}
-	coPart := meter.Reset().SimSeconds(model)
+	coPart, err := staticSession(store, model, cfg.Budget, false).Execute(session.Query{Plan: plan})
+	if err != nil {
+		return nil, err
+	}
 
 	res := &Result{
 		Name:   "fig01",
 		Title:  "Shuffle vs co-partitioned joins (lineitem ⋈ orders)",
 		Header: []string{"join", "sim-seconds"},
-		Notes:  fmt.Sprintf("co-partitioned runs as hyper-join, CHyJ=%.2f; paper: co-partitioned ≈2x faster", rep.Joins[0].CHyJ),
+		Notes:  fmt.Sprintf("co-partitioned runs as hyper-join, CHyJ=%.2f; paper: co-partitioned ≈2x faster", coPart.Report.Joins[0].CHyJ),
 	}
-	res.AddRow("Shuffle Join", f1(shuffle))
-	res.AddRow("Co-partitioned Join", f1(coPart))
-	res.AddSeries("shuffle", shuffle)
-	res.AddSeries("copartitioned", coPart)
+	res.AddRow("Shuffle Join", f1(shuffle.SimSeconds))
+	res.AddRow("Co-partitioned Join", f1(coPart.SimSeconds))
+	res.AddSeries("shuffle", shuffle.SimSeconds)
+	res.AddSeries("copartitioned", coPart.SimSeconds)
 	return res, nil
 }
 
@@ -137,18 +130,15 @@ func Fig08(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		meter := &cluster.Meter{}
-		runner := planner.NewRunner(exec.New(store, meter), model)
-		runner.ForceShuffle = true
 		plan := &planner.Join{
 			Left:  &planner.Scan{Table: tb.Lineitem},
 			Right: &planner.Scan{Table: tb.Orders},
 			LCol:  tpch.LOrderKey, RCol: tpch.OOrderKey,
 		}
-		if _, _, err := runner.Run(plan); err != nil {
+		secs, err := simSeconds(staticSession(store, model, 0, true), plan)
+		if err != nil {
 			return nil, err
 		}
-		secs := meter.Snapshot().SimSeconds(model)
 		res.AddRow(fmt.Sprintf("%dx", mult), fi(len(d.Lineitem)+len(d.Orders)), f1(secs))
 		res.AddSeries("seconds", secs)
 		res.AddSeries("rows", float64(len(d.Lineitem)+len(d.Orders)))

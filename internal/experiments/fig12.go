@@ -7,9 +7,8 @@ import (
 	"adaptdb/internal/baselines"
 	"adaptdb/internal/cluster"
 	"adaptdb/internal/dfs"
-	"adaptdb/internal/exec"
-	"adaptdb/internal/planner"
 	"adaptdb/internal/predicate"
+	"adaptdb/internal/session"
 	"adaptdb/internal/tpch"
 )
 
@@ -75,32 +74,24 @@ func Fig12(cfg Config) (*Result, error) {
 			return nil, err
 		}
 
+		hyper := staticSession(adaptStore, model, cfg.Budget, false)
+		shuffle := staticSession(adaptStore, model, cfg.Budget, true)
+		amoeba := staticSession(amoebaStore, model, 0, true)
 		var hyperS, shuffleS, amoebaS, prefS float64
 		rng := rand.New(rand.NewSource(cfg.Seed + 100))
 		for run := 0; run < runsPerTemplate; run++ {
 			in := tpch.NewInstance(tpl, d, rng)
-
-			meter := &cluster.Meter{}
-			runner := planner.NewRunner(exec.New(adaptStore, meter), model)
-			runner.BudgetBlocks = cfg.Budget
-			if _, _, err := runner.Run(in.Plan(adaptTables)); err != nil {
-				return nil, err
+			for _, sys := range []struct {
+				s   *session.Session
+				tb  *tpch.Tables
+				sum *float64
+			}{{hyper, adaptTables, &hyperS}, {shuffle, adaptTables, &shuffleS}, {amoeba, amoebaTables, &amoebaS}} {
+				secs, err := simSeconds(sys.s, in.Plan(sys.tb))
+				if err != nil {
+					return nil, err
+				}
+				*sys.sum += secs
 			}
-			hyperS += meter.Reset().SimSeconds(model)
-
-			runner.ForceShuffle = true
-			if _, _, err := runner.Run(in.Plan(adaptTables)); err != nil {
-				return nil, err
-			}
-			shuffleS += meter.Reset().SimSeconds(model)
-
-			aMeter := &cluster.Meter{}
-			aRunner := planner.NewRunner(exec.New(amoebaStore, aMeter), model)
-			aRunner.ForceShuffle = true
-			if _, _, err := aRunner.Run(in.Plan(amoebaTables)); err != nil {
-				return nil, err
-			}
-			amoebaS += aMeter.Reset().SimSeconds(model)
 
 			pMeter := &cluster.Meter{}
 			if _, err := pref.Run(in, pMeter); err != nil {

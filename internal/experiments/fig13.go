@@ -5,9 +5,8 @@ import (
 
 	"adaptdb/internal/cluster"
 	"adaptdb/internal/dfs"
-	"adaptdb/internal/exec"
 	"adaptdb/internal/optimizer"
-	"adaptdb/internal/planner"
+	"adaptdb/internal/session"
 	"adaptdb/internal/tpch"
 )
 
@@ -60,6 +59,21 @@ type systemConfig struct {
 	// skipping (the Full Scan baseline does both).
 	forceShuffle bool
 	noPrune      bool
+	// bestGuess loads Fig. 18's hand-tuned CMT layout.
+	bestGuess bool
+}
+
+// session opens the system's session over store: window size 10, and
+// FullScan's pruning off.
+func (sys systemConfig) session(store *dfs.Store, model cluster.CostModel, cfg Config) *session.Session {
+	s := session.New(store, session.Config{
+		Model:        model,
+		Optimizer:    optimizer.Config{Mode: sys.mode, WindowSize: 10, Seed: cfg.Seed},
+		BudgetBlocks: cfg.Budget,
+		ForceShuffle: sys.forceShuffle,
+	})
+	s.Executor().NoPrune = sys.noPrune
+	return s
 }
 
 func fig13Systems() []systemConfig {
@@ -86,27 +100,16 @@ func runChangingWorkload(cfg Config, schedule []tpch.Template) (map[string][]flo
 		if err != nil {
 			return nil, err
 		}
-		opt := optimizer.New(optimizer.Config{
-			Mode: sys.mode, WindowSize: 10, Seed: cfg.Seed,
-		})
-		meter := &cluster.Meter{}
-		ex := exec.New(store, meter)
-		ex.NoPrune = sys.noPrune
-		runner := planner.NewRunner(ex, model)
-		runner.BudgetBlocks = cfg.Budget
-		runner.ForceShuffle = sys.forceShuffle
+		s := sys.session(store, model, cfg)
 
 		rng := rand.New(rand.NewSource(cfg.Seed + 31))
 		var series []float64
 		for _, tpl := range schedule {
-			in := tpch.NewInstance(tpl, d, rng)
-			if _, err := opt.OnQuery(in.Uses(tb), meter); err != nil {
+			secs, err := simSeconds(s, tpch.NewInstance(tpl, d, rng).Plan(tb))
+			if err != nil {
 				return nil, err
 			}
-			if _, _, err := runner.Run(in.Plan(tb)); err != nil {
-				return nil, err
-			}
-			series = append(series, meter.Reset().SimSeconds(model))
+			series = append(series, secs)
 		}
 		out[sys.name] = series
 	}

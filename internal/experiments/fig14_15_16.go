@@ -9,7 +9,7 @@ import (
 	"adaptdb/internal/dfs"
 	"adaptdb/internal/exec"
 	"adaptdb/internal/optimizer"
-	"adaptdb/internal/planner"
+	"adaptdb/internal/session"
 	"adaptdb/internal/tpch"
 	"adaptdb/internal/tree"
 	"adaptdb/internal/twophase"
@@ -85,23 +85,21 @@ func Fig15(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		opt := optimizer.New(optimizer.Config{
-			Mode: optimizer.ModeAdaptive, WindowSize: winSize,
-			EnableAmoeba: true, Seed: cfg.Seed,
+		s := session.New(store, session.Config{
+			Model: model,
+			Optimizer: optimizer.Config{
+				Mode: optimizer.ModeAdaptive, WindowSize: winSize,
+				EnableAmoeba: true, Seed: cfg.Seed,
+			},
+			BudgetBlocks: cfg.Budget,
 		})
-		meter := &cluster.Meter{}
-		runner := planner.NewRunner(exec.New(store, meter), model)
-		runner.BudgetBlocks = cfg.Budget
 		rng := rand.New(rand.NewSource(cfg.Seed + 23))
 		for _, tpl := range fig15Schedule(rng) {
-			in := tpch.NewInstance(tpl, d, rng)
-			if _, err := opt.OnQuery(in.Uses(tb), meter); err != nil {
+			secs, err := simSeconds(s, tpch.NewInstance(tpl, d, rng).Plan(tb))
+			if err != nil {
 				return nil, err
 			}
-			if _, _, err := runner.Run(in.Plan(tb)); err != nil {
-				return nil, err
-			}
-			series[winSize] = append(series[winSize], meter.Reset().SimSeconds(model))
+			series[winSize] = append(series[winSize], secs)
 		}
 	}
 	for i := range series[5] {

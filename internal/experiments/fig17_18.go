@@ -5,14 +5,11 @@ import (
 	"math/rand"
 	"time"
 
-	"adaptdb/internal/cluster"
 	"adaptdb/internal/cmt"
 	"adaptdb/internal/dfs"
-	"adaptdb/internal/exec"
 	"adaptdb/internal/hyperjoin"
 	"adaptdb/internal/ilp"
 	"adaptdb/internal/optimizer"
-	"adaptdb/internal/planner"
 	"adaptdb/internal/predicate"
 	"adaptdb/internal/value"
 )
@@ -126,46 +123,30 @@ func Fig18(cfg Config, numTrips int) (*Result, error) {
 	d := cmt.Generate(numTrips, cfg.Seed)
 	trace := cmt.Trace(d, cfg.Seed+1)
 
-	type sys struct {
-		name      string
-		mode      optimizer.Mode
-		bestGuess bool
-		noPrune   bool
-		shuffle   bool
-	}
-	systems := []sys{
-		{name: "FullScan", mode: optimizer.ModeStatic, noPrune: true, shuffle: true},
+	systems := []systemConfig{
+		{name: "FullScan", mode: optimizer.ModeStatic, forceShuffle: true, noPrune: true},
 		{name: "Repartitioning", mode: optimizer.ModeFullRepartition},
 		{name: "BestGuess", mode: optimizer.ModeStatic, bestGuess: true},
 		{name: "AdaptDB", mode: optimizer.ModeAdaptive},
 	}
 	series := make(map[string][]float64)
-	for _, s := range systems {
+	for _, sys := range systems {
 		store := dfs.NewStore(model.Nodes, 2, cfg.Seed)
 		lcfg := cmt.LoadConfig{RowsPerBlock: cfg.RowsPerBlock, Seed: cfg.Seed}
-		if s.bestGuess {
+		if sys.bestGuess {
 			lcfg.JoinAttrs, lcfg.Attrs = cmt.BestGuessAttrs()
 		}
 		tb, err := cmt.LoadAll(store, d, lcfg)
 		if err != nil {
 			return nil, err
 		}
-		opt := optimizer.New(optimizer.Config{Mode: s.mode, WindowSize: 10, Seed: cfg.Seed})
-		meter := &cluster.Meter{}
-		ex := exec.New(store, meter)
-		ex.NoPrune = s.noPrune
-		runner := planner.NewRunner(ex, model)
-		runner.BudgetBlocks = cfg.Budget
-		runner.ForceShuffle = s.shuffle
+		s := sys.session(store, model, cfg)
 		for i := range trace {
-			q := trace[i]
-			if _, err := opt.OnQuery(q.Uses(tb), meter); err != nil {
+			secs, err := simSeconds(s, trace[i].Plan(tb))
+			if err != nil {
 				return nil, err
 			}
-			if _, _, err := runner.Run(q.Plan(tb)); err != nil {
-				return nil, err
-			}
-			series[s.name] = append(series[s.name], meter.Reset().SimSeconds(model))
+			series[sys.name] = append(series[sys.name], secs)
 		}
 	}
 

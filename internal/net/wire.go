@@ -100,8 +100,6 @@ type ExecConfig struct {
 	Optimizer      OptimizerConfig
 	BudgetBlocks   int
 	ForceShuffle   bool
-	FixedOrder     bool
-	EstScale       float64
 	MemBudget      int64
 	Workers        int
 	WorkersPerNode int

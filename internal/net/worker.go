@@ -442,8 +442,6 @@ func (w *worker) newRunner(qex *exec.Executor, lw cluster.LinkWeights) *planner.
 		r.BudgetBlocks = cfg.BudgetBlocks
 	}
 	r.ForceShuffle = cfg.ForceShuffle
-	r.FixedOrder = cfg.FixedOrder
-	r.EstScale = cfg.EstScale
 	r.LinkWeights = lw
 	return r
 }

@@ -127,17 +127,17 @@ func TestCachedCompileMatchesFresh(t *testing.T) {
 			LCol:  0, RCol: 0,
 		}
 	}
-	freshRows, freshRep, err := f.runner.Run(plan())
+	freshRows, freshRep, err := collect(f.runner, plan())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	f.runner.Cache = NewPlanCache(0)
 	// Twice: first warms the cache, second replays from it.
-	if _, _, err := f.runner.Run(plan()); err != nil {
+	if _, _, err := collect(f.runner, plan()); err != nil {
 		t.Fatal(err)
 	}
-	cachedRows, cachedRep, err := f.runner.Run(plan())
+	cachedRows, cachedRep, err := collect(f.runner, plan())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestDistributedShuffleJoinOracle(t *testing.T) {
 		Right: &Scan{Table: f.ord},
 		LCol:  0, RCol: 0,
 	}
-	rows, rep, err := f.runner.Run(plan)
+	rows, rep, err := collect(f.runner, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestDistributedHyperJoinZeroExchange(t *testing.T) {
 		Right: &Scan{Table: f.ord},
 		LCol:  0, RCol: 0,
 	}
-	rows, rep, err := f.runner.Run(plan)
+	rows, rep, err := collect(f.runner, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestDistributedSemiShuffleBroadcast(t *testing.T) {
 		Right: &Scan{Table: cust},
 		LCol:  lineSch.NumCols() + 1, RCol: 0,
 	}
-	rows, rep, err := f.runner.Run(plan)
+	rows, rep, err := collect(f.runner, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestDistributedSemiShuffleFallsBackToShuffle(t *testing.T) {
 		Right: &Scan{Table: f.cust}, // randomly partitioned: no tree on custkey
 		LCol:  lineSch.NumCols() + 1, RCol: 0,
 	}
-	rows, rep, err := f.runner.Run(plan)
+	rows, rep, err := collect(f.runner, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,11 +182,11 @@ func TestDistributedMatchesCentralized(t *testing.T) {
 				}
 			},
 		} {
-			cRows, _, err := cen.runner.Run(plan(cen))
+			cRows, _, err := collect(cen.runner, plan(cen))
 			if err != nil {
 				t.Fatalf("%s centralized: %v", name, err)
 			}
-			dRows, _, err := dist.runner.Run(plan(dist))
+			dRows, _, err := collect(dist.runner, plan(dist))
 			if err != nil {
 				t.Fatalf("%s distributed: %v", name, err)
 			}

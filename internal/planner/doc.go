@@ -12,11 +12,12 @@
 // straight into the next join's build side (§4.3's semi-shuffle: only
 // the intermediate shuffles when the base table has a tree on the join
 // attribute). Nothing on the compiled path materializes a whole-table
-// slice; Run is the materializing Collect adapter kept for callers
-// with small result sets. Every operator is wrapped in exec.Instrument,
+// slice; a caller that wants rows drains the DAG with exec.Collect.
+// Every operator is wrapped in exec.Instrument,
 // so a drained Compiled DAG reports per-operator rows/batches/time and
 // a per-join strategy Report. internal/session drives Compile for each
-// query of an adaptive stream.
+// query of an adaptive stream, after the optimizer has recorded the
+// votes Uses derives from the plan.
 //
 // The planner's three cases for a base-table join (§6):
 //

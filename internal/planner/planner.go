@@ -4,8 +4,8 @@ import (
 	"adaptdb/internal/cluster"
 	"adaptdb/internal/core"
 	"adaptdb/internal/exec"
+	"adaptdb/internal/optimizer"
 	"adaptdb/internal/predicate"
-	"adaptdb/internal/tuple"
 )
 
 // Node is a query-plan node: either Scan or Join.
@@ -27,6 +27,43 @@ type Join struct {
 }
 
 func (j *Join) width() int { return j.Left.width() + j.Right.width() }
+
+// Uses derives a plan's optimizer votes (§5.2): one TableUse per Scan
+// leaf, left to right, carrying the Scan's predicates. A table votes
+// the column read by the first join that reads it, children visited
+// before parents and left before right; -1 if no join reads it.
+func Uses(n Node) []optimizer.TableUse {
+	var uses []optimizer.TableUse
+	// vote charges col of the output starting at leaf first to the leaf
+	// that owns it.
+	vote := func(first, col int) {
+		i := first
+		for col >= uses[i].Table.Schema.NumCols() {
+			col -= uses[i].Table.Schema.NumCols()
+			i++
+		}
+		if uses[i].JoinAttr < 0 {
+			uses[i].JoinAttr = col
+		}
+	}
+	// visit appends n's leaves and returns the index of its first one.
+	var visit func(n Node) int
+	visit = func(n Node) int {
+		switch n := n.(type) {
+		case *Scan:
+			uses = append(uses, optimizer.TableUse{Table: n.Table, JoinAttr: -1, Preds: n.Preds})
+			return len(uses) - 1
+		case *Join:
+			l, r := visit(n.Left), visit(n.Right)
+			vote(l, n.LCol)
+			vote(r, n.RCol)
+			return l
+		}
+		panic("planner: unknown plan node")
+	}
+	visit(n)
+	return uses
+}
 
 // Strategy names used in reports.
 const (
@@ -128,22 +165,6 @@ func (r *Runner) budget() int {
 		return r.BudgetBlocks
 	}
 	return 4
-}
-
-// Run executes a plan, returning the result rows and a report of join
-// strategies used. It is the materializing adapter over Compile —
-// callers that can consume batches should Compile and drain the DAG
-// themselves (internal/session does).
-func (r *Runner) Run(n Node) ([]tuple.Tuple, *Report, error) {
-	c, err := r.Compile(n)
-	if err != nil {
-		return nil, nil, err
-	}
-	rows, err := exec.Collect(c.Root)
-	if err != nil {
-		return nil, c.Report, err
-	}
-	return rows, c.Report, nil
 }
 
 // refRows sums the row counts of a ref set.

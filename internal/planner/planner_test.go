@@ -2,6 +2,7 @@ package planner
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"adaptdb/internal/cluster"
@@ -9,6 +10,7 @@ import (
 	"adaptdb/internal/dfs"
 	"adaptdb/internal/exec"
 	"adaptdb/internal/predicate"
+	"adaptdb/internal/query"
 	"adaptdb/internal/schema"
 	"adaptdb/internal/smooth"
 	"adaptdb/internal/tuple"
@@ -31,6 +33,26 @@ var (
 		schema.Column{Name: "nation", Kind: value.Int},
 	)
 )
+
+// collect compiles a plan and materializes its result.
+func collect(r *Runner, n Node) ([]tuple.Tuple, *Report, error) {
+	c, err := r.Compile(n)
+	if err != nil {
+		return nil, nil, err
+	}
+	rows, err := exec.Collect(c.Root)
+	return rows, c.Report, err
+}
+
+// collectSpec is collect for a bound spec.
+func collectSpec(r *Runner, b *query.Bound) ([]tuple.Tuple, *Report, error) {
+	c, err := r.CompileSpec(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	rows, err := exec.Collect(c.Root)
+	return rows, c.Report, err
+}
 
 type fixture struct {
 	store               *dfs.Store
@@ -119,7 +141,7 @@ func sameRows(t *testing.T, got, want []tuple.Tuple, label string) {
 func TestScanPlan(t *testing.T) {
 	f := setup(t, true)
 	preds := []predicate.Predicate{predicate.NewCmp(2, predicate.LT, value.NewInt(500))}
-	rows, rep, err := f.runner.Run(&Scan{Table: f.line, Preds: preds})
+	rows, rep, err := collect(f.runner, &Scan{Table: f.line, Preds: preds})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +160,7 @@ func TestCase1HyperJoinChosen(t *testing.T) {
 		Right: &Scan{Table: f.ord},
 		LCol:  0, RCol: 0,
 	}
-	rows, rep, err := f.runner.Run(plan)
+	rows, rep, err := collect(f.runner, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +174,7 @@ func TestForceShuffle(t *testing.T) {
 	f := setup(t, true)
 	f.runner.ForceShuffle = true
 	plan := &Join{Left: &Scan{Table: f.line}, Right: &Scan{Table: f.ord}, LCol: 0, RCol: 0}
-	rows, rep, err := f.runner.Run(plan)
+	rows, rep, err := collect(f.runner, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +187,7 @@ func TestForceShuffle(t *testing.T) {
 func TestCase3FallsBackToShuffleOrOpportunisticHyper(t *testing.T) {
 	f := setup(t, false) // selection-only trees
 	plan := &Join{Left: &Scan{Table: f.line}, Right: &Scan{Table: f.ord}, LCol: 0, RCol: 0}
-	rows, rep, err := f.runner.Run(plan)
+	rows, rep, err := collect(f.runner, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +215,7 @@ func TestCase2CombinationDuringTransition(t *testing.T) {
 		t.Fatalf("fixture should be mid-transition; trees=%v", f.line.LiveTrees())
 	}
 	plan := &Join{Left: &Scan{Table: f.line}, Right: &Scan{Table: f.ord}, LCol: 0, RCol: 0}
-	rows, rep, err := f.runner.Run(plan)
+	rows, rep, err := collect(f.runner, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +232,7 @@ func TestMultiJoinLeftDeepSemiShuffle(t *testing.T) {
 	inner := &Join{Left: &Scan{Table: f.line}, Right: &Scan{Table: f.ord}, LCol: 0, RCol: 0}
 	outer := &Join{Left: inner, Right: &Scan{Table: f.cust},
 		LCol: lineSch.NumCols() + 1, RCol: 0} // o_custkey in concat row
-	rows, rep, err := f.runner.Run(outer)
+	rows, rep, err := collect(f.runner, outer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +252,7 @@ func TestSemiShuffleUsesTableTree(t *testing.T) {
 	// lineitem ⋈ customer on partkey=custkey is semantically odd but fine
 	// structurally; then join to orders on l_orderkey.
 	outer := &Join{Left: inner, Right: &Scan{Table: f.ord}, LCol: 0, RCol: 0}
-	_, rep, err := f.runner.Run(outer)
+	_, rep, err := collect(f.runner, outer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +267,7 @@ func TestRightScanLeftIntermediateOrder(t *testing.T) {
 	// must still be (left, right).
 	inner := &Join{Left: &Scan{Table: f.ord}, Right: &Scan{Table: f.cust}, LCol: 1, RCol: 0}
 	outer := &Join{Left: &Scan{Table: f.line}, Right: inner, LCol: 0, RCol: 0}
-	rows, _, err := f.runner.Run(outer)
+	rows, _, err := collect(f.runner, outer)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,12 +317,12 @@ func TestHyperCheaperThanShuffleEndToEnd(t *testing.T) {
 	f := setup(t, true)
 	model := cluster.Default()
 	plan := &Join{Left: &Scan{Table: f.line}, Right: &Scan{Table: f.ord}, LCol: 0, RCol: 0}
-	if _, _, err := f.runner.Run(plan); err != nil {
+	if _, _, err := collect(f.runner, plan); err != nil {
 		t.Fatal(err)
 	}
 	hyper := f.meter.Reset()
 	f.runner.ForceShuffle = true
-	if _, _, err := f.runner.Run(plan); err != nil {
+	if _, _, err := collect(f.runner, plan); err != nil {
 		t.Fatal(err)
 	}
 	shuffle := f.meter.Reset()
@@ -317,7 +339,7 @@ func TestPredicatePushdownInJoin(t *testing.T) {
 		Right: &Scan{Table: f.ord},
 		LCol:  0, RCol: 0,
 	}
-	rows, _, err := f.runner.Run(plan)
+	rows, _, err := collect(f.runner, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,5 +390,64 @@ func TestRefMemoScopedToCompile(t *testing.T) {
 	}
 	if r.refMemo != nil {
 		t.Fatal("Compile left its ref memo behind")
+	}
+}
+
+func TestUsesVisitOrder(t *testing.T) {
+	line := &core.Table{Name: "lineitem", Schema: lineSch} // orderkey, partkey, shipdate
+	ord := &core.Table{Name: "orders", Schema: orderSch}   // orderkey, custkey
+	cust := &core.Table{Name: "customer", Schema: custSch} // custkey, nation
+	preds := []predicate.Predicate{predicate.NewCmp(2, predicate.LT, value.NewInt(500))}
+	scan := func(tb *core.Table) *Scan { return &Scan{Table: tb} }
+	type vote struct {
+		table string
+		attr  int
+	}
+	cases := []struct {
+		name string
+		plan Node
+		want []vote
+	}{
+		{"scan", &Scan{Table: line, Preds: preds}, []vote{{"lineitem", -1}}},
+		{
+			// The outer join reads orders.custkey, but orders already
+			// voted orderkey in the inner join.
+			"left-deep",
+			&Join{
+				Left:  &Join{Left: scan(line), Right: scan(ord), LCol: 0, RCol: 0},
+				Right: scan(cust), LCol: 3 + 1, RCol: 0,
+			},
+			[]vote{{"lineitem", 0}, {"orders", 0}, {"customer", 0}},
+		},
+		{
+			// The right subtree is visited before the root, so orders
+			// votes custkey there and the root's read of orderkey loses.
+			"right-deep",
+			&Join{
+				Left:  scan(line),
+				Right: &Join{Left: scan(ord), Right: scan(cust), LCol: 1, RCol: 0},
+				LCol:  0, RCol: 0,
+			},
+			[]vote{{"lineitem", 0}, {"orders", 1}, {"customer", 0}},
+		},
+		{
+			// Each leaf of a self-join votes on its own.
+			"self-join",
+			&Join{Left: scan(ord), Right: scan(ord), LCol: 1, RCol: 0},
+			[]vote{{"orders", 1}, {"orders", 0}},
+		},
+	}
+	for _, tc := range cases {
+		uses := Uses(tc.plan)
+		var got []vote
+		for _, u := range uses {
+			got = append(got, vote{u.Table.Name, u.JoinAttr})
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: votes %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	if uses := Uses(&Scan{Table: line, Preds: preds}); &uses[0].Preds[0] != &preds[0] {
+		t.Errorf("Uses copied the Scan's predicates instead of sharing its slice")
 	}
 }

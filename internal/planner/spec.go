@@ -35,7 +35,6 @@ import (
 	"adaptdb/internal/exec"
 	"adaptdb/internal/predicate"
 	"adaptdb/internal/query"
-	"adaptdb/internal/tuple"
 	"adaptdb/internal/value"
 )
 
@@ -90,20 +89,6 @@ func (r *Runner) CompileSpec(b *query.Bound) (*Compiled, error) {
 	}
 	c.Root = root
 	return c, nil
-}
-
-// RunSpec compiles and materializes a bound spec — the spec-level
-// sibling of Run.
-func (r *Runner) RunSpec(b *query.Bound) ([]tuple.Tuple, *Report, error) {
-	c, err := r.CompileSpec(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	rows, err := exec.Collect(c.Root)
-	if err != nil {
-		return nil, c.Report, err
-	}
-	return rows, c.Report, nil
 }
 
 // EstimateSpecFootprint prices a spec's peak operator memory the same

@@ -48,7 +48,7 @@ func bindSpec(t *testing.T, f *fixture, s query.Spec) *query.Bound {
 func TestSpecThreeWayMatchesOracle(t *testing.T) {
 	f := setup(t, true)
 	b := bindSpec(t, f, threeWay())
-	rows, _, err := f.runner.RunSpec(b)
+	rows, _, err := collectSpec(f.runner, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,12 +59,12 @@ func TestSpecFixedOrderSameRows(t *testing.T) {
 	f := setup(t, true)
 	preds := []query.Pred{query.Cmp("shipdate", predicate.LT, value.NewInt(800))}
 	b := bindSpec(t, f, threeWay(preds...))
-	greedy, _, err := f.runner.RunSpec(b)
+	greedy, _, err := collectSpec(f.runner, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f.runner.FixedOrder = true
-	fixed, _, err := f.runner.RunSpec(b)
+	fixed, _, err := collectSpec(f.runner, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestSpecCyclicEdge(t *testing.T) {
 	s := threeWay()
 	s.Joins = append(s.Joins, query.On(query.C("lineitem", "partkey"), query.C("customer", "custkey")))
 	b := bindSpec(t, f, s)
-	rows, _, err := f.runner.RunSpec(b)
+	rows, _, err := collectSpec(f.runner, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestSpecMultiAttrEdge(t *testing.T) {
 		},
 	}
 	b := bindSpec(t, f, s)
-	rows, _, err := f.runner.RunSpec(b)
+	rows, _, err := collectSpec(f.runner, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestSpecProvablyEmpty(t *testing.T) {
 	if ord := f.runner.planSpecOrder(b); !ord.empty {
 		t.Error("zero-block table not planned empty")
 	}
-	rows, _, err := f.runner.RunSpec(b)
+	rows, _, err := collectSpec(f.runner, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestSpecProvablyEmpty(t *testing.T) {
 		t.Fatalf("%d rows from a provably-empty plan", len(rows))
 	}
 	s.Aggs = []query.Agg{query.Count(), query.Sum(query.C("lineitem", "shipdate"))}
-	rows, _, err = f.runner.RunSpec(bindSpec(t, f, s))
+	rows, _, err = collectSpec(f.runner, bindSpec(t, f, s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestSpecDisjointRangesEmpty(t *testing.T) {
 	if ord := f.runner.planSpecOrder(b); !ord.empty {
 		t.Error("disjoint join ranges not planned empty")
 	}
-	rows, _, err := f.runner.RunSpec(b)
+	rows, _, err := collectSpec(f.runner, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestSpecSingleTable(t *testing.T) {
 	s := query.Spec{Tables: []query.TableRef{
 		query.T("lineitem", query.Cmp("shipdate", predicate.LT, value.NewInt(500))),
 	}}
-	rows, _, err := f.runner.RunSpec(bindSpec(t, f, s))
+	rows, _, err := collectSpec(f.runner, bindSpec(t, f, s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestSpecGroupByMatchesReference(t *testing.T) {
 		query.Min(query.C("lineitem", "partkey")),
 		query.Avg(query.C("orders", "custkey")),
 	}
-	rows, _, err := f.runner.RunSpec(bindSpec(t, f, s))
+	rows, _, err := collectSpec(f.runner, bindSpec(t, f, s))
 	if err != nil {
 		t.Fatal(err)
 	}

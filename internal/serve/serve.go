@@ -46,7 +46,6 @@ import (
 	"adaptdb/internal/exec"
 	"adaptdb/internal/optimizer"
 	"adaptdb/internal/planner"
-	"adaptdb/internal/query"
 	"adaptdb/internal/session"
 	"adaptdb/internal/tuple"
 )
@@ -195,12 +194,7 @@ func (s *Service) run(ctx context.Context, tenantID string, q session.Query, col
 	// Reserve the planner-estimated footprint before anything runs.
 	// The estimate reads zone maps, so it needs a stable layout.
 	s.layoutMu.RLock()
-	var est int64
-	if q.Spec != nil {
-		est = s.footprintSpec(q.Spec)
-	} else {
-		est = s.footprint(q.Plan)
-	}
+	est := s.footprint(q)
 	s.layoutMu.RUnlock()
 	res.EstBytes = est
 	qstart := time.Now()
@@ -221,25 +215,24 @@ func (s *Service) run(ctx context.Context, tenantID string, q session.Query, col
 	// happens under the write lock — no query is scanning while blocks
 	// move. Epoch bumps piggyback on the same critical section, so a
 	// reader either sees (old layout, old epoch) or (new, new).
-	if len(q.Uses) > 0 {
-		t := s.tenant(tenantID)
-		t.mu.Lock()
-		s.layoutMu.Lock()
-		adapt, err := t.opt.OnQuery(q.Uses, meter)
-		if err == nil && adapt.Adapted() {
-			s.epochMu.Lock()
-			for _, u := range q.Uses {
-				s.epochs[u.Table.Name]++
-			}
-			s.epochMu.Unlock()
+	uses := q.Uses()
+	t := s.tenant(tenantID)
+	t.mu.Lock()
+	s.layoutMu.Lock()
+	adapt, err := t.opt.OnQuery(uses, meter)
+	if err == nil && adapt.Adapted() {
+		s.epochMu.Lock()
+		for _, u := range uses {
+			s.epochs[u.Table.Name]++
 		}
-		s.layoutMu.Unlock()
-		t.mu.Unlock()
-		if err != nil {
-			return res, err
-		}
-		res.Adapt = adapt
+		s.epochMu.Unlock()
 	}
+	s.layoutMu.Unlock()
+	t.mu.Unlock()
+	if err != nil {
+		return res, err
+	}
+	res.Adapt = adapt
 
 	// Compile and drain under the read lock: the layout (and with it
 	// every epoch this compile keys cache entries on) cannot change
@@ -267,13 +260,7 @@ func (s *Service) run(ctx context.Context, tenantID string, q session.Query, col
 	runner.ForceShuffle = s.cfg.ForceShuffle
 	runner.Cache = s.cache
 	runner.Epoch = s.Epoch
-	var comp *planner.Compiled
-	var err error
-	if q.Spec != nil {
-		comp, err = runner.CompileSpec(q.Spec)
-	} else {
-		comp, err = runner.Compile(q.Plan)
-	}
+	comp, err := q.Compile(runner)
 	res.CacheHits, res.CacheMisses = runner.CacheHits, runner.CacheMisses
 	if err != nil {
 		return res, err
@@ -310,23 +297,17 @@ func (s *Service) run(ctx context.Context, tenantID string, q session.Query, col
 	return res, nil
 }
 
-// footprint estimates a plan's peak memory via a throwaway runner over
-// the template executor (EstimateFootprint only reads zone maps).
-func (s *Service) footprint(n planner.Node) int64 {
-	r := planner.NewRunner(s.base, s.model)
-	return floorReserve(r.EstimateFootprint(n))
-}
-
-// footprintSpec is footprint for the declarative form: the throwaway
-// runner orders the spec the same way the compile will (same knobs)
-// and prices the resulting tree.
-func (s *Service) footprintSpec(b *query.Bound) int64 {
+// footprint estimates a query's peak memory via a throwaway runner
+// over the template executor (the estimate only reads zone maps). The
+// runner carries the compile's knobs, so a spec is ordered the way the
+// compile will order it.
+func (s *Service) footprint(q session.Query) int64 {
 	r := planner.NewRunner(s.base, s.model)
 	if s.cfg.BudgetBlocks > 0 {
 		r.BudgetBlocks = s.cfg.BudgetBlocks
 	}
 	r.ForceShuffle = s.cfg.ForceShuffle
-	return floorReserve(r.EstimateSpecFootprint(b))
+	return floorReserve(q.Footprint(r))
 }
 
 func floorReserve(est int64) int64 {

@@ -80,7 +80,7 @@ func buildFixture(t *testing.T) *fixture {
 }
 
 // query builds a fact ⋈ dim query on the given fact column with a
-// selection on fact.v, with window-feeding Uses.
+// selection on fact.v; it votes fact's join column into the windows.
 func (f *fixture) query(attr int, vmax int64) session.Query {
 	dim := f.da
 	if attr == 1 {
@@ -94,18 +94,7 @@ func (f *fixture) query(attr int, vmax int64) session.Query {
 			Right: &planner.Scan{Table: dim},
 			LCol:  attr, RCol: 0,
 		},
-		Uses: []optimizer.TableUse{
-			{Table: f.fact, JoinAttr: attr, Preds: preds},
-			{Table: dim, JoinAttr: 0},
-		},
 	}
-}
-
-// noAdapt strips Uses so the query doesn't feed windows or trigger
-// repartitioning — for tests that need a stable epoch.
-func noAdapt(q session.Query) session.Query {
-	q.Uses = nil
-	return q
 }
 
 func testConfig() Config {
@@ -113,6 +102,22 @@ func testConfig() Config {
 		Optimizer: optimizer.Config{Mode: optimizer.ModeAdaptive, WindowSize: 4, Seed: 7},
 		MemBudget: 32 << 20,
 	}
+}
+
+// staticConfig is testConfig under ModeStatic: queries still vote into
+// the windows but never repartition, for tests that need a stable
+// epoch.
+func staticConfig() Config {
+	cfg := testConfig()
+	cfg.Optimizer.Mode = optimizer.ModeStatic
+	return cfg
+}
+
+// staticTenant registers tenant id with a ModeStatic optimizer, so its
+// queries leave layouts and epochs to the service's other tenants.
+func staticTenant(svc *Service, id string) string {
+	svc.tenants[id] = &tenant{opt: optimizer.New(staticConfig().Optimizer)}
+	return id
 }
 
 // schedule is the serve test stream: an attr-0 phase then an attr-1
@@ -215,8 +220,8 @@ func TestServeConcurrentMatchesSerial(t *testing.T) {
 // count, and checksum.
 func TestServeExecuteMatchesStream(t *testing.T) {
 	f := buildFixture(t)
-	svc := New(f.store, testConfig())
-	q := noAdapt(f.query(0, 400))
+	svc := New(f.store, staticConfig())
+	q := f.query(0, 400)
 	ex, err := svc.Execute(context.Background(), "t0", q)
 	if err != nil {
 		t.Fatal(err)
@@ -253,9 +258,10 @@ func TestServeExecuteMatchesStream(t *testing.T) {
 func TestServePlanCacheHitRepeatMissOnBump(t *testing.T) {
 	f := buildFixture(t)
 	svc := New(f.store, testConfig())
-	q := noAdapt(f.query(0, 400))
+	static := staticTenant(svc, "static")
+	q := f.query(0, 400)
 
-	first, err := svc.Execute(context.Background(), "t0", q)
+	first, err := svc.Execute(context.Background(), static, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +269,7 @@ func TestServePlanCacheHitRepeatMissOnBump(t *testing.T) {
 		t.Fatalf("first compile: %d hits / %d misses, want cold misses only",
 			first.CacheHits, first.CacheMisses)
 	}
-	second, err := svc.Execute(context.Background(), "t0", q)
+	second, err := svc.Execute(context.Background(), static, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +296,7 @@ func TestServePlanCacheHitRepeatMissOnBump(t *testing.T) {
 		t.Fatal("adaptive stream never bumped the fact epoch")
 	}
 
-	third, err := svc.Execute(context.Background(), "t0", q)
+	third, err := svc.Execute(context.Background(), static, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,11 +349,11 @@ func TestServeCacheNeverStale(t *testing.T) {
 // ctx.Err() and every reservation comes back.
 func TestServeCancellation(t *testing.T) {
 	f := buildFixture(t)
-	svc := New(f.store, testConfig())
+	svc := New(f.store, staticConfig())
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := svc.Execute(ctx, "t0", noAdapt(f.query(0, 1000)))
+	_, err := svc.Execute(ctx, "t0", f.query(0, 1000))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled query error = %v, want context.Canceled", err)
 	}
@@ -360,7 +366,7 @@ func TestServeCancellation(t *testing.T) {
 	ctx, cancel = context.WithCancel(context.Background())
 	defer cancel()
 	batches := 0
-	_, err = svc.Stream(ctx, "t0", noAdapt(f.query(0, 1000)), func(*exec.Batch) error {
+	_, err = svc.Stream(ctx, "t0", f.query(0, 1000), func(*exec.Batch) error {
 		batches++
 		if batches == 1 {
 			cancel()
@@ -375,7 +381,7 @@ func TestServeCancellation(t *testing.T) {
 	}
 
 	// The service stays healthy: the same query runs to completion.
-	if _, err := svc.Execute(context.Background(), "t0", noAdapt(f.query(0, 1000))); err != nil {
+	if _, err := svc.Execute(context.Background(), "t0", f.query(0, 1000)); err != nil {
 		t.Fatalf("query after cancellations: %v", err)
 	}
 }
@@ -384,10 +390,10 @@ func TestServeCancellation(t *testing.T) {
 // DeadlineExceeded before any work runs.
 func TestServeDeadline(t *testing.T) {
 	f := buildFixture(t)
-	svc := New(f.store, testConfig())
+	svc := New(f.store, staticConfig())
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, err := svc.Execute(ctx, "t0", noAdapt(f.query(0, 1000)))
+	_, err := svc.Execute(ctx, "t0", f.query(0, 1000))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired-deadline query error = %v, want DeadlineExceeded", err)
 	}
@@ -430,10 +436,10 @@ func TestServeTenantWindowIsolation(t *testing.T) {
 // leaks.
 func TestServeShedOversizedQuery(t *testing.T) {
 	f := buildFixture(t)
-	cfg := testConfig()
+	cfg := staticConfig()
 	cfg.MemBudget = minReserve - 1
 	svc := New(f.store, cfg)
-	_, err := svc.Execute(context.Background(), "t0", noAdapt(f.query(0, 400)))
+	_, err := svc.Execute(context.Background(), "t0", f.query(0, 400))
 	if !errors.Is(err, ErrShed) {
 		t.Fatalf("oversized query error = %v, want ErrShed", err)
 	}

@@ -36,7 +36,7 @@ func replayTPCH(t *testing.T, data *tpch.Dataset, nodes int) ([][]tuple.Tuple, [
 	var results []*Result
 	for qi, tpl := range schedule {
 		in := tpch.NewInstance(tpl, data, rng)
-		res, err := s.Execute(Query{Label: string(tpl), Plan: in.Plan(tables), Uses: in.Uses(tables)})
+		res, err := s.Execute(Query{Label: string(tpl), Plan: in.Plan(tables)})
 		if err != nil {
 			t.Fatalf("nodes=%d q%d (%s): %v", nodes, qi, tpl, err)
 		}

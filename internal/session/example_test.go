@@ -56,10 +56,6 @@ func ExampleSession() {
 				Right: &planner.Scan{Table: dim},
 				LCol:  attr, RCol: 0,
 			},
-			Uses: []optimizer.TableUse{
-				{Table: fact, JoinAttr: attr},
-				{Table: dim, JoinAttr: 0},
-			},
 		}
 		res, err := s.Execute(q)
 		if err != nil {

@@ -72,12 +72,12 @@ func (s *Session) runNet(q Query, collect bool, sink func(*exec.Batch) error) (*
 		}
 		if !adapted {
 			adapted = true
-			// Adaptation votes come from the spec's join graph, never from
-			// a hand-set Uses list: every worker replica derives its votes
-			// from the same bound spec, and the coordinator must match them
-			// exactly or layouts drift apart. Once per query: a failover
+			// Every worker replica derives its votes from the same bound
+			// spec by the rule Query.Uses applies to specs
+			// (query.Bound.Uses), so the coordinator's match them exactly
+			// and layouts never drift apart. Once per query: a failover
 			// retry reuses seq, and the workers skip re-adapting on it too.
-			adapt, err := s.opt.OnQuery(q.Spec.Uses(), s.meter)
+			adapt, err := s.opt.OnQuery(q.Uses(), s.meter)
 			if err != nil {
 				at.Finish(err, s.meter) // the workers must abort, not wait for streams
 				return res, fmt.Errorf("session: adapt %q: %w", q.Label, err)
@@ -90,7 +90,7 @@ func (s *Session) runNet(q Query, collect bool, sink func(*exec.Batch) error) (*
 			return res, fmt.Errorf("session: %q: %w", q.Label, err)
 		}
 		s.ex.SetFabric(fb)
-		comp, err = s.runner.CompileSpec(q.Spec)
+		comp, err = q.Compile(s.runner)
 		s.ex.SetFabric(nil)
 		if err != nil {
 			at.Finish(err, s.meter)

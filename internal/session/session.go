@@ -42,35 +42,57 @@ import (
 )
 
 // Query is one query of the stream: a declarative spec (the public
-// form) or an executable plan tree (the compiler IR), plus the
-// per-table touch descriptors that feed the query windows.
+// form) or an executable plan tree (the compiler IR). Whichever it
+// carries decides its votes (Uses), its compile and its footprint.
 type Query struct {
 	// Label tags results (e.g. the TPC-H template name); informational.
 	Label string
 	// Spec is the bound declarative query — the public query surface.
 	// When set, the session lowers it with greedy join ordering
 	// (planner.CompileSpec) and Plan is ignored. Build one with
-	// FromSpec, which also derives Uses.
+	// FromSpec.
 	Spec *query.Bound
 	// Plan is the query's join tree over loaded tables — the planner's
-	// internal IR, still accepted for hand-built plans and tests.
+	// internal IR, for shapes a left-deep spec cannot express (the
+	// bushy TPC-H q8 of §4.3) and for hand-built plans in tests.
 	Plan planner.Node
-	// Uses describes how the query touches each table (join attribute +
-	// predicates) — what the optimizer records into workload windows
-	// before adapting. A query that should not influence adaptation may
-	// leave it nil. FromSpec derives it from the join graph.
-	Uses []optimizer.TableUse
+}
+
+// Uses derives how the query touches each table (join attribute +
+// predicates) — the votes the optimizer records into workload windows
+// before adapting: from the join graph for a spec, from the plan tree
+// (planner.Uses) for a plan.
+func (q Query) Uses() []optimizer.TableUse {
+	if q.Spec != nil {
+		return q.Spec.Uses()
+	}
+	return planner.Uses(q.Plan)
+}
+
+// Compile lowers the query to an operator DAG with r.
+func (q Query) Compile(r *planner.Runner) (*planner.Compiled, error) {
+	if q.Spec != nil {
+		return r.CompileSpec(q.Spec)
+	}
+	return r.Compile(q.Plan)
+}
+
+// Footprint is r's estimate of the query's peak operator memory.
+func (q Query) Footprint(r *planner.Runner) int64 {
+	if q.Spec != nil {
+		return r.EstimateSpecFootprint(q.Spec)
+	}
+	return r.EstimateFootprint(q.Plan)
 }
 
 // FromSpec binds a declarative spec against the catalog and wraps it
-// as a stream query, deriving the optimizer touch descriptors from the
-// join graph — no hand-maintained Uses lists.
+// as a stream query.
 func FromSpec(cat query.Catalog, s query.Spec) (Query, error) {
 	b, err := s.Bind(cat)
 	if err != nil {
 		return Query{}, err
 	}
-	return Query{Label: s.Label, Spec: b, Uses: b.Uses()}, nil
+	return Query{Label: s.Label, Spec: b}, nil
 }
 
 // Config tunes a session.
@@ -246,18 +268,13 @@ func (s *Session) run(q Query, collect bool, sink func(*exec.Batch) error) (*Res
 	// repartitioning migrates blocks before execution, so this query
 	// already scans the trees it voted for. Migration I/O lands on this
 	// query's meter (the paper's per-query accounting).
-	adapt, err := s.opt.OnQuery(q.Uses, s.meter)
+	adapt, err := s.opt.OnQuery(q.Uses(), s.meter)
 	if err != nil {
 		return res, fmt.Errorf("session: adapt %q: %w", q.Label, err)
 	}
 	res.Adapt = adapt
 
-	var comp *planner.Compiled
-	if q.Spec != nil {
-		comp, err = s.runner.CompileSpec(q.Spec)
-	} else {
-		comp, err = s.runner.Compile(q.Plan)
-	}
+	comp, err := q.Compile(s.runner)
 	if err != nil {
 		return res, fmt.Errorf("session: compile %q: %w", q.Label, err)
 	}
@@ -336,6 +353,3 @@ func (s *Session) Optimizer() *optimizer.Optimizer { return s.opt }
 
 // Executor exposes the underlying executor (workers, pruning flags).
 func (s *Session) Executor() *exec.Executor { return s.ex }
-
-// Runner exposes the planner runner the session compiles with.
-func (s *Session) Runner() *planner.Runner { return s.runner }

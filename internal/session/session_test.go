@@ -90,10 +90,6 @@ func (f *fixture) query(attr int, vmax int64) Query {
 			Right: &planner.Scan{Table: dim},
 			LCol:  attr, RCol: 0,
 		},
-		Uses: []optimizer.TableUse{
-			{Table: f.fact, JoinAttr: attr, Preds: preds},
-			{Table: dim, JoinAttr: 0},
-		},
 	}
 }
 
@@ -273,11 +269,6 @@ func TestSessionThreeTableDAG(t *testing.T) {
 	q := Query{
 		Label: "three-table",
 		Plan:  plan,
-		Uses: []optimizer.TableUse{
-			{Table: f.fact, JoinAttr: 0, Preds: preds},
-			{Table: f.da, JoinAttr: 0},
-			{Table: f.db, JoinAttr: 0},
-		},
 	}
 	res, err := s.Execute(q)
 	if err != nil {

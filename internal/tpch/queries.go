@@ -7,7 +7,6 @@ import (
 
 	"adaptdb/internal/core"
 	"adaptdb/internal/dfs"
-	"adaptdb/internal/optimizer"
 	"adaptdb/internal/planner"
 	"adaptdb/internal/predicate"
 	"adaptdb/internal/value"
@@ -102,17 +101,14 @@ var AllTemplates = []Template{Q3, Q5, Q6, Q8, Q10, Q12, Q14, Q19}
 var JoinTemplates = []Template{Q3, Q5, Q8, Q10, Q12, Q14, Q19}
 
 // Instance is a concrete query drawn from a template: predicates with
-// bound parameters plus the join attribute each table is exercised on.
+// bound parameters. Plan builds its join tree, and planner.Uses derives
+// the join attribute each table votes from that tree.
 type Instance struct {
 	Template  Template
 	LinePreds []predicate.Predicate
 	OrdPreds  []predicate.Predicate
 	CustPreds []predicate.Predicate
 	PartPreds []predicate.Predicate
-	LineJoin  int
-	OrdJoin   int
-	CustJoin  int
-	PartJoin  int
 }
 
 func dateRange(col int, lo, hi int64) []predicate.Predicate {
@@ -125,7 +121,7 @@ func dateRange(col int, lo, hi int64) []predicate.Predicate {
 // NewInstance draws a concrete query from a template with dbgen-style
 // parameter distributions.
 func NewInstance(tpl Template, d *Dataset, rng *rand.Rand) *Instance {
-	in := &Instance{Template: tpl, LineJoin: -1, OrdJoin: -1, CustJoin: -1, PartJoin: -1}
+	in := &Instance{Template: tpl}
 	switch tpl {
 	case Q3:
 		// Segment customers, orders before D, shipments after D.
@@ -139,7 +135,6 @@ func NewInstance(tpl Template, d *Dataset, rng *rand.Rand) *Instance {
 		in.LinePreds = []predicate.Predicate{
 			predicate.NewCmp(LShipDate, predicate.GT, value.NewDate(D)),
 		}
-		in.LineJoin, in.OrdJoin, in.CustJoin = LOrderKey, OOrderKey, CCustKey
 	case Q5:
 		// Region + one order year; no lineitem predicate at all (§5.3).
 		y := 1993 + rng.Intn(5)
@@ -147,7 +142,6 @@ func NewInstance(tpl Template, d *Dataset, rng *rand.Rand) *Instance {
 		hi := value.DateOf(y+1, 1, 1).Int64()
 		in.OrdPreds = dateRange(OOrderDate, lo, hi)
 		in.CustPreds = []predicate.Predicate{nationIn(CNationKey, d, rng.Int63n(NumRegions))}
-		in.LineJoin, in.OrdJoin, in.CustJoin = LOrderKey, OOrderKey, CCustKey
 	case Q6:
 		// Pure selection on lineitem: one ship year, a discount band and a
 		// quantity cap. No join.
@@ -171,8 +165,6 @@ func NewInstance(tpl Template, d *Dataset, rng *rand.Rand) *Instance {
 		in.OrdPreds = dateRange(OOrderDate,
 			value.DateOf(1995, 1, 1).Int64(), value.DateOf(1997, 1, 1).Int64())
 		in.CustPreds = []predicate.Predicate{nationIn(CNationKey, d, rng.Int63n(NumRegions))}
-		in.LineJoin, in.PartJoin = LPartKey, PPartKey
-		in.OrdJoin, in.CustJoin = OCustKey, CCustKey
 	case Q10:
 		// Returned items in a 3-month order window.
 		start := value.DateOf(1993, 2, 1).Int64() + int64(rng.Intn(24))*30
@@ -180,7 +172,6 @@ func NewInstance(tpl Template, d *Dataset, rng *rand.Rand) *Instance {
 		in.LinePreds = []predicate.Predicate{
 			predicate.NewCmp(LReturnFlag, predicate.EQ, value.NewString("R")),
 		}
-		in.LineJoin, in.OrdJoin, in.CustJoin = LOrderKey, OOrderKey, CCustKey
 	case Q12:
 		// Two ship modes and one receipt year. (The paper's cross-column
 		// commit/receipt comparisons are not range predicates and are
@@ -192,14 +183,12 @@ func NewInstance(tpl Template, d *Dataset, rng *rand.Rand) *Instance {
 			value.DateOf(y, 1, 1).Int64(), value.DateOf(y+1, 1, 1).Int64()),
 			predicate.NewIn(LShipMode, value.NewString(ShipModes[m1]), value.NewString(ShipModes[m2])),
 		)
-		in.LineJoin, in.OrdJoin = LOrderKey, OOrderKey
 	case Q14:
 		// One ship month; joins part.
 		y := 1993 + rng.Intn(5)
 		m := 1 + rng.Intn(12)
 		lo := value.DateOf(y, time.Month(m), 1).Int64()
 		in.LinePreds = dateRange(LShipDate, lo, lo+30)
-		in.LineJoin, in.PartJoin = LPartKey, PPartKey
 	case Q19:
 		// Brand + containers + quantity band + shipping constraints.
 		brand := fmt.Sprintf("Brand#%d%d", 1+rng.Intn(5), 1+rng.Intn(5))
@@ -218,7 +207,6 @@ func NewInstance(tpl Template, d *Dataset, rng *rand.Rand) *Instance {
 			predicate.NewIn(LShipMode, value.NewString("AIR"), value.NewString("REG AIR")),
 			predicate.NewCmp(LShipInstruct, predicate.EQ, value.NewString("DELIVER IN PERSON")),
 		}
-		in.LineJoin, in.PartJoin = LPartKey, PPartKey
 	default:
 		panic(fmt.Sprintf("tpch: unknown template %q", tpl))
 	}
@@ -282,40 +270,6 @@ func (in *Instance) Plan(tb *Tables) planner.Node {
 	default:
 		panic(fmt.Sprintf("tpch: no plan for template %q", in.Template))
 	}
-}
-
-// Uses lists how this query touches each table, for the optimizer's
-// query windows.
-func (in *Instance) Uses(tb *Tables) []optimizer.TableUse {
-	var out []optimizer.TableUse
-	switch in.Template {
-	case Q6:
-		out = append(out, optimizer.TableUse{Table: tb.Lineitem, JoinAttr: -1, Preds: in.LinePreds})
-	case Q3, Q5, Q10:
-		out = append(out,
-			optimizer.TableUse{Table: tb.Lineitem, JoinAttr: in.LineJoin, Preds: in.LinePreds},
-			optimizer.TableUse{Table: tb.Orders, JoinAttr: in.OrdJoin, Preds: in.OrdPreds},
-			optimizer.TableUse{Table: tb.Customer, JoinAttr: in.CustJoin, Preds: in.CustPreds},
-		)
-	case Q8:
-		out = append(out,
-			optimizer.TableUse{Table: tb.Lineitem, JoinAttr: in.LineJoin, Preds: in.LinePreds},
-			optimizer.TableUse{Table: tb.Part, JoinAttr: in.PartJoin, Preds: in.PartPreds},
-			optimizer.TableUse{Table: tb.Orders, JoinAttr: in.OrdJoin, Preds: in.OrdPreds},
-			optimizer.TableUse{Table: tb.Customer, JoinAttr: in.CustJoin, Preds: in.CustPreds},
-		)
-	case Q12:
-		out = append(out,
-			optimizer.TableUse{Table: tb.Lineitem, JoinAttr: in.LineJoin, Preds: in.LinePreds},
-			optimizer.TableUse{Table: tb.Orders, JoinAttr: in.OrdJoin, Preds: in.OrdPreds},
-		)
-	case Q14, Q19:
-		out = append(out,
-			optimizer.TableUse{Table: tb.Lineitem, JoinAttr: in.LineJoin, Preds: in.LinePreds},
-			optimizer.TableUse{Table: tb.Part, JoinAttr: in.PartJoin, Preds: in.PartPreds},
-		)
-	}
-	return out
 }
 
 // LineitemJoinAttrFor reports the lineitem join column a template drives

@@ -37,9 +37,12 @@ func namedPreds(sch *schema.Schema, preds []predicate.Predicate) []query.Pred {
 }
 
 // Spec builds the declarative form of the instance: the same join
-// graph as Plan, with join order left to the planner's greedy pass
-// (declaration order matches Plan's hand-built order, so FixedOrder
-// reproduces the legacy trees exactly).
+// graph as Plan, with join order left to the planner's greedy pass.
+// Declaration order matches Plan's hand-built order, so FixedOrder
+// reproduces Plan's left-deep trees — but not q8's: a spec lowers to a
+// left-deep tree where Plan is bushy ((lineitem ⋈ part) ⋈ (orders ⋈
+// customer), §4.3), and the spec votes orders on o_orderkey (its first
+// edge touching orders) where the plan votes o_custkey.
 func (in *Instance) Spec() query.Spec {
 	line := query.TableRef{Name: "lineitem", Preds: namedPreds(LineitemSchema, in.LinePreds)}
 	ord := query.TableRef{Name: "orders", Preds: namedPreds(OrdersSchema, in.OrdPreds)}

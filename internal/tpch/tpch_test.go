@@ -2,6 +2,7 @@ package tpch
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"adaptdb/internal/cluster"
@@ -183,7 +184,11 @@ func TestTemplatesMatchOracle(t *testing.T) {
 		rng := rand.New(rand.NewSource(5))
 		for _, tpl := range AllTemplates {
 			in := NewInstance(tpl, d, rng)
-			rows, _, err := runner.Run(in.Plan(tb))
+			comp, err := runner.Compile(in.Plan(tb))
+			if err != nil {
+				t.Fatalf("layout %d %s: %v", li, tpl, err)
+			}
+			rows, err := exec.Collect(comp.Root)
 			if err != nil {
 				t.Fatalf("layout %d %s: %v", li, tpl, err)
 			}
@@ -195,27 +200,46 @@ func TestTemplatesMatchOracle(t *testing.T) {
 	}
 }
 
+// TestInstanceUsesConsistent pins the votes planner.Uses derives from
+// every template's plan: leaves left to right, each table on the
+// column of the first join that reads it — so q8's bushy plan votes
+// orders on o_custkey — and each carrying its Scan's predicate slice.
 func TestInstanceUsesConsistent(t *testing.T) {
 	d := smallDataset(t)
 	tb, _, _ := loadFixture(t, d, nil)
+	type vote struct {
+		table string
+		attr  int
+	}
+	want := map[Template][]vote{
+		Q3:  {{"lineitem", LOrderKey}, {"orders", OOrderKey}, {"customer", CCustKey}},
+		Q5:  {{"lineitem", LOrderKey}, {"orders", OOrderKey}, {"customer", CCustKey}},
+		Q6:  {{"lineitem", -1}},
+		Q8:  {{"lineitem", LPartKey}, {"part", PPartKey}, {"orders", OCustKey}, {"customer", CCustKey}},
+		Q10: {{"lineitem", LOrderKey}, {"orders", OOrderKey}, {"customer", CCustKey}},
+		Q12: {{"lineitem", LOrderKey}, {"orders", OOrderKey}},
+		Q14: {{"lineitem", LPartKey}, {"part", PPartKey}},
+		Q19: {{"lineitem", LPartKey}, {"part", PPartKey}},
+	}
 	rng := rand.New(rand.NewSource(1))
 	for _, tpl := range AllTemplates {
-		in := NewInstance(tpl, d, rng)
-		uses := in.Uses(tb)
-		if tpl == Q6 {
-			if len(uses) != 1 || uses[0].JoinAttr != -1 {
-				t.Errorf("q6 uses wrong: %+v", uses)
+		for i := 0; i < 20; i++ {
+			in := NewInstance(tpl, d, rng)
+			preds := map[string][]predicate.Predicate{
+				"lineitem": in.LinePreds, "orders": in.OrdPreds,
+				"customer": in.CustPreds, "part": in.PartPreds,
 			}
-			continue
-		}
-		if len(uses) < 2 {
-			t.Errorf("%s: joins should touch ≥2 tables: %+v", tpl, uses)
-		}
-		if uses[0].Table.Name != "lineitem" {
-			t.Errorf("%s: first use should be lineitem", tpl)
-		}
-		if uses[0].JoinAttr != LineitemJoinAttrFor(tpl) {
-			t.Errorf("%s: lineitem join attr %d, want %d", tpl, uses[0].JoinAttr, LineitemJoinAttrFor(tpl))
+			uses := planner.Uses(in.Plan(tb))
+			var got []vote
+			for _, u := range uses {
+				got = append(got, vote{u.Table.Name, u.JoinAttr})
+				if p := preds[u.Table.Name]; len(u.Preds) != len(p) || len(p) > 0 && &u.Preds[0] != &p[0] {
+					t.Fatalf("%s: %s votes predicates %v, not the Scan's slice %v", tpl, u.Table.Name, u.Preds, p)
+				}
+			}
+			if !reflect.DeepEqual(got, want[tpl]) {
+				t.Fatalf("%s: votes %v, want %v", tpl, got, want[tpl])
+			}
 		}
 	}
 }
@@ -248,15 +272,19 @@ func TestHyperBeatsShuffleOnConvergedLayout(t *testing.T) {
 	in := NewInstance(Q12, d, rng)
 	model := cluster.Default()
 
-	if _, _, err := runner.Run(in.Plan(tb)); err != nil {
-		t.Fatal(err)
+	run := func() cluster.Counters {
+		comp, err := runner.Compile(in.Plan(tb))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := exec.Collect(comp.Root); err != nil {
+			t.Fatal(err)
+		}
+		return meter.Reset()
 	}
-	hyper := meter.Reset()
+	hyper := run()
 	runner.ForceShuffle = true
-	if _, _, err := runner.Run(in.Plan(tb)); err != nil {
-		t.Fatal(err)
-	}
-	shuffle := meter.Reset()
+	shuffle := run()
 	if hyper.SimSeconds(model) >= shuffle.SimSeconds(model) {
 		t.Errorf("hyper %.1f should beat shuffle %.1f on co-partitioned q12",
 			hyper.SimSeconds(model), shuffle.SimSeconds(model))
