@@ -74,6 +74,12 @@ func benchExecutor(env *benchEnv) *exec.Executor {
 	return exec.New(env.store, &cluster.Meter{})
 }
 
+// shuffled routes op through the one-node fabric's shuffle, which
+// charges every row eq. 1's CSJ factor — a shuffle join's input.
+func shuffled(ex *exec.Executor, op exec.Operator, key int) exec.Operator {
+	return ex.ExecFabric().Shuffle([]exec.Operator{op}, key, exec.ChargeShuffle).Output(0)
+}
+
 // shipPreds keeps roughly half of lineitem, so the scan benchmarks
 // exercise predicate filtering, not just block reads.
 func shipPreds() []predicate.Predicate {
@@ -105,9 +111,9 @@ func BenchmarkShuffleJoinPipelined(b *testing.B) {
 		// Build on orders (the smaller side), stream lineitem through the
 		// probe, and aggregate without materializing the output.
 		op := ex.JoinOp(
-			ex.TableScanOp(env.ord, nil), tpch.OOrderKey,
-			ex.TableScanOp(env.line, nil), tpch.LOrderKey,
-			exec.JoinOptions{BuildIsRight: true, BuildCharge: exec.ChargeShuffle, ProbeCharge: exec.ChargeShuffle},
+			shuffled(ex, ex.TableScanOp(env.ord, nil), tpch.OOrderKey), tpch.OOrderKey,
+			shuffled(ex, ex.TableScanOp(env.line, nil), tpch.LOrderKey), tpch.LOrderKey,
+			exec.JoinOptions{BuildIsRight: true},
 		)
 		n, err := exec.Count(op)
 		if err != nil {
@@ -185,9 +191,9 @@ func benchJoinWorkers(b *testing.B, workers int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		op := ex.JoinOp(
-			ex.TableScanOp(env.ord, nil), tpch.OOrderKey,
-			ex.TableScanOp(env.line, nil), tpch.LOrderKey,
-			exec.JoinOptions{BuildIsRight: true, BuildCharge: exec.ChargeShuffle, ProbeCharge: exec.ChargeShuffle},
+			shuffled(ex, ex.TableScanOp(env.ord, nil), tpch.OOrderKey), tpch.OOrderKey,
+			shuffled(ex, ex.TableScanOp(env.line, nil), tpch.LOrderKey), tpch.LOrderKey,
+			exec.JoinOptions{BuildIsRight: true},
 		)
 		n, err := exec.Count(op)
 		if err != nil {

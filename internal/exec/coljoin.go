@@ -194,8 +194,8 @@ func (j *hashJoinOp) buildTables() error {
 		}(i, bufs[i])
 	}
 	// A single goroutine owns build.Next (operators need not be
-	// concurrency-safe); input charging happens in the chargeRows
-	// wrappers JoinOp installed, not here.
+	// concurrency-safe); input charging happens in the exchange that
+	// feeds the join, not here.
 	var err error
 	for {
 		if cerr := j.e.ctxErr(); cerr != nil {

@@ -13,8 +13,8 @@ import (
 func TestShuffleJoinIntermediates(t *testing.T) {
 	f := newFixture(t, true)
 	l, r := genOrders(400, 71), genLineitem(600, 72)
-	got, err := Collect(f.ex.JoinOp(NewSource(l), 0, NewSource(r), 0,
-		JoinOptions{BuildCharge: ChargeIntermediate, ProbeCharge: ChargeIntermediate}))
+	got, err := Collect(f.ex.JoinOp(charged(f.ex, NewSource(l), 0, ChargeIntermediate), 0,
+		charged(f.ex, NewSource(r), 0, ChargeIntermediate), 0, JoinOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}

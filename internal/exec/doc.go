@@ -12,9 +12,11 @@
 //     PlanHyper computes the block-read schedule the optimizer prices.
 //   - §4.2 — every operator meters block reads and shuffled rows into a
 //     cluster.Meter, from which the cost model derives simulated time.
-//   - §4.3 — JoinOptions.BuildCharge/ProbeCharge = ChargeIntermediate
-//     charges the cheaper pipelined factor for shuffling materialized
-//     intermediates between joins (ChargeShuffle is eq. 1's CSJ factor).
+//   - §4.3 — an exchange of an intermediate carries ChargeIntermediate,
+//     the cheaper pipelined factor for shuffling materialized
+//     intermediates between joins (ChargeShuffle is eq. 1's CSJ factor);
+//     the one-node fabric of a centralized executor meters each row at
+//     its exchange's class (fabric.go).
 //   - §6 — ScanOp/TableScanOp implement predicate-based data access
 //     with tree and zone-map pruning; Executor.RoundRobin and NoPrune
 //     are the Fig. 7 locality and §7.3 full-scan baseline switches.

@@ -5,10 +5,10 @@
 // (Shuffle) or by duplication (Broadcast). Rows delivered to the node
 // that produced them are free; rows delivered anywhere else are charged
 // to the producing node's meter as remote exchange rows with their
-// approximate wire bytes (cluster.Meter.AddExchange). This is the
-// accounting point that replaced the old per-call-site Meter.Add*
-// charging inside the join: what the cost model prices is exactly what
-// physically crossed between nodes.
+// approximate wire bytes (cluster.Meter.AddExchange): what the cost
+// model prices is exactly what physically crossed between nodes. (The
+// one-node fabric of a centralized executor moves nothing and charges
+// each row its plan edge's eq. 1 class instead — fabric.go.)
 //
 // Batch ownership across an exchange: a batch never crosses the wire —
 // only rows do. The producer gathers rows into fresh columnar batches,

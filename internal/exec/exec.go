@@ -55,12 +55,13 @@ type Executor struct {
 	// chasing the primary replica.
 	pin    dfs.NodeID
 	pinned bool
-	// nodes is the per-node execution fabric, nil in centralized mode.
+	// nodes is the simulated per-node execution fabric, nil for a
+	// centralized executor (which compiles onto the one-node fabric).
 	nodes *NodeSet
 	// xfabric, when set, overrides nodes as the execution fabric the
-	// distributed compiler lowers onto (SetFabric/ExecFabric, fabric.go).
-	// The TCP coordinator and workers install their per-query network
-	// fabric here; nil falls back to the simulated NodeSet fabric.
+	// plan compiler lowers onto (SetFabric/ExecFabric, fabric.go). The
+	// TCP coordinator and workers install their per-query network fabric
+	// here; nil falls back to the simulated NodeSet or one-node fabric.
 	xfabric Fabric
 	// ctx cancels in-flight operators at batch boundaries; nil means
 	// non-cancellable. Set via BindContext or ForQuery (query.go).

@@ -98,14 +98,20 @@ func scanRows(t *testing.T, ex *Executor, tbl *core.Table, preds []predicate.Pre
 	return rows
 }
 
+// charged routes op through the one-node fabric's shuffle at class c —
+// how a centralized plan meters an exchanged join input.
+func charged(ex *Executor, op Operator, key int, c Charge) Operator {
+	return ex.ExecFabric().Shuffle([]Operator{op}, key, c).Output(0)
+}
+
 // shuffleJoinTables scans both tables (with predicate pushdown) and
 // joins them charging the CSJ shuffle factor on every input row — the
 // baseline join strategy, in (left, right) column order.
 func shuffleJoinTables(t *testing.T, ex *Executor, left *core.Table, lPreds []predicate.Predicate, lCol int,
 	right *core.Table, rPreds []predicate.Predicate, rCol int) []tuple.Tuple {
 	t.Helper()
-	rows, err := Collect(ex.JoinOp(ex.TableScanOp(left, lPreds), lCol, ex.TableScanOp(right, rPreds), rCol,
-		JoinOptions{BuildCharge: ChargeShuffle, ProbeCharge: ChargeShuffle}))
+	rows, err := Collect(ex.JoinOp(charged(ex, ex.TableScanOp(left, lPreds), lCol, ChargeShuffle), lCol,
+		charged(ex, ex.TableScanOp(right, rPreds), rCol, ChargeShuffle), rCol, JoinOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,8 +362,9 @@ func TestShuffleJoinRowsMeters(t *testing.T) {
 	f := newFixture(t, true)
 	l := genLineitem(100, 9)
 	r := genOrders(50, 10)
-	opts := JoinOptions{BuildCharge: ChargeShuffle, ProbeCharge: ChargeShuffle}
-	if _, err := Count(f.ex.JoinOp(NewSource(l), 0, NewSource(r), 0, opts)); err != nil {
+	build := charged(f.ex, NewSource(l), 0, ChargeShuffle)
+	probe := charged(f.ex, NewSource(r), 0, ChargeShuffle)
+	if _, err := Count(f.ex.JoinOp(build, 0, probe, 0, JoinOptions{})); err != nil {
 		t.Fatal(err)
 	}
 	c := f.meter.Snapshot()

@@ -1,12 +1,14 @@
-// The transport seam of the distributed compiler. A Fabric is what the
-// planner's per-node lowering (planner/distributed.go) compiles
-// against: per-node executor views, placement-aware scan splitting, and
-// the four exchange shapes plus the coordinator-side gather. Two
-// implementations exist — the in-process simulated fabric (a NodeSet
+// The transport seam of the plan compiler. A Fabric is what the
+// planner's lowering (planner/distributed.go) compiles against:
+// per-node executor views, placement-aware scan splitting, and the four
+// exchange shapes plus the coordinator-side gather. Three
+// implementations exist — the one-node fabric of a centralized executor
+// (centralFabric: exchanges move nothing and charge each row its plan
+// edge's eq. 1 class), the in-process simulated fabric (a NodeSet
 // wrapped by simFabric, exchanges moving batches through channels) and
 // the TCP fabric of internal/net (node processes moving length-prefixed
 // frames over real sockets). The compiler cannot tell them apart; that
-// is the point: one compile path, two physical networks.
+// is the point: one compile path, three physical networks.
 package exec
 
 import (
@@ -24,13 +26,18 @@ type Exchanger interface {
 	Output(i int) Operator
 }
 
-// Fabric abstracts the execution substrate the distributed compiler
-// lowers onto. N is the number of plan fragments (one per cluster
-// node); At/ScanAt/SplitRefs expose per-node executor views and
-// placement; the exchange constructors mirror NodeSet's. Gather merges
-// per-node fragment streams into the single coordinator stream that
-// roots every distributed plan (or feeds a broadcast/deal of an
-// intermediate).
+// Fabric abstracts the execution substrate the plan compiler lowers
+// onto. N is the number of plan fragments (one per cluster node);
+// At/ScanAt/SplitRefs expose per-node executor views and placement; the
+// exchange constructors mirror NodeSet's. Gather merges per-node
+// fragment streams into the single coordinator stream that roots every
+// plan (or feeds a broadcast/deal of an intermediate).
+//
+// Each exchange constructor takes the Charge class of the plan edge it
+// carries. The one-node fabric meters every row at that class; the
+// simulated and TCP fabrics ignore it and meter the rows and bytes that
+// cross nodes (cluster.Meter.AddExchange). Pricing the N-node fabrics'
+// exchanges by class is ROADMAP item 1.
 //
 // A Fabric implementation may live in one process (the simulated
 // fabric) or span many (the TCP fabric): in the latter case each
@@ -42,23 +49,22 @@ type Fabric interface {
 	At(i int) *Executor
 	ScanAt(i int, refs []core.BlockRef, preds []predicate.Predicate) Operator
 	SplitRefs(refs []core.BlockRef) [][]core.BlockRef
-	Shuffle(parts []Operator, key int) Exchanger
-	ShuffleGlobal(in Operator, key int) Exchanger
-	Broadcast(in Operator) Exchanger
-	Deal(in Operator) Exchanger
+	Shuffle(parts []Operator, key int, c Charge) Exchanger
+	ShuffleGlobal(in Operator, key int, c Charge) Exchanger
+	Broadcast(in Operator, c Charge) Exchanger
+	Deal(in Operator, c Charge) Exchanger
 	Gather(parts []Operator) Operator
 }
 
 // SetFabric overrides the executor's execution fabric for the next
 // compiles — the hook the TCP coordinator and workers use to install a
 // per-query network fabric. Pass nil to fall back to the simulated
-// NodeSet fabric (when EnableNodes was called) or centralized
-// compilation.
+// NodeSet fabric (when EnableNodes was called) or the one-node fabric.
 func (e *Executor) SetFabric(f Fabric) { e.xfabric = f }
 
 // ExecFabric resolves the fabric the planner should compile against:
-// the installed override, else the simulated NodeSet fabric, else nil
-// (centralized compilation).
+// the installed override, else the simulated NodeSet fabric, else the
+// one-node fabric of a centralized executor. Never nil.
 func (e *Executor) ExecFabric() Fabric {
 	if e.xfabric != nil {
 		return e.xfabric
@@ -66,8 +72,49 @@ func (e *Executor) ExecFabric() Fabric {
 	if e.nodes != nil {
 		return simFabric{e.nodes}
 	}
-	return nil
+	return centralFabric{e}
 }
+
+// centralFabric is a centralized executor as a one-node fabric: the
+// executor is node 0, scans are not split, and an exchange moves
+// nothing — its one output is its input, metered at the plan edge's
+// charge class (eq. 1's CSJ factor for a shuffled base table, §4.3's
+// rate for an intermediate, nothing for a table read in place).
+type centralFabric struct{ e *Executor }
+
+func (f centralFabric) N() int           { return 1 }
+func (f centralFabric) At(int) *Executor { return f.e }
+
+func (f centralFabric) ScanAt(_ int, refs []core.BlockRef, preds []predicate.Predicate) Operator {
+	return f.e.ScanOp(refs, preds)
+}
+
+func (f centralFabric) SplitRefs(refs []core.BlockRef) [][]core.BlockRef {
+	return [][]core.BlockRef{refs}
+}
+
+func (f centralFabric) Shuffle(parts []Operator, _ int, c Charge) Exchanger {
+	return f.charged(parts[0], c)
+}
+
+func (f centralFabric) ShuffleGlobal(in Operator, _ int, c Charge) Exchanger {
+	return f.charged(in, c)
+}
+
+func (f centralFabric) Broadcast(in Operator, c Charge) Exchanger { return f.charged(in, c) }
+func (f centralFabric) Deal(in Operator, c Charge) Exchanger      { return f.charged(in, c) }
+
+func (f centralFabric) Gather(parts []Operator) Operator { return parts[0] }
+
+func (f centralFabric) charged(in Operator, c Charge) Exchanger {
+	return localExchange{chargeRows(in, f.e.Meter, c)}
+}
+
+// localExchange is the one-node fabric's exchange: Output(0) is the
+// charged input.
+type localExchange struct{ out Operator }
+
+func (x localExchange) Output(int) Operator { return x.out }
 
 // simFabric adapts a NodeSet to the Fabric interface: the in-process
 // simulated network of channel-backed exchanges.
@@ -84,16 +131,16 @@ func (f simFabric) SplitRefs(refs []core.BlockRef) [][]core.BlockRef {
 	return f.ns.SplitRefs(refs)
 }
 
-func (f simFabric) Shuffle(parts []Operator, key int) Exchanger {
+func (f simFabric) Shuffle(parts []Operator, key int, _ Charge) Exchanger {
 	return f.ns.Shuffle(parts, key)
 }
 
-func (f simFabric) ShuffleGlobal(in Operator, key int) Exchanger {
+func (f simFabric) ShuffleGlobal(in Operator, key int, _ Charge) Exchanger {
 	return f.ns.ShuffleGlobal(in, key)
 }
 
-func (f simFabric) Broadcast(in Operator) Exchanger { return f.ns.Broadcast(in) }
-func (f simFabric) Deal(in Operator) Exchanger      { return f.ns.Deal(in) }
+func (f simFabric) Broadcast(in Operator, _ Charge) Exchanger { return f.ns.Broadcast(in) }
+func (f simFabric) Deal(in Operator, _ Charge) Exchanger      { return f.ns.Deal(in) }
 
 func (f simFabric) Gather(parts []Operator) Operator { return Gather(parts...) }
 

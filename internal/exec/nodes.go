@@ -68,8 +68,8 @@ func (e *Executor) EnableNodes(workersPerNode int) *NodeSet {
 	return ns
 }
 
-// Nodes returns the executor's node fabric, or nil when execution is
-// centralized (the legacy single-pool mode).
+// Nodes returns the executor's node fabric, or nil for a centralized
+// executor (which compiles onto the one-node fabric, ExecFabric).
 func (e *Executor) Nodes() *NodeSet { return e.nodes }
 
 // N returns the cluster size.

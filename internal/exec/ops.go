@@ -17,9 +17,10 @@ import (
 // subtree's.
 type OpStats struct {
 	Label string
-	// Node is the cluster node the operator ran on, or -1 for
-	// coordinator-side / centralized operators. Per-node stats are what
-	// make execution skew visible in session results.
+	// Node is the cluster node the operator ran on (0 for every
+	// fragment on the one-node fabric), or -1 for coordinator-side
+	// operators such as a hyper-join. Per-node stats are what make
+	// execution skew visible in session results.
 	Node    int
 	Batches int64
 	Rows    int64

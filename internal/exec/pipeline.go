@@ -515,13 +515,14 @@ func (f *filterOp) Next() (*Batch, error) {
 
 func (f *filterOp) Close() error { return f.child.Close() }
 
-// JoinCharge selects how a join operator meters its input rows.
-type JoinCharge int
+// Charge is the eq. 1 price class of an exchanged plan edge — what the
+// one-node fabric (centralFabric) meters each row it passes at.
+type Charge int
 
 const (
-	// ChargeNone meters nothing — callers meter the I/O that produced
-	// the inputs.
-	ChargeNone JoinCharge = iota
+	// ChargeNone meters nothing — the rows are read in place, and the
+	// scan that produced them already metered the I/O.
+	ChargeNone Charge = iota
 	// ChargeShuffle charges the CSJ shuffle factor per row (eq. 1: each
 	// record is read, partitioned and written, and read again).
 	ChargeShuffle
@@ -536,9 +537,6 @@ type JoinOptions struct {
 	// build‖probe, so callers can build on either side while keeping
 	// (left, right) column order.
 	BuildIsRight bool
-	// BuildCharge / ProbeCharge meter the respective input's rows as
-	// they stream through the join.
-	BuildCharge, ProbeCharge JoinCharge
 	// BuildRowsEst is the planner's build-side cardinality estimate
 	// (zone-map row counts); 0 means unknown. It sizes the radix
 	// fan-out (pickRadixBits) and the Bloom filters of demoted
@@ -600,11 +598,9 @@ func pickRadixBits(estRows int, limit int64) int {
 const estRowBytes = 256
 
 // chargeRows wraps an operator so every row flowing through it is
-// metered at the given rate — the virtual-shuffle accounting point. The
-// join itself calls Meter.Add* only for its result rows: in centralized
-// mode its inputs are wrapped here, and in distributed mode the
-// Exchange operators meter the rows that physically move instead.
-func chargeRows(child Operator, m *cluster.Meter, charge JoinCharge) Operator {
+// metered at the given class — the one-node fabric's exchange. The
+// N-node fabrics meter the rows that physically cross nodes instead.
+func chargeRows(child Operator, m *cluster.Meter, charge Charge) Operator {
 	if charge == ChargeNone {
 		return child
 	}
@@ -614,7 +610,7 @@ func chargeRows(child Operator, m *cluster.Meter, charge JoinCharge) Operator {
 type chargeOp struct {
 	child  Operator
 	m      *cluster.Meter
-	charge JoinCharge
+	charge Charge
 }
 
 func (c *chargeOp) Open() error { return c.child.Open() }
@@ -642,13 +638,7 @@ func (c *chargeOp) Close() error { return c.child.Close() }
 // matches into columnar output batches. Result rows are metered once at
 // end of stream. The probe side is never materialized. Output batch
 // order is nondeterministic when more than one worker runs.
-//
-// The input-charge options are applied by wrapping the inputs in
-// chargeRows; the join body itself never touches the meter beyond its
-// result-row count.
 func (e *Executor) JoinOp(build Operator, buildCol int, probe Operator, probeCol int, opts JoinOptions) Operator {
-	build = chargeRows(build, e.Meter, opts.BuildCharge)
-	probe = chargeRows(probe, e.Meter, opts.ProbeCharge)
 	bits := pickRadixBits(opts.BuildRowsEst, e.Mem.Limit())
 	return &hashJoinOp{
 		e: e, build: build, probe: probe, bCol: buildCol, pCol: probeCol, opts: opts,
@@ -762,8 +752,8 @@ func (j *hashJoinOp) Open() error {
 
 // dispatchProbe feeds non-empty probe batches to the workers
 // (joinInput). A single goroutine owns probe.Next; even with an empty
-// hash table the probe side drains so its rows pass the chargeRows
-// wrapper and are metered.
+// hash table the probe side drains so an exchange feeding it meters
+// every row.
 func (j *hashJoinOp) dispatchProbe() {
 	defer close(j.in)
 	for {

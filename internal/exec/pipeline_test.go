@@ -107,8 +107,8 @@ func TestJoinOpChargesEmptyBuildProbeRows(t *testing.T) {
 	store := dfs.NewStore(2, 1, 1)
 	meter := &cluster.Meter{}
 	ex := New(store, meter)
-	rows, err := Collect(ex.JoinOp(NewSource(nil), 0, NewSource(r), 0,
-		JoinOptions{BuildCharge: ChargeShuffle, ProbeCharge: ChargeShuffle}))
+	rows, err := Collect(ex.JoinOp(charged(ex, NewSource(nil), 0, ChargeShuffle), 0,
+		charged(ex, NewSource(r), 0, ChargeShuffle), 0, JoinOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}

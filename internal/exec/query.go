@@ -30,12 +30,9 @@ type QueryCtx struct {
 	Mem *MemBudget
 	// SpillDir overrides the template's spill directory when non-empty.
 	SpillDir string
-	// Workers overrides the template's task parallelism when > 0.
-	Workers int
-	// Distributed attaches a per-node fabric (EnableNodes) to the view;
-	// WorkersPerNode bounds each node's parallelism as in EnableNodes.
-	Distributed    bool
-	WorkersPerNode int
+	// Distributed attaches a per-node fabric (EnableNodes, one worker
+	// per node) to the view.
+	Distributed bool
 }
 
 // ForQuery derives a per-query executor view from a long-lived
@@ -55,14 +52,10 @@ func (e *Executor) ForQuery(q QueryCtx) *Executor {
 	if q.SpillDir != "" {
 		spill = q.SpillDir
 	}
-	workers := e.Workers
-	if q.Workers > 0 {
-		workers = q.Workers
-	}
 	v := &Executor{
 		Store:      e.Store,
 		Meter:      meter,
-		Workers:    workers,
+		Workers:    e.Workers,
 		RoundRobin: e.RoundRobin,
 		NoPrune:    e.NoPrune,
 		Mem:        q.Mem,
@@ -71,7 +64,7 @@ func (e *Executor) ForQuery(q QueryCtx) *Executor {
 		ctx:        q.Ctx,
 	}
 	if q.Distributed {
-		v.EnableNodes(q.WorkersPerNode)
+		v.EnableNodes(0)
 	}
 	return v
 }

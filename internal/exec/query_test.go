@@ -23,11 +23,11 @@ func TestForQueryIsolatesPerQueryState(t *testing.T) {
 
 	m := &cluster.Meter{}
 	mem := NewMemBudget(1 << 20)
-	q := base.ForQuery(QueryCtx{Meter: m, Mem: mem, SpillDir: "/q/spill", Workers: 2})
-	if q.Meter != m || q.Mem != mem || q.SpillDir != "/q/spill" || q.Workers != 2 {
+	q := base.ForQuery(QueryCtx{Meter: m, Mem: mem, SpillDir: "/q/spill"})
+	if q.Meter != m || q.Mem != mem || q.SpillDir != "/q/spill" {
 		t.Fatalf("view didn't take per-query state: %+v", q)
 	}
-	if q.Store != base.Store || !q.NoPrune || !q.RoundRobin {
+	if q.Store != base.Store || !q.NoPrune || !q.RoundRobin || q.Workers != 3 {
 		t.Fatal("view didn't share template store/flags")
 	}
 	// The template is untouched.
@@ -48,8 +48,8 @@ func TestForQueryIsolatesPerQueryState(t *testing.T) {
 	}
 }
 
-// TestForQueryDefaults: nil meter allocates a private one; zero
-// Workers/SpillDir inherit the template's.
+// TestForQueryDefaults: nil meter allocates a private one; Workers and
+// an empty SpillDir inherit the template's.
 func TestForQueryDefaults(t *testing.T) {
 	store := dfs.NewStore(2, 1, 1)
 	base := New(store, &cluster.Meter{})
@@ -72,8 +72,8 @@ func TestForQueryDefaults(t *testing.T) {
 func TestForQueryDistributed(t *testing.T) {
 	store := dfs.NewStore(4, 2, 1)
 	base := New(store, &cluster.Meter{})
-	a := base.ForQuery(QueryCtx{Distributed: true, WorkersPerNode: 1})
-	b := base.ForQuery(QueryCtx{Distributed: true, WorkersPerNode: 1})
+	a := base.ForQuery(QueryCtx{Distributed: true})
+	b := base.ForQuery(QueryCtx{Distributed: true})
 	if a.Nodes() == nil || b.Nodes() == nil {
 		t.Fatal("distributed views must carry a NodeSet")
 	}

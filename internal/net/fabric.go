@@ -111,19 +111,22 @@ func (f *netFabric) exchange(parts []exec.Operator, srcGlobal exec.Operator, rou
 	return &netExch{f: f, id: id, nprod: nprod}
 }
 
-func (f *netFabric) Shuffle(parts []exec.Operator, key int) exec.Exchanger {
+// The exchange constructors ignore the charge class: like the simulated
+// fabric, the TCP fabric meters the rows that cross nodes.
+
+func (f *netFabric) Shuffle(parts []exec.Operator, key int, _ exec.Charge) exec.Exchanger {
 	return f.exchange(parts, nil, key)
 }
 
-func (f *netFabric) ShuffleGlobal(in exec.Operator, key int) exec.Exchanger {
+func (f *netFabric) ShuffleGlobal(in exec.Operator, key int, _ exec.Charge) exec.Exchanger {
 	return f.exchange(nil, in, key)
 }
 
-func (f *netFabric) Broadcast(in exec.Operator) exec.Exchanger {
+func (f *netFabric) Broadcast(in exec.Operator, _ exec.Charge) exec.Exchanger {
 	return f.exchange(nil, in, routeBroadcast)
 }
 
-func (f *netFabric) Deal(in exec.Operator) exec.Exchanger {
+func (f *netFabric) Deal(in exec.Operator, _ exec.Charge) exec.Exchanger {
 	return f.exchange(nil, in, routeDeal)
 }
 

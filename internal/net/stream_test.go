@@ -359,8 +359,8 @@ func TestRemoteShuffleDeliversColumnar(t *testing.T) {
 	// consumes, so all it sees crossed the socket.
 	fA, _ := shuffleEnd(t, epA, qid, 0)
 	fB, _ := shuffleEnd(t, epB, qid, 0)
-	outA := fA.Shuffle([]exec.Operator{exec.NewSource(nil), exec.NewSource(nil)}, 0).Output(0)
-	outB := fB.Shuffle([]exec.Operator{exec.NewSource(nil), exec.NewSource(rows)}, 0).Output(1)
+	outA := fA.Shuffle([]exec.Operator{exec.NewSource(nil), exec.NewSource(nil)}, 0, exec.ChargeShuffle).Output(0)
+	outB := fB.Shuffle([]exec.Operator{exec.NewSource(nil), exec.NewSource(rows)}, 0, exec.ChargeShuffle).Output(1)
 	fA.Run(context.Background())
 	fB.Run(context.Background())
 	localDone := make(chan error, 1)

@@ -96,13 +96,10 @@ type helloMsg struct {
 // different join strategies for the same query and mis-wire the
 // exchange streams.
 type ExecConfig struct {
-	Model          cluster.CostModel
-	Optimizer      OptimizerConfig
-	BudgetBlocks   int
-	ForceShuffle   bool
-	MemBudget      int64
-	Workers        int
-	WorkersPerNode int
+	Model        cluster.CostModel
+	Optimizer    OptimizerConfig
+	BudgetBlocks int
+	MemBudget    int64
 }
 
 // OptimizerConfig mirrors optimizer.Config field-for-field so the setup

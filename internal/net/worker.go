@@ -187,7 +187,6 @@ func (w *worker) buildReplica() error {
 	w.cat = cat
 	cfg := w.setup.Exec
 	ex := exec.New(store, &cluster.Meter{})
-	ex.Workers = cfg.Workers
 	w.ex = ex
 	w.opt = optimizer.New(optimizer.Config{
 		Mode:         optimizer.Mode(cfg.Optimizer.Mode),
@@ -393,13 +392,11 @@ func (w *worker) attemptRun(qm queryMsg, at *attempt) (cluster.Counters, cluster
 	qmeter := &cluster.Meter{}
 	qmeter.SetLinkWeights(recsToWeights(qm.Weights))
 	qex := w.ex.ForQuery(exec.QueryCtx{
-		Ctx:            ctx,
-		Meter:          qmeter,
-		Mem:            exec.NewMemBudget(w.setup.Exec.MemBudget),
-		SpillDir:       w.spill,
-		Workers:        w.setup.Exec.Workers,
-		Distributed:    true,
-		WorkersPerNode: w.setup.Exec.WorkersPerNode,
+		Ctx:         ctx,
+		Meter:       qmeter,
+		Mem:         exec.NewMemBudget(w.setup.Exec.MemBudget),
+		SpillDir:    w.spill,
+		Distributed: true,
 	})
 
 	fb, err := newNetFabric(w.ep, at, qex, qm.Assign)
@@ -441,7 +438,6 @@ func (w *worker) newRunner(qex *exec.Executor, lw cluster.LinkWeights) *planner.
 	if cfg.BudgetBlocks > 0 {
 		r.BudgetBlocks = cfg.BudgetBlocks
 	}
-	r.ForceShuffle = cfg.ForceShuffle
 	r.LinkWeights = lw
 	return r
 }

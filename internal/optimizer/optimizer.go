@@ -120,7 +120,10 @@ func (r StepReport) Adapted() bool {
 // OnQuery records the query in each touched table's window and performs
 // the policy's repartitioning work, metering its I/O into the query's
 // meter (repartitioning overhead lands on the triggering query, as in
-// the paper's per-query latency plots).
+// the paper's per-query latency plots). On error the report still
+// counts what changed before the failure, the failing step's partial
+// migration included: earlier tables may have been repartitioned, and
+// so may the one that failed.
 func (o *Optimizer) OnQuery(uses []TableUse, meter *cluster.Meter) (StepReport, error) {
 	var rep StepReport
 	for _, use := range uses {
@@ -137,21 +140,21 @@ func (o *Optimizer) OnQuery(uses []TableUse, meter *cluster.Meter) (StepReport, 
 		case ModeAdaptive:
 			sm := o.smoothFor(use.Table.Name)
 			res, err := sm.Step(use.Table, q, meter)
-			if err != nil {
-				return rep, err
-			}
 			rep.MovedRows += res.MovedRows
 			if res.CreatedTree >= 0 {
 				rep.CreatedTrees++
+			}
+			if err != nil {
+				return rep, err
 			}
 			if o.cfg.EnableAmoeba && len(use.Preds) > 0 {
 				idx := use.Table.PrimaryTree()
 				if idx >= 0 {
 					n, err := o.adapterFor(use.Table.Name).Step(use.Table, idx, meter)
+					rep.AmoebaTransforms += n
 					if err != nil {
 						return rep, err
 					}
-					rep.AmoebaTransforms += n
 				}
 			}
 		}

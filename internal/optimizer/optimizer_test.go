@@ -85,6 +85,29 @@ func TestAdaptiveModeShiftsSmoothly(t *testing.T) {
 	}
 }
 
+// TestOnQueryReportsFailedStepPartialWork: a smooth step whose
+// migration fails has already created its tree, and the report returned
+// with the error says so — the serving layer bumps epochs on it.
+func TestOnQueryReportsFailedStepPartialWork(t *testing.T) {
+	tbl := loadTable(t)
+	// Every tree-0 block is gone, so whichever bucket the step picks,
+	// its read fails.
+	for _, b := range tbl.Trees[0].LiveBuckets() {
+		tbl.Store().Delete(tbl.BlockPath(0, b))
+	}
+	o := New(Config{Mode: ModeAdaptive, WindowSize: 10})
+	rep, err := o.OnQuery([]TableUse{{Table: tbl, JoinAttr: 1}}, &cluster.Meter{})
+	if err == nil {
+		t.Fatal("migration over deleted blocks succeeded")
+	}
+	if rep.CreatedTrees != 1 || !rep.Adapted() {
+		t.Fatalf("failed step's report %+v, want the created tree counted", rep)
+	}
+	if len(tbl.LiveTrees()) != 2 {
+		t.Fatalf("live trees %v, want the old and the new", tbl.LiveTrees())
+	}
+}
+
 func TestFullRepartitionModeSpikes(t *testing.T) {
 	tbl := loadTable(t)
 	o := New(Config{Mode: ModeFullRepartition, WindowSize: 10, Seed: 4})

@@ -1,9 +1,7 @@
-// The distributed plan→Operator compiler: when the executor has an
-// execution fabric (a simulated NodeSet or the TCP fabric of
-// internal/net — exec.Fabric abstracts both), Compile lowers the plan
-// into per-node fragments connected by exchange operators instead of
-// one centralized DAG. Per join it
-// chooses between
+// The plan lowering: Compile turns a plan into per-node fragments
+// connected by exchange operators over the executor's exec.Fabric — the
+// one-node fabric of a centralized executor, the simulated NodeSet, or
+// the TCP fabric of internal/net. Per join it chooses between
 //
 //   - co-located hyper-join: both sides have trees on the join
 //     attribute and the §5.4 comparison favors hyper — groups run at
@@ -18,9 +16,12 @@
 //     physical node placement.
 //
 // Scans are split by block placement (dfs.Store primary replicas) so
-// each node reads its own blocks; exchanges meter the rows and bytes
-// that actually cross nodes (cluster.Meter.AddExchange) instead of the
-// old call-site charges.
+// each node reads its own blocks. Every exchange carries the eq. 1
+// charge class of its plan edge: exec.ChargeShuffle for a base table
+// that repartitions, exec.ChargeIntermediate for an intermediate,
+// exec.ChargeNone for a table §4.3 reads in place. The one-node fabric
+// meters rows at that class; the N-node fabrics meter the rows and bytes
+// that actually cross nodes (cluster.Meter.AddExchange).
 package planner
 
 import (
@@ -59,11 +60,11 @@ func (r *Runner) instrumentAt(c *Compiled, node int, label string, op exec.Opera
 	return in
 }
 
-// reportJoinAccum appends a report entry for a join whose execution is
-// spread across node fragments: each fragment's completion hook adds
-// its share of the output rows (and, when a hyper part exists, its
-// statistics). Hooks fire from concurrent drain goroutines, hence the
-// lock.
+// reportJoinAccum appends a report entry for a join being compiled and
+// returns the completion hook that fills it: each of the join's node
+// fragments adds its share of the output rows (and, when a hyper part
+// exists, its statistics) once its stream has drained. Hooks fire from
+// concurrent drain goroutines, hence the lock.
 func (r *Runner) reportJoinAccum(c *Compiled, jr JoinReport, hyper *exec.HyperJoinOp) func(exec.OpStats) {
 	idx := len(c.Report.Joins)
 	c.Report.Joins = append(c.Report.Joins, jr)
@@ -117,22 +118,23 @@ func (r *Runner) compileDist(n Node, c *Compiled) (distOut, error) {
 			}
 			fill := r.reportJoinAccum(c, JoinReport{Strategy: StratShuffle}, nil)
 			return distOut{parts: r.distShuffleParts(c, fill, "intermediates",
-				lOut, nd.LCol, r.estimateRows(nd.Left),
-				rOut, nd.RCol, r.estimateRows(nd.Right))}, nil
+				joinSide{lOut, nd.LCol, r.estimateRows(nd.Left), exec.ChargeIntermediate},
+				joinSide{rOut, nd.RCol, r.estimateRows(nd.Right), exec.ChargeIntermediate})}, nil
 		}
 	default:
 		return distOut{}, fmt.Errorf("planner: unknown node %T", n)
 	}
 }
 
-// exchangeOf hash-partitions a sub-plan across the nodes: partitioned
-// inputs keep their home nodes (same-node deliveries stay off the
-// network), coordinator streams are all-remote.
-func (r *Runner) exchangeOf(fb exec.Fabric, d distOut, key int) exec.Exchanger {
-	if d.global != nil {
-		return fb.ShuffleGlobal(d.global, key)
+// exchangeOf hash-partitions a join side across the nodes on its join
+// column, at its charge class: partitioned inputs keep their home nodes
+// (same-node deliveries stay off the network), coordinator streams are
+// all-remote.
+func (r *Runner) exchangeOf(fb exec.Fabric, s joinSide) exec.Exchanger {
+	if s.in.global != nil {
+		return fb.ShuffleGlobal(s.in.global, s.col, s.charge)
 	}
-	return fb.Shuffle(d.parts, key)
+	return fb.Shuffle(s.in.parts, s.col, s.charge)
 }
 
 // distScan splits a table scan by block placement: node i reads the
@@ -150,14 +152,14 @@ func (r *Runner) distTableJoin(j *Join, l, rt *Scan, c *Compiled) (distOut, erro
 	case StratShuffle:
 		fill := r.reportJoinAccum(c, JoinReport{Strategy: StratShuffle}, nil)
 		return distOut{parts: r.distShuffleParts(c, fill, pair,
-			r.distScan(c, l), j.LCol, refRows(r.scanRefs(l)),
-			r.distScan(c, rt), j.RCol, refRows(r.scanRefs(rt)))}, nil
+			joinSide{r.distScan(c, l), j.LCol, refRows(r.scanRefs(l)), exec.ChargeShuffle},
+			joinSide{r.distScan(c, rt), j.RCol, refRows(r.scanRefs(rt)), exec.ChargeShuffle})}, nil
 
 	case StratHyper:
 		// Co-located: hyper-join groups already run at the nodes holding
 		// their build blocks (taskNode locality); nothing is exchanged.
 		hy := r.hyperOp(p, l, j.LCol, rt, j.RCol)
-		fill := r.reportJoin(c, JoinReport{Strategy: StratHyper}, hy)
+		fill := r.reportJoinAccum(c, JoinReport{Strategy: StratHyper}, hy)
 		return distOut{global: r.instrument(c, "join[hyper]("+pair+")", hy, fill)}, nil
 
 	case StratCombination:
@@ -171,13 +173,15 @@ func (r *Runner) distTableJoin(j *Join, l, rt *Scan, c *Compiled) (distOut, erro
 			lsc := r.distRefsScan(c, l.Table.Name+":residual", p.l2, l.Preds)
 			rsc := r.distScan(c, rt)
 			parts = append(parts, fb.Gather(r.distShuffleParts(c, nil, pair,
-				lsc, j.LCol, refRows(p.l2), rsc, j.RCol, refRows(p.r1)+refRows(p.r2))))
+				joinSide{lsc, j.LCol, refRows(p.l2), exec.ChargeShuffle},
+				joinSide{rsc, j.RCol, refRows(p.r1) + refRows(p.r2), exec.ChargeShuffle})))
 		}
 		if len(p.r2) > 0 {
 			lsc := r.distRefsScan(c, l.Table.Name+":copart", p.l1, l.Preds)
 			rsc := r.distRefsScan(c, rt.Table.Name+":residual", p.r2, rt.Preds)
 			parts = append(parts, fb.Gather(r.distShuffleParts(c, nil, pair,
-				lsc, j.LCol, refRows(p.l1), rsc, j.RCol, refRows(p.r2))))
+				joinSide{lsc, j.LCol, refRows(p.l1), exec.ChargeShuffle},
+				joinSide{rsc, j.RCol, refRows(p.r2), exec.ChargeShuffle})))
 		}
 		op := r.instrument(c, "join[combination]("+pair+")", exec.Concat(parts...), fill)
 		return distOut{global: op}, nil
@@ -197,44 +201,50 @@ func (r *Runner) distRefsScan(c *Compiled, label string, refs []core.BlockRef, p
 	return distOut{parts: parts}
 }
 
+// joinSide is one input of a both-sides-exchanged join: the compiled
+// sub-plan, its join column, its estimated rows and the charge class of
+// its exchange.
+type joinSide struct {
+	in     distOut
+	col    int
+	rows   int
+	charge exec.Charge
+}
+
 // distShuffleParts wires a both-sides-exchanged join: each side's
 // fragments feed a hash exchange on its join column, and node i joins
-// the two i-th outputs on its own pool. fill (optional) accumulates
-// output rows into the join's report entry.
-func (r *Runner) distShuffleParts(c *Compiled, fill func(exec.OpStats), pair string,
-	l distOut, lCol, lRows int, rt distOut, rCol, rRows int) []exec.Operator {
+// the two i-th outputs on its own pool. The side with fewer estimated
+// rows builds. fill (optional) accumulates output rows into the join's
+// report entry.
+func (r *Runner) distShuffleParts(c *Compiled, fill func(exec.OpStats), pair string, l, rt joinSide) []exec.Operator {
 	fb := r.Ex.ExecFabric()
 	build, probe := l, rt
-	bCol, pCol := lCol, rCol
-	bRows := lRows
-	flip := rRows < lRows
+	flip := rt.rows < l.rows
 	if flip {
 		build, probe = rt, l
-		bCol, pCol = rCol, lCol
-		bRows = rRows
 	}
-	bx := r.exchangeOf(fb, build, bCol)
-	px := r.exchangeOf(fb, probe, pCol)
+	bx := r.exchangeOf(fb, build)
+	px := r.exchangeOf(fb, probe)
 	parts := make([]exec.Operator, fb.N())
 	// A hash exchange deals the build roughly evenly, so each node's
 	// join sizes its fan-out for a 1/N share.
-	perNode := r.estBuildRows(bRows / fb.N())
+	perNode := r.estBuildRows(build.rows / fb.N())
 	for i := 0; i < fb.N(); i++ {
-		op := fb.At(i).JoinOp(bx.Output(i), bCol, px.Output(i), pCol,
+		op := fb.At(i).JoinOp(bx.Output(i), build.col, px.Output(i), probe.col,
 			exec.JoinOptions{BuildIsRight: flip, BuildRowsEst: perNode})
 		parts[i] = r.instrumentAt(c, i, "join[shuffle]("+pair+")", op, fill)
 	}
 	return parts
 }
 
-// distBroadcastJoin lowers an intermediate ⋈ base-table join — one side
-// exchanged, the other (mostly) in place. Like the centralized
-// compileSemiShuffle, the one-side exchange is only available when the
-// base table has a tree on the join attribute (and hyper-join is not
-// force-disabled); otherwise the base table must repartition too, and
-// the join compiles — and is reported and priced — as a full shuffle
-// with both sides exchanged. With a tree, the smaller side by estimate
-// is the one that gets duplicated:
+// distBroadcastJoin lowers an intermediate ⋈ base-table join (§4.3) —
+// one side exchanged, the other (mostly) in place. The one-side
+// exchange is only available when the base table has a tree on the join
+// attribute (and hyper-join is not force-disabled); otherwise the base
+// table must repartition too, and the join compiles — and is reported
+// and priced — as a full shuffle with both sides exchanged, the table at
+// eq. 1's shuffle class and the intermediate at §4.3's. With a tree, the
+// smaller side by estimate is the one that gets duplicated:
 //
 //   - small intermediate: broadcast it to every node and probe the base
 //     table where its blocks live (the base table never moves — §4.3's
@@ -251,20 +261,18 @@ func (r *Runner) distBroadcastJoin(c *Compiled, build distOut, buildRows, buildC
 	if r.ForceShuffle || sc.Table.TreeFor(tblCol) < 0 {
 		// No tree on the join attribute: both sides hash-exchange.
 		fill := r.reportJoinAccum(c, JoinReport{Strategy: StratShuffle}, nil)
-		tbl := r.distScan(c, sc)
-		tblRows := refRows(r.scanRefs(sc))
+		tbl := joinSide{r.distScan(c, sc), tblCol, refRows(r.scanRefs(sc)), exec.ChargeShuffle}
+		in := joinSide{build, buildCol, buildRows, exec.ChargeIntermediate}
 		if tblFirst {
-			return distOut{parts: r.distShuffleParts(c, fill, sc.Table.Name+"⋈intermediate",
-				tbl, tblCol, tblRows, build, buildCol, buildRows)}
+			return distOut{parts: r.distShuffleParts(c, fill, sc.Table.Name+"⋈intermediate", tbl, in)}
 		}
-		return distOut{parts: r.distShuffleParts(c, fill, "intermediate⋈"+sc.Table.Name,
-			build, buildCol, buildRows, tbl, tblCol, tblRows)}
+		return distOut{parts: r.distShuffleParts(c, fill, "intermediate⋈"+sc.Table.Name, in, tbl)}
 	}
 	fill := r.reportJoinAccum(c, JoinReport{Strategy: StratSemiShuffle}, nil)
 	parts := make([]exec.Operator, fb.N())
 	tblRows := refRows(r.scanRefs(sc))
 	if buildRows <= tblRows {
-		bx := fb.Broadcast(build.toGlobal(fb))
+		bx := fb.Broadcast(build.toGlobal(fb), exec.ChargeIntermediate)
 		probe := r.distScan(c, sc)
 		// A broadcast build lands whole on every node — no 1/N share.
 		est := r.estBuildRows(buildRows)
@@ -276,9 +284,10 @@ func (r *Runner) distBroadcastJoin(c *Compiled, build distOut, buildRows, buildC
 		return distOut{parts: parts}
 	}
 	// Flip: the base table is the small side. Broadcast its (gathered)
-	// per-node scans and deal the intermediate across the nodes.
-	tx := fb.Broadcast(r.distScan(c, sc).toGlobal(fb))
-	px := fb.Deal(build.toGlobal(fb))
+	// per-node scans and deal the intermediate across the nodes. §4.3
+	// reads the table in place, so only the intermediate is charged.
+	tx := fb.Broadcast(r.distScan(c, sc).toGlobal(fb), exec.ChargeNone)
+	px := fb.Deal(build.toGlobal(fb), exec.ChargeIntermediate)
 	est := r.estBuildRows(tblRows)
 	for i := 0; i < fb.N(); i++ {
 		op := fb.At(i).JoinOp(tx.Output(i), tblCol, px.Output(i), buildCol,

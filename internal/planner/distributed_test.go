@@ -47,7 +47,7 @@ func TestDistributedShuffleJoinOracle(t *testing.T) {
 		t.Fatalf("shuffle exchanged %v rows, want both sides = %d", c.ExchRows(), len(f.lrows)+len(f.orows))
 	}
 	if c.ShuffleRows != 0 {
-		t.Fatalf("distributed path must not use call-site shuffle charges, got %v", c.ShuffleRows)
+		t.Fatalf("the simulated fabric must meter crossings, not charge classes; got %v shuffle rows", c.ShuffleRows)
 	}
 }
 
@@ -128,8 +128,7 @@ func TestDistributedSemiShuffleBroadcast(t *testing.T) {
 
 // TestDistributedSemiShuffleFallsBackToShuffle: when the base table has
 // no tree on the join attribute, the intermediate ⋈ table join
-// hash-exchanges BOTH sides and reports shuffle — mirroring the
-// centralized compiler's strategy and pricing.
+// hash-exchanges BOTH sides and reports shuffle.
 func TestDistributedSemiShuffleFallsBackToShuffle(t *testing.T) {
 	f := distSetup(t, true)
 	preds := []predicate.Predicate{predicate.NewCmp(2, predicate.LT, value.NewInt(1200))}

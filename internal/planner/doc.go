@@ -11,7 +11,9 @@
 // compositions, and multi-relation joins stream their sub-plan DAGs
 // straight into the next join's build side (§4.3's semi-shuffle: only
 // the intermediate shuffles when the base table has a tree on the join
-// attribute). Nothing on the compiled path materializes a whole-table
+// attribute). There is one lowering (distributed.go): it compiles
+// against the executor's exec.Fabric, which is one node for a
+// centralized executor and N simulated or TCP nodes otherwise. Nothing on the compiled path materializes a whole-table
 // slice; a caller that wants rows drains the DAG with exec.Collect.
 // Every operator is wrapped in exec.Instrument,
 // so a drained Compiled DAG reports per-operator rows/batches/time and
@@ -33,9 +35,9 @@
 //
 //   - §4.2 — estimateHyper / estimateShuffle price the strategies in
 //     block reads before compiling the winner.
-//   - §4.3 — compileSemiShuffle streams a base table through the probe
-//     side of a pipelined join while only the materialized intermediate
-//     shuffles.
+//   - §4.3 — distBroadcastJoin reads a base table in place while only
+//     the intermediate is exchanged, charged at the intermediate rate;
+//     every exchange carries its plan edge's charge class (exec.Charge).
 //   - §5.4 — planTableJoin's cost comparison that decides whether a
 //     combination join beats a plain shuffle mid-transition.
 //   - §6 — Compile walks the plan tree; the Report records per-join

@@ -12,10 +12,8 @@ import (
 	"adaptdb/internal/predicate"
 	"adaptdb/internal/query"
 	"adaptdb/internal/schema"
-	"adaptdb/internal/smooth"
 	"adaptdb/internal/tuple"
 	"adaptdb/internal/value"
-	"adaptdb/internal/workload"
 )
 
 var (
@@ -201,19 +199,7 @@ func TestCase2CombinationDuringTransition(t *testing.T) {
 	f := setup(t, true)
 	// Push lineitem into a partial transition: create a partkey tree and
 	// move ~30% of data into it.
-	w := workload.NewWindow(10)
-	m := smooth.New(w, 5)
-	var meter cluster.Meter
-	for i := 0; i < 3; i++ {
-		q := workload.Query{JoinAttr: 1}
-		w.Add(q)
-		if _, err := m.Step(f.line, q, &meter); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(f.line.LiveTrees()) < 2 {
-		t.Fatalf("fixture should be mid-transition; trees=%v", f.line.LiveTrees())
-	}
+	transition(t, f.line)
 	plan := &Join{Left: &Scan{Table: f.line}, Right: &Scan{Table: f.ord}, LCol: 0, RCol: 0}
 	rows, rep, err := collect(f.runner, plan)
 	if err != nil {

@@ -58,13 +58,11 @@ const minReserve = 64 << 10
 // Config tunes a Service. The session.Config knobs keep their
 // meanings; the serving additions are MemBudget (now a global pool
 // shared by in-flight queries rather than one stream's budget),
-// MaxQueued, and the plan-cache controls.
+// MaxQueued, and the plan-cache switch.
 type Config struct {
 	Model        cluster.CostModel
 	Optimizer    optimizer.Config // template for per-tenant optimizers
 	BudgetBlocks int
-	ForceShuffle bool
-	Workers      int
 	// MemBudget bounds the sum of in-flight queries' estimated
 	// footprints (0 = unlimited, admission passes everything). Each
 	// admitted query gets a private exec.MemBudget sized to its
@@ -74,12 +72,10 @@ type Config struct {
 	SpillDir  string
 	// MaxQueued bounds the admission queue (0 = unbounded); beyond it
 	// queries are rejected with ErrQueueFull instead of waiting.
-	MaxQueued      int
-	Distributed    bool
-	WorkersPerNode int
-	// PlanCacheSize bounds the shared plan cache (0 = default);
-	// DisablePlanCache turns caching off entirely.
-	PlanCacheSize    int
+	MaxQueued   int
+	Distributed bool
+	// DisablePlanCache turns the shared plan cache
+	// (planner.DefaultPlanCacheSize entries) off entirely.
 	DisablePlanCache bool
 }
 
@@ -124,11 +120,10 @@ func New(store *dfs.Store, cfg Config) *Service {
 		model = cluster.Default()
 	}
 	base := exec.New(store, &cluster.Meter{})
-	base.Workers = cfg.Workers
 	base.SpillDir = cfg.SpillDir
 	var cache *planner.PlanCache
 	if !cfg.DisablePlanCache {
-		cache = planner.NewPlanCache(cfg.PlanCacheSize)
+		cache = planner.NewPlanCache(0)
 	}
 	return &Service{
 		store:   store,
@@ -214,13 +209,14 @@ func (s *Service) run(ctx context.Context, tenantID string, q session.Query, col
 	// Adaptation: the tenant's own windows vote, and any layout change
 	// happens under the write lock — no query is scanning while blocks
 	// move. Epoch bumps piggyback on the same critical section, so a
-	// reader either sees (old layout, old epoch) or (new, new).
+	// reader either sees (old layout, old epoch) or (new, new). A failed
+	// step may have changed layouts before it failed, so it bumps too.
 	uses := q.Uses()
 	t := s.tenant(tenantID)
 	t.mu.Lock()
 	s.layoutMu.Lock()
 	adapt, err := t.opt.OnQuery(uses, meter)
-	if err == nil && adapt.Adapted() {
+	if err != nil || adapt.Adapted() {
 		s.epochMu.Lock()
 		for _, u := range uses {
 			s.epochs[u.Table.Name]++
@@ -241,12 +237,10 @@ func (s *Service) run(ctx context.Context, tenantID string, q session.Query, col
 	defer s.layoutMu.RUnlock()
 
 	qex := s.base.ForQuery(exec.QueryCtx{
-		Ctx:            ctx,
-		Meter:          meter,
-		Mem:            s.queryBudget(est),
-		Workers:        s.cfg.Workers,
-		Distributed:    s.cfg.Distributed,
-		WorkersPerNode: s.cfg.WorkersPerNode,
+		Ctx:         ctx,
+		Meter:       meter,
+		Mem:         s.queryBudget(est),
+		Distributed: s.cfg.Distributed,
 	})
 	if ns := qex.Nodes(); ns != nil {
 		// The query's NodeSet is private, so flushing its shards into
@@ -257,7 +251,6 @@ func (s *Service) run(ctx context.Context, tenantID string, q session.Query, col
 	if s.cfg.BudgetBlocks > 0 {
 		runner.BudgetBlocks = s.cfg.BudgetBlocks
 	}
-	runner.ForceShuffle = s.cfg.ForceShuffle
 	runner.Cache = s.cache
 	runner.Epoch = s.Epoch
 	comp, err := q.Compile(runner)
@@ -306,7 +299,6 @@ func (s *Service) footprint(q session.Query) int64 {
 	if s.cfg.BudgetBlocks > 0 {
 		r.BudgetBlocks = s.cfg.BudgetBlocks
 	}
-	r.ForceShuffle = s.cfg.ForceShuffle
 	return floorReserve(q.Footprint(r))
 }
 

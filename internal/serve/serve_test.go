@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"adaptdb/internal/block"
 	"adaptdb/internal/core"
 	"adaptdb/internal/dfs"
 	"adaptdb/internal/exec"
@@ -311,6 +312,59 @@ func TestServePlanCacheHitRepeatMissOnBump(t *testing.T) {
 	}
 }
 
+// TestServeFailedAdaptationBumpsEpoch: an adaptation step that fails
+// partway has already changed the layout (the smooth step created its
+// tree before the migration's read failed), so it must still bump the
+// epoch — otherwise cached fragments of the old layout keep being
+// served. With fact's donor blocks deleted, the migration fails
+// whichever bucket it picks.
+func TestServeFailedAdaptationBumpsEpoch(t *testing.T) {
+	f := buildFixture(t)
+	svc := New(f.store, testConfig())
+	static := staticTenant(svc, "static")
+	q := f.query(0, 400)
+	first, err := svc.Execute(context.Background(), static, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	donors := map[string]*block.Block{}
+	for _, b := range f.fact.Trees[0].LiveBuckets() {
+		path := f.fact.BlockPath(0, b)
+		blk, _, err := f.store.GetBlock(path, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		donors[path] = blk
+		f.store.Delete(path)
+	}
+	epoch0 := svc.Epoch("fact")
+	if _, err := svc.Execute(context.Background(), "t0", f.query(0, 600)); err == nil {
+		t.Fatal("adaptation over deleted donor blocks succeeded")
+	}
+	if len(f.fact.LiveTrees()) < 2 {
+		t.Fatalf("the failed step created no tree (trees %v); the test has nothing to break", f.fact.LiveTrees())
+	}
+	if svc.Epoch("fact") == epoch0 {
+		t.Fatal("a failed adaptation that created a tree left the fact epoch unchanged")
+	}
+	for path, blk := range donors {
+		f.store.PutBlock(path, blk)
+	}
+
+	after, err := svc.Execute(context.Background(), static, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.CacheMisses == 0 {
+		t.Fatalf("post-failure compile: %d hits / %d misses, want fresh misses", after.CacheHits, after.CacheMisses)
+	}
+	if after.Checksum != first.Checksum || after.RowCount != first.RowCount {
+		t.Fatalf("post-failure result drifted: %016x/%d vs %016x/%d",
+			after.Checksum, after.RowCount, first.Checksum, first.RowCount)
+	}
+}
+
 // TestServeCacheNeverStale is the cached-vs-fresh oracle: the same
 // adaptive stream on twin services — one caching, one compiling fresh
 // every time — must produce identical per-query results. Any stale
@@ -457,7 +511,6 @@ func TestServeDistributedMatchesCentralized(t *testing.T) {
 		f := buildFixture(t)
 		cfg := testConfig()
 		cfg.Distributed = distributed
-		cfg.WorkersPerNode = 2
 		svc := New(f.store, cfg)
 		var sums []uint64
 		for qi, s := range sched {

@@ -107,8 +107,6 @@ type Config struct {
 	BudgetBlocks int
 	// ForceShuffle disables hyper-join (baseline configurations).
 	ForceShuffle bool
-	// Workers bounds executor parallelism; 0 = one per store node.
-	Workers int
 	// MemBudget bounds operator memory in bytes (0 = unlimited): hash
 	// joins charge their build sides against it and demote partitions to
 	// disk run files under pressure — the spilling hybrid hash join. In
@@ -119,17 +117,14 @@ type Config struct {
 	// SpillDir is where budget-pressured joins put run files ("" = the
 	// OS temp dir).
 	SpillDir string
-	// Distributed enables the per-node execution fabric: every store
-	// node gets its own executor (worker pool + meter shard), scans run
-	// where their blocks live, and joins move rows through exchange
-	// operators instead of a central pool. Query results are identical
-	// to centralized mode; the metered I/O switches from call-site
-	// shuffle charges to exchange-side network accounting.
+	// Distributed enables the simulated per-node execution fabric:
+	// every store node gets its own executor (one worker + meter shard),
+	// scans run where their blocks live, and exchanges move rows between
+	// the nodes. Without it the same plans compile onto the one-node
+	// fabric of a central pool. Query results are identical either way;
+	// the one-node fabric meters each exchanged row at its plan edge's
+	// eq. 1 class, the simulated fabric meters the rows that cross nodes.
 	Distributed bool
-	// WorkersPerNode bounds each node executor's parallelism in
-	// distributed mode (0 = one worker per node, so aggregate
-	// parallelism scales with the cluster).
-	WorkersPerNode int
 	// Net switches the exchange transport from the in-process simulated
 	// fabric to a running TCP cluster (see internal/net): queries
 	// dispatch to real worker processes and results gather back over
@@ -161,12 +156,11 @@ func New(store *dfs.Store, cfg Config) *Session {
 	}
 	meter := &cluster.Meter{}
 	ex := exec.New(store, meter)
-	ex.Workers = cfg.Workers
 	ex.Mem = exec.NewMemBudget(cfg.MemBudget)
 	ex.SpillDir = cfg.SpillDir
 	if cfg.Distributed || cfg.Net != nil {
 		// After the budget: EnableNodes splits it into per-node shares.
-		ex.EnableNodes(cfg.WorkersPerNode)
+		ex.EnableNodes(0)
 	}
 	runner := planner.NewRunner(ex, model)
 	if cfg.BudgetBlocks > 0 {
@@ -312,8 +306,9 @@ type NodeLoad struct {
 
 // PerNode folds the per-operator stats by execution node, ascending.
 // Coordinator-side operators (node -1, e.g. a gathered hyper-join) fold
-// into the leading -1 entry. Empty in centralized mode, where no
-// operator carries a node tag.
+// into the leading -1 entry. A centralized session runs on the one-node
+// fabric, so its fragments fold into node 0. Empty when every operator
+// ran coordinator-side (a plan of hyper-joins alone).
 func (r *Result) PerNode() []NodeLoad {
 	byNode := map[int]*NodeLoad{}
 	for _, op := range r.Ops {
@@ -335,8 +330,8 @@ func (r *Result) PerNode() []NodeLoad {
 	out := make([]NodeLoad, 0, len(nodes))
 	for _, n := range nodes {
 		if n < 0 && len(byNode) == 1 {
-			// Centralized runs tag everything -1; per-node loads would
-			// be meaningless.
+			// Everything ran coordinator-side; per-node loads would be
+			// meaningless.
 			break
 		}
 		out = append(out, *byNode[n])
