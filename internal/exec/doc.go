@@ -31,9 +31,13 @@
 // sources (NewSource), with scans, hyper-join groups, and the
 // radix-partitioned join's build and probe phases all running on a
 // bounded worker pool. Blocks are stored column-major, so a scan is
-// filter-then-copy: the vectorized predicate kernel
-// (predicate.FilterSel) narrows a selection over the block's own
-// vectors and the survivors are bulk-copied into a pooled batch. There
+// filter-then-view: each batch is a view of up to DefaultBatchSize rows
+// of the block's own vectors, capped at the block's length, and the
+// vectorized predicate kernel (predicate.FilterSel) narrows the batch's
+// own selection — a scan copies no cell. Rows are copied only where
+// they must be: into a hash table, onto the wire, or into a batch bound
+// for another node (an exchange forwards a producer's own rows in the
+// input batch itself). There
 // is one hash join and one join table: a columnar build and probe
 // (coljoin.go) that spills under a MemBudget (spill.go). A hyper-join
 // group and a second-pass load of a spilled partition are that same

@@ -11,12 +11,14 @@
 // each row its plan edge's eq. 1 class instead — fabric.go.)
 //
 // Batch ownership across an exchange: a batch never crosses the wire —
-// only rows do. The producer gathers rows into fresh columnar batches,
-// one pending batch per destination node, copying vectors (string
-// payloads are shared, immutable headers), so the source batch can be
-// released at once; ownership of a packed batch passes to the
-// destination node's consumer at channel handoff, and the consumer
-// Releases it.
+// only rows do. Rows bound for another node are gathered into fresh
+// columnar batches, one pending batch per destination node, copying
+// vectors (string payloads are shared, immutable headers). The rows a
+// hash route keeps on the producing node are not copied: the input
+// batch's selection is narrowed to them (Batch.KeepRows) and the batch
+// itself is handed on — it may be a scan's view of a block. Ownership
+// of a handed-off batch passes to the destination node's consumer at
+// channel handoff, and the consumer Releases it.
 //
 // Exchanges charge no MemBudget: the batches in flight are bounded by
 // construction, not by accounting. Each destination channel queues at
@@ -225,11 +227,19 @@ func (x *Exchange) produce(in Operator, src int) {
 				dIdx[d] = append(dIdx[d], int32(i))
 			}
 			for d := 0; d < n; d++ {
-				if len(dIdx[d]) == 0 {
+				if d == src || len(dIdx[d]) == 0 {
 					continue
 				}
 				x.packColGather(pend, d, cb, dIdx[d], src, meter)
 				dIdx[d] = dIdx[d][:0]
+			}
+			if src >= 0 && len(dIdx[src]) > 0 {
+				// The producing node's own rows stay in the input batch,
+				// which is handed off instead of released.
+				b.KeepRows(dIdx[src])
+				dIdx[src] = dIdx[src][:0]
+				x.send(src, b, src, meter)
+				continue
 			}
 		}
 		b.Release()

@@ -2,12 +2,15 @@ package exec
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"adaptdb/internal/cluster"
 	"adaptdb/internal/dfs"
+	"adaptdb/internal/predicate"
 	"adaptdb/internal/tuple"
 	"adaptdb/internal/value"
 )
@@ -208,6 +211,132 @@ func TestExchangeMetering(t *testing.T) {
 	if c.ExchRemoteRows != float64(n*len(rows)) {
 		t.Fatalf("broadcast metered %v remote rows, want %d", c.ExchRemoteRows, n*len(rows))
 	}
+}
+
+// ownedSource emits fresh, un-pooled batches of up to 200 rows and
+// reports each to emit before handing it on — so a batch pointer names
+// its producer for the whole test (no pool can reuse it).
+type ownedSource struct {
+	rows []tuple.Tuple
+	emit func(*Batch)
+	pos  int
+}
+
+func (s *ownedSource) Open() error  { return nil }
+func (s *ownedSource) Close() error { return nil }
+
+func (s *ownedSource) Next() (*Batch, error) {
+	if s.pos >= len(s.rows) {
+		return nil, nil
+	}
+	end := min(s.pos+200, len(s.rows))
+	b := &Batch{cols: tuple.NewColumns(len(s.rows[0]))}
+	b.cols.AppendRows(s.rows[s.pos:end])
+	s.pos = end
+	s.emit(b)
+	return b, nil
+}
+
+// TestShuffleForwardsProducersOwnRows: a hash exchange delivers every
+// row exactly once, to node Hash64(key) % N (NULL keys to node 0); the
+// rows a node keeps arrive in its own input batches, narrowed, never
+// repacked; and the meter counts what it counted when those rows were
+// repacked — the totals below are the repacking exchange's for the same
+// input.
+func TestShuffleForwardsProducersOwnRows(t *testing.T) {
+	const n = 4
+	ns, ex := nodeSetOf(t, n)
+	rows := make([]tuple.Tuple, 3000)
+	for i := range rows {
+		k := value.NewInt(int64(i % 251))
+		if i%97 == 0 {
+			k = value.Value{}
+		}
+		rows[i] = tuple.Tuple{k, value.NewInt(int64(i)), value.NewString(strings.Repeat("x", i%13))}
+	}
+	// Inputs arrive with selections: the filter drops empty strings.
+	keep := []predicate.Predicate{predicate.NewCmp(2, predicate.NE, value.NewString(""))}
+	var mu sync.Mutex
+	producer := map[*Batch]int{}
+	parts := make([]Operator, n)
+	wantOwn := make([]int, n)
+	for p := range parts {
+		lo, hi := p*len(rows)/n, (p+1)*len(rows)/n
+		emit := func(b *Batch) {
+			mu.Lock()
+			producer[b] = p
+			mu.Unlock()
+		}
+		parts[p] = Where(&ownedSource{rows: rows[lo:hi], emit: emit}, keep)
+		for _, r := range rows[lo:hi] {
+			if r[2].S != "" && routeOf(r[0], n) == p {
+				wantOwn[p]++
+			}
+		}
+	}
+	x := ns.Shuffle(parts, 0)
+	got := make([][]tuple.Tuple, n)
+	own := make([]int, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for d := 0; d < n; d++ {
+		wg.Add(1)
+		go func(d int) {
+			defer wg.Done()
+			_, errs[d] = Drain(nil, x.Output(d), func(b *Batch) error {
+				mu.Lock()
+				p, forwarded := producer[b]
+				mu.Unlock()
+				if forwarded {
+					if p != d {
+						return fmt.Errorf("node %d received node %d's input batch", d, p)
+					}
+					own[d] += b.Len()
+				}
+				got[d] = append(got[d], b.Rows()...)
+				return nil
+			})
+		}(d)
+	}
+	wg.Wait()
+	seen := make([]bool, len(rows))
+	for d := 0; d < n; d++ {
+		if errs[d] != nil {
+			t.Fatal(errs[d])
+		}
+		if own[d] != wantOwn[d] {
+			t.Fatalf("node %d: %d rows arrived in its own input batches, want all %d of its own", d, own[d], wantOwn[d])
+		}
+		for _, r := range got[d] {
+			id := r[1].I
+			if seen[id] {
+				t.Fatalf("row %d delivered twice", id)
+			}
+			seen[id] = true
+			if want := routeOf(r[0], n); want != d {
+				t.Fatalf("row %d (key %v) delivered to node %d, want %d", id, r[0], d, want)
+			}
+		}
+	}
+	for i, r := range rows {
+		if r[2].S != "" && !seen[i] {
+			t.Fatalf("row %d never delivered", i)
+		}
+	}
+	ns.Flush()
+	c := ex.Meter.Snapshot()
+	if c.ExchRows() != 2769 || c.ExchRemoteRows != 2082 || c.ExchBytes != 113553 {
+		t.Fatalf("metered rows=%v remote=%v bytes=%v, want 2769, 2082, 113553",
+			c.ExchRows(), c.ExchRemoteRows, c.ExchBytes)
+	}
+}
+
+// routeOf is the shuffle's destination rule for one key.
+func routeOf(k value.Value, n int) int {
+	if k.IsNull() {
+		return 0
+	}
+	return int(k.Hash64() % uint64(n))
 }
 
 // TestGatherMergesAndPropagatesErrors: Gather unions child streams and

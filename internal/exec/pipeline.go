@@ -2,18 +2,20 @@
 //
 // Operators stream fixed-capacity, columnar Batches through
 // Open/Next/Close instead of materializing a []tuple.Tuple at every
-// boundary: scans read column-major blocks on a bounded worker pool,
-// filter their vectors and copy the survivors into batches; filters
-// narrow a batch's selection in place; joins build a hash table from
-// their build input and then stream probe batches through it (the
-// build and probe bodies live in coljoin.go, the spilling half in
-// spill.go). Rows enter only through NewSource and leave only through
-// Batch.Rows. Drain is the one run loop; Collect and Count are its
-// materializing and counting forms.
+// boundary: scans read column-major blocks on a bounded worker pool and
+// emit each block as capped views of its own vectors, filtered through a
+// selection; filters narrow a batch's selection in place; joins build a
+// hash table from their build input and then stream probe batches
+// through it (the build and probe bodies live in coljoin.go, the
+// spilling half in spill.go). Rows enter only through NewSource and
+// leave only through Batch.Rows. Drain is the one run loop; Collect and
+// Count are its materializing and counting forms.
 package exec
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -31,13 +33,20 @@ import (
 // interface-call overhead across the chunk.
 const DefaultBatchSize = 1024
 
+// A scan cuts blocks into views at multiples of DefaultBatchSize, and
+// tuple.Columns.AliasRange takes only cuts at multiples of 64.
+var _ [0]struct{} = [DefaultBatchSize % 64]struct{}{}
+
 // Batch is a fixed-capacity chunk of rows flowing between operators,
-// held column-major: a pooled tuple.Columns of typed vectors, validity
-// bitmaps and an optional selection vector. A batch received from Next
-// is owned by the caller until it calls Release; its vectors are
-// immutable and die at Release, when the pool recycles them — which is
-// what lets scans, joins and exchanges stream with zero garbage per
-// row. Rows boxes a batch's rows into storage that outlives it.
+// held column-major: a tuple.Columns of typed vectors, validity bitmaps
+// and an optional selection vector. A batch received from Next is owned
+// by the caller until it calls Release, and its vectors are read-only
+// to every consumer. A batch either owns pooled vectors, which the pool
+// recycles at Release, or is a scan's view of a stored block (an alias
+// batch): its vectors are the block's own, capped at the block's
+// length, and only its selection is its own. Either way it streams with
+// zero garbage per row. Rows boxes a batch's rows into storage that
+// outlives it.
 type Batch struct {
 	// cols is retained across pool cycles so its vectors recycle.
 	cols *tuple.Columns
@@ -46,6 +55,10 @@ type Batch struct {
 	// accumulates oversized vector storage (string payloads are shared
 	// headers, so vectors never balloon on payload bytes).
 	pooled bool
+	// alias marks a block view (aliasBatch). It recycles through
+	// aliasPool only: batchPool's Reset would truncate and append into
+	// the block's vectors and clear its string headers.
+	alias bool
 }
 
 // Rows boxes the batch's selected rows into fresh storage the caller
@@ -71,6 +84,17 @@ func (b *Batch) Rows() []tuple.Tuple {
 		rows[k] = r
 	}
 	return rows
+}
+
+// KeepRows narrows the batch's live rows to idxs, physical rows drawn
+// from its live rows in order, copied into the batch's own selection
+// buffer — how an exchange hands the producing node its own share of a
+// batch without repacking it. idxs stays the caller's.
+func (b *Batch) KeepRows(idxs []int32) {
+	if len(idxs) == b.Len() {
+		return // every live row stays
+	}
+	b.cols.NarrowSel(func(_, buf []int32) []int32 { return append(buf, idxs...) })
 }
 
 // Cols returns the batch's columnar payload (never nil).
@@ -104,23 +128,13 @@ func (b *Batch) AppendColRowFrom(src *tuple.Columns, i int) {
 
 // AppendColGather bulk-appends the listed physical rows of src to a
 // columnar batch — one monomorphic gather loop per column, the exchange
-// repack path and the scan's copy of a filtered block. Same un-pool rule
-// as AppendColRow.
+// repack path for rows bound for another node. Same un-pool rule as
+// AppendColRow.
 func (b *Batch) AppendColGather(src *tuple.Columns, idxs []int32) {
 	if b.pooled && b.cols.FullLen()+len(idxs) > DefaultBatchSize {
 		b.pooled = false
 	}
 	b.cols.AppendGather(src, idxs)
-}
-
-// AppendColRange bulk-appends src's physical rows [from, to) to a
-// columnar batch — flat memmoves, the scan's copy of an unfiltered
-// block. Same un-pool rule as AppendColRow.
-func (b *Batch) AppendColRange(src *tuple.Columns, from, to int) {
-	if b.pooled && b.cols.FullLen()+to-from > DefaultBatchSize {
-		b.pooled = false
-	}
-	b.cols.AppendRange(src, from, to)
 }
 
 // AppendColRows bulk-transposes rows into the batch — Source's
@@ -165,13 +179,30 @@ func DecodeColBatch(frame []byte) (*Batch, error) {
 	return b, nil
 }
 
-// Release returns a pooled batch's vectors for reuse — required
-// etiquette for every batch a consumer finishes with; Drain does it
-// automatically. The vectors are truncated, not cleared: stale values
-// linger until overwritten, a bounded retention the zero-GC emit path
-// deliberately trades for.
+var aliasPool = sync.Pool{
+	New: func() any { return &Batch{cols: tuple.NewColumns(0), alias: true} },
+}
+
+// aliasBatch returns a pooled batch that views src's physical rows
+// [from, to) in place (tuple.Columns.AliasRange): no cell is copied.
+func aliasBatch(src *tuple.Columns, from, to int) *Batch {
+	b := aliasPool.Get().(*Batch)
+	b.cols.AliasRange(src, from, to)
+	return b
+}
+
+// Release returns a batch for reuse — required etiquette for every
+// batch a consumer finishes with; Drain does it automatically. A pooled
+// batch's vectors are truncated for the next user when the pool hands
+// it out again (string headers cleared, so they pin no payload). An
+// alias batch drops its vector headers here, so it pins no block while
+// it waits in its pool.
 func (b *Batch) Release() {
-	if b.pooled {
+	switch {
+	case b.alias:
+		b.cols.DropAlias()
+		aliasPool.Put(b)
+	case b.pooled:
 		batchPool.Put(b)
 	}
 }
@@ -279,10 +310,12 @@ func (s *Source) Close() error { return nil }
 
 // ScanOp returns an operator that reads the refs' blocks on the
 // executor's bounded worker pool, filters by the predicate conjunction,
-// and streams matching rows in batches. Block reads are metered as
-// scans; vanished blocks (concurrent repartition) are skipped. Batch
-// order across blocks is nondeterministic when more than one worker
-// runs.
+// and streams matching rows as views of the blocks (emitBlock). Block
+// reads are metered as scans. A referenced block that is missing from
+// the store fails the scan with ErrBlockMissing: no front door
+// repartitions during a drain, so a missing block would otherwise mean
+// a silently short answer. Batch order across blocks is
+// nondeterministic when more than one worker runs.
 func (e *Executor) ScanOp(refs []core.BlockRef, preds []predicate.Predicate) Operator {
 	return &scanOp{e: e, refs: refs, preds: preds}
 }
@@ -313,6 +346,20 @@ func (e *Executor) PrunePreds(preds []predicate.Predicate) []predicate.Predicate
 	return preds
 }
 
+// ErrBlockMissing reports that a block a compiled scan or hyper-join
+// references is gone from the store. The wrapping error names the path.
+var ErrBlockMissing = errors.New("exec: referenced block is missing")
+
+// getBlock reads a referenced block, failing with ErrBlockMissing when
+// the store has none at path.
+func (e *Executor) getBlock(path string, node dfs.NodeID) (*tuple.Columns, bool, error) {
+	blk, local, err := e.Store.GetBlock(path, node)
+	if err != nil {
+		return nil, false, fmt.Errorf("%w: %s", ErrBlockMissing, path)
+	}
+	return blk.Cols(), local, nil
+}
+
 type scanOp struct {
 	e     *Executor
 	refs  []core.BlockRef
@@ -325,12 +372,12 @@ type scanOp struct {
 	wg    sync.WaitGroup
 	once  sync.Once
 	errMu sync.Mutex
-	err   error // first worker error (cancellation); published before out closes
+	err   error // first worker error; published before out closes
 }
 
-// setErr records the first worker error; Next surfaces it once the
-// output channel closes (the workers have all exited by then, so the
-// write happens-before the read).
+// setErr records the first worker error (cancellation or a missing
+// block); Next surfaces it once the output channel closes (the workers
+// have all exited by then, so the write happens-before the read).
 func (s *scanOp) setErr(err error) {
 	s.errMu.Lock()
 	if s.err == nil {
@@ -374,7 +421,6 @@ func (s *scanOp) worker() {
 	if n < 1 {
 		n = 1
 	}
-	var sel []int32 // per-worker scratch for predicate survivors
 	for {
 		if cerr := s.e.ctxErr(); cerr != nil {
 			s.setErr(cerr)
@@ -389,51 +435,51 @@ func (s *scanOp) worker() {
 		if s.e.RoundRobin {
 			node = dfs.NodeID(idx % n)
 		}
-		blk, local, err := s.e.Store.GetBlock(ref.Path, node)
+		cols, local, err := s.e.getBlock(ref.Path, node)
 		if err != nil {
-			continue // vanished (concurrent repartition): rows moved elsewhere
+			s.setErr(err)
+			return
 		}
-		s.e.Meter.AddScan(blk.Len(), local)
-		var ok bool
-		if sel, ok = s.emitBlock(blk.Cols(), sel); !ok {
+		s.e.Meter.AddScan(cols.FullLen(), local)
+		if !s.emitBlock(cols) {
 			return
 		}
 	}
 }
 
-// emitBlock is the scan of one block: filter, then copy. The predicate
-// kernel narrows a selection over the block's own vectors, and the
-// survivors are copied into pooled batches of at most DefaultBatchSize
-// rows — flat range copies when every row survives, per-column gathers
-// otherwise — so no value is boxed and block storage is never aliased
-// by a batch. scratch is the worker's selection buffer; it comes back
-// (possibly grown) for the next block. Reports false once the consumer
-// has closed the stream.
-func (s *scanOp) emitBlock(cols *tuple.Columns, scratch []int32) ([]int32, bool) {
+// emitBlock is the scan of one block: filter, then view. The block is
+// cut into chunks of at most DefaultBatchSize rows, and each chunk
+// leaves as an alias batch over the block's own vectors (aliasBatch);
+// with predicates, the kernel narrows the batch's own selection. The
+// selection is cleared when every row of the chunk survives, and a
+// chunk with no survivors is skipped. No cell is copied: rows are
+// copied only where they must be — into a hash table, onto the wire, or
+// into a batch bound for another node. The views are safe because
+// stored blocks are append-only and no append runs during a drain.
+// Reports false once the consumer has closed the stream.
+func (s *scanOp) emitBlock(cols *tuple.Columns) bool {
 	n := cols.FullLen()
-	var sel []int32 // nil: every row survives, range copies below
-	if len(s.preds) > 0 {
-		sel = predicate.FilterSel(s.preds, cols, nil, scratch)
-		scratch = sel[:0]
-		if len(sel) < n {
-			n = len(sel)
-		} else {
-			sel = nil
-		}
-	}
 	for from := 0; from < n; from += DefaultBatchSize {
 		to := min(from+DefaultBatchSize, n)
-		b := NewColBatch(cols.NumCols())
-		if sel == nil {
-			b.AppendColRange(cols, from, to)
-		} else {
-			b.AppendColGather(cols, sel[from:to])
+		b := aliasBatch(cols, from, to)
+		if len(s.preds) > 0 {
+			cb := b.cols
+			cb.NarrowSel(func(sel, buf []int32) []int32 {
+				return predicate.FilterSel(s.preds, cb, sel, buf)
+			})
+			switch cb.Len() {
+			case 0:
+				b.Release()
+				continue
+			case to - from:
+				cb.SetSel(nil)
+			}
 		}
 		if !s.send(b) {
-			return scratch, false
+			return false
 		}
 	}
-	return scratch, true
+	return true
 }
 
 func (s *scanOp) send(b *Batch) bool {
@@ -874,7 +920,7 @@ type HyperJoinOp struct {
 	empty   bool
 	metered bool
 	errMu   sync.Mutex
-	err     error // first worker error (cancellation); published before out closes
+	err     error // first worker error; published before out closes
 
 	next atomic.Int64
 	out  chan *Batch
@@ -932,15 +978,21 @@ func (h *HyperJoinOp) Open() error {
 	return nil
 }
 
+// setErr records the first worker error (cancellation or a missing
+// block); Next surfaces it once the output channel closes.
+func (h *HyperJoinOp) setErr(err error) {
+	h.errMu.Lock()
+	if h.err == nil {
+		h.err = err
+	}
+	h.errMu.Unlock()
+}
+
 func (h *HyperJoinOp) worker() {
 	defer h.wg.Done()
 	for {
 		if cerr := h.e.ctxErr(); cerr != nil {
-			h.errMu.Lock()
-			if h.err == nil {
-				h.err = cerr
-			}
-			h.errMu.Unlock()
+			h.setErr(cerr)
 			return
 		}
 		gi := int(h.next.Add(1) - 1)
@@ -955,7 +1007,8 @@ func (h *HyperJoinOp) worker() {
 
 // runGroup executes one group of the §4.1 algorithm: build a join table
 // over the group's R blocks, probe it with every overlapping S block,
-// streaming output batches. Returns false when the operator was closed.
+// streaming output batches. Returns false when the operator was closed
+// or a referenced block is missing (recorded as the stream's error).
 //
 // A group is a one-partition hash join over block columns: the R
 // blocks' surviving rows are gathered into one columnar store with
@@ -979,12 +1032,12 @@ func (h *HyperJoinOp) runGroup(group []int) bool {
 	var hv []uint64
 	var scratch []int32
 	for _, i := range group {
-		blk, local, err := h.e.Store.GetBlock(h.rRefs[i].Path, node)
+		cols, local, err := h.e.getBlock(h.rRefs[i].Path, node)
 		if err != nil {
-			continue
+			h.setErr(err)
+			return false
 		}
-		h.e.Meter.AddBuild(blk.Len(), local)
-		cols := blk.Cols()
+		h.e.Meter.AddBuild(cols.FullLen(), local)
 		if cols.FullLen() == 0 {
 			continue
 		}
@@ -1020,16 +1073,16 @@ func (h *HyperJoinOp) runGroup(group []int) bool {
 		if j >= len(h.sRefs) {
 			break
 		}
-		blk, local, err := h.e.Store.GetBlock(h.sRefs[j].Path, node)
+		cols, local, err := h.e.getBlock(h.sRefs[j].Path, node)
 		if err != nil {
-			continue
+			h.setErr(err)
+			return false
 		}
-		h.e.Meter.AddProbe(blk.Len(), local)
+		h.e.Meter.AddProbe(cols.FullLen(), local)
 		probed++
 		if gj.buildRows == 0 {
 			continue // nothing can match; the read is still metered
 		}
-		cols := blk.Cols()
 		var sel []int32
 		if len(h.sPreds) > 0 {
 			sel = predicate.FilterSel(h.sPreds, cols, nil, scratch)

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"adaptdb/internal/cluster"
@@ -158,6 +160,39 @@ func TestHyperJoinOpStreamsSameRowsAsAdapter(t *testing.T) {
 	if st.Groups != stats.Groups || st.BuildBlocks != stats.BuildBlocks ||
 		st.ProbeBlocks != stats.ProbeBlocks || st.CHyJ != stats.CHyJ {
 		t.Errorf("streamed stats %+v, collected stats %+v", st, stats)
+	}
+}
+
+// TestMissingBlockFailsTheQuery: a block that a compiled scan or
+// hyper-join references and that is gone from the store fails the drain
+// with ErrBlockMissing, naming the path — never a short answer.
+func TestMissingBlockFailsTheQuery(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		op   func(f *fixture) (Operator, string) // the operator, and the path to delete
+	}{
+		{"scan", func(f *fixture) (Operator, string) {
+			refs := f.line.Refs(0, nil)
+			return f.ex.ScanOp(refs, nil), refs[len(refs)/2].Path
+		}},
+		{"hyper-join build", func(f *fixture) (Operator, string) {
+			r, s := f.line.Refs(0, nil), f.ord.Refs(0, nil)
+			return f.ex.NewHyperJoinOp(r, nil, 0, s, nil, 0, 4, false), r[len(r)/2].Path
+		}},
+		{"hyper-join probe", func(f *fixture) (Operator, string) {
+			r, s := f.line.Refs(0, nil), f.ord.Refs(0, nil)
+			return f.ex.NewHyperJoinOp(r, nil, 0, s, nil, 0, 4, false), s[len(s)/2].Path
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFixture(t, true)
+			op, path := tc.op(f)
+			f.store.Delete(path)
+			n, err := Count(op)
+			if !errors.Is(err, ErrBlockMissing) || !strings.Contains(err.Error(), path) {
+				t.Fatalf("drain with %s deleted: %d rows, err %v; want ErrBlockMissing naming it", path, n, err)
+			}
+		})
 	}
 }
 

@@ -17,7 +17,9 @@
 // to fragment 0, broadcast duplication, per-batch round-robin deal),
 // packing per-destination pending batches and shipping each sealed
 // batch either in-process (same bounded path, no encode) or as a
-// tuple run frame under the stream's credit window.
+// tuple run frame under the stream's credit window. A hash route's
+// rows for the pump's own fragment are not packed: the input batch,
+// narrowed to them, takes the in-process path itself.
 package net
 
 import (
@@ -335,13 +337,24 @@ func (p *pump) run(ctx context.Context) error {
 				dIdx[d] = append(dIdx[d], int32(i))
 			}
 			for d := 0; d < n; d++ {
-				if len(dIdx[d]) == 0 {
+				if d == p.src || len(dIdx[d]) == 0 {
 					continue
 				}
 				if err := p.packColGather(pend, slot, d, cb, dIdx[d], meter); err != nil {
 					return fail(err)
 				}
 				dIdx[d] = dIdx[d][:0]
+			}
+			if p.src >= 0 && len(dIdx[p.src]) > 0 {
+				// The source fragment is hosted here, so its own rows stay
+				// in the input batch, which takes the in-process path
+				// instead of being released.
+				b.KeepRows(dIdx[p.src])
+				dIdx[p.src] = dIdx[p.src][:0]
+				if err := p.send(p.src, b, meter); err != nil {
+					return fail(err)
+				}
+				continue
 			}
 		}
 		b.Release()
@@ -485,7 +498,8 @@ func (p *pump) sendEOSAll(dsts []int) error {
 
 // encodeBatch appends the batch's tuple run frame, encoded straight
 // from its vectors. Pump-packed batches are always selection-free,
-// which the columnar encoder requires.
+// which the columnar encoder requires; only the in-process path carries
+// a forwarded batch with a selection.
 func encodeBatch(dst []byte, b *exec.Batch) ([]byte, error) {
 	cb := b.Cols()
 	if cb.Sel() != nil {

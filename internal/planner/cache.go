@@ -84,9 +84,12 @@ func (c *PlanCache) get(key string) (tableJoinPlan, bool) {
 
 func (c *PlanCache) getAny(key string) (any, bool) {
 	c.mu.Lock()
+	var plan any
 	el, ok := c.entries[key]
 	if ok {
 		c.order.MoveToFront(el)
+		// Read under the lock: putAny may overwrite a live entry's plan.
+		plan = el.Value.(*cacheEntry).plan
 	}
 	c.mu.Unlock()
 	if !ok {
@@ -94,7 +97,7 @@ func (c *PlanCache) getAny(key string) (any, bool) {
 		return nil, false
 	}
 	c.hits.Add(1)
-	return el.Value.(*cacheEntry).plan, true
+	return plan, true
 }
 
 func (c *PlanCache) put(key string, p tableJoinPlan) { c.putAny(key, p) }

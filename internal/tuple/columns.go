@@ -3,9 +3,10 @@
 // rows (block.Block), the payload of the executor's columnar batches,
 // the vectorized join's build-side store, and — through AppendFrame /
 // DecodeFrame — a spill run and a wire frame. Rows enter it once, at
-// load (AppendRows); from there scans, joins and migration move them
-// with range copies and gathers (AppendRange, AppendGather) and compare
-// cells in place (CompareValue), never re-boxing them.
+// load (AppendRows); from there scans view them in place (AliasRange),
+// joins and migration move them with range copies and gathers
+// (AppendRange, AppendGather), and everything compares cells in place
+// (CompareValue), never re-boxing them.
 //
 // A column is stored by kind class: Int/Date/Bool payloads in a flat
 // []int64, Float in []float64, String as a flat []string of headers.
@@ -400,10 +401,11 @@ func (v *ColVec) reset() {
 // selection vector. Not safe for concurrent mutation; sealed instances
 // (join build stores) may be read concurrently.
 type Columns struct {
-	vecs []ColVec
-	n    int
-	sel  []int32
-	selB []int32 // recycled backing for FilterSel
+	vecs   []ColVec
+	n      int
+	sel    []int32
+	selB   []int32  // recycled backing for FilterSel
+	validB []uint64 // recycled backing for an alias's copied validity words
 }
 
 // NewColumns returns an empty columnar row set with ncols columns.
@@ -500,6 +502,67 @@ func (c *Columns) NarrowSel(narrow func(sel, buf []int32) []int32) {
 // set it does not own (a stored block) without touching it.
 func (c *Columns) View(sel []int32) *Columns {
 	return &Columns{vecs: c.vecs, n: c.n, sel: sel}
+}
+
+// AliasRange makes the set a read-only view of src's physical rows
+// [from, to), with no selection: each vector is re-sliced as
+// v[from:to:to], so no cell is copied, and an append to src lands past
+// the view or reallocates — the view never sees it. Validity words are
+// the exception: they are copied into the set's own buffer, because an
+// append to src may OR a bit into the word the view's last row shares.
+// from must be a multiple of 64 so those words copy whole. The view is
+// valid for as long as src's rows below to are never rewritten (stored
+// blocks are append-only); the set must not be appended to or Reset
+// until DropAlias, since both would write into src's storage.
+func (c *Columns) AliasRange(src *Columns, from, to int) {
+	if from&63 != 0 {
+		panic(fmt.Sprintf("tuple: AliasRange from %d is not a multiple of 64", from))
+	}
+	ncols := len(src.vecs)
+	if cap(c.vecs) < ncols {
+		c.vecs = make([]ColVec, ncols)
+	}
+	c.vecs = c.vecs[:ncols]
+	w0, w1 := from>>6, (to+63)>>6
+	words := 0
+	for ci := range src.vecs {
+		if src.vecs[ci].valid != nil {
+			words += w1 - w0
+		}
+	}
+	vb := slices.Grow(c.validB[:0], words)
+	for ci := range src.vecs {
+		s, v := &src.vecs[ci], &c.vecs[ci]
+		*v = ColVec{kind: s.kind, n: to - from}
+		switch {
+		case s.boxed != nil:
+			v.boxed = s.boxed[from:to:to]
+		case value.IntClass(s.kind):
+			v.ints = s.ints[from:to:to]
+		case s.kind == value.Float:
+			v.floats = s.floats[from:to:to]
+		case s.kind == value.String:
+			v.strs = s.strs[from:to:to]
+		}
+		if s.valid != nil {
+			k := len(vb)
+			vb = append(vb, s.valid[w0:w1]...)
+			v.valid = vb[k:len(vb):len(vb)]
+		}
+	}
+	c.validB = vb
+	c.n = to - from
+	c.sel = nil
+}
+
+// DropAlias empties a set made by AliasRange, zeroing its vector
+// headers so it pins nothing of its source while it waits for reuse.
+// Its own selection and validity buffers are kept.
+func (c *Columns) DropAlias() {
+	clear(c.vecs)
+	c.vecs = c.vecs[:0]
+	c.n = 0
+	c.sel = nil
 }
 
 // Col returns column i's vector.
@@ -897,10 +960,12 @@ func (v *ColVec) decodeColumn(src []byte, pos, nRows int, pool *framePool) (int,
 	return pos, nil
 }
 
-// Hash64Column hashes column col of every physical row into dst
-// (resized to FullLen), consistent with value.Hash64 on the boxed
-// equivalents. Null rows get value.HashNull; callers that must skip
-// nulls consult IsNull, exactly like the boxed path checks IsNull
+// Hash64Column hashes column col into dst (resized to FullLen),
+// indexed by physical row and consistent with value.Hash64 on the boxed
+// equivalents. With a selection set only the selected rows are hashed;
+// the other slots are left unspecified, so a caller reads dst[i] for
+// live rows i only. Null rows get value.HashNull; callers that must
+// skip nulls consult IsNull, exactly like the boxed path checks IsNull
 // before hashing.
 func (c *Columns) Hash64Column(col int, dst []uint64) []uint64 {
 	v := &c.vecs[col]
@@ -908,6 +973,10 @@ func (c *Columns) Hash64Column(col int, dst []uint64) []uint64 {
 		dst = make([]uint64, c.n)
 	}
 	dst = dst[:c.n]
+	if c.sel != nil {
+		v.hashSel(c.sel, dst)
+		return dst
+	}
 	if v.boxed != nil {
 		for i := range dst {
 			dst[i] = v.boxed[i].Hash64()
@@ -941,6 +1010,42 @@ func (c *Columns) Hash64Column(col int, dst []uint64) []uint64 {
 		}
 	}
 	return dst
+}
+
+// hashSel is Hash64Column's selected-rows form: it writes dst[i] for
+// each i in sel and nothing else.
+func (v *ColVec) hashSel(sel []int32, dst []uint64) {
+	switch {
+	case v.boxed != nil:
+		for _, i := range sel {
+			dst[i] = v.boxed[i].Hash64()
+		}
+		return
+	case value.IntClass(v.kind):
+		for _, i := range sel {
+			dst[i] = value.HashInt64(v.kind, v.ints[i])
+		}
+	case v.kind == value.Float:
+		for _, i := range sel {
+			dst[i] = value.HashFloat64(v.floats[i])
+		}
+	case v.kind == value.String:
+		for _, i := range sel {
+			dst[i] = value.HashString(v.strs[i])
+		}
+	default: // all-null (kindless) column
+		for _, i := range sel {
+			dst[i] = value.HashNull
+		}
+		return
+	}
+	if v.valid != nil {
+		for _, i := range sel {
+			if !v.IsValid(int(i)) {
+				dst[i] = value.HashNull
+			}
+		}
+	}
 }
 
 // MemBytesRows fills dst (resized to FullLen) with every physical row's

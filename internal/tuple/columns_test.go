@@ -239,6 +239,53 @@ func TestHash64ColumnMatchesBoxed(t *testing.T) {
 	}
 }
 
+// TestHash64ColumnSelectedRows: with a selection set, every selected
+// row's slot holds value.Hash64 of its cell — typed, NULL-bearing,
+// boxed and kindless columns alike.
+func TestHash64ColumnSelectedRows(t *testing.T) {
+	rows := colRows(300, 7) // NULLs in every column
+	c := NewColumns(4)
+	c.AppendRows(rows)
+	boxed := NewColumns(1)
+	kindless := NewColumns(1)
+	var bRows, kRows []Tuple
+	for i := 0; i < 300; i++ {
+		b := Tuple{value.NewInt(int64(i))}
+		if i%2 == 1 {
+			b[0] = value.NewString("s" + string(rune('a'+i%26)))
+		}
+		boxed.AppendRow(b)
+		bRows = append(bRows, b)
+		kindless.AppendRow(Tuple{value.Value{}})
+		kRows = append(kRows, Tuple{value.Value{}})
+	}
+	var sel []int32
+	for i := int32(1); i < 300; i += 3 {
+		sel = append(sel, i)
+	}
+	check := func(name string, set *Columns, want []Tuple, col int) {
+		t.Helper()
+		set.SetSel(sel)
+		hv := set.Hash64Column(col, nil)
+		if len(hv) != set.FullLen() {
+			t.Fatalf("%s: %d hashes for %d physical rows", name, len(hv), set.FullLen())
+		}
+		for _, i := range sel {
+			if w := want[i][col].Hash64(); hv[i] != w {
+				t.Fatalf("%s row %d (%v): hash %x, want %x", name, i, want[i][col], hv[i], w)
+			}
+		}
+	}
+	for ci, name := range []string{"int", "float", "string", "date"} {
+		check(name, c, rows, ci)
+	}
+	if boxed.Col(0).Boxed() == nil || kindless.Col(0).Kind() != value.Null {
+		t.Fatal("fixture columns are not boxed and kindless")
+	}
+	check("boxed", boxed, bRows, 0)
+	check("kindless", kindless, kRows, 0)
+}
+
 func TestColumnsGather(t *testing.T) {
 	rows := colRows(64, 6)
 	src := NewColumns(4)
