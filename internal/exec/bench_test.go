@@ -3,7 +3,8 @@ package exec_test
 // Micro-benchmarks of the Operator/Batch pipeline on TPC-H-shaped data:
 // a predicated lineitem scan, the lineitem⋈orders join on orderkey
 // (unbudgeted, starved-budget and per-worker-count) and the hyper-join,
-// each consumed batch-at-a-time without materializing output.
+// each consumed batch-at-a-time without materializing output. The
+// pipelined joins also report their output's rows/batch.
 //
 // Run with:
 //
@@ -87,6 +88,20 @@ func shipPreds() []predicate.Predicate {
 	return []predicate.Predicate{predicate.NewCmp(tpch.LShipDate, predicate.LT, value.NewDate(mid))}
 }
 
+// drainJoin drains a join without materializing its output and reports
+// its rows and its output batches' mean fill, rows/batch: a probe worker
+// sends only full DefaultBatchSize-row batches and one remainder.
+func drainJoin(b *testing.B, op exec.Operator) {
+	b.Helper()
+	batches := 0
+	n, err := exec.Drain(nil, op, func(*exec.Batch) error { batches++; return nil })
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(n), "rows")
+	b.ReportMetric(float64(n)/float64(max(batches, 1)), "rows/batch")
+}
+
 func BenchmarkScanPipelined(b *testing.B) {
 	env := benchTables(b)
 	ex := benchExecutor(env)
@@ -115,11 +130,7 @@ func BenchmarkShuffleJoinPipelined(b *testing.B) {
 			shuffled(ex, ex.TableScanOp(env.line, nil), tpch.LOrderKey), tpch.LOrderKey,
 			exec.JoinOptions{BuildIsRight: true},
 		)
-		n, err := exec.Count(op)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(n), "rows")
+		drainJoin(b, op)
 	}
 }
 
@@ -139,11 +150,7 @@ func BenchmarkSpillJoinPipelined(b *testing.B) {
 			ex.TableScanOp(env.line, nil), tpch.LOrderKey,
 			exec.JoinOptions{BuildIsRight: true, BuildRowsEst: 150000},
 		)
-		n, err := exec.Count(op)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(n), "rows")
+		drainJoin(b, op)
 	}
 }
 
@@ -172,11 +179,7 @@ func BenchmarkHyperJoinPipelined(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		op := ex.NewHyperJoinOp(rRefs, nil, tpch.LOrderKey, sRefs, nil, tpch.OOrderKey, 8, false)
-		n, err := exec.Count(op)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(n), "rows")
+		drainJoin(b, op)
 	}
 }
 
@@ -195,11 +198,7 @@ func benchJoinWorkers(b *testing.B, workers int) {
 			shuffled(ex, ex.TableScanOp(env.line, nil), tpch.LOrderKey), tpch.LOrderKey,
 			exec.JoinOptions{BuildIsRight: true},
 		)
-		n, err := exec.Count(op)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(n), "rows")
+		drainJoin(b, op)
 	}
 }
 

@@ -12,7 +12,10 @@
 //     equality) against the store's key vector, falling back to boxed
 //     compares only for mixed-kind columns;
 //   - matches accumulate as (build row, probe row) index pairs and are
-//     gathered column-at-a-time into columnar output batches.
+//     gathered column-at-a-time into the worker's one pending output
+//     batch, which leaves only when it holds DefaultBatchSize rows or
+//     the worker's stream ends, so per-batch costs downstream are paid
+//     once per 1024 rows rather than once per probe batch.
 //
 // Build stores grow with the rows that arrive. The planner's estimate
 // (JoinOptions.BuildRowsEst) steers only the radix fan-out and the
@@ -329,16 +332,15 @@ func newColPart(hashes []uint64, base int) colPart {
 	return part
 }
 
-// onePartJoin is a one-partition hash join whose gathered output goes
-// into out until done closes: a hyper-join group, or one second-pass
-// load of a spilled partition. The caller seals its build (sealOne) and
-// drives probeColsBatch itself.
-func onePartJoin(e *Executor, bCol, pCol int, buildIsRight bool, out chan *Batch, done chan struct{}) *hashJoinOp {
+// onePartJoin is a one-partition hash join: a hyper-join group, or one
+// second-pass load of a spilled partition. The caller seals its build
+// (sealOne) and drives probeColsBatch itself, through a colProbe whose
+// sink is the operator the output belongs to.
+func onePartJoin(e *Executor, bCol, pCol int, buildIsRight bool) *hashJoinOp {
 	return &hashJoinOp{
 		e: e, bCol: bCol, pCol: pCol, opts: JoinOptions{BuildIsRight: buildIsRight},
 		// One partition: every hash shifts to partition 0.
 		radixShift: 64, nParts: 1,
-		out: out, done: done,
 	}
 }
 
@@ -353,14 +355,33 @@ func (j *hashJoinOp) sealOne(store *tuple.Columns, hashes []uint64) {
 	}
 }
 
+// joinSink is the stream a probe worker's output batches join: a hash
+// join's own output (hashJoinOp) or a hyper-join's (HyperJoinOp).
+type joinSink interface {
+	// send hands b to the consumer and counts its rows as results. It
+	// returns false, with b released, once the consumer has closed the
+	// stream.
+	send(b *Batch) bool
+	// failing reports that the stream will end in an error, so a
+	// pending remainder is released rather than sent.
+	failing() bool
+}
+
 // colProbe is one probe worker's match accumulator: (build row, probe
-// row) index pairs, flushed into gathered columnar output batches.
+// row) index pairs, gathered into one pending output batch that is
+// carried across probe batches — and, for a hyper-join worker or a
+// second-pass worker, across groups and spill frames, with j swapped to
+// each unit's one-partition join. The batch goes to sink when it holds
+// exactly DefaultBatchSize rows, and the remainder at emit, when the
+// worker's stream ends.
 type colProbe struct {
-	j     *hashJoinOp
+	j     *hashJoinOp // the join being probed: build store and column order
+	sink  joinSink
 	hv    []uint64
-	bIdxs []int32        // global rows in cbuild.store
+	bIdxs []int32        // global rows in j.cbuild.store
 	pIdxs []int32        // physical rows in cols
 	cols  *tuple.Columns // current probe batch
+	out   *Batch         // pending output, fewer than DefaultBatchSize rows
 	ok    bool           // false once the consumer closed the stream
 }
 
@@ -372,45 +393,69 @@ func (st *colProbe) addPair(b, p int32) {
 	}
 }
 
-// flush gathers the accumulated pairs into one columnar output batch:
-// build columns from the global store, probe columns from the current
-// batch, each column copied in a monomorphic loop. Must run before the
-// probe batch is released — gathered output owns its storage, the pair
+// flush gathers the accumulated pairs into the pending output batch:
+// build columns from j's store, probe columns from the current batch,
+// each column copied in a monomorphic loop, in chunks of at most the
+// room left so the batch never outgrows the pool. A batch that fills is
+// sent. Must run before the probe batch (block, frame) is released and
+// before j is swapped: gathered output owns its storage, the pair
 // indices do not.
 func (st *colProbe) flush() {
 	n := len(st.bIdxs)
 	if n == 0 {
 		return
 	}
-	if !st.ok {
-		st.bIdxs, st.pIdxs = st.bIdxs[:0], st.pIdxs[:0]
-		return
-	}
 	j := st.j
 	bs := j.cbuild.store
 	nb, np := bs.NumCols(), st.cols.NumCols()
-	out := NewColBatch(nb + np)
-	oc := out.Cols()
 	bOff, pOff := 0, nb
 	if j.opts.BuildIsRight {
 		bOff, pOff = np, 0
 	}
-	for c := 0; c < nb; c++ {
-		oc.AppendColumnGather(bOff+c, bs, c, st.bIdxs)
+	for done := 0; done < n && st.ok; {
+		if st.out == nil {
+			st.out = NewColBatch(nb + np)
+		}
+		oc := st.out.Cols()
+		k := min(n-done, DefaultBatchSize-oc.FullLen())
+		bi, pi := st.bIdxs[done:done+k], st.pIdxs[done:done+k]
+		for c := 0; c < nb; c++ {
+			oc.AppendColumnGather(bOff+c, bs, c, bi)
+		}
+		for c := 0; c < np; c++ {
+			oc.AppendColumnGather(pOff+c, st.cols, c, pi)
+		}
+		oc.AddRows(k)
+		done += k
+		if oc.FullLen() == DefaultBatchSize {
+			full := st.out
+			st.out = nil
+			st.ok = st.sink.send(full)
+		}
 	}
-	for c := 0; c < np; c++ {
-		oc.AppendColumnGather(pOff+c, st.cols, c, st.pIdxs)
-	}
-	oc.AddRows(n)
 	st.bIdxs, st.pIdxs = st.bIdxs[:0], st.pIdxs[:0]
-	if !j.send(out) {
-		st.ok = false
+}
+
+// emit ends the worker's output: the pending remainder is sent, or
+// released when the consumer has closed the stream or the join failed.
+func (st *colProbe) emit() {
+	out := st.out
+	if out == nil {
+		return
 	}
+	st.out = nil
+	if !st.ok || st.sink.failing() {
+		out.Release()
+		return
+	}
+	st.ok = st.sink.send(out)
 }
 
 // probeWorker streams probe batches through the partition tables:
-// batches route through kind-specialized probe loops and matches leave
-// as gathered columnar batches. The worker owns its colProbe
+// batches route through kind-specialized probe loops and matches are
+// gathered into the worker's pending output batch, which it emits once
+// the probe input drains — before wg.Done, so out closes only after
+// every worker's remainder is sent. The worker owns its colProbe
 // exclusively, so output batches are never written by two goroutines.
 func (j *hashJoinOp) probeWorker(id int) {
 	defer j.wg.Done()
@@ -427,7 +472,8 @@ func (j *hashJoinOp) probeWorker(id int) {
 			}
 		}()
 	}
-	st := &colProbe{j: j, ok: true}
+	st := &colProbe{j: j, sink: j, ok: true}
+	defer st.emit()
 	for pb := range j.in {
 		if cerr := j.e.ctxErr(); cerr != nil {
 			j.fail(cerr)

@@ -26,7 +26,7 @@ func oneTable(rows []tuple.Tuple, hashes []uint64) *hashJoinOp {
 	if hashes == nil {
 		hashes = store.Hash64Column(0, nil)
 	}
-	j := onePartJoin(nil, 0, 0, false, nil, nil)
+	j := onePartJoin(nil, 0, 0, false)
 	j.sealOne(store, hashes)
 	return j
 }
@@ -38,9 +38,10 @@ func probeTags(j *hashJoinOp, key value.Value) []int64 {
 	j.out, j.done = out, make(chan struct{})
 	pc := tuple.NewColumns(1)
 	pc.AppendRow(tuple.Tuple{key})
-	st := &colProbe{j: j, ok: true}
+	st := &colProbe{j: j, sink: j, ok: true}
 	j.probeColsBatch(pc, st, nil, nil)
 	st.flush()
+	st.emit()
 	close(out)
 	var tags []int64
 	for b := range out {
@@ -123,7 +124,7 @@ func TestJoinTableMergesBuffersAcrossChunks(t *testing.T) {
 	for i := 0; i < n; i++ {
 		bufs[i%workers][0].addGather(src, hv, []int32{int32(i)})
 	}
-	j := onePartJoin(nil, 0, 0, false, nil, nil)
+	j := onePartJoin(nil, 0, 0, false)
 	j.sealColTables(bufs)
 	if j.buildRows != n {
 		t.Fatalf("sealed table has %d rows, want %d", j.buildRows, n)

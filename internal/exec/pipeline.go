@@ -475,18 +475,20 @@ func (s *scanOp) emitBlock(cols *tuple.Columns) bool {
 				cb.SetSel(nil)
 			}
 		}
-		if !s.send(b) {
+		if !sendBatch(s.out, s.done, b) {
 			return false
 		}
 	}
 	return true
 }
 
-func (s *scanOp) send(b *Batch) bool {
+// sendBatch hands b to a worker pool's consumer through out; it returns
+// false, with b released, once done closes (the operator was closed).
+func sendBatch(out chan<- *Batch, done <-chan struct{}, b *Batch) bool {
 	select {
-	case s.out <- b:
+	case out <- b:
 		return true
-	case <-s.done:
+	case <-done:
 		b.Release()
 		return false
 	}
@@ -830,16 +832,16 @@ func (j *hashJoinOp) dispatchProbe() {
 	}
 }
 
+// send hands one output batch to the consumer — a probe worker's full
+// batch or its remainder at end of stream (colProbe) — and counts its
+// rows as results; false once Close has run.
 func (j *hashJoinOp) send(b *Batch) bool {
 	j.results.Add(int64(b.Len()))
-	select {
-	case j.out <- b:
-		return true
-	case <-j.done:
-		b.Release()
-		return false
-	}
+	return sendBatch(j.out, j.done, b)
 }
+
+// failing reports that a worker or spill error has been recorded.
+func (j *hashJoinOp) failing() bool { return j.failed.Load() }
 
 func (j *hashJoinOp) Next() (*Batch, error) {
 	b, ok := <-j.out
@@ -895,10 +897,10 @@ func (j *hashJoinOp) Close() error {
 // blocks with the bottom-up heuristic under a memory budget of B blocks
 // (the block-read schedule) and starts the bounded worker pool; each
 // group builds a hash table over its R blocks and probes it with every
-// overlapping S block, and Next streams joined batches as groups
-// complete. Block reads are metered as build/probe reads; probe
-// multiplicity yields the effective CHyJ of eq. 2, reported by Stats
-// once the stream is drained.
+// overlapping S block, and Next streams joined batches as workers fill
+// them (a worker's batches span its groups). Block reads are metered as
+// build/probe reads; probe multiplicity yields the effective CHyJ of
+// eq. 2, reported by Stats once the stream is drained.
 type HyperJoinOp struct {
 	e            *Executor
 	rRefs, sRefs []core.BlockRef
@@ -988,8 +990,14 @@ func (h *HyperJoinOp) setErr(err error) {
 	h.errMu.Unlock()
 }
 
+// worker runs groups until none is left. Its one colProbe carries the
+// pending output batch across groups — every group emits the same
+// columns, and gathered rows do not reference a group's build store —
+// and the remainder leaves when the worker exits.
 func (h *HyperJoinOp) worker() {
 	defer h.wg.Done()
+	st := &colProbe{sink: h, ok: true}
+	defer st.emit()
 	for {
 		if cerr := h.e.ctxErr(); cerr != nil {
 			h.setErr(cerr)
@@ -999,7 +1007,7 @@ func (h *HyperJoinOp) worker() {
 		if gi >= len(h.plan.Grouping) {
 			return
 		}
-		if !h.runGroup(h.plan.Grouping[gi]) {
+		if !h.runGroup(h.plan.Grouping[gi], st) {
 			return
 		}
 	}
@@ -1007,8 +1015,10 @@ func (h *HyperJoinOp) worker() {
 
 // runGroup executes one group of the §4.1 algorithm: build a join table
 // over the group's R blocks, probe it with every overlapping S block,
-// streaming output batches. Returns false when the operator was closed
-// or a referenced block is missing (recorded as the stream's error).
+// gathering matches into the worker's pending output batch st, which
+// sends each batch as it fills. Returns false when the operator was
+// closed or a referenced block is missing (recorded as the stream's
+// error).
 //
 // A group is a one-partition hash join over block columns: the R
 // blocks' surviving rows are gathered into one columnar store with
@@ -1017,7 +1027,7 @@ func (h *HyperJoinOp) worker() {
 // through the typed probe loops and pair-gather emission of coljoin.go,
 // so output batches are columnar (R columns, then S columns, or the
 // reverse with buildIsRight) and no row is boxed.
-func (h *HyperJoinOp) runGroup(group []int) bool {
+func (h *HyperJoinOp) runGroup(group []int, st *colProbe) bool {
 	// The group's task runs where its first R block lives. Block metadata
 	// knows the group's exact row count up front, so the store is born at
 	// its final size whenever the predicates keep every row.
@@ -1026,7 +1036,7 @@ func (h *HyperJoinOp) runGroup(group []int) bool {
 	for _, i := range group {
 		est += h.rRefs[i].Meta.Count
 	}
-	gj := onePartJoin(h.e, h.rCol, h.sCol, h.buildIsRight, h.out, h.done)
+	gj := onePartJoin(h.e, h.rCol, h.sCol, h.buildIsRight)
 	var store *tuple.Columns
 	hashes := make([]uint64, 0, est)
 	var hv []uint64
@@ -1068,7 +1078,10 @@ func (h *HyperJoinOp) runGroup(group []int) bool {
 	// Probe phase: only overlapping S blocks.
 	union := hyperjoin.Union(h.plan.V, group)
 	probed := 0
-	st := &colProbe{j: gj, ok: true}
+	st.j = gj
+	// Drop the group's table and last block view with the group, not at
+	// the worker's next group.
+	defer func() { st.j, st.cols = nil, nil }()
 	for _, j := range union.Ones() {
 		if j >= len(h.sRefs) {
 			break
@@ -1097,12 +1110,26 @@ func (h *HyperJoinOp) runGroup(group []int) bool {
 			return false
 		}
 	}
-	h.results.Add(gj.results.Load())
 	h.statsMu.Lock()
 	h.stats.BuildBlocks += len(group)
 	h.stats.ProbeBlocks += probed
 	h.statsMu.Unlock()
 	return true
+}
+
+// send hands a worker's output batch to the consumer and counts its
+// rows as results — per batch sent, so rows pending across groups are
+// counted exactly once; false once Close has run.
+func (h *HyperJoinOp) send(b *Batch) bool {
+	h.results.Add(int64(b.Len()))
+	return sendBatch(h.out, h.done, b)
+}
+
+// failing reports that a worker recorded the stream's error.
+func (h *HyperJoinOp) failing() bool {
+	h.errMu.Lock()
+	defer h.errMu.Unlock()
+	return h.err != nil
 }
 
 func (h *HyperJoinOp) Next() (*Batch, error) {

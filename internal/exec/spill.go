@@ -827,7 +827,9 @@ func (sp *joinSpill) flushLeftovers(bufs [][]colBuf) error {
 // Spilled partitions are independent, so the pass runs them on the full
 // worker pool — each worker owns its partitions end to end (load,
 // recurse, probe, emit), matching the first pass's partition
-// parallelism instead of serializing the spilled tail.
+// parallelism instead of serializing the spilled tail. Each worker
+// fills one pending output batch across every frame and partition it
+// joins and emits the remainder before it exits.
 func (j *hashJoinOp) secondPass() {
 	sp := j.spill
 	// The first-pass tables are done: their probe stream has drained.
@@ -862,6 +864,8 @@ func (j *hashJoinOp) secondPass() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			st := &colProbe{sink: j, ok: true}
+			defer st.emit()
 			for {
 				if cerr := j.e.ctxErr(); cerr != nil {
 					j.fail(cerr)
@@ -871,7 +875,7 @@ func (j *hashJoinOp) secondPass() {
 					break
 				}
 				build, probe := sp.takeRuns(parts[k])
-				if err := j.joinSpilled(0, build, probe, limit); err != nil {
+				if err := j.joinSpilled(st, 0, build, probe, limit); err != nil {
 					releaseRuns(sp.fs(), build)
 					releaseRuns(sp.fs(), probe)
 					if err != errSpillClosed {
@@ -885,7 +889,8 @@ func (j *hashJoinOp) secondPass() {
 	wg.Wait()
 }
 
-// joinSpilled joins one spilled partition. The load side is whichever
+// joinSpilled joins one spilled partition, gathering its matches into
+// the second-pass worker's pending output st. The load side is whichever
 // side's run files are smaller — when the probe runs undercut the build
 // runs, roles reverse (the classic dynamic-HHJ defense against a
 // mis-estimated build side) and the build rows stream instead:
@@ -900,7 +905,7 @@ func (j *hashJoinOp) secondPass() {
 //     side and re-streams the larger side per chunk (correct for any
 //     key distribution, including a single key repeated millions of
 //     times).
-func (j *hashJoinOp) joinSpilled(level int, build, probe []*runFile, limit int64) error {
+func (j *hashJoinOp) joinSpilled(st *colProbe, level int, build, probe []*runFile, limit int64) error {
 	fs := j.spill.fs()
 	// Checked per (sub-)partition: the recursion re-enters here, so a
 	// cancelled query abandons a spilled join between loads rather than
@@ -929,14 +934,14 @@ func (j *hashJoinOp) joinSpilled(level int, build, probe []*runFile, limit int64
 		if reversed {
 			j.spill.reversals.Add(1)
 		}
-		return j.loadAndProbe(load, loadCol, stream, streamCol, reversed)
+		return j.loadAndProbe(st, load, loadCol, stream, streamCol, reversed)
 	case level >= maxSpillDepth || shift < 0:
 		if reversed {
 			j.spill.reversals.Add(1)
 		}
-		return j.chunkedJoin(load, loadCol, stream, streamCol, reversed, limit)
+		return j.chunkedJoin(st, load, loadCol, stream, streamCol, reversed, limit)
 	default:
-		return j.repartition(level, shift, build, probe, limit)
+		return j.repartition(st, level, shift, build, probe, limit)
 	}
 }
 
@@ -944,7 +949,7 @@ func (j *hashJoinOp) joinSpilled(level int, build, probe []*runFile, limit int64
 // the partition joins exactly like a first-pass partition — one table,
 // one probe stream. reversed marks the table as holding probe-side rows
 // (role reversal), which only flips the emit orientation.
-func (j *hashJoinOp) loadAndProbe(load []*runFile, loadCol int, stream []*runFile, streamCol int, reversed bool) error {
+func (j *hashJoinOp) loadAndProbe(st *colProbe, load []*runFile, loadCol int, stream []*runFile, streamCol int, reversed bool) error {
 	fs := j.spill.fs()
 	defer releaseRuns(fs, load)
 	defer releaseRuns(fs, stream)
@@ -971,7 +976,7 @@ func (j *hashJoinOp) loadAndProbe(load []*runFile, loadCol int, stream []*runFil
 	if err != nil {
 		return err
 	}
-	return j.probeLoaded(store, loadCol, stream, streamCol, reversed, frame)
+	return j.probeLoaded(st, store, loadCol, stream, streamCol, reversed, frame)
 }
 
 // appendRows appends src's physical rows [from, to) to dst, creating dst
@@ -991,23 +996,25 @@ func appendRows(dst, src *tuple.Columns, from, to int) *tuple.Columns {
 // against every frame of the stream runs: the store is hashed once and
 // sealed as a one-partition table, and each stream frame, decoded into
 // the scratch sc, goes through the first pass's probe loops. Matches
-// leave through j's stream as gathered columnar batches in j's column
-// order: a reversed load holds probe-side rows, so the view flips
-// BuildIsRight.
-func (j *hashJoinOp) probeLoaded(store *tuple.Columns, loadCol int, stream []*runFile, streamCol int, reversed bool, sc *tuple.Columns) error {
+// are gathered into the worker's pending output st in j's column
+// order — a reversed load holds probe-side rows, so the view flips
+// BuildIsRight — and leave through j's stream as that batch fills.
+func (j *hashJoinOp) probeLoaded(st *colProbe, store *tuple.Columns, loadCol int, stream []*runFile, streamCol int, reversed bool, sc *tuple.Columns) error {
 	if store == nil {
 		return nil
 	}
-	v := onePartJoin(j.e, loadCol, streamCol, j.opts.BuildIsRight != reversed, j.out, j.done)
+	v := onePartJoin(j.e, loadCol, streamCol, j.opts.BuildIsRight != reversed)
 	v.sealOne(store, store.Hash64Column(loadCol, nil))
-	defer func() { j.results.Add(v.results.Load()) }()
-	st := &colProbe{j: v, ok: true}
+	st.j = v
+	// The caller frees the store (and its budget bytes) on return.
+	defer func() { st.j, st.cols = nil, nil }()
 	return eachFrame(j.spill.fs(), stream, func(b []byte) error {
 		if err := decodeRunFrame(sc, b); err != nil {
 			return err
 		}
 		v.probeColsBatch(sc, st, nil, nil)
-		// Pairs index the decoded frame: gather them before the next one.
+		// Pairs index the decoded frame: gather them before the next one
+		// overwrites it.
 		st.flush()
 		if !st.ok {
 			return errSpillClosed
@@ -1021,7 +1028,7 @@ func (j *hashJoinOp) probeLoaded(store *tuple.Columns, loadCol int, stream []*ru
 // split writes one file holding all 16 sub-runs and releases its parent
 // runs once written; a file goes when its last sub-run is joined, so
 // peak disk stays ~2× the spilled data regardless of depth.
-func (j *hashJoinOp) repartition(level, shift int, build, probe []*runFile, limit int64) error {
+func (j *hashJoinOp) repartition(st *colProbe, level, shift int, build, probe []*runFile, limit int64) error {
 	fs := j.spill.fs()
 	j.spill.repartitions.Add(1)
 	subBuild, err := j.split(level, shift, build, j.bCol)
@@ -1035,7 +1042,7 @@ func (j *hashJoinOp) repartition(level, shift int, build, probe []*runFile, limi
 		return err
 	}
 	for i := 0; i < spillFanout; i++ {
-		if err := j.joinSpilled(level+1, runsOf(subBuild[i]), runsOf(subProbe[i]), limit); err != nil {
+		if err := j.joinSpilled(st, level+1, runsOf(subBuild[i]), runsOf(subProbe[i]), limit); err != nil {
 			releaseRuns(fs, subBuild[i+1:])
 			releaseRuns(fs, subProbe[i+1:])
 			return err
@@ -1099,7 +1106,7 @@ func runsOf(rf *runFile) []*runFile {
 // split. Role reversal applies here too: the chunks come from the
 // smaller side, so the re-streaming multiplier hits the side where it
 // costs least.
-func (j *hashJoinOp) chunkedJoin(load []*runFile, loadCol int, stream []*runFile, streamCol int, reversed bool, limit int64) error {
+func (j *hashJoinOp) chunkedJoin(st *colProbe, load []*runFile, loadCol int, stream []*runFile, streamCol int, reversed bool, limit int64) error {
 	fs := j.spill.fs()
 	defer releaseRuns(fs, load)
 	defer releaseRuns(fs, stream)
@@ -1114,7 +1121,7 @@ func (j *hashJoinOp) chunkedJoin(load []*runFile, loadCol int, stream []*runFile
 	var rb []int32
 	held := int64(0)
 	probeChunk := func() error {
-		err := j.probeLoaded(chunk, loadCol, stream, streamCol, reversed, sc)
+		err := j.probeLoaded(st, chunk, loadCol, stream, streamCol, reversed, sc)
 		chunk = nil
 		j.spill.release(held)
 		held = 0
