@@ -4,12 +4,14 @@ package exec_test
 // a predicated lineitem scan, the lineitem⋈orders join on orderkey
 // (unbudgeted, starved-budget and per-worker-count) and the hyper-join,
 // each consumed batch-at-a-time without materializing output. The
-// pipelined joins also report their output's rows/batch.
+// pipelined joins also report their output's rows/batch. JoinProbe
+// isolates the hash join's probe on synthetic keys.
 //
 // Run with:
 //
 //	go test ./internal/exec -bench=Scan -benchmem
 //	go test ./internal/exec -bench=ShuffleJoin -benchmem -benchsf 0.1
+//	go test ./internal/exec -run '^$' -bench=JoinProbe
 
 import (
 	"flag"
@@ -22,6 +24,7 @@ import (
 	"adaptdb/internal/exec"
 	"adaptdb/internal/predicate"
 	"adaptdb/internal/tpch"
+	"adaptdb/internal/tuple"
 	"adaptdb/internal/value"
 )
 
@@ -205,3 +208,68 @@ func benchJoinWorkers(b *testing.B, workers int) {
 func BenchmarkShuffleJoinPipelinedWorkers1(b *testing.B) { benchJoinWorkers(b, 1) }
 func BenchmarkShuffleJoinPipelinedWorkers2(b *testing.B) { benchJoinWorkers(b, 2) }
 func BenchmarkShuffleJoinPipelinedWorkers4(b *testing.B) { benchJoinWorkers(b, 4) }
+
+// colsSource replays a columnar store as batches of up to size rows,
+// each a pooled batch holding a flat copy of its range — a probe input
+// that costs a memmove per column and boxes nothing.
+type colsSource struct {
+	src       *tuple.Columns
+	size, pos int
+}
+
+func (s *colsSource) Open() error { s.pos = 0; return nil }
+
+func (s *colsSource) Next() (*exec.Batch, error) {
+	if s.pos >= s.src.FullLen() {
+		return nil, nil
+	}
+	to := min(s.pos+s.size, s.src.FullLen())
+	b := exec.NewColBatch(s.src.NumCols())
+	b.Cols().AppendRange(s.src, s.pos, to)
+	s.pos = to
+	return b, nil
+}
+
+func (s *colsSource) Close() error { return nil }
+
+// BenchmarkJoinProbe measures the hash join's probe per probe row, as
+// one node of a 2-node shuffle join sees it: every key, build and
+// probe, hashes with the same low bit, the bit a hash exchange routes
+// on (hash % nodes). A 5,000-row build is probed by 256-row batches
+// (the benchmark's block size) of which 5% of rows match. One worker,
+// so ns/probe-row is the loop's own cost plus a small fixed build.
+func BenchmarkJoinProbe(b *testing.B) {
+	const buildRows, probeRows, missKeys = 5000, 1 << 18, 50000
+	var keys []int64 // distinct keys whose hashes share their low bit
+	for k := int64(0); len(keys) < buildRows+missKeys; k++ {
+		if value.NewInt(k).Hash64()&1 == 0 {
+			keys = append(keys, k)
+		}
+	}
+	build := make([]tuple.Tuple, buildRows)
+	for i := range build {
+		build[i] = tuple.Tuple{value.NewInt(keys[i]), value.NewInt(int64(i))}
+	}
+	probe := tuple.NewColumns(2)
+	for r := 0; r < probeRows; r++ {
+		k := keys[buildRows+r%missKeys]
+		if r%20 == 0 {
+			k = keys[r*7919%buildRows]
+		}
+		probe.AppendRow(tuple.Tuple{value.NewInt(k), value.NewInt(int64(r))})
+	}
+	ex := exec.New(dfs.NewStore(2, 1, 1), &cluster.Meter{})
+	ex.Workers = 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n, err := exec.Count(ex.JoinOp(exec.NewSource(build), 0, &colsSource{src: probe, size: 256}, 0, exec.JoinOptions{}))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n != probeRows/20+1 {
+			b.Fatalf("%d rows, want %d", n, probeRows/20+1)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*probeRows), "ns/probe-row")
+}

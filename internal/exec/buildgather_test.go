@@ -185,8 +185,8 @@ func TestBuildGatherMatchesPerRowRule(t *testing.T) {
 					c, n, j.nParts, budget, p, gotDemoted, demoted[p])
 			}
 			var sealed []tuple.Tuple
-			if cp := j.cbuild.parts[p]; len(cp.next) > 0 {
-				for g := int(cp.base); g < int(cp.base)+len(cp.next); g++ {
+			for g, h := range j.cbuild.hashes {
+				if int(h>>j.radixShift) == p {
 					sealed = append(sealed, j.cbuild.store.RowTo(nil, g))
 				}
 			}

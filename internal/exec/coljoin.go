@@ -1,16 +1,21 @@
-// The hash join's build and probe: vectorized build, batch hashing,
-// kind-specialized probe, and gathered columnar emission.
+// The hash join's build and probe: vectorized build, batch hashing, a
+// probe that walks chains one level at a time, and gathered columnar
+// emission.
 //
 //   - build workers route each incoming batch once — hash the key
 //     column (Hash64Column), queue every row under its partition — and
 //     then append each touched partition's rows to their per-partition
 //     columnar store (tuple.Columns) with one gather per column;
-//   - sealing bulk-merges the worker stores into ONE global store plus
-//     per-partition chained hash tables over global row indices — match
-//     pairs from any partition can then gather from a single store;
-//   - probe workers compare keys flat (int64 ==, FloatEqual, byte
-//     equality) against the store's key vector, falling back to boxed
-//     compares only for mixed-kind columns;
+//   - sealing bulk-merges the worker stores into ONE global store, one
+//     chain-link vector over its rows and a bucket directory per
+//     partition (colPart) — match pairs from any partition can then
+//     gather from a single store;
+//   - probe workers run a head pass over each batch (probeHeads: NULLs
+//     skipped, rows of demoted partitions routed to their runs, each
+//     row with a non-empty bucket kept as a candidate), then one chain
+//     walk that compares every candidate with its current chain entry,
+//     one level per round — flat == for int-class and string keys,
+//     FloatEqual for floats, boxed buildKeyEq for mixed-kind columns;
 //   - matches accumulate as (build row, probe row) index pairs and are
 //     gathered column-at-a-time into the worker's one pending output
 //     batch, which leaves only when it holds DefaultBatchSize rows or
@@ -24,11 +29,12 @@
 //
 // Under a memory budget, demoted partitions stream rows to run files —
 // queued per partition and gathered once per batch — and the second
-// pass joins them with the same one-partition table and probe loops a
+// pass joins them with the same one-partition table and probe a
 // hyper-join group uses (spill.go).
 package exec
 
 import (
+	"math/bits"
 	"sync"
 
 	"adaptdb/internal/tuple"
@@ -72,22 +78,32 @@ func (b *colBuf) reset() {
 	}
 }
 
-// colPart is one radix partition's hash table over the global build
-// store: a bucket-headed chain keyed by hash, entries 1-based within
-// the partition's contiguous [base, base+n) row range.
+// colPart is one radix partition's bucket directory over the global
+// build store: a power-of-two array of chain heads, each a 1-based
+// global store row (0 = empty). A row's bucket is the top bits of its
+// remixed hash (slot), so it depends on every hash bit: neither the
+// radix bits a partition shares nor the low bits a hash exchange routes
+// on (hash % nodes) can leave buckets unused. Chains continue through
+// the build's one next vector.
 type colPart struct {
-	base    int32
-	buckets []int32 // 1-based entry index, 0 = empty
-	next    []int32 // chain links, 1-based, indexed by entry-1
-	mask    uint64
+	buckets []int32
+	shift   uint // 64 - log2(len(buckets))
 }
 
+// bucketMul is the 64-bit golden-ratio multiplier of Fibonacci hashing.
+const bucketMul = 0x9e3779b97f4a7c15
+
+// slot is the bucket of hash h: the top bits of h·bucketMul.
+func (p *colPart) slot(h uint64) uint64 { return (h * bucketMul) >> p.shift }
+
 // colBuild is the sealed columnar build side: one global store, its row
-// hashes, and a chained table per partition. Sealed before the probe
-// phase starts; read-only (and so safely shared) afterwards.
+// hashes, the chain links over its rows, and a bucket directory per
+// partition. Sealed before the probe phase starts; read-only (and so
+// safely shared) afterwards.
 type colBuild struct {
 	store  *tuple.Columns
 	hashes []uint64
+	next   []int32 // next[g]: the 1-based row after row g in its chain, 0 at the end
 	parts  []colPart
 	keyVec *tuple.ColVec // store.Col(bCol); nil while the store is empty
 }
@@ -256,7 +272,7 @@ func joinInput(b *Batch) *Batch {
 
 // sealColTables merges every worker's per-partition stores into one
 // global store (bulk column concatenation — flat memmoves for typed
-// vectors) and chains each partition's rows into its hash table.
+// vectors) and chains each partition's rows under its bucket directory.
 // Each table's buckets are sized from the partition's exact row count.
 // Runs single-threaded: the merge is memmove-bound and partition chains
 // index disjoint ranges.
@@ -280,6 +296,7 @@ func (j *hashJoinOp) sealColTables(bufs [][]colBuf) {
 	store := tuple.NewColumns(ncols)
 	store.Reserve(total)
 	hashes := make([]uint64, 0, total)
+	next := make([]int32, total)
 	for p := 0; p < j.nParts; p++ {
 		base := len(hashes)
 		for wi := range bufs {
@@ -295,10 +312,11 @@ func (j *hashJoinOp) sealColTables(bufs [][]colBuf) {
 		if n == 0 {
 			continue // empty or spilled partition: zero colPart, probe skips
 		}
-		cb.parts[p] = newColPart(hashes, base)
+		cb.parts[p] = newColPart(hashes, next, base)
 	}
 	cb.store = store
 	cb.hashes = hashes
+	cb.next = next
 	cb.keyVec = store.Col(j.bCol)
 }
 
@@ -314,20 +332,15 @@ func tableBuckets(n int) int {
 }
 
 // newColPart chains the store rows [base, len(hashes)) into one
-// partition's table, buckets sized from the row count (tableBuckets).
-func newColPart(hashes []uint64, base int) colPart {
-	n := len(hashes) - base
-	nb := tableBuckets(n)
-	part := colPart{
-		base:    int32(base),
-		buckets: make([]int32, nb),
-		next:    make([]int32, n),
-		mask:    uint64(nb - 1),
-	}
-	for e := 0; e < n; e++ {
-		slot := hashes[base+e] & part.mask
-		part.next[e] = part.buckets[slot]
-		part.buckets[slot] = int32(e + 1)
+// partition's bucket directory, sized from the row count (tableBuckets),
+// writing their links into next. Later rows head their chains.
+func newColPart(hashes []uint64, next []int32, base int) colPart {
+	nb := tableBuckets(len(hashes) - base)
+	part := colPart{buckets: make([]int32, nb), shift: uint(64 - bits.TrailingZeros(uint(nb)))}
+	for g := base; g < len(hashes); g++ {
+		s := part.slot(hashes[g])
+		next[g] = part.buckets[s]
+		part.buckets[s] = int32(g + 1)
 	}
 	return part
 }
@@ -348,9 +361,10 @@ func onePartJoin(e *Executor, bCol, pCol int, buildIsRight bool) *hashJoinOp {
 // partition. An empty store leaves the join with nothing to match.
 func (j *hashJoinOp) sealOne(store *tuple.Columns, hashes []uint64) {
 	if j.buildRows = len(hashes); j.buildRows > 0 {
+		next := make([]int32, len(hashes))
 		j.cbuild = &colBuild{
-			store: store, hashes: hashes, keyVec: store.Col(j.bCol),
-			parts: []colPart{newColPart(hashes, 0)},
+			store: store, hashes: hashes, next: next, keyVec: store.Col(j.bCol),
+			parts: []colPart{newColPart(hashes, next, 0)},
 		}
 	}
 }
@@ -378,6 +392,8 @@ type colProbe struct {
 	j     *hashJoinOp // the join being probed: build store and column order
 	sink  joinSink
 	hv    []uint64
+	rows  []int32        // probe candidates: physical rows in cols
+	ents  []int32        // each candidate's current chain entry, a 1-based global row
 	bIdxs []int32        // global rows in j.cbuild.store
 	pIdxs []int32        // physical rows in cols
 	cols  *tuple.Columns // current probe batch
@@ -451,10 +467,9 @@ func (st *colProbe) emit() {
 	st.ok = st.sink.send(out)
 }
 
-// probeWorker streams probe batches through the partition tables:
-// batches route through kind-specialized probe loops and matches are
-// gathered into the worker's pending output batch, which it emits once
-// the probe input drains — before wg.Done, so out closes only after
+// probeWorker streams probe batches through the partition tables
+// (probeColsBatch) and gathers matches into the worker's pending output
+// batch, which it emits once the probe input drains — before wg.Done, so out closes only after
 // every worker's remainder is sent. The worker owns its colProbe
 // exclusively, so output batches are never written by two goroutines.
 func (j *hashJoinOp) probeWorker(id int) {
@@ -509,30 +524,30 @@ func (j *hashJoinOp) spillRouteCol(spw *partSpiller, part int, h uint64, i int, 
 }
 
 // probeColsBatch probes one columnar batch. The key column is hashed
-// vectorized, then one of four loops runs depending on how the probe
-// key's storage lines up with the build key vector: flat int, flat
-// float, flat string, or generic boxed.
+// vectorized, the head pass (probeHeads) finds every row's chain, and
+// then one chain walk runs, chosen by how the probe key's storage lines
+// up with the build key vector: == on flat int-class or string keys,
+// FloatEqual on flat floats, or boxed buildKeyEq for mixed-kind columns
+// and kind mismatches (hash salts make cross-kind matches impossible,
+// but collisions still need an exact compare).
 func (j *hashJoinOp) probeColsBatch(cb *tuple.Columns, st *colProbe, spw *partSpiller, skipped *int64) {
 	st.cols = cb
 	st.hv = cb.Hash64Column(j.pCol, st.hv)
-	t := j.cbuild
-	kt := t.keyVec
-	kp := cb.Col(j.pCol)
-	switch {
-	case kt == nil:
-		// Empty resident store: only spill routing can matter.
-		if spw == nil {
-			return
+	j.probeHeads(cb, st, spw, skipped)
+	if len(st.rows) > 0 {
+		t := j.cbuild
+		kt, kp := t.keyVec, cb.Col(j.pCol)
+		flat := kp.Boxed() == nil && kt.Boxed() == nil && kp.Kind() == kt.Kind()
+		switch {
+		case flat && value.IntClass(kt.Kind()):
+			walkEq(st, t, nil, kp.Ints(), kt.Ints())
+		case flat && kt.Kind() == value.String:
+			walkEq(st, t, t.hashes, kp.Strs(), kt.Strs())
+		case flat && kt.Kind() == value.Float:
+			walkFloats(st, t, kp.Floats(), kt.Floats())
+		default:
+			walkBoxed(st, t, j.pCol)
 		}
-		j.probeColGeneric(cb, st, spw, skipped)
-	case kp.Boxed() == nil && kt.Boxed() == nil && kp.Kind() == kt.Kind() && value.IntClass(kt.Kind()):
-		j.probeColInts(cb, st, spw, skipped)
-	case kp.Boxed() == nil && kt.Boxed() == nil && kp.Kind() == kt.Kind() && kt.Kind() == value.Float:
-		j.probeColFloats(cb, st, spw, skipped)
-	case kp.Boxed() == nil && kt.Boxed() == nil && kp.Kind() == kt.Kind() && kt.Kind() == value.String:
-		j.probeColStrings(cb, st, spw, skipped)
-	default:
-		j.probeColGeneric(cb, st, spw, skipped)
 	}
 	if spw != nil {
 		if err := spw.spillBatch(cb, nil, nil); err != nil {
@@ -541,161 +556,124 @@ func (j *hashJoinOp) probeColsBatch(cb *tuple.Columns, st *colProbe, spw *partSp
 	}
 }
 
-func (j *hashJoinOp) probeColInts(cb *tuple.Columns, st *colProbe, spw *partSpiller, skipped *int64) {
-	t := j.cbuild
-	kp := cb.Col(j.pCol)
-	keys := kp.Ints()
-	bkeys := t.keyVec.Ints()
-	bh := t.hashes
-	hv := st.hv
-	sel := cb.Sel()
+// probeHeads is the probe's first pass over a batch: it skips NULL
+// keys, routes rows of demoted partitions to their runs, and keeps each
+// row whose bucket is not empty as a candidate — its physical row in
+// st.rows, its chain head in st.ents. The append is unconditional and
+// only the length advances, so no branch depends on the bucket.
+func (j *hashJoinOp) probeHeads(cb *tuple.Columns, st *colProbe, spw *partSpiller, skipped *int64) {
 	n := cb.Len()
-	hasNull := kp.Valid() != nil
+	if cap(st.rows) < n {
+		st.rows, st.ents = make([]int32, n), make([]int32, n)
+	}
+	rows, ents := st.rows[:n], st.ents[:n]
+	parts, hv, sel, shift := j.cbuild.parts, st.hv, cb.Sel(), j.radixShift
+	kp := cb.Col(j.pCol)
+	hasNull := kp.Valid() != nil || kp.Boxed() != nil
+	m := 0
 	for k := 0; k < n; k++ {
 		i := k
 		if sel != nil {
 			i = int(sel[k])
 		}
 		if hasNull && !kp.IsValid(i) {
-			continue
+			continue // NULL never equals NULL in a join
 		}
 		h := hv[i]
-		part := int(h >> j.radixShift)
+		part := int(h >> shift)
 		if spw != nil && j.spill.isSpilled(part) {
 			j.spillRouteCol(spw, part, h, i, skipped)
 			continue
 		}
-		p := &t.parts[part]
+		p := &parts[part]
 		if len(p.buckets) == 0 {
 			continue
 		}
-		key := keys[i]
-		for e := p.buckets[h&p.mask]; e != 0; {
-			g := p.base + e - 1
-			e = p.next[e-1]
-			if bh[g] == h && bkeys[g] == key {
-				st.addPair(g, int32(i))
+		e := p.buckets[p.slot(h)]
+		rows[m], ents[m] = int32(i), e
+		m += b2i(e != 0)
+	}
+	st.rows, st.ents = rows[:m], ents[:m]
+}
+
+// b2i is 1 for true and 0 for false, compiled without a branch.
+func b2i(b bool) int {
+	var i int
+	if b {
+		i = 1
+	}
+	return i
+}
+
+// The chain walks probe every candidate one chain level per round: each
+// round compares each candidate row with its current chain entry, adds
+// the pair on a match, moves the candidate one link down its chain and
+// compacts the list to the candidates whose chain goes on. Rounds touch
+// independent rows, so their loads overlap instead of waiting on one
+// chain's links. A row's matches still come out in chain order.
+
+// walkEq is the chain walk for keys compared with ==: flat int-class
+// and string columns of one kind. Equal keys of one kind hash alike, so
+// the key compare alone decides; bh, when set, is a hash pre-check in
+// front of it — strings pass the build hashes so that a collision costs
+// no byte compare, while an int compare is cheaper than the hash load.
+func walkEq[T int64 | string](st *colProbe, t *colBuild, bh []uint64, keys, bkeys []T) {
+	rows, ents := st.rows, st.ents
+	next, hv := t.next, st.hv
+	for len(rows) > 0 {
+		m := 0
+		for c, i := range rows {
+			g := ents[c] - 1
+			if (bh == nil || bh[g] == hv[i]) && bkeys[g] == keys[i] {
+				st.addPair(g, i)
 			}
+			e := next[g]
+			rows[m], ents[m] = i, e
+			m += b2i(e != 0)
 		}
+		rows, ents = rows[:m], ents[:m]
 	}
 }
 
-func (j *hashJoinOp) probeColFloats(cb *tuple.Columns, st *colProbe, spw *partSpiller, skipped *int64) {
-	t := j.cbuild
-	kp := cb.Col(j.pCol)
-	keys := kp.Floats()
-	bkeys := t.keyVec.Floats()
-	bh := t.hashes
-	hv := st.hv
-	sel := cb.Sel()
-	n := cb.Len()
-	hasNull := kp.Valid() != nil
-	for k := 0; k < n; k++ {
-		i := k
-		if sel != nil {
-			i = int(sel[k])
-		}
-		if hasNull && !kp.IsValid(i) {
-			continue
-		}
-		h := hv[i]
-		part := int(h >> j.radixShift)
-		if spw != nil && j.spill.isSpilled(part) {
-			j.spillRouteCol(spw, part, h, i, skipped)
-			continue
-		}
-		p := &t.parts[part]
-		if len(p.buckets) == 0 {
-			continue
-		}
-		key := keys[i]
-		for e := p.buckets[h&p.mask]; e != 0; {
-			g := p.base + e - 1
-			e = p.next[e-1]
-			if bh[g] == h && value.FloatEqual(bkeys[g], key) {
-				st.addPair(g, int32(i))
+// walkFloats is the chain walk for flat float keys, equal under
+// FloatEqual (NaNs equal, ±0 equal).
+func walkFloats(st *colProbe, t *colBuild, keys, bkeys []float64) {
+	rows, ents := st.rows, st.ents
+	bh, next, hv := t.hashes, t.next, st.hv
+	for len(rows) > 0 {
+		m := 0
+		for c, i := range rows {
+			g := ents[c] - 1
+			if bh[g] == hv[i] && value.FloatEqual(bkeys[g], keys[i]) {
+				st.addPair(g, i)
 			}
+			e := next[g]
+			rows[m], ents[m] = i, e
+			m += b2i(e != 0)
 		}
+		rows, ents = rows[:m], ents[:m]
 	}
 }
 
-func (j *hashJoinOp) probeColStrings(cb *tuple.Columns, st *colProbe, spw *partSpiller, skipped *int64) {
-	t := j.cbuild
-	kp := cb.Col(j.pCol)
-	keys := kp.Strs()
-	bkeys := t.keyVec.Strs()
-	bh := t.hashes
-	hv := st.hv
-	sel := cb.Sel()
-	n := cb.Len()
-	hasNull := kp.Valid() != nil
-	for k := 0; k < n; k++ {
-		i := k
-		if sel != nil {
-			i = int(sel[k])
-		}
-		if hasNull && !kp.IsValid(i) {
-			continue
-		}
-		h := hv[i]
-		part := int(h >> j.radixShift)
-		if spw != nil && j.spill.isSpilled(part) {
-			j.spillRouteCol(spw, part, h, i, skipped)
-			continue
-		}
-		p := &t.parts[part]
-		if len(p.buckets) == 0 {
-			continue
-		}
-		key := keys[i]
-		for e := p.buckets[h&p.mask]; e != 0; {
-			g := p.base + e - 1
-			e = p.next[e-1]
-			if bh[g] == h && bkeys[g] == key {
-				st.addPair(g, int32(i))
+// walkBoxed is the chain walk for the shapes the flat walks can't take:
+// a boxed (mixed-kind) key vector on either side, or probe and build
+// keys of different kinds. Each compare boxes the probe key (column
+// pCol of the probe batch) and runs buildKeyEq.
+func walkBoxed(st *colProbe, t *colBuild, pCol int) {
+	rows, ents := st.rows, st.ents
+	bh, next, hv := t.hashes, t.next, st.hv
+	for len(rows) > 0 {
+		m := 0
+		for c, i := range rows {
+			g := ents[c] - 1
+			if bh[g] == hv[i] && buildKeyEq(t.keyVec, g, st.cols.Value(pCol, int(i))) {
+				st.addPair(g, i)
 			}
+			e := next[g]
+			rows[m], ents[m] = i, e
+			m += b2i(e != 0)
 		}
-	}
-}
-
-// probeColGeneric handles the rare shapes the flat loops can't: boxed
-// (mixed-kind) key vectors on either side, or kind mismatch between
-// probe and build keys (hash salts make cross-kind matches impossible,
-// but collisions still need an exact compare).
-func (j *hashJoinOp) probeColGeneric(cb *tuple.Columns, st *colProbe, spw *partSpiller, skipped *int64) {
-	t := j.cbuild
-	hv := st.hv
-	sel := cb.Sel()
-	n := cb.Len()
-	for k := 0; k < n; k++ {
-		i := k
-		if sel != nil {
-			i = int(sel[k])
-		}
-		if cb.IsNull(j.pCol, i) {
-			continue
-		}
-		h := hv[i]
-		part := int(h >> j.radixShift)
-		if spw != nil && j.spill.isSpilled(part) {
-			j.spillRouteCol(spw, part, h, i, skipped)
-			continue
-		}
-		if t.keyVec == nil {
-			continue
-		}
-		p := &t.parts[part]
-		if len(p.buckets) == 0 {
-			continue
-		}
-		key := cb.Value(j.pCol, i)
-		for e := p.buckets[h&p.mask]; e != 0; {
-			g := p.base + e - 1
-			e = p.next[e-1]
-			if t.hashes[g] == h && buildKeyEq(t.keyVec, g, key) {
-				st.addPair(g, int32(i))
-			}
-		}
+		rows, ents = rows[:m], ents[:m]
 	}
 }
 

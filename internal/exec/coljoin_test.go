@@ -1,10 +1,14 @@
 package exec
 
 import (
+	"fmt"
+	"math"
+	"sync"
 	"testing"
 
 	"adaptdb/internal/cluster"
 	"adaptdb/internal/dfs"
+	"adaptdb/internal/predicate"
 	"adaptdb/internal/tuple"
 	"adaptdb/internal/value"
 )
@@ -53,15 +57,14 @@ func probeTags(j *hashJoinOp, key value.Value) []int64 {
 	return tags
 }
 
-// chainTags walks the table's chain for hash h as probeColGeneric does —
+// chainTags walks the table's chain for hash h as walkBoxed does —
 // hash pre-check, then buildKeyEq — and returns the matched tags.
 func chainTags(j *hashJoinOp, h uint64, key value.Value) []int64 {
 	t := j.cbuild
 	p := &t.parts[0]
 	var tags []int64
-	for e := p.buckets[h&p.mask]; e != 0; {
-		g := p.base + e - 1
-		e = p.next[e-1]
+	for e := p.buckets[p.slot(h)]; e != 0; e = t.next[e-1] {
+		g := e - 1
 		if t.hashes[g] == h && buildKeyEq(t.keyVec, g, key) {
 			tags = append(tags, t.store.Value(1, int(g)).Int64())
 		}
@@ -226,6 +229,198 @@ func TestJoinTableBucketsExact(t *testing.T) {
 		if got := tableBuckets(tc.n); got != tc.want {
 			t.Errorf("tableBuckets(%d) = %d, want %d", tc.n, got, tc.want)
 		}
+	}
+}
+
+// bucketFill counts a sealed table's non-empty buckets and all of its
+// buckets, over every partition.
+func bucketFill(t *colBuild) (used, total int) {
+	for _, p := range t.parts {
+		for _, e := range p.buckets {
+			used += b2i(e != 0)
+		}
+		total += len(p.buckets)
+	}
+	return used, total
+}
+
+// checkBucketFill fails unless at least 55% of the table's buckets hold
+// a chain. Uniform hashing at load factor 1 fills 1 − 1/e ≈ 63%; a
+// bucket picked from hash bits the rows share leaves half the table
+// unused and fills ≈ 43%.
+func checkBucketFill(t *testing.T, what string, cb *colBuild) {
+	t.Helper()
+	used, total := bucketFill(cb)
+	if total == 0 || float64(used) < 0.55*float64(total) {
+		t.Errorf("%s: %d of %d buckets non-empty, want ≥ 55%%", what, used, total)
+	}
+	t.Logf("%s: %d of %d buckets non-empty (%.1f%%)", what, used, total, 100*float64(used)/float64(max(total, 1)))
+}
+
+// TestJoinTableBucketsSpreadBehindExchange: a hash exchange sends a row
+// to node hash % nodes, so behind a 2-node Shuffle every key a join
+// sees hashes with the same low bit. The bucket must come from bits
+// that still vary.
+func TestJoinTableBucketsSpreadBehindExchange(t *testing.T) {
+	t.Run("sealed", func(t *testing.T) {
+		var keys []value.Value // 4,096 distinct keys, as node 0 receives them
+		for k := int64(0); len(keys) < 4096; k++ {
+			if v := value.NewInt(k); v.Hash64()%2 == 0 {
+				keys = append(keys, v)
+			}
+		}
+		j := oneTable(tagged(keys...), nil)
+		if n := len(j.cbuild.parts[0].buckets); n != 4096 {
+			t.Fatalf("%d buckets, want 4096", n)
+		}
+		checkBucketFill(t, "one partition", j.cbuild)
+	})
+	t.Run("shuffle", func(t *testing.T) {
+		// 64 keys per (node, radix partition): each node's 32 default
+		// partitions then seal at load factor exactly 1.
+		const nodes, perPart = 2, 64
+		var count [nodes][joinPartitions]int
+		var rows []tuple.Tuple
+		for k := int64(0); len(rows) < nodes*joinPartitions*perPart; k++ {
+			h := value.NewInt(k).Hash64()
+			c := &count[h%nodes][h>>(64-joinRadixBits)]
+			if *c < perPart {
+				*c++
+				rows = append(rows, tuple.Tuple{value.NewInt(k), value.NewInt(int64(len(rows)))})
+			}
+		}
+		ns, _ := nodeSetOf(t, nodes)
+		bx := ns.Shuffle([]Operator{NewSource(rows[:len(rows)/2]), NewSource(rows[len(rows)/2:])}, 0)
+		joins := make([]*hashJoinOp, nodes)
+		for i := range joins {
+			joins[i] = ns.At(i).JoinOp(bx.Output(i), 0, NewSource(nil), 0, JoinOptions{}).(*hashJoinOp)
+		}
+		// Every exchange output drains at once; each node's table is read
+		// between its Open (which seals it) and its Close (which drops it).
+		var wg sync.WaitGroup
+		errs := make([]error, nodes)
+		built := make([]*colBuild, nodes)
+		for i, j := range joins {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if errs[i] = j.Open(); errs[i] != nil {
+					return
+				}
+				built[i] = j.cbuild
+				_, errs[i] = j.Next()
+				j.Close()
+			}()
+		}
+		wg.Wait()
+		for i := range joins {
+			if errs[i] != nil {
+				t.Fatalf("node %d: %v", i, errs[i])
+			}
+			if got := joins[i].buildRows; got != joinPartitions*perPart {
+				t.Fatalf("node %d sealed %d rows, want %d", i, got, joinPartitions*perPart)
+			}
+			checkBucketFill(t, fmt.Sprintf("node %d", i), built[i])
+		}
+	})
+}
+
+// probeCase is one build and probe input for the chain-level probe,
+// keyed on column 0: preds narrow the probe batches by a selection,
+// budget (bytes, 0 = none) forces demoted partitions.
+type probeCase struct {
+	name         string
+	build, probe []tuple.Tuple
+	preds        []predicate.Predicate
+	budget       int64
+	wantNone     bool
+}
+
+// ints, dates and strs box n keys of one kind, the ith from key(i).
+func ints(n int, key func(i int) int64) []value.Value {
+	out := make([]value.Value, n)
+	for i := range out {
+		out[i] = value.NewInt(key(i))
+	}
+	return out
+}
+
+func dates(n int, key func(i int) int64) []value.Value {
+	out := ints(n, key)
+	for i := range out {
+		out[i] = value.NewDate(out[i].I)
+	}
+	return out
+}
+
+func strs(n int, key func(i int) int64) []value.Value {
+	out := ints(n, key)
+	for i := range out {
+		out[i] = value.NewString(string(rune('a'+out[i].I%26)) + string(rune('a'+out[i].I/26%26)))
+	}
+	return out
+}
+
+// TestJoinProbeMatchesNestedLoop runs the head pass and every chain
+// walk against the nested-loop oracle, over each key shape: flat ints,
+// dates and strings (==), floats with NaN and ±0 (FloatEqual), boxed
+// mixed kinds and Int-vs-Date keys (buildKeyEq), NULL keys, a probe
+// narrowed by a selection, a 3,000-row chain that crosses addPair's
+// flush, and a budgeted join whose head pass routes probe rows of
+// demoted partitions to their runs.
+func TestJoinProbeMatchesNestedLoop(t *testing.T) {
+	mod := func(m int) func(int) int64 { return func(i int) int64 { return int64(i * 7 % m) } }
+	nan, negZero := value.NewFloat(math.NaN()), value.NewFloat(math.Copysign(0, -1))
+	floats := []value.Value{nan, value.NewFloat(0), negZero, value.NewFloat(1.5), nan, value.NewFloat(-2)}
+	mixed := []value.Value{value.NewInt(5), value.NewDate(5), value.NewFloat(5), value.NewString("5"), value.NewInt(6), nan}
+	withNulls := ints(400, mod(50))
+	for i := 0; i < len(withNulls); i += 3 {
+		withNulls[i] = value.Value{}
+	}
+	hot := ints(3000, func(int) int64 { return 7 })
+	hot = append(hot, ints(100, func(i int) int64 { return int64(i) })...)
+	budgeted := keyedRows(4000, func(i int) int64 { return int64(i) })
+	cases := []probeCase{
+		{name: "int", build: tagged(ints(600, mod(200))...), probe: tagged(ints(2000, mod(400))...)},
+		{name: "date", build: tagged(dates(600, mod(200))...), probe: tagged(dates(2000, mod(400))...)},
+		{name: "string", build: tagged(strs(600, mod(200))...), probe: tagged(strs(2000, mod(400))...)},
+		{name: "float", build: tagged(floats...), probe: tagged(append(floats, value.NewFloat(0), negZero, value.NewFloat(3))...)},
+		{name: "boxed", build: tagged(mixed...), probe: tagged(append(mixed, value.NewString("6"), value.NewBool(true))...)},
+		{name: "int-vs-date", build: tagged(ints(300, mod(100))...), probe: tagged(dates(300, mod(100))...), wantNone: true},
+		{name: "null", build: tagged(withNulls...), probe: tagged(withNulls...)},
+		{name: "selection", build: tagged(ints(600, mod(200))...), probe: tagged(ints(3000, mod(300))...),
+			preds: []predicate.Predicate{predicate.NewCmp(1, predicate.GE, value.NewInt(1000))}},
+		{name: "hot-key", build: tagged(hot...), probe: tagged(ints(40, func(i int) int64 { return int64(i % 8) })...)},
+		{name: "budgeted", build: budgeted, probe: keyedRows(6000, mod(5000)), budget: rowsBytes(budgeted) / 4},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ex := New(dfs.NewStore(2, 1, 1), &cluster.Meter{})
+			ex.Workers = 2
+			if tc.budget > 0 {
+				ex.Mem = NewMemBudget(tc.budget)
+				ex.SpillDir = t.TempDir()
+			}
+			op := ex.JoinOp(NewSource(tc.build), 0, Where(NewSource(tc.probe), tc.preds), 0, JoinOptions{})
+			got, err := Collect(op)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var probe []tuple.Tuple
+			for _, r := range tc.probe {
+				if predicate.MatchesAll(tc.preds, r) {
+					probe = append(probe, r)
+				}
+			}
+			want := NestedLoopJoin(tc.build, probe, 0, 0)
+			if tc.wantNone != (len(want) == 0) {
+				t.Fatalf("the oracle gives %d rows: the case does not test what it names", len(want))
+			}
+			rowsEqualSorted(t, got, want)
+			if j := op.(*hashJoinOp); tc.budget > 0 && (!j.hasSpilled || j.spill.spilledRows.Load() == 0) {
+				t.Fatal("no partition was demoted: the budget is too loose to route probe rows")
+			}
+		})
 	}
 }
 

@@ -42,8 +42,8 @@ import (
 // skippable, and the 20% overlap proves skipping never loses a real
 // match.
 // dupstr forces a string key drawn from three hot values: long
-// duplicate chains through the string-specialized columnar probe loop
-// and the intern cache, with the chunked fallback in reach under tight
+// duplicate chains through the columnar string chain walk and the
+// intern cache, with the chunked fallback in reach under tight
 // budgets.
 // rdfskew models an RDF-style entity workload: keys are entity ids
 // drawn from a true Zipf law (s≈1.3), so a handful of hub entities

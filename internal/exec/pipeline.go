@@ -596,9 +596,10 @@ type JoinOptions struct {
 }
 
 // Radix partitioning constants for the parallel hash join: the top
-// radix bits of a key's Hash64 pick its partition, leaving the low
-// bits (which index the partition table's buckets) uniform within each
-// partition. The default 32 partitions oversplit the default worker
+// radix bits of a key's Hash64 pick its partition. Rows of a partition
+// share those bits, and behind a hash exchange (hash % nodes) they
+// share the low bits too, so a partition's buckets come from a remix of
+// the whole hash instead (colPart.slot). The default 32 partitions oversplit the default worker
 // pools (≤ ~10 workers) for load balance while keeping per-partition
 // tables cache-friendly; joins carrying a build-size estimate pick
 // their own fan-out in [minJoinRadixBits, maxJoinRadixBits] instead
@@ -1024,7 +1025,7 @@ func (h *HyperJoinOp) worker() {
 // blocks' surviving rows are gathered into one columnar store with
 // their Hash64Column hashes and chained (newColPart), and every S block
 // is probed in place — a selection over the block's own vectors —
-// through the typed probe loops and pair-gather emission of coljoin.go,
+// through the head pass, chain walks and pair-gather emission of coljoin.go,
 // so output batches are columnar (R columns, then S columns, or the
 // reverse with buildIsRight) and no row is boxed.
 func (h *HyperJoinOp) runGroup(group []int, st *colProbe) bool {
@@ -1101,7 +1102,7 @@ func (h *HyperJoinOp) runGroup(group []int, st *colProbe) bool {
 			sel = predicate.FilterSel(h.sPreds, cols, nil, scratch)
 			scratch = sel[:0]
 		}
-		// No partition of a group is ever spilled, so the probe loops touch
+		// No partition of a group is ever spilled, so the head pass touches
 		// neither a spiller nor the skip counter.
 		gj.probeColsBatch(cols.View(sel), st, nil, nil)
 		// Pairs index this block's vectors: gather them before moving on.

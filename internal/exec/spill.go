@@ -17,7 +17,7 @@
 // partitions hash bits cannot split — the all-duplicate-key case. A
 // second-pass load is joined on columns like a hyper-join group: its
 // frames decode into one store, sealed as a one-partition table, and
-// the other side's frames stream through the first pass's probe loops.
+// the other side's frames stream through the first pass's probe.
 //
 // Three defenses keep the join robust against bad inputs and bad
 // estimates (the trade-offs literature on dynamic hybrid hash joins):
@@ -995,7 +995,7 @@ func appendRows(dst, src *tuple.Columns, from, to int) *tuple.Columns {
 // probeLoaded joins a loaded store — rows of one side keyed on loadCol —
 // against every frame of the stream runs: the store is hashed once and
 // sealed as a one-partition table, and each stream frame, decoded into
-// the scratch sc, goes through the first pass's probe loops. Matches
+// the scratch sc, goes through the first pass's probe. Matches
 // are gathered into the worker's pending output st in j's column
 // order — a reversed load holds probe-side rows, so the view flips
 // BuildIsRight — and leave through j's stream as that batch fills.

@@ -264,8 +264,9 @@ func (v Value) Hash64() uint64 {
 }
 
 // mix64 is the splitmix64 finalizer — a cheap bijective avalanche so
-// both the high bits (radix partitioning) and low bits (bucket index)
-// of a hash are uniform even for dense integer keys.
+// both the high bits (radix partitioning) and low bits (exchange
+// routing, hash % nodes) of a hash are uniform even for dense integer
+// keys.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9

@@ -302,7 +302,7 @@ func TestHash64MixesKind(t *testing.T) {
 
 func TestHash64DistributionOverDenseInts(t *testing.T) {
 	// Dense integer keys (the common join-key shape) must spread over
-	// both the high bits (radix partition) and low bits (bucket index).
+	// both the high bits (radix partition) and low bits (exchange route).
 	const n = 1 << 12
 	hi := map[uint64]int{}
 	lo := map[uint64]int{}
