@@ -243,7 +243,7 @@ func (t *Table) Stats() TableStats {
 	for _, i := range t.tbl.LiveTrees() {
 		ti := t.tbl.Trees[i]
 		st.Trees++
-		st.Blocks += len(ti.Metas)
+		st.Blocks += ti.Blocks()
 		name := ""
 		if ti.Tree.JoinAttr >= 0 {
 			name = t.tbl.Schema.Name(ti.Tree.JoinAttr)

@@ -100,18 +100,12 @@ func (a *Adapter) bestCandidate(tbl *core.Table, ti *core.TreeInfo) *candidate {
 		if n.Leaf || !n.Left.Leaf || !n.Right.Leaf {
 			return
 		}
-		lMeta, lOK := ti.Metas[n.Left.Bucket]
-		rMeta, rOK := ti.Metas[n.Right.Bucket]
+		lRows, lOK := ti.Count(n.Left.Bucket)
+		rRows, rOK := ti.Count(n.Right.Bucket)
 		if !lOK && !rOK {
 			return // empty pair
 		}
-		rows := 0
-		if lOK {
-			rows += lMeta.Count
-		}
-		if rOK {
-			rows += rMeta.Count
-		}
+		rows := lRows + rRows
 		if rows == 0 {
 			return
 		}
@@ -144,14 +138,9 @@ func (a *Adapter) bestCandidate(tbl *core.Table, ti *core.TreeInfo) *candidate {
 // falls entirely on one side of the cut, half the node's rows are
 // skipped.
 func (a *Adapter) savedRows(queries []workload.Query, attr int, cut value.Value, tbl *core.Table, ti *core.TreeInfo, n *tree.Node) float64 {
-	rows := 0
-	if m, ok := ti.Metas[n.Left.Bucket]; ok {
-		rows += m.Count
-	}
-	if m, ok := ti.Metas[n.Right.Bucket]; ok {
-		rows += m.Count
-	}
-	half := float64(rows) / 2
+	lRows, _ := ti.Count(n.Left.Bucket)
+	rRows, _ := ti.Count(n.Right.Bucket)
+	half := float64(lRows+rRows) / 2
 	leftIv := predicate.Range{HasHi: true, Hi: cut}
 	rightIv := predicate.Range{HasLo: true, Lo: cut, LoOpen: true}
 	saved := 0.0
@@ -176,15 +165,13 @@ func (a *Adapter) savedRows(queries []workload.Query, attr int, cut value.Value,
 func (a *Adapter) chooseCut(tbl *core.Table, ti *core.TreeInfo, n *tree.Node, col int) (value.Value, bool) {
 	var vals []value.Value
 	for _, leaf := range []*tree.Node{n.Left, n.Right} {
-		meta, ok := ti.Metas[leaf.Bucket]
-		if !ok {
+		if _, ok := ti.Count(leaf.Bucket); !ok {
 			continue
 		}
 		blk, _, err := tbl.Store().GetBlock(tbl.BlockPath(treeIndexOf(tbl, ti), leaf.Bucket), 0)
 		if err != nil {
 			continue
 		}
-		_ = meta
 		cols := blk.Cols()
 		for i, n := 0, cols.FullLen(); i < n; i++ {
 			vals = append(vals, cols.Value(col, i))
@@ -230,7 +217,7 @@ func (a *Adapter) apply(tbl *core.Table, treeIdx int, c *candidate, meter *clust
 	right := block.New(tbl.Schema)
 	var lIdx, rIdx []int32
 	for _, b := range []block.ID{lB, rB} {
-		if _, ok := ti.Metas[b]; !ok {
+		if _, ok := ti.Count(b); !ok {
 			continue
 		}
 		blk, local, err := tbl.Store().GetBlock(tbl.BlockPath(treeIdx, b), 0)
@@ -256,18 +243,8 @@ func (a *Adapter) apply(tbl *core.Table, treeIdx int, c *candidate, meter *clust
 	}
 	c.node.Attr = c.attr
 	c.node.Cut = c.cut
-	writeOrDrop := func(b block.ID, blk *block.Block) {
-		path := tbl.BlockPath(treeIdx, b)
-		if blk.Len() == 0 {
-			tbl.Store().Delete(path)
-			delete(ti.Metas, b)
-			return
-		}
-		tbl.Store().PutBlock(path, blk)
-		ti.Metas[b] = block.MetaOf(b, blk)
-	}
-	writeOrDrop(lB, left)
-	writeOrDrop(rB, right)
+	tbl.RewriteBucket(treeIdx, lB, left)
+	tbl.RewriteBucket(treeIdx, rB, right)
 	tbl.Persist()
 	return nil
 }

@@ -242,10 +242,11 @@ func (b *Block) MaybeMatches(ranges map[int]predicate.Range) bool {
 	return true
 }
 
-// Meta is the detached block metadata AdaptDB keeps in the partitioning
-// tree / catalog: tuple count and zone map, without the data itself.
-// The paper stores "the Ranget values for each block ... with each block
-// in the partitioning tree"; Meta is that record.
+// Meta is one block's metadata detached from its data: tuple count and
+// zone map. The paper stores "the Ranget values for each block ... with
+// each block in the partitioning tree"; a tree's block catalog
+// (internal/core) holds these records column-major, and Meta is the
+// one-block form the catalog's tests compare it with.
 type Meta struct {
 	ID    ID
 	Count int

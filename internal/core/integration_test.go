@@ -81,7 +81,7 @@ func TestBlockSerializationThroughStore(t *testing.T) {
 		}
 		restored := block.New(sch)
 		restored.AppendGather(cols, idxs)
-		if !reflect.DeepEqual(block.MetaOf(b, restored), ti.Metas[b]) {
+		if !reflect.DeepEqual(block.MetaOf(b, restored), mustMeta(t, ti, b)) {
 			t.Fatalf("bucket %d: zone map changed across the frame round trip", b)
 		}
 		store.PutBlock(path, restored)

@@ -3,11 +3,17 @@
 // partitioning trees (§2). A table normally has a single tree; during
 // smooth repartitioning (§5.2) it temporarily holds several — one per
 // join attribute — and every row lives in exactly one tree.
+//
+// Each tree carries one columnar block catalog (catalog.go): per bucket
+// the row count, store path and primary replica, per column the zone
+// maps as typed min/max vectors. The planner decides from this metadata
+// alone, so Refs prunes with one typed loop per predicate column and
+// returns small BlockRefs that point back at the catalog instead of
+// copying each block's zone map.
 package core
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -23,31 +29,38 @@ import (
 	"adaptdb/internal/upfront"
 )
 
-// TreeInfo pairs a partitioning tree with the live-bucket metadata
-// (tuple counts and zone maps — the paper keeps Ranget per block in the
-// tree).
+// TreeInfo pairs a partitioning tree with its block catalog: the live
+// buckets' tuple counts, store paths, primary replicas and zone maps
+// (the paper keeps Ranget per block in the tree), column-major and
+// indexed by bucket ID (catalog.go).
 type TreeInfo struct {
-	Tree  *tree.Tree
-	Metas map[block.ID]block.Meta
+	Tree *tree.Tree
+	cat  *catalog
 }
 
 // Rows returns the number of rows held under this tree (|T| in the
-// Fig. 11 algorithm).
-func (ti *TreeInfo) Rows() int {
-	n := 0
-	for _, m := range ti.Metas {
-		n += m.Count
+// Fig. 11 algorithm): the catalog's running total.
+func (ti *TreeInfo) Rows() int { return ti.cat.rows }
+
+// Blocks returns the number of live buckets.
+func (ti *TreeInfo) Blocks() int { return ti.cat.blocks }
+
+// Count reports bucket b's row count and whether b is live.
+func (ti *TreeInfo) Count(b block.ID) (int, bool) {
+	if b < 0 || int(b) >= len(ti.cat.live) || !ti.cat.live[b] {
+		return 0, false
 	}
-	return n
+	return ti.cat.count[b], true
 }
 
 // LiveBuckets returns the bucket IDs that actually hold data, sorted.
 func (ti *TreeInfo) LiveBuckets() []block.ID {
-	out := make([]block.ID, 0, len(ti.Metas))
-	for b := range ti.Metas {
-		out = append(out, b)
+	out := make([]block.ID, 0, ti.cat.blocks)
+	for b, live := range ti.cat.live {
+		if live {
+			out = append(out, block.ID(b))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -129,16 +142,70 @@ func Load(store *dfs.Store, name string, sch *schema.Schema, rows []tuple.Tuple,
 		store:      store,
 		totalRows:  len(rows),
 	}
-	ti := &TreeInfo{Tree: tr, Metas: make(map[block.ID]block.Meta)}
-	t.Trees = append(t.Trees, ti)
-	parts := upfront.Partition(tr, rows)
-	for b, blk := range parts {
-		path := t.BlockPath(0, b)
-		store.PutBlock(path, blk)
-		ti.Metas[b] = block.MetaOf(b, blk)
+	t.Trees = append(t.Trees, t.newTreeInfo(tr))
+	for b, blk := range upfront.Partition(tr, rows) {
+		t.putBlock(0, b, blk)
 	}
 	t.Persist()
 	return t, nil
+}
+
+// newTreeInfo pairs tr with an empty catalog over the table's columns.
+func (t *Table) newTreeInfo(tr *tree.Tree) *TreeInfo {
+	return &TreeInfo{Tree: tr, cat: newCatalog(t.Schema.NumCols())}
+}
+
+// putBlock writes bucket b's block of tree treeIdx to the store and
+// records it in the tree's catalog.
+func (t *Table) putBlock(treeIdx int, b block.ID, blk *block.Block) {
+	path := t.BlockPath(treeIdx, b)
+	t.store.PutBlock(path, blk)
+	t.record(treeIdx, b, path, blk)
+}
+
+// record enters the block stored at path as bucket b of tree treeIdx
+// into the tree's catalog, with the primary replica the store placed it
+// on.
+func (t *Table) record(treeIdx int, b block.ID, path string, blk *block.Block) {
+	var node dfs.NodeID
+	if p := t.store.Placement(path); len(p) > 0 {
+		node = p[0]
+	}
+	t.Trees[treeIdx].cat.set(b, path, node, blk)
+}
+
+// dropBlock deletes bucket b of tree treeIdx from the store and the
+// catalog.
+func (t *Table) dropBlock(treeIdx int, b block.ID) {
+	t.store.Delete(t.BlockPath(treeIdx, b))
+	t.Trees[treeIdx].cat.drop(b)
+}
+
+// RewriteBucket replaces bucket b of tree treeIdx with blk, or drops the
+// bucket when blk is empty — how Amoeba's transformations write the
+// two buckets they re-split.
+func (t *Table) RewriteBucket(treeIdx int, b block.ID, blk *block.Block) {
+	if blk.Len() == 0 {
+		t.dropBlock(treeIdx, b)
+		return
+	}
+	t.putBlock(treeIdx, b, blk)
+}
+
+// SetPlacement overrides the replica set of a ref's block and moves the
+// catalog's primary replica with it (the Fig. 7 locality experiment
+// forces blocks remote this way).
+func (t *Table) SetPlacement(ref BlockRef, nodes []dfs.NodeID) error {
+	if len(nodes) == 0 {
+		return fmt.Errorf("core: block %s needs at least one replica", ref.Path)
+	}
+	if err := t.store.SetPlacement(ref.Path, nodes); err != nil {
+		return err
+	}
+	if ti := t.treeAt(ref.TreeIdx); ti != nil {
+		ti.cat.node[ref.Bucket] = nodes[0]
+	}
+	return nil
 }
 
 // Store returns the underlying distributed store.
@@ -217,7 +284,7 @@ func (t *Table) PrimaryTree() int {
 
 // AddTree registers a new (initially empty) tree and returns its index.
 func (t *Table) AddTree(tr *tree.Tree) int {
-	t.Trees = append(t.Trees, &TreeInfo{Tree: tr, Metas: make(map[block.ID]block.Meta)})
+	t.Trees = append(t.Trees, t.newTreeInfo(tr))
 	idx := len(t.Trees) - 1
 	t.Persist()
 	return idx
@@ -239,17 +306,24 @@ func (t *Table) DropTree(idx int) error {
 	return nil
 }
 
-// BlockRef identifies one readable block of a table for the executor.
+// BlockRef identifies one readable block of a table for the executor:
+// where it is (store path, primary replica) and how many rows it holds.
+// Its zone maps stay in the tree's catalog, which JoinRange and
+// IntZones read.
 type BlockRef struct {
 	Table   string
 	TreeIdx int
 	Bucket  block.ID
+	Count   int
 	Path    string
-	Meta    block.Meta
+	// Node is the block's primary replica, where a scan of it runs.
+	Node dfs.NodeID
+	cat  *catalog
 }
 
-// JoinRange returns the block's zone-map interval on the given column.
-func (r BlockRef) JoinRange(col int) predicate.Range { return r.Meta.Range(col) }
+// JoinRange returns the block's zone-map interval on the given column —
+// Ranget(x), empty when the block holds no value there.
+func (r BlockRef) JoinRange(col int) predicate.Range { return r.cat.zone(r.Bucket, col) }
 
 // treeAt returns the live tree at idx, or nil when out of range or
 // removed.
@@ -260,28 +334,39 @@ func (t *Table) treeAt(idx int) *TreeInfo {
 	return t.Trees[idx]
 }
 
-// Refs returns the blocks of one tree that may satisfy the predicates:
-// the tree lookup (structural pruning) intersected with zone-map
-// pruning, sorted by bucket.
+// Refs returns the blocks of one tree that may satisfy the predicates,
+// sorted by bucket, in two steps over the tree's catalog: the tree
+// lookup (structural pruning) marks candidate buckets, and one typed
+// loop per predicate column drops the live candidates whose zone map
+// cannot overlap the column's range — block.Meta.MaybeMatches, NULL,
+// NaN and cross-kind semantics included. With no predicates every leaf
+// is a candidate, and the live buckets are the leaves that hold rows.
 func (t *Table) Refs(treeIdx int, preds []predicate.Predicate) []BlockRef {
 	ti := t.treeAt(treeIdx)
 	if ti == nil {
 		return nil
 	}
+	c := ti.cat
 	ranges := predicate.ColumnRanges(preds)
-	var out []BlockRef
-	for _, b := range ti.Tree.Lookup(preds) {
-		meta, live := ti.Metas[b]
-		if !live || !meta.MaybeMatches(ranges) {
-			continue
+	var mark []bool
+	if len(ranges) > 0 {
+		byCol := make([]*predicate.Range, t.Schema.NumCols())
+		for col, r := range ranges {
+			if col < len(byCol) {
+				byCol[col] = &r
+			}
 		}
-		out = append(out, BlockRef{
-			Table:   t.Name,
-			TreeIdx: treeIdx,
-			Bucket:  b,
-			Path:    t.BlockPath(treeIdx, b),
-			Meta:    meta,
-		})
+		mark = make([]bool, max(int(ti.Tree.NextBucket()), len(c.live)))
+		ti.Tree.MarkLookup(byCol, mark)
+	}
+	cands := c.match(mark, ranges)
+	if len(cands) == 0 {
+		return nil
+	}
+	out := make([]BlockRef, len(cands))
+	for i, b := range cands {
+		out[i] = BlockRef{Table: t.Name, TreeIdx: treeIdx, Bucket: b,
+			Count: c.count[b], Path: c.path[b], Node: c.node[b], cat: c}
 	}
 	return out
 }
@@ -322,7 +407,7 @@ func (t *Table) MoveBuckets(fromIdx, toIdx int, buckets []block.ID, meter *clust
 	total := 0
 	seen := make(map[block.ID]bool, len(buckets))
 	for _, b := range buckets {
-		meta, ok := from.Metas[b]
+		n, ok := from.Count(b)
 		if !ok {
 			return fmt.Errorf("core: bucket %d not live in tree %d of %s", b, fromIdx, t.Name)
 		}
@@ -330,7 +415,7 @@ func (t *Table) MoveBuckets(fromIdx, toIdx int, buckets []block.ID, meter *clust
 			return fmt.Errorf("core: bucket %d listed twice in a move from tree %d of %s", b, fromIdx, t.Name)
 		}
 		seen[b] = true
-		total += meta.Count
+		total += n
 	}
 	staged := tuple.NewColumns(t.Schema.NumCols())
 	staged.Reserve(total)
@@ -358,11 +443,10 @@ func (t *Table) MoveBuckets(fromIdx, toIdx int, buckets []block.ID, meter *clust
 		if err != nil {
 			return err
 		}
-		to.Metas[dest] = block.MetaOf(dest, blk)
+		t.record(toIdx, dest, path, blk)
 	}
 	for _, b := range buckets {
-		t.store.Delete(t.BlockPath(fromIdx, b))
-		delete(from.Metas, b)
+		t.dropBlock(fromIdx, b)
 	}
 	return nil
 }
@@ -431,10 +515,9 @@ func (t *Table) ReplaceTreeData(srcIdx int, newTree *tree.Tree, meter *cluster.M
 		t.store.Delete(path)
 	}
 	src.Tree = newTree
-	src.Metas = make(map[block.ID]block.Meta)
+	src.cat = newCatalog(t.Schema.NumCols())
 	for b, blk := range parts {
-		t.store.PutBlock(t.BlockPath(srcIdx, b), blk)
-		src.Metas[b] = block.MetaOf(b, blk)
+		t.putBlock(srcIdx, b, blk)
 	}
 	t.Persist()
 	return nil

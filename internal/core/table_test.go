@@ -154,7 +154,7 @@ func TestAllRefsSpansTrees(t *testing.T) {
 			t.Fatalf("duplicate ref %s", ref.Path)
 		}
 		seen[ref.Path] = true
-		rowsSeen += ref.Meta.Count
+		rowsSeen += ref.Count
 	}
 	if rowsSeen != 1024 {
 		t.Fatalf("AllRefs covers %d rows, want 1024", rowsSeen)
@@ -170,7 +170,7 @@ func TestMoveBucketsMeters(t *testing.T) {
 	live := tbl.Trees[0].LiveBuckets()
 	moved := 0
 	for _, b := range live[:3] {
-		moved += tbl.Trees[0].Metas[b].Count
+		moved += mustCount(t, tbl.Trees[0], b)
 	}
 	if err := tbl.MoveBuckets(0, idx, live[:3], &meter); err != nil {
 		t.Fatalf("MoveBuckets: %v", err)
@@ -250,11 +250,11 @@ func TestMoveBucketsKeepsSourceOrder(t *testing.T) {
 			}
 			oracle.Append(r)
 		}
-		if !reflect.DeepEqual(tbl.Trees[idx].Metas[dest], block.MetaOf(dest, oracle)) {
-			t.Fatalf("bucket %d meta %+v, row-built %+v", dest, tbl.Trees[idx].Metas[dest], block.MetaOf(dest, oracle))
+		if m, _ := metaOf(tbl.Trees[idx], dest); !reflect.DeepEqual(m, block.MetaOf(dest, oracle)) {
+			t.Fatalf("bucket %d meta %+v, row-built %+v", dest, m, block.MetaOf(dest, oracle))
 		}
 	}
-	if _, ok := tbl.Trees[0].Metas[live[3]]; ok || store.Exists(tbl.BlockPath(0, live[3])) {
+	if _, ok := tbl.Trees[0].Count(live[3]); ok || store.Exists(tbl.BlockPath(0, live[3])) {
 		t.Errorf("moved source bucket still live")
 	}
 }
@@ -411,7 +411,7 @@ func TestMigrationMatchesPerRowRoute(t *testing.T) {
 					}
 					oracle.Append(r)
 				}
-				if m, o := tbl.Trees[ti].Metas[b], block.MetaOf(b, oracle); !metaEqual(m, o) {
+				if m, o := mustMeta(t, tbl.Trees[ti], b), block.MetaOf(b, oracle); !metaEqual(m, o) {
 					t.Fatalf("%s: tree %d bucket %d meta %+v, row-built %+v", step, ti, b, m, o)
 				}
 			}
@@ -558,7 +558,7 @@ func TestZoneMapsMatchDataAfterMoves(t *testing.T) {
 			if err != nil {
 				t.Fatalf("GetBlock: %v", err)
 			}
-			meta := tbl.Trees[ti].Metas[b]
+			meta := mustMeta(t, tbl.Trees[ti], b)
 			if meta.Count != blk.Len() {
 				t.Errorf("meta count %d != block %d", meta.Count, blk.Len())
 			}

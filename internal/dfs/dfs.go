@@ -201,7 +201,9 @@ func (s *Store) Placement(path string) []NodeID {
 }
 
 // SetPlacement overrides a file's replica set. The Fig. 7 locality
-// experiment uses this to force a chosen fraction of blocks remote.
+// experiment uses this to force a chosen fraction of blocks remote,
+// through core.Table.SetPlacement, which also moves the primary replica
+// the table's block catalog records for the block.
 func (s *Store) SetPlacement(path string, nodes []NodeID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

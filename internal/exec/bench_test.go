@@ -165,7 +165,7 @@ func BenchmarkHyperJoinMaterialized(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := exec.Collect(ex.NewHyperJoinOp(rRefs, nil, tpch.LOrderKey, sRefs, nil, tpch.OOrderKey, 8, false))
+		rows, err := exec.Collect(ex.NewHyperJoinOp(exec.PlanHyper(rRefs, tpch.LOrderKey, sRefs, tpch.OOrderKey, 8), nil, nil, false))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func BenchmarkHyperJoinPipelined(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		op := ex.NewHyperJoinOp(rRefs, nil, tpch.LOrderKey, sRefs, nil, tpch.OOrderKey, 8, false)
+		op := ex.NewHyperJoinOp(exec.PlanHyper(rRefs, tpch.LOrderKey, sRefs, tpch.OOrderKey, 8), nil, nil, false)
 		drainJoin(b, op)
 	}
 }

@@ -198,9 +198,7 @@ func TestCancelMidHyperJoin(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	f.ex.BindContext(ctx)
 	cancel()
-	op := f.ex.NewHyperJoinOp(
-		f.ex.TableRefs(f.ord, nil), nil, 0,
-		f.ex.TableRefs(f.line, nil), nil, 0, 4, false)
+	op := f.ex.NewHyperJoinOp(PlanHyper(f.ex.TableRefs(f.ord, nil), 0, f.ex.TableRefs(f.line, nil), 0, 4), nil, nil, false)
 	_, err := Collect(op)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled hyper-join error = %v, want context.Canceled", err)

@@ -9,7 +9,8 @@
 //
 //   - §4.1 — HyperJoinOp executes the grouped build/probe
 //     algorithm over the block-grouping produced by internal/hyperjoin;
-//     PlanHyper computes the block-read schedule the optimizer prices.
+//     PlanHyper computes the block-read schedule the planner prices,
+//     and the HyperJoinOp runs that same schedule.
 //   - §4.2 — every operator meters block reads and shuffled rows into a
 //     cluster.Meter, from which the cost model derives simulated time.
 //   - §4.3 — an exchange of an intermediate carries ChargeIntermediate,

@@ -92,23 +92,23 @@ func (e *Executor) workers() int {
 // for a NodeSet's per-node executor view, else the block's primary
 // replica, mirroring Spark/HDFS locality scheduling (scans are ~100%
 // local, Fig. 7's normal case).
-func (e *Executor) taskNode(path string) dfs.NodeID {
+func (e *Executor) taskNode(ref core.BlockRef) dfs.NodeID {
 	if e.pinned {
 		return e.pin
 	}
-	if p := e.Store.Placement(path); len(p) > 0 {
-		return p[0]
-	}
-	return 0
+	return ref.Node
 }
 
-// HyperPlan is the block-read schedule of a prospective hyper-join: the
-// grouping of build-side blocks plus the probe-side reads (with
-// multiplicity) it implies. The optimizer prices plans with it before
-// choosing a join strategy (§5.4).
+// HyperPlan is the block-read schedule of a hyper-join over build (R)
+// and probe (S) refs: the grouping of build-side blocks plus the
+// probe-side reads (with multiplicity) it implies. The planner prices
+// it before choosing a join strategy (§5.4) and hands the same plan to
+// the HyperJoinOp that runs it.
 type HyperPlan struct {
-	V        []hyperjoin.BitVec
-	Grouping hyperjoin.Grouping
+	R, S       []core.BlockRef
+	RCol, SCol int
+	V          []hyperjoin.BitVec
+	Grouping   hyperjoin.Grouping
 	// ProbeIdx lists probe-side ref indexes read across all groups, with
 	// multiplicity.
 	ProbeIdx []int
@@ -117,15 +117,7 @@ type HyperPlan struct {
 // PlanHyper computes overlap vectors from the refs' zone maps and groups
 // the build side with the bottom-up heuristic.
 func PlanHyper(rRefs []core.BlockRef, rCol int, sRefs []core.BlockRef, sCol int, budget int) HyperPlan {
-	rRanges := make([]predicate.Range, len(rRefs))
-	for i, r := range rRefs {
-		rRanges[i] = r.JoinRange(rCol)
-	}
-	sRanges := make([]predicate.Range, len(sRefs))
-	for j, s := range sRefs {
-		sRanges[j] = s.JoinRange(sCol)
-	}
-	V := hyperjoin.OverlapVectors(rRanges, sRanges)
+	V := overlapVectors(rRefs, rCol, sRefs, sCol)
 	grouping := hyperjoin.BottomUp(V, budget)
 	var probeIdx []int
 	for _, g := range grouping {
@@ -135,7 +127,29 @@ func PlanHyper(rRefs []core.BlockRef, rCol int, sRefs []core.BlockRef, sCol int,
 			}
 		}
 	}
-	return HyperPlan{V: V, Grouping: grouping, ProbeIdx: probeIdx}
+	return HyperPlan{R: rRefs, S: sRefs, RCol: rCol, SCol: sCol,
+		V: V, Grouping: grouping, ProbeIdx: probeIdx}
+}
+
+// overlapVectors is §4.1.1's overlap test over the refs' zone maps on
+// the join columns: a typed loop when both sides' zones there are int
+// class of one kind (every TPC-H join key), else the boxed reference
+// hyperjoin.OverlapVectors.
+func overlapVectors(rRefs []core.BlockRef, rCol int, sRefs []core.BlockRef, sCol int) []hyperjoin.BitVec {
+	rKind, rLo, rHi, rOK := core.IntZones(rRefs, rCol)
+	sKind, sLo, sHi, sOK := core.IntZones(sRefs, sCol)
+	if rOK && sOK && rKind == sKind {
+		return hyperjoin.OverlapInts(rLo, rHi, sLo, sHi)
+	}
+	rRanges := make([]predicate.Range, len(rRefs))
+	for i, r := range rRefs {
+		rRanges[i] = r.JoinRange(rCol)
+	}
+	sRanges := make([]predicate.Range, len(sRefs))
+	for j, s := range sRefs {
+		sRanges[j] = s.JoinRange(sCol)
+	}
+	return hyperjoin.OverlapVectors(rRanges, sRanges)
 }
 
 // HyperStats reports what a hyper-join did.

@@ -122,7 +122,7 @@ func shuffleJoinTables(t *testing.T, ex *Executor, left *core.Table, lPreds []pr
 func hyperJoin(tb testing.TB, ex *Executor, rRefs []core.BlockRef, rPreds []predicate.Predicate, rCol int,
 	sRefs []core.BlockRef, sPreds []predicate.Predicate, sCol int, budget int) ([]tuple.Tuple, HyperStats) {
 	tb.Helper()
-	op := ex.NewHyperJoinOp(rRefs, rPreds, rCol, sRefs, sPreds, sCol, budget, false)
+	op := ex.NewHyperJoinOp(PlanHyper(rRefs, rCol, sRefs, sCol, budget), rPreds, sPreds, false)
 	rows, err := Collect(op)
 	if err != nil {
 		tb.Fatal(err)
@@ -232,7 +232,7 @@ func TestHyperJoinMatchesShuffleJoin(t *testing.T) {
 func TestHyperJoinEmitsColumnarBatches(t *testing.T) {
 	f := newFixture(t, true)
 	preds := []predicate.Predicate{predicate.NewCmp(2, predicate.LT, value.NewInt(2000))}
-	op := f.ex.NewHyperJoinOp(f.line.Refs(0, preds), preds, 0, f.ord.Refs(0, nil), nil, 0, 4, false)
+	op := f.ex.NewHyperJoinOp(PlanHyper(f.line.Refs(0, preds), 0, f.ord.Refs(0, nil), 0, 4), preds, nil, false)
 	if err := op.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestHyperJoinEmitsColumnarBatches(t *testing.T) {
 func TestHyperJoinBuildIsRightEmitsLeftRight(t *testing.T) {
 	f := newFixture(t, true)
 	lRefs, oRefs := f.line.Refs(0, nil), f.ord.Refs(0, nil)
-	op := f.ex.NewHyperJoinOp(oRefs, nil, 0, lRefs, nil, 0, 4, true)
+	op := f.ex.NewHyperJoinOp(PlanHyper(oRefs, 0, lRefs, 0, 4), nil, nil, true)
 	var got []tuple.Tuple
 	if _, err := Drain(nil, op, func(b *Batch) error {
 		cb := b.Cols()

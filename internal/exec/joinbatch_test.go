@@ -78,7 +78,7 @@ func TestJoinOutputBatchesAreFull(t *testing.T) {
 	t.Run("hyper", func(t *testing.T) {
 		f := newFixture(t, true)
 		f.ex.Workers = 2
-		op := f.ex.NewHyperJoinOp(f.line.Refs(0, nil), nil, 0, f.ord.Refs(0, nil), nil, 0, 4, false)
+		op := f.ex.NewHyperJoinOp(PlanHyper(f.line.Refs(0, nil), 0, f.ord.Refs(0, nil), 0, 4), nil, nil, false)
 		rows, lens, st := drainBatches(t, op)
 		rowsEqualSorted(t, rows, NestedLoopJoin(f.lrows, f.orows, 0, 0))
 		if hs := op.Stats(); hs.Groups <= f.ex.Workers {
@@ -146,7 +146,7 @@ func TestJoinPendingBatchOnCloseCancelAndFailure(t *testing.T) {
 	t.Run("close-hyper", func(t *testing.T) {
 		f := newFixture(t, true)
 		f.ex.Workers = 2
-		op := f.ex.NewHyperJoinOp(f.line.Refs(0, nil), nil, 0, f.ord.Refs(0, nil), nil, 0, 4, false)
+		op := f.ex.NewHyperJoinOp(PlanHyper(f.line.Refs(0, nil), 0, f.ord.Refs(0, nil), 0, 4), nil, nil, false)
 		if err := op.Open(); err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func TestJoinPendingBatchOnCloseCancelAndFailure(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		f.ex.BindContext(ctx)
-		op := f.ex.NewHyperJoinOp(f.line.Refs(0, nil), nil, 0, f.ord.Refs(0, nil), nil, 0, 4, false)
+		op := f.ex.NewHyperJoinOp(PlanHyper(f.line.Refs(0, nil), 0, f.ord.Refs(0, nil), 0, 4), nil, nil, false)
 		_, err := Drain(ctx, op, func(*Batch) error { cancel(); return nil })
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("mid-drain cancel error = %v, want context.Canceled", err)
@@ -219,7 +219,7 @@ func TestJoinPendingBatchOnCloseCancelAndFailure(t *testing.T) {
 			t.Fatal("every S block of the last group is probed earlier")
 		}
 		f.store.Delete(sRefs[victim].Path)
-		n, err := Count(f.ex.NewHyperJoinOp(rRefs, nil, 0, sRefs, nil, 0, 4, false))
+		n, err := Count(f.ex.NewHyperJoinOp(PlanHyper(rRefs, 0, sRefs, 0, 4), nil, nil, false))
 		if !errors.Is(err, ErrBlockMissing) {
 			t.Fatalf("drain with a later group's S block deleted: %d rows, err %v; want ErrBlockMissing", n, err)
 		}

@@ -6,8 +6,6 @@
 package exec
 
 import (
-	"hash/fnv"
-
 	"adaptdb/internal/cluster"
 	"adaptdb/internal/core"
 	"adaptdb/internal/dfs"
@@ -81,27 +79,26 @@ func (ns *NodeSet) N() int { return len(ns.execs) }
 // remote, the §4.2 fallback path).
 func (ns *NodeSet) At(i int) *Executor { return ns.execs[i] }
 
-// NodeFor assigns a block to its execution node: the primary replica
-// when the store knows the path (HDFS-style locality scheduling — the
-// read is local by construction), else a deterministic hash of the path
-// (the fallback; such reads are metered remote when the hashed node
-// holds no replica).
-func (ns *NodeSet) NodeFor(path string) int {
-	if p := ns.parent.Store.Placement(path); len(p) > 0 {
-		return int(p[0]) % ns.N()
-	}
-	h := fnv.New64a()
-	h.Write([]byte(path))
-	return int(h.Sum64() % uint64(ns.N()))
-}
-
 // SplitRefs partitions a scan set by execution node — out[i] lists the
-// blocks node i will read locally (or remotely, for fallback-placed
-// paths).
+// blocks node i will read locally: each ref's primary replica, which
+// the table's block catalog recorded when the block was written
+// (HDFS-style locality scheduling).
 func (ns *NodeSet) SplitRefs(refs []core.BlockRef) [][]core.BlockRef {
-	out := make([][]core.BlockRef, ns.N())
+	n := ns.N()
+	end := make([]int, n)
 	for _, r := range refs {
-		i := ns.NodeFor(r.Path)
+		end[int(r.Node)%n]++
+	}
+	// One backing array, each node's share sized exactly.
+	all := make([]core.BlockRef, len(refs))
+	out := make([][]core.BlockRef, n)
+	from := 0
+	for i, c := range end {
+		out[i] = all[from : from : from+c]
+		from += c
+	}
+	for _, r := range refs {
+		i := int(r.Node) % n
 		out[i] = append(out[i], r)
 	}
 	return out

@@ -431,7 +431,7 @@ func (s *scanOp) worker() {
 			return
 		}
 		ref := s.refs[idx]
-		node := s.e.taskNode(ref.Path)
+		node := s.e.taskNode(ref)
 		if s.e.RoundRobin {
 			node = dfs.NodeID(idx % n)
 		}
@@ -894,14 +894,15 @@ func (j *hashJoinOp) Close() error {
 	return j.probe.Close()
 }
 
-// HyperJoinOp executes the §4.1 algorithm: Open groups the build side's
-// blocks with the bottom-up heuristic under a memory budget of B blocks
-// (the block-read schedule) and starts the bounded worker pool; each
-// group builds a hash table over its R blocks and probes it with every
-// overlapping S block, and Next streams joined batches as workers fill
-// them (a worker's batches span its groups). Block reads are metered as
-// build/probe reads; probe multiplicity yields the effective CHyJ of
-// eq. 2, reported by Stats once the stream is drained.
+// HyperJoinOp executes the §4.1 algorithm over a HyperPlan — the build
+// side's blocks grouped with the bottom-up heuristic under a memory
+// budget of B blocks (the block-read schedule). Open starts the bounded
+// worker pool; each group builds a hash table over its R blocks and
+// probes it with every overlapping S block, and Next streams joined
+// batches as workers fill them (a worker's batches span its groups).
+// Block reads are metered as build/probe reads; probe multiplicity
+// yields the effective CHyJ of eq. 2, reported by Stats once the stream
+// is drained.
 type HyperJoinOp struct {
 	e            *Executor
 	rRefs, sRefs []core.BlockRef
@@ -911,7 +912,6 @@ type HyperJoinOp struct {
 	// blocks whose key column can hold a NULL.
 	rPredsKeyed []predicate.Predicate
 	rCol, sCol  int
-	budget      int
 	// buildIsRight emits S‖R instead of R‖S: the planner builds on the
 	// plan's right side and still gets (left, right) column order.
 	buildIsRight bool
@@ -932,15 +932,16 @@ type HyperJoinOp struct {
 	once sync.Once
 }
 
-// NewHyperJoinOp builds the streaming hyper-join over pre-pruned build
-// (R) and probe (S) refs. Output rows are R‖S, or S‖R with buildIsRight
-// set — how a join that builds on the plan's right side keeps the
-// plan's (left, right) column order.
-func (e *Executor) NewHyperJoinOp(rRefs []core.BlockRef, rPreds []predicate.Predicate, rCol int,
-	sRefs []core.BlockRef, sPreds []predicate.Predicate, sCol int, budget int, buildIsRight bool) *HyperJoinOp {
+// NewHyperJoinOp builds the streaming hyper-join that runs plan: its
+// pre-pruned build (R) and probe (S) refs, grouped as the plan groups
+// them — the schedule the planner priced, never recomputed here. rPreds
+// and sPreds filter the blocks' rows. Output rows are R‖S, or S‖R with
+// buildIsRight set — how a join that builds on the plan's right side
+// keeps the plan's (left, right) column order.
+func (e *Executor) NewHyperJoinOp(plan HyperPlan, rPreds, sPreds []predicate.Predicate, buildIsRight bool) *HyperJoinOp {
 	return &HyperJoinOp{
-		e: e, rRefs: rRefs, sRefs: sRefs, rPreds: rPreds, sPreds: sPreds,
-		rCol: rCol, sCol: sCol, budget: budget, buildIsRight: buildIsRight,
+		e: e, rRefs: plan.R, sRefs: plan.S, rPreds: rPreds, sPreds: sPreds,
+		rCol: plan.RCol, sCol: plan.SCol, buildIsRight: buildIsRight, plan: plan,
 	}
 }
 
@@ -948,12 +949,14 @@ func (e *Executor) NewHyperJoinOp(rRefs []core.BlockRef, rPreds []predicate.Pred
 // returned nil (the stream is drained).
 func (h *HyperJoinOp) Stats() HyperStats { return h.stats }
 
+// Plan returns the schedule the operator runs.
+func (h *HyperJoinOp) Plan() HyperPlan { return h.plan }
+
 func (h *HyperJoinOp) Open() error {
 	if len(h.rRefs) == 0 || len(h.sRefs) == 0 {
 		h.empty = true
 		return nil
 	}
-	h.plan = PlanHyper(h.rRefs, h.rCol, h.sRefs, h.sCol, h.budget)
 	h.rPredsKeyed = append(h.rPreds[:len(h.rPreds):len(h.rPreds)],
 		predicate.NewCmp(h.rCol, predicate.NE, value.Value{}))
 	h.stats = HyperStats{
@@ -1032,10 +1035,10 @@ func (h *HyperJoinOp) runGroup(group []int, st *colProbe) bool {
 	// The group's task runs where its first R block lives. Block metadata
 	// knows the group's exact row count up front, so the store is born at
 	// its final size whenever the predicates keep every row.
-	node := h.e.taskNode(h.rRefs[group[0]].Path)
+	node := h.e.taskNode(h.rRefs[group[0]])
 	est := 0
 	for _, i := range group {
-		est += h.rRefs[i].Meta.Count
+		est += h.rRefs[i].Count
 	}
 	gj := onePartJoin(h.e, h.rCol, h.sCol, h.buildIsRight)
 	var store *tuple.Columns

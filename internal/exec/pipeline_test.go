@@ -147,7 +147,7 @@ func TestHyperJoinOpStreamsSameRowsAsAdapter(t *testing.T) {
 	f := newFixture(t, true)
 	rRefs := f.line.Refs(0, nil)
 	sRefs := f.ord.Refs(0, nil)
-	op := f.ex.NewHyperJoinOp(rRefs, nil, 0, sRefs, nil, 0, 4, false)
+	op := f.ex.NewHyperJoinOp(PlanHyper(rRefs, 0, sRefs, 0, 4), nil, nil, false)
 	n, err := Count(op)
 	if err != nil {
 		t.Fatal(err)
@@ -177,11 +177,11 @@ func TestMissingBlockFailsTheQuery(t *testing.T) {
 		}},
 		{"hyper-join build", func(f *fixture) (Operator, string) {
 			r, s := f.line.Refs(0, nil), f.ord.Refs(0, nil)
-			return f.ex.NewHyperJoinOp(r, nil, 0, s, nil, 0, 4, false), r[len(r)/2].Path
+			return f.ex.NewHyperJoinOp(PlanHyper(r, 0, s, 0, 4), nil, nil, false), r[len(r)/2].Path
 		}},
 		{"hyper-join probe", func(f *fixture) (Operator, string) {
 			r, s := f.line.Refs(0, nil), f.ord.Refs(0, nil)
-			return f.ex.NewHyperJoinOp(r, nil, 0, s, nil, 0, 4, false), s[len(s)/2].Path
+			return f.ex.NewHyperJoinOp(PlanHyper(r, 0, s, 0, 4), nil, nil, false), s[len(s)/2].Path
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -87,7 +87,7 @@ func Fig07(cfg Config) (*Result, error) {
 			if !local {
 				place = dfs.NodeID((int(taskNode) + 1) % model.Nodes)
 			}
-			if err := store.SetPlacement(ref.Path, []dfs.NodeID{place}); err != nil {
+			if err := tb.Lineitem.SetPlacement(ref, []dfs.NodeID{place}); err != nil {
 				return nil, err
 			}
 		}

@@ -44,7 +44,7 @@ func Fig14(cfg Config) (*Result, error) {
 	sRefs := tb.Orders.Refs(0, nil)
 	for _, budget := range []int{1, 2, 4, 8, 16, 32, 64} {
 		meter := &cluster.Meter{}
-		op := exec.New(store, meter).NewHyperJoinOp(lRefs, nil, tpch.LOrderKey, sRefs, nil, tpch.OOrderKey, budget, false)
+		op := exec.New(store, meter).NewHyperJoinOp(exec.PlanHyper(lRefs, tpch.LOrderKey, sRefs, tpch.OOrderKey, budget), nil, nil, false)
 		if _, err := exec.Count(op); err != nil {
 			return nil, err
 		}
@@ -198,7 +198,7 @@ func Fig16(cfg Config, withPredicates bool) (*Result, error) {
 			meter := &cluster.Meter{}
 			lRefs := tb.Lineitem.Refs(0, in.LinePreds)
 			sRefs := tb.Orders.Refs(0, in.OrdPreds)
-			op := exec.New(store, meter).NewHyperJoinOp(lRefs, in.LinePreds, tpch.LOrderKey, sRefs, in.OrdPreds, tpch.OOrderKey, cfg.Budget, false)
+			op := exec.New(store, meter).NewHyperJoinOp(exec.PlanHyper(lRefs, tpch.LOrderKey, sRefs, tpch.OOrderKey, cfg.Budget), in.LinePreds, in.OrdPreds, false)
 			if _, err := exec.Count(op); err != nil {
 				return nil, err
 			}

@@ -21,6 +21,34 @@ func OverlapVectors(rRanges, sRanges []predicate.Range) []BitVec {
 	return out
 }
 
+// OverlapInts is OverlapVectors over int-class zone maps of one kind,
+// given as closed intervals [lo, hi] per block; an interval with
+// lo > hi is empty and overlaps nothing. It is the planner's hot path
+// (every TPC-H join key is an integer); OverlapVectors stays the
+// reference for other kinds.
+func OverlapInts(rLo, rHi, sLo, sHi []int64) []BitVec {
+	out := make([]BitVec, len(rLo))
+	// Only non-empty S intervals can overlap; test those alone.
+	live := make([]int, 0, len(sLo))
+	for j := range sLo {
+		if sLo[j] <= sHi[j] {
+			live = append(live, j)
+		}
+	}
+	for i := range rLo {
+		v := NewBitVec(len(sLo))
+		if lo, hi := rLo[i], rHi[i]; lo <= hi {
+			for _, j := range live {
+				if sLo[j] <= hi && lo <= sHi[j] {
+					v.Set(j)
+				}
+			}
+		}
+		out[i] = v
+	}
+	return out
+}
+
 // Grouping is a partitioning P of R's block indexes: disjoint groups
 // whose union is {0..n-1}, each of size ≤ B.
 type Grouping [][]int

@@ -23,6 +23,9 @@ type Compiled struct {
 	Root   exec.Operator
 	Report *Report
 	ops    []*exec.Instrumented
+	// hypers are the DAG's hyper-joins, one per hyper or combination
+	// join in Report order.
+	hypers []*exec.HyperJoinOp
 }
 
 // OpStats snapshots the per-operator counters (rows, batches,
@@ -65,15 +68,16 @@ func (r *Runner) instrument(c *Compiled, label string, op exec.Operator, onDone 
 	return in
 }
 
-// hyperOp builds the streaming hyper-join for a decided plan, building
-// on the left refs or (when the decision flipped the build side onto
-// the smaller co-partitioned portion) on the right refs, emitting in
-// the plan's (left, right) column order either way.
-func (r *Runner) hyperOp(p tableJoinPlan, l *Scan, lCol int, rt *Scan, rCol int) *exec.HyperJoinOp {
+// hyperOp builds the streaming hyper-join for a decided plan: it runs
+// the schedule estimateHyper priced, building on the left refs or (when
+// the decision flipped the build side onto the smaller co-partitioned
+// portion) on the right refs, emitting in the plan's (left, right)
+// column order either way.
+func (r *Runner) hyperOp(p tableJoinPlan, l, rt *Scan) *exec.HyperJoinOp {
 	if !p.flip {
-		return r.Ex.NewHyperJoinOp(p.l1, l.Preds, lCol, p.r1, rt.Preds, rCol, r.budget(), false)
+		return r.Ex.NewHyperJoinOp(p.hyper, l.Preds, rt.Preds, false)
 	}
-	return r.Ex.NewHyperJoinOp(p.r1, rt.Preds, rCol, p.l1, l.Preds, lCol, r.budget(), true)
+	return r.Ex.NewHyperJoinOp(p.hyper, rt.Preds, l.Preds, true)
 }
 
 // scanRefs resolves the blocks a scan node reads under the executor's

@@ -68,6 +68,9 @@ func (r *Runner) instrumentAt(c *Compiled, node int, label string, op exec.Opera
 func (r *Runner) reportJoinAccum(c *Compiled, jr JoinReport, hyper *exec.HyperJoinOp) func(exec.OpStats) {
 	idx := len(c.Report.Joins)
 	c.Report.Joins = append(c.Report.Joins, jr)
+	if hyper != nil {
+		c.hypers = append(c.hypers, hyper)
+	}
 	rep := c.Report
 	var mu sync.Mutex
 	return func(st exec.OpStats) {
@@ -158,14 +161,14 @@ func (r *Runner) distTableJoin(j *Join, l, rt *Scan, c *Compiled) (distOut, erro
 	case StratHyper:
 		// Co-located: hyper-join groups already run at the nodes holding
 		// their build blocks (taskNode locality); nothing is exchanged.
-		hy := r.hyperOp(p, l, j.LCol, rt, j.RCol)
+		hy := r.hyperOp(p, l, rt)
 		fill := r.reportJoinAccum(c, JoinReport{Strategy: StratHyper}, hy)
 		return distOut{global: r.instrument(c, "join[hyper]("+pair+")", hy, fill)}, nil
 
 	case StratCombination:
 		// hyper(A1⋈B1) ∪ shuffle(A2⋈B) ∪ shuffle(A1⋈B2), the hyper part
 		// co-located and the residual parts exchanged.
-		hy := r.hyperOp(p, l, j.LCol, rt, j.RCol)
+		hy := r.hyperOp(p, l, rt)
 		fill := r.reportJoinAccum(c, JoinReport{Strategy: StratCombination}, hy)
 		fb := r.Ex.ExecFabric()
 		parts := []exec.Operator{r.instrument(c, "join[hyper-part]("+pair+")", hy, nil)}

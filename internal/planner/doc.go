@@ -7,14 +7,23 @@
 // Compile is the engine: scans become ScanOps with predicate pushdown
 // over block refs resolved once per compile (the costing, ordering and
 // scans of one compile share them), base-table joins become
-// HyperJoinOp / JoinOp / Concat
-// compositions, and multi-relation joins stream their sub-plan DAGs
-// straight into the next join's build side (§4.3's semi-shuffle: only
-// the intermediate shuffles when the base table has a tree on the join
-// attribute). There is one lowering (distributed.go): it compiles
-// against the executor's exec.Fabric, which is one node for a
-// centralized executor and N simulated or TCP nodes otherwise. Nothing on the compiled path materializes a whole-table
-// slice; a caller that wants rows drains the DAG with exec.Collect.
+// HyperJoinOp / JoinOp / Concat compositions, and multi-relation joins
+// stream their sub-plan DAGs straight into the next join's build side
+// (§4.3's semi-shuffle: only the intermediate shuffles when the base
+// table has a tree on the join attribute). There is one lowering
+// (distributed.go): it compiles against the executor's exec.Fabric,
+// which is one node for a centralized executor and N simulated or TCP
+// nodes otherwise. Nothing on the compiled path materializes a
+// whole-table slice; a caller that wants rows drains the DAG with
+// exec.Collect.
+//
+// Every decision reads the tables' columnar block catalogs
+// (internal/core): refs carry row counts, paths and primary replicas,
+// and the zone-map unions of the join ordering and the hyper-join
+// overlap test read the catalog's typed min/max vectors. A hyper-join's
+// schedule is priced once (estimateHyper), cached with the strategy
+// decision, and run as priced by the HyperJoinOp.
+//
 // Every operator is wrapped in exec.Instrument,
 // so a drained Compiled DAG reports per-operator rows/batches/time and
 // a per-join strategy Report. internal/session drives Compile for each

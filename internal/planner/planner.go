@@ -171,7 +171,7 @@ func (r *Runner) budget() int {
 func refRows(refs []core.BlockRef) int {
 	n := 0
 	for _, ref := range refs {
-		n += ref.Meta.Count
+		n += ref.Count
 	}
 	return n
 }
@@ -179,18 +179,19 @@ func refRows(refs []core.BlockRef) int {
 // estimateHyper prices a hyper-join schedule: build rows once plus the
 // planned probe rows from the bottom-up grouping (§5.4's "compute the
 // schedule of blocks to read and count the total number of block
-// reads").
-func (r *Runner) estimateHyper(rRefs []core.BlockRef, rCol int, sRefs []core.BlockRef, sCol int) float64 {
+// reads"). It returns the schedule with its price, so the join that
+// runs it never plans again; an empty side prices 0 with no groups.
+func (r *Runner) estimateHyper(rRefs []core.BlockRef, rCol int, sRefs []core.BlockRef, sCol int) (float64, exec.HyperPlan) {
 	if len(rRefs) == 0 || len(sRefs) == 0 {
-		return 0
+		return 0, exec.HyperPlan{R: rRefs, S: sRefs, RCol: rCol, SCol: sCol}
 	}
 	plan := exec.PlanHyper(rRefs, rCol, sRefs, sCol, r.budget())
 	build := float64(refRows(rRefs))
 	probe := 0.0
 	for _, gi := range plan.ProbeIdx {
-		probe += float64(sRefs[gi].Meta.Count)
+		probe += float64(sRefs[gi].Count)
 	}
-	return build + probe
+	return build + probe, plan
 }
 
 // estimateShuffle prices a shuffle join with eq. 1: CSJ per row on both
@@ -261,12 +262,14 @@ func (r *Runner) residualShuffle(aRows, bRows int) float64 {
 // tableJoinPlan is the compile-time strategy decision for one
 // base-table ⋈ base-table join: which strategy won the §5.4 cost
 // comparison, the co-partitioned (l1/r1) and residual (l2/r2) block
-// refs of each side, and whether the hyper-join builds on the right
-// side (flip).
+// refs of each side, whether the hyper-join builds on the right side
+// (flip), and for a hyper or combination join the schedule its price
+// came from, which the HyperJoinOp runs.
 type tableJoinPlan struct {
 	strategy       string
 	flip           bool
 	l1, l2, r1, r2 []core.BlockRef
+	hyper          exec.HyperPlan
 }
 
 // planTableJoin decides a base-table join's strategy from block
@@ -283,8 +286,8 @@ func (r *Runner) planTableJoin(l *Scan, lCol int, rt *Scan, rCol int) tableJoinP
 		if !r.ForceShuffle {
 			lRefs := r.allRefs(l.Table, l.Preds)
 			rRefs := r.allRefs(rt.Table, rt.Preds)
-			if hy := r.estimateHyper(lRefs, lCol, rRefs, rCol); hy > 0 && hy < r.estimateShuffle(lRefs, rRefs) {
-				return tableJoinPlan{strategy: StratHyper, l1: lRefs, r1: rRefs}
+			if hy, plan := r.estimateHyper(lRefs, lCol, rRefs, rCol); hy > 0 && hy < r.estimateShuffle(lRefs, rRefs) {
+				return tableJoinPlan{strategy: StratHyper, l1: lRefs, r1: rRefs, hyper: plan}
 			}
 		}
 		return tableJoinPlan{strategy: StratShuffle}
@@ -308,9 +311,9 @@ func (r *Runner) planTableJoin(l *Scan, lCol int, rt *Scan, rCol int) tableJoinP
 	p.flip = refRows(p.r1) < refRows(p.l1)
 	var hyEst float64
 	if p.flip {
-		hyEst = r.estimateHyper(p.r1, rCol, p.l1, lCol)
+		hyEst, p.hyper = r.estimateHyper(p.r1, rCol, p.l1, lCol)
 	} else {
-		hyEst = r.estimateHyper(p.l1, lCol, p.r1, rCol)
+		hyEst, p.hyper = r.estimateHyper(p.l1, lCol, p.r1, rCol)
 	}
 
 	// Case 1: both tables fully co-partitioned. Cost-compare hyper vs

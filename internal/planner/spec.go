@@ -313,16 +313,46 @@ func (r *Runner) planSpecOrder(b *query.Bound) specOrder {
 }
 
 // unionRange folds the blocks' zone-map intervals on col into one
-// covering interval for the whole pruned ref set.
+// covering interval for the whole pruned ref set: a typed fold over the
+// catalog's int vectors when every zone there is int class of one kind,
+// else a fold of the boxed ranges. A block with no value in the column
+// contributes the provably-empty Ranget, as in the boxed fold.
 func unionRange(refs []core.BlockRef, col int) predicate.Range {
-	var u predicate.Range
-	for i, ref := range refs {
-		rg := ref.JoinRange(col)
-		if i == 0 {
-			u = rg
-			continue
+	kind, lo, hi, ok := core.IntZones(refs, col)
+	if !ok {
+		var u predicate.Range
+		for i, ref := range refs {
+			rg := ref.JoinRange(col)
+			if i == 0 {
+				u = rg
+				continue
+			}
+			u = rangeUnion(u, rg)
 		}
-		u = rangeUnion(u, rg)
+		return u
+	}
+	var u predicate.Range
+	zoned, empty := false, -1
+	var mn, mx int64
+	for i := range lo {
+		switch {
+		case lo[i] > hi[i]:
+			empty = i
+		case !zoned:
+			mn, mx, zoned = lo[i], hi[i], true
+		default:
+			mn, mx = min(mn, lo[i]), max(mx, hi[i])
+		}
+	}
+	if zoned {
+		u = predicate.Closed(value.Value{K: kind, I: mn}, value.Value{K: kind, I: mx})
+	}
+	if empty >= 0 {
+		if e := refs[empty].JoinRange(col); zoned {
+			u = rangeUnion(u, e)
+		} else {
+			u = e
+		}
 	}
 	return u
 }

@@ -1,12 +1,17 @@
 package planner
 
 import (
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
+	"adaptdb/internal/core"
+	"adaptdb/internal/dfs"
 	"adaptdb/internal/exec"
 	"adaptdb/internal/predicate"
 	"adaptdb/internal/query"
+	"adaptdb/internal/schema"
 	"adaptdb/internal/tuple"
 	"adaptdb/internal/value"
 )
@@ -363,5 +368,65 @@ func TestSpecFootprint(t *testing.T) {
 	empty := threeWay(query.Cmp("shipdate", predicate.LT, value.NewInt(-5)))
 	if fp := f.runner.EstimateSpecFootprint(bindSpec(t, f, empty)); fp != 0 {
 		t.Errorf("empty-plan footprint = %d, want 0", fp)
+	}
+}
+
+// TestUnionRangeMatchesBoxedFold checks unionRange's typed fold against
+// the fold of the refs' boxed ranges on columns whose zones are Int,
+// Date, NULL-only in some blocks, or of different kinds in different
+// blocks — the last falls back to the boxed fold itself.
+func TestUnionRangeMatchesBoxedFold(t *testing.T) {
+	sch := schema.MustNew(
+		schema.Column{Name: "k", Kind: value.Int},
+		schema.Column{Name: "nullable", Kind: value.Int},
+		schema.Column{Name: "d", Kind: value.Date},
+		schema.Column{Name: "kinds", Kind: value.Int},
+		schema.Column{Name: "dnullable", Kind: value.Date},
+	)
+	rng := rand.New(rand.NewSource(3))
+	var rows []tuple.Tuple
+	for i := 0; i < 2000; i++ {
+		k := rng.Int63n(400)
+		r := tuple.Tuple{value.NewInt(k), {}, value.NewDate(rng.Int63n(90) - 40), value.NewInt(rng.Int63n(50)), {}}
+		if k >= 200 {
+			// Blocks under k < 200 hold NULLs only: their provably-empty
+			// Ranget, Int 1 to Int 0, widens the union.
+			r[1] = value.NewInt(rng.Int63n(500) + 100)
+			r[4] = value.NewDate(rng.Int63n(500) + 100)
+		}
+		if k >= 300 {
+			r[3] = value.NewDate(rng.Int63n(50))
+		}
+		rows = append(rows, r)
+	}
+	store := dfs.NewStore(2, 1, 3)
+	tbl, err := core.Load(store, "u", sch, rows, core.LoadOptions{RowsPerBlock: 50, Seed: 3, JoinAttr: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := tbl.AllRefs(nil)
+	for trial := 0; trial < 200; trial++ {
+		var refs []core.BlockRef
+		for _, r := range all {
+			if rng.Intn(4) == 0 {
+				refs = append(refs, r)
+			}
+		}
+		if trial == 0 {
+			refs = all
+		}
+		for col := 0; col < sch.NumCols(); col++ {
+			var want predicate.Range
+			for i, ref := range refs {
+				if i == 0 {
+					want = ref.JoinRange(col)
+					continue
+				}
+				want = rangeUnion(want, ref.JoinRange(col))
+			}
+			if got := unionRange(refs, col); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d col %d: union %v, boxed fold %v", trial, col, got, want)
+			}
+		}
 	}
 }

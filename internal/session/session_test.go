@@ -134,7 +134,7 @@ func snapshotFact(s *Session, f *fixture, attr int) factState {
 	for _, i := range f.fact.LiveTrees() {
 		st.total += f.fact.RowsUnder(i)
 		for _, b := range f.fact.Trees[i].LiveBuckets() {
-			if c := f.fact.Trees[i].Metas[b].Count; c > st.maxBucket {
+			if c, _ := f.fact.Trees[i].Count(b); c > st.maxBucket {
 				st.maxBucket = c
 			}
 		}

@@ -199,7 +199,7 @@ func (m *Manager) moveFraction(tbl *core.Table, toIdx int, frac float64, total i
 			if movedRows >= budget {
 				break
 			}
-			cnt := tbl.Trees[from].Metas[b].Count
+			cnt, _ := tbl.Trees[from].Count(b)
 			// Always move at least one bucket when under budget; stop when a
 			// bucket would badly overshoot an almost-met budget.
 			if movedRows > 0 && movedRows+cnt > budget+cnt/2 {

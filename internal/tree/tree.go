@@ -216,35 +216,62 @@ func depth(n *Node) int {
 // conjunction — the paper's lookup(T, q) (§4.2). Pruning is sound: any
 // bucket that could hold a matching tuple is always included.
 func (t *Tree) Lookup(preds []predicate.Predicate) []block.ID {
-	ranges := predicate.ColumnRanges(preds)
+	var byCol []*predicate.Range
+	for col, r := range predicate.ColumnRanges(preds) {
+		for len(byCol) <= col {
+			byCol = append(byCol, nil)
+		}
+		byCol[col] = &r
+	}
+	mark := make([]bool, t.nextBucket)
+	t.MarkLookup(byCol, mark)
 	var out []block.ID
-	lookup(t.Root, ranges, &out)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	for b, m := range mark {
+		if m {
+			out = append(out, block.ID(b))
+		}
+	}
 	return out
 }
 
-func lookup(n *Node, ranges map[int]predicate.Range, out *[]block.ID) {
+// MarkLookup is Lookup over a conjunction already folded into one range
+// per column (byCol[c] is nil, or c is past its end, when column c is
+// unconstrained): it sets mark[b] for every bucket Lookup returns. mark
+// must hold NextBucket entries. A caller that walks mark in index order
+// gets Lookup's sorted answer without a sort or a map probe per node.
+func (t *Tree) MarkLookup(byCol []*predicate.Range, mark []bool) {
+	markLookup(t.Root, byCol, mark)
+}
+
+func markLookup(n *Node, byCol []*predicate.Range, mark []bool) {
 	if n == nil {
 		return
 	}
 	if n.Leaf {
-		*out = append(*out, n.Bucket)
+		mark[n.Bucket] = true
 		return
 	}
-	r, constrained := ranges[n.Attr]
 	goLeft, goRight := true, true
-	if constrained {
-		// Left holds Attr ∈ (-inf, Cut]; right holds (Cut, +inf).
-		leftIv := predicate.Range{HasHi: true, Hi: n.Cut}
-		rightIv := predicate.Range{HasLo: true, Lo: n.Cut, LoOpen: true}
-		goLeft = r.Overlaps(leftIv)
-		goRight = r.Overlaps(rightIv)
+	if n.Attr < len(byCol) && byCol[n.Attr] != nil {
+		// Left holds Attr ∈ (-inf, Cut]; right holds (Cut, +inf). This is
+		// r.Overlaps of each side's interval, unfolded: r misses the left
+		// side when its lower bound lies past Cut, the right side when its
+		// upper bound is at or below Cut.
+		r := byCol[n.Attr]
+		if r.Empty() {
+			return
+		}
+		if r.HasLo {
+			c := value.Compare(n.Cut, r.Lo)
+			goLeft = c > 0 || (c == 0 && !r.LoOpen)
+		}
+		goRight = !r.HasHi || value.Compare(r.Hi, n.Cut) > 0
 	}
 	if goLeft {
-		lookup(n.Left, ranges, out)
+		markLookup(n.Left, byCol, mark)
 	}
 	if goRight {
-		lookup(n.Right, ranges, out)
+		markLookup(n.Right, byCol, mark)
 	}
 }
 
