@@ -137,6 +137,12 @@ type Counters struct {
 	// CostUnits ignores them; the counter exists to make the saving
 	// visible.
 	SpillSkippedRows float64
+	// ExchFilteredRows are probe-side rows a filtered hash exchange
+	// dropped before they crossed it: the key was NULL, or the
+	// destination join's build-key filter proved it matches nothing.
+	// Like SpillSkippedRows they cost nothing and CostUnits ignores
+	// them; the counter makes the saving visible.
+	ExchFilteredRows float64
 
 	// Bookkeeping for experiment reporting.
 	BlocksScanned int // distinct block read events (scan+build)
@@ -164,6 +170,7 @@ func (c *Counters) Add(o Counters) {
 	c.SpillRows += o.SpillRows
 	c.SpillBytes += o.SpillBytes
 	c.SpillSkippedRows += o.SpillSkippedRows
+	c.ExchFilteredRows += o.ExchFilteredRows
 	c.BlocksScanned += o.BlocksScanned
 	c.ProbeBlocks += o.ProbeBlocks
 	c.ResultRows += o.ResultRows
@@ -259,6 +266,14 @@ func (m *Meter) AddSpillSkip(rows int) {
 	m.c.SpillSkippedRows += float64(rows)
 }
 
+// AddExchFiltered meters probe rows a filtered exchange dropped
+// before sending them — nothing moved, so no cost accrues.
+func (m *Meter) AddExchFiltered(rows int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.c.ExchFilteredRows += float64(rows)
+}
+
 // AddRepartWrite meters rows written to new partitions.
 func (m *Meter) AddRepartWrite(rows int) {
 	m.mu.Lock()
@@ -309,6 +324,7 @@ func (m *Meter) Merge(o Counters) {
 	m.c.SpillRows += o.SpillRows
 	m.c.SpillBytes += o.SpillBytes
 	m.c.SpillSkippedRows += o.SpillSkippedRows
+	m.c.ExchFilteredRows += o.ExchFilteredRows
 	m.c.BlocksScanned += o.BlocksScanned
 	m.c.ProbeBlocks += o.ProbeBlocks
 	m.c.ResultRows += o.ResultRows
@@ -355,9 +371,9 @@ func (c Counters) SimSeconds(m CostModel) float64 {
 
 // String renders a compact counters summary.
 func (c Counters) String() string {
-	return fmt.Sprintf("scan=%.0f(+%.0fr) shuffle=%.0f build=%.0f(+%.0fr) probe=%.0f(+%.0fr) repart=%.0f exch=%.0f(+%.0fr) spill=%.0f(-%.0fskip) blocks=%d probes=%d rows=%d",
+	return fmt.Sprintf("scan=%.0f(+%.0fr) shuffle=%.0f build=%.0f(+%.0fr) probe=%.0f(+%.0fr) repart=%.0f exch=%.0f(+%.0fr,-%.0ffilt) spill=%.0f(-%.0fskip) blocks=%d probes=%d rows=%d",
 		c.ScanLocal, c.ScanRemote, c.ShuffleRows, c.BuildLocal, c.BuildRemote,
-		c.ProbeLocal, c.ProbeRemote, c.RepartRows, c.ExchLocalRows, c.ExchRemoteRows,
+		c.ProbeLocal, c.ProbeRemote, c.RepartRows, c.ExchLocalRows, c.ExchRemoteRows, c.ExchFilteredRows,
 		c.SpillRows, c.SpillSkippedRows, c.BlocksScanned, c.ProbeBlocks, c.ResultRows)
 }
 

@@ -240,6 +240,37 @@ func sameZone(a, b predicate.Range) bool {
 		bytes.Equal(enc(a), enc(b))
 }
 
+// TestPrunedRowsFailPredicate is the property pruning rests on: every
+// row of a block the catalog's pruning skips fails the conjunction.
+// Zone maps skip NULLs, so it holds only because a NULL cell and a NULL
+// constant satisfy nothing (predicate.Matches).
+func TestPrunedRowsFailPredicate(t *testing.T) {
+	for seed := int64(0); seed < 2000; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ncols := 1 + rng.Intn(3)
+		c, blocks := fuzzCatalog(rng, ncols)
+		for k := 0; k < 8; k++ {
+			var preds []predicate.Predicate
+			for _, p := range fuzzPreds(rng, ncols) {
+				if p.Col < ncols { // a column past the schema has no cells to test
+					preds = append(preds, p)
+				}
+			}
+			kept := c.match(nil, predicate.ColumnRanges(preds))
+			for b, blk := range blocks {
+				if slices.Contains(kept, b) {
+					continue
+				}
+				for _, row := range blk.Rows() {
+					if predicate.MatchesAll(preds, row) {
+						t.Fatalf("seed %d: bucket %d pruned under %v, but row %v matches", seed, b, preds, row)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestBlockPruneMatchesMaybeMatches(t *testing.T) {
 	for seed := int64(0); seed < 2000; seed++ {
 		checkBlockPrune(t, seed)

@@ -12,7 +12,8 @@
 //     chunked all-duplicate fallback),
 //   - the full planner-compiled distributed path at 1/4/8 node
 //     executors, with exchanges, per-node budget shares, and whatever
-//     join strategy the cost model picks.
+//     join strategy the cost model picks (a shuffle join's probe
+//     exchange drops the rows its node's build-key filter rejects).
 //
 // A case is a pure function of its seed, so every failure is
 // replayable: report the seed, rerun Generate(seed).
@@ -421,7 +422,9 @@ func filterRows(rows []tuple.Tuple, preds []predicate.Predicate) []tuple.Tuple {
 // RunDistributed loads the case's relations as tables over an
 // nodes-wide store and runs the full planner-compiled distributed DAG —
 // per-node scans, exchanges, per-node budget shares, and whichever join
-// strategy the cost model picks — against the oracle.
+// strategy the cost model picks — against the oracle. It runs the plan
+// again as a forced shuffle join, the path whose probe exchange drops
+// the rows each node's build-key filter rejects.
 func RunDistributed(c Case, nodes int) error {
 	oracle := exec.NestedLoopJoin(c.Left, c.Right, c.LCol, c.RCol)
 	store := dfs.NewStore(nodes, 2, c.Seed)
@@ -450,23 +453,36 @@ func RunDistributed(c Case, nodes int) error {
 		Right: &planner.Scan{Table: rt},
 		LCol:  c.LCol, RCol: c.RCol,
 	}
-	label := fmt.Sprintf("distributed[nodes=%d]", nodes)
-	ex := exec.New(store, &cluster.Meter{})
-	ex.Mem = exec.NewMemBudget(c.Budget)
-	ex.EnableNodes(1)
-	runner := planner.NewRunner(ex, cluster.Default())
-	runner.EstScale = c.EstFactor // inject the case's estimate error into every compiled join
-	comp, err := runner.Compile(plan)
-	if err != nil {
-		return fmt.Errorf("%s: %s: %w", c, label, err)
+	for _, shuffle := range []bool{false, true} {
+		label := fmt.Sprintf("distributed[nodes=%d,shuffle=%v]", nodes, shuffle)
+		ex := exec.New(store, &cluster.Meter{})
+		ex.Mem = exec.NewMemBudget(c.Budget)
+		ex.EnableNodes(1)
+		runner := planner.NewRunner(ex, cluster.Default())
+		runner.EstScale = c.EstFactor // inject the case's estimate error into every compiled join
+		runner.ForceShuffle = shuffle
+		comp, err := runner.Compile(plan)
+		if err != nil {
+			return fmt.Errorf("%s: %s: %w", c, label, err)
+		}
+		got, err := exec.Collect(comp.Root)
+		if err != nil {
+			return fmt.Errorf("%s: %s: %w", c, label, err)
+		}
+		if err := diffRows(label, got, oracle); err != nil {
+			return fmt.Errorf("%s: %w", c, err)
+		}
+		ex.Nodes().Flush()
+		if used := ex.Mem.Used(); used != 0 {
+			return fmt.Errorf("%s: %s leaked %d budget bytes", c, label, used)
+		}
+		// An empty side builds (it has the fewer rows), and its filter
+		// rejects every probe row before the row crosses an exchange.
+		if shuffle && (len(c.Left) == 0 || len(c.Right) == 0) {
+			if moved := ex.Meter.Snapshot().ExchRows(); moved != 0 {
+				return fmt.Errorf("%s: %s: %.0f rows crossed an exchange beside an empty side", c, label, moved)
+			}
+		}
 	}
-	got, err := exec.Collect(comp.Root)
-	if err != nil {
-		return fmt.Errorf("%s: %s: %w", c, label, err)
-	}
-	if err := diffRows(label, got, oracle); err != nil {
-		return fmt.Errorf("%s: %w", c, err)
-	}
-	ex.Nodes().Flush()
 	return nil
 }

@@ -2,10 +2,12 @@ package difftest
 
 import (
 	"flag"
+	"fmt"
 	"testing"
 	"time"
 
 	"adaptdb/internal/exec"
+	"adaptdb/internal/schema"
 	"adaptdb/internal/tuple"
 	"adaptdb/internal/value"
 )
@@ -72,6 +74,60 @@ func TestQuickDistributed(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFilteredShuffleCases drives the filtered shuffle through the
+// planner-compiled distributed path at 1, 4 and 8 nodes, with
+// production-sized filters and with one-word filters that pass most
+// rows that cannot match: the quick seed band, plus crafted cases — NULL
+// probe keys, an empty build (RunDistributed asserts no row crosses),
+// a starved budget that demotes partitions, and Int keys joined to Date
+// keys of the same numbers, which never match.
+func TestFilteredShuffleCases(t *testing.T) {
+	defer exec.VerifyNoLeaks(t)
+	intSch := schema.MustNew(schema.Column{Name: "k", Kind: value.Int}, schema.Column{Name: "v", Kind: value.Int})
+	dateSch := schema.MustNew(schema.Column{Name: "k", Kind: value.Date}, schema.Column{Name: "v", Kind: value.Int})
+	rows := func(n int, key func(i int) value.Value) []tuple.Tuple {
+		out := make([]tuple.Tuple, n)
+		for i := range out {
+			out[i] = tuple.Tuple{key(i), value.NewInt(int64(i))}
+		}
+		return out
+	}
+	ints := func(mod int) func(int) value.Value {
+		return func(i int) value.Value { return value.NewInt(int64(i % mod)) }
+	}
+	nullish := func(i int) value.Value {
+		if i%3 == 0 {
+			return value.Value{}
+		}
+		return value.NewInt(int64(i % 700))
+	}
+	crafted := []Case{
+		{Dist: "nullprobe", Left: rows(200, ints(300)), Right: rows(900, nullish), LSch: intSch, RSch: intSch},
+		{Dist: "emptybuild", Left: nil, Right: rows(900, ints(500)), LSch: intSch, RSch: intSch},
+		{Dist: "starved", Left: rows(600, ints(400)), Right: rows(1500, ints(4000)), LSch: intSch, RSch: intSch, Budget: 2048},
+		{Dist: "intdate", Left: rows(300, ints(300)), Right: rows(900, func(i int) value.Value { return value.NewDate(int64(i % 300)) }),
+			LSch: intSch, RSch: dateSch},
+	}
+	for _, wordCap := range []int{0, 1} {
+		for _, nodes := range []int{1, 4, 8} {
+			t.Run(fmt.Sprintf("cap=%d/nodes=%d", wordCap, nodes), func(t *testing.T) {
+				defer exec.SetJoinFilterWordCap(exec.SetJoinFilterWordCap(wordCap))
+				for i, c := range crafted {
+					c.Seed = int64(i + 1)
+					if err := RunDistributed(c, nodes); err != nil {
+						t.Error(err)
+					}
+				}
+				for seed := int64(100); seed <= 112; seed++ {
+					if err := RunDistributed(Generate(seed), nodes); err != nil {
+						t.Error(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -123,16 +123,13 @@ func genMixedRows(rng *rand.Rand, n int, keyRange int64) []tuple.Tuple {
 }
 
 // genMixedPreds draws 0–2 pushdown predicates with constants chosen to
-// cross the comparison rules: a NULL constant, constants of another
-// kind than the column, IN lists mixing kinds, an empty IN. (Non-finite
-// float constants stay at the kernel level too: a query spec crosses
-// the TCP fabric as JSON, which cannot carry NaN or ±Inf.)
-// Every one of them rejects a NULL cell: zone maps skip NULLs, so block
-// pruning is only sound for predicates no NULL satisfies (under the
-// total order "c < 5" holds for a NULL c, and a block whose non-NULL
-// minimum is 7 would be pruned all the same — a gap older than this
-// harness, which FuzzFilterSel covers at the kernel and this stream
-// steers around).
+// cross the comparison rules: NULL constants (bare and inside IN),
+// constants of another kind than the column, IN lists mixing kinds,
+// operators a NULL cell would satisfy under the total order (<, <=,
+// !=), an empty IN. A NULL cell satisfies none of them, the rule that
+// makes zone-map pruning (which skips NULLs) sound. (Non-finite float
+// constants stay at the kernel level: a query spec crosses the TCP
+// fabric as JSON, which cannot carry NaN or ±Inf.)
 func genMixedPreds(rng *rand.Rand) []predicate.Predicate {
 	pool := []predicate.Predicate{
 		predicate.NewCmp(mixFloat, predicate.GE, value.NewFloat(-2.5)),
@@ -149,6 +146,14 @@ func genMixedPreds(rng *rand.Rand) []predicate.Predicate {
 		predicate.NewIn(mixStr, value.NewString("p"), value.NewString("t")),
 		predicate.NewCmp(mixKeyA, predicate.GT, value.NewInt(2)),
 		predicate.NewCmp(mixKeyB, predicate.GE, value.NewInt(1)),
+		predicate.NewCmp(mixFloat, predicate.LT, value.NewFloat(1.5)),
+		predicate.NewCmp(mixFloat, predicate.LE, value.NewFloat(0)),
+		predicate.NewCmp(mixAny, predicate.NE, value.NewInt(3)),
+		predicate.NewCmp(mixAny, predicate.EQ, value.Value{}),
+		predicate.NewCmp(mixStr, predicate.LT, value.NewString("r")),
+		predicate.NewIn(mixStr, value.Value{}, value.NewString("q")),
+		predicate.NewCmp(mixKeyA, predicate.LE, value.NewInt(5)),
+		predicate.NewCmp(mixKeyB, predicate.NE, value.NewInt(2)),
 		predicate.NewIn(mixStr),
 	}
 	var out []predicate.Predicate

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"time"
 
+	"adaptdb/internal/cluster"
 	"adaptdb/internal/dfs"
 	adbnet "adaptdb/internal/net"
 	"adaptdb/internal/optimizer"
@@ -49,8 +50,8 @@ func RegisterSpecDataset() {
 // store. dataset names the builder the workers rebuild the case from —
 // SpecDatasetName for generated cases, or any custom registration that
 // reproduces c exactly (the coordinator replica here is always built
-// from c itself).
-func RunSpecCaseTCP(c SpecCase, dataset string, nodes, workers int) error {
+// from c itself). It returns the TCP query's counters.
+func RunSpecCaseTCP(c SpecCase, dataset string, nodes, workers int) (cluster.Counters, error) {
 	cl, err := adbnet.Start(adbnet.Options{
 		Workers:   workers,
 		Fragments: nodes,
@@ -64,17 +65,17 @@ func RunSpecCaseTCP(c SpecCase, dataset string, nodes, workers int) error {
 		KeepAlive: 500 * time.Millisecond,
 	})
 	if err != nil {
-		return fmt.Errorf("%s: start cluster: %w", c, err)
+		return cluster.Counters{}, fmt.Errorf("%s: start cluster: %w", c, err)
 	}
 	defer cl.Close()
 
 	store, cat, err := loadSpecTables(c, nodes)
 	if err != nil {
-		return fmt.Errorf("%s: %w", c, err)
+		return cluster.Counters{}, fmt.Errorf("%s: %w", c, err)
 	}
 	bound, err := c.Spec.Bind(cat)
 	if err != nil {
-		return fmt.Errorf("%s: bind: %w", c, err)
+		return cluster.Counters{}, fmt.Errorf("%s: bind: %w", c, err)
 	}
 	want := RefSpec(c, bound)
 
@@ -85,21 +86,21 @@ func RunSpecCaseTCP(c SpecCase, dataset string, nodes, workers int) error {
 	})
 	q, err := session.FromSpec(cat, c.Spec)
 	if err != nil {
-		return fmt.Errorf("%s: FromSpec: %w", c, err)
+		return cluster.Counters{}, fmt.Errorf("%s: FromSpec: %w", c, err)
 	}
 	res, err := s.Execute(q)
 	if err != nil {
-		return fmt.Errorf("%s: tcp[nodes=%d,workers=%d]: %w", c, nodes, workers, err)
+		return cluster.Counters{}, fmt.Errorf("%s: tcp[nodes=%d,workers=%d]: %w", c, nodes, workers, err)
 	}
 	if err := diffRows(fmt.Sprintf("tcp[nodes=%d,workers=%d] vs reference", nodes, workers), res.Rows, want); err != nil {
-		return fmt.Errorf("%s: %w", c, err)
+		return cluster.Counters{}, fmt.Errorf("%s: %w", c, err)
 	}
 
 	// And against the simulated NodeSet over a second identical store:
 	// the two fabrics must be interchangeable row for row.
 	store2, cat2, err := loadSpecTables(c, nodes)
 	if err != nil {
-		return fmt.Errorf("%s: %w", c, err)
+		return cluster.Counters{}, fmt.Errorf("%s: %w", c, err)
 	}
 	sim := session.New(store2, session.Config{
 		Optimizer:   optimizer.Config{Mode: optimizer.ModeStatic, WindowSize: 4, Seed: c.Seed},
@@ -108,14 +109,23 @@ func RunSpecCaseTCP(c SpecCase, dataset string, nodes, workers int) error {
 	})
 	q2, err := session.FromSpec(cat2, c.Spec)
 	if err != nil {
-		return fmt.Errorf("%s: FromSpec: %w", c, err)
+		return cluster.Counters{}, fmt.Errorf("%s: FromSpec: %w", c, err)
 	}
 	sres, err := sim.Execute(q2)
 	if err != nil {
-		return fmt.Errorf("%s: sim[nodes=%d]: %w", c, nodes, err)
+		return cluster.Counters{}, fmt.Errorf("%s: sim[nodes=%d]: %w", c, nodes, err)
 	}
 	if err := diffRows(fmt.Sprintf("tcp[nodes=%d,workers=%d] vs sim", nodes, workers), res.Rows, sres.Rows); err != nil {
-		return fmt.Errorf("%s: %w", c, err)
+		return cluster.Counters{}, fmt.Errorf("%s: %w", c, err)
 	}
-	return nil
+	// Both N-node fabrics route and filter with one function over the
+	// same filters, so unless a budget makes demotion timing-dependent
+	// they move and drop the same rows. (At one node the simulated
+	// session is the one-node fabric, which moves nothing.)
+	tc, sc := res.Counters, sres.Counters
+	if nodes > 1 && c.Budget == 0 && (tc.ExchRemoteRows != sc.ExchRemoteRows || tc.ExchFilteredRows != sc.ExchFilteredRows) {
+		return cluster.Counters{}, fmt.Errorf("%s: tcp[nodes=%d,workers=%d] moved %.0f and dropped %.0f rows, sim %.0f and %.0f",
+			c, nodes, workers, tc.ExchRemoteRows, tc.ExchFilteredRows, sc.ExchRemoteRows, sc.ExchFilteredRows)
+	}
+	return tc, nil
 }

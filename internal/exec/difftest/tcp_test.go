@@ -27,10 +27,36 @@ func TestSpecTCPQuick(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		c := GenSpecCase(seed)
 		for _, nodes := range []int{1, 4} {
-			if err := RunSpecCaseTCP(c, SpecDatasetName, nodes, nodes); err != nil {
+			if _, err := RunSpecCaseTCP(c, SpecDatasetName, nodes, nodes); err != nil {
 				t.Fatal(err)
 			}
 		}
+	}
+}
+
+// TestSpecTCPFilterOneWord runs spec cases over TCP with every join
+// filter capped at one word, so most rows that cannot match still
+// cross and must be dropped by the join, at 4 and 8 fragments, with and
+// without a starved budget. In-process workers share the cap.
+func TestSpecTCPFilterOneWord(t *testing.T) {
+	defer exec.VerifyNoLeaks(t)
+	defer exec.SetJoinFilterWordCap(exec.SetJoinFilterWordCap(1))
+	filtered := 0.0
+	for seed := int64(1); seed <= 10; seed++ {
+		c := GenSpecCase(seed)
+		for _, nodes := range []int{4, 8} {
+			for _, budget := range []int64{0, 4096} {
+				c.Budget = budget
+				cnt, err := RunSpecCaseTCP(c, SpecDatasetName, nodes, nodes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				filtered += cnt.ExchFilteredRows
+			}
+		}
+	}
+	if filtered == 0 {
+		t.Fatal("no probe row was filtered: the band ran no filtered shuffle")
 	}
 }
 
@@ -40,10 +66,10 @@ func TestSpecTCPQuick(t *testing.T) {
 func TestSpecTCPAssignment(t *testing.T) {
 	defer exec.VerifyNoLeaks(t)
 	c := GenSpecCase(3)
-	if err := RunSpecCaseTCP(c, SpecDatasetName, 8, 3); err != nil {
+	if _, err := RunSpecCaseTCP(c, SpecDatasetName, 8, 3); err != nil {
 		t.Fatal(err)
 	}
-	if err := RunSpecCaseTCP(c, SpecDatasetName, 2, 5); err != nil {
+	if _, err := RunSpecCaseTCP(c, SpecDatasetName, 2, 5); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -59,7 +85,7 @@ func TestSpecTCPFull(t *testing.T) {
 		c := GenSpecCase(seed)
 		for _, nodes := range []int{1, 4, 8} {
 			t.Run(fmt.Sprintf("seed=%d/nodes=%d", seed, nodes), func(t *testing.T) {
-				if err := RunSpecCaseTCP(c, SpecDatasetName, nodes, nodes); err != nil {
+				if _, err := RunSpecCaseTCP(c, SpecDatasetName, nodes, nodes); err != nil {
 					t.Fatal(err)
 				}
 			})

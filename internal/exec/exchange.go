@@ -10,6 +10,17 @@
 // one-node fabric of a centralized executor moves nothing and charges
 // each row its plan edge's eq. 1 class instead — fabric.go.)
 //
+// Filtered shuffles: the hash exchange feeding a shuffle join's probe
+// side (FilterProbe) routes nothing until every destination's join has
+// sealed its build and published a KeyFilter over the build's key
+// hashes (bloom.go), or a pass-all on a path that ends without one.
+// From then on the route drops each row whose key is NULL or is
+// rejected by its destination's filter: the row is never gathered,
+// sent, probed or metered as moved, only counted as
+// Counters.ExchFilteredRows. RouteHash is the one hash route, shared
+// with the TCP fabric's pumps, so both N-node fabrics move and drop
+// exactly the same rows.
+//
 // Batch ownership across an exchange: a batch never crosses the wire —
 // only rows do. Rows bound for another node are gathered into fresh
 // columnar batches, one pending batch per destination node, copying
@@ -57,6 +68,10 @@ type Exchange struct {
 	key  int
 	deal uint64 // round-robin cursor for deal exchanges
 	outs []*exchOut
+	// filters is set by FilterProbe: the exchange feeds one hash join's
+	// probe side per output, and producers route only once every
+	// output's join has published its filter.
+	filters *KeyFilters
 
 	start   sync.Once
 	started atomic.Bool // producers are (about to be) running
@@ -131,6 +146,69 @@ func (x *Exchange) build() {
 // batches whose rows were routed to node i.
 func (x *Exchange) Output(i int) Operator { return x.outs[i] }
 
+// FilterProbe makes a hash exchange the probe input of one hash join
+// per output. Its producers wait until every output has published a
+// filter (FilterSink) — the join's build-key filter, or a pass-all
+// from a join that failed or closed — and then drop the rows that
+// cannot match. Call it before any output opens.
+func (x *Exchange) FilterProbe() {
+	if x.key >= 0 {
+		x.filters = NewKeyFilters(len(x.outs))
+	}
+}
+
+// FilterSink is implemented by the exchange outputs of every N-node
+// fabric. A hash join whose probe input is a FilterSink publishes its
+// build-key filter to it once the build seals, and nil (pass every
+// row) on any path that ends without one, so no producer waits
+// forever.
+type FilterSink interface {
+	// Filtered reports whether the exchange's producers wait for this
+	// output's filter (Exchanger.FilterProbe).
+	Filtered() bool
+	// PublishFilter hands the output's filter to the producers. Only
+	// the first publish counts.
+	PublishFilter(f *KeyFilter)
+}
+
+// KeyFilters is the meeting point of a filtered exchange: one slot per
+// destination, each published once, and a channel that closes when all
+// are. The TCP fabric keeps one per filtered exchange in every process
+// hosting one of its producers.
+type KeyFilters struct {
+	mu    sync.Mutex
+	fs    []*KeyFilter
+	set   []bool
+	left  int
+	ready chan struct{}
+}
+
+// NewKeyFilters returns the meeting point for n destinations.
+func NewKeyFilters(n int) *KeyFilters {
+	return &KeyFilters{fs: make([]*KeyFilter, n), set: make([]bool, n), left: n, ready: make(chan struct{})}
+}
+
+// Publish records destination d's filter; a second publish for d, or
+// one for a destination out of range, is ignored.
+func (s *KeyFilters) Publish(d int, f *KeyFilter) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if d < 0 || d >= len(s.set) || s.set[d] {
+		return
+	}
+	s.fs[d], s.set[d] = f, true
+	if s.left--; s.left == 0 {
+		close(s.ready)
+	}
+}
+
+// Ready closes once every destination has published.
+func (s *KeyFilters) Ready() <-chan struct{} { return s.ready }
+
+// All returns the filters by destination. Call it only after Ready has
+// closed; the slice is shared and read-only.
+func (s *KeyFilters) All() []*KeyFilter { return s.fs }
+
 // run starts one producer per input fragment and a closer that seals
 // the output channels once every producer is done.
 func (x *Exchange) run() {
@@ -150,7 +228,8 @@ func (x *Exchange) run() {
 // produce drains one input fragment, routing rows into per-destination
 // pending batches and handing full ones to the destination's channel.
 // The producer meters each handed-off batch into the source node's
-// shard (or the parent meter for coordinator streams).
+// shard (or the parent meter for coordinator streams). A filtered
+// exchange's producer first waits for every destination's filter.
 func (x *Exchange) produce(in Operator, src int) {
 	defer x.wg.Done()
 	n := x.ns.N()
@@ -165,7 +244,12 @@ func (x *Exchange) produce(in Operator, src int) {
 		x.fail(err)
 		return
 	}
-	for {
+	filters, ferr := x.awaitFilters()
+	if ferr != nil {
+		x.fail(ferr)
+	}
+	dropped := 0
+	for ferr == nil {
 		if int(x.closed.Load()) == len(x.outs) {
 			break // every consumer is gone; stop pulling
 		}
@@ -182,12 +266,10 @@ func (x *Exchange) produce(in Operator, src int) {
 			break
 		}
 		// Rows route without being boxed: the key column hashes
-		// vectorized (Hash64Column matches value.Hash64), rows split into
-		// per-destination gather lists, and each list bulk-gathers
-		// column-at-a-time into the destination's pending batch.
+		// vectorized, rows split into per-destination gather lists, and
+		// each list bulk-gathers column-at-a-time into the destination's
+		// pending batch.
 		cb := b.Cols()
-		ln := cb.Len()
-		sel := cb.Sel()
 		if dIdx == nil {
 			dIdx = make([][]int32, n)
 		}
@@ -195,37 +277,20 @@ func (x *Exchange) produce(in Operator, src int) {
 		case x.key == -1 || x.key == -2:
 			// Broadcast and deal move whole row sets: one gather list of
 			// every selected row, delivered to all nodes or one.
-			list := dIdx[0][:0]
-			for k := 0; k < ln; k++ {
-				i := k
-				if sel != nil {
-					i = int(sel[k])
-				}
-				list = append(list, int32(i))
-			}
-			dIdx[0] = list
+			dIdx[0] = SelectedRows(cb, dIdx[0][:0])
 			if x.key == -2 {
 				d := int(x.deal % uint64(n))
 				x.deal++
-				x.packColGather(pend, d, cb, list, src, meter)
+				x.packColGather(pend, d, cb, dIdx[0], src, meter)
 			} else {
 				for d := 0; d < n; d++ {
-					x.packColGather(pend, d, cb, list, src, meter)
+					x.packColGather(pend, d, cb, dIdx[0], src, meter)
 				}
 			}
 		default:
-			hv = cb.Hash64Column(x.key, hv)
-			for k := 0; k < ln; k++ {
-				i := k
-				if sel != nil {
-					i = int(sel[k])
-				}
-				d := 0
-				if !cb.IsNull(x.key, i) {
-					d = int(hv[i] % uint64(n))
-				}
-				dIdx[d] = append(dIdx[d], int32(i))
-			}
+			var drop int
+			hv, drop = RouteHash(cb, x.key, hv, dIdx, filters)
+			dropped += drop
 			for d := 0; d < n; d++ {
 				if d == src || len(dIdx[d]) == 0 {
 					continue
@@ -244,6 +309,9 @@ func (x *Exchange) produce(in Operator, src int) {
 		}
 		b.Release()
 	}
+	if dropped > 0 {
+		meter.AddExchFiltered(dropped)
+	}
 	for d, pb := range pend {
 		if pb != nil && pb.Len() > 0 {
 			x.send(d, pb, src, meter)
@@ -254,6 +322,73 @@ func (x *Exchange) produce(in Operator, src int) {
 	if err := in.Close(); err != nil {
 		x.fail(err)
 	}
+}
+
+// awaitFilters returns the destinations' filters of a filtered
+// exchange once every destination has published (nil for an unfiltered
+// one), or the query's cancellation.
+func (x *Exchange) awaitFilters() ([]*KeyFilter, error) {
+	if x.filters == nil {
+		return nil, nil
+	}
+	var done <-chan struct{}
+	if ctx := x.ns.parent.ctx; ctx != nil {
+		done = ctx.Done()
+	}
+	select {
+	case <-x.filters.Ready():
+		return x.filters.All(), nil
+	case <-done:
+		return nil, x.ns.parent.ctxErr()
+	}
+}
+
+// selectedRows appends cb's selected physical rows to dst.
+func SelectedRows(cb *tuple.Columns, dst []int32) []int32 {
+	if sel := cb.Sel(); sel != nil {
+		return append(dst, sel...)
+	}
+	for i := 0; i < cb.Len(); i++ {
+		dst = append(dst, int32(i))
+	}
+	return dst
+}
+
+// RouteHash is the hash route of both N-node fabrics. It hashes cb's
+// key column into hv (returned, grown as needed) and appends each
+// selected physical row to dIdx[d], d = Hash64(key) % len(dIdx), so
+// equal keys always meet at the same destination. An unfiltered route
+// (filters nil) sends a NULL key to destination 0: it can never match,
+// so its destination only needs to be deterministic. A filtered route
+// has one filter per destination (nil passes every key) and drops each
+// row whose key is NULL or that its destination's filter rejects; it
+// returns how many rows it dropped.
+func RouteHash(cb *tuple.Columns, key int, hv []uint64, dIdx [][]int32, filters []*KeyFilter) ([]uint64, int) {
+	hv = cb.Hash64Column(key, hv)
+	n := uint64(len(dIdx))
+	ln, sel := cb.Len(), cb.Sel()
+	kv := cb.Col(key)
+	hasNull := kv.Valid() != nil || kv.Boxed() != nil
+	dropped := 0
+	for k := 0; k < ln; k++ {
+		i := k
+		if sel != nil {
+			i = int(sel[k])
+		}
+		d := 0
+		if !hasNull || kv.IsValid(i) {
+			d = int(hv[i] % n)
+			if filters != nil && filters[d] != nil && !filters[d].mayPass(hv[i]) {
+				dropped++
+				continue
+			}
+		} else if filters != nil {
+			dropped++
+			continue
+		}
+		dIdx[d] = append(dIdx[d], int32(i))
+	}
+	return hv, dropped
 }
 
 // packColGather appends the listed physical rows of a columnar source
@@ -293,6 +428,7 @@ func (x *Exchange) packColGather(pend []*Batch, d int, cb *tuple.Columns, idxs [
 // (cluster.Meter satisfies this via AddExchangeAt).
 type meterSink interface {
 	AddExchangeAt(src, dst int, rows, bytes int, remote bool)
+	AddExchFiltered(rows int)
 }
 
 // send hands a packed batch to destination d's consumer, metering the
@@ -392,8 +528,19 @@ func (o *exchOut) Next() (*Batch, error) {
 	return b, nil
 }
 
+func (o *exchOut) Filtered() bool { return o.x.filters != nil }
+
+func (o *exchOut) PublishFilter(f *KeyFilter) {
+	if o.x.filters != nil {
+		o.x.filters.Publish(o.node, f)
+	}
+}
+
 func (o *exchOut) Close() error {
 	o.once.Do(func() {
+		// A consumer that leaves without a filter must not hold the
+		// producers: its share of the stream is dropped anyway.
+		o.PublishFilter(nil)
 		close(o.closed)
 		o.x.closed.Add(1)
 		if !o.x.started.Load() {

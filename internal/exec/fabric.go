@@ -22,8 +22,14 @@ import (
 // consuming fragment drains. Implementations decide how rows travel
 // from the producing fragments to output i — in-memory channels
 // (*Exchange) or multiplexed TCP streams (internal/net).
+//
+// FilterProbe marks a hash exchange whose output i feeds the probe side
+// of node i's hash join: producers wait for every join's build-key
+// filter and drop the rows it rejects (Exchange.FilterProbe). The
+// one-node fabric moves nothing and ignores it.
 type Exchanger interface {
 	Output(i int) Operator
+	FilterProbe()
 }
 
 // Fabric abstracts the execution substrate the plan compiler lowers
@@ -115,6 +121,7 @@ func (f centralFabric) charged(in Operator, c Charge) Exchanger {
 type localExchange struct{ out Operator }
 
 func (x localExchange) Output(int) Operator { return x.out }
+func (x localExchange) FilterProbe()        {}
 
 // simFabric adapts a NodeSet to the Fabric interface: the in-process
 // simulated network of channel-backed exchanges.

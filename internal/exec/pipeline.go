@@ -25,7 +25,6 @@ import (
 	"adaptdb/internal/hyperjoin"
 	"adaptdb/internal/predicate"
 	"adaptdb/internal/tuple"
-	"adaptdb/internal/value"
 )
 
 // DefaultBatchSize is the row capacity of pipeline batches. 1024 rows
@@ -755,6 +754,7 @@ func (j *hashJoinOp) Open() error {
 		j.spill = newJoinSpill(j)
 	}
 	if err := j.build.Open(); err != nil {
+		j.publishFilter(false)
 		return err
 	}
 	if err := j.buildTables(); err != nil {
@@ -764,11 +764,13 @@ func (j *hashJoinOp) Open() error {
 		if j.spill != nil {
 			j.spill.cleanup()
 		}
+		j.publishFilter(false)
 		return err
 	}
 	if j.spill != nil {
 		j.hasSpilled = j.spill.anySpilled()
 	}
+	j.publishFilter(true)
 	if err := j.probe.Open(); err != nil {
 		if j.spill != nil {
 			j.spill.cleanup()
@@ -799,10 +801,31 @@ func (j *hashJoinOp) Open() error {
 	return nil
 }
 
+// publishFilter hands a filtered probe exchange (FilterSink) this
+// join's key filter: over the sealed build's hashes when sealed, else
+// nil, which passes every row, so the exchange's producers never wait
+// on a join that will not seal.
+func (j *hashJoinOp) publishFilter(sealed bool) {
+	fs, ok := j.probe.(FilterSink)
+	if !ok || !fs.Filtered() {
+		return
+	}
+	var f *KeyFilter
+	if sealed {
+		var spilled func(int) bool
+		if j.hasSpilled {
+			spilled = j.spill.isSpilled
+		}
+		f = newKeyFilter(j.cbuild.hashes, j.radixShift, j.nParts, spilled)
+	}
+	fs.PublishFilter(f)
+}
+
 // dispatchProbe feeds non-empty probe batches to the workers
 // (joinInput). A single goroutine owns probe.Next; even with an empty
-// hash table the probe side drains so an exchange feeding it meters
-// every row.
+// hash table the probe side drains, so the exchange feeding it ends
+// cleanly. That exchange meters the rows it sent; behind a filtered
+// exchange those are only the rows the build's filter let through.
 func (j *hashJoinOp) dispatchProbe() {
 	defer close(j.in)
 	for {
@@ -908,10 +931,7 @@ type HyperJoinOp struct {
 	rRefs, sRefs []core.BlockRef
 	rPreds       []predicate.Predicate
 	sPreds       []predicate.Predicate
-	// rPredsKeyed is rPreds plus "build key is not NULL", applied to R
-	// blocks whose key column can hold a NULL.
-	rPredsKeyed []predicate.Predicate
-	rCol, sCol  int
+	rCol, sCol   int
 	// buildIsRight emits S‖R instead of R‖S: the planner builds on the
 	// plan's right side and still gets (left, right) column order.
 	buildIsRight bool
@@ -957,8 +977,6 @@ func (h *HyperJoinOp) Open() error {
 		h.empty = true
 		return nil
 	}
-	h.rPredsKeyed = append(h.rPreds[:len(h.rPreds):len(h.rPreds)],
-		predicate.NewCmp(h.rCol, predicate.NE, value.Value{}))
 	h.stats = HyperStats{
 		Groups:       len(h.plan.Grouping),
 		SBlocks:      len(h.sRefs),
@@ -1059,19 +1077,32 @@ func (h *HyperJoinOp) runGroup(group []int, st *colProbe) bool {
 			store = tuple.NewColumns(cols.NumCols())
 			store.Reserve(est)
 		}
-		// NULL never equals NULL in a join: a key column that can hold one
-		// is filtered through "key != NULL" as well.
-		preds := h.rPreds
-		if key := cols.Col(h.rCol); key.Valid() != nil || key.Boxed() != nil {
-			preds = h.rPredsKeyed
-		}
+		// NULL never equals NULL in a join: rows of a key column that can
+		// hold one keep only their non-NULL keys.
+		key := cols.Col(h.rCol)
+		nullable := key.Valid() != nil || key.Boxed() != nil
 		hv = cols.Hash64Column(h.rCol, hv)
-		if len(preds) == 0 {
+		if len(h.rPreds) == 0 && !nullable {
 			store.AppendRange(cols, 0, cols.FullLen())
 			hashes = append(hashes, hv...)
 			continue
 		}
-		sel := predicate.FilterSel(preds, cols, nil, scratch)
+		var sel []int32
+		if len(h.rPreds) > 0 {
+			sel = predicate.FilterSel(h.rPreds, cols, nil, scratch)
+		} else {
+			sel = SelectedRows(cols, scratch[:0])
+		}
+		if nullable {
+			m := 0
+			for _, r := range sel {
+				if key.IsValid(int(r)) {
+					sel[m] = r
+					m++
+				}
+			}
+			sel = sel[:m]
+		}
 		scratch = sel[:0]
 		store.AppendGather(cols, sel)
 		for _, r := range sel {

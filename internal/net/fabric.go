@@ -13,17 +13,27 @@
 //
 // A pump drives one hosted producer: it drains the fragment operator
 // and routes rows to destinations with exactly the simulated
-// exchange's rules (columnar gather lists, value.Hash64 % N, NULL keys
-// to fragment 0, broadcast duplication, per-batch round-robin deal),
-// packing per-destination pending batches and shipping each sealed
-// batch either in-process (same bounded path, no encode) or as a
-// tuple run frame under the stream's credit window. A hash route's
-// rows for the pump's own fragment are not packed: the input batch,
-// narrowed to them, takes the in-process path itself.
+// exchange's rules (exec.RouteHash for a hash route, broadcast
+// duplication, per-batch round-robin deal), packing per-destination
+// pending batches and shipping each sealed batch either in-process
+// (same bounded path, no encode) or as a tuple run frame under the
+// stream's credit window. A hash route's rows for the pump's own
+// fragment are not packed: the input batch, narrowed to them, takes the
+// in-process path itself.
+//
+// A filtered exchange (a shuffle join's probe side) carries one more
+// kind of traffic, against the rows: the process hosting fragment i's
+// join sends its sealed build's key filter as a filter frame to every
+// process hosting one of the exchange's producers, and delivers it
+// in-process to its own. A pump routes nothing until every
+// destination's filter has arrived; attempt failure, abort and ctx
+// release the wait. Filter frames count as link bytes, never as
+// exchange rows, so both N-node fabrics meter the same counters.
 package net
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"time"
@@ -88,29 +98,29 @@ func (f *netFabric) SplitRefs(refs []core.BlockRef) [][]core.BlockRef {
 	return f.ns.SplitRefs(refs)
 }
 
-// addPump registers a hosted producer for one exchange.
-func (f *netFabric) addPump(exch, src int, op exec.Operator, route int) {
-	f.pumps = append(f.pumps, &pump{f: f, exch: exch, src: src, op: op, route: route})
+// addPump registers a hosted producer for one exchange (x nil for a
+// gather).
+func (f *netFabric) addPump(x *netExch, exch, src int, op exec.Operator, route int) {
+	f.pumps = append(f.pumps, &pump{f: f, x: x, exch: exch, src: src, op: op, route: route})
 }
 
 // exchange builds one exchange over per-fragment parts (src i = part
 // i) or a single coordinator stream (src -1), registering pumps for
 // the hosted producers.
 func (f *netFabric) exchange(parts []exec.Operator, srcGlobal exec.Operator, route int) *netExch {
-	id := f.nextID
+	x := &netExch{f: f, id: f.nextID, nprod: 1, route: route, global: srcGlobal != nil}
 	f.nextID++
-	nprod := 1
 	if srcGlobal == nil {
-		nprod = len(parts)
+		x.nprod = len(parts)
 		for i, p := range parts {
 			if f.hosts(i) {
-				f.addPump(id, i, p, route)
+				f.addPump(x, x.id, i, p, route)
 			}
 		}
 	} else if f.me == 0 {
-		f.addPump(id, -1, srcGlobal, route)
+		f.addPump(x, x.id, -1, srcGlobal, route)
 	}
-	return &netExch{f: f, id: id, nprod: nprod}
+	return x
 }
 
 // The exchange constructors ignore the charge class: like the simulated
@@ -140,7 +150,7 @@ func (f *netFabric) Gather(parts []exec.Operator) exec.Operator {
 	f.nextID++
 	for i, p := range parts {
 		if f.hosts(i) {
-			f.addPump(id, i, p, routeGather)
+			f.addPump(nil, id, i, p, routeGather)
 		}
 	}
 	if f.me != 0 {
@@ -180,11 +190,17 @@ func (f *netFabric) Wait() error {
 	return f.err
 }
 
-// netExch is one exchange's consumer-side handle.
+// netExch is one exchange's handle, shared by its consumers and the
+// pumps this process hosts.
 type netExch struct {
-	f     *netFabric
-	id    int
-	nprod int
+	f      *netFabric
+	id     int
+	nprod  int
+	route  int
+	global bool // one coordinator stream produces (src -1)
+	// filtered is set by FilterProbe during the compile, before any
+	// pump runs.
+	filtered bool
 }
 
 func (x *netExch) Output(i int) exec.Operator {
@@ -193,12 +209,76 @@ func (x *netExch) Output(i int) exec.Operator {
 	}
 	q := x.f.at.queueFor(qkey{x.id, i})
 	q.setExpect(x.nprod)
-	return &recvOp{q: q}
+	return &recvOp{q: q, x: x, dst: i}
+}
+
+// FilterProbe makes a hash exchange wait for, and route by, the filters
+// of the joins its outputs feed, as exec.Exchange.FilterProbe does.
+func (x *netExch) FilterProbe() {
+	if x.route >= 0 {
+		x.filtered = true
+	}
+}
+
+// publishFilter delivers destination d's join filter to every process
+// hosting a producer of the exchange: in-process to this one's pumps,
+// as one filter frame to each other process. The frame's bytes and
+// write time count as link traffic from fragment d to the first
+// producer the process hosts (the coordinator's stream is -1); they
+// enter no exchange counter. A failed write fails the attempt, which
+// releases the waiting pumps.
+func (x *netExch) publishFilter(d int, f *exec.KeyFilter) {
+	n := x.f.N()
+	srcs := []int{-1}
+	if !x.global {
+		srcs = make([]int, x.nprod)
+		for i := range srcs {
+			srcs[i] = i
+		}
+	}
+	var frame []byte
+	sent := map[int]bool{}
+	for _, src := range srcs {
+		proc := x.f.dstProc(src)
+		if sent[proc] {
+			continue
+		}
+		sent[proc] = true
+		if proc == x.f.me {
+			x.f.at.filtersFor(x.id, n).Publish(d, f)
+			continue
+		}
+		if frame == nil {
+			frame = appendStreamHdr(nil, streamHdr{qid: x.f.qid, exch: x.id, src: -1, dst: d})
+			frame = binary.AppendUvarint(frame, uint64(n))
+			frame = exec.AppendKeyFilter(frame, f)
+		}
+		c := x.f.ep.peerConn(proc)
+		if c == nil {
+			x.f.at.fail(&NetError{Msg: "no connection for filter", Peer: proc})
+			return
+		}
+		t0 := time.Now()
+		if err := c.writeFrame(msgFilter, frame); err != nil {
+			x.f.at.fail(&NetError{Msg: err.Error(), Peer: proc})
+			return
+		}
+		x.f.ex.Meter.AddLinkNanos(d, src, len(frame), time.Since(t0).Nanoseconds())
+	}
+}
+
+// dstProc is the process hosting fragment d, the coordinator for -1.
+func (f *netFabric) dstProc(d int) int {
+	if d < 0 {
+		return 0
+	}
+	return f.assign[d]
 }
 
 // pump drives one hosted producer of one exchange.
 type pump struct {
 	f     *netFabric
+	x     *netExch // nil for a gather
 	exch  int
 	src   int // producing fragment; -1 for a coordinator stream
 	op    exec.Operator
@@ -222,19 +302,10 @@ func (p *pump) dsts() []int {
 	return out
 }
 
-func (p *pump) dstProc(d int) int {
-	if d < 0 {
-		return 0 // gathers land on the coordinator
-	}
-	return p.f.assign[d]
-}
-
 // meterFor resolves the meter the pump charges exchanges into: the
 // source fragment's shard, the parent meter for coordinator streams,
 // nil for gathers (the simulated Gather is unmetered — parity).
-func (p *pump) meterFor() interface {
-	AddExchangeAt(src, dst int, rows, bytes int, remote bool)
-} {
+func (p *pump) meterFor() exchMeter {
 	if p.route == routeGather {
 		return nil
 	}
@@ -271,6 +342,16 @@ func (p *pump) run(ctx context.Context) error {
 	if err := p.op.Open(); err != nil {
 		return fmt.Errorf("net: pump (%d,%d): open: %w", p.exch, p.src, err)
 	}
+	filters, err := p.awaitFilters(ctx)
+	if err != nil {
+		return fail(err)
+	}
+	dropped := 0
+	defer func() {
+		if dropped > 0 {
+			meter.AddExchFiltered(dropped)
+		}
+	}()
 	for {
 		if err := ctx.Err(); err != nil {
 			return fail(err)
@@ -289,21 +370,12 @@ func (p *pump) run(ctx context.Context) error {
 		// vectorized, split into per-destination gather lists,
 		// bulk-gather into pending batches.
 		cb := b.Cols()
-		ln := cb.Len()
-		sel := cb.Sel()
 		if dIdx == nil {
 			dIdx = make([][]int32, n)
 		}
 		switch {
 		case p.route < 0:
-			list := dIdx[0][:0]
-			for k := 0; k < ln; k++ {
-				i := k
-				if sel != nil {
-					i = int(sel[k])
-				}
-				list = append(list, int32(i))
-			}
+			list := exec.SelectedRows(cb, dIdx[0][:0])
 			dIdx[0] = list
 			switch p.route {
 			case routeGather:
@@ -324,18 +396,9 @@ func (p *pump) run(ctx context.Context) error {
 				}
 			}
 		default:
-			hv = cb.Hash64Column(p.route, hv)
-			for k := 0; k < ln; k++ {
-				i := k
-				if sel != nil {
-					i = int(sel[k])
-				}
-				d := 0
-				if !cb.IsNull(p.route, i) {
-					d = int(hv[i] % uint64(n))
-				}
-				dIdx[d] = append(dIdx[d], int32(i))
-			}
+			var drop int
+			hv, drop = exec.RouteHash(cb, p.route, hv, dIdx, filters)
+			dropped += drop
 			for d := 0; d < n; d++ {
 				if d == p.src || len(dIdx[d]) == 0 {
 					continue
@@ -378,6 +441,30 @@ func (p *pump) run(ctx context.Context) error {
 	return p.sendEOSAll(dsts)
 }
 
+// awaitFilters returns the destinations' join filters of a filtered
+// exchange once every destination has published them (nil for an
+// unfiltered one). Attempt failure, abort and ctx release the wait.
+func (p *pump) awaitFilters(ctx context.Context) ([]*exec.KeyFilter, error) {
+	if p.x == nil || !p.x.filtered {
+		return nil, nil
+	}
+	fs := p.f.at.filtersFor(p.exch, p.f.N())
+	select {
+	case <-fs.Ready():
+		if all := fs.All(); len(all) == p.f.N() {
+			return all, nil
+		}
+		return nil, fmt.Errorf("net: pump (%d,%d): filter frames for %d destinations, want %d", p.exch, p.src, len(fs.All()), p.f.N())
+	case <-p.f.at.done:
+		if err := p.f.at.failure(); err != nil {
+			return nil, err
+		}
+		return nil, fmt.Errorf("net: pump (%d,%d): attempt ended before its filters arrived", p.exch, p.src)
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
 // packColGather bulk-gathers listed rows into destination d's pending
 // columnar batch in capacity-sized chunks.
 func (p *pump) packColGather(pend []*exec.Batch, slot func(int) int, d int, cb *tuple.Columns, idxs []int32, meter exchMeter) error {
@@ -414,6 +501,7 @@ func (p *pump) packColGather(pend []*exec.Batch, slot func(int) int, d int, cb *
 
 type exchMeter interface {
 	AddExchangeAt(src, dst int, rows, bytes int, remote bool)
+	AddExchFiltered(rows int)
 }
 
 // send ships one sealed batch to destination fragment d: metering
@@ -432,7 +520,7 @@ func (p *pump) send(d int, b *exec.Batch, meter exchMeter) error {
 	}
 	key := streamKey{p.exch, p.src, d}
 	gate := p.f.at.gateFor(key)
-	proc := p.dstProc(d)
+	proc := p.f.dstProc(d)
 	if proc == p.f.me {
 		wire := exec.BatchWireBytes(b)
 		if wire < 1 {
@@ -476,7 +564,7 @@ func (p *pump) send(d int, b *exec.Batch, meter exchMeter) error {
 func (p *pump) sendEOSAll(dsts []int) error {
 	var first error
 	for _, d := range dsts {
-		proc := p.dstProc(d)
+		proc := p.f.dstProc(d)
 		if proc == p.f.me {
 			p.f.at.queueFor(qkey{p.exch, d}).eosFrom(p.src)
 			continue

@@ -11,6 +11,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync"
+
+	"adaptdb/internal/exec"
 )
 
 type endpoint struct {
@@ -118,12 +120,12 @@ func (ep *endpoint) sendCredit(proc int, qid uint64, key streamKey, bytes int) {
 }
 
 // demux returns a connection's frame handler for conn.serve: stream
-// frames (data/eos/credit) route into the owning attempt, everything
-// else goes to the process's control handler.
+// frames (data/eos/credit/filter) route into the owning attempt,
+// everything else goes to the process's control handler.
 func (ep *endpoint) demux(from *conn, control func(typ byte, payload []byte) error) func(*frameBuf) (bool, error) {
 	return func(fb *frameBuf) (bool, error) {
 		switch fb.typ() {
-		case msgData, msgEOS, msgCredit:
+		case msgData, msgEOS, msgCredit, msgFilter:
 			return ep.handleStreamFrame(from, fb)
 		}
 		return false, control(fb.typ(), fb.payload())
@@ -157,6 +159,21 @@ func (ep *endpoint) handleStreamFrame(from *conn, fb *frameBuf) (kept bool, err 
 	case msgEOS:
 		if at := ep.attemptFor(h.qid); at != nil {
 			at.queueFor(qkey{h.exch, h.dst}).eosFrom(h.src)
+		}
+		return false, nil
+	case msgFilter:
+		// Header dst is the publishing join's fragment; then the
+		// exchange's destination count and the filter.
+		n, k := binary.Uvarint(rest)
+		if k <= 0 || n == 0 || n > 1<<16 {
+			return false, fmt.Errorf("net: filter frame: bad destination count")
+		}
+		f, err := exec.DecodeKeyFilter(rest[k:])
+		if err != nil {
+			return false, fmt.Errorf("net: filter frame: %w", err)
+		}
+		if at := ep.attemptFor(h.qid); at != nil {
+			at.filtersFor(h.exch, int(n)).Publish(h.dst, f)
 		}
 		return false, nil
 	case msgCredit:

@@ -270,16 +270,31 @@ func (q *recvQueue) close() {
 }
 
 // recvOp adapts a recvQueue to the exec.Operator contract — what a
-// consuming plan fragment (or the coordinator's gather) drains.
+// consuming plan fragment (or the coordinator's gather) drains. An
+// exchange output (x set) is an exec.FilterSink for its fragment dst.
 type recvOp struct {
-	q *recvQueue
+	q       *recvQueue
+	x       *netExch // nil for the coordinator's gather
+	dst     int
+	pubOnce sync.Once
 }
 
 func (o *recvOp) Open() error { return nil }
 
 func (o *recvOp) Next() (*exec.Batch, error) { return o.q.next() }
 
+func (o *recvOp) Filtered() bool { return o.x != nil && o.x.filtered }
+
+func (o *recvOp) PublishFilter(f *exec.KeyFilter) {
+	if o.Filtered() {
+		o.pubOnce.Do(func() { o.x.publishFilter(o.dst, f) })
+	}
+}
+
 func (o *recvOp) Close() error {
+	// A consumer that leaves without a filter must not hold the
+	// producers, as on the simulated fabric.
+	o.PublishFilter(nil)
 	o.q.close()
 	return nil
 }
@@ -294,18 +309,22 @@ type attempt struct {
 	mu     sync.Mutex
 	queues map[qkey]*recvQueue
 	gates  map[streamKey]*creditGate
-	failed error
-	done   chan struct{} // closed on fail or finish
-	doneMu sync.Once
+	// filters holds the join filters published for each filtered
+	// exchange one of this process's pumps produces, by exchange id.
+	filters map[int]*exec.KeyFilters
+	failed  error
+	done    chan struct{} // closed on fail or finish
+	doneMu  sync.Once
 }
 
 func newAttempt(ep *endpoint, qid uint64) *attempt {
 	return &attempt{
-		ep:     ep,
-		qid:    qid,
-		queues: make(map[qkey]*recvQueue),
-		gates:  make(map[streamKey]*creditGate),
-		done:   make(chan struct{}),
+		ep:      ep,
+		qid:     qid,
+		queues:  make(map[qkey]*recvQueue),
+		gates:   make(map[streamKey]*creditGate),
+		filters: make(map[int]*exec.KeyFilters),
+		done:    make(chan struct{}),
 	}
 }
 
@@ -335,6 +354,20 @@ func (at *attempt) gateFor(key streamKey) *creditGate {
 		}
 	}
 	return g
+}
+
+// filtersFor returns the meeting point of filtered exchange exch's n
+// destination filters, created on first sight: a filter frame can
+// arrive before the local compile registers the exchange's pumps.
+func (at *attempt) filtersFor(exch, n int) *exec.KeyFilters {
+	at.mu.Lock()
+	defer at.mu.Unlock()
+	s := at.filters[exch]
+	if s == nil {
+		s = exec.NewKeyFilters(n)
+		at.filters[exch] = s
+	}
+	return s
 }
 
 // grantCredit returns a consumed item's window bytes to its producer:

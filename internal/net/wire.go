@@ -46,6 +46,7 @@ const (
 	msgQDone  byte = 10 // worker → coordinator: attempt done + counters
 	msgPing   byte = 11
 	msgPong   byte = 12
+	msgFilter byte = 13 // a join's build-key filter for a probe exchange's producers
 )
 
 // maxWireFrame bounds a single frame; a corrupt length prefix larger
@@ -79,6 +80,8 @@ func msgName(t byte) string {
 		return "ping"
 	case msgPong:
 		return "pong"
+	case msgFilter:
+		return "filter"
 	}
 	return fmt.Sprintf("msg(%d)", t)
 }

@@ -9,7 +9,9 @@
 //     zero rows cross the simulated network (the co-partitioning win
 //     the paper's Fig. 1 measures);
 //   - shuffle: both sides are hash-exchanged on the join key, then
-//     joined node-locally — every row moves, as eq. 1 charges;
+//     joined node-locally — eq. 1 charges every row, while the N-node
+//     fabrics move only the probe rows each node's build-key filter
+//     passes (the planner still prices every row: ROADMAP item 1);
 //   - semi-shuffle/broadcast: one side (a pipelined intermediate) is
 //     broadcast to every node while the base table is scanned in place,
 //     never moving — §4.3's "only tempLO is shuffled" generalized to
@@ -217,8 +219,10 @@ type joinSide struct {
 // distShuffleParts wires a both-sides-exchanged join: each side's
 // fragments feed a hash exchange on its join column, and node i joins
 // the two i-th outputs on its own pool. The side with fewer estimated
-// rows builds. fill (optional) accumulates output rows into the join's
-// report entry.
+// rows builds. The probe side's exchange is filtered: it waits for each
+// node's sealed build to publish its key filter and drops the rows
+// that cannot match before they cross. fill (optional) accumulates
+// output rows into the join's report entry.
 func (r *Runner) distShuffleParts(c *Compiled, fill func(exec.OpStats), pair string, l, rt joinSide) []exec.Operator {
 	fb := r.Ex.ExecFabric()
 	build, probe := l, rt
@@ -228,6 +232,7 @@ func (r *Runner) distShuffleParts(c *Compiled, fill func(exec.OpStats), pair str
 	}
 	bx := r.exchangeOf(fb, build)
 	px := r.exchangeOf(fb, probe)
+	px.FilterProbe()
 	parts := make([]exec.Operator, fb.N())
 	// A hash exchange deals the build roughly evenly, so each node's
 	// join sizes its fan-out for a 1/N share.

@@ -12,9 +12,9 @@ import (
 // FilterSel returns the physical rows of cols, among those sel lists
 // (nil: every row), that satisfy the whole conjunction, in order — the
 // rows for which MatchesAll holds on the materialized tuple, decided
-// the same way in every case: NULL sorts below everything (so NULL < 5
-// holds), values of different kinds order by Kind, NaN is the smallest
-// float. With no predicates it returns sel itself; otherwise the result
+// the same way in every case: a NULL cell or a NULL constant satisfies
+// nothing, values of different kinds order by Kind, NaN is the
+// smallest float. With no predicates it returns sel itself; otherwise the result
 // is never nil and is written into dst's backing (grown when too
 // small), which may be sel's own: survivors are written behind the
 // position being read.
@@ -22,7 +22,7 @@ import (
 // A typed, NULL-free column compared against a constant of its own kind
 // runs one monomorphic loop per operator with the constant hoisted;
 // every other shape — NULLs, a mixed-kind (boxed) column, a constant of
-// another kind or NULL — goes through ColVec.CompareValue.
+// another kind — goes through ColVec.CompareValue, skipping NULL cells.
 func FilterSel(preds []Predicate, cols *tuple.Columns, sel, dst []int32) []int32 {
 	if len(preds) == 0 {
 		return sel
@@ -62,6 +62,9 @@ func filterOne(p Predicate, v *tuple.ColVec, n int, sel, out []int32) int {
 			return inStrings(v.Strs(), p.Vals, n, sel, out)
 		}
 		return inGeneric(v, p.Vals, n, sel, out)
+	}
+	if p.Val.IsNull() {
+		return 0 // a NULL constant matches nothing
 	}
 	if typed && k == p.Val.K {
 		switch {
@@ -230,7 +233,8 @@ func accepts(op Op) (want [3]bool) {
 	return want
 }
 
-// cmpGeneric is the exact fallback for any column shape and constant.
+// cmpGeneric is the exact fallback for any column shape and non-NULL
+// constant; a NULL cell satisfies nothing.
 func cmpGeneric(v *tuple.ColVec, c value.Value, op Op, n int, sel, out []int32) int {
 	want := accepts(op)
 	cnt := 0
@@ -240,7 +244,7 @@ func cmpGeneric(v *tuple.ColVec, c value.Value, op Op, n int, sel, out []int32) 
 			i = int(sel[k])
 		}
 		out[cnt] = int32(i)
-		if want[v.CompareValue(i, c)+1] {
+		if v.IsValid(i) && want[v.CompareValue(i, c)+1] {
 			cnt++
 		}
 	}
@@ -315,8 +319,11 @@ func inGeneric(v *tuple.ColVec, vals []value.Value, n int, sel, out []int32) int
 			i = int(sel[k])
 		}
 		out[cnt] = int32(i)
+		if !v.IsValid(i) {
+			continue
+		}
 		for j := range vals {
-			if v.CompareValue(i, vals[j]) == 0 {
+			if !vals[j].IsNull() && v.CompareValue(i, vals[j]) == 0 {
 				cnt++
 				break
 			}

@@ -198,18 +198,35 @@ func TestFilterSelNoPredicatesKeepsSelection(t *testing.T) {
 	}
 }
 
-// The NULL-first total order, spelled out once: it is what Matches
+// The NULL rule, spelled out once: a NULL cell satisfies no comparison
+// and no IN, and a NULL constant matches nothing. It is what Matches
 // does, so it is what the kernel does.
-func TestFilterSelNullSortsFirst(t *testing.T) {
+func TestFilterSelNullMatchesNothing(t *testing.T) {
+	rows := []tuple.Tuple{{value.Value{}}, {value.NewInt(3)}, {value.NewInt(9)}}
 	cols := tuple.NewColumns(1)
-	cols.AppendRows([]tuple.Tuple{{value.Value{}}, {value.NewInt(3)}, {value.NewInt(9)}})
-	lt5 := []Predicate{NewCmp(0, LT, value.NewInt(5))}
-	if got := FilterSel(lt5, cols, nil, nil); !slices.Equal(got, []int32{0, 1}) {
-		t.Fatalf("c < 5 over [NULL 3 9]: got %v, want [0 1] (NULL < 5 holds)", got)
-	}
-	// Int(3) and Int(9) both order below any Date: kinds order by Kind.
-	ltDate := []Predicate{NewCmp(0, LT, value.NewDate(0))}
-	if got := FilterSel(ltDate, cols, nil, nil); !slices.Equal(got, []int32{0, 1, 2}) {
-		t.Fatalf("int column < Date(0): got %v, want every row", got)
+	cols.AppendRows(rows)
+	for _, c := range []struct {
+		p    Predicate
+		want []int32
+	}{
+		{NewCmp(0, LT, value.NewInt(5)), []int32{1}},
+		{NewCmp(0, LE, value.NewInt(9)), []int32{1, 2}},
+		{NewCmp(0, NE, value.NewInt(3)), []int32{2}},
+		{NewCmp(0, EQ, value.Value{}), []int32{}},
+		{NewCmp(0, GE, value.Value{}), []int32{}},
+		{NewIn(0, value.Value{}, value.NewInt(9)), []int32{2}},
+		// Int(3) and Int(9) both order below any Date: kinds order by
+		// Kind. The NULL cell still fails.
+		{NewCmp(0, LT, value.NewDate(0)), []int32{1, 2}},
+	} {
+		got := FilterSel([]Predicate{c.p}, cols, nil, nil)
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%v over [NULL 3 9]: got %v, want %v", c.p, got, c.want)
+		}
+		for i, r := range rows {
+			if c.p.Matches(r) != slices.Contains(c.want, int32(i)) {
+				t.Errorf("%v.Matches(row %d) disagrees with the kernel", c.p, i)
+			}
+		}
 	}
 }

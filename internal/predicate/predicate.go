@@ -70,9 +70,16 @@ func NewIn(col int, vals ...value.Value) Predicate {
 	return Predicate{Col: col, Op: In, Vals: vals}
 }
 
-// Matches evaluates the predicate against a tuple.
+// Matches evaluates the predicate against a tuple under SQL's NULL
+// rule: a NULL cell satisfies no comparison and no IN, and a NULL
+// constant (or IN member) matches nothing. Zone maps, joins and the
+// partitioning tree skip NULLs the same way, so block pruning can never
+// drop a row that matches. Non-NULL values compare under value.Compare.
 func (p Predicate) Matches(t tuple.Tuple) bool {
 	v := t[p.Col]
+	if v.IsNull() || (p.Op != In && p.Val.IsNull()) {
+		return false
+	}
 	switch p.Op {
 	case EQ:
 		return value.Compare(v, p.Val) == 0
@@ -88,7 +95,7 @@ func (p Predicate) Matches(t tuple.Tuple) bool {
 		return value.Compare(v, p.Val) >= 0
 	case In:
 		for _, m := range p.Vals {
-			if value.Compare(v, m) == 0 {
+			if !m.IsNull() && value.Compare(v, m) == 0 {
 				return true
 			}
 		}
