@@ -118,14 +118,18 @@ func RunSpecCaseTCP(c SpecCase, dataset string, nodes, workers int) (cluster.Cou
 	if err := diffRows(fmt.Sprintf("tcp[nodes=%d,workers=%d] vs sim", nodes, workers), res.Rows, sres.Rows); err != nil {
 		return cluster.Counters{}, fmt.Errorf("%s: %w", c, err)
 	}
-	// Both N-node fabrics route and filter with one function over the
-	// same filters, so unless a budget makes demotion timing-dependent
-	// they move and drop the same rows. (At one node the simulated
-	// session is the one-node fabric, which moves nothing.)
+	// Both N-node fabrics drive their exchanges through one producer
+	// over the same filters, so unless a budget makes demotion
+	// timing-dependent they move, drop and meter the same rows. (At one
+	// node the simulated session is the one-node fabric, which moves
+	// nothing.)
 	tc, sc := res.Counters, sres.Counters
-	if nodes > 1 && c.Budget == 0 && (tc.ExchRemoteRows != sc.ExchRemoteRows || tc.ExchFilteredRows != sc.ExchFilteredRows) {
-		return cluster.Counters{}, fmt.Errorf("%s: tcp[nodes=%d,workers=%d] moved %.0f and dropped %.0f rows, sim %.0f and %.0f",
-			c, nodes, workers, tc.ExchRemoteRows, tc.ExchFilteredRows, sc.ExchRemoteRows, sc.ExchFilteredRows)
+	exch := func(c cluster.Counters) [4]float64 {
+		return [4]float64{c.ExchLocalRows, c.ExchRemoteRows, c.ExchBytes, c.ExchFilteredRows}
+	}
+	if nodes > 1 && c.Budget == 0 && exch(tc) != exch(sc) {
+		return cluster.Counters{}, fmt.Errorf("%s: tcp[nodes=%d,workers=%d] metered local, remote rows, bytes, dropped rows %v; sim %v",
+			c, nodes, workers, exch(tc), exch(sc))
 	}
 	return tc, nil
 }

@@ -17,9 +17,11 @@
 // From then on the route drops each row whose key is NULL or is
 // rejected by its destination's filter: the row is never gathered,
 // sent, probed or metered as moved, only counted as
-// Counters.ExchFilteredRows. RouteHash is the one hash route, shared
-// with the TCP fabric's pumps, so both N-node fabrics move and drop
-// exactly the same rows.
+// Counters.ExchFilteredRows.
+//
+// Each input fragment is drained by one Producer (producer.go), the
+// routing loop the TCP fabric's pumps run too; an Exchange supplies its
+// channels as the transport.
 //
 // Batch ownership across an exchange: a batch never crosses the wire —
 // only rows do. Rows bound for another node are gathered into fresh
@@ -35,7 +37,7 @@
 // construction, not by accounting. Each destination channel queues at
 // most exchQueue batches, and each producer holds at most one pending
 // batch per destination (the one it is filling, or the one blocked in
-// send), so a destination never has more than exchQueue + producers
+// delivery), so a destination never has more than exchQueue + producers
 // batches in flight. That is the simulated counterpart of the TCP
 // fabric's per-stream credit window, which bounds the same bytes and
 // charges nothing either. The budget is for operator state that grows
@@ -44,10 +46,10 @@
 package exec
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 
-	"adaptdb/internal/tuple"
 	"adaptdb/internal/value"
 )
 
@@ -60,14 +62,11 @@ import (
 type Exchange struct {
 	ns     *NodeSet
 	inputs []Operator
-	// srcNode[i] is the node inputs[i] runs on, or -1 for a coordinator
-	// stream (a gathered intermediate) whose deliveries are all remote.
-	srcNode []int
-	// key is the hash column for a shuffle exchange, -1 for broadcast,
-	// -2 for round-robin deal.
-	key  int
-	deal uint64 // round-robin cursor for deal exchanges
-	outs []*exchOut
+	// global marks one coordinator stream (a gathered intermediate),
+	// whose deliveries are all remote; otherwise inputs[i] runs on node i.
+	global bool
+	route  int // the hash column of a shuffle, RouteBroadcast or RouteDeal
+	outs   []*exchOut
 	// filters is set by FilterProbe: the exchange feeds one hash join's
 	// probe side per output, and producers route only once every
 	// output's join has published its filter.
@@ -77,8 +76,8 @@ type Exchange struct {
 	started atomic.Bool // producers are (about to be) running
 	wg      sync.WaitGroup
 	closed  atomic.Int64 // outputs closed early; producers bail when all are
-	errMu   sync.Mutex
-	err     error // first producer error; published before channels close
+	errOnce sync.Once
+	err     error // first producer error; set before the channels close
 }
 
 // Shuffle builds a hash exchange over per-node fragments: parts[i] runs
@@ -88,31 +87,21 @@ type Exchange struct {
 // never match anything (joins skip them), so their destination only
 // needs to be deterministic.
 func (ns *NodeSet) Shuffle(parts []Operator, key int) *Exchange {
-	x := &Exchange{ns: ns, key: key}
-	for i, p := range parts {
-		x.inputs = append(x.inputs, p)
-		x.srcNode = append(x.srcNode, i)
-	}
-	x.build()
-	return x
+	return ns.exchange(parts, false, key)
 }
 
 // ShuffleGlobal hash-partitions a single coordinator stream (a gathered
 // intermediate) across the nodes. Every delivery is remote: the stream
 // has no home node.
 func (ns *NodeSet) ShuffleGlobal(in Operator, key int) *Exchange {
-	x := &Exchange{ns: ns, key: key, inputs: []Operator{in}, srcNode: []int{-1}}
-	x.build()
-	return x
+	return ns.exchange([]Operator{in}, true, key)
 }
 
 // Broadcast duplicates a single stream to every node exactly once — the
 // one-side exchange of a semi-shuffle join: the small (build) side
 // crosses the network N ways while the big side never moves.
 func (ns *NodeSet) Broadcast(in Operator) *Exchange {
-	x := &Exchange{ns: ns, key: -1, inputs: []Operator{in}, srcNode: []int{-1}}
-	x.build()
-	return x
+	return ns.exchange([]Operator{in}, true, RouteBroadcast)
 }
 
 // Deal spreads a coordinator stream across the nodes batch by batch,
@@ -121,25 +110,19 @@ func (ns *NodeSet) Broadcast(in Operator) *Exchange {
 // crosses the network exactly once — the cheap half of a
 // broadcast-small/deal-big join on a large intermediate.
 func (ns *NodeSet) Deal(in Operator) *Exchange {
-	x := &Exchange{ns: ns, key: -2, inputs: []Operator{in}, srcNode: []int{-1}}
-	x.build()
-	return x
+	return ns.exchange([]Operator{in}, true, RouteDeal)
 }
 
 // exchQueue is the per-destination channel capacity in batches: the
 // queued half of an exchange's in-flight bound.
 const exchQueue = 4
 
-func (x *Exchange) build() {
-	n := x.ns.N()
-	for i := 0; i < n; i++ {
-		x.outs = append(x.outs, &exchOut{
-			x:      x,
-			node:   i,
-			ch:     make(chan *Batch, exchQueue),
-			closed: make(chan struct{}),
-		})
+func (ns *NodeSet) exchange(inputs []Operator, global bool, route int) *Exchange {
+	x := &Exchange{ns: ns, inputs: inputs, global: global, route: route}
+	for i := 0; i < ns.N(); i++ {
+		x.outs = append(x.outs, &exchOut{x: x, node: i, ch: make(chan *Batch, exchQueue), closed: make(chan struct{})})
 	}
+	return x
 }
 
 // Output returns the operator node i's fragment consumes: the stream of
@@ -152,7 +135,7 @@ func (x *Exchange) Output(i int) Operator { return x.outs[i] }
 // from a join that failed or closed — and then drop the rows that
 // cannot match. Call it before any output opens.
 func (x *Exchange) FilterProbe() {
-	if x.key >= 0 {
+	if x.route >= 0 {
 		x.filters = NewKeyFilters(len(x.outs))
 	}
 }
@@ -209,128 +192,60 @@ func (s *KeyFilters) Ready() <-chan struct{} { return s.ready }
 // closed; the slice is shared and read-only.
 func (s *KeyFilters) All() []*KeyFilter { return s.fs }
 
-// run starts one producer per input fragment and a closer that seals
-// the output channels once every producer is done.
+// run starts one producer per input fragment and a closer that
+// releases what closed outputs were still sent and seals the output
+// channels once every producer is done.
 func (x *Exchange) run() {
+	x.wg.Add(len(x.inputs))
 	x.started.Store(true)
-	for i := range x.inputs {
-		x.wg.Add(1)
-		go x.produce(x.inputs[i], x.srcNode[i])
+	for i, in := range x.inputs {
+		p := &Producer{In: in, Src: i, N: len(x.outs), Route: x.route, Stop: x.stop, Deliver: x.deliver}
+		if x.global {
+			p.Src, p.Meter = -1, x.ns.parent.Meter
+		} else {
+			p.Meter = x.ns.shards[i]
+		}
+		if x.filters != nil {
+			p.Filters = x.awaitFilters
+		}
+		go func() {
+			defer x.wg.Done()
+			if err := p.Run(); err != nil && !errors.Is(err, errOutputsClosed) {
+				x.errOnce.Do(func() { x.err = err })
+			}
+		}()
 	}
 	go func() {
 		x.wg.Wait()
+		for _, o := range x.outs {
+			select {
+			case <-o.closed:
+				o.drain()
+			default:
+			}
+		}
 		for _, o := range x.outs {
 			close(o.ch)
 		}
 	}()
 }
 
-// produce drains one input fragment, routing rows into per-destination
-// pending batches and handing full ones to the destination's channel.
-// The producer meters each handed-off batch into the source node's
-// shard (or the parent meter for coordinator streams). A filtered
-// exchange's producer first waits for every destination's filter.
-func (x *Exchange) produce(in Operator, src int) {
-	defer x.wg.Done()
-	n := x.ns.N()
-	meter := x.ns.parent.Meter
-	if src >= 0 {
-		meter = x.ns.shards[src]
+// errOutputsClosed stops the producers of an exchange whose consumers
+// are all gone; it is no failure.
+var errOutputsClosed = errors.New("exec: every exchange output is closed")
+
+// stop is the simulated fabric's per-batch check: every consumer gone,
+// or the query cancelled.
+func (x *Exchange) stop() error {
+	if int(x.closed.Load()) == len(x.outs) {
+		return errOutputsClosed
 	}
-	pend := make([]*Batch, n)
-	var hv []uint64    // reused hash vector for columnar shuffle routing
-	var dIdx [][]int32 // reused per-destination gather lists
-	if err := in.Open(); err != nil {
-		x.fail(err)
-		return
-	}
-	filters, ferr := x.awaitFilters()
-	if ferr != nil {
-		x.fail(ferr)
-	}
-	dropped := 0
-	for ferr == nil {
-		if int(x.closed.Load()) == len(x.outs) {
-			break // every consumer is gone; stop pulling
-		}
-		if cerr := x.ns.parent.ctxErr(); cerr != nil {
-			x.fail(cerr)
-			break
-		}
-		b, err := in.Next()
-		if err != nil {
-			x.fail(err)
-			break
-		}
-		if b == nil {
-			break
-		}
-		// Rows route without being boxed: the key column hashes
-		// vectorized, rows split into per-destination gather lists, and
-		// each list bulk-gathers column-at-a-time into the destination's
-		// pending batch.
-		cb := b.Cols()
-		if dIdx == nil {
-			dIdx = make([][]int32, n)
-		}
-		switch {
-		case x.key == -1 || x.key == -2:
-			// Broadcast and deal move whole row sets: one gather list of
-			// every selected row, delivered to all nodes or one.
-			dIdx[0] = SelectedRows(cb, dIdx[0][:0])
-			if x.key == -2 {
-				d := int(x.deal % uint64(n))
-				x.deal++
-				x.packColGather(pend, d, cb, dIdx[0], src, meter)
-			} else {
-				for d := 0; d < n; d++ {
-					x.packColGather(pend, d, cb, dIdx[0], src, meter)
-				}
-			}
-		default:
-			var drop int
-			hv, drop = RouteHash(cb, x.key, hv, dIdx, filters)
-			dropped += drop
-			for d := 0; d < n; d++ {
-				if d == src || len(dIdx[d]) == 0 {
-					continue
-				}
-				x.packColGather(pend, d, cb, dIdx[d], src, meter)
-				dIdx[d] = dIdx[d][:0]
-			}
-			if src >= 0 && len(dIdx[src]) > 0 {
-				// The producing node's own rows stay in the input batch,
-				// which is handed off instead of released.
-				b.KeepRows(dIdx[src])
-				dIdx[src] = dIdx[src][:0]
-				x.send(src, b, src, meter)
-				continue
-			}
-		}
-		b.Release()
-	}
-	if dropped > 0 {
-		meter.AddExchFiltered(dropped)
-	}
-	for d, pb := range pend {
-		if pb != nil && pb.Len() > 0 {
-			x.send(d, pb, src, meter)
-		} else if pb != nil {
-			pb.Release()
-		}
-	}
-	if err := in.Close(); err != nil {
-		x.fail(err)
-	}
+	return x.ns.parent.ctxErr()
 }
 
-// awaitFilters returns the destinations' filters of a filtered
-// exchange once every destination has published (nil for an unfiltered
-// one), or the query's cancellation.
+// awaitFilters returns the destinations' filters of a filtered exchange
+// once every destination has published, or the query's cancellation.
 func (x *Exchange) awaitFilters() ([]*KeyFilter, error) {
-	if x.filters == nil {
-		return nil, nil
-	}
 	var done <-chan struct{}
 	if ctx := x.ns.parent.ctx; ctx != nil {
 		done = ctx.Done()
@@ -343,133 +258,24 @@ func (x *Exchange) awaitFilters() ([]*KeyFilter, error) {
 	}
 }
 
-// selectedRows appends cb's selected physical rows to dst.
-func SelectedRows(cb *tuple.Columns, dst []int32) []int32 {
-	if sel := cb.Sel(); sel != nil {
-		return append(dst, sel...)
-	}
-	for i := 0; i < cb.Len(); i++ {
-		dst = append(dst, int32(i))
-	}
-	return dst
-}
-
-// RouteHash is the hash route of both N-node fabrics. It hashes cb's
-// key column into hv (returned, grown as needed) and appends each
-// selected physical row to dIdx[d], d = Hash64(key) % len(dIdx), so
-// equal keys always meet at the same destination. An unfiltered route
-// (filters nil) sends a NULL key to destination 0: it can never match,
-// so its destination only needs to be deterministic. A filtered route
-// has one filter per destination (nil passes every key) and drops each
-// row whose key is NULL or that its destination's filter rejects; it
-// returns how many rows it dropped.
-func RouteHash(cb *tuple.Columns, key int, hv []uint64, dIdx [][]int32, filters []*KeyFilter) ([]uint64, int) {
-	hv = cb.Hash64Column(key, hv)
-	n := uint64(len(dIdx))
-	ln, sel := cb.Len(), cb.Sel()
-	kv := cb.Col(key)
-	hasNull := kv.Valid() != nil || kv.Boxed() != nil
-	dropped := 0
-	for k := 0; k < ln; k++ {
-		i := k
-		if sel != nil {
-			i = int(sel[k])
-		}
-		d := 0
-		if !hasNull || kv.IsValid(i) {
-			d = int(hv[i] % n)
-			if filters != nil && filters[d] != nil && !filters[d].mayPass(hv[i]) {
-				dropped++
-				continue
-			}
-		} else if filters != nil {
-			dropped++
-			continue
-		}
-		dIdx[d] = append(dIdx[d], int32(i))
-	}
-	return hv, dropped
-}
-
-// packColGather appends the listed physical rows of a columnar source
-// to destination d's pending columnar batch in capacity-sized chunks —
-// one bulk gather per column per chunk, string payloads shared, never
-// boxed. Safe across the source batch's Release: headers are copied
-// and payload bytes are immutable.
-func (x *Exchange) packColGather(pend []*Batch, d int, cb *tuple.Columns, idxs []int32, src int, meter meterSink) {
-	for len(idxs) > 0 {
-		pb := pend[d]
-		if pb == nil {
-			pb = NewColBatch(cb.NumCols())
-			pend[d] = pb
-		}
-		room := DefaultBatchSize - pb.Cols().FullLen()
-		if room <= 0 {
-			x.send(d, pb, src, meter)
-			pend[d] = nil
-			continue
-		}
-		take := len(idxs)
-		if take > room {
-			take = room
-		}
-		pb.AppendColGather(cb, idxs[:take])
-		idxs = idxs[take:]
-		if pb.Full() {
-			x.send(d, pb, src, meter)
-			pend[d] = nil
-		}
-	}
-}
-
-// meterSink is the single method exchanges need from a meter; it keeps
-// produce/packColGather testable and the accounting point explicit. The (src,
-// dst) link identity feeds the per-link accounting of cluster/links.go
-// (cluster.Meter satisfies this via AddExchangeAt).
-type meterSink interface {
-	AddExchangeAt(src, dst int, rows, bytes int, remote bool)
-	AddExchFiltered(rows int)
-}
-
-// send hands a packed batch to destination d's consumer, metering the
-// movement: remote when the producing node is not the destination (or
-// when the stream has no home node). A one-node cluster has no network
-// at all, so nothing it moves is ever remote.
-func (x *Exchange) send(d int, b *Batch, src int, meter meterSink) {
-	remote := src != d && x.ns.N() > 1
-	bytes := 0
-	if remote {
-		bytes = BatchWireBytes(b)
-	}
-	meter.AddExchangeAt(src, d, b.Len(), bytes, remote)
+// deliver hands b to destination d's channel, or releases it once d's
+// consumer is gone: its share of the stream is dropped.
+func (x *Exchange) deliver(d int, b *Batch) error {
 	o := x.outs[d]
 	select {
 	case o.ch <- b:
 	case <-o.closed:
-		b.Release() // consumer gone; its share of the stream is dropped
+		b.Release()
 	}
-}
-
-func (x *Exchange) fail(err error) {
-	x.errMu.Lock()
-	if x.err == nil {
-		x.err = err
-	}
-	x.errMu.Unlock()
-}
-
-func (x *Exchange) firstErr() error {
-	x.errMu.Lock()
-	defer x.errMu.Unlock()
-	return x.err
+	return nil
 }
 
 // BatchWireBytes approximates a batch's serialized size: a fixed 16-byte
 // value header per cell plus string payloads, summed column-at-a-time
 // (null cells count the header only) — cheap, stable across runs, and
-// close enough for a simulated network's byte counters. The TCP fabric
-// meters with it too, so its exchange counters price identically to
-// the simulated fabric's for the same row flow.
+// close enough for a simulated network's byte counters. The producer
+// meters with it on both N-node fabrics, so their exchange counters
+// price identically for the same row flow.
 func BatchWireBytes(b *Batch) int {
 	c := b.Cols()
 	ln := c.Len()
@@ -522,8 +328,8 @@ func (o *exchOut) Next() (*Batch, error) {
 	b, ok := <-o.ch
 	if !ok {
 		// Channels close only after every producer exits, so the first
-		// error (if any) is published by now.
-		return nil, o.x.firstErr()
+		// error (if any) is set by now.
+		return nil, o.x.err
 	}
 	return b, nil
 }
@@ -542,29 +348,36 @@ func (o *exchOut) Close() error {
 		// producers: its share of the stream is dropped anyway.
 		o.PublishFilter(nil)
 		close(o.closed)
-		o.x.closed.Add(1)
-		if !o.x.started.Load() {
-			// The exchange never started (e.g. a join's build side
-			// errored before its probe output was opened): nothing will
-			// ever close ch, so a blocking drain would hang forever.
-			// Producers that race past the started check observe the
-			// closed channel in send() and release batches themselves;
-			// at worst a few buffered batches fall to the GC.
-			for {
-				select {
-				case b := <-o.ch:
-					b.Release()
-				default:
-					return
-				}
+		if o.x.closed.Add(1) == int64(len(o.x.outs)) && o.x.started.Load() {
+			// The last consumer to leave waits for the producers, which
+			// stop at their next batch: the query's teardown ends with its
+			// exchanges. Earlier ones do not wait, so siblings can close
+			// one after another from one goroutine while a producer still
+			// waits for a sibling's filter.
+			for b := range o.ch {
+				b.Release()
 			}
+			return
 		}
-		// Drain so no producer stays blocked on this destination; the
-		// channel closes once every producer exits (all outputs are
-		// eventually drained or closed during teardown).
-		for b := range o.ch {
-			b.Release()
-		}
+		// Whatever a producer sends after this drain, while the select in
+		// deliver still finds room, the closer releases once the
+		// producers are done.
+		o.drain()
 	})
 	return nil
+}
+
+// drain releases the batches queued on the output without waiting.
+func (o *exchOut) drain() {
+	for {
+		select {
+		case b, ok := <-o.ch:
+			if !ok {
+				return
+			}
+			b.Release()
+		default:
+			return
+		}
+	}
 }

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"adaptdb/internal/cluster"
 	"adaptdb/internal/dfs"
@@ -183,7 +184,7 @@ func TestRouteHash(t *testing.T) {
 	const n = 2
 	dest := func(i int) int { return int(rows[i][0].Hash64() % n) }
 	dIdx := make([][]int32, n)
-	_, dropped := RouteHash(cb, 0, nil, dIdx, nil)
+	_, dropped := routeHash(cb, 0, nil, dIdx, nil)
 	if dropped != 0 || !slices.Contains(dIdx[0], 0) || !slices.Contains(dIdx[0], 4) {
 		t.Fatalf("unfiltered: dropped %d, lists %v; NULL keys belong at 0", dropped, dIdx)
 	}
@@ -192,7 +193,7 @@ func TestRouteHash(t *testing.T) {
 	filters := make([]*KeyFilter, n)
 	filters[dest(2)] = only2
 	dIdx = [][]int32{nil, nil}
-	_, dropped = RouteHash(cb, 0, nil, dIdx, filters)
+	_, dropped = routeHash(cb, 0, nil, dIdx, filters)
 	var want [n][]int32
 	wantDropped := 2 // the NULLs
 	for i := 1; i <= 3; i++ {
@@ -294,7 +295,13 @@ func TestFilteredShuffleLeakWall(t *testing.T) {
 		}
 		assertTornDown(t, ex, dir)
 	})
-	t.Run("close-before-probe", func(t *testing.T) {
+	// closeBeforeProbe opens one node's join, which seals its build and
+	// starts the probe producers, which then wait for the other nodes'
+	// filters; then every join closes, the others unopened, and publishes
+	// its pass-all filter. Concurrently, each join closes on its own
+	// goroutine as Gather would; sequentially, one after another on one
+	// goroutine, within a deadline.
+	closeBeforeProbe := func(t *testing.T, sequential bool) {
 		ex, ns, cancel, dir := start(t)
 		defer cancel()
 		// Build rows for one node only, so opening its join seals without
@@ -307,28 +314,44 @@ func TestFilteredShuffleLeakWall(t *testing.T) {
 		}
 		d := int(one[0][0].Hash64() % n)
 		_, parts := filteredShuffleJoin(ns, splitSources(one, n), splitSources(probe, n))
-		// Opening node d's join seals its build and starts the probe
-		// producers, which then wait for the other nodes' filters.
 		if err := parts[d].Open(); err != nil {
 			t.Fatal(err)
 		}
-		// Every join closes, the others unopened, each on its own
-		// goroutine as Gather would: an exchange output's Close waits for
-		// the producers, and they go on only once every closing join has
-		// published its pass-all filter.
-		var wg sync.WaitGroup
-		for _, p := range parts {
-			wg.Add(1)
-			go func(p Operator) {
-				defer wg.Done()
+		closeAll := func(ps []Operator) {
+			for _, p := range ps {
 				if err := p.Close(); err != nil {
 					t.Error(err)
 				}
-			}(p)
+			}
 		}
-		wg.Wait()
+		if sequential {
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				closeAll(parts)
+			}()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				cancel() // releases the producers, so the closes end too
+				<-done
+				t.Fatal("closing the joins one after another hung")
+			}
+		} else {
+			var wg sync.WaitGroup
+			for _, p := range parts {
+				wg.Add(1)
+				go func(p Operator) {
+					defer wg.Done()
+					closeAll([]Operator{p})
+				}(p)
+			}
+			wg.Wait()
+		}
 		assertTornDown(t, ex, dir)
-	})
+	}
+	t.Run("close-before-probe", func(t *testing.T) { closeBeforeProbe(t, false) })
+	t.Run("close-before-probe-sequential", func(t *testing.T) { closeBeforeProbe(t, true) })
 }
 
 // BenchmarkKeyFilter times one filter check, for keys the filter holds

@@ -1091,7 +1091,7 @@ func (h *HyperJoinOp) runGroup(group []int, st *colProbe) bool {
 		if len(h.rPreds) > 0 {
 			sel = predicate.FilterSel(h.rPreds, cols, nil, scratch)
 		} else {
-			sel = SelectedRows(cols, scratch[:0])
+			sel = selectedRows(cols, scratch[:0])
 		}
 		if nullable {
 			m := 0

@@ -11,15 +11,16 @@
 // combination outputs, gathered intermediates feeding broadcasts and
 // deals, and the final gather the session drains.
 //
-// A pump drives one hosted producer: it drains the fragment operator
-// and routes rows to destinations with exactly the simulated
-// exchange's rules (exec.RouteHash for a hash route, broadcast
-// duplication, per-batch round-robin deal), packing per-destination
-// pending batches and shipping each sealed batch either in-process
-// (same bounded path, no encode) or as a tuple run frame under the
-// stream's credit window. A hash route's rows for the pump's own
-// fragment are not packed: the input batch, narrowed to them, takes the
-// in-process path itself.
+// A pump drives one hosted producer: the routing loop is the simulated
+// exchange's own, exec.Producer — hash (filtered or not), broadcast,
+// deal, packing, metering — and the pump supplies only the transport.
+// It stops on ctx or attempt failure, waits for filter frames, and
+// ships each batch either in-process (same bounded path, no encode) or
+// as a tuple run frame under the stream's credit window. A gather is a
+// deal over one destination, the coordinator's fragment -1. A hash
+// route's rows for the pump's own fragment are not packed: the input
+// batch, narrowed to them, takes the in-process path itself. A pump
+// that fails sends no EOS.
 //
 // A filtered exchange (a shuffle join's probe side) carries one more
 // kind of traffic, against the rows: the process hosting fragment i's
@@ -41,16 +42,6 @@ import (
 	"adaptdb/internal/core"
 	"adaptdb/internal/exec"
 	"adaptdb/internal/predicate"
-	"adaptdb/internal/tuple"
-)
-
-// route markers beyond shuffle key columns, matching the simulated
-// exchange's conventions (-1 broadcast, -2 deal) plus -3 for the
-// gather pump, which has the single destination -1 (the coordinator).
-const (
-	routeBroadcast = -1
-	routeDeal      = -2
-	routeGather    = -3
 )
 
 type netFabric struct {
@@ -99,9 +90,19 @@ func (f *netFabric) SplitRefs(refs []core.BlockRef) [][]core.BlockRef {
 }
 
 // addPump registers a hosted producer for one exchange (x nil for a
-// gather).
-func (f *netFabric) addPump(x *netExch, exch, src int, op exec.Operator, route int) {
-	f.pumps = append(f.pumps, &pump{f: f, x: x, exch: exch, src: src, op: op, route: route})
+// gather: a deal over one destination, fragment -1).
+func (f *netFabric) addPump(x *netExch, exch, src int, op exec.Operator) {
+	p := &pump{f: f, x: x, exch: exch, prod: exec.Producer{In: op, Src: src, N: 1, Route: exec.RouteDeal}}
+	if x != nil {
+		// The pump charges the source fragment's shard, or the parent
+		// meter for a coordinator stream; a gather is unmetered, as the
+		// simulated Gather is.
+		p.prod.N, p.prod.Route, p.prod.Meter = f.N(), x.route, f.ex.Meter
+		if src >= 0 {
+			p.prod.Meter = f.At(src).Meter
+		}
+	}
+	f.pumps = append(f.pumps, p)
 }
 
 // exchange builds one exchange over per-fragment parts (src i = part
@@ -114,11 +115,11 @@ func (f *netFabric) exchange(parts []exec.Operator, srcGlobal exec.Operator, rou
 		x.nprod = len(parts)
 		for i, p := range parts {
 			if f.hosts(i) {
-				f.addPump(x, x.id, i, p, route)
+				f.addPump(x, x.id, i, p)
 			}
 		}
 	} else if f.me == 0 {
-		f.addPump(x, x.id, -1, srcGlobal, route)
+		f.addPump(x, x.id, -1, srcGlobal)
 	}
 	return x
 }
@@ -135,11 +136,11 @@ func (f *netFabric) ShuffleGlobal(in exec.Operator, key int, _ exec.Charge) exec
 }
 
 func (f *netFabric) Broadcast(in exec.Operator, _ exec.Charge) exec.Exchanger {
-	return f.exchange(nil, in, routeBroadcast)
+	return f.exchange(nil, in, exec.RouteBroadcast)
 }
 
 func (f *netFabric) Deal(in exec.Operator, _ exec.Charge) exec.Exchanger {
-	return f.exchange(nil, in, routeDeal)
+	return f.exchange(nil, in, exec.RouteDeal)
 }
 
 // Gather merges per-fragment streams into the coordinator: hosted
@@ -150,7 +151,7 @@ func (f *netFabric) Gather(parts []exec.Operator) exec.Operator {
 	f.nextID++
 	for i, p := range parts {
 		if f.hosts(i) {
-			f.addPump(nil, id, i, p, routeGather)
+			f.addPump(nil, id, i, p)
 		}
 	}
 	if f.me != 0 {
@@ -275,250 +276,77 @@ func (f *netFabric) dstProc(d int) int {
 	return f.assign[d]
 }
 
-// pump drives one hosted producer of one exchange.
+// pump drives one hosted producer of one exchange: exec.Producer's
+// routing loop over this fabric's transport.
 type pump struct {
-	f     *netFabric
-	x     *netExch // nil for a gather
-	exch  int
-	src   int // producing fragment; -1 for a coordinator stream
-	op    exec.Operator
-	route int // shuffle key column, or routeBroadcast/Deal/Gather
-	deal  uint64
+	f    *netFabric
+	x    *netExch // nil for a gather
+	exch int
+	prod exec.Producer
 	// enc is the pump's one encode buffer, reused for every remote frame
 	// (a pump sends from its own goroutine only): wire prefix reserved in
 	// front, then the stream header, then the run frame.
 	enc []byte
 }
 
-// dsts returns the destination fragment ids this pump may route to.
-func (p *pump) dsts() []int {
-	if p.route == routeGather {
-		return []int{-1}
+// dst maps the producer's destination d to its fragment: the gather's
+// one destination is the coordinator (-1).
+func (p *pump) dst(d int) int {
+	if p.x == nil {
+		return -1
 	}
-	out := make([]int, p.f.N())
-	for i := range out {
-		out[i] = i
-	}
-	return out
+	return d
 }
 
-// meterFor resolves the meter the pump charges exchanges into: the
-// source fragment's shard, the parent meter for coordinator streams,
-// nil for gathers (the simulated Gather is unmetered — parity).
-func (p *pump) meterFor() exchMeter {
-	if p.route == routeGather {
-		return nil
-	}
-	if p.src >= 0 {
-		return p.f.At(p.src).Meter
-	}
-	return p.f.ex.Meter
-}
-
+// run drains the producer, then marks the stream end toward every
+// destination. A failed pump must NOT send EOS: a clean stream end with
+// data missing would silently truncate the result. Local consumers
+// unblock through at.fail (the Run wrapper); remote consumers through
+// the coordinator's abort broadcast.
 func (p *pump) run(ctx context.Context) error {
-	n := p.f.N()
-	meter := p.meterFor()
-	dsts := p.dsts()
-	// pend is indexed by destination fragment; slot n holds the gather
-	// destination (-1).
-	pend := make([]*exec.Batch, n+1)
-	slot := func(d int) int {
-		if d < 0 {
-			return n
-		}
-		return d
-	}
-	var hv []uint64
-	var dIdx [][]int32
-
-	// A failed pump must NOT send EOS: a clean stream end with data
-	// missing would silently truncate the result. Local consumers
-	// unblock through at.fail (the Run wrapper); remote consumers
-	// through the coordinator's abort broadcast.
-	fail := func(err error) error {
-		p.op.Close()
-		return err
-	}
-	if err := p.op.Open(); err != nil {
-		return fmt.Errorf("net: pump (%d,%d): open: %w", p.exch, p.src, err)
-	}
-	filters, err := p.awaitFilters(ctx)
-	if err != nil {
-		return fail(err)
-	}
-	dropped := 0
-	defer func() {
-		if dropped > 0 {
-			meter.AddExchFiltered(dropped)
-		}
-	}()
-	for {
+	p.prod.Stop = func() error {
 		if err := ctx.Err(); err != nil {
-			return fail(err)
+			return err
 		}
-		if err := p.f.at.failure(); err != nil {
-			return fail(err)
-		}
-		b, err := p.op.Next()
-		if err != nil {
-			return fail(err)
-		}
-		if b == nil {
-			break
-		}
-		// Routing mirrors the simulated exchange: hash the key column
-		// vectorized, split into per-destination gather lists,
-		// bulk-gather into pending batches.
-		cb := b.Cols()
-		if dIdx == nil {
-			dIdx = make([][]int32, n)
-		}
-		switch {
-		case p.route < 0:
-			list := exec.SelectedRows(cb, dIdx[0][:0])
-			dIdx[0] = list
-			switch p.route {
-			case routeGather:
-				if err := p.packColGather(pend, slot, -1, cb, list, meter); err != nil {
-					return fail(err)
-				}
-			case routeDeal:
-				d := int(p.deal % uint64(n))
-				p.deal++
-				if err := p.packColGather(pend, slot, d, cb, list, meter); err != nil {
-					return fail(err)
-				}
-			default: // broadcast
-				for d := 0; d < n; d++ {
-					if err := p.packColGather(pend, slot, d, cb, list, meter); err != nil {
-						return fail(err)
-					}
-				}
-			}
-		default:
-			var drop int
-			hv, drop = exec.RouteHash(cb, p.route, hv, dIdx, filters)
-			dropped += drop
-			for d := 0; d < n; d++ {
-				if d == p.src || len(dIdx[d]) == 0 {
-					continue
-				}
-				if err := p.packColGather(pend, slot, d, cb, dIdx[d], meter); err != nil {
-					return fail(err)
-				}
-				dIdx[d] = dIdx[d][:0]
-			}
-			if p.src >= 0 && len(dIdx[p.src]) > 0 {
-				// The source fragment is hosted here, so its own rows stay
-				// in the input batch, which takes the in-process path
-				// instead of being released.
-				b.KeepRows(dIdx[p.src])
-				dIdx[p.src] = dIdx[p.src][:0]
-				if err := p.send(p.src, b, meter); err != nil {
-					return fail(err)
-				}
-				continue
-			}
-		}
-		b.Release()
+		return p.f.at.failure()
 	}
-	// Flush pending, then EOS every destination.
-	for _, d := range dsts {
-		if pb := pend[slot(d)]; pb != nil {
-			pend[slot(d)] = nil
-			if pb.Len() > 0 {
-				if err := p.send(d, pb, meter); err != nil {
-					return fail(err)
-				}
-			} else {
-				pb.Release()
-			}
-		}
+	if p.x != nil && p.x.filtered {
+		p.prod.Filters = func() ([]*exec.KeyFilter, error) { return p.awaitFilters(ctx) }
 	}
-	if err := p.op.Close(); err != nil {
+	p.prod.Deliver = p.send
+	if err := p.prod.Run(); err != nil {
 		return err
 	}
-	return p.sendEOSAll(dsts)
+	return p.sendEOSAll()
 }
 
 // awaitFilters returns the destinations' join filters of a filtered
-// exchange once every destination has published them (nil for an
-// unfiltered one). Attempt failure, abort and ctx release the wait.
+// exchange once every destination has published them. Attempt failure,
+// abort and ctx release the wait.
 func (p *pump) awaitFilters(ctx context.Context) ([]*exec.KeyFilter, error) {
-	if p.x == nil || !p.x.filtered {
-		return nil, nil
-	}
 	fs := p.f.at.filtersFor(p.exch, p.f.N())
 	select {
 	case <-fs.Ready():
 		if all := fs.All(); len(all) == p.f.N() {
 			return all, nil
 		}
-		return nil, fmt.Errorf("net: pump (%d,%d): filter frames for %d destinations, want %d", p.exch, p.src, len(fs.All()), p.f.N())
+		return nil, fmt.Errorf("net: pump (%d,%d): filter frames for %d destinations, want %d", p.exch, p.prod.Src, len(fs.All()), p.f.N())
 	case <-p.f.at.done:
 		if err := p.f.at.failure(); err != nil {
 			return nil, err
 		}
-		return nil, fmt.Errorf("net: pump (%d,%d): attempt ended before its filters arrived", p.exch, p.src)
+		return nil, fmt.Errorf("net: pump (%d,%d): attempt ended before its filters arrived", p.exch, p.prod.Src)
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
 }
 
-// packColGather bulk-gathers listed rows into destination d's pending
-// columnar batch in capacity-sized chunks.
-func (p *pump) packColGather(pend []*exec.Batch, slot func(int) int, d int, cb *tuple.Columns, idxs []int32, meter exchMeter) error {
-	s := slot(d)
-	for len(idxs) > 0 {
-		pb := pend[s]
-		if pb == nil {
-			pb = exec.NewColBatch(cb.NumCols())
-			pend[s] = pb
-		}
-		room := exec.DefaultBatchSize - pb.Cols().FullLen()
-		if room <= 0 {
-			pend[s] = nil
-			if err := p.send(d, pb, meter); err != nil {
-				return err
-			}
-			continue
-		}
-		take := len(idxs)
-		if take > room {
-			take = room
-		}
-		pb.AppendColGather(cb, idxs[:take])
-		idxs = idxs[take:]
-		if pb.Full() {
-			pend[s] = nil
-			if err := p.send(d, pb, meter); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-type exchMeter interface {
-	AddExchangeAt(src, dst int, rows, bytes int, remote bool)
-	AddExchFiltered(rows int)
-}
-
-// send ships one sealed batch to destination fragment d: metering
-// identical to the simulated exchange (wire-byte estimate, fragment-
-// level remoteness), then either the in-process bounded path or a run
-// frame, encoded into the pump's reused buffer and written from it,
-// under the stream's credit window.
-func (p *pump) send(d int, b *exec.Batch, meter exchMeter) error {
-	if meter != nil {
-		remote := p.src != d && p.f.N() > 1
-		bytes := 0
-		if remote {
-			bytes = exec.BatchWireBytes(b)
-		}
-		meter.AddExchangeAt(p.src, d, b.Len(), bytes, remote)
-	}
-	key := streamKey{p.exch, p.src, d}
+// send ships one batch to the producer's destination d, either by the
+// in-process bounded path or as a run frame, encoded into the pump's
+// reused buffer and written from it, under the stream's credit window.
+func (p *pump) send(d int, b *exec.Batch) error {
+	src, d := p.prod.Src, p.dst(d)
+	key := streamKey{p.exch, src, d}
 	gate := p.f.at.gateFor(key)
 	proc := p.f.dstProc(d)
 	if proc == p.f.me {
@@ -534,7 +362,7 @@ func (p *pump) send(d int, b *exec.Batch, meter exchMeter) error {
 		return nil
 	}
 	var prefix [frameHdrLen]byte
-	buf := appendStreamHdr(append(p.enc[:0], prefix[:]...), streamHdr{qid: p.f.qid, exch: p.exch, src: p.src, dst: d})
+	buf := appendStreamHdr(append(p.enc[:0], prefix[:]...), streamHdr{qid: p.f.qid, exch: p.exch, src: src, dst: d})
 	hdrEnd := len(buf)
 	buf, err := encodeBatch(buf, b)
 	b.Release()
@@ -556,17 +384,18 @@ func (p *pump) send(d int, b *exec.Batch, meter exchMeter) error {
 	}
 	// Measured per-link traffic: actual frame bytes and write time feed
 	// the Bala-Join-style link weights of cluster/links.go.
-	p.f.ex.Meter.AddLinkNanos(p.src, d, frameLen, time.Since(t0).Nanoseconds())
+	p.f.ex.Meter.AddLinkNanos(src, d, frameLen, time.Since(t0).Nanoseconds())
 	return nil
 }
 
 // sendEOSAll marks the stream end toward every destination.
-func (p *pump) sendEOSAll(dsts []int) error {
+func (p *pump) sendEOSAll() error {
 	var first error
-	for _, d := range dsts {
+	for i := 0; i < p.prod.N; i++ {
+		d := p.dst(i)
 		proc := p.f.dstProc(d)
 		if proc == p.f.me {
-			p.f.at.queueFor(qkey{p.exch, d}).eosFrom(p.src)
+			p.f.at.queueFor(qkey{p.exch, d}).eosFrom(p.prod.Src)
 			continue
 		}
 		c := p.f.ep.peerConn(proc)
@@ -576,7 +405,7 @@ func (p *pump) sendEOSAll(dsts []int) error {
 			}
 			continue
 		}
-		hdr := appendStreamHdr(nil, streamHdr{qid: p.f.qid, exch: p.exch, src: p.src, dst: d})
+		hdr := appendStreamHdr(nil, streamHdr{qid: p.f.qid, exch: p.exch, src: p.prod.Src, dst: d})
 		if err := c.writeFrame(msgEOS, hdr); err != nil && first == nil {
 			first = &NetError{Msg: err.Error(), Peer: proc}
 		}

@@ -125,12 +125,12 @@ func startTPCH(t *testing.T, workers, nodes int, inProcess bool) (*adbnet.Cluste
 // (a fresh identical store) — the oracle every TCP run must match.
 func simDigests(t *testing.T, nodes int, schedule []tpch.Template) []uint64 {
 	t.Helper()
-	sums, _ := simResults(t, nodes, schedule)
+	sums, _, _ := simResults(t, nodes, schedule)
 	return sums
 }
 
-// simResults is simDigests plus each query's row count.
-func simResults(t *testing.T, nodes int, schedule []tpch.Template) ([]uint64, []int) {
+// simResults is simDigests plus each query's row count and counters.
+func simResults(t *testing.T, nodes int, schedule []tpch.Template) ([]uint64, []int, []cluster.Counters) {
 	t.Helper()
 	store, data, tables, err := datasets.BuildTPCH(testParams(nodes))
 	if err != nil {
@@ -145,6 +145,7 @@ func simResults(t *testing.T, nodes int, schedule []tpch.Template) ([]uint64, []
 	rng := rand.New(rand.NewSource(testSeed))
 	out := make([]uint64, 0, len(schedule))
 	counts := make([]int, 0, len(schedule))
+	var cnts []cluster.Counters
 	for qi, tpl := range schedule {
 		q, err := session.FromSpec(cat, tpch.NewInstance(tpl, data, rng).Spec())
 		if err != nil {
@@ -156,19 +157,27 @@ func simResults(t *testing.T, nodes int, schedule []tpch.Template) ([]uint64, []
 		}
 		out = append(out, rowsChecksum(res.Rows))
 		counts = append(counts, len(res.Rows))
+		cnts = append(cnts, res.Counters)
 	}
-	return out, counts
+	return out, counts, cnts
 }
 
 // TestTCPSessionMatchesSim is the tentpole assertion: the adaptive
 // TPC-H stream over real sockets is bit-identical to the simulated
-// fabric at 1, 4, and 8 fragments.
+// fabric at 1, 4, and 8 fragments. Above one fragment, where both
+// fabrics drive their exchanges through one producer, each query also
+// meters the same local and remote rows, wire bytes and filter drops;
+// its shuffle, semi-shuffle and hyper joins cover the hash, broadcast,
+// deal and global-shuffle routes.
 func TestTCPSessionMatchesSim(t *testing.T) {
 	defer exec.VerifyNoLeaks(t)
 	schedule := shiftSchedule(3)
+	exch := func(c cluster.Counters) [4]float64 {
+		return [4]float64{c.ExchLocalRows, c.ExchRemoteRows, c.ExchBytes, c.ExchFilteredRows}
+	}
 	for _, nodes := range []int{1, 4, 8} {
 		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
-			want := simDigests(t, nodes, schedule)
+			want, _, wantCnt := simResults(t, nodes, schedule)
 			cl, s, cat, data := startTPCH(t, nodes, nodes, true)
 			rng := rand.New(rand.NewSource(testSeed))
 			for qi, tpl := range schedule {
@@ -182,6 +191,9 @@ func TestTCPSessionMatchesSim(t *testing.T) {
 				}
 				if got := rowsChecksum(res.Rows); got != want[qi] {
 					t.Fatalf("q%d (%s): tcp checksum %016x != sim %016x (%d rows)", qi, tpl, got, want[qi], res.RowCount)
+				}
+				if got, sim := exch(res.Counters), exch(wantCnt[qi]); nodes > 1 && got != sim {
+					t.Fatalf("q%d (%s): tcp metered local, remote rows, bytes, dropped rows %v; sim %v", qi, tpl, got, sim)
 				}
 			}
 			if live := cl.LiveWorkers(); live != nodes {
@@ -423,7 +435,7 @@ func TestTCPLostQDoneWrite(t *testing.T) {
 	defer exec.VerifyNoLeaks(t)
 	const nodes = 4
 	schedule := []tpch.Template{tpch.Q5, tpch.Q3}
-	_, want := simResults(t, nodes, schedule)
+	_, want, _ := simResults(t, nodes, schedule)
 	cl, s, cat, data := startSweep(t, nodes, nodes)
 	rng := rand.New(rand.NewSource(testSeed))
 	for qi, tpl := range schedule {
