@@ -187,13 +187,6 @@ func (m *Meter) SetLinkWeights(w LinkWeights) {
 	m.lw = w
 }
 
-// LinkWeightsSnapshot returns the currently installed weights.
-func (m *Meter) LinkWeightsSnapshot() LinkWeights {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lw
-}
-
 // Links returns a copy of the accumulated per-link traffic.
 func (m *Meter) Links() LinkStats {
 	m.mu.Lock()

@@ -73,7 +73,8 @@ func (e *Executor) ForQuery(q QueryCtx) *Executor {
 // node views (if any). Operator drain loops check it at batch
 // boundaries; once ctx is done, in-flight operators wind down and
 // surface ctx.Err() through Next. Not safe to call concurrently with a
-// running query — bind before Compile, as Session.ExecuteContext does.
+// running query — bind before Compile. A serving layer instead passes
+// the context through ForQuery.
 func (e *Executor) BindContext(ctx context.Context) {
 	e.ctx = ctx
 	if e.nodes != nil {
@@ -82,10 +83,6 @@ func (e *Executor) BindContext(ctx context.Context) {
 		}
 	}
 }
-
-// Ctx returns the bound execution context (nil when none was bound) —
-// the network fabric threads it into attempt lifecycles.
-func (e *Executor) Ctx() context.Context { return e.ctx }
 
 // ctxErr reports the executor's cancellation state: nil while the
 // query may proceed, ctx.Err() once it is cancelled or past deadline.

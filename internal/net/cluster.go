@@ -18,6 +18,7 @@ import (
 	"fmt"
 	gonet "net"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -269,7 +270,9 @@ func (c *Cluster) workerDied(proc int, cause error) {
 	}
 	atts := make([]*Attempt, 0, len(c.active))
 	for _, a := range c.active {
-		atts = append(atts, a)
+		if slices.Contains(a.procs, proc) {
+			atts = append(atts, a)
+		}
 	}
 	c.mu.Unlock()
 	c.ep.peerDied(proc, cause)
@@ -305,6 +308,17 @@ func (c *Cluster) handleFrame(cc *conn) func(typ byte, payload []byte) error {
 			var rerr error = fmt.Errorf("worker %d: %s", cc.peer, m.Msg)
 			if m.Net {
 				rerr = &NetError{Msg: m.Msg, Peer: cc.peer}
+			}
+			if m.Dead > 0 && m.Dead != cc.peer {
+				// Drop the worker the reporter saw die before failing the
+				// attempt, so the retry cannot dispatch to it even if its
+				// own connection has not noticed yet.
+				c.mu.Lock()
+				dead := c.conns[m.Dead]
+				c.mu.Unlock()
+				if dead != nil {
+					dead.die(rerr)
+				}
 			}
 			c.routeReport(m.QID, cc.peer, report{err: rerr})
 			// Fail the local attempt so a blocked coordinator drain
@@ -351,11 +365,7 @@ func (c *Cluster) liveProcs() []int {
 			out = append(out, proc)
 		}
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 
@@ -413,72 +423,89 @@ func (a *Attempt) Assign() []int { return append([]int(nil), a.assign...) }
 // Begin dispatches a new attempt for one query of the stream: assign
 // fragments round-robin over the live workers, send the serialized
 // spec (with the stream seq, the link weights, and any armed fault) to
-// every live worker. A query message that cannot be sent aborts the
-// attempt and returns a NetError, which the caller retries like any
-// other transport failure.
+// every live worker. A worker the query message cannot reach is dead
+// (the failed write kills its connection): Begin aborts what it sent
+// and dispatches again without it, so a lost dispatch fails over
+// without spending one of the caller's attempts, and there is at most
+// one such try per worker. It fails with a NetError when no worker is
+// left or the spec cannot be encoded.
 func (c *Cluster) Begin(spec query.Spec, seq int, lw cluster.LinkWeights) (*Attempt, error) {
+	c.mu.Lock()
+	fault := c.fault
+	c.fault = nil
+	if fault != nil && fault.Proc == 0 {
+		// A coordinator-side fault arms here; worker-side faults ride the
+		// query message and arm in their target process.
+		for proc, cc := range c.conns {
+			if fault.Peer < 0 || proc == fault.Peer {
+				cc.arm(fault, nil)
+			}
+		}
+	}
+	c.mu.Unlock()
+	for {
+		if a, lost, err := c.dispatch(spec, seq, lw, fault); !lost {
+			return a, err
+		}
+	}
+}
+
+// dispatch is one try of Begin over the workers live now; lost reports
+// a query message that did not reach one of them.
+func (c *Cluster) dispatch(spec query.Spec, seq int, lw cluster.LinkWeights, fault *FaultPlan) (a *Attempt, lost bool, err error) {
 	live := c.liveProcs()
 	if len(live) == 0 {
-		return nil, &NetError{Msg: "no live workers", Peer: -1}
+		return nil, false, &NetError{Msg: "no live workers", Peer: -1}
 	}
 	c.mu.Lock()
 	c.nextQID++
 	qid := c.nextQID
-	fault := c.fault
-	c.fault = nil
 	c.mu.Unlock()
 
 	assign := make([]int, c.opts.Fragments)
 	for i := range assign {
 		assign[i] = live[i%len(live)]
 	}
-	a := &Attempt{
+	payload, err := json.Marshal(queryMsg{QID: qid, Seq: seq, Spec: spec, Assign: assign, Weights: weightsToRecs(lw), Fault: fault})
+	if err != nil {
+		return nil, false, &NetError{Msg: fmt.Sprintf("encode query %d: %v", qid, err), Peer: -1}
+	}
+	a = &Attempt{
 		c:       c,
 		qid:     qid,
 		seq:     seq,
 		assign:  assign,
 		procs:   live,
-		at:      c.ep.attemptFor(qid),
+		at:      c.ep.attemptWith(qid, live),
 		reports: make(map[int]report),
 	}
 	a.cond = sync.NewCond(&a.mu)
 	c.mu.Lock()
 	c.active[qid] = a
 	c.mu.Unlock()
-
-	if fault != nil && fault.Proc == 0 {
-		// A coordinator-side fault arms here; worker-side faults ride the
-		// query message and arm in their target process.
-		c.mu.Lock()
-		for proc, cc := range c.conns {
-			if fault.Peer >= 0 && proc != fault.Peer {
-				continue
-			}
-			cc.arm(fault, nil)
-		}
-		c.mu.Unlock()
-	}
-	qm := queryMsg{QID: qid, Seq: seq, Spec: spec, Assign: assign, Weights: weightsToRecs(lw), Fault: fault}
 	for _, proc := range live {
-		var err error
-		if cc := c.ep.peerConn(proc); cc == nil {
-			err = fmt.Errorf("connection closed")
-		} else {
-			err = cc.writeJSON(msgQuery, qm)
+		c.mu.Lock()
+		cc := c.conns[proc] // gone or dead: out of the next try's live set
+		c.mu.Unlock()
+		err := fmt.Errorf("connection closed")
+		if cc != nil {
+			err = cc.writeFrame(msgQuery, payload)
 		}
 		if err != nil {
 			// A worker that never got the query would never send its
-			// streams or report: abort what was dispatched and hand the
-			// transport failure to the caller's failover.
+			// streams or report: abort what was dispatched.
 			nerr := &NetError{Msg: fmt.Sprintf("dispatch query %d: %v", qid, err), Peer: proc}
+			if cc != nil {
+				cc.die(nerr) // a failed write has usually killed it already
+			}
 			a.abort(nerr)
 			c.mu.Lock()
 			delete(c.active, qid)
 			c.mu.Unlock()
-			return nil, nerr
+			return nil, true, nerr
 		}
 	}
-	return a, nil
+	return a, false, nil
 }
 
 // Fabric builds the coordinator's fabric view over its own executor

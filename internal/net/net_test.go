@@ -237,6 +237,50 @@ func TestTCPFailover(t *testing.T) {
 	cl.Close() // before the deferred leak check (t.Cleanup runs after it)
 }
 
+// TestTCPStreamSinkFailover streams each query into a sink while a
+// worker is killed mid-query. The sink must see exactly the successful
+// attempt's rows, none of the failed attempt's: its row count and
+// checksum, and the result's RowCount, equal the simulated session's.
+func TestTCPStreamSinkFailover(t *testing.T) {
+	defer exec.VerifyNoLeaks(t)
+	const nodes = 4
+	schedule := []tpch.Template{tpch.Q5, tpch.Q3, tpch.Q5}
+	want, counts, _ := simResults(t, nodes, schedule)
+
+	cl, s, cat, data := startTPCH(t, nodes, nodes, true)
+	rng := rand.New(rand.NewSource(testSeed))
+	for qi, tpl := range schedule {
+		if qi == 1 {
+			cl.ArmFault(&adbnet.FaultPlan{Proc: 2, Peer: -1, Msg: "data", After: 2, Kind: adbnet.FaultKill})
+		}
+		q, err := session.FromSpec(cat, tpch.NewInstance(tpl, data, rng).Spec())
+		if err != nil {
+			t.Fatalf("q%d (%s): %v", qi, tpl, err)
+		}
+		var rows []tuple.Tuple
+		res, err := s.Stream(q, func(b *exec.Batch) error {
+			rows = append(rows, b.Rows()...)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("q%d (%s): %v", qi, tpl, err)
+		}
+		if len(rows) != counts[qi] || res.RowCount != counts[qi] {
+			t.Fatalf("q%d (%s): sink saw %d rows, RowCount %d, sim %d", qi, tpl, len(rows), res.RowCount, counts[qi])
+		}
+		if got := rowsChecksum(rows); got != want[qi] {
+			t.Fatalf("q%d (%s): sink checksum %016x != sim %016x", qi, tpl, got, want[qi])
+		}
+		if res.Rows != nil {
+			t.Fatalf("q%d (%s): Stream materialized rows", qi, tpl)
+		}
+	}
+	if live := cl.LiveWorkers(); live != nodes-1 {
+		t.Fatalf("expected %d live workers after the kill, have %d", nodes-1, live)
+	}
+	cl.Close() // before the deferred leak check (t.Cleanup runs after it)
+}
+
 // TestTCPRealProcesses runs the differential through genuinely spawned
 // worker processes — the re-exec path CI's smoke job drives.
 func TestTCPRealProcesses(t *testing.T) {

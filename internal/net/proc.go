@@ -10,6 +10,7 @@ package net
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
 	"adaptdb/internal/exec"
@@ -59,6 +60,13 @@ func (ep *endpoint) peerConn(proc int) *conn {
 // connection). Tombstoned qids return nil: the attempt is over and its
 // frames are discarded.
 func (ep *endpoint) attemptFor(qid uint64) *attempt {
+	return ep.attemptWith(qid, nil)
+}
+
+// attemptWith is attemptFor that, for non-nil peers, also records the
+// processes the attempt exchanges with (from its dispatch), so that
+// peerDied leaves it running when any other process dies.
+func (ep *endpoint) attemptWith(qid uint64, peers []int) *attempt {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	if ep.tombs[qid] {
@@ -68,6 +76,9 @@ func (ep *endpoint) attemptFor(qid uint64) *attempt {
 	if at == nil {
 		at = newAttempt(ep, qid)
 		ep.atts[qid] = at
+	}
+	if peers != nil {
+		at.peers = peers
 	}
 	return at
 }
@@ -88,9 +99,10 @@ func (ep *endpoint) retire(qid uint64, err error) {
 	}
 }
 
-// peerDied fails every active attempt — the session stream is serial,
-// so any in-flight query involved the dead peer's replica or its
-// traffic and cannot complete.
+// peerDied fails every active attempt that exchanges with proc, or
+// whose peers are not known yet: it cannot complete. An attempt
+// dispatched without proc — a failover retry — runs on; a death noticed
+// late must not fail the retry that already left the dead worker out.
 func (ep *endpoint) peerDied(proc int, cause error) {
 	ep.mu.Lock()
 	if c := ep.peers[proc]; c != nil && c.isDead() {
@@ -98,7 +110,9 @@ func (ep *endpoint) peerDied(proc int, cause error) {
 	}
 	atts := make([]*attempt, 0, len(ep.atts))
 	for _, at := range ep.atts {
-		atts = append(atts, at)
+		if at.peers == nil || slices.Contains(at.peers, proc) {
+			atts = append(atts, at)
+		}
 	}
 	ep.mu.Unlock()
 	err := &NetError{Msg: fmt.Sprintf("peer died: %v", cause), Peer: proc}

@@ -315,6 +315,9 @@ type attempt struct {
 	failed  error
 	done    chan struct{} // closed on fail or finish
 	doneMu  sync.Once
+	// peers are the processes the attempt exchanges with, nil until its
+	// dispatch is known; guarded by ep.mu (attemptWith, peerDied).
+	peers []int
 }
 
 func newAttempt(ep *endpoint, qid uint64) *attempt {

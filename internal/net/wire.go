@@ -213,10 +213,13 @@ type abortMsg struct {
 // qerrMsg reports a failed attempt. Net marks transport-layer failures
 // (peer death, reset streams) — the class the coordinator retries on a
 // surviving replica; non-net failures surface to the caller as-is.
+// Dead names the worker whose death (or dead link: links are never
+// re-dialed) failed the attempt, 0 when none is known.
 type qerrMsg struct {
-	QID uint64
-	Msg string
-	Net bool
+	QID  uint64
+	Msg  string
+	Net  bool
+	Dead int `json:",omitempty"`
 }
 
 // qdoneMsg reports a completed attempt with the worker's metered

@@ -14,6 +14,7 @@ package net
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	gonet "net"
 	"os"
@@ -283,6 +284,9 @@ func (w *worker) handleFrame(c *conn) func(typ byte, payload []byte) error {
 			if err := json.Unmarshal(payload, &qm); err != nil {
 				return fmt.Errorf("net: decode query: %w", err)
 			}
+			// The attempt exchanges with the coordinator and the hosts of
+			// its fragments; a death among the other workers leaves it be.
+			w.ep.attemptWith(qm.QID, append([]int{0}, qm.Assign...))
 			select {
 			case w.queryCh <- qm:
 			case <-w.closing:
@@ -321,7 +325,12 @@ func (w *worker) queryLoop() {
 // report sends the attempt outcome to the coordinator.
 func (w *worker) report(qid uint64, counters cluster.Counters, links cluster.LinkStats, err error) error {
 	if err != nil {
-		return w.coord.writeJSON(msgQErr, qerrMsg{QID: qid, Msg: err.Error(), Net: IsNetError(err)})
+		m := qerrMsg{QID: qid, Msg: err.Error(), Net: IsNetError(err)}
+		var ne *NetError
+		if errors.As(err, &ne) && ne.Peer > 0 && ne.Peer != w.proc {
+			m.Dead = ne.Peer
+		}
+		return w.coord.writeJSON(msgQErr, m)
 	}
 	return w.coord.writeJSON(msgQDone, qdoneMsg{QID: qid, Counters: counters, Links: linksToRecs(links)})
 }

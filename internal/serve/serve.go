@@ -13,7 +13,7 @@
 //     deadline), a private cluster.Meter, a MemBudget share sized to
 //     its admission reservation, and — in distributed mode — a private
 //     NodeSet with per-node meter shards. exec.Executor.ForQuery
-//     derives that view; it lives for one compile/drain cycle.
+//     derives that view; it lives for one session.Run of the query.
 //   - Each tenant owns its adaptation state: an optimizer.Optimizer
 //     whose per-table workload.Windows track only that tenant's
 //     queries, so one tenant's drift repartitions without another's
@@ -26,8 +26,8 @@
 // releasing it. The plan cache keys on those epochs, which is the
 // entire invalidation story:
 //
-//	query:  RLock → read epoch E → compile (cache keyed @E) → drain → RUnlock
 //	adapt:  Lock  → migrate blocks → epoch E+1 → Unlock
+//	query:  RLock → session.Run: compile (cache keyed @E) → drain → RUnlock
 //
 // A cached fragment compiled @E can only be replayed while the layout
 // that produced it is still current; after the bump its key is
@@ -137,27 +137,17 @@ func New(store *dfs.Store, cfg Config) *Service {
 	}
 }
 
-// Result reports what one query did — session.Result's fields plus the
-// serving-layer observability: the result checksum, cache behavior,
-// and admission accounting.
+// Result reports what one query did — session.Result plus the
+// serving-layer observability: the tenant, the result checksum, cache
+// behavior, and admission accounting. Wall spans the admission wait.
 type Result struct {
-	Seq    int64
+	session.Result
 	Tenant string
-	Label  string
-	// Rows holds the materialized result (Execute only; nil for Stream).
-	Rows     []tuple.Tuple
-	RowCount int
 	// Checksum is an order-independent digest of the result multiset
 	// (commutative sum of per-row FNV-1a over the binary encoding);
 	// equal multisets yield equal checksums regardless of row order, so
 	// concurrent and serial replays compare directly.
 	Checksum uint64
-	Report   *planner.Report
-	Adapt    optimizer.StepReport
-	Counters cluster.Counters
-	// SimSeconds prices Counters with the service's cost model.
-	SimSeconds float64
-	Wall       time.Duration
 	// Queued is the time spent waiting for admission.
 	Queued time.Duration
 	// EstBytes is the planner-estimated footprint the query reserved.
@@ -168,21 +158,21 @@ type Result struct {
 }
 
 // Execute runs one query for a tenant — admit, adapt, compile, drain —
-// materializing the result rows. ctx cancels or deadlines the whole
-// path, including the admission wait.
+// materializing the result rows: Stream with a collecting sink. ctx
+// cancels or deadlines the whole path, including the admission wait.
 func (s *Service) Execute(ctx context.Context, tenantID string, q session.Query) (*Result, error) {
-	return s.run(ctx, tenantID, q, true, nil)
+	var rows []tuple.Tuple
+	res, err := s.Stream(ctx, tenantID, q, session.Collect(&rows))
+	res.Rows = rows
+	return res, err
 }
 
 // Stream runs one query without materializing the result; each output
 // batch is passed to sink (nil = just count and checksum). The batch
 // is only valid during the call.
 func (s *Service) Stream(ctx context.Context, tenantID string, q session.Query, sink func(*exec.Batch) error) (*Result, error) {
-	return s.run(ctx, tenantID, q, false, sink)
-}
-
-func (s *Service) run(ctx context.Context, tenantID string, q session.Query, collect bool, sink func(*exec.Batch) error) (*Result, error) {
-	res := &Result{Seq: s.seq.Add(1) - 1, Tenant: tenantID, Label: q.Label}
+	res := &Result{Tenant: tenantID}
+	res.Seq, res.Label = int(s.seq.Add(1)-1), q.Label
 	start := time.Now()
 	defer func() { res.Wall = time.Since(start) }()
 
@@ -193,76 +183,42 @@ func (s *Service) run(ctx context.Context, tenantID string, q session.Query, col
 	s.layoutMu.RUnlock()
 	res.EstBytes = est
 	qstart := time.Now()
-	if err := s.adm.Acquire(ctx, est); err != nil {
-		res.Queued = time.Since(qstart)
-		return res, err
-	}
+	err := s.adm.Acquire(ctx, est)
 	res.Queued = time.Since(qstart)
-	defer s.adm.Release(est)
-
-	meter := &cluster.Meter{}
-	defer func() {
-		res.Counters = meter.Reset()
-		res.SimSeconds = res.Counters.SimSeconds(s.model)
-	}()
-
-	// Adaptation: the tenant's own windows vote, and any layout change
-	// happens under the write lock — no query is scanning while blocks
-	// move. Epoch bumps piggyback on the same critical section, so a
-	// reader either sees (old layout, old epoch) or (new, new). A failed
-	// step may have changed layouts before it failed, so it bumps too.
-	uses := q.Uses()
-	t := s.tenant(tenantID)
-	t.mu.Lock()
-	s.layoutMu.Lock()
-	adapt, err := t.opt.OnQuery(uses, meter)
-	if err != nil || adapt.Adapted() {
-		s.epochMu.Lock()
-		for _, u := range uses {
-			s.epochs[u.Table.Name]++
-		}
-		s.epochMu.Unlock()
-	}
-	s.layoutMu.Unlock()
-	t.mu.Unlock()
 	if err != nil {
 		return res, err
 	}
-	res.Adapt = adapt
+	defer s.adm.Release(est)
+
+	meter := &cluster.Meter{}
+	adapt, err := s.adapt(tenantID, q, meter)
+	if err != nil {
+		res.Counters = meter.Reset()
+		res.SimSeconds = res.Counters.SimSeconds(s.model)
+		return res, err
+	}
 
 	// Compile and drain under the read lock: the layout (and with it
 	// every epoch this compile keys cache entries on) cannot change
-	// until the query finishes.
+	// until the query finishes. The query's NodeSet is private, so
+	// flushing its shards into the query meter never races another
+	// query's accounting.
 	s.layoutMu.RLock()
 	defer s.layoutMu.RUnlock()
-
-	qex := s.base.ForQuery(exec.QueryCtx{
+	runner := planner.NewRunner(s.base.ForQuery(exec.QueryCtx{
 		Ctx:         ctx,
 		Meter:       meter,
 		Mem:         s.queryBudget(est),
 		Distributed: s.cfg.Distributed,
-	})
-	if ns := qex.Nodes(); ns != nil {
-		// The query's NodeSet is private, so flushing its shards into
-		// the query meter never races another query's accounting.
-		defer ns.Flush()
-	}
-	runner := planner.NewRunner(qex, s.model)
+	}), s.model)
 	if s.cfg.BudgetBlocks > 0 {
 		runner.BudgetBlocks = s.cfg.BudgetBlocks
 	}
 	runner.Cache = s.cache
 	runner.Epoch = s.Epoch
-	comp, err := q.Compile(runner)
-	res.CacheHits, res.CacheMisses = runner.CacheHits, runner.CacheMisses
-	if err != nil {
-		return res, err
-	}
-	res.Report = comp.Report
 
-	sum := uint64(0)
 	var scratch []byte
-	wrapped := func(b *exec.Batch) error {
+	r, err := session.Run(ctx, session.Step{Runner: runner, Seq: res.Seq}, q, func(b *exec.Batch) error {
 		cb := b.Cols()
 		sel := cb.Sel()
 		for k, n := 0, cb.Len(); k < n; k++ {
@@ -271,23 +227,41 @@ func (s *Service) run(ctx context.Context, tenantID string, q session.Query, col
 				i = int(sel[k])
 			}
 			scratch = cb.AppendRowBinary(scratch[:0], i)
-			sum += fnv1a(scratch)
-		}
-		if collect {
-			res.Rows = append(res.Rows, b.Rows()...)
+			res.Checksum += fnv1a(scratch)
 		}
 		if sink != nil {
 			return sink(b)
 		}
 		return nil
+	})
+	res.Result = *r
+	res.Adapt = adapt
+	res.CacheHits, res.CacheMisses = runner.CacheHits, runner.CacheMisses
+	return res, err
+}
+
+// adapt runs the tenant's optimizer on q's votes: the tenant's own
+// windows vote, and any layout change happens under the write lock —
+// no query is scanning while blocks move. Epoch bumps piggyback on the
+// same critical section, so a reader either sees (old layout, old
+// epoch) or (new, new). A failed step may have changed layouts before
+// it failed, so it bumps too.
+func (s *Service) adapt(tenantID string, q session.Query, meter *cluster.Meter) (optimizer.StepReport, error) {
+	uses := q.Uses()
+	t := s.tenant(tenantID)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s.layoutMu.Lock()
+	defer s.layoutMu.Unlock()
+	adapt, err := t.opt.OnQuery(uses, meter)
+	if err != nil || adapt.Adapted() {
+		s.epochMu.Lock()
+		for _, u := range uses {
+			s.epochs[u.Table.Name]++
+		}
+		s.epochMu.Unlock()
 	}
-	n, err := exec.Drain(ctx, comp.Root, wrapped)
-	res.RowCount = n
-	res.Checksum = sum
-	if err != nil {
-		return res, err
-	}
-	return res, nil
+	return adapt, err
 }
 
 // footprint estimates a query's peak memory via a throwaway runner

@@ -253,6 +253,44 @@ func TestServeExecuteMatchesStream(t *testing.T) {
 	}
 }
 
+// TestServeResultOps: a served query reports every compiled operator's
+// stats, and PerNode folds them by execution node — node 0 on the
+// one-node fabric, several nodes on the simulated per-node fabric. The
+// fixture's joins all run as coordinator-side hyper-joins, so a scan
+// of the fact table is the query whose operators run at the nodes.
+func TestServeResultOps(t *testing.T) {
+	f := buildFixture(t)
+	preds := []predicate.Predicate{predicate.NewCmp(2, predicate.LT, value.NewInt(400))}
+	q := session.Query{Label: "fact<400", Plan: &planner.Scan{Table: f.fact, Preds: preds}}
+	for _, distributed := range []bool{false, true} {
+		cfg := staticConfig()
+		cfg.Distributed = distributed
+		res, err := New(f.store, cfg).Stream(context.Background(), "t0", q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Ops) == 0 || res.RowCount == 0 {
+			t.Fatalf("distributed=%v: %d operator stats, %d rows", distributed, len(res.Ops), res.RowCount)
+		}
+		ops, active := 0, 0
+		for _, nl := range res.PerNode() {
+			ops += nl.Ops
+			if nl.Node >= 0 && nl.Rows > 0 {
+				active++
+			}
+			if !distributed && nl.Node > 0 {
+				t.Fatalf("one-node fabric ran operators at node %d", nl.Node)
+			}
+		}
+		if ops != len(res.Ops) {
+			t.Fatalf("distributed=%v: PerNode folds %d operators, Ops has %d", distributed, ops, len(res.Ops))
+		}
+		if want := map[bool]int{false: 1, true: 2}[distributed]; active < want {
+			t.Fatalf("distributed=%v: operators produced rows at %d nodes, want >= %d", distributed, active, want)
+		}
+	}
+}
+
 // TestServePlanCacheHitRepeatMissOnBump: a repeated (tables, attrs,
 // predicates, epoch) compile hits the cache; an adaptation that bumps
 // the epoch makes the next compile miss and re-prices.

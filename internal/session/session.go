@@ -1,7 +1,8 @@
 // Package session drives AdaptDB's full adaptive loop in one process
 // off one API — the paper's Fig. 2 storage-manager lifecycle as a
-// query-stream service. A Session accepts a stream of planner queries;
-// for each one it
+// query-stream service. A Session accepts a stream of planner queries,
+// and Run — the one per-query loop, shared by the TCP path and the
+// serving layer — for each one
 //
 //  1. records how the query touches every table into that table's
 //     workload.Window and runs the optimizer's smooth-repartitioning
@@ -139,11 +140,8 @@ type Config struct {
 // Not safe for concurrent use: queries are a stream, and adaptation
 // between them mutates table layouts.
 type Session struct {
-	ex     *exec.Executor
 	runner *planner.Runner
 	opt    *optimizer.Optimizer
-	model  cluster.CostModel
-	meter  *cluster.Meter
 	net    *adbnet.Cluster
 	seq    int
 }
@@ -154,8 +152,7 @@ func New(store *dfs.Store, cfg Config) *Session {
 	if model == (cluster.CostModel{}) {
 		model = cluster.Default()
 	}
-	meter := &cluster.Meter{}
-	ex := exec.New(store, meter)
+	ex := exec.New(store, &cluster.Meter{})
 	ex.Mem = exec.NewMemBudget(cfg.MemBudget)
 	ex.SpillDir = cfg.SpillDir
 	if cfg.Distributed || cfg.Net != nil {
@@ -167,14 +164,7 @@ func New(store *dfs.Store, cfg Config) *Session {
 		runner.BudgetBlocks = cfg.BudgetBlocks
 	}
 	runner.ForceShuffle = cfg.ForceShuffle
-	return &Session{
-		ex:     ex,
-		runner: runner,
-		opt:    optimizer.New(cfg.Optimizer),
-		model:  model,
-		meter:  meter,
-		net:    cfg.Net,
-	}
+	return &Session{runner: runner, opt: optimizer.New(cfg.Optimizer), net: cfg.Net}
 }
 
 // Result reports what one query of the stream did.
@@ -205,9 +195,12 @@ type Result struct {
 }
 
 // Execute runs one query of the stream — adapt, compile, drain — and
-// materializes the result rows.
+// materializes the result rows: Stream with a collecting sink.
 func (s *Session) Execute(q Query) (*Result, error) {
-	return s.run(q, true, nil)
+	var rows []tuple.Tuple
+	res, err := s.Stream(q, Collect(&rows))
+	res.Rows = rows
+	return res, err
 }
 
 // Stream runs one query of the stream without materializing the
@@ -215,79 +208,78 @@ func (s *Session) Execute(q Query) (*Result, error) {
 // just count rows). The batch is only valid during the call — sink
 // must box any rows it wants to retain (exec.Batch.Rows).
 func (s *Session) Stream(q Query, sink func(*exec.Batch) error) (*Result, error) {
-	return s.run(q, false, sink)
-}
-
-// ExecuteContext is Execute under a cancellation context: operator
-// drain loops check ctx at batch boundaries and the query errors with
-// ctx.Err() once it is cancelled or past deadline. The context binds
-// to the session's executor for the duration of the call (sessions are
-// single-stream, so no other query can observe it).
-func (s *Session) ExecuteContext(ctx context.Context, q Query) (*Result, error) {
-	s.ex.BindContext(ctx)
-	defer s.ex.BindContext(nil)
-	return s.run(q, true, nil)
-}
-
-// StreamContext is Stream under a cancellation context (see
-// ExecuteContext).
-func (s *Session) StreamContext(ctx context.Context, q Query, sink func(*exec.Batch) error) (*Result, error) {
-	s.ex.BindContext(ctx)
-	defer s.ex.BindContext(nil)
-	return s.run(q, false, sink)
-}
-
-func (s *Session) run(q Query, collect bool, sink func(*exec.Batch) error) (*Result, error) {
-	if s.net != nil {
-		return s.runNet(q, collect, sink)
-	}
-	res := &Result{Seq: s.seq, Label: q.Label}
+	st := Step{Runner: s.runner, Seq: s.seq, Adapt: s.opt.OnQuery, Net: s.net}
 	s.seq++
+	return Run(context.TODO(), st, q, sink)
+}
+
+// Collect returns a sink that boxes every batch's rows onto *rows —
+// what Execute streams into.
+func Collect(rows *[]tuple.Tuple) func(*exec.Batch) error {
+	return func(b *exec.Batch) error {
+		*rows = append(*rows, b.Rows()...)
+		return nil
+	}
+}
+
+// Step is what Run needs beyond the query: the runner whose executor
+// (Runner.Ex, with its meter) and cost model (Runner.Model) the query
+// runs on, its stream position, how it adapts, and its transport.
+type Step struct {
+	Runner *planner.Runner
+	// Seq is the query's stream position; over TCP the workers adapt
+	// once per Seq.
+	Seq int
+	// Adapt runs the optimizer on the query's votes, metering migration
+	// I/O into the given meter. nil means the caller already adapted.
+	Adapt func([]optimizer.TableUse, *cluster.Meter) (optimizer.StepReport, error)
+	// Net, when set, runs the query over the TCP cluster (runNet).
+	Net *adbnet.Cluster
+}
+
+// Run is the one per-query loop — adapt, compile, drain into sink (nil
+// just counts) — for the session's simulated and TCP paths and the
+// serving layer alike. Whatever happens, including a compile or drain
+// error, the query's metered I/O (the node shards folded in first — the
+// "merge once per query" point) is captured into the result and the
+// meter reset, so a failed query never leaks counters into the next
+// one's accounting.
+func Run(ctx context.Context, st Step, q Query, sink func(*exec.Batch) error) (*Result, error) {
+	ex := st.Runner.Ex
+	res := &Result{Seq: st.Seq, Label: q.Label}
 	start := time.Now()
-	// Whatever happens — including a compile or execution error — this
-	// query's metered I/O is captured into its result and the shared
-	// meter is reset, so a failed query never leaks counters into the
-	// next one's accounting. In distributed mode the per-node meter
-	// shards are folded in first — the "merge once per query" point.
 	defer func() {
-		if ns := s.ex.Nodes(); ns != nil {
+		if ns := ex.Nodes(); ns != nil {
 			ns.Flush()
 		}
 		res.Wall = time.Since(start)
-		res.Counters = s.meter.Reset()
-		res.SimSeconds = res.Counters.SimSeconds(s.model)
+		res.Counters = ex.Meter.Reset()
+		res.SimSeconds = res.Counters.SimSeconds(st.Runner.Model)
 	}()
+	if st.Net != nil {
+		return res, runNet(ctx, st, q, sink, res)
+	}
 
 	// Adapt first: the query joins the windows, and smooth
 	// repartitioning migrates blocks before execution, so this query
 	// already scans the trees it voted for. Migration I/O lands on this
 	// query's meter (the paper's per-query accounting).
-	adapt, err := s.opt.OnQuery(q.Uses(), s.meter)
-	if err != nil {
-		return res, fmt.Errorf("session: adapt %q: %w", q.Label, err)
+	if st.Adapt != nil {
+		adapt, err := st.Adapt(q.Uses(), ex.Meter)
+		if err != nil {
+			return res, fmt.Errorf("session: adapt %q: %w", q.Label, err)
+		}
+		res.Adapt = adapt
 	}
-	res.Adapt = adapt
-
-	comp, err := q.Compile(s.runner)
+	comp, err := q.Compile(st.Runner)
 	if err != nil {
 		return res, fmt.Errorf("session: compile %q: %w", q.Label, err)
 	}
 	res.Report = comp.Report
-	defer func() { res.Ops = comp.OpStats() }()
-	if collect {
-		rows, err := exec.Collect(comp.Root)
-		if err != nil {
-			return res, fmt.Errorf("session: execute %q: %w", q.Label, err)
-		}
-		res.Rows, res.RowCount = rows, len(rows)
-	} else {
-		// nil ctx: the operators observe the context StreamContext bound
-		// to the executor.
-		n, err := exec.Drain(nil, comp.Root, sink)
-		if err != nil {
-			return res, fmt.Errorf("session: execute %q: %w", q.Label, err)
-		}
-		res.RowCount = n
+	res.RowCount, err = exec.Drain(ctx, comp.Root, sink)
+	res.Ops = comp.OpStats()
+	if err != nil {
+		return res, fmt.Errorf("session: execute %q: %w", q.Label, err)
 	}
 	return res, nil
 }
@@ -347,4 +339,4 @@ func (s *Session) Queries() int { return s.seq }
 func (s *Session) Optimizer() *optimizer.Optimizer { return s.opt }
 
 // Executor exposes the underlying executor (workers, pruning flags).
-func (s *Session) Executor() *exec.Executor { return s.ex }
+func (s *Session) Executor() *exec.Executor { return s.runner.Ex }

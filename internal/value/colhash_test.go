@@ -3,7 +3,6 @@ package value
 import (
 	"math"
 	"testing"
-	"unsafe"
 )
 
 // TestColumnHashMatchesBoxed pins the contract the columnar hot path
@@ -55,50 +54,6 @@ func TestFloatEqualMatchesEqual(t *testing.T) {
 			if got, want := FloatEqual(a, b), Equal(NewFloat(a), NewFloat(b)); got != want {
 				t.Errorf("FloatEqual(%v, %v) = %v, want %v", a, b, got, want)
 			}
-		}
-	}
-}
-
-// TestInternSharesBacking verifies the point of the cache: two equal
-// payloads arriving separately come back aliasing one allocation.
-func TestInternSharesBacking(t *testing.T) {
-	a := InternBytes([]byte("AIR REG"))
-	b := InternBytes([]byte("AIR REG"))
-	if a != b {
-		t.Fatalf("interned values differ: %q vs %q", a, b)
-	}
-	if unsafe.StringData(a) != unsafe.StringData(b) {
-		t.Errorf("equal interned strings do not share backing storage")
-	}
-	// Intern on an existing string collapses onto the cached copy too.
-	dup := string([]byte("AIR REG")) // force a distinct allocation
-	c := Intern(dup)
-	if unsafe.StringData(c) != unsafe.StringData(a) {
-		t.Errorf("Intern(dup) did not return the cached backing")
-	}
-}
-
-// TestInternBounded floods the cache with distinct strings and checks
-// behaviour stays correct (values equal their input) — the table just
-// evicts, it never grows.
-func TestInternBounded(t *testing.T) {
-	long := make([]byte, internMaxLen+1)
-	for i := range long {
-		long[i] = 'x'
-	}
-	if got := InternBytes(long); got != string(long) {
-		t.Fatalf("oversized payload mangled")
-	}
-	if got := InternBytes(nil); got != "" {
-		t.Fatalf("empty payload: got %q", got)
-	}
-	buf := []byte("key-00000000")
-	for i := 0; i < 100000; i++ {
-		for j, d := 11, i; j > 3; j, d = j-1, d/10 {
-			buf[j] = byte('0' + d%10)
-		}
-		if got := InternBytes(buf); got != string(buf) {
-			t.Fatalf("interned value %q != input %q", got, buf)
 		}
 	}
 }

@@ -300,7 +300,7 @@ func (v Value) AppendBinary(dst []byte) []byte {
 // DecodeValue decodes a value previously produced by AppendBinary and
 // returns it together with the number of bytes consumed.
 func DecodeValue(src []byte) (Value, int, error) {
-	return decodeValue(src, "", false)
+	return DecodeValuePooled(src, "")
 }
 
 // DecodeValuePooled is DecodeValue for batch decoders that have already
@@ -309,19 +309,6 @@ func DecodeValue(src []byte) (Value, int, error) {
 // of allocating — one allocation per frame instead of one per string
 // value, which is most of the GC churn of a spilled-join read-back.
 func DecodeValuePooled(src []byte, pool string) (Value, int, error) {
-	return decodeValue(src, pool, false)
-}
-
-// DecodeValueInterned is DecodeValue with string payloads routed through
-// the intern cache: repeated short strings (TPC-H flags, modes, nation
-// names) decode onto one shared allocation instead of one per
-// occurrence. The long-lived scan decode path uses this; transient
-// decoders should prefer DecodeValuePooled.
-func DecodeValueInterned(src []byte) (Value, int, error) {
-	return decodeValue(src, "", true)
-}
-
-func decodeValue(src []byte, pool string, intern bool) (Value, int, error) {
 	if len(src) == 0 {
 		return Value{}, 0, fmt.Errorf("value: decode: empty input")
 	}
@@ -350,9 +337,6 @@ func decodeValue(src []byte, pool string, intern bool) (Value, int, error) {
 		pos += n
 		if uint64(len(src)-pos) < l {
 			return Value{}, 0, fmt.Errorf("value: decode: short string payload (want %d have %d)", l, len(src)-pos)
-		}
-		if intern {
-			return Value{K: k, S: InternBytes(src[pos : pos+int(l)])}, pos + int(l), nil
 		}
 		if len(pool) >= pos+int(l) {
 			return Value{K: k, S: pool[pos : pos+int(l)]}, pos + int(l), nil
