@@ -228,24 +228,6 @@ func (m *Meter) AddProbe(rows int, local bool) {
 	m.c.ProbeBlocks++
 }
 
-// AddExchange meters rows flowing through an exchange operator: rows
-// delivered to the producing node itself are local (no network), rows
-// delivered to any other node are remote and carry their approximate
-// wire bytes. This is the single accounting point for simulated network
-// traffic — exchange operators call it, nothing else does.
-func (m *Meter) AddExchange(rows, bytes int, remote bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if remote {
-		m.c.ExchRemoteRows += float64(rows)
-		m.c.ExchBytes += float64(bytes)
-		// No link identity: weight 1, the flat pricing.
-		m.c.ExchWeightedRows += float64(rows)
-	} else {
-		m.c.ExchLocalRows += float64(rows)
-	}
-}
-
 // AddSpill meters hash-join rows written to disk run files under
 // memory pressure, with their encoded bytes. The read-back of the
 // second pass is not metered separately — SpillRowFactor prices the

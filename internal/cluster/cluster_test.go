@@ -157,7 +157,7 @@ func TestMeterMergeSnapshotUnderContention(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < rounds; j++ {
 				m.AddScan(1, j%2 == 0)
-				m.AddExchange(2, 64, true)
+				m.AddExchangeAt(0, 1, 2, 64, true)
 				m.AddShuffle(1)
 			}
 		}(ms[i])

@@ -146,11 +146,14 @@ func (s LinkStats) Keys() []LinkKey {
 }
 
 // AddExchangeAt meters rows flowing through an exchange with the
-// directed link they crossed — the placement-aware successor of
-// AddExchange. Remote rows accumulate ExchWeightedRows scaled by the
-// installed link weight (1 when no weights are installed, making the
-// weighted counter coincide with ExchRemoteRows), and per-link traffic
-// is recorded for the next Weights derivation.
+// directed link they crossed: rows delivered to the producing node
+// itself are local (no network), rows delivered to any other node are
+// remote and carry their approximate wire bytes. This is the single
+// accounting point for exchange traffic; exec.Producer calls it.
+// Remote rows accumulate ExchWeightedRows scaled by the installed link
+// weight (1 when no weights are installed, making the weighted counter
+// coincide with ExchRemoteRows), and per-link traffic is recorded for
+// the next Weights derivation.
 func (m *Meter) AddExchangeAt(src, dst int, rows, bytes int, remote bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

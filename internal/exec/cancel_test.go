@@ -38,17 +38,15 @@ func (c *cancelSource) Next() (*Batch, error) {
 	return b, err
 }
 
-// cancelExec builds a budgeted executor bound to a fresh cancellable
-// context, with a temp spill dir to assert emptiness on.
+// cancelExec builds a budgeted query view of a fresh template, bound
+// to a fresh cancellable context, with a temp spill dir to assert
+// emptiness on.
 func cancelExec(t *testing.T, budget int64) (*Executor, context.Context, context.CancelFunc, string) {
 	t.Helper()
-	store := dfs.NewStore(2, 1, 1)
-	ex := New(store, &cluster.Meter{})
-	ex.Mem = NewMemBudget(budget)
 	dir := t.TempDir()
-	ex.SpillDir = dir
 	ctx, cancel := context.WithCancel(context.Background())
-	ex.BindContext(ctx)
+	tmpl := New(dfs.NewStore(2, 1, 1), &cluster.Meter{})
+	ex := tmpl.ForQuery(QueryCtx{Ctx: ctx, Mem: NewMemBudget(budget), SpillDir: dir})
 	return ex, ctx, cancel, dir
 }
 
@@ -172,16 +170,14 @@ func TestCancelMidSecondPass(t *testing.T) {
 func TestCancelMidScan(t *testing.T) {
 	f := newFixture(t, true)
 	ctx, cancel := context.WithCancel(context.Background())
-	f.ex.BindContext(ctx)
 	cancel()
-	_, err := Collect(f.ex.TableScanOp(f.line, nil))
+	_, err := Collect(f.ex.ForQuery(QueryCtx{Ctx: ctx}).TableScanOp(f.line, nil))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled scan error = %v, want context.Canceled", err)
 	}
 
 	ctx, cancel = context.WithCancel(context.Background())
-	f.ex.BindContext(ctx)
-	err = drainCancelling(f.ex.TableScanOp(f.line, nil), cancel, 1)
+	err = drainCancelling(f.ex.ForQuery(QueryCtx{Ctx: ctx}).TableScanOp(f.line, nil), cancel, 1)
 	// A short scan may have finished filling its output buffer before
 	// the cancel landed; either a clean EOS or ctx.Err() is acceptable,
 	// anything else is not.
@@ -196,9 +192,9 @@ func TestCancelMidScan(t *testing.T) {
 func TestCancelMidHyperJoin(t *testing.T) {
 	f := newFixture(t, true)
 	ctx, cancel := context.WithCancel(context.Background())
-	f.ex.BindContext(ctx)
+	ex := f.ex.ForQuery(QueryCtx{Ctx: ctx})
 	cancel()
-	op := f.ex.NewHyperJoinOp(PlanHyper(f.ex.TableRefs(f.ord, nil), 0, f.ex.TableRefs(f.line, nil), 0, 4), nil, nil, false)
+	op := ex.NewHyperJoinOp(PlanHyper(f.ex.TableRefs(f.ord, nil), 0, f.ex.TableRefs(f.line, nil), 0, 4), nil, nil, false)
 	_, err := Collect(op)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled hyper-join error = %v, want context.Canceled", err)
@@ -212,12 +208,10 @@ func TestCancelMidHyperJoin(t *testing.T) {
 // hanging.
 func TestCancelMidExchange(t *testing.T) {
 	const n = 4
-	store := dfs.NewStore(n, 1, 1)
-	ex := New(store, &cluster.Meter{})
-	ns := ex.EnableNodes(1)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ex.BindContext(ctx)
+	ex := New(dfs.NewStore(n, 1, 1), &cluster.Meter{}).ForQuery(QueryCtx{Ctx: ctx})
+	ns := ex.EnableNodes(1)
 
 	// 12000 rows / 4 parts = 3 batches per producer: cancelling after
 	// part 0's first batch leaves every producer with work in flight.
@@ -280,24 +274,28 @@ func TestCancelColumnarJoin(t *testing.T) {
 	assertTornDown(t, ex2, dir2)
 }
 
-// TestCancelledJoinLeavesExecutorReusable: after a cancelled query,
-// rebinding a live context runs the same shapes to completion — the
-// serving pattern of a long-lived template surviving query failures.
+// TestCancelledJoinLeavesExecutorReusable: after a cancelled query, a
+// fresh view of the same template runs the same shapes to completion —
+// the serving pattern of a long-lived template surviving query failures.
 func TestCancelledJoinLeavesExecutorReusable(t *testing.T) {
-	ex, _, cancel, dir := cancelExec(t, 1<<20)
+	tmpl := New(dfs.NewStore(2, 1, 1), &cluster.Meter{})
+	tmpl.SpillDir = t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	ex := tmpl.ForQuery(QueryCtx{Ctx: ctx, Mem: NewMemBudget(1 << 20)})
 	l, r := genOrders(1500, 64), genLineitem(2000, 65)
 	build := &cancelSource{Source: NewSource(l), cancel: cancel, after: 1}
 	if _, err := Collect(ex.JoinOp(build, 0, NewSource(r), 0, JoinOptions{})); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled join error = %v", err)
 	}
+	assertTornDown(t, ex, tmpl.SpillDir)
 
-	ex.BindContext(context.Background())
+	ex = tmpl.ForQuery(QueryCtx{Mem: NewMemBudget(1 << 20)})
 	got, err := Collect(ex.JoinOp(NewSource(l), 0, NewSource(r), 0, JoinOptions{}))
 	if err != nil {
 		t.Fatalf("join after cancel: %v", err)
 	}
 	rowsEqualSorted(t, got, NestedLoopJoin(l, r, 0, 0))
-	assertTornDown(t, ex, dir)
+	assertTornDown(t, ex, tmpl.SpillDir)
 }
 
 // TestVerifyNoLeaksCatchesLeak: the checker itself must flag a stuck

@@ -35,7 +35,6 @@ package exec
 
 import (
 	"math/bits"
-	"sync"
 
 	"adaptdb/internal/tuple"
 	"adaptdb/internal/value"
@@ -121,128 +120,25 @@ type colBuild struct {
 // stream to run files instead, each worker flushing its own share
 // locklessly (spill.go).
 func (j *hashJoinOp) buildTables() error {
-	w := j.workerCount()
+	w := j.e.workers()
 	bufs := make([][]colBuf, w)
-	in := make(chan *Batch, w)
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
+	for i := range bufs {
 		bufs[i] = make([]colBuf, j.nParts)
-		wg.Add(1)
-		go func(id int, my []colBuf) {
-			defer wg.Done()
-			sp := j.spill
-			var spw *partSpiller
-			myBytes := make([]int64, j.nParts)
-			if sp != nil {
-				spw = sp.firstPassSpiller(id, false)
-			}
-			res := newPartQueue(j.nParts) // the batch's resident rows, per partition
-			var hv []uint64
-			var rowBytes []int32 // budgeted builds: the batch's per-row charges
-			for b := range in {
-				if cerr := j.e.ctxErr(); cerr != nil {
-					j.fail(cerr)
-				}
-				if j.failed.Load() {
-					b.Release()
-					continue // keep draining so the feeder never blocks
-				}
-				cb := b.Cols()
-				hv = cb.Hash64Column(j.bCol, hv)
-				if sp != nil {
-					rowBytes = cb.MemBytesRows(rowBytes)
-				}
-				n := cb.Len()
-				sel := cb.Sel()
-				for k := 0; k < n; k++ {
-					i := k
-					if sel != nil {
-						i = int(sel[k])
-					}
-					if cb.IsNull(j.bCol, i) {
-						continue // NULL never equals NULL in a join
-					}
-					h := hv[i]
-					p := int(h >> j.radixShift)
-					if sp != nil && sp.isSpilled(p) {
-						// Resident rows first — including this batch's
-						// rows of p queued before its demotion — then
-						// the rest of the batch's rows of p in batch
-						// order: the per-row write order.
-						my[p].addGather(cb, hv, res.take(p))
-						if err := spw.evict(p, &my[p], &myBytes[p]); err != nil {
-							j.fail(err)
-							break
-						}
-						spw.queue(p, i)
-						continue
-					}
-					res.queue(p, i)
-					if sp != nil {
-						nb := int64(rowBytes[i])
-						myBytes[p] += nb
-						sp.noteBuildRow(p, h, nb)
-						if sp.charge(nb) {
-							sp.pressure()
-						}
-					}
-				}
-				res.flush(func(p int, idxs []int32) { my[p].addGather(cb, hv, idxs) })
-				if spw != nil {
-					if err := spw.spillBatch(cb, hv, rowBytes); err != nil {
-						j.fail(err)
-					}
-				}
-				b.Release()
-			}
-			if spw != nil {
-				// Final sweep: partitions demoted after this worker last
-				// touched them still hold resident rows here.
-				for p := range my {
-					if sp.isSpilled(p) {
-						if err := spw.evict(p, &my[p], &myBytes[p]); err != nil {
-							j.fail(err)
-							break
-						}
-					}
-				}
-				if err := sp.finishFirstPass(spw, false); err != nil {
-					j.fail(err)
-				}
-			}
-		}(i, bufs[i])
 	}
-	// A single goroutine owns build.Next (operators need not be
-	// concurrency-safe); input charging happens in the exchange that
-	// feeds the join, not here.
+	in := make(chan *Batch, w) // one batch queued per build worker
 	var err error
-	for {
-		if cerr := j.e.ctxErr(); cerr != nil {
-			j.fail(cerr) // workers drop in-flight batches instead of retaining rows
-			err = cerr
-			break
-		}
-		b, berr := j.build.Next()
-		if berr != nil {
-			err = berr
-			break
-		}
-		if b == nil {
-			break
-		}
-		if b = joinInput(b); b != nil {
-			in <- b
-		}
-	}
-	close(in)
-	wg.Wait()
+	go func() {
+		// Input charging happens in the exchange that feeds the join, not
+		// here. No Close can race the build, so the feeder needs no done.
+		err = j.feed(j.build, in, nil)
+		close(in)
+	}()
+	j.p.run(w, func(id int) { j.buildWorker(id, bufs[id], in) })
 	if cerr := j.build.Close(); err == nil {
 		err = cerr
 	}
 	if err == nil {
-		j.werrMu.Lock()
-		err = j.werr
-		j.werrMu.Unlock()
+		err = j.p.firstErr()
 	}
 	if err != nil {
 		return err
@@ -258,6 +154,92 @@ func (j *hashJoinOp) buildTables() error {
 	}
 	j.sealColTables(bufs)
 	return nil
+}
+
+// buildWorker routes the build batches it takes from in into its own
+// per-partition buffers my, and under a budget streams demoted
+// partitions' rows to its run file. After a failure it keeps draining
+// in, so the feeder never blocks.
+func (j *hashJoinOp) buildWorker(id int, my []colBuf, in <-chan *Batch) {
+	sp := j.spill
+	var spw *partSpiller
+	myBytes := make([]int64, j.nParts)
+	if sp != nil {
+		spw = sp.firstPassSpiller(id, false)
+	}
+	res := newPartQueue(j.nParts) // the batch's resident rows, per partition
+	var hv []uint64
+	var rowBytes []int32 // budgeted builds: the batch's per-row charges
+	for b := range in {
+		if cerr := j.e.ctxErr(); cerr != nil {
+			j.p.fail(cerr)
+		}
+		if j.p.failing() {
+			b.Release()
+			continue // keep draining so the feeder never blocks
+		}
+		cb := b.Cols()
+		hv = cb.Hash64Column(j.bCol, hv)
+		if sp != nil {
+			rowBytes = cb.MemBytesRows(rowBytes)
+		}
+		n := cb.Len()
+		sel := cb.Sel()
+		for k := 0; k < n; k++ {
+			i := k
+			if sel != nil {
+				i = int(sel[k])
+			}
+			if cb.IsNull(j.bCol, i) {
+				continue // NULL never equals NULL in a join
+			}
+			h := hv[i]
+			p := int(h >> j.radixShift)
+			if sp != nil && sp.isSpilled(p) {
+				// Resident rows first — including this batch's rows of p
+				// queued before its demotion — then the rest of the
+				// batch's rows of p in batch order: the per-row write order.
+				my[p].addGather(cb, hv, res.take(p))
+				if err := spw.evict(p, &my[p], &myBytes[p]); err != nil {
+					j.p.fail(err)
+					break
+				}
+				spw.queue(p, i)
+				continue
+			}
+			res.queue(p, i)
+			if sp != nil {
+				nb := int64(rowBytes[i])
+				myBytes[p] += nb
+				sp.noteBuildRow(p, h, nb)
+				if sp.charge(nb) {
+					sp.pressure()
+				}
+			}
+		}
+		res.flush(func(p int, idxs []int32) { my[p].addGather(cb, hv, idxs) })
+		if spw != nil {
+			if err := spw.spillBatch(cb, hv, rowBytes); err != nil {
+				j.p.fail(err)
+			}
+		}
+		b.Release()
+	}
+	if spw != nil {
+		// Final sweep: partitions demoted after this worker last touched
+		// them still hold resident rows here.
+		for p := range my {
+			if sp.isSpilled(p) {
+				if err := spw.evict(p, &my[p], &myBytes[p]); err != nil {
+					j.p.fail(err)
+					break
+				}
+			}
+		}
+		if err := sp.finishFirstPass(spw, false); err != nil {
+			j.p.fail(err)
+		}
+	}
 }
 
 // joinInput drops an empty input batch: it is released and nil
@@ -369,28 +351,17 @@ func (j *hashJoinOp) sealOne(store *tuple.Columns, hashes []uint64) {
 	}
 }
 
-// joinSink is the stream a probe worker's output batches join: a hash
-// join's own output (hashJoinOp) or a hyper-join's (HyperJoinOp).
-type joinSink interface {
-	// send hands b to the consumer and counts its rows as results. It
-	// returns false, with b released, once the consumer has closed the
-	// stream.
-	send(b *Batch) bool
-	// failing reports that the stream will end in an error, so a
-	// pending remainder is released rather than sent.
-	failing() bool
-}
-
 // colProbe is one probe worker's match accumulator: (build row, probe
 // row) index pairs, gathered into one pending output batch that is
 // carried across probe batches — and, for a hyper-join worker or a
 // second-pass worker, across groups and spill frames, with j swapped to
 // each unit's one-partition join. The batch goes to sink when it holds
 // exactly DefaultBatchSize rows, and the remainder at emit, when the
-// worker's stream ends.
+// worker's stream ends. sink is the pool of the operator the output
+// belongs to: the hash join's own, or the hyper-join's.
 type colProbe struct {
 	j     *hashJoinOp // the join being probed: build store and column order
-	sink  joinSink
+	sink  *pool
 	hv    []uint64
 	rows  []int32        // probe candidates: physical rows in cols
 	ents  []int32        // each candidate's current chain entry, a 1-based global row
@@ -469,11 +440,10 @@ func (st *colProbe) emit() {
 
 // probeWorker streams probe batches through the partition tables
 // (probeColsBatch) and gathers matches into the worker's pending output
-// batch, which it emits once the probe input drains — before wg.Done, so out closes only after
-// every worker's remainder is sent. The worker owns its colProbe
+// batch, which it emits once the probe input drains, so the stream
+// ends only after every worker's remainder is sent. The worker owns its colProbe
 // exclusively, so output batches are never written by two goroutines.
-func (j *hashJoinOp) probeWorker(id int) {
-	defer j.wg.Done()
+func (j *hashJoinOp) probeWorker(id int, in <-chan *Batch) {
 	var spw *partSpiller
 	skipped := int64(0)
 	if j.hasSpilled {
@@ -483,18 +453,18 @@ func (j *hashJoinOp) probeWorker(id int) {
 				j.spill.skipped.Add(skipped)
 			}
 			if err := j.spill.finishFirstPass(spw, true); err != nil {
-				j.fail(err)
+				j.p.fail(err)
 			}
 		}()
 	}
-	st := &colProbe{j: j, sink: j, ok: true}
+	st := &colProbe{j: j, sink: &j.p, ok: true}
 	defer st.emit()
-	for pb := range j.in {
+	for pb := range in {
 		if cerr := j.e.ctxErr(); cerr != nil {
-			j.fail(cerr)
+			j.p.fail(cerr)
 		}
-		if (j.buildRows == 0 && spw == nil) || j.failed.Load() {
-			pb.Release() // metered by the dispatcher; nothing can match
+		if (j.buildRows == 0 && spw == nil) || j.p.failing() {
+			pb.Release() // metered by the exchange; nothing can match
 			continue
 		}
 		j.probeColsBatch(pb.Cols(), st, spw, &skipped)
@@ -504,7 +474,7 @@ func (j *hashJoinOp) probeWorker(id int) {
 		st.cols = nil
 		pb.Release()
 		if !st.ok {
-			// Consumer closed (send failed): the dispatcher releases the
+			// Consumer closed (send failed): the feeder releases the
 			// remaining batches.
 			return
 		}
@@ -551,7 +521,7 @@ func (j *hashJoinOp) probeColsBatch(cb *tuple.Columns, st *colProbe, spw *partSp
 	}
 	if spw != nil {
 		if err := spw.spillBatch(cb, nil, nil); err != nil {
-			j.fail(err)
+			j.p.fail(err)
 		}
 	}
 }

@@ -39,10 +39,10 @@ func oneTable(rows []tuple.Tuple, hashes []uint64) *hashJoinOp {
 // loops and returns the tags of the build rows it matched.
 func probeTags(j *hashJoinOp, key value.Value) []int64 {
 	out := make(chan *Batch, 16)
-	j.out, j.done = out, make(chan struct{})
+	j.p.out, j.p.done = out, make(chan struct{})
 	pc := tuple.NewColumns(1)
 	pc.AppendRow(tuple.Tuple{key})
-	st := &colProbe{j: j, sink: j, ok: true}
+	st := &colProbe{j: j, sink: &j.p, ok: true}
 	j.probeColsBatch(pc, st, nil, nil)
 	st.flush()
 	st.emit()

@@ -29,9 +29,12 @@
 // the serving layer's result rows). Operators: block scans (ScanOp,
 // TableScanOp), the hash join (JoinOp), hyper-joins (NewHyperJoinOp),
 // filters (Where, WhereColsEq), Project, GroupByOp and in-memory
-// sources (NewSource), with scans, hyper-join groups, and the
-// radix-partitioned join's build and probe phases all running on a
-// bounded worker pool. Blocks are stored column-major, so a scan is
+// sources (NewSource), with scans, hyper-join groups, the
+// radix-partitioned join's build and probe phases and its second pass,
+// and Gather all running their goroutines on the one worker pool
+// (pool.go): a bounded set of workers, one fan-in output stream, the
+// first error surfaced after every worker exits, and a Close that
+// drains. Blocks are stored column-major, so a scan is
 // filter-then-view: each batch is a view of up to DefaultBatchSize rows
 // of the block's own vectors, capped at the block's length, and the
 // vectorized predicate kernel (predicate.FilterSel) narrows the batch's

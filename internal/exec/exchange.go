@@ -5,7 +5,7 @@
 // (Shuffle) or by duplication (Broadcast). Rows delivered to the node
 // that produced them are free; rows delivered anywhere else are charged
 // to the producing node's meter as remote exchange rows with their
-// approximate wire bytes (cluster.Meter.AddExchange): what the cost
+// approximate wire bytes (cluster.Meter.AddExchangeAt): what the cost
 // model prices is exactly what physically crossed between nodes. (The
 // one-node fabric of a centralized executor moves nothing and charges
 // each row its plan edge's eq. 1 class instead — fabric.go.)
@@ -73,11 +73,11 @@ type Exchange struct {
 	filters *KeyFilters
 
 	start   sync.Once
-	started atomic.Bool // producers are (about to be) running
-	wg      sync.WaitGroup
+	started atomic.Bool  // producers are (about to be) running
 	closed  atomic.Int64 // outputs closed early; producers bail when all are
-	errOnce sync.Once
-	err     error // first producer error; set before the channels close
+	// prods runs the producers and records the first producer error,
+	// set before the channels close; its own stream is unused.
+	prods pool
 }
 
 // Shuffle builds a hash exchange over per-node fragments: parts[i] runs
@@ -196,27 +196,9 @@ func (s *KeyFilters) All() []*KeyFilter { return s.fs }
 // releases what closed outputs were still sent and seals the output
 // channels once every producer is done.
 func (x *Exchange) run() {
-	x.wg.Add(len(x.inputs))
 	x.started.Store(true)
-	for i, in := range x.inputs {
-		p := &Producer{In: in, Src: i, N: len(x.outs), Route: x.route, Stop: x.stop, Deliver: x.deliver}
-		if x.global {
-			p.Src, p.Meter = -1, x.ns.parent.Meter
-		} else {
-			p.Meter = x.ns.shards[i]
-		}
-		if x.filters != nil {
-			p.Filters = x.awaitFilters
-		}
-		go func() {
-			defer x.wg.Done()
-			if err := p.Run(); err != nil && !errors.Is(err, errOutputsClosed) {
-				x.errOnce.Do(func() { x.err = err })
-			}
-		}()
-	}
 	go func() {
-		x.wg.Wait()
+		x.prods.run(len(x.inputs), x.produce)
 		for _, o := range x.outs {
 			select {
 			case <-o.closed:
@@ -228,6 +210,22 @@ func (x *Exchange) run() {
 			close(o.ch)
 		}
 	}()
+}
+
+// produce runs the producer of input fragment i.
+func (x *Exchange) produce(i int) {
+	p := &Producer{In: x.inputs[i], Src: i, N: len(x.outs), Route: x.route, Stop: x.stop, Deliver: x.deliver}
+	if x.global {
+		p.Src, p.Meter = -1, x.ns.parent.Meter
+	} else {
+		p.Meter = x.ns.shards[i]
+	}
+	if x.filters != nil {
+		p.Filters = x.awaitFilters
+	}
+	if err := p.Run(); err != nil && !errors.Is(err, errOutputsClosed) {
+		x.prods.fail(err)
+	}
 }
 
 // errOutputsClosed stops the producers of an exchange whose consumers
@@ -329,7 +327,7 @@ func (o *exchOut) Next() (*Batch, error) {
 	if !ok {
 		// Channels close only after every producer exits, so the first
 		// error (if any) is set by now.
-		return nil, o.x.err
+		return nil, o.x.prods.firstErr()
 	}
 	return b, nil
 }

@@ -7,7 +7,6 @@ import (
 	"context"
 	"sort"
 
-	"adaptdb/internal/block"
 	"adaptdb/internal/cluster"
 	"adaptdb/internal/core"
 	"adaptdb/internal/dfs"
@@ -64,7 +63,7 @@ type Executor struct {
 	// here; nil falls back to the simulated NodeSet or one-node fabric.
 	xfabric Fabric
 	// ctx cancels in-flight operators at batch boundaries; nil means
-	// non-cancellable. Set via BindContext or ForQuery (query.go).
+	// non-cancellable. Set via ForQuery (query.go).
 	ctx context.Context
 }
 
@@ -202,21 +201,4 @@ func (s *rowSorter) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
 func (s *rowSorter) Swap(i, j int) {
 	s.rows[i], s.rows[j] = s.rows[j], s.rows[i]
 	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-}
-
-// BlocksOf is a test/experiment helper returning the physical blocks of
-// one tree, keyed by bucket.
-func BlocksOf(t *core.Table, treeIdx int) map[block.ID]*block.Block {
-	out := make(map[block.ID]*block.Block)
-	ti := t.Trees[treeIdx]
-	if ti == nil {
-		return out
-	}
-	for _, b := range ti.LiveBuckets() {
-		blk, _, err := t.Store().GetBlock(t.BlockPath(treeIdx, b), 0)
-		if err == nil {
-			out[b] = blk
-		}
-	}
-	return out
 }

@@ -392,18 +392,6 @@ func TestNonCoPartitionedHyperStillCorrect(t *testing.T) {
 	}
 }
 
-func TestBlocksOf(t *testing.T) {
-	f := newFixture(t, true)
-	blocks := BlocksOf(f.line, 0)
-	total := 0
-	for _, b := range blocks {
-		total += b.Len()
-	}
-	if total != len(f.lrows) {
-		t.Errorf("BlocksOf covers %d rows, want %d", total, len(f.lrows))
-	}
-}
-
 func TestSortRowsDeterministic(t *testing.T) {
 	rows := genLineitem(50, 11)
 	a := make([]tuple.Tuple, len(rows))

@@ -42,7 +42,7 @@ type Exchanger interface {
 // Each exchange constructor takes the Charge class of the plan edge it
 // carries. The one-node fabric meters every row at that class; the
 // simulated and TCP fabrics ignore it and meter the rows and bytes that
-// cross nodes (cluster.Meter.AddExchange). Pricing the N-node fabrics'
+// cross nodes (cluster.Meter.AddExchangeAt). Pricing the N-node fabrics'
 // exchanges by class is ROADMAP item 1.
 //
 // A Fabric implementation may live in one process (the simulated

@@ -140,7 +140,7 @@ func TestJoinPendingBatchOnCloseCancelAndFailure(t *testing.T) {
 		if err := op.Close(); err != nil {
 			t.Fatal(err)
 		}
-		closedEmpty(t, op.(*hashJoinOp).out)
+		closedEmpty(t, op.(*hashJoinOp).p.out)
 		assertTornDown(t, ex, dir)
 	})
 	t.Run("close-hyper", func(t *testing.T) {
@@ -158,7 +158,7 @@ func TestJoinPendingBatchOnCloseCancelAndFailure(t *testing.T) {
 		if err := op.Close(); err != nil {
 			t.Fatal(err)
 		}
-		closedEmpty(t, op.out)
+		closedEmpty(t, op.p.out)
 		VerifyNoLeaks(t)
 	})
 	t.Run("cancel-shuffle", func(t *testing.T) {
@@ -168,7 +168,7 @@ func TestJoinPendingBatchOnCloseCancelAndFailure(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("mid-drain cancel error = %v, want context.Canceled", err)
 		}
-		closedEmpty(t, op.(*hashJoinOp).out)
+		closedEmpty(t, op.(*hashJoinOp).p.out)
 		assertTornDown(t, ex, dir)
 	})
 	t.Run("cancel-spill", func(t *testing.T) {
@@ -178,20 +178,19 @@ func TestJoinPendingBatchOnCloseCancelAndFailure(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("mid-drain cancel error = %v, want context.Canceled", err)
 		}
-		closedEmpty(t, op.(*hashJoinOp).out)
+		closedEmpty(t, op.(*hashJoinOp).p.out)
 		assertTornDown(t, ex, dir)
 	})
 	t.Run("cancel-hyper", func(t *testing.T) {
 		f := newFixture(t, true)
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		f.ex.BindContext(ctx)
-		op := f.ex.NewHyperJoinOp(PlanHyper(f.line.Refs(0, nil), 0, f.ord.Refs(0, nil), 0, 4), nil, nil, false)
+		op := f.ex.ForQuery(QueryCtx{Ctx: ctx}).NewHyperJoinOp(PlanHyper(f.line.Refs(0, nil), 0, f.ord.Refs(0, nil), 0, 4), nil, nil, false)
 		_, err := Drain(ctx, op, func(*Batch) error { cancel(); return nil })
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("mid-drain cancel error = %v, want context.Canceled", err)
 		}
-		closedEmpty(t, op.out)
+		closedEmpty(t, op.p.out)
 		VerifyNoLeaks(t)
 	})
 	t.Run("missing-block-in-later-group", func(t *testing.T) {

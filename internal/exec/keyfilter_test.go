@@ -263,11 +263,10 @@ func TestFilteredShuffleLeakWall(t *testing.T) {
 	probe := keyRows(make([]int64, 8000))
 	// start is cancelExec over an n-node store.
 	start := func(t *testing.T) (*Executor, *NodeSet, context.CancelFunc, string) {
-		ex := New(dfs.NewStore(n, 1, 1), &cluster.Meter{})
-		ex.Mem = NewMemBudget(1 << 20)
-		ex.SpillDir = t.TempDir()
 		ctx, cancel := context.WithCancel(context.Background())
-		ex.BindContext(ctx)
+		ex := New(dfs.NewStore(n, 1, 1), &cluster.Meter{}).ForQuery(QueryCtx{
+			Ctx: ctx, Mem: NewMemBudget(1 << 20), SpillDir: t.TempDir(),
+		})
 		return ex, ex.EnableNodes(1), cancel, ex.SpillDir
 	}
 

@@ -138,30 +138,11 @@ func Gather(children ...Operator) Operator {
 
 type gatherOp struct {
 	children []Operator
-
-	out  chan *Batch
-	done chan struct{}
-	errs chan error
-	err  error
+	p        pool // one worker per child; out holds 2 batches per child
 }
 
 func (g *gatherOp) Open() error {
-	g.out = make(chan *Batch, 2*len(g.children))
-	g.done = make(chan struct{})
-	g.errs = make(chan error, len(g.children))
-	for _, c := range g.children {
-		go g.drain(c)
-	}
-	go func() {
-		for range g.children {
-			if err := <-g.errs; err != nil && g.err == nil {
-				// g.err is only read by the consumer after out closes,
-				// which happens after this goroutine finishes — no race.
-				g.err = err
-			}
-		}
-		close(g.out)
-	}()
+	g.p.start(len(g.children), func(i int) { g.drain(g.children[i]) }, nil)
 	return nil
 }
 
@@ -174,51 +155,30 @@ func (g *gatherOp) drain(c Operator) {
 		// producers (and with them every other node) forever. All exec
 		// operators tolerate Close after a failed Open.
 		c.Close()
-		g.errs <- err
+		g.p.fail(err)
 		return
 	}
 	for {
 		b, err := c.Next()
 		if err != nil || b == nil {
-			cerr := c.Close()
-			if err == nil {
+			if cerr := c.Close(); err == nil {
 				err = cerr
 			}
-			g.errs <- err
+			if err != nil {
+				g.p.fail(err)
+			}
 			return
 		}
-		select {
-		case g.out <- b:
-		case <-g.done:
-			b.Release()
+		if !g.p.send(b) {
 			c.Close()
-			g.errs <- nil
 			return
 		}
 	}
 }
 
-func (g *gatherOp) Next() (*Batch, error) {
-	b, ok := <-g.out
-	if !ok {
-		return nil, g.err
-	}
-	return b, nil
-}
+func (g *gatherOp) Next() (*Batch, error) { return g.p.next() }
 
 func (g *gatherOp) Close() error {
-	if g.done == nil {
-		return nil
-	}
-	select {
-	case <-g.done:
-	default:
-		close(g.done)
-	}
-	// Drain so no child goroutine stays blocked on send; the collector
-	// goroutine closes out once every child reports in.
-	for b := range g.out {
-		b.Release()
-	}
+	g.p.close()
 	return nil
 }

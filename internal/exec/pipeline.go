@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"adaptdb/internal/cluster"
 	"adaptdb/internal/core"
@@ -316,7 +315,7 @@ func (s *Source) Close() error { return nil }
 // a silently short answer. Batch order across blocks is
 // nondeterministic when more than one worker runs.
 func (e *Executor) ScanOp(refs []core.BlockRef, preds []predicate.Predicate) Operator {
-	return &scanOp{e: e, refs: refs, preds: preds}
+	return &scanOp{e: e, refs: refs, preds: preds, p: pool{e: e}}
 }
 
 // TableScanOp returns a scan operator over every live tree of a table
@@ -363,70 +362,23 @@ type scanOp struct {
 	e     *Executor
 	refs  []core.BlockRef
 	preds []predicate.Predicate
-
-	next  atomic.Int64
-	empty bool
-	out   chan *Batch
-	done  chan struct{}
-	wg    sync.WaitGroup
-	once  sync.Once
-	errMu sync.Mutex
-	err   error // first worker error; published before out closes
-}
-
-// setErr records the first worker error (cancellation or a missing
-// block); Next surfaces it once the output channel closes (the workers
-// have all exited by then, so the write happens-before the read).
-func (s *scanOp) setErr(err error) {
-	s.errMu.Lock()
-	if s.err == nil {
-		s.err = err
-	}
-	s.errMu.Unlock()
+	p     pool
 }
 
 func (s *scanOp) Open() error {
-	if len(s.refs) == 0 {
-		// Predicate pruning often eliminates every block; skip the pool.
-		s.empty = true
-		return nil
+	if len(s.refs) > 0 {
+		// Predicate pruning often eliminates every block; the pool then
+		// never starts and the stream is empty.
+		s.p.start(min(s.e.workers(), len(s.refs)), s.worker, nil)
 	}
-	w := s.e.workers()
-	if w > len(s.refs) {
-		w = len(s.refs)
-	}
-	if w < 1 {
-		w = 1
-	}
-	// The channel buffer bounds how far scans run ahead of the consumer:
-	// at most ~2 batches per worker are in flight, the pipelined
-	// equivalent of the old code's single giant result slice.
-	s.out = make(chan *Batch, 2*w)
-	s.done = make(chan struct{})
-	for i := 0; i < w; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
-	go func() {
-		s.wg.Wait()
-		close(s.out)
-	}()
 	return nil
 }
 
-func (s *scanOp) worker() {
-	defer s.wg.Done()
-	n := s.e.Store.NumNodes()
-	if n < 1 {
-		n = 1
-	}
+func (s *scanOp) worker(int) {
+	n := max(s.e.Store.NumNodes(), 1)
 	for {
-		if cerr := s.e.ctxErr(); cerr != nil {
-			s.setErr(cerr)
-			return
-		}
-		idx := int(s.next.Add(1) - 1)
-		if idx >= len(s.refs) {
+		idx, ok := s.p.claim(len(s.refs))
+		if !ok {
 			return
 		}
 		ref := s.refs[idx]
@@ -436,7 +388,7 @@ func (s *scanOp) worker() {
 		}
 		cols, local, err := s.e.getBlock(ref.Path, node)
 		if err != nil {
-			s.setErr(err)
+			s.p.fail(err)
 			return
 		}
 		s.e.Meter.AddScan(cols.FullLen(), local)
@@ -474,51 +426,17 @@ func (s *scanOp) emitBlock(cols *tuple.Columns) bool {
 				cb.SetSel(nil)
 			}
 		}
-		if !sendBatch(s.out, s.done, b) {
+		if !s.p.send(b) {
 			return false
 		}
 	}
 	return true
 }
 
-// sendBatch hands b to a worker pool's consumer through out; it returns
-// false, with b released, once done closes (the operator was closed).
-func sendBatch(out chan<- *Batch, done <-chan struct{}, b *Batch) bool {
-	select {
-	case out <- b:
-		return true
-	case <-done:
-		b.Release()
-		return false
-	}
-}
-
-func (s *scanOp) Next() (*Batch, error) {
-	if s.empty {
-		return nil, nil
-	}
-	b, ok := <-s.out
-	if !ok {
-		s.errMu.Lock()
-		err := s.err
-		s.errMu.Unlock()
-		return nil, err
-	}
-	return b, nil
-}
+func (s *scanOp) Next() (*Batch, error) { return s.p.next() }
 
 func (s *scanOp) Close() error {
-	if s.empty {
-		return nil
-	}
-	s.once.Do(func() {
-		close(s.done)
-		// Drain so no worker stays blocked on send; the closer goroutine
-		// closes out once every worker exits.
-		for b := range s.out {
-			b.Release()
-		}
-	})
+	s.p.close()
 	return nil
 }
 
@@ -690,7 +608,7 @@ func (e *Executor) JoinOp(build Operator, buildCol int, probe Operator, probeCol
 	bits := pickRadixBits(opts.BuildRowsEst, e.Mem.Limit())
 	return &hashJoinOp{
 		e: e, build: build, probe: probe, bCol: buildCol, pCol: probeCol, opts: opts,
-		radixBits: bits, radixShift: uint(64 - bits), nParts: 1 << bits,
+		radixBits: bits, radixShift: uint(64 - bits), nParts: 1 << bits, p: pool{e: e},
 	}
 }
 
@@ -717,36 +635,12 @@ type hashJoinOp struct {
 	spill      *joinSpill
 	hasSpilled bool
 
-	in      chan *Batch // probe batches awaiting a worker
-	out     chan *Batch // output batches awaiting the consumer
-	done    chan struct{}
-	wg      sync.WaitGroup
-	once    sync.Once
-	results atomic.Int64
-	perr    error // probe-side error; published before in closes
-	werrMu  sync.Mutex
-	werr    error       // first worker/spill error; published before out closes
-	failed  atomic.Bool // workers stop doing real work once set
+	// p runs the build workers, the probe workers and the second pass.
+	// perr is the probe side's error, published before the probe input
+	// closes; it takes precedence over a worker's.
+	p       pool
+	perr    error
 	metered bool
-}
-
-// fail records the first worker or spill error; the stream surfaces it
-// from Next once the output channel closes.
-func (j *hashJoinOp) fail(err error) {
-	j.werrMu.Lock()
-	if j.werr == nil {
-		j.werr = err
-	}
-	j.werrMu.Unlock()
-	j.failed.Store(true)
-}
-
-func (j *hashJoinOp) workerCount() int {
-	w := j.e.workers()
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 func (j *hashJoinOp) Open() error {
@@ -777,27 +671,20 @@ func (j *hashJoinOp) Open() error {
 		}
 		return err
 	}
-	w := j.workerCount()
-	j.in = make(chan *Batch, w)
-	// The out buffer bounds how far probe workers run ahead of the
-	// consumer, like the scan operator's bounded channel.
-	j.out = make(chan *Batch, 2*w)
-	j.done = make(chan struct{})
-	for i := 0; i < w; i++ {
-		j.wg.Add(1)
-		go j.probeWorker(i)
-	}
-	go func() {
-		j.wg.Wait()
+	w := j.e.workers()
+	in := make(chan *Batch, w) // one batch queued per probe worker
+	var then func()
+	if j.hasSpilled {
 		// Every probe worker has exited (their spilled probe runs are
 		// sealed), so the second pass can join the demoted partitions
 		// before the stream ends.
-		if j.hasSpilled && !j.failed.Load() {
-			j.secondPass()
-		}
-		close(j.out)
+		then = j.secondPass
+	}
+	j.p.start(w, func(id int) { j.probeWorker(id, in) }, then)
+	go func() {
+		j.perr = j.feed(j.probe, in, j.p.done)
+		close(in)
 	}()
-	go j.dispatchProbe()
 	return nil
 }
 
@@ -821,98 +708,69 @@ func (j *hashJoinOp) publishFilter(sealed bool) {
 	fs.PublishFilter(f)
 }
 
-// dispatchProbe feeds non-empty probe batches to the workers
-// (joinInput). A single goroutine owns probe.Next; even with an empty
-// hash table the probe side drains, so the exchange feeding it ends
-// cleanly. That exchange meters the rows it sent; behind a filtered
-// exchange those are only the rows the build's filter let through.
-func (j *hashJoinOp) dispatchProbe() {
-	defer close(j.in)
+// feed is the join's single goroutine over an input's Next (operators
+// need not be concurrency-safe): it hands the build or probe side's
+// non-empty batches (joinInput) to the workers through in until the
+// input ends, fails, or done closes, and returns the input's error. A
+// done context fails the pool too, so workers stop joining and the
+// second pass is skipped. Even with an empty hash table the probe side
+// drains, so the exchange feeding it ends cleanly; that exchange meters
+// the rows it sent, behind a filtered exchange only the rows the build's
+// filter let through. The caller closes in.
+func (j *hashJoinOp) feed(src Operator, in chan<- *Batch, done <-chan struct{}) error {
 	for {
 		if cerr := j.e.ctxErr(); cerr != nil {
-			// fail too, so workers stop joining and the closer goroutine
-			// skips the second pass.
-			j.fail(cerr)
-			j.perr = cerr
-			return
+			j.p.fail(cerr)
+			return cerr
 		}
-		b, err := j.probe.Next()
-		if err != nil {
-			j.perr = err
-			return
-		}
-		if b == nil {
-			return
+		b, err := src.Next()
+		if err != nil || b == nil {
+			return err
 		}
 		if b = joinInput(b); b == nil {
 			continue
 		}
 		select {
-		case j.in <- b:
-		case <-j.done:
+		case in <- b:
+		case <-done:
 			b.Release()
-			return
+			return nil
 		}
 	}
 }
-
-// send hands one output batch to the consumer — a probe worker's full
-// batch or its remainder at end of stream (colProbe) — and counts its
-// rows as results; false once Close has run.
-func (j *hashJoinOp) send(b *Batch) bool {
-	j.results.Add(int64(b.Len()))
-	return sendBatch(j.out, j.done, b)
-}
-
-// failing reports that a worker or spill error has been recorded.
-func (j *hashJoinOp) failing() bool { return j.failed.Load() }
 
 func (j *hashJoinOp) Next() (*Batch, error) {
-	b, ok := <-j.out
-	if !ok {
-		// out closes only after every worker exits, which happens after
-		// the dispatcher published any probe error and closed in, and
-		// after any worker/spill error landed in werr.
-		if j.perr != nil {
-			return nil, j.perr
-		}
-		j.werrMu.Lock()
-		werr := j.werr
-		j.werrMu.Unlock()
-		if werr != nil {
-			return nil, werr
-		}
-		if !j.metered {
-			j.metered = true
-			j.e.Meter.AddResultRows(int(j.results.Load()))
-			if j.spill != nil {
-				if n := j.spill.skipped.Load(); n > 0 {
-					j.e.Meter.AddSpillSkip(int(n))
-				}
+	b, err := j.p.next()
+	if b != nil {
+		return b, nil
+	}
+	// The stream has ended: every worker has exited, after the feeder
+	// published any probe error and closed the probe input.
+	if j.perr != nil {
+		return nil, j.perr
+	}
+	if err != nil {
+		return nil, err
+	}
+	if !j.metered {
+		j.metered = true
+		j.e.Meter.AddResultRows(int(j.p.rows.Load()))
+		if j.spill != nil {
+			if n := j.spill.skipped.Load(); n > 0 {
+				j.e.Meter.AddSpillSkip(int(n))
 			}
 		}
-		return nil, nil
 	}
-	return b, nil
+	return nil, nil
 }
 
 func (j *hashJoinOp) Close() error {
-	j.once.Do(func() {
-		if j.done != nil {
-			close(j.done)
-			// Drain so no worker stays blocked on send; the closer
-			// goroutine closes out once every worker exits.
-			for b := range j.out {
-				b.Release()
-			}
-		}
-		if j.spill != nil {
-			// The out drain above only returns after the closer goroutine
-			// (and with it the second pass) has exited, so nothing is
-			// reading the run files any more.
-			j.spill.cleanup()
-		}
-	})
+	j.p.close()
+	if j.spill != nil {
+		// close returns only once the stream has ended, after the second
+		// pass, so nothing is reading the run files any more.
+		j.spill.cleanup()
+	}
 	j.cbuild = nil
 	return j.probe.Close()
 }
@@ -939,17 +797,8 @@ type HyperJoinOp struct {
 	plan    HyperPlan
 	stats   HyperStats
 	statsMu sync.Mutex
-	results atomic.Int64
-	empty   bool
 	metered bool
-	errMu   sync.Mutex
-	err     error // first worker error; published before out closes
-
-	next atomic.Int64
-	out  chan *Batch
-	done chan struct{}
-	wg   sync.WaitGroup
-	once sync.Once
+	p       pool
 }
 
 // NewHyperJoinOp builds the streaming hyper-join that runs plan: its
@@ -961,7 +810,7 @@ type HyperJoinOp struct {
 func (e *Executor) NewHyperJoinOp(plan HyperPlan, rPreds, sPreds []predicate.Predicate, buildIsRight bool) *HyperJoinOp {
 	return &HyperJoinOp{
 		e: e, rRefs: plan.R, sRefs: plan.S, rPreds: rPreds, sPreds: sPreds,
-		rCol: plan.RCol, sCol: plan.SCol, buildIsRight: buildIsRight, plan: plan,
+		rCol: plan.RCol, sCol: plan.SCol, buildIsRight: buildIsRight, plan: plan, p: pool{e: e},
 	}
 }
 
@@ -974,62 +823,27 @@ func (h *HyperJoinOp) Plan() HyperPlan { return h.plan }
 
 func (h *HyperJoinOp) Open() error {
 	if len(h.rRefs) == 0 || len(h.sRefs) == 0 {
-		h.empty = true
-		return nil
+		return nil // the pool never starts: an empty stream
 	}
 	h.stats = HyperStats{
 		Groups:       len(h.plan.Grouping),
 		SBlocks:      len(h.sRefs),
 		GroupingCost: hyperjoin.Cost(h.plan.Grouping, h.plan.V),
 	}
-	w := h.e.workers()
-	if w > len(h.plan.Grouping) {
-		w = len(h.plan.Grouping)
-	}
-	if w < 1 {
-		w = 1
-	}
-	h.out = make(chan *Batch, 2*w)
-	h.done = make(chan struct{})
-	for i := 0; i < w; i++ {
-		h.wg.Add(1)
-		go h.worker()
-	}
-	go func() {
-		h.wg.Wait()
-		close(h.out)
-	}()
+	h.p.start(min(h.e.workers(), len(h.plan.Grouping)), h.worker, nil)
 	return nil
-}
-
-// setErr records the first worker error (cancellation or a missing
-// block); Next surfaces it once the output channel closes.
-func (h *HyperJoinOp) setErr(err error) {
-	h.errMu.Lock()
-	if h.err == nil {
-		h.err = err
-	}
-	h.errMu.Unlock()
 }
 
 // worker runs groups until none is left. Its one colProbe carries the
 // pending output batch across groups — every group emits the same
 // columns, and gathered rows do not reference a group's build store —
 // and the remainder leaves when the worker exits.
-func (h *HyperJoinOp) worker() {
-	defer h.wg.Done()
-	st := &colProbe{sink: h, ok: true}
+func (h *HyperJoinOp) worker(int) {
+	st := &colProbe{sink: &h.p, ok: true}
 	defer st.emit()
 	for {
-		if cerr := h.e.ctxErr(); cerr != nil {
-			h.setErr(cerr)
-			return
-		}
-		gi := int(h.next.Add(1) - 1)
-		if gi >= len(h.plan.Grouping) {
-			return
-		}
-		if !h.runGroup(h.plan.Grouping[gi], st) {
+		gi, ok := h.p.claim(len(h.plan.Grouping))
+		if !ok || !h.runGroup(h.plan.Grouping[gi], st) {
 			return
 		}
 	}
@@ -1066,7 +880,7 @@ func (h *HyperJoinOp) runGroup(group []int, st *colProbe) bool {
 	for _, i := range group {
 		cols, local, err := h.e.getBlock(h.rRefs[i].Path, node)
 		if err != nil {
-			h.setErr(err)
+			h.p.fail(err)
 			return false
 		}
 		h.e.Meter.AddBuild(cols.FullLen(), local)
@@ -1123,7 +937,7 @@ func (h *HyperJoinOp) runGroup(group []int, st *colProbe) bool {
 		}
 		cols, local, err := h.e.getBlock(h.sRefs[j].Path, node)
 		if err != nil {
-			h.setErr(err)
+			h.p.fail(err)
 			return false
 		}
 		h.e.Meter.AddProbe(cols.FullLen(), local)
@@ -1152,37 +966,12 @@ func (h *HyperJoinOp) runGroup(group []int, st *colProbe) bool {
 	return true
 }
 
-// send hands a worker's output batch to the consumer and counts its
-// rows as results — per batch sent, so rows pending across groups are
-// counted exactly once; false once Close has run.
-func (h *HyperJoinOp) send(b *Batch) bool {
-	h.results.Add(int64(b.Len()))
-	return sendBatch(h.out, h.done, b)
-}
-
-// failing reports that a worker recorded the stream's error.
-func (h *HyperJoinOp) failing() bool {
-	h.errMu.Lock()
-	defer h.errMu.Unlock()
-	return h.err != nil
-}
-
 func (h *HyperJoinOp) Next() (*Batch, error) {
-	if h.empty {
-		return nil, nil
-	}
-	b, ok := <-h.out
-	if !ok {
-		h.errMu.Lock()
-		err := h.err
-		h.errMu.Unlock()
-		if err != nil {
-			return nil, err
-		}
+	b, err := h.p.next()
+	if b == nil && err == nil {
 		h.finish()
-		return nil, nil
 	}
-	return b, nil
+	return b, err
 }
 
 // finish seals the stats once the stream is drained.
@@ -1194,18 +983,10 @@ func (h *HyperJoinOp) finish() {
 	if h.stats.SBlocks > 0 {
 		h.stats.CHyJ = float64(h.stats.ProbeBlocks) / float64(h.stats.SBlocks)
 	}
-	h.e.Meter.AddResultRows(int(h.results.Load()))
+	h.e.Meter.AddResultRows(int(h.p.rows.Load()))
 }
 
 func (h *HyperJoinOp) Close() error {
-	if h.empty {
-		return nil
-	}
-	h.once.Do(func() {
-		close(h.done)
-		for b := range h.out {
-			b.Release()
-		}
-	})
+	h.p.close()
 	return nil
 }

@@ -69,21 +69,6 @@ func (e *Executor) ForQuery(q QueryCtx) *Executor {
 	return v
 }
 
-// BindContext attaches a cancellation context to the executor and its
-// node views (if any). Operator drain loops check it at batch
-// boundaries; once ctx is done, in-flight operators wind down and
-// surface ctx.Err() through Next. Not safe to call concurrently with a
-// running query — bind before Compile. A serving layer instead passes
-// the context through ForQuery.
-func (e *Executor) BindContext(ctx context.Context) {
-	e.ctx = ctx
-	if e.nodes != nil {
-		for _, ne := range e.nodes.execs {
-			ne.ctx = ctx
-		}
-	}
-}
-
 // ctxErr reports the executor's cancellation state: nil while the
 // query may proceed, ctx.Err() once it is cancelled or past deadline.
 // Hot loops call this once per batch, not per row.

@@ -88,37 +88,32 @@ func TestForQueryDistributed(t *testing.T) {
 	}
 }
 
-// TestBindContext: the bound context is observed by ctxErr on the
-// executor and its node views; rebinding nil clears it.
-func TestBindContext(t *testing.T) {
-	store := dfs.NewStore(2, 1, 1)
-	e := New(store, &cluster.Meter{})
-	ns := e.EnableNodes(1)
-
-	if err := e.ctxErr(); err != nil {
-		t.Fatalf("unbound ctxErr = %v, want nil", err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	e.BindContext(ctx)
-	if err := e.ctxErr(); err != nil {
-		t.Fatalf("live ctxErr = %v, want nil", err)
-	}
-	cancel()
-	if err := e.ctxErr(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled ctxErr = %v, want context.Canceled", err)
-	}
-	for i := 0; i < ns.N(); i++ {
-		if err := ns.At(i).ctxErr(); !errors.Is(err, context.Canceled) {
-			t.Fatalf("node %d ctxErr = %v, want context.Canceled", i, err)
+// TestForQueryContext: a distributed view's context is observed by
+// ctxErr on the view and on every node view; a view without one is
+// never cancelled.
+func TestForQueryContext(t *testing.T) {
+	tmpl := New(dfs.NewStore(2, 1, 1), &cluster.Meter{})
+	for _, e := range []*Executor{tmpl, tmpl.ForQuery(QueryCtx{Distributed: true})} {
+		if err := e.ctxErr(); err != nil {
+			t.Fatalf("unbound ctxErr = %v, want nil", err)
 		}
 	}
-	e.BindContext(nil)
-	if err := e.ctxErr(); err != nil {
-		t.Fatalf("rebound-nil ctxErr = %v, want nil", err)
-	}
+	ctx, cancel := context.WithCancel(context.Background())
+	e := tmpl.ForQuery(QueryCtx{Ctx: ctx, Distributed: true})
+	ns := e.Nodes()
+	views := []*Executor{e}
 	for i := 0; i < ns.N(); i++ {
-		if err := ns.At(i).ctxErr(); err != nil {
-			t.Fatalf("node %d rebound-nil ctxErr = %v, want nil", i, err)
+		views = append(views, ns.At(i))
+	}
+	for i, v := range views {
+		if err := v.ctxErr(); err != nil {
+			t.Fatalf("view %d live ctxErr = %v, want nil", i, err)
+		}
+	}
+	cancel()
+	for i, v := range views {
+		if err := v.ctxErr(); !errors.Is(err, context.Canceled) {
+			t.Fatalf("view %d cancelled ctxErr = %v, want context.Canceled", i, err)
 		}
 	}
 }

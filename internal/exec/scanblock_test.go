@@ -36,13 +36,13 @@ func scanBlock(n int, withStrings bool) *block.Block {
 // emitBlock itself and releases what lands on the output channel.
 func blockScanner(preds []predicate.Predicate) *scanOp {
 	ex := New(dfs.NewStore(1, 1, 1), &cluster.Meter{})
-	return &scanOp{e: ex, preds: preds, out: make(chan *Batch, 64), done: make(chan struct{})}
+	return &scanOp{e: ex, preds: preds, p: pool{e: ex, out: make(chan *Batch, 64), done: make(chan struct{})}}
 }
 
 func (s *scanOp) drainOut() (rows int) {
 	for {
 		select {
-		case b := <-s.out:
+		case b := <-s.p.out:
 			rows += b.Len()
 			b.Release()
 		default:
@@ -132,8 +132,8 @@ func TestScanBlockAliasesBlock(t *testing.T) {
 	}
 	next := int64(0)
 	var held *Batch
-	for len(s.out) > 0 {
-		b := <-s.out
+	for len(s.p.out) > 0 {
+		b := <-s.p.out
 		cb := b.Cols()
 		if b.Len() > DefaultBatchSize || cb.Sel() == nil {
 			t.Fatalf("filtered batch: len=%d sel=%v", b.Len(), cb.Sel())
@@ -166,15 +166,15 @@ func TestScanBlockAliasesBlock(t *testing.T) {
 	// and nothing of chunk 2.
 	s = blockScanner([]predicate.Predicate{predicate.NewCmp(0, predicate.LT, value.NewInt(1500))})
 	s.emitBlock(cols)
-	if len(s.out) != 2 {
-		t.Fatalf("scan sent %d batches, want 2 (the empty chunk skipped)", len(s.out))
+	if len(s.p.out) != 2 {
+		t.Fatalf("scan sent %d batches, want 2 (the empty chunk skipped)", len(s.p.out))
 	}
-	if b := <-s.out; b.Len() != DefaultBatchSize || b.Cols().Sel() != nil {
+	if b := <-s.p.out; b.Len() != DefaultBatchSize || b.Cols().Sel() != nil {
 		t.Fatalf("unfiltered chunk: len=%d sel=%v, want %d rows and no selection", b.Len(), b.Cols().Sel(), DefaultBatchSize)
 	} else {
 		b.Release()
 	}
-	if b := <-s.out; b.Len() != 1500-DefaultBatchSize || b.Cols().Sel() == nil {
+	if b := <-s.p.out; b.Len() != 1500-DefaultBatchSize || b.Cols().Sel() == nil {
 		t.Fatalf("partial chunk: len=%d sel=%v", b.Len(), b.Cols().Sel())
 	} else {
 		b.Release()
@@ -218,7 +218,7 @@ func TestScanBlockAliasesBlock(t *testing.T) {
 	nblk.AppendRows(nrows)
 	s = blockScanner(nil)
 	s.emitBlock(nblk.Cols())
-	nb := <-s.out
+	nb := <-s.p.out
 	defer nb.Release()
 	v := nb.Cols().Col(1)
 	if v.Valid() == nil || nb.Len() != 100 {

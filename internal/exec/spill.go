@@ -615,9 +615,9 @@ func (sp *joinSpill) takeRuns(p int) (build, probe []*runFile) {
 }
 
 // cleanup removes the spill directory and returns any budget bytes an
-// early close or error path left charged. Called exactly once, from the
-// operator's Close, after every goroutine that touches the files has
-// exited.
+// early close or error path left charged. Called from a failed Open or
+// from Close, after every goroutine that touches the files has exited;
+// a second call finds nothing left to release.
 func (sp *joinSpill) cleanup() {
 	if held := sp.memHeld.Swap(0); held != 0 {
 		sp.j.e.Mem.Release(held)
@@ -822,8 +822,9 @@ func (sp *joinSpill) flushLeftovers(bufs [][]colBuf) error {
 // ---- second pass ----
 
 // secondPass joins every spilled partition from its run files, emitting
-// result batches through the operator's normal send path. Runs after
-// all probe workers have exited and before the output channel closes.
+// result batches through the operator's pool. It is the pool's then
+// hook: it runs after all probe workers have exited and before the
+// stream ends.
 // Spilled partitions are independent, so the pass runs them on the full
 // worker pool — each worker owns its partitions end to end (load,
 // recurse, probe, emit), matching the first pass's partition
@@ -850,43 +851,31 @@ func (j *hashJoinOp) secondPass() {
 	if len(parts) == 0 {
 		return
 	}
-	w := j.workerCount()
-	if w > len(parts) {
-		w = len(parts)
-	}
 	// Fit decisions use the full operator limit; the byte semaphore
 	// keeps the sum of concurrent loads inside it.
 	limit := j.e.Mem.Limit()
 	sp.sem = newByteSem(limit)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			st := &colProbe{sink: j, ok: true}
-			defer st.emit()
-			for {
-				if cerr := j.e.ctxErr(); cerr != nil {
-					j.fail(cerr)
-				}
-				k := int(next.Add(1) - 1)
-				if k >= len(parts) || j.failed.Load() {
-					break
-				}
-				build, probe := sp.takeRuns(parts[k])
-				if err := j.joinSpilled(st, 0, build, probe, limit); err != nil {
-					releaseRuns(sp.fs(), build)
-					releaseRuns(sp.fs(), probe)
-					if err != errSpillClosed {
-						j.fail(err)
-					}
-					break
-				}
+	// The probe workers claimed no task, so the pool's task counter
+	// hands out the spilled partitions.
+	j.p.run(min(j.e.workers(), len(parts)), func(int) {
+		st := &colProbe{sink: &j.p, ok: true}
+		defer st.emit()
+		for {
+			k, ok := j.p.claim(len(parts))
+			if !ok {
+				return
 			}
-		}()
-	}
-	wg.Wait()
+			build, probe := sp.takeRuns(parts[k])
+			if err := j.joinSpilled(st, 0, build, probe, limit); err != nil {
+				releaseRuns(sp.fs(), build)
+				releaseRuns(sp.fs(), probe)
+				if err != errSpillClosed {
+					j.p.fail(err)
+				}
+				return
+			}
+		}
+	})
 }
 
 // joinSpilled joins one spilled partition, gathering its matches into

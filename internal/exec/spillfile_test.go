@@ -81,7 +81,7 @@ func TestSpillOneFilePerStream(t *testing.T) {
 			firstPass++
 		}
 	}
-	w := hj.workerCount()
+	w := hj.e.workers()
 	reparts := hj.spill.repartitions.Load()
 	t.Logf("%d demoted partitions, %d workers: %d first-pass files, %d re-partitionings, %d split files",
 		demoted, w, firstPass, reparts, splits)

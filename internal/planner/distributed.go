@@ -23,7 +23,7 @@
 // that repartitions, exec.ChargeIntermediate for an intermediate,
 // exec.ChargeNone for a table §4.3 reads in place. The one-node fabric
 // meters rows at that class; the N-node fabrics meter the rows and bytes
-// that actually cross nodes (cluster.Meter.AddExchange).
+// that actually cross nodes (cluster.Meter.AddExchangeAt).
 package planner
 
 import (

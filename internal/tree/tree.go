@@ -64,14 +64,8 @@ func NewWithRoot(s *schema.Schema, root *Node, joinAttr, joinLevels int) *Tree {
 	return t
 }
 
-// AllocBucket reserves and returns a fresh bucket ID.
-func (t *Tree) AllocBucket() block.ID {
-	id := t.nextBucket
-	t.nextBucket++
-	return id
-}
-
-// NextBucket reports the next bucket ID that AllocBucket would return.
+// NextBucket reports the tree's next unused bucket ID; every leaf
+// bucket is below it.
 func (t *Tree) NextBucket() block.ID { return t.nextBucket }
 
 // Walk visits every node in preorder.
@@ -332,25 +326,6 @@ func (t *Tree) FindLeaf(b block.ID) *Node {
 		}
 	})
 	return found
-}
-
-// SplitLeaf replaces leaf bucket b with an internal node splitting on
-// (attr, cut); the old bucket ID becomes the left child and a freshly
-// allocated bucket becomes the right child. Returns the new right bucket.
-// The caller is responsible for physically re-routing the bucket's rows.
-func (t *Tree) SplitLeaf(b block.ID, attr int, cut value.Value) (block.ID, error) {
-	n := t.FindLeaf(b)
-	if n == nil {
-		return 0, fmt.Errorf("tree: no leaf with bucket %d", b)
-	}
-	right := t.AllocBucket()
-	n.Leaf = false
-	n.Bucket = 0
-	n.Attr = attr
-	n.Cut = cut
-	n.Left = &Node{Leaf: true, Bucket: b}
-	n.Right = &Node{Leaf: true, Bucket: right}
-	return right, nil
 }
 
 // Clone returns a deep copy sharing only the schema.

@@ -204,35 +204,13 @@ func TestPathRangeConsistentWithRouteQuick(t *testing.T) {
 	}
 }
 
-func TestSplitLeaf(t *testing.T) {
-	tr := NewLeaf(sch)
-	right, err := tr.SplitLeaf(0, 1, value.NewInt(10))
-	if err != nil {
-		t.Fatalf("SplitLeaf: %v", err)
-	}
-	if right != 1 {
-		t.Errorf("new bucket = %d, want 1", right)
-	}
-	if tr.NumBuckets() != 2 || tr.Depth() != 1 {
-		t.Errorf("after split: buckets=%d depth=%d", tr.NumBuckets(), tr.Depth())
-	}
-	if got := tr.Route(row(0, 5, 0)); got != 0 {
-		t.Errorf("b<=10 should stay in bucket 0, got %d", got)
-	}
-	if got := tr.Route(row(0, 50, 0)); got != 1 {
-		t.Errorf("b>10 should route to bucket 1, got %d", got)
-	}
-	if _, err := tr.SplitLeaf(99, 0, value.NewInt(0)); err == nil {
-		t.Errorf("splitting unknown bucket should fail")
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	tr := figure3Tree()
 	cl := tr.Clone()
-	if _, err := cl.SplitLeaf(0, 2, value.NewInt(5)); err != nil {
-		t.Fatalf("SplitLeaf on clone: %v", err)
-	}
+	// Split the clone's leaf 0 (left, left, left of the root) in place.
+	n := cl.Root.Left.Left.Left
+	n.Leaf, n.Attr, n.Cut = false, 2, value.NewInt(5)
+	n.Left, n.Right = &Node{Leaf: true, Bucket: 0}, &Node{Leaf: true, Bucket: 8}
 	if tr.NumBuckets() != 8 {
 		t.Errorf("mutating clone changed original")
 	}
@@ -306,7 +284,7 @@ func TestString(t *testing.T) {
 	if tr.String() != "b0" {
 		t.Errorf("leaf String = %q", tr.String())
 	}
-	tr.SplitLeaf(0, 0, value.NewInt(5))
+	tr = NewWithRoot(sch, &Node{Attr: 0, Cut: value.NewInt(5), Left: &Node{Leaf: true, Bucket: 0}, Right: &Node{Leaf: true, Bucket: 1}}, -1, 0)
 	want := "(a<=5 b0 b1)"
 	if tr.String() != want {
 		t.Errorf("String = %q, want %q", tr.String(), want)

@@ -88,16 +88,3 @@ func Concat(a, b Tuple) Tuple {
 	out = append(out, b...)
 	return out
 }
-
-// ConcatSchemas builds the join-output schema, prefixing column names to
-// keep them unique across the two sides.
-func ConcatSchemas(prefixA string, a *schema.Schema, prefixB string, b *schema.Schema) *schema.Schema {
-	cols := make([]schema.Column, 0, a.NumCols()+b.NumCols())
-	for i := 0; i < a.NumCols(); i++ {
-		cols = append(cols, schema.Column{Name: prefixA + "." + a.Name(i), Kind: a.Kind(i)})
-	}
-	for i := 0; i < b.NumCols(); i++ {
-		cols = append(cols, schema.Column{Name: prefixB + "." + b.Name(i), Kind: b.Kind(i)})
-	}
-	return schema.MustNew(cols...)
-}

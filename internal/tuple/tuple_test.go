@@ -140,18 +140,6 @@ func TestConcat(t *testing.T) {
 	}
 }
 
-func TestConcatSchemas(t *testing.T) {
-	a := schema.MustNew(schema.Column{Name: "k", Kind: value.Int})
-	b := schema.MustNew(schema.Column{Name: "k", Kind: value.Float})
-	j := ConcatSchemas("l", a, "r", b)
-	if j.NumCols() != 2 {
-		t.Fatalf("NumCols = %d", j.NumCols())
-	}
-	if j.Index("l.k") != 0 || j.Index("r.k") != 1 {
-		t.Errorf("prefixed names wrong: %s", j)
-	}
-}
-
 func TestViews(t *testing.T) {
 	rows := make([]Tuple, 10)
 	for i := range rows {
