@@ -253,12 +253,6 @@ func (t *Table) Stats() TableStats {
 	return st
 }
 
-// Name returns the table name.
-func (t *Table) Name() string { return t.tbl.Name }
-
-// Schema returns the table schema.
-func (t *Table) Schema() *Schema { return t.tbl.Schema }
-
 // QueryBuilder assembles a declarative query — a scan, an n-way join,
 // optionally grouped and aggregated. Run lowers it through the
 // query.Spec layer: names resolve at bind time, and the planner's
@@ -497,6 +491,3 @@ func (qb *QueryBuilder) buildSpec() (query.Spec, error) {
 
 // TotalSimSeconds returns cumulative simulated time across all queries.
 func (db *DB) TotalSimSeconds() float64 { return db.total.Snapshot().SimSeconds(db.model) }
-
-// TotalCounters returns the cumulative I/O counters.
-func (db *DB) TotalCounters() cluster.Counters { return db.total.Snapshot() }

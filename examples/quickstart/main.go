@@ -5,7 +5,9 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 
 	"adaptdb"
 )
@@ -72,6 +74,51 @@ func main() {
 			res.Stats.RepartitionedRows)
 	}
 
+	// A grouped aggregate over the join: per country, for users in three
+	// of the four countries, the number of orders and their total,
+	// smallest, largest and mean amount. Every group is checked against
+	// the loaded rows.
+	res, err = db.Query("orders").
+		Join("users", "uid", "id").
+		WhereIn("country", adaptdb.String("us"), adaptdb.String("uk"), adaptdb.String("de")).
+		GroupBy("country").
+		Count().Sum("amount").Min("amount").Max("amount").Avg("amount").
+		Run()
+	check(err)
+	type group struct {
+		n           int64
+		sum, lo, hi float64
+	}
+	want := map[string]*group{}
+	for _, o := range orders {
+		country, amount := users[o[1].Int64()][2].String(), o[2].Float64()
+		if country == "fr" {
+			continue
+		}
+		g := want[country]
+		if g == nil {
+			g = &group{lo: amount, hi: amount}
+			want[country] = g
+		}
+		g.n++
+		g.sum += amount
+		g.lo, g.hi = min(g.lo, amount), max(g.hi, amount)
+	}
+	if len(res.Rows) != len(want) {
+		panic(fmt.Sprintf("grouped query returned %d groups, want %d", len(res.Rows), len(want)))
+	}
+	sort.Slice(res.Rows, func(i, j int) bool { return res.Rows[i][0].String() < res.Rows[j][0].String() })
+	fmt.Println("\norders per country:")
+	for _, r := range res.Rows {
+		g := want[r[0].String()]
+		if g == nil || r[1].Int64() != g.n || !near(r[2].Float64(), g.sum) || r[3].Float64() != g.lo ||
+			r[4].Float64() != g.hi || !near(r[5].Float64(), g.sum/float64(g.n)) {
+			panic(fmt.Sprintf("group %v disagrees with the loaded rows", r))
+		}
+		fmt.Printf("  %s: %5d orders, total %10.2f, min %6.2f, max %6.2f, mean %6.2f\n",
+			r[0], r[1].Int64(), r[2].Float64(), r[3].Float64(), r[4].Float64(), r[5].Float64())
+	}
+
 	for _, name := range []string{"users", "orders"} {
 		st := db.Table(name).Stats()
 		fmt.Printf("\n%s: %d rows in %d blocks across %d tree(s), join attrs %v\n",
@@ -84,6 +131,10 @@ func must(t *adaptdb.Table, err error) *adaptdb.Table {
 	check(err)
 	return t
 }
+
+// near reports whether two sums agree up to rounding: the engine adds
+// the amounts in another order than the check does.
+func near(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(1, math.Abs(b)) }
 
 func check(err error) {
 	if err != nil {

@@ -245,6 +245,5 @@ func (a *Adapter) apply(tbl *core.Table, treeIdx int, c *candidate, meter *clust
 	c.node.Cut = c.cut
 	tbl.RewriteBucket(treeIdx, lB, left)
 	tbl.RewriteBucket(treeIdx, rB, right)
-	tbl.Persist()
 	return nil
 }

@@ -109,24 +109,6 @@ func BuildPREF(d *tpch.Dataset, k int) *PREF {
 	return p
 }
 
-// ReplicationFactor reports the dimension blow-up: replicated rows over
-// base rows for customer and part.
-func (p *PREF) ReplicationFactor(baseCust, basePart int) (cust, part float64) {
-	rc, rp := 0, 0
-	for i := 0; i < p.K; i++ {
-		rc += len(p.cust[i])
-		rp += len(p.part[i])
-	}
-	return float64(rc) / float64(max(1, baseCust)), float64(rp) / float64(max(1, basePart))
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // scanPart reads one table partition if its zone map may match, filters
 // rows, and meters the read. Partition-local reads never shuffle.
 func scanPart(rows []tuple.Tuple, zone *block.Block, preds []predicate.Predicate, ranges map[int]predicate.Range, meter *cluster.Meter) []tuple.Tuple {

@@ -69,25 +69,6 @@ func TestPREFCorrectOnAllTemplates(t *testing.T) {
 	}
 }
 
-func TestPREFReplicationFactor(t *testing.T) {
-	d := tpch.Generate(0.001, 7)
-	p := BuildPREF(d, 16)
-	cust, part := p.ReplicationFactor(len(d.Customer), len(d.Part))
-	if cust <= 1.5 {
-		t.Errorf("customer replication factor %.2f; reference partitioning should replicate substantially", cust)
-	}
-	if part <= 1.5 {
-		t.Errorf("part replication factor %.2f", part)
-	}
-	// More partitions → more replication (the paper's partition-count
-	// trade-off).
-	p2 := BuildPREF(d, 64)
-	cust2, _ := p2.ReplicationFactor(len(d.Customer), len(d.Part))
-	if cust2 < cust {
-		t.Errorf("replication should grow with partition count: %0.2f -> %0.2f", cust, cust2)
-	}
-}
-
 func TestPREFPartitionLocality(t *testing.T) {
 	// Every lineitem row must land in the same partition as its order.
 	d := tpch.Generate(0.0005, 9)

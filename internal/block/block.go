@@ -71,16 +71,8 @@ func (b *Block) Rows() []tuple.Tuple {
 	return rows
 }
 
-// Append adds one row and folds it into the zone map.
-func (b *Block) Append(t tuple.Tuple) {
-	b.shape(len(t))
-	from := b.Len()
-	b.cols.AppendRow(t)
-	b.extendZones(from)
-}
-
-// AppendRows adds rows in order — the load path's bulk form of Append:
-// one transpose and one zone-map pass per column instead of per cell.
+// AppendRows adds rows in order — the load path: one transpose and one
+// zone-map pass per column instead of per cell.
 func (b *Block) AppendRows(rows []tuple.Tuple) {
 	if len(rows) == 0 {
 		return

@@ -28,9 +28,7 @@ func TestZoneMapMaintenance(t *testing.T) {
 	if b.Len() != 0 {
 		t.Fatalf("new block not empty")
 	}
-	b.Append(row(5, 2.5, "m"))
-	b.Append(row(1, 9.5, "z"))
-	b.Append(row(8, 0.5, "a"))
+	b.AppendRows([]tuple.Tuple{row(5, 2.5, "m"), row(1, 9.5, "z"), row(8, 0.5, "a")})
 	if b.Len() != 3 {
 		t.Fatalf("Len = %d", b.Len())
 	}
@@ -47,8 +45,7 @@ func TestZoneMapMaintenance(t *testing.T) {
 
 func TestZoneMapIgnoresNulls(t *testing.T) {
 	b := New(sch)
-	b.Append(tuple.Tuple{value.NewInt(5), {}, value.NewString("x")})
-	b.Append(tuple.Tuple{value.NewInt(3), {}, value.NewString("y")})
+	b.AppendRows([]tuple.Tuple{{value.NewInt(5), {}, value.NewString("x")}, {value.NewInt(3), {}, value.NewString("y")}})
 	if !b.Min(1).IsNull() {
 		t.Errorf("all-null column should have null min")
 	}
@@ -65,14 +62,10 @@ func TestRange(t *testing.T) {
 	if !b.Range(0).Empty() {
 		t.Errorf("empty block should have empty range")
 	}
-	b.Append(row(10, 1, "a"))
-	b.Append(row(20, 1, "a"))
+	b.AppendRows([]tuple.Tuple{row(10, 1, "a"), row(20, 1, "a")})
 	r := b.Range(0)
-	if !r.Contains(value.NewInt(10)) || !r.Contains(value.NewInt(20)) || !r.Contains(value.NewInt(15)) {
-		t.Errorf("range should span [10,20]: %v", r)
-	}
-	if r.Contains(value.NewInt(9)) || r.Contains(value.NewInt(21)) {
-		t.Errorf("range too wide: %v", r)
+	if r != predicate.Closed(value.NewInt(10), value.NewInt(20)) {
+		t.Errorf("range should be [10,20]: %v", r)
 	}
 	if !b.Range(99).Empty() {
 		t.Errorf("out-of-range column should be empty range")
@@ -81,8 +74,7 @@ func TestRange(t *testing.T) {
 
 func TestMaybeMatches(t *testing.T) {
 	b := New(sch)
-	b.Append(row(10, 5, "a"))
-	b.Append(row(20, 6, "b"))
+	b.AppendRows([]tuple.Tuple{row(10, 5, "a"), row(20, 6, "b")})
 	match := predicate.ColumnRanges([]predicate.Predicate{
 		predicate.NewCmp(0, GEQ(), value.NewInt(15)),
 	})
@@ -112,7 +104,7 @@ func TestMaybeMatchesSoundQuick(t *testing.T) {
 		for i := 0; i < 1+rng.Intn(20); i++ {
 			tp := row(rng.Int63n(100), rng.Float64()*100, string(rune('a'+rng.Intn(26))))
 			rows = append(rows, tp)
-			b.Append(tp)
+			b.AppendRows([]tuple.Tuple{tp})
 		}
 		ops := []predicate.Op{predicate.EQ, predicate.LT, predicate.LE, predicate.GT, predicate.GE}
 		preds := []predicate.Predicate{
@@ -138,8 +130,7 @@ func TestMaybeMatchesSoundQuick(t *testing.T) {
 
 func TestMetaOf(t *testing.T) {
 	b := New(sch)
-	b.Append(row(10, 5, "a"))
-	b.Append(row(20, 6, "b"))
+	b.AppendRows([]tuple.Tuple{row(10, 5, "a"), row(20, 6, "b")})
 	m := MetaOf(7, b)
 	if m.ID != 7 || m.Count != 2 {
 		t.Errorf("meta header wrong: %+v", m)
@@ -185,7 +176,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 	b := New(sch)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 100; i++ {
-		b.Append(row(rng.Int63n(1000), rng.Float64(), "str"))
+		b.AppendRows([]tuple.Tuple{row(rng.Int63n(1000), rng.Float64(), "str")})
 	}
 	got := viaFrame(t, b)
 	if !reflect.DeepEqual(got.Rows(), b.Rows()) {
@@ -270,7 +261,7 @@ func TestAnyInterleavingMatchesRowBuiltZoneMap(t *testing.T) {
 		for step := 0; step < 1+rng.Intn(8); step++ {
 			switch rng.Intn(3) {
 			case 0:
-				b.Append(draw(1)[0])
+				b.AppendRows(draw(1))
 			case 1:
 				b.AppendRows(draw(rng.Intn(6)))
 			default:

@@ -359,11 +359,6 @@ func (c Counters) String() string {
 		c.SpillRows, c.SpillSkippedRows, c.BlocksScanned, c.ProbeBlocks, c.ResultRows)
 }
 
-// ExchRows returns the total rows that crossed exchanges, local and
-// remote — the acceptance counter for "a co-located hyper-join moves
-// nothing".
-func (c Counters) ExchRows() float64 { return c.ExchLocalRows + c.ExchRemoteRows }
-
 // NewShards returns n independent meters plus a merge function that
 // folds (and resets) every shard into dst exactly once per call. The
 // per-node executors each own one shard, so hot-path metering never

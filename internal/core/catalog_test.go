@@ -133,7 +133,7 @@ func fuzzCatalog(rng *rand.Rand, ncols int) (*catalog, map[block.ID]*block.Block
 				for ci := range row {
 					row[ci] = fuzzCell(rng, shapes[ci])
 				}
-				blk.Append(row)
+				blk.AppendRows([]tuple.Tuple{row})
 			}
 		}
 		c.set(b, fmt.Sprintf("t/t0/b%d", b), dfs.NodeID(rng.Intn(3)), blk)

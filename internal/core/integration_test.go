@@ -1,61 +1,18 @@
 package core
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
 	"adaptdb/internal/block"
 	"adaptdb/internal/cluster"
-	"adaptdb/internal/predicate"
-	"adaptdb/internal/tree"
 	"adaptdb/internal/tuple"
 	"adaptdb/internal/twophase"
-	"adaptdb/internal/value"
 )
 
 // These integration tests exercise the durability path end to end:
-// partitioning trees and blocks round-trip through the simulated
-// distributed store's serialized forms, and a rebuilt catalog answers
-// queries identically — the contract AdaptDB-on-HDFS relies on when a
-// node restarts.
-
-func TestTreePersistenceRoundTripAnswersIdentically(t *testing.T) {
-	rows := genRows(2048, 21)
-	tbl, store := loadTable(t, rows, LoadOptions{RowsPerBlock: 128, Seed: 3, JoinAttr: 0})
-
-	// Recover the tree purely from store metadata.
-	raw, err := store.GetBytes("lineitem/meta/tree0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	recovered, err := tree.Decode(raw, sch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	preds := []predicate.Predicate{
-		predicate.NewCmp(0, predicate.LT, value.NewInt(3000)),
-		predicate.NewCmp(2, predicate.GE, value.NewInt(500)),
-	}
-	orig := tbl.Trees[0].Tree.Lookup(preds)
-	got := recovered.Lookup(preds)
-	if len(orig) != len(got) {
-		t.Fatalf("recovered tree lookup differs: %v vs %v", orig, got)
-	}
-	for i := range orig {
-		if orig[i] != got[i] {
-			t.Fatalf("bucket %d differs after recovery", i)
-		}
-	}
-	// Routing behaviour must also survive.
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 500; i++ {
-		r := rows[rng.Intn(len(rows))]
-		if recovered.Route(r) != tbl.Trees[0].Tree.Route(r) {
-			t.Fatalf("recovered tree routes differently")
-		}
-	}
-}
+// blocks round-trip through the simulated distributed store's
+// serialized forms, and a rebuilt catalog answers queries identically.
 
 func TestBlockSerializationThroughStore(t *testing.T) {
 	rows := genRows(512, 22)

@@ -146,7 +146,6 @@ func Load(store *dfs.Store, name string, sch *schema.Schema, rows []tuple.Tuple,
 	for b, blk := range upfront.Partition(tr, rows) {
 		t.putBlock(0, b, blk)
 	}
-	t.Persist()
 	return t, nil
 }
 
@@ -229,22 +228,6 @@ func (t *Table) BlockPath(treeIdx int, b block.ID) string {
 	return sb.String()
 }
 
-// treePath is the store path of a tree's serialized metadata.
-func (t *Table) treePath(treeIdx int) string {
-	return fmt.Sprintf("%s/meta/tree%d", t.Name, treeIdx)
-}
-
-// Persist writes every live tree's structure to the store, as the paper
-// stores tree metadata on HDFS alongside the data.
-func (t *Table) Persist() {
-	for i, ti := range t.Trees {
-		if ti == nil {
-			continue
-		}
-		t.store.PutBytes(t.treePath(i), ti.Tree.AppendBinary(nil))
-	}
-}
-
 // LiveTrees returns the indexes of non-removed trees.
 func (t *Table) LiveTrees() []int {
 	var out []int
@@ -285,9 +268,7 @@ func (t *Table) PrimaryTree() int {
 // AddTree registers a new (initially empty) tree and returns its index.
 func (t *Table) AddTree(tr *tree.Tree) int {
 	t.Trees = append(t.Trees, t.newTreeInfo(tr))
-	idx := len(t.Trees) - 1
-	t.Persist()
-	return idx
+	return len(t.Trees) - 1
 }
 
 // DropTree removes an empty tree. Dropping a tree that still holds rows
@@ -301,7 +282,6 @@ func (t *Table) DropTree(idx int) error {
 	if t.Trees[idx].Rows() != 0 {
 		return fmt.Errorf("core: tree %d on %s still holds %d rows", idx, t.Name, t.Trees[idx].Rows())
 	}
-	t.store.Delete(t.treePath(idx))
 	t.Trees[idx] = nil
 	return nil
 }
@@ -519,7 +499,6 @@ func (t *Table) ReplaceTreeData(srcIdx int, newTree *tree.Tree, meter *cluster.M
 	for b, blk := range parts {
 		t.putBlock(srcIdx, b, blk)
 	}
-	t.Persist()
 	return nil
 }
 

@@ -12,7 +12,6 @@ import (
 	"adaptdb/internal/dfs"
 	"adaptdb/internal/predicate"
 	"adaptdb/internal/schema"
-	"adaptdb/internal/tree"
 	"adaptdb/internal/tuple"
 	"adaptdb/internal/twophase"
 	"adaptdb/internal/value"
@@ -77,18 +76,6 @@ func TestLoadUpfront(t *testing.T) {
 		if !store.Exists(tbl.BlockPath(0, b)) {
 			t.Errorf("block %d missing from store", b)
 		}
-	}
-	// Tree metadata persisted.
-	raw, err := store.GetBytes("lineitem/meta/tree0")
-	if err != nil {
-		t.Fatalf("tree metadata not persisted: %v", err)
-	}
-	decoded, err := tree.Decode(raw, sch)
-	if err != nil {
-		t.Fatalf("persisted tree corrupt: %v", err)
-	}
-	if decoded.String() != ti.Tree.String() {
-		t.Errorf("persisted tree differs")
 	}
 }
 
@@ -248,7 +235,7 @@ func TestMoveBucketsKeepsSourceOrder(t *testing.T) {
 					t.Fatalf("bucket %d row %d col %d = %v, want %v: source order lost", dest, i, c, got[i][c], r[c])
 				}
 			}
-			oracle.Append(r)
+			oracle.AppendRows([]tuple.Tuple{r})
 		}
 		if m, _ := metaOf(tbl.Trees[idx], dest); !reflect.DeepEqual(m, block.MetaOf(dest, oracle)) {
 			t.Fatalf("bucket %d meta %+v, row-built %+v", dest, m, block.MetaOf(dest, oracle))
@@ -409,7 +396,7 @@ func TestMigrationMatchesPerRowRoute(t *testing.T) {
 					if !bytes.Equal(got[i].AppendBinary(nil), r.AppendBinary(nil)) {
 						t.Fatalf("%s: tree %d bucket %d row %d = %v, model %v", step, ti, b, i, got[i], r)
 					}
-					oracle.Append(r)
+					oracle.AppendRows([]tuple.Tuple{r})
 				}
 				if m, o := mustMeta(t, tbl.Trees[ti], b), block.MetaOf(b, oracle); !metaEqual(m, o) {
 					t.Fatalf("%s: tree %d bucket %d meta %+v, row-built %+v", step, ti, b, m, o)
@@ -463,7 +450,7 @@ func metaEqual(a, b block.Meta) bool {
 
 func TestDropTree(t *testing.T) {
 	rows := genRows(256, 7)
-	tbl, store := loadTable(t, rows, LoadOptions{RowsPerBlock: 64, Seed: 1, JoinAttr: -1})
+	tbl, _ := loadTable(t, rows, LoadOptions{RowsPerBlock: 64, Seed: 1, JoinAttr: -1})
 	if err := tbl.DropTree(0); err == nil {
 		t.Fatalf("dropping non-empty tree should fail")
 	}
@@ -475,9 +462,6 @@ func TestDropTree(t *testing.T) {
 	}
 	if err := tbl.DropTree(0); err != nil {
 		t.Fatalf("DropTree after drain: %v", err)
-	}
-	if store.Exists("lineitem/meta/tree0") {
-		t.Errorf("dropped tree metadata still in store")
 	}
 	if got := tbl.LiveTrees(); len(got) != 1 || got[0] != idx {
 		t.Errorf("LiveTrees = %v", got)

@@ -39,7 +39,6 @@ type Store struct {
 
 type entry struct {
 	blk       *block.Block
-	raw       []byte
 	placement []NodeID
 }
 
@@ -66,9 +65,6 @@ func NewStore(nodes, replication int, seed int64) *Store {
 
 // NumNodes returns the cluster size.
 func (s *Store) NumNodes() int { return s.nodes }
-
-// Replication returns the replica count.
-func (s *Store) Replication() int { return s.replication }
 
 // place computes the deterministic replica set for a path: a hash-derived
 // primary plus consecutive nodes, HDFS-style.
@@ -136,29 +132,6 @@ func (s *Store) Append(path string, sch *schema.Schema, src *tuple.Columns, idxs
 	e.blk.AppendGather(src, idxs)
 }
 
-// PutBytes stores raw metadata (serialized partitioning trees, catalogs).
-func (s *Store) PutBytes(path string, raw []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.files[path]
-	if !ok {
-		e = &entry{placement: s.place(path)}
-		s.files[path] = e
-	}
-	e.raw = append([]byte(nil), raw...)
-}
-
-// GetBytes fetches raw metadata.
-func (s *Store) GetBytes(path string) ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, ok := s.files[path]
-	if !ok || e.raw == nil {
-		return nil, fmt.Errorf("dfs: no metadata at %q", path)
-	}
-	return append([]byte(nil), e.raw...), nil
-}
-
 // Delete removes a file. Deleting a missing file is a no-op, like
 // `hdfs dfs -rm -f`.
 func (s *Store) Delete(path string) {
@@ -213,25 +186,4 @@ func (s *Store) SetPlacement(path string, nodes []NodeID) error {
 	}
 	e.placement = append([]NodeID(nil), nodes...)
 	return nil
-}
-
-// Stats summarizes store contents.
-type Stats struct {
-	Files  int
-	Blocks int
-	Rows   int
-}
-
-// Stats returns current totals.
-func (s *Store) Stats() Stats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	st := Stats{Files: len(s.files)}
-	for _, e := range s.files {
-		if e.blk != nil {
-			st.Blocks++
-			st.Rows += e.blk.Len()
-		}
-	}
-	return st
 }

@@ -20,7 +20,7 @@ func row(k int64) tuple.Tuple { return tuple.Tuple{value.NewInt(k)} }
 func blockOf(ks ...int64) *block.Block {
 	b := block.New(sch)
 	for _, k := range ks {
-		b.Append(row(k))
+		b.AppendRows([]tuple.Tuple{row(k)})
 	}
 	return b
 }
@@ -81,19 +81,18 @@ func TestGetMissing(t *testing.T) {
 	if _, _, err := s.GetBlock("nope", 0); err == nil {
 		t.Errorf("missing block read should error")
 	}
-	if _, err := s.GetBytes("nope"); err == nil {
-		t.Errorf("missing metadata read should error")
-	}
 }
 
 func TestReplicationClamped(t *testing.T) {
 	s := NewStore(2, 5, 1)
-	if s.Replication() != 2 {
-		t.Errorf("replication = %d, want clamped to 2", s.Replication())
+	s.PutBlock("x", blockOf(1))
+	if n := len(s.Placement("x")); n != 2 {
+		t.Errorf("replicas = %d, want clamped to 2", n)
 	}
 	s = NewStore(0, 0, 1)
-	if s.NumNodes() != 1 || s.Replication() != 1 {
-		t.Errorf("degenerate store: nodes=%d repl=%d", s.NumNodes(), s.Replication())
+	s.PutBlock("x", blockOf(1))
+	if n := len(s.Placement("x")); s.NumNodes() != 1 || n != 1 {
+		t.Errorf("degenerate store: nodes=%d replicas=%d", s.NumNodes(), n)
 	}
 }
 
@@ -160,24 +159,6 @@ func TestConcurrentAppend(t *testing.T) {
 	}
 }
 
-func TestBytesRoundTrip(t *testing.T) {
-	s := NewStore(2, 1, 1)
-	s.PutBytes("meta/tree0", []byte{1, 2, 3})
-	got, err := s.GetBytes("meta/tree0")
-	if err != nil {
-		t.Fatalf("GetBytes: %v", err)
-	}
-	if len(got) != 3 || got[2] != 3 {
-		t.Errorf("bytes mangled: %v", got)
-	}
-	// Returned slice must be a copy.
-	got[0] = 99
-	again, _ := s.GetBytes("meta/tree0")
-	if again[0] != 1 {
-		t.Errorf("GetBytes exposed internal buffer")
-	}
-}
-
 func TestDeleteAndExists(t *testing.T) {
 	s := NewStore(2, 1, 1)
 	s.PutBlock("x", blockOf(1))
@@ -219,17 +200,6 @@ func TestSetPlacement(t *testing.T) {
 	}
 	if err := s.SetPlacement("missing", []NodeID{0}); err == nil {
 		t.Errorf("SetPlacement on missing file should error")
-	}
-}
-
-func TestStats(t *testing.T) {
-	s := NewStore(2, 1, 1)
-	s.PutBlock("a", blockOf(1, 2))
-	s.PutBlock("b", blockOf(3))
-	s.PutBytes("m", []byte{0})
-	st := s.Stats()
-	if st.Files != 3 || st.Blocks != 2 || st.Rows != 3 {
-		t.Errorf("Stats = %+v", st)
 	}
 }
 

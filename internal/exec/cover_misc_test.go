@@ -79,25 +79,3 @@ func TestExchangeBudgetedBatches(t *testing.T) {
 		}
 	}
 }
-
-// TestAppendColRowFrom: single-row columnar appends mirror the source
-// row exactly.
-func TestAppendColRowFrom(t *testing.T) {
-	rows := genOrders(8, 75)
-	src := NewSource(rows)
-	if err := src.Open(); err != nil {
-		t.Fatal(err)
-	}
-	sb, err := src.Next()
-	if err != nil || sb == nil {
-		t.Fatalf("col source: %v %v", sb, err)
-	}
-	dst := NewColBatch(len(rows[0]))
-	for i := 0; i < sb.Len(); i++ {
-		dst.AppendColRowFrom(sb.Cols(), i)
-	}
-	if dst.Len() != len(rows) {
-		t.Fatalf("dst has %d rows, want %d", dst.Len(), len(rows))
-	}
-	rowsEqualSorted(t, dst.Rows(), rows)
-}

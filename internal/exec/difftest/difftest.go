@@ -479,8 +479,8 @@ func RunDistributed(c Case, nodes int) error {
 		// An empty side builds (it has the fewer rows), and its filter
 		// rejects every probe row before the row crosses an exchange.
 		if shuffle && (len(c.Left) == 0 || len(c.Right) == 0) {
-			if moved := ex.Meter.Snapshot().ExchRows(); moved != 0 {
-				return fmt.Errorf("%s: %s: %.0f rows crossed an exchange beside an empty side", c, label, moved)
+			if m := ex.Meter.Snapshot(); m.ExchLocalRows+m.ExchRemoteRows != 0 {
+				return fmt.Errorf("%s: %s: %.0f rows crossed an exchange beside an empty side", c, label, m.ExchLocalRows+m.ExchRemoteRows)
 			}
 		}
 	}

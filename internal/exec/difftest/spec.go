@@ -143,7 +143,8 @@ func GenSpecCase(seed int64) SpecCase {
 		p := rng.Intn(t)
 		e := query.On(pick(p), pick(t))
 		if rng.Intn(5) == 0 {
-			e = e.And(pick(p), pick(t))
+			e.Left = append(e.Left, pick(p))
+			e.Right = append(e.Right, pick(t))
 		}
 		c.Spec.Joins = append(c.Spec.Joins, e)
 	}

@@ -193,7 +193,7 @@ func TestExchangeMetering(t *testing.T) {
 	drainOutputs(t, ns.Shuffle(parts, 0), n)
 	ns.Flush()
 	c = ex.Meter.Snapshot()
-	if got := c.ExchRows(); got != float64(len(all)) {
+	if got := c.ExchLocalRows + c.ExchRemoteRows; got != float64(len(all)) {
 		t.Fatalf("exchange metered %v rows total, want %d", got, len(all))
 	}
 	if c.ExchRemoteRows == 0 {
@@ -325,9 +325,9 @@ func TestShuffleForwardsProducersOwnRows(t *testing.T) {
 	}
 	ns.Flush()
 	c := ex.Meter.Snapshot()
-	if c.ExchRows() != 2769 || c.ExchRemoteRows != 2082 || c.ExchBytes != 113553 {
+	if c.ExchLocalRows+c.ExchRemoteRows != 2769 || c.ExchRemoteRows != 2082 || c.ExchBytes != 113553 {
 		t.Fatalf("metered rows=%v remote=%v bytes=%v, want 2769, 2082, 113553",
-			c.ExchRows(), c.ExchRemoteRows, c.ExchBytes)
+			c.ExchLocalRows+c.ExchRemoteRows, c.ExchRemoteRows, c.ExchBytes)
 	}
 }
 

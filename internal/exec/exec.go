@@ -184,21 +184,16 @@ func NestedLoopJoin(left, right []tuple.Tuple, lCol, rCol int) []tuple.Tuple {
 // SortRows orders rows lexicographically by their binary encoding; tests
 // use it to compare result multisets across strategies.
 func SortRows(rows []tuple.Tuple) {
-	keys := make([]string, len(rows))
-	for i, r := range rows {
-		keys[i] = string(r.AppendBinary(nil))
+	type keyed struct {
+		key string
+		row tuple.Tuple
 	}
-	sort.Sort(&rowSorter{rows: rows, keys: keys})
-}
-
-type rowSorter struct {
-	rows []tuple.Tuple
-	keys []string
-}
-
-func (s *rowSorter) Len() int           { return len(s.rows) }
-func (s *rowSorter) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *rowSorter) Swap(i, j int) {
-	s.rows[i], s.rows[j] = s.rows[j], s.rows[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+	ks := make([]keyed, len(rows))
+	for i, r := range rows {
+		ks[i] = keyed{string(r.AppendBinary(nil)), r}
+	}
+	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
+	for i := range ks {
+		rows[i] = ks[i].row
+	}
 }

@@ -72,14 +72,6 @@ func (m *MemBudget) Release(n int64) {
 	m.used.Add(-n)
 }
 
-// Over reports whether charged bytes currently exceed the limit.
-func (m *MemBudget) Over() bool {
-	if m == nil {
-		return false
-	}
-	return m.used.Load() > m.limit
-}
-
 // Split divides the budget into n equal per-node shares — how
 // EnableNodes hands each node executor its slice of the cluster's
 // memory, matching the paper's per-node grouping budget. A nil budget

@@ -114,16 +114,6 @@ func (b *Batch) AppendColRow(t tuple.Tuple) {
 	b.cols.AppendRow(t)
 }
 
-// AppendColRowFrom appends physical row i of src to a columnar batch's
-// vectors — flat copies, string headers shared. Same un-pool rule as
-// AppendColRow.
-func (b *Batch) AppendColRowFrom(src *tuple.Columns, i int) {
-	if b.pooled && b.cols.FullLen() >= DefaultBatchSize {
-		b.pooled = false
-	}
-	b.cols.AppendRowFrom(src, i)
-}
-
 // AppendColGather bulk-appends the listed physical rows of src to a
 // columnar batch — one monomorphic gather loop per column, the exchange
 // repack path for rows bound for another node. Same un-pool rule as

@@ -226,7 +226,7 @@ func TestScanBlockAliasesBlock(t *testing.T) {
 	}
 	words := append([]uint64(nil), v.Valid()...)
 	for i := 0; i < 20; i++ {
-		nblk.Append(tuple.Tuple{value.NewInt(int64(100 + i)), value.NewInt(1)})
+		nblk.AppendRows([]tuple.Tuple{{value.NewInt(int64(100 + i)), value.NewInt(1)}})
 	}
 	if !slices.Equal(v.Valid(), words) {
 		t.Fatalf("block append changed the view's bitmap: %x, was %x", v.Valid(), words)

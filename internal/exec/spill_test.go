@@ -291,7 +291,7 @@ func TestMemBudgetBasics(t *testing.T) {
 		t.Error("NewMemBudget(0) should be nil (unlimited)")
 	}
 	var nilB *MemBudget
-	if nilB.Charge(100) || nilB.Over() || nilB.Limit() != 0 || nilB.Used() != 0 {
+	if nilB.Charge(100) || nilB.Limit() != 0 || nilB.Used() != 0 {
 		t.Error("nil budget must be unlimited and inert")
 	}
 	nilB.Release(100) // must not panic
@@ -302,12 +302,12 @@ func TestMemBudgetBasics(t *testing.T) {
 	if !b.Charge(60) {
 		t.Error("120/100 should be over")
 	}
-	if !b.Over() {
-		t.Error("Over() should agree")
+	if b.Used() <= b.Limit() {
+		t.Error("used bytes should exceed the limit")
 	}
 	b.Release(60)
-	if b.Over() || b.Used() != 60 {
-		t.Errorf("after release: used=%d over=%v", b.Used(), b.Over())
+	if b.Used() != 60 {
+		t.Errorf("after release: used=%d", b.Used())
 	}
 	shares := b.Split(4)
 	if len(shares) != 4 {

@@ -1,20 +1,5 @@
 package hyperjoin
 
-import "fmt"
-
-func errGroupTooBig(g, size, B int) error {
-	return fmt.Errorf("hyperjoin: group %d has %d blocks, budget is %d", g, size, B)
-}
-func errBadIndex(i, n int) error {
-	return fmt.Errorf("hyperjoin: block index %d out of range [0,%d)", i, n)
-}
-func errDuplicate(i int) error {
-	return fmt.Errorf("hyperjoin: block %d assigned twice", i)
-}
-func errIncomplete(got, want int) error {
-	return fmt.Errorf("hyperjoin: grouping covers %d of %d blocks", got, want)
-}
-
 // BottomUp is the paper's practical algorithm (Fig. 6): grow one group at
 // a time, repeatedly merging in the remaining block r_i with the smallest
 // δ(r_i ∨ ṽ(P)); close the group when it reaches B blocks (or blocks run

@@ -1,6 +1,10 @@
 package hyperjoin
 
-import "adaptdb/internal/predicate"
+import (
+	"fmt"
+
+	"adaptdb/internal/predicate"
+)
 
 // OverlapVectors computes V = {v_1..v_n}: for each R block i, the set of
 // S blocks whose join-attribute range intersects R block i's (§4.1.1,
@@ -70,21 +74,21 @@ func Validate(g Grouping, n, B int) error {
 	count := 0
 	for gi, p := range g {
 		if len(p) > B {
-			return errGroupTooBig(gi, len(p), B)
+			return fmt.Errorf("hyperjoin: group %d has %d blocks, budget is %d", gi, len(p), B)
 		}
 		for _, i := range p {
 			if i < 0 || i >= n {
-				return errBadIndex(i, n)
+				return fmt.Errorf("hyperjoin: block index %d out of range [0,%d)", i, n)
 			}
 			if seen[i] {
-				return errDuplicate(i)
+				return fmt.Errorf("hyperjoin: block %d assigned twice", i)
 			}
 			seen[i] = true
 			count++
 		}
 	}
 	if count != n {
-		return errIncomplete(count, n)
+		return fmt.Errorf("hyperjoin: grouping covers %d of %d blocks", count, n)
 	}
 	return nil
 }

@@ -417,9 +417,6 @@ type Attempt struct {
 	expired bool // the Finish report-wait deadline passed
 }
 
-// Assign exposes the fragment→worker assignment of this attempt.
-func (a *Attempt) Assign() []int { return append([]int(nil), a.assign...) }
-
 // Begin dispatches a new attempt for one query of the stream: assign
 // fragments round-robin over the live workers, send the serialized
 // spec (with the stream seq, the link weights, and any armed fault) to

@@ -122,11 +122,11 @@ func TestTCPFilteredShuffle(t *testing.T) {
 	if cb.ExchFilteredRows < 8000 {
 		t.Fatalf("the probe producer dropped %.0f rows; most of its 9,000 misses should go", cb.ExchFilteredRows)
 	}
-	if moved := cb.ExchRows() + cb.ExchFilteredRows; moved != float64(len(build)+len(probe)) {
+	if moved := cb.ExchLocalRows + cb.ExchRemoteRows + cb.ExchFilteredRows; moved != float64(len(build)+len(probe)) {
 		t.Fatalf("moved + dropped %.0f rows, want %d", moved, len(build)+len(probe))
 	}
-	if ca := exA.Meter.Snapshot(); ca.ExchRows() != 0 {
-		t.Fatalf("proc A moved %.0f exchange rows; its filter frame is no exchange row", ca.ExchRows())
+	if ca := exA.Meter.Snapshot(); ca.ExchLocalRows+ca.ExchRemoteRows != 0 {
+		t.Fatalf("proc A moved %.0f exchange rows; its filter frame is no exchange row", ca.ExchLocalRows+ca.ExchRemoteRows)
 	}
 	if l := exA.Meter.Links()[cluster.LinkKey{Src: 0, Dst: 1}]; l.Bytes <= 0 || l.Rows != 0 {
 		t.Fatalf("link 0→1 carried %+v; want the filter frame's bytes and no rows", l)

@@ -9,7 +9,6 @@ import (
 	"adaptdb/internal/dfs"
 	"adaptdb/internal/predicate"
 	"adaptdb/internal/schema"
-	"adaptdb/internal/smooth"
 	"adaptdb/internal/tuple"
 	"adaptdb/internal/value"
 )
@@ -74,7 +73,7 @@ func TestAdaptiveModeShiftsSmoothly(t *testing.T) {
 		}
 		perQuery = append(perQuery, rep.MovedRows)
 	}
-	if !smooth.Converged(tbl, 1) {
+	if live := tbl.LiveTrees(); len(live) != 1 || tbl.TreeFor(1) < 0 {
 		t.Fatalf("adaptive mode should converge to partkey tree; trees=%v", tbl.LiveTrees())
 	}
 	// Smoothness: no single query moves more than ~35% of the table.

@@ -66,13 +66,6 @@ func (c *PlanCache) Stats() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
-// Len reports the number of cached plans.
-func (c *PlanCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
 func (c *PlanCache) get(key string) (tableJoinPlan, bool) {
 	v, ok := c.getAny(key)
 	if !ok {

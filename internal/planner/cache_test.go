@@ -17,16 +17,16 @@ func TestPlanCacheLRU(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		c.put(fmt.Sprintf("k%d", i), tableJoinPlan{strategy: fmt.Sprintf("s%d", i)})
 	}
-	if c.Len() != 3 {
-		t.Fatalf("len = %d, want 3", c.Len())
+	if c.order.Len() != 3 {
+		t.Fatalf("len = %d, want 3", c.order.Len())
 	}
 	// Touch k0 so k1 becomes the LRU, then overflow.
 	if p, ok := c.get("k0"); !ok || p.strategy != "s0" {
 		t.Fatalf("get k0 = %+v ok=%v", p, ok)
 	}
 	c.put("k3", tableJoinPlan{strategy: "s3"})
-	if c.Len() != 3 {
-		t.Fatalf("len after overflow = %d, want 3", c.Len())
+	if c.order.Len() != 3 {
+		t.Fatalf("len after overflow = %d, want 3", c.order.Len())
 	}
 	if _, ok := c.get("k1"); ok {
 		t.Fatal("k1 survived eviction; LRU should have evicted it")
@@ -42,8 +42,8 @@ func TestPlanCacheLRU(t *testing.T) {
 	}
 	// Re-putting an existing key updates in place, no growth.
 	c.put("k3", tableJoinPlan{strategy: "s3'"})
-	if c.Len() != 3 {
-		t.Fatalf("len after re-put = %d, want 3", c.Len())
+	if c.order.Len() != 3 {
+		t.Fatalf("len after re-put = %d, want 3", c.order.Len())
 	}
 	if p, _ := c.get("k3"); p.strategy != "s3'" {
 		t.Fatalf("re-put not visible: %q", p.strategy)
@@ -56,8 +56,8 @@ func TestPlanCacheDefaultSize(t *testing.T) {
 	for i := 0; i < DefaultPlanCacheSize+10; i++ {
 		c.put(fmt.Sprintf("k%d", i), tableJoinPlan{})
 	}
-	if c.Len() != DefaultPlanCacheSize {
-		t.Fatalf("len = %d, want %d", c.Len(), DefaultPlanCacheSize)
+	if c.order.Len() != DefaultPlanCacheSize {
+		t.Fatalf("len = %d, want %d", c.order.Len(), DefaultPlanCacheSize)
 	}
 }
 

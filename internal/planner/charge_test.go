@@ -124,8 +124,8 @@ func TestCentralChargeClasses(t *testing.T) {
 			if want := float64(tc.inter(f)); c.IntermediateRows != want {
 				t.Errorf("IntermediateRows = %v, want %v", c.IntermediateRows, want)
 			}
-			if c.ExchRows() != 0 {
-				t.Errorf("the one-node fabric exchanged %v rows across nodes, want 0", c.ExchRows())
+			if c.ExchLocalRows+c.ExchRemoteRows != 0 {
+				t.Errorf("the one-node fabric exchanged %v rows across nodes, want 0", c.ExchLocalRows+c.ExchRemoteRows)
 			}
 		})
 	}

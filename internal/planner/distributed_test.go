@@ -43,8 +43,8 @@ func TestDistributedShuffleJoinOracle(t *testing.T) {
 		t.Fatalf("report output rows %d, want %d", rep.Joins[0].OutputRows, len(rows))
 	}
 	c := f.meter.Snapshot()
-	if c.ExchRows() != float64(len(f.lrows)+len(f.orows)) {
-		t.Fatalf("shuffle exchanged %v rows, want both sides = %d", c.ExchRows(), len(f.lrows)+len(f.orows))
+	if c.ExchLocalRows+c.ExchRemoteRows != float64(len(f.lrows)+len(f.orows)) {
+		t.Fatalf("shuffle exchanged %v rows, want both sides = %d", c.ExchLocalRows+c.ExchRemoteRows, len(f.lrows)+len(f.orows))
 	}
 	if c.ShuffleRows != 0 {
 		t.Fatalf("the simulated fabric must meter crossings, not charge classes; got %v shuffle rows", c.ShuffleRows)
@@ -71,7 +71,7 @@ func TestDistributedHyperJoinZeroExchange(t *testing.T) {
 		t.Fatalf("expected hyper join on co-partitioned tables, got %+v", rep.Joins)
 	}
 	c := f.meter.Snapshot()
-	if got := c.ExchRows(); got != 0 {
+	if got := c.ExchLocalRows + c.ExchRemoteRows; got != 0 {
 		t.Fatalf("co-located hyper-join moved %v rows through exchanges, want 0", got)
 	}
 }
@@ -117,9 +117,9 @@ func TestDistributedSemiShuffleBroadcast(t *testing.T) {
 	// across the nodes (each row crosses once); the inner hyper-join is
 	// co-located and moves nothing.
 	wantExch := n*float64(len(f.crows)) + float64(len(lo))
-	if c.ExchRows() != wantExch {
+	if c.ExchLocalRows+c.ExchRemoteRows != wantExch {
 		t.Fatalf("semi-shuffle exchanged %v rows, want %v (%v×%d cust + %d dealt)",
-			c.ExchRows(), wantExch, n, len(f.crows), len(lo))
+			c.ExchLocalRows+c.ExchRemoteRows, wantExch, n, len(f.crows), len(lo))
 	}
 	if naive := float64(len(lo)) * n; wantExch >= naive {
 		t.Fatalf("broadcast-small/deal-big (%v rows) should beat naive broadcast (%v)", wantExch, naive)
@@ -156,7 +156,7 @@ func TestDistributedSemiShuffleFallsBackToShuffle(t *testing.T) {
 	// Both sides crossed the exchanges: every intermediate row plus
 	// every customer row, exactly once each.
 	c := f.meter.Snapshot()
-	if got, want := c.ExchRows(), float64(len(lo)+len(f.crows)); got != want {
+	if got, want := c.ExchLocalRows+c.ExchRemoteRows, float64(len(lo)+len(f.crows)); got != want {
 		t.Fatalf("fallback shuffle exchanged %v rows, want %v", got, want)
 	}
 }

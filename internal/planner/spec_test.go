@@ -121,8 +121,10 @@ func TestSpecMultiAttrEdge(t *testing.T) {
 	s := query.Spec{
 		Tables: []query.TableRef{query.T("lineitem"), query.T("orders")},
 		Joins: []query.JoinEdge{
-			query.On(query.C("lineitem", "orderkey"), query.C("orders", "orderkey")).
-				And(query.C("lineitem", "partkey"), query.C("orders", "custkey")),
+			{
+				Left:  []query.Col{query.C("lineitem", "orderkey"), query.C("lineitem", "partkey")},
+				Right: []query.Col{query.C("orders", "orderkey"), query.C("orders", "custkey")},
+			},
 		},
 	}
 	b := bindSpec(t, f, s)
@@ -319,7 +321,10 @@ func TestSpecKeyDiscriminates(t *testing.T) {
 	check("cyclic-edge", key(cyc))
 
 	multi := threeWay()
-	multi.Joins[0] = multi.Joins[0].And(query.C("lineitem", "partkey"), query.C("orders", "custkey"))
+	multi.Joins[0] = query.JoinEdge{
+		Left:  []query.Col{query.C("lineitem", "orderkey"), query.C("lineitem", "partkey")},
+		Right: []query.Col{query.C("orders", "orderkey"), query.C("orders", "custkey")},
+	}
 	check("multi-attr", key(multi))
 
 	grouped := threeWay()

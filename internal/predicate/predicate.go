@@ -148,23 +148,6 @@ func Closed(lo, hi value.Value) Range {
 	return Range{HasLo: true, HasHi: true, Lo: lo, Hi: hi}
 }
 
-// Contains reports whether v lies inside the range.
-func (r Range) Contains(v value.Value) bool {
-	if r.HasLo {
-		c := value.Compare(v, r.Lo)
-		if c < 0 || (c == 0 && r.LoOpen) {
-			return false
-		}
-	}
-	if r.HasHi {
-		c := value.Compare(v, r.Hi)
-		if c > 0 || (c == 0 && r.HiOpen) {
-			return false
-		}
-	}
-	return true
-}
-
 // Empty reports whether the range provably contains no values.
 func (r Range) Empty() bool {
 	if !r.HasLo || !r.HasHi {

@@ -71,12 +71,6 @@ func T(name string, preds ...Pred) TableRef {
 	return TableRef{Name: name, Preds: preds}
 }
 
-// Aliased returns the reference under an alias.
-func (t TableRef) Aliased(as string) TableRef {
-	t.As = as
-	return t
-}
-
 func (t TableRef) alias() string {
 	if t.As != "" {
 		return t.As
@@ -103,15 +97,6 @@ type JoinEdge struct {
 // On builds a single-attribute join edge.
 func On(l, r Col) JoinEdge {
 	return JoinEdge{Left: []Col{l}, Right: []Col{r}}
-}
-
-// And extends an edge with another attribute pair (multi-attribute
-// join). It returns a new edge; the receiver is not mutated.
-func (e JoinEdge) And(l, r Col) JoinEdge {
-	return JoinEdge{
-		Left:  append(append([]Col(nil), e.Left...), l),
-		Right: append(append([]Col(nil), e.Right...), r),
-	}
 }
 
 // AggFunc identifies an aggregate function.

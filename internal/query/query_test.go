@@ -148,7 +148,7 @@ func TestBindValidatesShape(t *testing.T) {
 	}
 	// Aliased self-join binds fine.
 	b, err := Spec{
-		Tables: []TableRef{T("users"), T("users").Aliased("u2")},
+		Tables: []TableRef{T("users"), {Name: "users", As: "u2"}},
 		Joins:  []JoinEdge{On(C("users", "id"), C("u2", "age"))},
 	}.Bind(cat)
 	if err != nil {
@@ -230,7 +230,7 @@ func TestFingerprintDiscriminates(t *testing.T) {
 	check("join-col", otherCol)
 
 	multiAttr := base
-	multiAttr.Joins = []JoinEdge{On(C("users", "id"), C("orders", "uid")).And(C("users", "age"), C("orders", "uid"))}
+	multiAttr.Joins = []JoinEdge{{Left: []Col{C("users", "id"), C("users", "age")}, Right: []Col{C("orders", "uid"), C("orders", "uid")}}}
 	check("multi-attr", multiAttr)
 
 	extraEdge := Spec{
@@ -268,7 +268,7 @@ func TestFingerprintDiscriminates(t *testing.T) {
 	check("agg-func", agg3)
 
 	aliased := Spec{
-		Tables: []TableRef{T("users"), T("users").Aliased("u2")},
+		Tables: []TableRef{T("users"), {Name: "users", As: "u2"}},
 		Joins:  []JoinEdge{On(C("users", "id"), C("u2", "age"))},
 	}
 	check("alias", aliased)

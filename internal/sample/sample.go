@@ -43,9 +43,6 @@ func (r *Reservoir) Observe(t tuple.Tuple) {
 	}
 }
 
-// Seen returns the total number of tuples observed.
-func (r *Reservoir) Seen() int64 { return r.seen }
-
 // Sample returns the current sample (shared backing array; callers must
 // not mutate).
 func (r *Reservoir) Sample() []tuple.Tuple { return r.items }
@@ -65,74 +62,4 @@ func Column(rows []tuple.Tuple, col int) []value.Value {
 func SortValues(vs []value.Value) []value.Value {
 	sort.Slice(vs, func(i, j int) bool { return value.Less(vs[i], vs[j]) })
 	return vs
-}
-
-// Median returns the median of vs (the lower median for even lengths) and
-// false when vs is empty.
-func Median(vs []value.Value) (value.Value, bool) {
-	if len(vs) == 0 {
-		return value.Value{}, false
-	}
-	sorted := SortValues(append([]value.Value(nil), vs...))
-	return sorted[(len(sorted)-1)/2], true
-}
-
-// Quantiles returns n-1 cut points splitting sorted vs into n roughly
-// equal parts: the recursive-median cut points of §5.1 when n is a power
-// of two. Returned cuts are a subset of the sample values.
-func Quantiles(vs []value.Value, n int) []value.Value {
-	if n <= 1 || len(vs) == 0 {
-		return nil
-	}
-	sorted := SortValues(append([]value.Value(nil), vs...))
-	cuts := make([]value.Value, 0, n-1)
-	for i := 1; i < n; i++ {
-		idx := i * len(sorted) / n
-		if idx >= len(sorted) {
-			idx = len(sorted) - 1
-		}
-		cuts = append(cuts, sorted[idx])
-	}
-	return cuts
-}
-
-// MedianCuts computes the cut points for `levels` levels of recursive
-// median splitting (2^levels partitions), exactly as two-phase
-// partitioning injects the join attribute: the root cut is the median of
-// the whole sorted sample, the next level the medians of each half, and
-// so on. The result is indexed by level: cuts[0] has 1 value, cuts[1] has
-// 2, ..., cuts[levels-1] has 2^(levels-1).
-func MedianCuts(vs []value.Value, levels int) [][]value.Value {
-	if levels <= 0 || len(vs) == 0 {
-		return nil
-	}
-	sorted := SortValues(append([]value.Value(nil), vs...))
-	cuts := make([][]value.Value, levels)
-	// Segment boundaries per level, as index intervals over sorted.
-	type seg struct{ lo, hi int } // [lo, hi)
-	segs := []seg{{0, len(sorted)}}
-	for l := 0; l < levels; l++ {
-		next := make([]seg, 0, len(segs)*2)
-		cuts[l] = make([]value.Value, 0, len(segs))
-		for _, s := range segs {
-			mid := s.lo + (s.hi-s.lo)/2
-			if mid <= s.lo {
-				mid = s.lo // degenerate segment: reuse lo
-			}
-			idx := mid
-			if idx >= len(sorted) {
-				idx = len(sorted) - 1
-			}
-			// Cut at the element just below the midpoint, so "≤ cut goes
-			// left" produces balanced halves.
-			cutIdx := idx - 1
-			if cutIdx < s.lo {
-				cutIdx = s.lo
-			}
-			cuts[l] = append(cuts[l], sorted[cutIdx])
-			next = append(next, seg{s.lo, mid}, seg{mid, s.hi})
-		}
-		segs = next
-	}
-	return cuts
 }

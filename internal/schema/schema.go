@@ -51,9 +51,6 @@ func MustNew(cols ...Column) *Schema {
 // NumCols returns the number of columns.
 func (s *Schema) NumCols() int { return len(s.cols) }
 
-// Col returns the i-th column.
-func (s *Schema) Col(i int) Column { return s.cols[i] }
-
 // Cols returns a copy of the column list.
 func (s *Schema) Cols() []Column { return append([]Column(nil), s.cols...) }
 
@@ -63,16 +60,6 @@ func (s *Schema) Index(name string) int {
 		return i
 	}
 	return -1
-}
-
-// MustIndex is Index but panics if the column does not exist; used where
-// the schema is statically known (workload generators, query templates).
-func (s *Schema) MustIndex(name string) int {
-	i := s.Index(name)
-	if i < 0 {
-		panic(fmt.Sprintf("schema: no column %q in %s", name, s))
-	}
-	return i
 }
 
 // Name returns the i-th column name.
@@ -93,17 +80,4 @@ func (s *Schema) String() string {
 	}
 	b.WriteByte(')')
 	return b.String()
-}
-
-// Equal reports whether two schemas have identical column lists.
-func (s *Schema) Equal(o *Schema) bool {
-	if s.NumCols() != o.NumCols() {
-		return false
-	}
-	for i := range s.cols {
-		if s.cols[i] != o.cols[i] {
-			return false
-		}
-	}
-	return true
 }

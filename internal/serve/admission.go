@@ -83,9 +83,6 @@ func (a *Admission) Stats() AdmissionStats {
 	return s
 }
 
-// Reserved returns the bytes currently reserved by admitted queries.
-func (a *Admission) Reserved() int64 { return a.mem.Used() }
-
 // Acquire reserves bytes from the shared budget, blocking in FIFO
 // order behind earlier waiters when the reservation doesn't fit.
 // Returns ErrShed (wrapped) when bytes exceeds total capacity,

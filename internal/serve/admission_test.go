@@ -17,12 +17,12 @@ func waitReserved(t *testing.T, a *Admission, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if a.Reserved() == want {
+		if a.mem.Used() == want {
 			return
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Fatalf("reserved = %d, want %d", a.Reserved(), want)
+	t.Fatalf("reserved = %d, want %d", a.mem.Used(), want)
 }
 
 // waitQueueDepth polls until the waiter queue reaches depth n.
@@ -51,7 +51,7 @@ func TestAdmissionStarvedBudgetQueues(t *testing.T) {
 	go func() { admitted <- a.Acquire(context.Background(), 50) }()
 
 	waitQueueDepth(t, a, 1)
-	if got := a.Reserved(); got != 80 {
+	if got := a.mem.Used(); got != 80 {
 		t.Fatalf("budget over-admitted: reserved %d with capacity 100 and 80 held", got)
 	}
 	select {
@@ -69,7 +69,7 @@ func TestAdmissionStarvedBudgetQueues(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("waiter not woken by release")
 	}
-	if got := a.Reserved(); got != 50 {
+	if got := a.mem.Used(); got != 50 {
 		t.Fatalf("reserved after handoff = %d, want 50", got)
 	}
 	st := a.Stats()
@@ -155,7 +155,7 @@ func TestAdmissionHeadBlocksSmallerWaiter(t *testing.T) {
 		t.Fatalf("waiter %d admitted past a blocked head", id)
 	case <-time.After(30 * time.Millisecond):
 	}
-	if got := a.Reserved(); got != 50 {
+	if got := a.mem.Used(); got != 50 {
 		t.Fatalf("reserved = %d, want 50 (nothing admitted)", got)
 	}
 
@@ -194,7 +194,7 @@ func TestAdmissionDeadlineExpiredWaiter(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired waiter error = %v, want DeadlineExceeded", err)
 	}
-	if got := a.Reserved(); got != 100 {
+	if got := a.mem.Used(); got != 100 {
 		t.Fatalf("reserved after expiry = %d, want 100 (budget untouched)", got)
 	}
 	st := a.Stats()
@@ -240,7 +240,7 @@ func TestAdmissionExpiredHeadUnblocksQueue(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("successor not admitted after too-big head expired")
 	}
-	if got := a.Reserved(); got != 90 {
+	if got := a.mem.Used(); got != 90 {
 		t.Fatalf("reserved = %d, want 90 (60 held + 30 admitted)", got)
 	}
 	a.Release(60)
@@ -256,7 +256,7 @@ func TestAdmissionShed(t *testing.T) {
 	if !errors.Is(err, ErrShed) {
 		t.Fatalf("oversized acquire error = %v, want ErrShed", err)
 	}
-	if got := a.Reserved(); got != 0 {
+	if got := a.mem.Used(); got != 0 {
 		t.Fatalf("reserved after shed = %d, want 0", got)
 	}
 	if st := a.Stats(); st.Shed != 1 || st.Admitted != 0 {
@@ -331,7 +331,7 @@ func TestAdmissionConcurrentChurn(t *testing.T) {
 					t.Errorf("worker %d round %d: %v", w, i, err)
 					return
 				}
-				if got := a.Reserved(); got > capacity {
+				if got := a.mem.Used(); got > capacity {
 					t.Errorf("ledger over capacity: %d > %d", got, capacity)
 				}
 				a.Release(bytes)
@@ -339,7 +339,7 @@ func TestAdmissionConcurrentChurn(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := a.Reserved(); got != 0 {
+	if got := a.mem.Used(); got != 0 {
 		t.Fatalf("reserved at rest = %d, want 0", got)
 	}
 	if st := a.Stats(); st.Admitted != workers*rounds {

@@ -320,13 +320,6 @@ func (s *Service) tenant(id string) *tenant {
 	return t
 }
 
-// TenantOptimizer exposes a tenant's optimizer (its workload windows
-// and smooth managers) for inspection and tests; creates the tenant if
-// it doesn't exist yet.
-func (s *Service) TenantOptimizer(id string) *optimizer.Optimizer {
-	return s.tenant(id).opt
-}
-
 // Admission exposes the service's admission controller.
 func (s *Service) Admission() *Admission { return s.adm }
 
@@ -338,9 +331,6 @@ func (s *Service) CacheStats() (hits, misses int64) {
 	}
 	return s.cache.Stats()
 }
-
-// Store exposes the served store.
-func (s *Service) Store() *dfs.Store { return s.store }
 
 // fnv1a is the 64-bit FNV-1a of buf — the per-row term of the
 // order-independent result checksum.

@@ -173,7 +173,7 @@ func TestServeConcurrentMatchesSerial(t *testing.T) {
 				serial[key{c, qi}] = digest{res.Checksum, res.RowCount}
 			}
 		}
-		if got := svc.Admission().Reserved(); got != 0 {
+		if got := svc.adm.mem.Used(); got != 0 {
 			t.Fatalf("serial service reserved %d bytes at rest, want 0", got)
 		}
 	}
@@ -212,7 +212,7 @@ func TestServeConcurrentMatchesSerial(t *testing.T) {
 		}
 	}
 	// All reservations must have been returned.
-	if got := svc.Admission().Reserved(); got != 0 {
+	if got := svc.adm.mem.Used(); got != 0 {
 		t.Fatalf("concurrent service reserved %d bytes at rest, want 0", got)
 	}
 }
@@ -449,7 +449,7 @@ func TestServeCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled query error = %v, want context.Canceled", err)
 	}
-	if got := svc.Admission().Reserved(); got != 0 {
+	if got := svc.adm.mem.Used(); got != 0 {
 		t.Fatalf("reserved after cancelled query = %d, want 0", got)
 	}
 
@@ -468,7 +468,7 @@ func TestServeCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-stream cancel error = %v, want context.Canceled", err)
 	}
-	if got := svc.Admission().Reserved(); got != 0 {
+	if got := svc.adm.mem.Used(); got != 0 {
 		t.Fatalf("reserved after mid-stream cancel = %d, want 0", got)
 	}
 
@@ -489,7 +489,7 @@ func TestServeDeadline(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired-deadline query error = %v, want DeadlineExceeded", err)
 	}
-	if got := svc.Admission().Reserved(); got != 0 {
+	if got := svc.adm.mem.Used(); got != 0 {
 		t.Fatalf("reserved after deadline = %d, want 0", got)
 	}
 }
@@ -508,8 +508,8 @@ func TestServeTenantWindowIsolation(t *testing.T) {
 	if _, err := svc.Stream(context.Background(), "bob", f.query(1, 400), nil); err != nil {
 		t.Fatal(err)
 	}
-	aw := svc.TenantOptimizer("alice").Window("fact").Queries()
-	bw := svc.TenantOptimizer("bob").Window("fact").Queries()
+	aw := svc.tenant("alice").opt.Window("fact").Queries()
+	bw := svc.tenant("bob").opt.Window("fact").Queries()
 	if len(aw) != 3 || len(bw) != 1 {
 		t.Fatalf("window sizes alice=%d bob=%d, want 3 and 1", len(aw), len(bw))
 	}
@@ -535,7 +535,7 @@ func TestServeShedOversizedQuery(t *testing.T) {
 	if !errors.Is(err, ErrShed) {
 		t.Fatalf("oversized query error = %v, want ErrShed", err)
 	}
-	if got := svc.Admission().Reserved(); got != 0 {
+	if got := svc.adm.mem.Used(); got != 0 {
 		t.Fatalf("reserved after shed = %d, want 0", got)
 	}
 }

@@ -105,7 +105,7 @@ func TestDistributedHyperJoinSessionZeroExchange(t *testing.T) {
 	if last.Report.Joins[0].Strategy != "hyper" {
 		t.Fatalf("converged stream should hyper-join, got %q", last.Report.Joins[0].Strategy)
 	}
-	if got := last.Counters.ExchRows(); got != 0 {
+	if got := last.Counters.ExchLocalRows + last.Counters.ExchRemoteRows; got != 0 {
 		t.Fatalf("co-partitioned hyper-join exchanged %v rows, want 0", got)
 	}
 	// Sanity: the answer still matches the oracle.

@@ -331,12 +331,5 @@ func (r *Result) PerNode() []NodeLoad {
 	return out
 }
 
-// Queries returns how many queries the session has executed.
-func (s *Session) Queries() int { return s.seq }
-
-// Optimizer exposes the session's optimizer — its query windows and
-// per-table smooth managers — for inspection and tests.
-func (s *Session) Optimizer() *optimizer.Optimizer { return s.opt }
-
 // Executor exposes the underlying executor (workers, pruning flags).
 func (s *Session) Executor() *exec.Executor { return s.runner.Ex }

@@ -143,7 +143,7 @@ func snapshotFact(s *Session, f *fixture, attr int) factState {
 		st.share = float64(f.fact.RowsUnder(st.treeIdx)) / float64(st.total)
 	}
 	// Predict n = |{q ∈ W : attr}| after this query joins the window.
-	w := s.Optimizer().Window("fact")
+	w := s.opt.Window("fact")
 	qs := append([]workload.Query{}, w.Queries()...)
 	qs = append(qs, workload.Query{JoinAttr: attr})
 	if len(qs) > w.Cap() {
@@ -242,8 +242,8 @@ func TestSessionAdaptiveStream(t *testing.T) {
 	if len(live) != 1 || f.fact.Trees[live[0]].Tree.JoinAttr != 1 {
 		t.Fatalf("fact table should have converged to one tree on b; live=%v", live)
 	}
-	if s.Queries() != len(attrs) {
-		t.Fatalf("Queries() = %d, want %d", s.Queries(), len(attrs))
+	if s.seq != len(attrs) {
+		t.Fatalf("queries run = %d, want %d", s.seq, len(attrs))
 	}
 }
 

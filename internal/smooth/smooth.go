@@ -47,12 +47,7 @@ type Manager struct {
 	// JoinLevels for new trees; 0 means half of Depth (the default the
 	// paper evaluates in Fig. 16 and uses everywhere else).
 	JoinLevels int
-	// AutoJoinLevels enables the §7.4 future-work extension: derive the
-	// join-level count for each new tree from the query window's
-	// predicate profile (twophase.SuggestJoinLevels) instead of the fixed
-	// half-depth default — non-selective workloads get all-join trees.
-	AutoJoinLevels bool
-	rng            *rand.Rand
+	rng        *rand.Rand
 }
 
 // New returns a manager with the paper's defaults: fmin = 1 (create on
@@ -127,14 +122,7 @@ func (m *Manager) Step(tbl *core.Table, q workload.Query, meter *cluster.Meter) 
 		}
 		jl := m.JoinLevels
 		if jl <= 0 {
-			if m.AutoJoinLevels {
-				jl = twophase.SuggestJoinLevels(m.Window, depth)
-			} else {
-				jl = depth / 2
-			}
-			if jl < 1 {
-				jl = 1
-			}
+			jl = max(depth/2, 1)
 		}
 		nt := twophase.Builder{
 			Schema:     tbl.Schema,
@@ -217,11 +205,4 @@ func (m *Manager) moveFraction(tbl *core.Table, toIdx int, frac float64, total i
 		movedBuckets += len(pick)
 	}
 	return movedRows, movedBuckets, nil
-}
-
-// Converged reports whether the table has a single live tree on the
-// given join attribute — the end state in Fig. 10 (3).
-func Converged(tbl *core.Table, attr int) bool {
-	live := tbl.LiveTrees()
-	return len(live) == 1 && tbl.Trees[live[0]].Tree.JoinAttr == attr
 }

@@ -153,7 +153,7 @@ func TestShareTracksWindowFraction(t *testing.T) {
 			}
 		}
 	}
-	if !Converged(tbl, 1) {
+	if live := tbl.LiveTrees(); len(live) != 1 || tbl.TreeFor(1) < 0 {
 		t.Errorf("after 10/10 partkey queries the table should converge; trees=%v", tbl.LiveTrees())
 	}
 }
@@ -224,16 +224,6 @@ func TestStepOnEmptyWindowAttr(t *testing.T) {
 	}
 	if res.MovedRows != 0 {
 		t.Errorf("fully converged table should not move rows: %+v", res)
-	}
-}
-
-func TestConvergedHelper(t *testing.T) {
-	tbl, _ := setup(t)
-	if !Converged(tbl, 0) {
-		t.Errorf("single tree on attr 0 should report converged")
-	}
-	if Converged(tbl, 1) {
-		t.Errorf("wrong attribute should not report converged")
 	}
 }
 

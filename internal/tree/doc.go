@@ -18,6 +18,4 @@
 //     block pruning.
 //   - §5.1 — the two-phase shape (join levels above selection levels)
 //     produced by internal/twophase and consumed here for routing.
-//   - §5.2 — serialization (AppendBinary/Decode) so trees persist in
-//     the store alongside the data, as the paper keeps them on HDFS.
 package tree

@@ -1,9 +1,7 @@
 package tree
 
 import (
-	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"adaptdb/internal/block"
 	"adaptdb/internal/predicate"
@@ -37,17 +35,6 @@ type Tree struct {
 	JoinLevels int
 
 	nextBucket block.ID
-}
-
-// NewLeaf returns a single-leaf tree: the state of a table before any
-// partitioning, one bucket holding everything.
-func NewLeaf(s *schema.Schema) *Tree {
-	return &Tree{
-		Schema:     s,
-		Root:       &Node{Leaf: true, Bucket: 0},
-		JoinAttr:   -1,
-		nextBucket: 1,
-	}
 }
 
 // NewWithRoot builds a tree around a prebuilt node structure. Bucket IDs
@@ -169,18 +156,6 @@ func splitTyped[T int64 | string](xs []T, cut T, idx, scratch []int32) (l, r int
 	return l, r
 }
 
-// Buckets returns all bucket IDs, sorted.
-func (t *Tree) Buckets() []block.ID {
-	var out []block.ID
-	t.Walk(func(n *Node) {
-		if n.Leaf {
-			out = append(out, n.Bucket)
-		}
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // NumBuckets returns the number of leaves.
 func (t *Tree) NumBuckets() int {
 	c := 0
@@ -269,86 +244,6 @@ func markLookup(n *Node, byCol []*predicate.Range, mark []bool) {
 	}
 }
 
-// PathRange returns, for every bucket, the per-attribute interval implied
-// by the root-to-leaf cut points. The adaptive repartitioner uses these to
-// estimate block pruning for hypothetical trees without touching data,
-// and two-phase trees use the JoinAttr entry as the bucket's join range.
-func (t *Tree) PathRange() map[block.ID]map[int]predicate.Range {
-	out := make(map[block.ID]map[int]predicate.Range)
-	var rec func(n *Node, cur map[int]predicate.Range)
-	rec = func(n *Node, cur map[int]predicate.Range) {
-		if n == nil {
-			return
-		}
-		if n.Leaf {
-			cp := make(map[int]predicate.Range, len(cur))
-			for k, v := range cur {
-				cp[k] = v
-			}
-			out[n.Bucket] = cp
-			return
-		}
-		get := func() predicate.Range {
-			if r, ok := cur[n.Attr]; ok {
-				return r
-			}
-			return predicate.Unbounded()
-		}
-		saved, had := cur[n.Attr]
-
-		cur[n.Attr] = get().Intersect(predicate.Range{HasHi: true, Hi: n.Cut})
-		rec(n.Left, cur)
-
-		if had {
-			cur[n.Attr] = saved
-		} else {
-			delete(cur, n.Attr)
-		}
-		cur[n.Attr] = get().Intersect(predicate.Range{HasLo: true, Lo: n.Cut, LoOpen: true})
-		rec(n.Right, cur)
-
-		if had {
-			cur[n.Attr] = saved
-		} else {
-			delete(cur, n.Attr)
-		}
-	}
-	rec(t.Root, make(map[int]predicate.Range))
-	return out
-}
-
-// FindLeaf returns the leaf node for a bucket, or nil.
-func (t *Tree) FindLeaf(b block.ID) *Node {
-	var found *Node
-	t.Walk(func(n *Node) {
-		if n.Leaf && n.Bucket == b {
-			found = n
-		}
-	})
-	return found
-}
-
-// Clone returns a deep copy sharing only the schema.
-func (t *Tree) Clone() *Tree {
-	return &Tree{
-		Schema:     t.Schema,
-		Root:       cloneNode(t.Root),
-		JoinAttr:   t.JoinAttr,
-		JoinLevels: t.JoinLevels,
-		nextBucket: t.nextBucket,
-	}
-}
-
-func cloneNode(n *Node) *Node {
-	if n == nil {
-		return nil
-	}
-	c := *n
-	c.Left = cloneNode(n.Left)
-	c.Right = cloneNode(n.Right)
-	return &c
-}
-
 // String renders a compact s-expression of the tree for debugging.
 func (t *Tree) String() string { return nodeString(t.Root, t.Schema) }
 
@@ -366,108 +261,8 @@ func nodeString(n *Node, s *schema.Schema) string {
 	return fmt.Sprintf("(%s<=%v %s %s)", name, n.Cut, nodeString(n.Left, s), nodeString(n.Right, s))
 }
 
-// --- serialization ---
-
-const (
-	tagLeaf     = 0
-	tagInternal = 1
-)
-
-// AppendBinary serializes the tree: header (join attr+1, join levels,
-// next bucket) then preorder nodes.
-func (t *Tree) AppendBinary(dst []byte) []byte {
-	dst = binary.AppendVarint(dst, int64(t.JoinAttr))
-	dst = binary.AppendVarint(dst, int64(t.JoinLevels))
-	dst = binary.AppendVarint(dst, int64(t.nextBucket))
-	return appendNode(dst, t.Root)
-}
-
-func appendNode(dst []byte, n *Node) []byte {
-	if n.Leaf {
-		dst = append(dst, tagLeaf)
-		return binary.AppendVarint(dst, int64(n.Bucket))
-	}
-	dst = append(dst, tagInternal)
-	dst = binary.AppendVarint(dst, int64(n.Attr))
-	dst = n.Cut.AppendBinary(dst)
-	dst = appendNode(dst, n.Left)
-	return appendNode(dst, n.Right)
-}
-
-// Decode parses a tree serialized by AppendBinary.
-func Decode(src []byte, s *schema.Schema) (*Tree, error) {
-	pos := 0
-	readVarint := func() (int64, error) {
-		v, n := binary.Varint(src[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("tree: bad varint at %d", pos)
-		}
-		pos += n
-		return v, nil
-	}
-	ja, err := readVarint()
-	if err != nil {
-		return nil, err
-	}
-	jl, err := readVarint()
-	if err != nil {
-		return nil, err
-	}
-	nb, err := readVarint()
-	if err != nil {
-		return nil, err
-	}
-	var decodeNode func() (*Node, error)
-	decodeNode = func() (*Node, error) {
-		if pos >= len(src) {
-			return nil, fmt.Errorf("tree: truncated at %d", pos)
-		}
-		tag := src[pos]
-		pos++
-		switch tag {
-		case tagLeaf:
-			b, err := readVarint()
-			if err != nil {
-				return nil, err
-			}
-			return &Node{Leaf: true, Bucket: block.ID(b)}, nil
-		case tagInternal:
-			attr, err := readVarint()
-			if err != nil {
-				return nil, err
-			}
-			cut, n, err := value.DecodeValue(src[pos:])
-			if err != nil {
-				return nil, err
-			}
-			pos += n
-			left, err := decodeNode()
-			if err != nil {
-				return nil, err
-			}
-			right, err := decodeNode()
-			if err != nil {
-				return nil, err
-			}
-			return &Node{Attr: int(attr), Cut: cut, Left: left, Right: right}, nil
-		default:
-			return nil, fmt.Errorf("tree: unknown node tag %d at %d", tag, pos-1)
-		}
-	}
-	root, err := decodeNode()
-	if err != nil {
-		return nil, err
-	}
-	if pos != len(src) {
-		return nil, fmt.Errorf("tree: %d trailing bytes", len(src)-pos)
-	}
-	return &Tree{Schema: s, Root: root, JoinAttr: int(ja), JoinLevels: int(jl), nextBucket: block.ID(nb)}, nil
-}
-
 // AttrLevels counts, per attribute, how many internal nodes split on it —
-// the "number of ways the data is partitioned on that attribute" (§3.1),
-// used by the upfront partitioner's balancing and reported in Fig. 16
-// sweeps.
+// the "number of ways the data is partitioned on that attribute" (§3.1).
 func (t *Tree) AttrLevels() map[int]int {
 	out := make(map[int]int)
 	t.Walk(func(n *Node) {

@@ -44,19 +44,6 @@ func row(a, b, c int64) tuple.Tuple {
 	return tuple.Tuple{value.NewInt(a), value.NewInt(b), value.NewInt(c)}
 }
 
-func TestNewLeaf(t *testing.T) {
-	tr := NewLeaf(sch)
-	if tr.NumBuckets() != 1 || tr.Depth() != 0 {
-		t.Fatalf("leaf tree: buckets=%d depth=%d", tr.NumBuckets(), tr.Depth())
-	}
-	if got := tr.Route(row(1, 2, 3)); got != 0 {
-		t.Errorf("Route = %d, want 0", got)
-	}
-	if tr.NextBucket() != 1 {
-		t.Errorf("NextBucket = %d, want 1", tr.NextBucket())
-	}
-}
-
 func TestRoute(t *testing.T) {
 	tr := figure3Tree()
 	cases := []struct {
@@ -82,15 +69,6 @@ func TestRoute(t *testing.T) {
 
 func TestBucketsAndDepth(t *testing.T) {
 	tr := figure3Tree()
-	bs := tr.Buckets()
-	if len(bs) != 8 {
-		t.Fatalf("buckets = %v", bs)
-	}
-	for i, b := range bs {
-		if b != block.ID(i) {
-			t.Fatalf("buckets not dense/sorted: %v", bs)
-		}
-	}
 	if tr.Depth() != 3 {
 		t.Errorf("depth = %d, want 3", tr.Depth())
 	}
@@ -160,107 +138,6 @@ func TestLookupSoundQuick(t *testing.T) {
 	}
 }
 
-func TestPathRange(t *testing.T) {
-	tr := figure3Tree()
-	pr := tr.PathRange()
-	if len(pr) != 8 {
-		t.Fatalf("PathRange has %d buckets", len(pr))
-	}
-	// Bucket 0: a ≤ 50, b ≤ 30, c ≤ 10.
-	b0 := pr[0]
-	if !b0[0].Contains(value.NewInt(50)) || b0[0].Contains(value.NewInt(51)) {
-		t.Errorf("bucket 0 range for a wrong: %v", b0[0])
-	}
-	if !b0[1].Contains(value.NewInt(30)) || b0[1].Contains(value.NewInt(31)) {
-		t.Errorf("bucket 0 range for b wrong: %v", b0[1])
-	}
-	// Bucket 7: a > 50, b > 70, c > 10.
-	b7 := pr[7]
-	if b7[0].Contains(value.NewInt(50)) || !b7[0].Contains(value.NewInt(51)) {
-		t.Errorf("bucket 7 range for a wrong: %v", b7[0])
-	}
-	if b7[2].Contains(value.NewInt(10)) || !b7[2].Contains(value.NewInt(11)) {
-		t.Errorf("bucket 7 range for c wrong: %v", b7[2])
-	}
-}
-
-// Property: a tuple's routed bucket's path ranges always contain the
-// tuple's attribute values.
-func TestPathRangeConsistentWithRouteQuick(t *testing.T) {
-	tr := figure3Tree()
-	pr := tr.PathRange()
-	f := func(a, b, c int16) bool {
-		tp := row(int64(a), int64(b), int64(c))
-		bucket := tr.Route(tp)
-		for col, r := range pr[bucket] {
-			if !r.Contains(tp[col]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	tr := figure3Tree()
-	cl := tr.Clone()
-	// Split the clone's leaf 0 (left, left, left of the root) in place.
-	n := cl.Root.Left.Left.Left
-	n.Leaf, n.Attr, n.Cut = false, 2, value.NewInt(5)
-	n.Left, n.Right = &Node{Leaf: true, Bucket: 0}, &Node{Leaf: true, Bucket: 8}
-	if tr.NumBuckets() != 8 {
-		t.Errorf("mutating clone changed original")
-	}
-	if cl.NumBuckets() != 9 {
-		t.Errorf("clone split failed")
-	}
-}
-
-func TestSerializeRoundTrip(t *testing.T) {
-	tr := figure3Tree()
-	tr.JoinAttr = 1
-	tr.JoinLevels = 2
-	buf := tr.AppendBinary(nil)
-	got, err := Decode(buf, sch)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if got.JoinAttr != 1 || got.JoinLevels != 2 {
-		t.Errorf("header lost: %+v", got)
-	}
-	if got.NextBucket() != tr.NextBucket() {
-		t.Errorf("nextBucket lost")
-	}
-	if got.String() != tr.String() {
-		t.Errorf("structure changed:\n got %s\nwant %s", got.String(), tr.String())
-	}
-	// Routing behaviour identical.
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 200; i++ {
-		tp := row(rng.Int63n(100), rng.Int63n(100), rng.Int63n(60))
-		if got.Route(tp) != tr.Route(tp) {
-			t.Fatalf("decoded tree routes differently for %v", tp)
-		}
-	}
-}
-
-func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode(nil, sch); err == nil {
-		t.Errorf("empty input accepted")
-	}
-	tr := figure3Tree()
-	buf := tr.AppendBinary(nil)
-	if _, err := Decode(buf[:len(buf)-1], sch); err == nil {
-		t.Errorf("truncated tree accepted")
-	}
-	if _, err := Decode(append(buf, 0), sch); err == nil {
-		t.Errorf("trailing bytes accepted")
-	}
-}
-
 func TestAttrLevels(t *testing.T) {
 	tr := figure3Tree()
 	al := tr.AttrLevels()
@@ -269,18 +146,8 @@ func TestAttrLevels(t *testing.T) {
 	}
 }
 
-func TestFindLeaf(t *testing.T) {
-	tr := figure3Tree()
-	if n := tr.FindLeaf(3); n == nil || !n.Leaf || n.Bucket != 3 {
-		t.Errorf("FindLeaf(3) = %+v", n)
-	}
-	if tr.FindLeaf(42) != nil {
-		t.Errorf("FindLeaf(42) should be nil")
-	}
-}
-
 func TestString(t *testing.T) {
-	tr := NewLeaf(sch)
+	tr := NewWithRoot(sch, &Node{Leaf: true}, -1, 0)
 	if tr.String() != "b0" {
 		t.Errorf("leaf String = %q", tr.String())
 	}

@@ -692,14 +692,6 @@ func (v *ColVec) appendColumnBoxed(rows []Tuple, ci, i int) {
 	}
 }
 
-// AppendRowFrom appends physical row i of src (same column layout).
-func (c *Columns) AppendRowFrom(src *Columns, i int) {
-	for ci := range c.vecs {
-		c.vecs[ci].appendFrom(&src.vecs[ci], i)
-	}
-	c.n++
-}
-
 // AppendColumns appends every live row of src. Layouts must match.
 func (c *Columns) AppendColumns(src *Columns) {
 	if src.sel != nil {

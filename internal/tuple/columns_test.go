@@ -394,11 +394,6 @@ func TestResetLeavesNoStaleHeaders(t *testing.T) {
 		}},
 		{"strings in every column", func() { c.AppendRow(strFirst); c.AppendRow(strFirst) }},
 		{"AppendColumns", func() { c.AppendColumns(src) }},
-		{"AppendRowFrom", func() {
-			for i := 0; i < 40; i++ {
-				c.AppendRowFrom(src, i)
-			}
-		}},
 		{"DecodeFrame", func() {
 			if _, err := c.DecodeFrame(frame); err != nil {
 				t.Fatal(err)

@@ -9,7 +9,4 @@
 //   - §5.1, Fig. 9 — Builder constructs the two-phase tree from a data
 //     sample: JoinLevels median splits on JoinAttr on top, Amoeba-style
 //     selection splits below.
-//   - §5.5 — autolevels.go picks the number of join levels
-//     automatically by balancing hyper-join locality against selection
-//     pruning (swept in Fig. 16).
 package twophase

@@ -73,12 +73,11 @@ func TestJoinRangesDisjointAndBalanced(t *testing.T) {
 			t.Errorf("bucket %d has %d rows, want ≈%d", b, blk.Len(), want)
 		}
 	}
-	// Disjoint join ranges: path ranges on the join attribute must not
-	// overlap pairwise (this is what makes hyper-join effective).
-	pr := tr.PathRange()
+	// Disjoint join ranges: the buckets' ranges on the join attribute
+	// must not overlap pairwise (this is what makes hyper-join effective).
 	var ranges []predicate.Range
-	for _, m := range pr {
-		ranges = append(ranges, m[0])
+	for _, blk := range parts {
+		ranges = append(ranges, predicate.Range{HasLo: true, Lo: blk.Min(0), HasHi: true, Hi: blk.Max(0)})
 	}
 	for i := 0; i < len(ranges); i++ {
 		for j := i + 1; j < len(ranges); j++ {

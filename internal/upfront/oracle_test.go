@@ -26,17 +26,31 @@ func TestBuildersMatchExhaustiveSearch(t *testing.T) {
 		attrs := []int{0, 1, 2, 3, 4, 5}
 		rng := rand.New(rand.NewSource(seed))
 		want := tree.NewWithRoot(sch, upfront.RefGrowNode(rows, attrs, depth, map[int]int{}, rng, counter()), -1, 0)
-		if !bytes.Equal(got.AppendBinary(nil), want.AppendBinary(nil)) {
+		if !sameTree(got, want) {
 			t.Fatalf("seed %d: upfront tree %v, exhaustive search %v", seed, got, want)
 		}
 
 		b := twophase.Builder{Schema: sch, JoinAttr: int(seed % 6), JoinLevels: int(seed/6) % (depth + 1), TotalDepth: depth, Seed: seed}
 		got = b.Build(rows)
 		want = exhaustiveTwoPhase(b, got, rows)
-		if !bytes.Equal(got.AppendBinary(nil), want.AppendBinary(nil)) {
+		if !sameTree(got, want) {
 			t.Fatalf("seed %d: two-phase tree %v, exhaustive search %v", seed, got, want)
 		}
 	}
+}
+
+// sameTree reports whether two trees have the same header, shape,
+// split attributes, bucket IDs and bit-identical cuts (NaN and -0 too).
+func sameTree(a, b *tree.Tree) bool {
+	return a.JoinAttr == b.JoinAttr && a.JoinLevels == b.JoinLevels && a.NextBucket() == b.NextBucket() && sameNode(a.Root, b.Root)
+}
+
+func sameNode(a, b *tree.Node) bool {
+	if a.Leaf || b.Leaf {
+		return a.Leaf == b.Leaf && a.Bucket == b.Bucket
+	}
+	return a.Attr == b.Attr && bytes.Equal(a.Cut.AppendBinary(nil), b.Cut.AppendBinary(nil)) &&
+		sameNode(a.Left, b.Left) && sameNode(a.Right, b.Right)
 }
 
 // exhaustiveTwoPhase rebuilds the two-phase tree built from rows with the

@@ -37,20 +37,8 @@ func HashFloat64(f float64) uint64 {
 	return mix64(bits ^ saltOf(Float))
 }
 
-// HashBytes hashes a string payload given as raw bytes, identically to
-// NewString(string(b)).Hash64() — FNV-1a with the String kind salt —
-// without constructing the string.
-func HashBytes(b []byte) uint64 {
-	h := uint64(14695981039346656037) ^ saltOf(String)
-	for i := 0; i < len(b); i++ {
-		h ^= uint64(b[i])
-		h *= 1099511628211
-	}
-	return mix64(h)
-}
-
-// HashString is HashBytes for a string payload — identical to
-// NewString(s).Hash64() without boxing.
+// HashString hashes a string payload — FNV-1a with the String kind
+// salt — identically to NewString(s).Hash64() without boxing.
 func HashString(s string) uint64 {
 	h := uint64(14695981039346656037) ^ saltOf(String)
 	for i := 0; i < len(s); i++ {

@@ -37,8 +37,8 @@ func TestColumnHashMatchesBoxed(t *testing.T) {
 		t.Errorf("distinct NaN payloads hash differently")
 	}
 	for _, s := range []string{"", "a", "TRUCK", "RAIL", "a longer string with spaces", "\x00\xff"} {
-		if got, want := HashBytes([]byte(s)), NewString(s).Hash64(); got != want {
-			t.Errorf("HashBytes(%q) = %#x, want %#x", s, got, want)
+		if got, want := HashString(s), NewString(s).Hash64(); got != want {
+			t.Errorf("HashString(%q) = %#x, want %#x", s, got, want)
 		}
 	}
 	if HashNull != (Value{}).Hash64() {

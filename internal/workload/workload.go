@@ -68,17 +68,6 @@ func (w *Window) CountJoinAttr(attr int) int {
 	return n
 }
 
-// JoinAttrs returns the distinct join attributes present, with counts.
-func (w *Window) JoinAttrs() map[int]int {
-	out := make(map[int]int)
-	for _, q := range w.qs {
-		if q.JoinAttr >= 0 {
-			out[q.JoinAttr]++
-		}
-	}
-	return out
-}
-
 // PredColumns returns the distinct predicate columns observed, with
 // counts — the hints Amoeba's repartitioner uses (§3.2).
 func (w *Window) PredColumns() map[int]int {
