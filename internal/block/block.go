@@ -86,6 +86,12 @@ func (b *Block) AppendRows(rows []tuple.Tuple) {
 	b.extendZones(from)
 }
 
+// Grow makes room for rows rows in every column vector (see
+// tuple.Columns.Grow), so appends up to that count write in place. A
+// view of the block taken with tuple.Columns.AliasRange is capped at its
+// own rows, so it never sees the slots this reserves.
+func (b *Block) Grow(rows int) { b.cols.Grow(rows) }
+
 // AppendGather adds src's physical rows idxs, in order — how migration
 // moves rows between blocks without boxing them. src must have the
 // block's column layout.

@@ -434,6 +434,102 @@ func TestMigrationMatchesPerRowRoute(t *testing.T) {
 	}
 }
 
+// TestMoveScratchLeavesNoState moves buckets of a table with NULLs,
+// strings and a mixed-kind column into a second tree and back into the
+// first, on two identical tables; the second starts the move back with
+// a fresh scratch. Both must end with the same blocks — rows in order,
+// zone maps, catalog — so nothing of the first move's staging or
+// grouping survives into the next. After each move the staging set is
+// empty and its string vectors hold no header that could pin a payload.
+func TestMoveScratchLeavesNoState(t *testing.T) {
+	sch := schema.MustNew(
+		schema.Column{Name: "k", Kind: value.Int},
+		schema.Column{Name: "s", Kind: value.String},
+		schema.Column{Name: "m", Kind: value.Int},
+	)
+	rng := rand.New(rand.NewSource(17))
+	rows := make([]tuple.Tuple, 1500)
+	for i := range rows {
+		rows[i] = tuple.Tuple{value.NewInt(rng.Int63n(500)), value.NewString(string(rune('a' + rng.Intn(20)))), value.NewInt(rng.Int63n(90))}
+		if rng.Intn(8) == 0 {
+			rows[i][1] = value.Value{}
+		}
+		if rng.Intn(6) == 0 {
+			rows[i][2] = value.NewString("x") // column m mixes kinds
+		}
+	}
+	load := func() *Table {
+		tbl, err := Load(dfs.NewStore(4, 2, 1), "t", sch, rows, LoadOptions{RowsPerBlock: 64, Seed: 4, JoinAttr: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl.AddTree(twophase.Builder{Schema: sch, JoinAttr: 2, JoinLevels: 2, TotalDepth: 4, Seed: 8}.Build(tbl.SampleRows))
+		return tbl
+	}
+	emptyScratch := func(tbl *Table) {
+		t.Helper()
+		st := &tbl.mv.staged
+		if st.FullLen() != 0 {
+			t.Fatalf("staging set holds %d rows after a move", st.FullLen())
+		}
+		for c := 0; c < st.NumCols(); c++ {
+			strs := st.Col(c).Strs()
+			for _, s := range strs[:cap(strs)] {
+				if s != "" {
+					t.Fatalf("staging column %d still holds a string header after a move", c)
+				}
+			}
+		}
+	}
+	there := func(tbl *Table) {
+		live := tbl.Trees[0].LiveBuckets()
+		if err := tbl.MoveBuckets(0, 1, []block.ID{live[5], live[1], live[len(live)-1], live[8]}, nil); err != nil {
+			t.Fatal(err)
+		}
+		emptyScratch(tbl)
+	}
+	back := func(tbl *Table) {
+		if err := tbl.MoveBuckets(1, 0, tbl.Trees[1].LiveBuckets(), nil); err != nil {
+			t.Fatal(err)
+		}
+		emptyScratch(tbl)
+	}
+	reused, fresh := load(), load()
+	there(reused)
+	there(fresh)
+	back(reused)
+	fresh.mv = moveScratch{}
+	back(fresh)
+	for ti := range reused.Trees {
+		got, want := reused.Trees[ti].LiveBuckets(), fresh.Trees[ti].LiveBuckets()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("tree %d: live buckets %v, fresh scratch %v", ti, got, want)
+		}
+		for _, b := range got {
+			g, _, err := reused.store.GetBlock(reused.BlockPath(ti, b), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, _, err := fresh.store.GetBlock(fresh.BlockPath(ti, b), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gr, wr := g.Rows(), w.Rows()
+			if len(gr) != len(wr) {
+				t.Fatalf("tree %d bucket %d: %d rows, fresh scratch %d", ti, b, len(gr), len(wr))
+			}
+			for i := range gr {
+				if !bytes.Equal(gr[i].AppendBinary(nil), wr[i].AppendBinary(nil)) {
+					t.Fatalf("tree %d bucket %d row %d = %v, fresh scratch %v", ti, b, i, gr[i], wr[i])
+				}
+			}
+			if !metaEqual(block.MetaOf(b, g), block.MetaOf(b, w)) || !metaEqual(mustMeta(t, reused.Trees[ti], b), mustMeta(t, fresh.Trees[ti], b)) {
+				t.Fatalf("tree %d bucket %d: zone maps differ from the fresh scratch's", ti, b)
+			}
+		}
+	}
+}
+
 // metaEqual compares block metas by their cells' encodings, so NaN
 // bounds compare equal to themselves.
 func metaEqual(a, b block.Meta) bool {

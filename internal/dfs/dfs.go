@@ -10,6 +10,16 @@
 // account for locality (§4.2, Fig. 7). Append coordination, done with
 // ZooKeeper in the paper, is a per-store mutex here (see DESIGN.md
 // substitution table).
+//
+// A file holds one contiguous block. Smooth repartitioning appends to
+// it once per move, so an append that does not fit grows the block's
+// vectors once, to the size its caller extrapolates the file will reach
+// when the migration completes, and every append writes in place into
+// that capacity. Readers never see the reserved slots: a scan views a
+// block through tuple.Columns.AliasRange, whose vectors are capped at
+// the rows it saw, so neither a later append nor the reserve shows
+// through, and an append to the view reallocates instead of writing
+// into the block.
 package dfs
 
 import (
@@ -114,11 +124,15 @@ func (s *Store) isLocal(e *entry, from NodeID) bool {
 
 // Append appends src's physical rows idxs, in order, to the block at
 // path (a columnar gather — see block.AppendGather), creating it when
-// absent. This is the repartitioning iterator's flush path; several
-// concurrent repartitioners may target the same file, so the whole
-// operation is serialized (the paper uses ZooKeeper for this
-// coordination).
-func (s *Store) Append(path string, sch *schema.Schema, src *tuple.Columns, idxs []int32) {
+// absent, and returns the block. When the block's vectors cannot take
+// the rows, it grows them once, to capRows rows (or to exactly what the
+// append needs, when that is more): the caller's estimate of what the
+// file will hold once its migration completes. The gather then writes
+// in place, past every scan's view (see the package doc). This is the
+// repartitioning iterator's flush path; several concurrent
+// repartitioners may target the same file, so the whole operation is
+// serialized (the paper uses ZooKeeper for this coordination).
+func (s *Store) Append(path string, sch *schema.Schema, src *tuple.Columns, idxs []int32, capRows int) *block.Block {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.files[path]
@@ -129,7 +143,11 @@ func (s *Store) Append(path string, sch *schema.Schema, src *tuple.Columns, idxs
 	if e.blk == nil {
 		e.blk = block.New(sch)
 	}
+	if need := e.blk.Len() + len(idxs); e.blk.Cols().Cap() < need {
+		e.blk.Grow(max(need, capRows))
+	}
 	e.blk.AppendGather(src, idxs)
+	return e.blk
 }
 
 // Delete removes a file. Deleting a missing file is a no-op, like

@@ -9,24 +9,28 @@ import (
 )
 
 // Node is a query-plan node: either Scan or Join.
-type Node interface{ width() int }
+type Node interface{ nodeMark }
+
+// nodeMark seals Node to this package's plan types: Scan and Join
+// embed it, which puts its marker method node in their method sets. The
+// field is always nil, and the method has no body for a binary to link;
+// nothing calls it.
+type nodeMark interface{ node() }
 
 // Scan reads one table with predicate pushdown.
 type Scan struct {
+	nodeMark
 	Table *core.Table
 	Preds []predicate.Predicate
 }
 
-func (s *Scan) width() int { return s.Table.Schema.NumCols() }
-
 // Join joins two sub-plans on the given column indexes of their output
 // rows (left columns first in the output).
 type Join struct {
+	nodeMark
 	Left, Right Node
 	LCol, RCol  int
 }
-
-func (j *Join) width() int { return j.Left.width() + j.Right.width() }
 
 // Uses derives a plan's optimizer votes (§5.2): one TableUse per Scan
 // leaf, left to right, carrying the Scan's predicates. A table votes

@@ -85,15 +85,19 @@ func (t *Tree) Route(tp tuple.Tuple) block.ID {
 // entries; any selection is ignored. The rows descend the tree
 // together as an index vector that every node stably partitions into
 // its left (cell ≤ cut) and right halves — one loop per node over one
-// column instead of one descent per row.
-func (t *Tree) RouteCols(cols *tuple.Columns, dst []block.ID) {
+// column instead of one descent per row. The index vectors live in
+// buf, grown when short and returned for the next call to reuse.
+func (t *Tree) RouteCols(cols *tuple.Columns, dst []block.ID, buf []int32) []int32 {
 	n := cols.FullLen()
-	idx := make([]int32, 2*n)
-	idx, scratch := idx[:n], idx[n:]
+	if cap(buf) < 2*n {
+		buf = make([]int32, 2*n)
+	}
+	idx, scratch := buf[:n], buf[n:2*n]
 	for i := range idx {
 		idx[i] = int32(i)
 	}
 	routeNode(t.Root, cols, idx, scratch, dst)
+	return buf
 }
 
 // routeNode routes the rows idx under node n; scratch is as long as idx.

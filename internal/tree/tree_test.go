@@ -252,7 +252,7 @@ func checkRouteCols(t testing.TB, seed int64) bool {
 	for i := range dst {
 		dst[i] = -1
 	}
-	tr.RouteCols(cols, dst)
+	tr.RouteCols(cols, dst, nil)
 	for i, r := range rows {
 		if want := tr.Route(r); dst[i] != want {
 			t.Logf("seed %d, tree %v, row %d %v: RouteCols %d, Route %d", seed, tr, i, r, dst[i], want)

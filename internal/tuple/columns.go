@@ -439,6 +439,70 @@ func (c *Columns) Reserve(rows int) {
 	}
 }
 
+// Grow makes every vector able to hold rows rows, so appends up to that
+// count write in place: a vector with less capacity is reallocated to
+// exactly rows and its cells copied, and a column still without a kind
+// takes rows as its Reserve hint. Grow never shrinks.
+func (c *Columns) Grow(rows int) {
+	for i := range c.vecs {
+		v := &c.vecs[i]
+		switch {
+		case v.boxed != nil:
+			v.boxed = growTo(v.boxed, rows)
+		case value.IntClass(v.kind):
+			v.ints = growTo(v.ints, rows)
+		case v.kind == value.Float:
+			v.floats = growTo(v.floats, rows)
+		case v.kind == value.String:
+			v.strs = growTo(v.strs, rows)
+		default:
+			v.res = max(v.res, rows)
+		}
+		if v.valid != nil {
+			v.valid = growTo(v.valid, (rows+63)>>6)
+		}
+	}
+}
+
+// Cap returns the row count the set holds before an append reallocates
+// a vector: the smallest capacity over its columns, counting a column
+// without a kind at its Reserve hint.
+func (c *Columns) Cap() int {
+	n := math.MaxInt
+	for i := range c.vecs {
+		v := &c.vecs[i]
+		var k int
+		switch {
+		case v.boxed != nil:
+			k = cap(v.boxed)
+		case value.IntClass(v.kind):
+			k = cap(v.ints)
+		case v.kind == value.Float:
+			k = cap(v.floats)
+		case v.kind == value.String:
+			k = cap(v.strs)
+		default:
+			k = v.res
+		}
+		if v.valid != nil {
+			k = min(k, cap(v.valid)<<6)
+		}
+		n = min(n, k)
+	}
+	return n
+}
+
+// growTo returns s with capacity at least c: s itself when it has it,
+// else a copy in a new array of exactly c, zero beyond len.
+func growTo[T any](s []T, c int) []T {
+	if cap(s) >= c {
+		return s
+	}
+	t := make([]T, len(s), c)
+	copy(t, s)
+	return t
+}
+
 // FullLen returns the physical row count, ignoring any selection.
 func (c *Columns) FullLen() int { return c.n }
 
@@ -512,8 +576,9 @@ func (c *Columns) View(sel []int32) *Columns {
 // append to src may OR a bit into the word the view's last row shares.
 // from must be a multiple of 64 so those words copy whole. The view is
 // valid for as long as src's rows below to are never rewritten (stored
-// blocks are append-only); the set must not be appended to or Reset
-// until DropAlias, since both would write into src's storage.
+// blocks are append-only). An append to the set reallocates the vectors
+// it grows, so it never writes into src; the set must not be Reset until
+// DropAlias, since Reset clears string headers in src's storage.
 func (c *Columns) AliasRange(src *Columns, from, to int) {
 	if from&63 != 0 {
 		panic(fmt.Sprintf("tuple: AliasRange from %d is not a multiple of 64", from))
