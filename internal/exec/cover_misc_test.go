@@ -28,26 +28,6 @@ func TestShuffleJoinIntermediates(t *testing.T) {
 	}
 }
 
-// TestDealRoundRobin: Deal spreads a coordinator stream across every
-// node without loss or duplication, batch by batch.
-func TestDealRoundRobin(t *testing.T) {
-	const n = 4
-	ns, _ := nodeSetOf(t, n)
-	rows := genOrders(8192, 73) // 8 batches over 4 nodes
-	x := ns.Deal(NewSource(rows))
-	got := drainOutputs(t, x, n)
-	total := 0
-	for node, rs := range got {
-		if len(rs) == 0 {
-			t.Errorf("node %d received nothing from an 8-batch deal", node)
-		}
-		total += len(rs)
-	}
-	if total != len(rows) {
-		t.Fatalf("deal delivered %d rows, want %d", total, len(rows))
-	}
-}
-
 // TestExchangeBudgetedBatches: with per-node budgets attached, a
 // shuffle delivers every row and charges nothing — in-flight batches
 // are bounded by the channels, not the budget — so the ledgers read

@@ -58,10 +58,13 @@
 // an N-node simulated cluster: EnableNodes gives every dfs node its own
 // executor view (pinned worker pool + meter shard), NodeSet.SplitRefs
 // schedules scans where blocks live, and Exchange operators
-// (Shuffle/ShuffleGlobal/Broadcast/Deal) move batches between node
-// fragments, metering the rows and bytes that cross nodes. Gather
-// merges per-node streams at the coordinator. A co-located hyper-join
-// uses no exchange at all — zero rows cross the simulated network.
+// (Shuffle/Broadcast) move batches from every node's fragment to every
+// node, metering the rows and bytes that cross nodes. A co-located
+// hyper-join runs one fragment per node (each node's groups, on its
+// own view) and uses no exchange at all — zero rows cross the
+// simulated network, and its output stays where it was computed. Gather
+// merges per-node streams at the coordinator, at the root of the plan
+// only.
 //
 // One slice-returning join remains: NestedLoopJoin, the test oracle.
 // Everything else composes Operators and consumes batches; see

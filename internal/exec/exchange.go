@@ -2,7 +2,9 @@
 //
 // An Exchange takes one plan-fragment stream per producing node and
 // re-partitions its rows across the consuming nodes — by join-key hash
-// (Shuffle) or by duplication (Broadcast). Rows delivered to the node
+// (Shuffle) or by duplication (Broadcast). Every input runs on a node:
+// no exchange reads a coordinator stream, so the only operator the
+// coordinator hosts is the root's Gather. Rows delivered to the node
 // that produced them are free; rows delivered anywhere else are charged
 // to the producing node's meter as remote exchange rows with their
 // approximate wire bytes (cluster.Meter.AddExchangeAt): what the cost
@@ -54,18 +56,15 @@ import (
 )
 
 // Exchange moves rows between node executors. Build one with
-// NodeSet.Shuffle, NodeSet.ShuffleGlobal, or NodeSet.Broadcast, then
-// hand Output(i) to node i's consuming fragment. Opening any output
-// starts the producers (one goroutine per input fragment, each owning
-// its fragment's full Open/Next/Close lifecycle); every output must be
-// opened and drained — or closed — for the exchange to finish.
+// NodeSet.Shuffle or NodeSet.Broadcast, then hand Output(i) to node i's
+// consuming fragment. Opening any output starts the producers (one
+// goroutine per input fragment, each owning its fragment's full
+// Open/Next/Close lifecycle); every output must be opened and drained
+// — or closed — for the exchange to finish.
 type Exchange struct {
 	ns     *NodeSet
-	inputs []Operator
-	// global marks one coordinator stream (a gathered intermediate),
-	// whose deliveries are all remote; otherwise inputs[i] runs on node i.
-	global bool
-	route  int // the hash column of a shuffle, RouteBroadcast or RouteDeal
+	inputs []Operator // inputs[i] runs on node i
+	route  int        // the hash column of a shuffle, or RouteBroadcast
 	outs   []*exchOut
 	// filters is set by FilterProbe: the exchange feeds one hash join's
 	// probe side per output, and producers route only once every
@@ -87,38 +86,23 @@ type Exchange struct {
 // never match anything (joins skip them), so their destination only
 // needs to be deterministic.
 func (ns *NodeSet) Shuffle(parts []Operator, key int) *Exchange {
-	return ns.exchange(parts, false, key)
+	return ns.exchange(parts, key)
 }
 
-// ShuffleGlobal hash-partitions a single coordinator stream (a gathered
-// intermediate) across the nodes. Every delivery is remote: the stream
-// has no home node.
-func (ns *NodeSet) ShuffleGlobal(in Operator, key int) *Exchange {
-	return ns.exchange([]Operator{in}, true, key)
-}
-
-// Broadcast duplicates a single stream to every node exactly once — the
-// one-side exchange of a semi-shuffle join: the small (build) side
-// crosses the network N ways while the big side never moves.
-func (ns *NodeSet) Broadcast(in Operator) *Exchange {
-	return ns.exchange([]Operator{in}, true, RouteBroadcast)
-}
-
-// Deal spreads a coordinator stream across the nodes batch by batch,
-// round-robin. No key is involved: any disjoint split is correct when
-// the join's other side is broadcast to every node, and each row
-// crosses the network exactly once — the cheap half of a
-// broadcast-small/deal-big join on a large intermediate.
-func (ns *NodeSet) Deal(in Operator) *Exchange {
-	return ns.exchange([]Operator{in}, true, RouteDeal)
+// Broadcast duplicates every node's fragment to every node exactly once
+// — the one-side exchange of a semi-shuffle join: the small (build)
+// side's rows cross the network N−1 ways (the copy for its own node
+// stays local) while the big side never moves.
+func (ns *NodeSet) Broadcast(parts []Operator) *Exchange {
+	return ns.exchange(parts, RouteBroadcast)
 }
 
 // exchQueue is the per-destination channel capacity in batches: the
 // queued half of an exchange's in-flight bound.
 const exchQueue = 4
 
-func (ns *NodeSet) exchange(inputs []Operator, global bool, route int) *Exchange {
-	x := &Exchange{ns: ns, inputs: inputs, global: global, route: route}
+func (ns *NodeSet) exchange(inputs []Operator, route int) *Exchange {
+	x := &Exchange{ns: ns, inputs: inputs, route: route}
 	for i := 0; i < ns.N(); i++ {
 		x.outs = append(x.outs, &exchOut{x: x, node: i, ch: make(chan *Batch, exchQueue), closed: make(chan struct{})})
 	}
@@ -214,12 +198,8 @@ func (x *Exchange) run() {
 
 // produce runs the producer of input fragment i.
 func (x *Exchange) produce(i int) {
-	p := &Producer{In: x.inputs[i], Src: i, N: len(x.outs), Route: x.route, Stop: x.stop, Deliver: x.deliver}
-	if x.global {
-		p.Src, p.Meter = -1, x.ns.parent.Meter
-	} else {
-		p.Meter = x.ns.shards[i]
-	}
+	p := &Producer{In: x.inputs[i], Src: i, N: len(x.outs), Route: x.route,
+		Meter: x.ns.shards[i], Stop: x.stop, Deliver: x.deliver}
 	if x.filters != nil {
 		p.Filters = x.awaitFilters
 	}

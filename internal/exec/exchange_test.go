@@ -102,12 +102,12 @@ func TestShuffleExchangeHash64Routing(t *testing.T) {
 }
 
 // TestBroadcastDuplicatesExactlyOnce: every node's output is exactly
-// the input multiset — no drops, no double delivery.
+// the union of the nodes' fragments — no drops, no double delivery.
 func TestBroadcastDuplicatesExactlyOnce(t *testing.T) {
 	const n = 4
 	ns, _ := nodeSetOf(t, n)
 	rows := keyRows([]int64{7, 7, 1, 2, 3, 3, 3, 99})
-	x := ns.Broadcast(NewSource(rows))
+	x := ns.Broadcast(splitSources(rows, n))
 	got := drainOutputs(t, x, n)
 	want := append([]tuple.Tuple(nil), rows...)
 	SortRows(want)
@@ -142,8 +142,8 @@ func TestExchangeNullKeysNeverMatch(t *testing.T) {
 		{null, value.NewInt(202)},
 		{value.NewInt(3), value.NewInt(203)},
 	}
-	bx := ns.ShuffleGlobal(NewSource(build), 0)
-	px := ns.ShuffleGlobal(NewSource(probe), 0)
+	bx := ns.Shuffle(splitSources(build, n), 0)
+	px := ns.Shuffle(splitSources(probe, n), 0)
 	parts := make([]Operator, n)
 	for i := 0; i < n; i++ {
 		parts[i] = ns.At(i).JoinOp(bx.Output(i), 0, px.Output(i), 0, JoinOptions{})
@@ -203,13 +203,15 @@ func TestExchangeMetering(t *testing.T) {
 		t.Fatal("remote exchange rows should carry bytes")
 	}
 
-	// Broadcast from a coordinator stream: every copy is remote.
+	// Broadcast of per-node fragments: each row's copy for its own node
+	// is local, its N−1 other copies are remote.
 	nsb, exb := nodeSetOf(t, n)
-	drainOutputs(t, nsb.Broadcast(NewSource(rows)), n)
+	drainOutputs(t, nsb.Broadcast(splitSources(rows, n)), n)
 	nsb.Flush()
 	c = exb.Meter.Snapshot()
-	if c.ExchRemoteRows != float64(n*len(rows)) {
-		t.Fatalf("broadcast metered %v remote rows, want %d", c.ExchRemoteRows, n*len(rows))
+	if c.ExchRemoteRows != float64((n-1)*len(rows)) || c.ExchLocalRows != float64(len(rows)) {
+		t.Fatalf("broadcast metered %v remote and %v local rows, want %d and %d",
+			c.ExchRemoteRows, c.ExchLocalRows, (n-1)*len(rows), len(rows))
 	}
 }
 
@@ -366,7 +368,7 @@ func TestGatherMergesAndPropagatesErrors(t *testing.T) {
 func TestExchangeCloseWithoutOpen(t *testing.T) {
 	const n = 3
 	ns, _ := nodeSetOf(t, n)
-	x := ns.Broadcast(NewSource(keyRows([]int64{1, 2, 3})))
+	x := ns.Broadcast(splitSources(keyRows([]int64{1, 2, 3}), n))
 	done := make(chan struct{})
 	go func() {
 		for i := 0; i < n; i++ {

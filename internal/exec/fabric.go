@@ -1,10 +1,10 @@
 // The transport seam of the plan compiler. A Fabric is what the
 // planner's lowering (planner/distributed.go) compiles against:
-// per-node executor views, placement-aware scan splitting, and the four
-// exchange shapes plus the coordinator-side gather. Three
-// implementations exist — the one-node fabric of a centralized executor
-// (centralFabric: exchanges move nothing and charge each row its plan
-// edge's eq. 1 class), the in-process simulated fabric (a NodeSet
+// per-node executor views, placement-aware scan splitting, the two
+// exchange shapes, the in-place edge and the coordinator-side gather.
+// Three implementations exist — the one-node fabric of a centralized
+// executor (centralFabric: exchanges move nothing and charge each row
+// its plan edge's eq. 1 class), the in-process simulated fabric (a NodeSet
 // wrapped by simFabric, exchanges moving batches through channels) and
 // the TCP fabric of internal/net (node processes moving length-prefixed
 // frames over real sockets). The compiler cannot tell them apart; that
@@ -35,15 +35,17 @@ type Exchanger interface {
 // Fabric abstracts the execution substrate the plan compiler lowers
 // onto. N is the number of plan fragments (one per cluster node);
 // At/ScanAt/SplitRefs expose per-node executor views and placement; the
-// exchange constructors mirror NodeSet's. Gather merges per-node
-// fragment streams into the single coordinator stream that roots every
-// plan (or feeds a broadcast/deal of an intermediate).
+// exchange constructors mirror NodeSet's: every exchange reads one
+// fragment per node. InPlace is the edge of a join input that stays on
+// the node that produced it. Gather merges per-node fragment streams
+// into the one coordinator stream, the root of every plan.
 //
-// Each exchange constructor takes the Charge class of the plan edge it
-// carries. The one-node fabric meters every row at that class; the
-// simulated and TCP fabrics ignore it and meter the rows and bytes that
-// cross nodes (cluster.Meter.AddExchangeAt). Pricing the N-node fabrics'
-// exchanges by class is ROADMAP item 1.
+// Each exchange constructor and InPlace take the Charge class of the
+// plan edge they carry. The one-node fabric meters every row at that
+// class; the simulated and TCP fabrics ignore it and meter the rows and
+// bytes that cross nodes (cluster.Meter.AddExchangeAt), which an
+// in-place edge never does. Pricing the N-node fabrics' exchanges by
+// class is ROADMAP item 1.
 //
 // A Fabric implementation may live in one process (the simulated
 // fabric) or span many (the TCP fabric): in the latter case each
@@ -56,9 +58,8 @@ type Fabric interface {
 	ScanAt(i int, refs []core.BlockRef, preds []predicate.Predicate) Operator
 	SplitRefs(refs []core.BlockRef) [][]core.BlockRef
 	Shuffle(parts []Operator, key int, c Charge) Exchanger
-	ShuffleGlobal(in Operator, key int, c Charge) Exchanger
-	Broadcast(in Operator, c Charge) Exchanger
-	Deal(in Operator, c Charge) Exchanger
+	Broadcast(parts []Operator, c Charge) Exchanger
+	InPlace(in Operator, c Charge) Operator
 	Gather(parts []Operator) Operator
 }
 
@@ -100,21 +101,16 @@ func (f centralFabric) SplitRefs(refs []core.BlockRef) [][]core.BlockRef {
 }
 
 func (f centralFabric) Shuffle(parts []Operator, _ int, c Charge) Exchanger {
-	return f.charged(parts[0], c)
+	return localExchange{f.InPlace(parts[0], c)}
 }
 
-func (f centralFabric) ShuffleGlobal(in Operator, _ int, c Charge) Exchanger {
-	return f.charged(in, c)
+func (f centralFabric) Broadcast(parts []Operator, c Charge) Exchanger {
+	return localExchange{f.InPlace(parts[0], c)}
 }
 
-func (f centralFabric) Broadcast(in Operator, c Charge) Exchanger { return f.charged(in, c) }
-func (f centralFabric) Deal(in Operator, c Charge) Exchanger      { return f.charged(in, c) }
+func (f centralFabric) InPlace(in Operator, c Charge) Operator { return chargeRows(in, f.e.Meter, c) }
 
 func (f centralFabric) Gather(parts []Operator) Operator { return parts[0] }
-
-func (f centralFabric) charged(in Operator, c Charge) Exchanger {
-	return localExchange{chargeRows(in, f.e.Meter, c)}
-}
 
 // localExchange is the one-node fabric's exchange: Output(0) is the
 // charged input.
@@ -142,12 +138,8 @@ func (f simFabric) Shuffle(parts []Operator, key int, _ Charge) Exchanger {
 	return f.ns.Shuffle(parts, key)
 }
 
-func (f simFabric) ShuffleGlobal(in Operator, key int, _ Charge) Exchanger {
-	return f.ns.ShuffleGlobal(in, key)
-}
-
-func (f simFabric) Broadcast(in Operator, _ Charge) Exchanger { return f.ns.Broadcast(in) }
-func (f simFabric) Deal(in Operator, _ Charge) Exchanger      { return f.ns.Deal(in) }
+func (f simFabric) Broadcast(parts []Operator, _ Charge) Exchanger { return f.ns.Broadcast(parts) }
+func (f simFabric) InPlace(in Operator, _ Charge) Operator         { return in }
 
 func (f simFabric) Gather(parts []Operator) Operator { return Gather(parts...) }
 

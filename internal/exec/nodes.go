@@ -123,7 +123,7 @@ func (ns *NodeSet) Flush() {
 // and draining every child concurrently — each node's fragment runs on
 // its own goroutine, so cross-node parallelism survives the merge. This
 // is the coordinator's side of the cluster: the root of every
-// distributed plan is a Gather (or an operator over gathered inputs).
+// distributed plan is a Gather, and nothing else runs there.
 //
 // Each child is owned entirely by its drain goroutine (Open, Next,
 // Close), which keeps the Operator single-goroutine contract intact.

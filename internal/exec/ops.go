@@ -140,7 +140,10 @@ func (i *Instrumented) Close() error {
 // combination join (§5.4) needs to emit hyper output followed by the
 // residual shuffle outputs. Children are opened lazily, one at a time,
 // so at most one child's worker pool is live; each child is closed as
-// soon as it is exhausted. Row order across children is the
+// soon as it is exhausted, and Close closes every child not yet
+// exhausted, opened or not: a later child may read exchange outputs
+// that sibling fragments' producers deliver to, and an output never
+// drained nor closed would hold them. Row order across children is the
 // concatenation order; order within a child is the child's.
 func Concat(children ...Operator) Operator {
 	if len(children) == 1 {
@@ -152,7 +155,6 @@ func Concat(children ...Operator) Operator {
 type concatOp struct {
 	children []Operator
 	idx      int
-	opened   bool
 }
 
 func (c *concatOp) Open() error {
@@ -160,11 +162,7 @@ func (c *concatOp) Open() error {
 	if len(c.children) == 0 {
 		return nil
 	}
-	if err := c.children[0].Open(); err != nil {
-		return err
-	}
-	c.opened = true
-	return nil
+	return c.children[0].Open()
 }
 
 func (c *concatOp) Next() (*Batch, error) {
@@ -175,7 +173,6 @@ func (c *concatOp) Next() (*Batch, error) {
 		}
 		// Current child exhausted: close it and move on.
 		cerr := c.children[c.idx].Close()
-		c.opened = false
 		c.idx++
 		if cerr != nil {
 			return nil, cerr
@@ -184,16 +181,17 @@ func (c *concatOp) Next() (*Batch, error) {
 			if err := c.children[c.idx].Open(); err != nil {
 				return nil, err
 			}
-			c.opened = true
 		}
 	}
 	return nil, nil
 }
 
 func (c *concatOp) Close() error {
-	if c.opened && c.idx < len(c.children) {
-		c.opened = false
-		return c.children[c.idx].Close()
+	var first error
+	for ; c.idx < len(c.children); c.idx++ {
+		if err := c.children[c.idx].Close(); first == nil {
+			first = err
+		}
 	}
-	return nil
+	return first
 }

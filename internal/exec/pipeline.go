@@ -631,9 +631,13 @@ type hashJoinOp struct {
 	p       pool
 	perr    error
 	metered bool
+	// opened is set by Open, which owns the build input from then on;
+	// Close closes the build input of a join never opened.
+	opened bool
 }
 
 func (j *hashJoinOp) Open() error {
+	j.opened = true
 	if j.e.Mem != nil {
 		j.spill = newJoinSpill(j)
 	}
@@ -755,6 +759,12 @@ func (j *hashJoinOp) Next() (*Batch, error) {
 }
 
 func (j *hashJoinOp) Close() error {
+	if !j.opened {
+		// The build input may be an exchange output that sibling
+		// fragments' producers wait on.
+		j.opened = true
+		j.build.Close()
+	}
 	j.p.close()
 	if j.spill != nil {
 		// close returns only once the stream has ended, after the second
@@ -774,6 +784,14 @@ func (j *hashJoinOp) Close() error {
 // Block reads are metered as build/probe reads; probe multiplicity
 // yields the effective CHyJ of eq. 2, reported by Stats once the stream
 // is drained.
+//
+// On a node's executor view (NodeSet.At) the operator is that node's
+// fragment of the join: it runs only the groups whose first build
+// block's primary replica the node holds — where an unpinned executor
+// would run them (taskNode), so every block read is metered local or
+// remote exactly as one operator over the whole plan meters it. The
+// fragments of one plan partition its groups, and their Stats sum to
+// that operator's.
 type HyperJoinOp struct {
 	e            *Executor
 	rRefs, sRefs []core.BlockRef
@@ -785,6 +803,7 @@ type HyperJoinOp struct {
 	buildIsRight bool
 
 	plan    HyperPlan
+	groups  hyperjoin.Grouping // the groups this operator runs
 	stats   HyperStats
 	statsMu sync.Mutex
 	metered bool
@@ -798,29 +817,41 @@ type HyperJoinOp struct {
 // buildIsRight set — how a join that builds on the plan's right side
 // keeps the plan's (left, right) column order.
 func (e *Executor) NewHyperJoinOp(plan HyperPlan, rPreds, sPreds []predicate.Predicate, buildIsRight bool) *HyperJoinOp {
+	groups := plan.Grouping
+	if e.pinned {
+		n := max(e.Store.NumNodes(), 1)
+		groups = nil
+		for _, g := range plan.Grouping {
+			if dfs.NodeID(int(plan.R[g[0]].Node)%n) == e.pin {
+				groups = append(groups, g)
+			}
+		}
+	}
 	return &HyperJoinOp{
 		e: e, rRefs: plan.R, sRefs: plan.S, rPreds: rPreds, sPreds: sPreds,
-		rCol: plan.RCol, sCol: plan.SCol, buildIsRight: buildIsRight, plan: plan, p: pool{e: e},
+		rCol: plan.RCol, sCol: plan.SCol, buildIsRight: buildIsRight, plan: plan, groups: groups, p: pool{e: e},
 	}
 }
 
 // Stats reports what the hyper-join did; complete only after Next has
-// returned nil (the stream is drained).
+// returned nil (the stream is drained). Groups, BuildBlocks,
+// ProbeBlocks, GroupingCost and CHyJ count this operator's groups;
+// SBlocks is the whole plan's.
 func (h *HyperJoinOp) Stats() HyperStats { return h.stats }
 
 // Plan returns the schedule the operator runs.
 func (h *HyperJoinOp) Plan() HyperPlan { return h.plan }
 
 func (h *HyperJoinOp) Open() error {
-	if len(h.rRefs) == 0 || len(h.sRefs) == 0 {
+	if len(h.groups) == 0 || len(h.sRefs) == 0 {
 		return nil // the pool never starts: an empty stream
 	}
 	h.stats = HyperStats{
-		Groups:       len(h.plan.Grouping),
+		Groups:       len(h.groups),
 		SBlocks:      len(h.sRefs),
-		GroupingCost: hyperjoin.Cost(h.plan.Grouping, h.plan.V),
+		GroupingCost: hyperjoin.Cost(h.groups, h.plan.V),
 	}
-	h.p.start(min(h.e.workers(), len(h.plan.Grouping)), h.worker, nil)
+	h.p.start(min(h.e.workers(), len(h.groups)), h.worker, nil)
 	return nil
 }
 
@@ -832,8 +863,8 @@ func (h *HyperJoinOp) worker(int) {
 	st := &colProbe{sink: &h.p, ok: true}
 	defer st.emit()
 	for {
-		gi, ok := h.p.claim(len(h.plan.Grouping))
-		if !ok || !h.runGroup(h.plan.Grouping[gi], st) {
+		gi, ok := h.p.claim(len(h.groups))
+		if !ok || !h.runGroup(h.groups[gi], st) {
 			return
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"adaptdb/internal/cluster"
+	"adaptdb/internal/core"
 	"adaptdb/internal/dfs"
 	"adaptdb/internal/tuple"
 	"adaptdb/internal/value"
@@ -149,6 +150,35 @@ func TestPoolCloseBeforeNext(t *testing.T) {
 	}
 }
 
+// hyperFragments builds one hyper-join fragment per node of a 4-node
+// query view over a plan whose build blocks skip node 3, so node 3's
+// fragment holds no group and ends at once (the first batch comes from
+// the others). It returns the fragments and the views: the query
+// executor, then each node's.
+func hyperFragments(t *testing.T, dir string) ([]*HyperJoinOp, []*Executor) {
+	f := newFixture(t, true)
+	ex := f.ex.ForQuery(QueryCtx{Mem: NewMemBudget(1 << 30), SpillDir: dir, Distributed: true})
+	ns := ex.Nodes()
+	var build []core.BlockRef
+	for _, ref := range f.line.Refs(0, nil) {
+		if int(ref.Node)%ns.N() != 3 {
+			build = append(build, ref)
+		}
+	}
+	plan := PlanHyper(build, 0, f.ord.Refs(0, nil), 0, 4)
+	views := []*Executor{ex}
+	var frags []*HyperJoinOp
+	for i := 0; i < ns.N(); i++ {
+		h := ns.At(i).NewHyperJoinOp(plan, nil, nil, false)
+		if i == 3 && len(h.groups) != 0 {
+			t.Fatalf("node 3's fragment holds %d groups", len(h.groups))
+		}
+		frags = append(frags, h)
+		views = append(views, ns.At(i))
+	}
+	return frags, views
+}
+
 // TestEarlyCloseReleasesEverything closes every operator that runs on
 // the pool after its first batch, twice: no goroutine, budget byte or
 // spill file may outlive Close.
@@ -204,6 +234,28 @@ func TestEarlyCloseReleasesEverything(t *testing.T) {
 			ex := f.ex.ForQuery(QueryCtx{Mem: NewMemBudget(1 << 30), SpillDir: dir})
 			plan := PlanHyper(f.line.Refs(0, nil), 0, f.ord.Refs(0, nil), 0, 4)
 			return ex.NewHyperJoinOp(plan, nil, nil, false), []*Executor{ex}
+		}},
+		{name: "hyper-per-node", op: func(t *testing.T, dir string) (Operator, []*Executor) {
+			frags, views := hyperFragments(t, dir)
+			parts := make([]Operator, len(frags))
+			for i, h := range frags {
+				parts[i] = h
+			}
+			return Gather(parts...), views
+		}},
+		{name: "combination-per-node", op: func(t *testing.T, dir string) (Operator, []*Executor) {
+			// Node i concatenates its hyper fragment with its output of a
+			// filtered shuffle join: a node closed before its shuffle join
+			// opens must still release the exchanges its siblings feed. The
+			// build side sends each node more batches than its queue holds.
+			frags, views := hyperFragments(t, dir)
+			ns := views[0].Nodes()
+			_, joins := filteredShuffleJoin(ns, splitSources(lineitem, ns.N()), splitSources(orders, ns.N()))
+			parts := make([]Operator, len(frags))
+			for i, h := range frags {
+				parts[i] = Concat(h, joins[i])
+			}
+			return Gather(parts...), views
 		}},
 		{name: "gather", op: func(t *testing.T, dir string) (Operator, []*Executor) {
 			const n = 4

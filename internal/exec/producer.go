@@ -29,8 +29,8 @@ const (
 // call Run once.
 type Producer struct {
 	In Operator
-	// Src is the node In runs on, or -1 for a coordinator stream, whose
-	// deliveries are all remote.
+	// Src is the node In runs on, or -1 for a stream with no home node,
+	// whose deliveries are all remote.
 	Src   int
 	N     int // destinations
 	Route int // key column, RouteBroadcast or RouteDeal

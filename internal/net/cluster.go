@@ -408,7 +408,6 @@ type Attempt struct {
 	assign []int
 	procs  []int // dispatched workers
 	at     *attempt
-	fb     *netFabric
 	cancel context.CancelFunc
 
 	mu      sync.Mutex
@@ -507,19 +506,15 @@ func (c *Cluster) dispatch(spec query.Spec, seq int, lw cluster.LinkWeights, fau
 
 // Fabric builds the coordinator's fabric view over its own executor
 // (which must have a NodeSet of Fragments nodes). Install it with
-// SetFabric, compile, then Start.
+// SetFabric, compile, then Start. The coordinator hosts no fragment,
+// so the compile registers no pump here: of the compiled plan, only
+// the root gather's receiving end runs in this process.
 func (a *Attempt) Fabric(ex *exec.Executor) (exec.Fabric, error) {
-	fb, err := newNetFabric(a.c.ep, a.at, ex, a.assign)
-	if err != nil {
-		return nil, err
-	}
-	a.fb = fb
-	return fb, nil
+	return newNetFabric(a.c.ep, a.at, ex, a.assign)
 }
 
-// Start launches the coordinator's pumps (the src -1 streams: gathered
-// intermediates feeding broadcasts, deals and global shuffles). ctx
-// cancellation aborts the attempt everywhere.
+// Start arms the attempt's cancellation: ctx cancellation aborts the
+// attempt everywhere.
 func (a *Attempt) Start(ctx context.Context) {
 	ctx, cancel := context.WithCancel(ctx)
 	a.cancel = cancel
@@ -530,9 +525,6 @@ func (a *Attempt) Start(ctx context.Context) {
 		case <-a.at.done:
 		}
 	}()
-	if a.fb != nil {
-		a.fb.Run(ctx)
-	}
 }
 
 func (a *Attempt) noteReport(proc int, r report) {
@@ -574,15 +566,7 @@ func (a *Attempt) Finish(execErr error, m *cluster.Meter) (retry bool, err error
 		delete(a.c.active, a.qid)
 		a.c.mu.Unlock()
 		a.c.ep.retire(a.qid, fmt.Errorf("net: attempt %d finished", a.qid))
-		if a.fb != nil {
-			a.fb.Wait()
-		}
 	}()
-	if execErr == nil {
-		if pumpErr := a.pumpFailure(); pumpErr != nil {
-			execErr = pumpErr
-		}
-	}
 	if execErr != nil {
 		a.abort(execErr)
 		if !IsNetError(execErr) {
@@ -633,16 +617,4 @@ func (a *Attempt) Finish(execErr error, m *cluster.Meter) (retry bool, err error
 	a.c.linkHist.Merge(m.ResetLinks())
 	a.c.mu.Unlock()
 	return false, nil
-}
-
-// pumpFailure surfaces a coordinator pump error that the root drain
-// may not have observed (e.g. a broadcast source failing after the
-// root's gather completed).
-func (a *Attempt) pumpFailure() error {
-	if a.fb == nil {
-		return nil
-	}
-	a.fb.errMu.Lock()
-	defer a.fb.errMu.Unlock()
-	return a.fb.err
 }

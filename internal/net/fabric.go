@@ -7,13 +7,14 @@
 // instantiates pumps only for the plan fragments it hosts (its slots
 // of the fragment→proc assignment); Output(i) for a fragment hosted
 // elsewhere is exec.NotHere. The coordinator (proc 0) hosts no
-// fragments — it hosts every coordinator stream (src -1): hyper and
-// combination outputs, gathered intermediates feeding broadcasts and
-// deals, and the final gather the session drains.
+// fragments and no pump: every operator below the root — scans, joins,
+// each node's hyper-join fragment — runs in the worker hosting its
+// fragment, and the coordinator only consumes the final gather the
+// session drains.
 //
 // A pump drives one hosted producer: the routing loop is the simulated
 // exchange's own, exec.Producer — hash (filtered or not), broadcast,
-// deal, packing, metering — and the pump supplies only the transport.
+// packing, metering — and the pump supplies only the transport.
 // It stops on ctx or attempt failure, waits for filter frames, and
 // ships each batch either in-process (same bounded path, no encode) or
 // as a tuple run frame under the stream's credit window. A gather is a
@@ -94,54 +95,39 @@ func (f *netFabric) SplitRefs(refs []core.BlockRef) [][]core.BlockRef {
 func (f *netFabric) addPump(x *netExch, exch, src int, op exec.Operator) {
 	p := &pump{f: f, x: x, exch: exch, prod: exec.Producer{In: op, Src: src, N: 1, Route: exec.RouteDeal}}
 	if x != nil {
-		// The pump charges the source fragment's shard, or the parent
-		// meter for a coordinator stream; a gather is unmetered, as the
-		// simulated Gather is.
-		p.prod.N, p.prod.Route, p.prod.Meter = f.N(), x.route, f.ex.Meter
-		if src >= 0 {
-			p.prod.Meter = f.At(src).Meter
-		}
+		// The pump charges the source fragment's shard; a gather is
+		// unmetered, as the simulated Gather is.
+		p.prod.N, p.prod.Route, p.prod.Meter = f.N(), x.route, f.At(src).Meter
 	}
 	f.pumps = append(f.pumps, p)
 }
 
 // exchange builds one exchange over per-fragment parts (src i = part
-// i) or a single coordinator stream (src -1), registering pumps for
-// the hosted producers.
-func (f *netFabric) exchange(parts []exec.Operator, srcGlobal exec.Operator, route int) *netExch {
-	x := &netExch{f: f, id: f.nextID, nprod: 1, route: route, global: srcGlobal != nil}
+// i), registering pumps for the hosted producers.
+func (f *netFabric) exchange(parts []exec.Operator, route int) *netExch {
+	x := &netExch{f: f, id: f.nextID, nprod: len(parts), route: route}
 	f.nextID++
-	if srcGlobal == nil {
-		x.nprod = len(parts)
-		for i, p := range parts {
-			if f.hosts(i) {
-				f.addPump(x, x.id, i, p)
-			}
+	for i, p := range parts {
+		if f.hosts(i) {
+			f.addPump(x, x.id, i, p)
 		}
-	} else if f.me == 0 {
-		f.addPump(x, x.id, -1, srcGlobal)
 	}
 	return x
 }
 
 // The exchange constructors ignore the charge class: like the simulated
-// fabric, the TCP fabric meters the rows that cross nodes.
+// fabric, the TCP fabric meters the rows that cross nodes, and an
+// in-place edge crosses none.
 
 func (f *netFabric) Shuffle(parts []exec.Operator, key int, _ exec.Charge) exec.Exchanger {
-	return f.exchange(parts, nil, key)
+	return f.exchange(parts, key)
 }
 
-func (f *netFabric) ShuffleGlobal(in exec.Operator, key int, _ exec.Charge) exec.Exchanger {
-	return f.exchange(nil, in, key)
+func (f *netFabric) Broadcast(parts []exec.Operator, _ exec.Charge) exec.Exchanger {
+	return f.exchange(parts, exec.RouteBroadcast)
 }
 
-func (f *netFabric) Broadcast(in exec.Operator, _ exec.Charge) exec.Exchanger {
-	return f.exchange(nil, in, exec.RouteBroadcast)
-}
-
-func (f *netFabric) Deal(in exec.Operator, _ exec.Charge) exec.Exchanger {
-	return f.exchange(nil, in, exec.RouteDeal)
-}
+func (f *netFabric) InPlace(in exec.Operator, _ exec.Charge) exec.Operator { return in }
 
 // Gather merges per-fragment streams into the coordinator: hosted
 // parts pump to destination -1; the coordinator consumes the merged
@@ -194,11 +180,10 @@ func (f *netFabric) Wait() error {
 // netExch is one exchange's handle, shared by its consumers and the
 // pumps this process hosts.
 type netExch struct {
-	f      *netFabric
-	id     int
-	nprod  int
-	route  int
-	global bool // one coordinator stream produces (src -1)
+	f     *netFabric
+	id    int
+	nprod int
+	route int
 	// filtered is set by FilterProbe during the compile, before any
 	// pump runs.
 	filtered bool
@@ -225,21 +210,13 @@ func (x *netExch) FilterProbe() {
 // hosting a producer of the exchange: in-process to this one's pumps,
 // as one filter frame to each other process. The frame's bytes and
 // write time count as link traffic from fragment d to the first
-// producer the process hosts (the coordinator's stream is -1); they
-// enter no exchange counter. A failed write fails the attempt, which
-// releases the waiting pumps.
+// producer the process hosts; they enter no exchange counter. A failed
+// write fails the attempt, which releases the waiting pumps.
 func (x *netExch) publishFilter(d int, f *exec.KeyFilter) {
 	n := x.f.N()
-	srcs := []int{-1}
-	if !x.global {
-		srcs = make([]int, x.nprod)
-		for i := range srcs {
-			srcs[i] = i
-		}
-	}
 	var frame []byte
 	sent := map[int]bool{}
-	for _, src := range srcs {
+	for src := 0; src < x.nprod; src++ {
 		proc := x.f.dstProc(src)
 		if sent[proc] {
 			continue

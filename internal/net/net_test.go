@@ -91,6 +91,23 @@ func privateTemp(t *testing.T) {
 // its own replica of the same dataset.
 func startTPCH(t *testing.T, workers, nodes int, inProcess bool) (*adbnet.Cluster, *session.Session, query.Catalog, *tpch.Dataset) {
 	t.Helper()
+	cl := startCluster(t, workers, nodes, inProcess)
+	store, data, tables, err := datasets.BuildTPCH(testParams(nodes))
+	if err != nil {
+		t.Fatalf("build coordinator replica: %v", err)
+	}
+	s := session.New(store, session.Config{
+		Model:     testModel(nodes),
+		Optimizer: optimizer.Config{Mode: optimizer.ModeAdaptive, WindowSize: 5, Seed: testSeed},
+		Net:       cl,
+	})
+	return cl, s, tables.Catalog(), data
+}
+
+// startCluster starts the adaptive TPC-H worker fleet startTPCH
+// drives, in a private temp dir.
+func startCluster(t *testing.T, workers, nodes int, inProcess bool) *adbnet.Cluster {
+	t.Helper()
 	privateTemp(t)
 	p := testParams(nodes)
 	cl, err := adbnet.Start(adbnet.Options{
@@ -109,16 +126,7 @@ func startTPCH(t *testing.T, workers, nodes int, inProcess bool) (*adbnet.Cluste
 		t.Fatalf("start cluster: %v", err)
 	}
 	t.Cleanup(func() { cl.Close() })
-	store, data, tables, err := datasets.BuildTPCH(p)
-	if err != nil {
-		t.Fatalf("build coordinator replica: %v", err)
-	}
-	s := session.New(store, session.Config{
-		Model:     testModel(nodes),
-		Optimizer: optimizer.Config{Mode: optimizer.ModeAdaptive, WindowSize: 5, Seed: testSeed},
-		Net:       cl,
-	})
-	return cl, s, tables.Catalog(), data
+	return cl
 }
 
 // simDigests replays the schedule over the in-process simulated fabric

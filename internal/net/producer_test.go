@@ -13,10 +13,9 @@ import (
 	"adaptdb/internal/value"
 )
 
-// TestTCPProducerMatchesSim wires the same exchanges — a shuffle of two
-// fragments, and a global shuffle, a broadcast and a deal of one
-// coordinator stream — plus a gather onto the simulated fabric and
-// across a two-process TCP pair, and asserts that every output receives
+// TestTCPProducerMatchesSim wires the same exchanges — a shuffle and a
+// broadcast of two fragments — plus a gather onto the simulated fabric
+// and across a two-process TCP pair, and asserts that every output receives
 // the same rows and that both meter the same local and remote rows and
 // wire bytes: the pumps run the simulated exchange's producer.
 func TestTCPProducerMatchesSim(t *testing.T) {
@@ -29,16 +28,13 @@ func TestTCPProducerMatchesSim(t *testing.T) {
 		return out
 	}
 	frag := [][]tuple.Tuple{rows(0, 3000), rows(3000, 2100)}
-	global := rows(10_000, 2600)
 	// compile returns each exchange's outputs 0 and 1, then the gather.
 	compile := func(f exec.Fabric) []exec.Operator {
 		parts := func() []exec.Operator { return []exec.Operator{exec.NewSource(frag[0]), exec.NewSource(frag[1])} }
 		var outs []exec.Operator
 		for _, x := range []exec.Exchanger{
 			f.Shuffle(parts(), 0, exec.ChargeShuffle),
-			f.ShuffleGlobal(exec.NewSource(global), 0, exec.ChargeIntermediate),
-			f.Broadcast(exec.NewSource(global), exec.ChargeIntermediate),
-			f.Deal(exec.NewSource(global), exec.ChargeIntermediate),
+			f.Broadcast(parts(), exec.ChargeIntermediate),
 		} {
 			outs = append(outs, x.Output(0), x.Output(1))
 		}
@@ -89,7 +85,7 @@ func TestTCPProducerMatchesSim(t *testing.T) {
 	tcpOps := map[int]exec.Operator{}
 	for p, f := range []*netFabric{fA, fB} {
 		for i, op := range compile(f) {
-			if i%2 == p && i < 8 || i == 8 && p == 0 {
+			if i%2 == p && i < 4 || i == 4 && p == 0 {
 				tcpOps[i] = op
 			}
 		}

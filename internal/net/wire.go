@@ -231,9 +231,9 @@ type qdoneMsg struct {
 }
 
 // streamHdr addresses one exchange stream within a query: the
-// deterministic per-compile exchange id, the producing fragment (-1 for
-// a coordinator stream), and the consuming fragment (-1 for a gather
-// back to the coordinator).
+// deterministic per-compile exchange id, the producing fragment (-1 on
+// a filter frame, which no fragment produces), and the consuming
+// fragment (-1 for a gather back to the coordinator).
 type streamHdr struct {
 	qid  uint64
 	exch int

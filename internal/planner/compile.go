@@ -24,8 +24,8 @@ type Compiled struct {
 	Report *Report
 	ops    []*exec.Instrumented
 	// hypers are the DAG's hyper-joins, one per hyper or combination
-	// join in Report order.
-	hypers []*exec.HyperJoinOp
+	// join in Report order, each as its node fragments.
+	hypers [][]*exec.HyperJoinOp
 }
 
 // OpStats snapshots the per-operator counters (rows, batches,
@@ -42,7 +42,7 @@ func (c *Compiled) OpStats() []exec.OpStats {
 // Compile lowers a plan tree into a pipelined operator DAG over the
 // executor's fabric (exec.Executor.ExecFabric): per-node fragments
 // wired with exchanges (distributed.go), gathered into one root
-// stream. A centralized executor is a one-node fabric, so the same
+// stream — the only operator that runs at the coordinator. A centralized executor is a one-node fabric, so the same
 // lowering serves it. Join strategies are decided per join with the
 // §5.4 cost comparison over block zone maps; every operator is
 // instrumented, and the returned Compiled's Report lists one entry per
@@ -52,11 +52,11 @@ func (c *Compiled) OpStats() []exec.OpStats {
 func (r *Runner) Compile(n Node) (*Compiled, error) {
 	defer r.memoRefs()()
 	c := &Compiled{Report: &Report{}}
-	d, err := r.compileDist(n, c)
+	parts, err := r.compileDist(n, c)
 	if err != nil {
 		return nil, err
 	}
-	c.Root = d.toGlobal(r.Ex.ExecFabric())
+	c.Root = r.Ex.ExecFabric().Gather(parts)
 	return c, nil
 }
 
@@ -68,16 +68,23 @@ func (r *Runner) instrument(c *Compiled, label string, op exec.Operator, onDone 
 	return in
 }
 
-// hyperOp builds the streaming hyper-join for a decided plan: it runs
-// the schedule estimateHyper priced, building on the left refs or (when
-// the decision flipped the build side onto the smaller co-partitioned
-// portion) on the right refs, emitting in the plan's (left, right)
-// column order either way.
-func (r *Runner) hyperOp(p tableJoinPlan, l, rt *Scan) *exec.HyperJoinOp {
-	if !p.flip {
-		return r.Ex.NewHyperJoinOp(p.hyper, l.Preds, rt.Preds, false)
+// hyperOps builds the streaming hyper-join for a decided plan, one
+// fragment per node, each on its node's executor view (which runs the
+// node's groups): together they run the schedule estimateHyper priced,
+// building on the left refs or (when the decision flipped the build
+// side onto the smaller co-partitioned portion) on the right refs,
+// emitting in the plan's (left, right) column order either way.
+func (r *Runner) hyperOps(p tableJoinPlan, l, rt *Scan) []*exec.HyperJoinOp {
+	bPreds, pPreds := l.Preds, rt.Preds
+	if p.flip {
+		bPreds, pPreds = rt.Preds, l.Preds
 	}
-	return r.Ex.NewHyperJoinOp(p.hyper, rt.Preds, l.Preds, true)
+	fb := r.Ex.ExecFabric()
+	out := make([]*exec.HyperJoinOp, fb.N())
+	for i := range out {
+		out[i] = fb.At(i).NewHyperJoinOp(p.hyper, bPreds, pPreds, p.flip)
+	}
+	return out
 }
 
 // scanRefs resolves the blocks a scan node reads under the executor's

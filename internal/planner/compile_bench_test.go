@@ -25,8 +25,14 @@ type compileFixture struct {
 }
 
 func newCompileFixture(tb testing.TB, sf float64) *compileFixture {
+	return newCompileFixtureOn(tb, sf, 2)
+}
+
+// newCompileFixtureOn is newCompileFixture on an n-node store and
+// fabric.
+func newCompileFixtureOn(tb testing.TB, sf float64, n int) *compileFixture {
 	tb.Helper()
-	store := dfs.NewStore(2, 2, 42)
+	store := dfs.NewStore(n, 2, 42)
 	data := tpch.Generate(sf, 42)
 	tables, err := tpch.LoadAll(store, data, tpch.LoadConfig{RowsPerBlock: 256, Seed: 42})
 	if err != nil {
@@ -35,7 +41,7 @@ func newCompileFixture(tb testing.TB, sf float64) *compileFixture {
 	ex := exec.New(store, &cluster.Meter{})
 	ex.EnableNodes(0)
 	model := cluster.Default()
-	model.Nodes = 2
+	model.Nodes = n
 	r := planner.NewRunner(ex, model)
 	r.BudgetBlocks = 8
 	f := &compileFixture{tables: tables, runner: r}

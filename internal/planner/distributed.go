@@ -4,10 +4,11 @@
 // the TCP fabric of internal/net. Per join it chooses between
 //
 //   - co-located hyper-join: both sides have trees on the join
-//     attribute and the §5.4 comparison favors hyper — groups run at
-//     the nodes holding their build blocks and NO exchange exists, so
+//     attribute and the §5.4 comparison favors hyper — each node runs
+//     the groups whose build blocks it holds and NO exchange exists, so
 //     zero rows cross the simulated network (the co-partitioning win
-//     the paper's Fig. 1 measures);
+//     the paper's Fig. 1 measures), and the output stays on the nodes
+//     that computed it for the join above to read there (§4.3);
 //   - shuffle: both sides are hash-exchanged on the join key, then
 //     joined node-locally — eq. 1 charges every row, while the N-node
 //     fabrics move only the probe rows each node's build-key filter
@@ -21,7 +22,9 @@
 // each node reads its own blocks. Every exchange carries the eq. 1
 // charge class of its plan edge: exec.ChargeShuffle for a base table
 // that repartitions, exec.ChargeIntermediate for an intermediate,
-// exec.ChargeNone for a table §4.3 reads in place. The one-node fabric
+// exec.ChargeNone for a table §4.3 reads in place; an intermediate that
+// a join reads where it was computed takes an exec.Fabric.InPlace edge
+// at the intermediate's class. The one-node fabric
 // meters rows at that class; the N-node fabrics meter the rows and bytes
 // that actually cross nodes (cluster.Meter.AddExchangeAt).
 package planner
@@ -35,25 +38,6 @@ import (
 	"adaptdb/internal/predicate"
 )
 
-// distOut is a compiled sub-plan in the distributed regime: either
-// partitioned (parts[i] is node i's fragment) or a single coordinator
-// stream (a hyper-join or combination output).
-type distOut struct {
-	parts  []exec.Operator
-	global exec.Operator
-}
-
-// toGlobal merges a partitioned sub-plan into one coordinator stream,
-// driving every node fragment concurrently. The fabric supplies the
-// gather: in-process for the simulated NodeSet, frame streams back to
-// the coordinator for the TCP fabric.
-func (d distOut) toGlobal(fb exec.Fabric) exec.Operator {
-	if d.global != nil {
-		return d.global
-	}
-	return fb.Gather(d.parts)
-}
-
 // instrumentAt wraps a node fragment with stats collection tagged with
 // its node, so session results expose per-node skew.
 func (r *Runner) instrumentAt(c *Compiled, node int, label string, op exec.Operator, onDone func(exec.OpStats)) exec.Operator {
@@ -62,33 +46,52 @@ func (r *Runner) instrumentAt(c *Compiled, node int, label string, op exec.Opera
 	return in
 }
 
-// reportJoinAccum appends a report entry for a join being compiled and
-// returns the completion hook that fills it: each of the join's node
-// fragments adds its share of the output rows (and, when a hyper part
-// exists, its statistics) once its stream has drained. Hooks fire from
-// concurrent drain goroutines, hence the lock.
-func (r *Runner) reportJoinAccum(c *Compiled, jr JoinReport, hyper *exec.HyperJoinOp) func(exec.OpStats) {
-	idx := len(c.Report.Joins)
-	c.Report.Joins = append(c.Report.Joins, jr)
-	if hyper != nil {
-		c.hypers = append(c.hypers, hyper)
+// joinFill accumulates one join's report entry from the completion
+// hooks of its node fragments, which fire from concurrent drain
+// goroutines, hence the lock.
+type joinFill struct {
+	mu  *sync.Mutex
+	rep *Report
+	idx int
+}
+
+// reportJoin appends a report entry for a join being compiled, records
+// the hyper-join fragments it runs (none for a shuffle or semi-shuffle)
+// and returns the entry's accumulator.
+func (r *Runner) reportJoin(c *Compiled, strategy string, hypers []*exec.HyperJoinOp) joinFill {
+	c.Report.Joins = append(c.Report.Joins, JoinReport{Strategy: strategy})
+	if hypers != nil {
+		c.hypers = append(c.hypers, hypers)
 	}
-	rep := c.Report
-	var mu sync.Mutex
+	return joinFill{mu: new(sync.Mutex), rep: c.Report, idx: len(c.Report.Joins) - 1}
+}
+
+// of returns the completion hook of one node fragment of the join: it
+// adds the fragment's output rows and, when hy is set, the probe reads
+// of the hyper-join fragment it ran, whose stream has ended by then.
+// CHyJ is recomputed from the summed probe reads, so the fragments
+// report what one operator over the whole schedule reports.
+func (f joinFill) of(hy *exec.HyperJoinOp) func(exec.OpStats) {
 	return func(st exec.OpStats) {
-		mu.Lock()
-		defer mu.Unlock()
-		rep.Joins[idx].OutputRows += int(st.Rows)
-		if hyper != nil {
-			hs := hyper.Stats()
-			rep.Joins[idx].CHyJ = hs.CHyJ
-			rep.Joins[idx].ProbeBlocks = hs.ProbeBlocks
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		jr := &f.rep.Joins[f.idx]
+		jr.OutputRows += int(st.Rows)
+		if hy == nil {
+			return
+		}
+		hs := hy.Stats()
+		jr.ProbeBlocks += hs.ProbeBlocks
+		if hs.SBlocks > 0 {
+			jr.CHyJ = float64(jr.ProbeBlocks) / float64(hs.SBlocks)
 		}
 	}
 }
 
-// compileDist lowers a plan node for the node fabric.
-func (r *Runner) compileDist(n Node, c *Compiled) (distOut, error) {
+// compileDist lowers a plan node for the node fabric: parts[i] is node
+// i's fragment of the sub-plan's output. Every sub-plan stays on the
+// nodes; only Compile's root gather reaches the coordinator.
+func (r *Runner) compileDist(n Node, c *Compiled) ([]exec.Operator, error) {
 	switch nd := n.(type) {
 	case *Scan:
 		return r.distScan(c, nd), nil
@@ -101,13 +104,13 @@ func (r *Runner) compileDist(n Node, c *Compiled) (distOut, error) {
 		case rIsScan:
 			build, err := r.compileDist(nd.Left, c)
 			if err != nil {
-				return distOut{}, err
+				return nil, err
 			}
 			return r.distBroadcastJoin(c, build, r.estimateRows(nd.Left), nd.LCol, rScan, nd.RCol, false), nil
 		case lIsScan:
 			build, err := r.compileDist(nd.Right, c)
 			if err != nil {
-				return distOut{}, err
+				return nil, err
 			}
 			return r.distBroadcastJoin(c, build, r.estimateRows(nd.Right), nd.RCol, lScan, nd.LCol, true), nil
 		default:
@@ -115,114 +118,114 @@ func (r *Runner) compileDist(n Node, c *Compiled) (distOut, error) {
 			// join node-locally.
 			lOut, err := r.compileDist(nd.Left, c)
 			if err != nil {
-				return distOut{}, err
+				return nil, err
 			}
 			rOut, err := r.compileDist(nd.Right, c)
 			if err != nil {
-				return distOut{}, err
+				return nil, err
 			}
-			fill := r.reportJoinAccum(c, JoinReport{Strategy: StratShuffle}, nil)
-			return distOut{parts: r.distShuffleParts(c, fill, "intermediates",
+			fill := r.reportJoin(c, StratShuffle, nil).of(nil)
+			return r.distShuffleParts(c, fill, "intermediates",
 				joinSide{lOut, nd.LCol, r.estimateRows(nd.Left), exec.ChargeIntermediate},
-				joinSide{rOut, nd.RCol, r.estimateRows(nd.Right), exec.ChargeIntermediate})}, nil
+				joinSide{rOut, nd.RCol, r.estimateRows(nd.Right), exec.ChargeIntermediate}), nil
 		}
 	default:
-		return distOut{}, fmt.Errorf("planner: unknown node %T", n)
+		return nil, fmt.Errorf("planner: unknown node %T", n)
 	}
-}
-
-// exchangeOf hash-partitions a join side across the nodes on its join
-// column, at its charge class: partitioned inputs keep their home nodes
-// (same-node deliveries stay off the network), coordinator streams are
-// all-remote.
-func (r *Runner) exchangeOf(fb exec.Fabric, s joinSide) exec.Exchanger {
-	if s.in.global != nil {
-		return fb.ShuffleGlobal(s.in.global, s.col, s.charge)
-	}
-	return fb.Shuffle(s.in.parts, s.col, s.charge)
 }
 
 // distScan splits a table scan by block placement: node i reads the
 // blocks whose primary replica it holds, on its own worker pool.
-func (r *Runner) distScan(c *Compiled, s *Scan) distOut {
+func (r *Runner) distScan(c *Compiled, s *Scan) []exec.Operator {
 	return r.distRefsScan(c, s.Table.Name, r.scanRefs(s), s.Preds)
 }
 
 // distTableJoin lowers a base-table ⋈ base-table join to the strategy
 // planTableJoin picks from zone-map metadata, realized across nodes.
-func (r *Runner) distTableJoin(j *Join, l, rt *Scan, c *Compiled) (distOut, error) {
+func (r *Runner) distTableJoin(j *Join, l, rt *Scan, c *Compiled) ([]exec.Operator, error) {
 	p := r.cachedTableJoin(l, j.LCol, rt, j.RCol)
 	pair := l.Table.Name + "⋈" + rt.Table.Name
 	switch p.strategy {
 	case StratShuffle:
-		fill := r.reportJoinAccum(c, JoinReport{Strategy: StratShuffle}, nil)
-		return distOut{parts: r.distShuffleParts(c, fill, pair,
+		fill := r.reportJoin(c, StratShuffle, nil).of(nil)
+		return r.distShuffleParts(c, fill, pair,
 			joinSide{r.distScan(c, l), j.LCol, refRows(r.scanRefs(l)), exec.ChargeShuffle},
-			joinSide{r.distScan(c, rt), j.RCol, refRows(r.scanRefs(rt)), exec.ChargeShuffle})}, nil
+			joinSide{r.distScan(c, rt), j.RCol, refRows(r.scanRefs(rt)), exec.ChargeShuffle}), nil
 
 	case StratHyper:
-		// Co-located: hyper-join groups already run at the nodes holding
-		// their build blocks (taskNode locality); nothing is exchanged.
-		hy := r.hyperOp(p, l, rt)
-		fill := r.reportJoinAccum(c, JoinReport{Strategy: StratHyper}, hy)
-		return distOut{global: r.instrument(c, "join[hyper]("+pair+")", hy, fill)}, nil
+		// Co-located: node i runs the groups whose build blocks it holds
+		// (taskNode locality); nothing is exchanged, and each node's
+		// output stays where it was computed.
+		hy := r.hyperOps(p, l, rt)
+		fill := r.reportJoin(c, StratHyper, hy)
+		parts := make([]exec.Operator, len(hy))
+		for i, h := range hy {
+			parts[i] = r.instrumentAt(c, i, "join[hyper]("+pair+")", h, fill.of(h))
+		}
+		return parts, nil
 
 	case StratCombination:
-		// hyper(A1⋈B1) ∪ shuffle(A2⋈B) ∪ shuffle(A1⋈B2), the hyper part
-		// co-located and the residual parts exchanged.
-		hy := r.hyperOp(p, l, rt)
-		fill := r.reportJoinAccum(c, JoinReport{Strategy: StratCombination}, hy)
-		fb := r.Ex.ExecFabric()
-		parts := []exec.Operator{r.instrument(c, "join[hyper-part]("+pair+")", hy, nil)}
+		// hyper(A1⋈B1) ∪ shuffle(A2⋈B) ∪ shuffle(A1⋈B2): node i
+		// concatenates its hyper fragment with its outputs of the
+		// residual shuffle joins.
+		hy := r.hyperOps(p, l, rt)
+		fill := r.reportJoin(c, StratCombination, hy)
+		units := make([][]exec.Operator, len(hy))
+		for i, h := range hy {
+			units[i] = []exec.Operator{r.instrumentAt(c, i, "join[hyper-part]("+pair+")", h, nil)}
+		}
+		residual := func(ls, rs joinSide) {
+			for i, op := range r.distShuffleParts(c, nil, pair, ls, rs) {
+				units[i] = append(units[i], op)
+			}
+		}
 		if len(p.l2) > 0 {
-			lsc := r.distRefsScan(c, l.Table.Name+":residual", p.l2, l.Preds)
-			rsc := r.distScan(c, rt)
-			parts = append(parts, fb.Gather(r.distShuffleParts(c, nil, pair,
-				joinSide{lsc, j.LCol, refRows(p.l2), exec.ChargeShuffle},
-				joinSide{rsc, j.RCol, refRows(p.r1) + refRows(p.r2), exec.ChargeShuffle})))
+			residual(joinSide{r.distRefsScan(c, l.Table.Name+":residual", p.l2, l.Preds), j.LCol, refRows(p.l2), exec.ChargeShuffle},
+				joinSide{r.distScan(c, rt), j.RCol, refRows(p.r1) + refRows(p.r2), exec.ChargeShuffle})
 		}
 		if len(p.r2) > 0 {
-			lsc := r.distRefsScan(c, l.Table.Name+":copart", p.l1, l.Preds)
-			rsc := r.distRefsScan(c, rt.Table.Name+":residual", p.r2, rt.Preds)
-			parts = append(parts, fb.Gather(r.distShuffleParts(c, nil, pair,
-				joinSide{lsc, j.LCol, refRows(p.l1), exec.ChargeShuffle},
-				joinSide{rsc, j.RCol, refRows(p.r2), exec.ChargeShuffle})))
+			residual(joinSide{r.distRefsScan(c, l.Table.Name+":copart", p.l1, l.Preds), j.LCol, refRows(p.l1), exec.ChargeShuffle},
+				joinSide{r.distRefsScan(c, rt.Table.Name+":residual", p.r2, rt.Preds), j.RCol, refRows(p.r2), exec.ChargeShuffle})
 		}
-		op := r.instrument(c, "join[combination]("+pair+")", exec.Concat(parts...), fill)
-		return distOut{global: op}, nil
+		parts := make([]exec.Operator, len(hy))
+		for i, h := range hy {
+			parts[i] = r.instrumentAt(c, i, "join[combination]("+pair+")", exec.Concat(units[i]...), fill.of(h))
+		}
+		return parts, nil
 	}
-	return distOut{}, fmt.Errorf("planner: unknown strategy %q", p.strategy)
+	return nil, fmt.Errorf("planner: unknown strategy %q", p.strategy)
 }
 
 // distRefsScan splits an explicit ref set (a combination join's
 // co-partitioned or residual portion) across the nodes by placement.
-func (r *Runner) distRefsScan(c *Compiled, label string, refs []core.BlockRef, preds []predicate.Predicate) distOut {
+func (r *Runner) distRefsScan(c *Compiled, label string, refs []core.BlockRef, preds []predicate.Predicate) []exec.Operator {
 	fb := r.Ex.ExecFabric()
 	byNode := fb.SplitRefs(refs)
 	parts := make([]exec.Operator, fb.N())
 	for i := range parts {
 		parts[i] = r.instrumentAt(c, i, "scan("+label+")", fb.ScanAt(i, byNode[i], preds), nil)
 	}
-	return distOut{parts: parts}
+	return parts
 }
 
 // joinSide is one input of a both-sides-exchanged join: the compiled
-// sub-plan, its join column, its estimated rows and the charge class of
-// its exchange.
+// sub-plan's node fragments, its join column, its estimated rows and
+// the charge class of its exchange.
 type joinSide struct {
-	in     distOut
+	in     []exec.Operator
 	col    int
 	rows   int
 	charge exec.Charge
 }
 
 // distShuffleParts wires a both-sides-exchanged join: each side's
-// fragments feed a hash exchange on its join column, and node i joins
-// the two i-th outputs on its own pool. The side with fewer estimated
-// rows builds. The probe side's exchange is filtered: it waits for each
-// node's sealed build to publish its key filter and drops the rows
-// that cannot match before they cross. fill (optional) accumulates
-// output rows into the join's report entry.
+// fragments feed a hash exchange on its join column (same-node
+// deliveries stay off the network), and node i joins the two i-th
+// outputs on its own pool. The side with fewer estimated rows builds.
+// The probe side's exchange is filtered: it waits for each node's
+// sealed build to publish its key filter and drops the rows that cannot
+// match before they cross. fill (optional) accumulates output rows into
+// the join's report entry.
 func (r *Runner) distShuffleParts(c *Compiled, fill func(exec.OpStats), pair string, l, rt joinSide) []exec.Operator {
 	fb := r.Ex.ExecFabric()
 	build, probe := l, rt
@@ -230,8 +233,8 @@ func (r *Runner) distShuffleParts(c *Compiled, fill func(exec.OpStats), pair str
 	if flip {
 		build, probe = rt, l
 	}
-	bx := r.exchangeOf(fb, build)
-	px := r.exchangeOf(fb, probe)
+	bx := fb.Shuffle(build.in, build.col, build.charge)
+	px := fb.Shuffle(probe.in, probe.col, probe.charge)
 	px.FilterProbe()
 	parts := make([]exec.Operator, fb.N())
 	// A hash exchange deals the build roughly evenly, so each node's
@@ -246,61 +249,62 @@ func (r *Runner) distShuffleParts(c *Compiled, fill func(exec.OpStats), pair str
 }
 
 // distBroadcastJoin lowers an intermediate ⋈ base-table join (§4.3) —
-// one side exchanged, the other (mostly) in place. The one-side
-// exchange is only available when the base table has a tree on the join
-// attribute (and hyper-join is not force-disabled); otherwise the base
-// table must repartition too, and the join compiles — and is reported
-// and priced — as a full shuffle with both sides exchanged, the table at
-// eq. 1's shuffle class and the intermediate at §4.3's. With a tree, the
+// one side exchanged, the other in place. The one-side exchange is
+// only available when the base table has a tree on the join attribute
+// (and hyper-join is not force-disabled); otherwise the base table must
+// repartition too, and the join compiles — and is reported and priced —
+// as a full shuffle with both sides exchanged, the table at eq. 1's
+// shuffle class and the intermediate at §4.3's. With a tree, the
 // smaller side by estimate is the one that gets duplicated:
 //
-//   - small intermediate: broadcast it to every node and probe the base
-//     table where its blocks live (the base table never moves — §4.3's
-//     semi-shuffle made physical);
+//   - small intermediate: every node broadcasts its fragment of it to
+//     every node, and each node probes the base table where its blocks
+//     live (the base table never moves — §4.3's semi-shuffle made
+//     physical);
 //   - large intermediate (a fact-side pipeline feeding a small
-//     dimension): broadcast the base table instead and deal the
-//     intermediate round-robin across the nodes, so the big stream
-//     crosses the network once instead of N times.
+//     dimension): every node broadcasts its scan of the base table
+//     instead, and each node joins its own fragment of the intermediate
+//     where it was computed, so the big stream does not move at all.
 //
 // tblFirst reports that the base table is the plan's left child
 // (controls output column order).
-func (r *Runner) distBroadcastJoin(c *Compiled, build distOut, buildRows, buildCol int, sc *Scan, tblCol int, tblFirst bool) distOut {
+func (r *Runner) distBroadcastJoin(c *Compiled, build []exec.Operator, buildRows, buildCol int, sc *Scan, tblCol int, tblFirst bool) []exec.Operator {
 	fb := r.Ex.ExecFabric()
 	if r.ForceShuffle || sc.Table.TreeFor(tblCol) < 0 {
 		// No tree on the join attribute: both sides hash-exchange.
-		fill := r.reportJoinAccum(c, JoinReport{Strategy: StratShuffle}, nil)
+		fill := r.reportJoin(c, StratShuffle, nil).of(nil)
 		tbl := joinSide{r.distScan(c, sc), tblCol, refRows(r.scanRefs(sc)), exec.ChargeShuffle}
 		in := joinSide{build, buildCol, buildRows, exec.ChargeIntermediate}
 		if tblFirst {
-			return distOut{parts: r.distShuffleParts(c, fill, sc.Table.Name+"⋈intermediate", tbl, in)}
+			return r.distShuffleParts(c, fill, sc.Table.Name+"⋈intermediate", tbl, in)
 		}
-		return distOut{parts: r.distShuffleParts(c, fill, "intermediate⋈"+sc.Table.Name, in, tbl)}
+		return r.distShuffleParts(c, fill, "intermediate⋈"+sc.Table.Name, in, tbl)
 	}
-	fill := r.reportJoinAccum(c, JoinReport{Strategy: StratSemiShuffle}, nil)
+	fill := r.reportJoin(c, StratSemiShuffle, nil).of(nil)
+	label := "join[semi-shuffle](" + sc.Table.Name + ")"
 	parts := make([]exec.Operator, fb.N())
 	tblRows := refRows(r.scanRefs(sc))
 	if buildRows <= tblRows {
-		bx := fb.Broadcast(build.toGlobal(fb), exec.ChargeIntermediate)
+		bx := fb.Broadcast(build, exec.ChargeIntermediate)
 		probe := r.distScan(c, sc)
 		// A broadcast build lands whole on every node — no 1/N share.
 		est := r.estBuildRows(buildRows)
-		for i := 0; i < fb.N(); i++ {
-			op := fb.At(i).JoinOp(bx.Output(i), buildCol, probe.parts[i], tblCol,
+		for i := range parts {
+			op := fb.At(i).JoinOp(bx.Output(i), buildCol, probe[i], tblCol,
 				exec.JoinOptions{BuildIsRight: tblFirst, BuildRowsEst: est})
-			parts[i] = r.instrumentAt(c, i, "join[semi-shuffle]("+sc.Table.Name+")", op, fill)
+			parts[i] = r.instrumentAt(c, i, label, op, fill)
 		}
-		return distOut{parts: parts}
+		return parts
 	}
-	// Flip: the base table is the small side. Broadcast its (gathered)
-	// per-node scans and deal the intermediate across the nodes. §4.3
-	// reads the table in place, so only the intermediate is charged.
-	tx := fb.Broadcast(r.distScan(c, sc).toGlobal(fb), exec.ChargeNone)
-	px := fb.Deal(build.toGlobal(fb), exec.ChargeIntermediate)
+	// Flip: the base table is the small side. §4.3 reads the table in
+	// place, so only the intermediate is charged, on the edge it takes
+	// into its node's join.
+	tx := fb.Broadcast(r.distScan(c, sc), exec.ChargeNone)
 	est := r.estBuildRows(tblRows)
-	for i := 0; i < fb.N(); i++ {
-		op := fb.At(i).JoinOp(tx.Output(i), tblCol, px.Output(i), buildCol,
+	for i := range parts {
+		op := fb.At(i).JoinOp(tx.Output(i), tblCol, fb.InPlace(build[i], exec.ChargeIntermediate), buildCol,
 			exec.JoinOptions{BuildIsRight: !tblFirst, BuildRowsEst: est})
-		parts[i] = r.instrumentAt(c, i, "join[semi-shuffle]("+sc.Table.Name+")", op, fill)
+		parts[i] = r.instrumentAt(c, i, label, op, fill)
 	}
-	return distOut{parts: parts}
+	return parts
 }

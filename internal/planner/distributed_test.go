@@ -113,16 +113,20 @@ func TestDistributedSemiShuffleBroadcast(t *testing.T) {
 	c := f.meter.Snapshot()
 	n := float64(f.runner.Ex.Nodes().N())
 	// The intermediate is the big side here, so the compiler broadcasts
-	// the small customer table (N copies) and deals the intermediate
-	// across the nodes (each row crosses once); the inner hyper-join is
-	// co-located and moves nothing.
-	wantExch := n*float64(len(f.crows)) + float64(len(lo))
-	if c.ExchLocalRows+c.ExchRemoteRows != wantExch {
-		t.Fatalf("semi-shuffle exchanged %v rows, want %v (%v×%d cust + %d dealt)",
-			c.ExchLocalRows+c.ExchRemoteRows, wantExch, n, len(f.crows), len(lo))
+	// the small customer table and each node joins its own fragment of
+	// the intermediate where the inner hyper-join computed it. Every node
+	// broadcasts the customer rows it scans, so each of the table's rows
+	// is delivered N times: once to its own node (local) and N−1 times
+	// across (remote) — at N = 4 and 60 rows, 180 remote and 60 local.
+	// Nothing else moves: the hyper-join is co-located and no
+	// intermediate row is dealt.
+	wantRemote, wantLocal := (n-1)*float64(len(f.crows)), float64(len(f.crows))
+	if c.ExchRemoteRows != wantRemote || c.ExchLocalRows != wantLocal {
+		t.Fatalf("semi-shuffle exchanged %v remote and %v local rows, want %v and %v ((%v−1)×%d cust, nothing dealt)",
+			c.ExchRemoteRows, c.ExchLocalRows, wantRemote, wantLocal, n, len(f.crows))
 	}
-	if naive := float64(len(lo)) * n; wantExch >= naive {
-		t.Fatalf("broadcast-small/deal-big (%v rows) should beat naive broadcast (%v)", wantExch, naive)
+	if naive := float64(len(lo)) * (n - 1); wantRemote >= naive {
+		t.Fatalf("broadcasting the small table (%v remote rows) should beat broadcasting the intermediate (%v)", wantRemote, naive)
 	}
 }
 

@@ -1,6 +1,8 @@
 package planner_test
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -88,6 +90,97 @@ func TestHyperJoinRunsPricedSchedule(t *testing.T) {
 	}
 	if seen[planner.StratHyper] == 0 || seen[planner.StratCombination] == 0 {
 		t.Fatalf("schedule never hyper- and combination-joined: %v", seen)
+	}
+}
+
+// TestHyperFragmentsSumToOneOperator replays the adaptive shift on a 2-
+// and a 4-node store and runs every query twice: on the node fabric,
+// where a hyper or combination join runs one hyper-join fragment per
+// node, and on the one-node fabric over the same store, where one
+// operator runs the whole schedule. The fragments partition its groups:
+// their HyperStats sum to the one operator's, the Report's ProbeBlocks,
+// CHyJ and output rows equal the one-node fabric's, and every block
+// read is metered local or remote exactly as the one operator meters
+// it.
+func TestHyperFragmentsSumToOneOperator(t *testing.T) {
+	data := tpch.Generate(0.01, 42)
+	for _, nodes := range []int{2, 4} {
+		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
+			f := newCompileFixtureOn(t, 0.01, nodes)
+			cm := &cluster.Meter{}
+			central := planner.NewRunner(exec.New(f.runner.Ex.Store, cm), f.runner.Model)
+			central.BudgetBlocks = f.runner.BudgetBlocks
+			opt := optimizer.New(optimizer.Config{Mode: optimizer.ModeAdaptive, WindowSize: 5, Seed: 42})
+			run := func(r *planner.Runner, b *query.Bound) (*planner.Compiled, cluster.Counters) {
+				c, err := r.CompileSpec(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := exec.Drain(nil, c.Root, nil); err != nil {
+					t.Fatal(err)
+				}
+				if ns := r.Ex.Nodes(); ns != nil {
+					ns.Flush()
+				}
+				return c, r.Ex.Meter.Reset()
+			}
+			seen := map[string]int{}
+			for qi, b := range shiftSpecs(t, f, data, 2, 6) {
+				if _, err := opt.OnQuery(b.Uses(), &cluster.Meter{}); err != nil {
+					t.Fatal(err)
+				}
+				dc, dm := run(f.runner, b)
+				oc, om := run(central, b)
+				reads := func(c cluster.Counters) [8]float64 {
+					return [8]float64{c.ScanLocal, c.ScanRemote, c.BuildLocal, c.BuildRemote,
+						c.ProbeLocal, c.ProbeRemote, float64(c.BlocksScanned), float64(c.ProbeBlocks)}
+				}
+				if reads(dm) != reads(om) {
+					t.Fatalf("query %d: node fabric metered block reads %v, one-node fabric %v", qi, reads(dm), reads(om))
+				}
+				if len(dc.Report.Joins) != len(oc.Report.Joins) {
+					t.Fatalf("query %d: %d joins on the node fabric, %d on one node", qi, len(dc.Report.Joins), len(oc.Report.Joins))
+				}
+				for k, jr := range dc.Report.Joins {
+					if want := oc.Report.Joins[k]; jr != want {
+						t.Fatalf("query %d join %d: node fabric reports %+v, one-node fabric %+v", qi, k, jr, want)
+					}
+				}
+				frags, ones := dc.HyperFragments(), oc.HyperFragments()
+				if len(frags) != len(ones) {
+					t.Fatalf("query %d: %d hyper-joins on the node fabric, %d on one node", qi, len(frags), len(ones))
+				}
+				for k, fs := range frags {
+					if len(fs) != nodes || len(ones[k]) != 1 {
+						t.Fatalf("query %d hyper-join %d: %d fragments on %d nodes, %d on one", qi, k, len(fs), nodes, len(ones[k]))
+					}
+					var sum exec.HyperStats
+					for _, h := range fs {
+						st := h.Stats()
+						sum.Groups += st.Groups
+						sum.BuildBlocks += st.BuildBlocks
+						sum.ProbeBlocks += st.ProbeBlocks
+						sum.SBlocks = max(sum.SBlocks, st.SBlocks)
+						sum.CHyJ += st.CHyJ
+						sum.GroupingCost += st.GroupingCost
+					}
+					want := ones[k][0].Stats()
+					if math.Abs(sum.CHyJ-want.CHyJ) > 1e-9 {
+						t.Fatalf("query %d hyper-join %d: fragments' CHyJ sums to %v, one operator %v", qi, k, sum.CHyJ, want.CHyJ)
+					}
+					sum.CHyJ = want.CHyJ
+					if sum != want {
+						t.Fatalf("query %d hyper-join %d: fragments sum to %+v, one operator %+v", qi, k, sum, want)
+					}
+				}
+				for _, jr := range dc.Report.Joins {
+					seen[jr.Strategy]++
+				}
+			}
+			if seen[planner.StratHyper] == 0 || seen[planner.StratCombination] == 0 {
+				t.Fatalf("schedule never hyper- and combination-joined: %v", seen)
+			}
+		})
 	}
 }
 

@@ -1,10 +1,10 @@
 // The TCP transport path: when a Step carries a net.Cluster, Run hands
 // the query to runNet, which executes it over real worker processes
 // instead of the in-process simulated fabric. The runner's store is the
-// coordinator's replica — adaptation, compilation and the coordinator-
-// side plan fragments (gathers, broadcast sources, hyper-join globals)
-// run here exactly as in simulated distributed mode; only the exchange
-// transport changes. When an attempt fails with a transport error the
+// coordinator's replica — adaptation and compilation run here exactly
+// as in simulated distributed mode, and of the compiled plan only the
+// root gather's receiving end runs here: every fragment below it runs
+// in the worker hosting it; only the exchange transport changes. When an attempt fails with a transport error the
 // loop retries it: the cluster reassigns the dead worker's fragments to
 // a surviving replica holder and the query still returns the correct
 // result, which is the failover contract the test wall pins.
