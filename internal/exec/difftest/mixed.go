@@ -283,9 +283,14 @@ func (a *MixedStats) add(b MixedStats) {
 // RunMixedCase replays the case's stream through one adaptive session
 // over a nodes-wide store — the simulated fabric, or a TCP cluster of
 // in-process workers when tcp is set — and diffs every query against
-// the boxed oracle. After each query the leak wall must hold: the
-// session's budget back to zero and spillDir (which must start empty
-// and, over TCP, be the process's TMPDIR) holding no run file or per-join directory.
+// the boxed oracle; over TCP each query must also report what the same
+// stream reports on the simulated fabric (SameOutcome). After each
+// query the leak wall must hold: the session's budget back to zero and
+// spillDir (which must start empty and, over TCP, be the process's
+// TMPDIR) holding no run file or per-join directory. The closing check
+// that every row is stored once reads the session's own store, which
+// the TCP coordinator never migrates: only the simulated run checks a
+// migrated layout there.
 func RunMixedCase(c MixedCase, nodes int, tcp bool, spillDir string) (MixedStats, error) {
 	var st MixedStats
 	store, cat, err := loadMixedTables(c, nodes)
@@ -296,7 +301,14 @@ func RunMixedCase(c MixedCase, nodes int, tcp bool, spillDir string) (MixedStats
 		Optimizer: c.optimizerConfig(), MemBudget: c.Budget, SpillDir: spillDir, Distributed: nodes > 1,
 	}
 	fabric := fmt.Sprintf("sim[nodes=%d]", nodes)
+	var sim *session.Session
+	var simCat query.Catalog
 	if tcp {
+		simStore, cat, err := loadMixedTables(c, nodes)
+		if err != nil {
+			return st, fmt.Errorf("%s: %w", c, err)
+		}
+		sim, simCat = session.New(simStore, cfg), cat
 		fabric = fmt.Sprintf("tcp[nodes=%d]", nodes)
 		cl, err := adbnet.Start(adbnet.Options{
 			Workers: nodes, Fragments: nodes,
@@ -329,6 +341,19 @@ func RunMixedCase(c MixedCase, nodes int, tcp bool, spillDir string) (MixedStats
 			filterRows(c.Left.Rows, mq.LPred), filterRows(c.Right.Rows, mq.RPred), mq.Key, mq.Key)
 		if err := diffRows(fmt.Sprintf("%s query %d", fabric, i), res.Rows, want); err != nil {
 			return st, fmt.Errorf("%s: %w", c, err)
+		}
+		if sim != nil {
+			sq, err := session.FromSpec(simCat, mq.Spec)
+			if err != nil {
+				return st, fmt.Errorf("%s: FromSpec: %w", c, err)
+			}
+			sres, err := sim.Execute(sq)
+			if err != nil {
+				return st, fmt.Errorf("%s: sim[nodes=%d] query %d: %w", c, nodes, i, err)
+			}
+			if err := SameOutcome(fmt.Sprintf("%s query %d vs sim", fabric, i), res, sres, nodes > 1 && c.Budget == 0); err != nil {
+				return st, fmt.Errorf("%s: %w", c, err)
+			}
 		}
 		if used := s.Executor().Mem.Used(); used != 0 {
 			return st, fmt.Errorf("%s: %s query %d leaked %d budget bytes", c, fabric, i, used)

@@ -12,10 +12,12 @@ package difftest
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"time"
 
 	"adaptdb/internal/cluster"
 	"adaptdb/internal/dfs"
+	"adaptdb/internal/exec"
 	adbnet "adaptdb/internal/net"
 	"adaptdb/internal/optimizer"
 	"adaptdb/internal/query"
@@ -131,5 +133,38 @@ func RunSpecCaseTCP(c SpecCase, dataset string, nodes, workers int) (cluster.Cou
 		return cluster.Counters{}, fmt.Errorf("%s: tcp[nodes=%d,workers=%d] metered local, remote rows, bytes, dropped rows %v; sim %v",
 			c, nodes, workers, exch(tc), exch(sc))
 	}
+	if err := SameOutcome(fmt.Sprintf("tcp[nodes=%d,workers=%d] vs sim", nodes, workers), res, sres, nodes > 1 && c.Budget == 0); err != nil {
+		return cluster.Counters{}, fmt.Errorf("%s: %w", c, err)
+	}
 	return tc, nil
+}
+
+// SameOutcome checks that a query run over TCP reports what the same
+// query reported on the simulated fabric: the adaptation, every join's
+// strategy, output rows and hyper-join reads, and every operator's
+// label, node and output rows. The TCP coordinator computes none of
+// these itself; it merges them from the workers. simSeconds also
+// demands bit-equal simulated seconds — only meaningful against the
+// N-node simulated fabric (the one-node fabric prices exchanges by
+// class) and without a budget (demotion order moves spill counters).
+func SameOutcome(what string, tcp, sim *session.Result, simSeconds bool) error {
+	if tcp.Adapt != sim.Adapt {
+		return fmt.Errorf("%s: adaptation %+v, sim %+v", what, tcp.Adapt, sim.Adapt)
+	}
+	if simSeconds && tcp.SimSeconds != sim.SimSeconds {
+		return fmt.Errorf("%s: %v sim-s, sim %v", what, tcp.SimSeconds, sim.SimSeconds)
+	}
+	if !slices.Equal(tcp.Report.Joins, sim.Report.Joins) {
+		return fmt.Errorf("%s: joins %+v, sim %+v", what, tcp.Report.Joins, sim.Report.Joins)
+	}
+	row := func(op exec.OpStats) string { return fmt.Sprintf("%s@%d:%d", op.Label, op.Node, op.Rows) }
+	if len(tcp.Ops) != len(sim.Ops) {
+		return fmt.Errorf("%s: %d operators, sim %d", what, len(tcp.Ops), len(sim.Ops))
+	}
+	for i := range tcp.Ops {
+		if a, b := row(tcp.Ops[i]), row(sim.Ops[i]); a != b {
+			return fmt.Errorf("%s: operator %d is %s, sim %s", what, i, a, b)
+		}
+	}
+	return nil
 }

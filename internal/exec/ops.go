@@ -18,9 +18,10 @@ import (
 type OpStats struct {
 	Label string
 	// Node is the cluster node the operator ran on (0 for every
-	// fragment on the one-node fabric), or -1 for coordinator-side
-	// operators such as a hyper-join. Per-node stats are what make
-	// execution skew visible in session results.
+	// fragment on the one-node fabric), or -1 for the operator above the
+	// root gather — a grouped spec's group-by, which runs where the
+	// gather lands (the coordinator, over TCP). Per-node stats are what
+	// make execution skew visible in session results.
 	Node    int
 	Batches int64
 	Rows    int64

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -262,10 +263,14 @@ func TestFig17ApproxNearOptimalAndFast(t *testing.T) {
 			t.Errorf("approximate algorithm took %vms; paper: ~1ms", res.Series["approx_ms"][i])
 		}
 	}
-	// The MIP formulation agrees with the specialized search.
+	// The MIP formulation agrees with the specialized search, and the
+	// solver proved it: a node cap must not pass as an optimum.
 	if res.Series["mip_small"][0] != res.Series["exact_small"][0] {
 		t.Errorf("MIP %v != exact %v on the cross-check instance",
 			res.Series["mip_small"][0], res.Series["exact_small"][0])
+	}
+	if !strings.Contains(res.Notes, "optimal=true") {
+		t.Errorf("the MIP cross-check stopped before proving its optimum: %s", res.Notes)
 	}
 }
 

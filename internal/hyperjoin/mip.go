@@ -85,9 +85,27 @@ type MIPResult struct {
 	Nodes    int
 }
 
+// breakSymmetry adds the rows x_{i,k} = 0 for k > i to a BuildMIP
+// program of n blocks and c partitions. They tighten §4.1.2 without
+// changing its optimum: the c partitions are interchangeable, and
+// numbering them in order of their first block puts block i in a
+// partition k ≤ i, so every grouping keeps one labelling while the c!
+// relabellings of it leave the search.
+func breakSymmetry(prob *ilp.Problem, n, c int) {
+	for i := 0; i < n; i++ {
+		for k := i + 1; k < c; k++ {
+			coef := make([]float64, prob.LP.NumVars)
+			coef[i*c+k] = 1
+			prob.LP.Constraints = append(prob.LP.Constraints, lp.Constraint{Coef: coef, Sense: lp.EQ, RHS: 0})
+		}
+	}
+}
+
 // SolveMIP builds and solves the §4.1.2 program with the branch-and-
-// bound MIP solver, decoding the assignment back into a Grouping. It is
-// the slow-but-optimal baseline of Fig. 17; use Exact for the faster
+// bound MIP solver, tightened by breakSymmetry and by pruning on the
+// rounded-up LP bound (the objective counts y's, which are 0/1 at every
+// integral x), decoding the assignment back into a Grouping. It is the
+// slow-but-optimal baseline of Fig. 17; use Exact for the faster
 // specialized search and BottomUp for production.
 func SolveMIP(V []BitVec, B int, opt ilp.Options) MIPResult {
 	n := len(V)
@@ -95,6 +113,8 @@ func SolveMIP(V []BitVec, B int, opt ilp.Options) MIPResult {
 		return MIPResult{Optimal: true}
 	}
 	prob, _, c := BuildMIP(V, B)
+	breakSymmetry(&prob, n, c)
+	opt.IntegralObjective = true
 	res := ilp.Solve(prob, opt)
 	if res.X == nil {
 		return MIPResult{Optimal: false, Nodes: res.Nodes}

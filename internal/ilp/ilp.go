@@ -22,6 +22,11 @@ type Problem struct {
 type Options struct {
 	// MaxNodes caps branch-and-bound nodes; 0 means a generous default.
 	MaxNodes int
+	// IntegralObjective declares that the objective is an integer at
+	// every integer-feasible point, so a node is pruned on its LP bound
+	// rounded up: a node whose relaxation cannot reach an integer below
+	// the incumbent cannot improve it. Exact when the declaration holds.
+	IntegralObjective bool
 }
 
 // Status reports the outcome.
@@ -94,7 +99,11 @@ func Solve(p Problem, opt Options) Result {
 			}
 			continue
 		}
-		if sol.Objective >= best-1e-9 {
+		bound := sol.Objective
+		if opt.IntegralObjective {
+			bound = math.Ceil(bound - intTol)
+		}
+		if bound >= best-1e-9 {
 			continue // bound
 		}
 		// Find most fractional integer variable.

@@ -2,8 +2,12 @@
 // query attempts, and owns the failover policy. One query of the
 // session stream becomes one or more attempts; each attempt assigns
 // every plan fragment to a live worker (round-robin over the live
-// set), dispatches the serialized spec, and runs the coordinator's own
-// compiled view of the plan. When an attempt fails with a transport
+// set), dispatches the serialized spec, and hands the caller the root
+// gather's receiving end (Attempt.Root). The workers adapt and compile;
+// their completion reports carry what the coordinator used to compute
+// itself — the adaptation record, the join report, the operator stats
+// — and Finish checks that every replica reported the same adaptation
+// and the same join strategies. When an attempt fails with a transport
 // error — a worker death, a reset or stalled stream — the coordinator
 // aborts it everywhere, drops the dead worker from the live set, and
 // the session retries: the next attempt reassigns the dead worker's
@@ -24,6 +28,8 @@ import (
 
 	"adaptdb/internal/cluster"
 	"adaptdb/internal/exec"
+	"adaptdb/internal/optimizer"
+	"adaptdb/internal/planner"
 	"adaptdb/internal/query"
 )
 
@@ -332,7 +338,7 @@ func (c *Cluster) handleFrame(cc *conn) func(typ byte, payload []byte) error {
 			if err := json.Unmarshal(payload, &m); err != nil {
 				return err
 			}
-			c.routeReport(m.QID, cc.peer, report{counters: m.Counters, links: recsToLinks(m.Links), done: true})
+			c.routeReport(m.QID, cc.peer, report{done: &m})
 			return nil
 		default:
 			return fmt.Errorf("net: coordinator: unexpected frame %s", msgName(typ))
@@ -391,16 +397,15 @@ func (c *Cluster) ArmFault(f *FaultPlan) {
 	c.mu.Unlock()
 }
 
-// report is one worker's attempt outcome.
+// report is one worker's attempt outcome: its completion report, or
+// the error it failed with.
 type report struct {
-	counters cluster.Counters
-	links    cluster.LinkStats
-	err      error
-	done     bool
+	done *qdoneMsg
+	err  error
 }
 
-// Attempt is one dispatched attempt of one query: the coordinator's
-// fabric view plus the worker completion ledger.
+// Attempt is one dispatched attempt of one query: the coordinator's end
+// of the root gather plus the worker completion ledger.
 type Attempt struct {
 	c      *Cluster
 	qid    uint64
@@ -504,11 +509,19 @@ func (c *Cluster) dispatch(spec query.Spec, seq int, lw cluster.LinkWeights, fau
 	return a, false, nil
 }
 
-// Fabric builds the coordinator's fabric view over its own executor
-// (which must have a NodeSet of Fragments nodes). Install it with
-// SetFabric, compile, then Start. The coordinator hosts no fragment,
-// so the compile registers no pump here: of the compiled plan, only
-// the root gather's receiving end runs in this process.
+// Root is the coordinator's end of the plan's one root gather: the
+// merged output streams of every fragment, drained after Start. The
+// coordinator needs no compile for it — a plan has exactly one gather,
+// so its queue is keyed by destination -1 alone.
+func (a *Attempt) Root() exec.Operator {
+	return a.at.root(a.c.opts.Fragments)
+}
+
+// Fabric builds a coordinator-side fabric view over ex (which must have
+// a NodeSet of Fragments nodes), for a caller that compiles the plan on
+// the coordinator as well: install it with SetFabric, compile, then
+// Start. The coordinator hosts no fragment, so the compile registers no
+// pump here, and the compiled gather is Root's queue.
 func (a *Attempt) Fabric(ex *exec.Executor) (exec.Fabric, error) {
 	return newNetFabric(a.c.ep, a.at, ex, a.assign)
 }
@@ -550,10 +563,12 @@ func (a *Attempt) abort(cause error) {
 }
 
 // Finish completes the attempt. With a nil execErr it waits (bounded)
-// for every dispatched worker's completion report and merges their
-// execution counters and measured link traffic into m and the link
-// history; a worker that died after delivering all its data does not
-// fail the attempt — the result is already complete. With a non-nil
+// for every dispatched worker's completion report, checks that the
+// reporting replicas are in lockstep (a *LockstepError otherwise), and
+// merges their execution counters — never their adaptation records,
+// which Outcome returns — and measured link traffic into m and the
+// link history; a worker that died after delivering all its data does
+// not fail the attempt — the result is already complete. With a non-nil
 // execErr it aborts the attempt everywhere and reports whether the
 // session should retry: true only for transport-class failures with a
 // surviving worker to fail over to.
@@ -598,23 +613,133 @@ func (a *Attempt) Finish(execErr error, m *cluster.Meter) (retry bool, err error
 	for len(a.reports) < len(a.procs) && !a.expired {
 		a.cond.Wait()
 	}
-	reports := make(map[int]report, len(a.reports))
-	for p, r := range a.reports {
-		reports[p] = r
-	}
+	done := a.doneReports()
 	a.mu.Unlock()
 	close(waited)
 	timer.Stop()
 
+	if err := checkLockstep(a.seq, done); err != nil {
+		return false, err
+	}
 	a.c.mu.Lock()
-	for _, r := range reports {
-		if r.done {
-			m.Merge(r.counters)
-			a.c.linkHist.Merge(r.links)
-		}
+	for _, d := range done {
+		m.Merge(d.Counters)
+		a.c.linkHist.Merge(recsToLinks(d.Links))
 	}
 	// The coordinator's own measured links join the history too.
 	a.c.linkHist.Merge(m.ResetLinks())
 	a.c.mu.Unlock()
 	return false, nil
+}
+
+// doneReports returns the completion reports received so far by worker
+// id; the caller holds a.mu.
+func (a *Attempt) doneReports() map[int]*qdoneMsg {
+	done := make(map[int]*qdoneMsg, len(a.reports))
+	for p, r := range a.reports {
+		if r.done != nil {
+			done[p] = r.done
+		}
+	}
+	return done
+}
+
+// LockstepError fails a query whose replicas diverged: two workers
+// reported different adaptation records or join strategies for one
+// stream seq. Same replica and same query must mean same decision; a
+// mismatch means the layouts no longer agree, and no exchange wiring
+// between them can be trusted.
+type LockstepError struct {
+	Seq     int
+	Workers [2]int
+	What    string
+}
+
+func (e *LockstepError) Error() string {
+	return fmt.Sprintf("net: seq %d: workers %d and %d diverged: %s", e.Seq, e.Workers[0], e.Workers[1], e.What)
+}
+
+// checkLockstep compares what every reporting worker said about seq
+// with the lowest-numbered one: the adaptation record (which must be
+// seq's) and the join strategies must be identical.
+func checkLockstep(seq int, done map[int]*qdoneMsg) error {
+	procs := sortedProcs(done)
+	for _, p := range procs {
+		ref, d := done[procs[0]], done[p]
+		if d.Adapt.Seq != seq {
+			return &LockstepError{Seq: seq, Workers: [2]int{procs[0], p}, What: fmt.Sprintf("worker %d reported the adaptation record of seq %d", p, d.Adapt.Seq)}
+		}
+		if d.Adapt != ref.Adapt {
+			return &LockstepError{Seq: seq, Workers: [2]int{procs[0], p}, What: fmt.Sprintf("adaptation %+v against %+v", ref.Adapt.Step, d.Adapt.Step)}
+		}
+		if a, b := strategies(ref.Report), strategies(d.Report); !slices.Equal(a, b) {
+			return &LockstepError{Seq: seq, Workers: [2]int{procs[0], p}, What: fmt.Sprintf("join strategies %v against %v", a, b)}
+		}
+	}
+	return nil
+}
+
+func sortedProcs(done map[int]*qdoneMsg) []int {
+	procs := make([]int, 0, len(done))
+	for p := range done {
+		procs = append(procs, p)
+	}
+	slices.Sort(procs)
+	return procs
+}
+
+func strategies(r *planner.Report) []string {
+	out := make([]string, len(r.Joins))
+	for i, j := range r.Joins {
+		out[i] = j.Strategy
+	}
+	return out
+}
+
+// Outcome is what a successful attempt's workers reported, merged.
+type Outcome struct {
+	// Adapt and AdaptIO are one replica's adaptation record for the
+	// query's seq: the step report and the migration I/O to charge.
+	Adapt   optimizer.StepReport
+	AdaptIO cluster.Counters
+	// Report sums the workers' join reports.
+	Report *planner.Report
+	// Ops holds every operator's stats from the process hosting it.
+	Ops []exec.OpStats
+}
+
+// Outcome merges the completion reports of an attempt Finish completed
+// without error. coord are the stats of the operators the coordinator
+// ran above Root, in compile order; they take the places of the
+// workers' coordinator-side (node -1) entries, and every other entry
+// comes from the worker that hosted its fragment. Empty when no worker
+// reported (every one died after delivering its data).
+func (a *Attempt) Outcome(coord []exec.OpStats) Outcome {
+	a.mu.Lock()
+	done := a.doneReports()
+	a.mu.Unlock()
+	var out Outcome
+	procs := sortedProcs(done)
+	if len(procs) == 0 {
+		return out
+	}
+	first := done[procs[0]]
+	out.Adapt, out.AdaptIO = first.Adapt.Step, first.Adapt.IO
+	out.Report = &planner.Report{Joins: slices.Clone(first.Report.Joins)}
+	for _, p := range procs[1:] {
+		out.Report.Add(done[p].Report)
+	}
+	out.Ops = slices.Clone(first.Ops)
+	for i, op := range out.Ops {
+		if op.Node < 0 {
+			if len(coord) > 0 {
+				out.Ops[i], coord = coord[0], coord[1:]
+			}
+			continue
+		}
+		if host := done[a.assign[op.Node]]; host != nil && i < len(host.Ops) {
+			out.Ops[i] = host.Ops[i]
+		}
+	}
+	return out
 }

@@ -1,16 +1,17 @@
 // netFabric implements exec.Fabric over the TCP mesh: the planner's
 // distributed compiler lowers plans against it exactly as it does
 // against the simulated NodeSet, and cannot tell them apart. Every
-// process compiles the identical plan against its own netFabric view;
+// worker compiles the identical plan against its own netFabric view;
 // exchange ids come from a deterministic per-compile counter, so the
-// same exchange gets the same id in every process. A process
+// same exchange gets the same id in every worker. A worker
 // instantiates pumps only for the plan fragments it hosts (its slots
 // of the fragment→proc assignment); Output(i) for a fragment hosted
 // elsewhere is exec.NotHere. The coordinator (proc 0) hosts no
-// fragments and no pump: every operator below the root — scans, joins,
-// each node's hyper-join fragment — runs in the worker hosting its
-// fragment, and the coordinator only consumes the final gather the
-// session drains.
+// fragment and needs no view: every operator below the root gather —
+// scans, joins, each node's hyper-join fragment, the residual filters
+// and the projection — runs in the worker hosting its fragment, and the
+// coordinator drains the gather's one queue (Attempt.Root) under the
+// spec's group-by, which planner.Runner.Top builds from the spec alone.
 //
 // A pump drives one hosted producer: the routing loop is the simulated
 // exchange's own, exec.Producer — hash (filtered or not), broadcast,
@@ -131,7 +132,8 @@ func (f *netFabric) InPlace(in exec.Operator, _ exec.Charge) exec.Operator { ret
 
 // Gather merges per-fragment streams into the coordinator: hosted
 // parts pump to destination -1; the coordinator consumes the merged
-// queue, everyone else holds a placeholder that is never opened.
+// queue (the one Attempt.Root returns), everyone else holds a
+// placeholder that is never opened.
 func (f *netFabric) Gather(parts []exec.Operator) exec.Operator {
 	id := f.nextID
 	f.nextID++
@@ -143,9 +145,7 @@ func (f *netFabric) Gather(parts []exec.Operator) exec.Operator {
 	if f.me != 0 {
 		return exec.NotHere(-1)
 	}
-	q := f.at.queueFor(qkey{id, -1})
-	q.setExpect(len(parts))
-	return &recvOp{q: q}
+	return f.at.root(len(parts))
 }
 
 // Run starts every registered pump. Pump failures fail the whole

@@ -9,11 +9,14 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"adaptdb/internal/cluster"
 	"adaptdb/internal/exec"
+	"adaptdb/internal/exec/difftest"
 	adbnet "adaptdb/internal/net"
 	"adaptdb/internal/net/datasets"
 	"adaptdb/internal/optimizer"
@@ -137,8 +140,8 @@ func simDigests(t *testing.T, nodes int, schedule []tpch.Template) []uint64 {
 	return sums
 }
 
-// simResults is simDigests plus each query's row count and counters.
-func simResults(t *testing.T, nodes int, schedule []tpch.Template) ([]uint64, []int, []cluster.Counters) {
+// simResults is simDigests plus each query's row count and result.
+func simResults(t *testing.T, nodes int, schedule []tpch.Template) ([]uint64, []int, []*session.Result) {
 	t.Helper()
 	store, data, tables, err := datasets.BuildTPCH(testParams(nodes))
 	if err != nil {
@@ -153,7 +156,7 @@ func simResults(t *testing.T, nodes int, schedule []tpch.Template) ([]uint64, []
 	rng := rand.New(rand.NewSource(testSeed))
 	out := make([]uint64, 0, len(schedule))
 	counts := make([]int, 0, len(schedule))
-	var cnts []cluster.Counters
+	var results []*session.Result
 	for qi, tpl := range schedule {
 		q, err := session.FromSpec(cat, tpch.NewInstance(tpl, data, rng).Spec())
 		if err != nil {
@@ -165,28 +168,36 @@ func simResults(t *testing.T, nodes int, schedule []tpch.Template) ([]uint64, []
 		}
 		out = append(out, rowsChecksum(res.Rows))
 		counts = append(counts, len(res.Rows))
-		cnts = append(cnts, res.Counters)
+		res.Rows = nil
+		results = append(results, res)
 	}
-	return out, counts, cnts
+	return out, counts, results
 }
 
 // TestTCPSessionMatchesSim is the tentpole assertion: the adaptive
-// TPC-H stream over real sockets is bit-identical to the simulated
-// fabric at 1, 4, and 8 fragments. Above one fragment, where both
+// TPC-H stream over real sockets, two cycles of the join-attribute
+// shift, is bit-identical to the simulated fabric at 1, 4, and 8
+// fragments, and reports what the simulated session reports: the
+// adaptation, the join report and every operator's rows, which the
+// coordinator merges from the workers. Above one fragment, where both
 // fabrics drive their exchanges through one producer, each query also
-// meters the same local and remote rows, wire bytes and filter drops;
-// its shuffle, semi-shuffle and hyper joins cover the hash, broadcast,
-// deal and global-shuffle routes.
+// meters the same local and remote rows, wire bytes and filter drops,
+// and prices the same simulated seconds, bit for bit; its shuffle,
+// semi-shuffle and hyper joins cover the hash, broadcast, deal and
+// global-shuffle routes. The coordinator adapts nothing: its tables
+// end with the trees and blocks they were loaded with.
 func TestTCPSessionMatchesSim(t *testing.T) {
 	defer exec.VerifyNoLeaks(t)
-	schedule := shiftSchedule(3)
+	schedule := append(shiftSchedule(3), shiftSchedule(3)...)
 	exch := func(c cluster.Counters) [4]float64 {
 		return [4]float64{c.ExchLocalRows, c.ExchRemoteRows, c.ExchBytes, c.ExchFilteredRows}
 	}
 	for _, nodes := range []int{1, 4, 8} {
 		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
-			want, _, wantCnt := simResults(t, nodes, schedule)
+			want, _, sims := simResults(t, nodes, schedule)
 			cl, s, cat, data := startTPCH(t, nodes, nodes, true)
+			loaded := layoutOf(cat)
+			adapted := false
 			rng := rand.New(rand.NewSource(testSeed))
 			for qi, tpl := range schedule {
 				q, err := session.FromSpec(cat, tpch.NewInstance(tpl, data, rng).Spec())
@@ -200,15 +211,44 @@ func TestTCPSessionMatchesSim(t *testing.T) {
 				if got := rowsChecksum(res.Rows); got != want[qi] {
 					t.Fatalf("q%d (%s): tcp checksum %016x != sim %016x (%d rows)", qi, tpl, got, want[qi], res.RowCount)
 				}
-				if got, sim := exch(res.Counters), exch(wantCnt[qi]); nodes > 1 && got != sim {
+				if got, sim := exch(res.Counters), exch(sims[qi].Counters); nodes > 1 && got != sim {
 					t.Fatalf("q%d (%s): tcp metered local, remote rows, bytes, dropped rows %v; sim %v", qi, tpl, got, sim)
 				}
+				if err := difftest.SameOutcome(fmt.Sprintf("q%d (%s)", qi, tpl), res, sims[qi], nodes > 1); err != nil {
+					t.Fatal(err)
+				}
+				adapted = adapted || res.Adapt.Adapted()
+			}
+			if !adapted {
+				t.Fatal("the stream never adapted: the comparison proves nothing about the adaptation records")
+			}
+			if got := layoutOf(cat); got != loaded {
+				t.Fatalf("the coordinator's tables changed:\n%s\nloaded as:\n%s", got, loaded)
 			}
 			if live := cl.LiveWorkers(); live != nodes {
 				t.Fatalf("expected %d live workers, have %d", nodes, live)
 			}
 		})
 	}
+}
+
+// layoutOf renders every table's live trees and blocks (tree, bucket,
+// rows, path, node) in catalog order.
+func layoutOf(cat query.Catalog) string {
+	names := make([]string, 0, len(cat))
+	for name := range cat {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var sb strings.Builder
+	for _, name := range names {
+		tbl := cat[name]
+		fmt.Fprintf(&sb, "%s trees %v\n", name, tbl.LiveTrees())
+		for _, ref := range tbl.AllRefs(nil) {
+			fmt.Fprintf(&sb, "  %d/%d %d rows %s @%d\n", ref.TreeIdx, ref.Bucket, ref.Count, ref.Path, ref.Node)
+		}
+	}
+	return sb.String()
 }
 
 // TestTCPFailover kills a worker mid-query (the kill fault on its Nth

@@ -70,6 +70,12 @@ type qkey struct {
 	exch, dst int
 }
 
+// rootKey is the coordinator's one inlet. A plan has exactly one
+// gather, so every stream toward destination -1 lands there whatever
+// its exchange id: the coordinator consumes it without compiling the
+// plan that numbers the exchanges.
+var rootKey = qkey{exch: -1, dst: -1}
+
 // creditGate is a sender-side byte window for one stream.
 type creditGate struct {
 	mu    sync.Mutex
@@ -332,6 +338,9 @@ func newAttempt(ep *endpoint, qid uint64) *attempt {
 }
 
 func (at *attempt) queueFor(key qkey) *recvQueue {
+	if key.dst < 0 {
+		key = rootKey
+	}
 	at.mu.Lock()
 	defer at.mu.Unlock()
 	q := at.queues[key]
@@ -343,6 +352,13 @@ func (at *attempt) queueFor(key qkey) *recvQueue {
 		}
 	}
 	return q
+}
+
+// root is the receiving end of the root gather over n fragments.
+func (at *attempt) root(n int) exec.Operator {
+	q := at.queueFor(rootKey)
+	q.setExpect(n)
+	return &recvOp{q: q}
 }
 
 func (at *attempt) gateFor(key streamKey) *creditGate {

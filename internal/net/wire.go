@@ -1,14 +1,16 @@
 // Package net is the TCP execution fabric: the multi-process twin of
-// the in-process simulated NodeSet. A coordinator process and W worker
-// processes each hold a full deterministic replica of the store (same
-// generator seed, same load order, same adaptation sequence), so every
-// process compiles the identical distributed plan and instantiates only
-// the plan fragments it hosts. Exchange rows travel as length-prefixed
-// frames (the tuple run-frame codec) over one TCP connection per
-// process pair, multiplexed per query and per stream, under credit-
-// based flow control; when a worker dies mid-query the coordinator
-// reassigns its fragments to a surviving replica holder and retries,
-// and the query still returns the correct result.
+// the in-process simulated NodeSet. W worker processes each hold a full
+// deterministic replica of the store (same generator seed, same load
+// order, same adaptation sequence), so every worker compiles the
+// identical distributed plan and instantiates only the plan fragments
+// it hosts. The coordinator neither adapts nor compiles: it dispatches
+// the query, drains the root gather (under a grouped spec's group-by)
+// and merges what the workers report. Exchange rows travel as
+// length-prefixed frames (the tuple run-frame codec) over one TCP
+// connection per process pair, multiplexed per query and per stream,
+// under credit-based flow control; when a worker dies mid-query the
+// coordinator reassigns its fragments to a surviving replica holder
+// and retries, and the query still returns the correct result.
 //
 // This file is the wire layer: framing, message types, and the conn
 // wrapper every higher layer writes through — one writer mutex per
@@ -28,6 +30,9 @@ import (
 	"time"
 
 	"adaptdb/internal/cluster"
+	"adaptdb/internal/exec"
+	"adaptdb/internal/optimizer"
+	"adaptdb/internal/planner"
 	"adaptdb/internal/query"
 )
 
@@ -222,12 +227,28 @@ type qerrMsg struct {
 	Dead int `json:",omitempty"`
 }
 
-// qdoneMsg reports a completed attempt with the worker's metered
-// execution counters and per-link traffic.
+// qdoneMsg reports a completed attempt: the worker's metered execution
+// counters and per-link traffic, its adaptation record for the query's
+// seq, and its compile's join report and per-operator stats, filled in
+// by the fragments it hosted.
 type qdoneMsg struct {
 	QID      uint64
 	Counters cluster.Counters
 	Links    []linkRec
+	Adapt    adaptRecord
+	Report   *planner.Report
+	Ops      []exec.OpStats
+}
+
+// adaptRecord is what one replica's adaptation did for one stream seq:
+// the optimizer's step report and the migration I/O it metered. Every
+// replica applies the same decision to the same layout, so every
+// worker's record for a seq is identical, and the coordinator charges
+// one of them to the query.
+type adaptRecord struct {
+	Seq  int
+	Step optimizer.StepReport
+	IO   cluster.Counters
 }
 
 // streamHdr addresses one exchange stream within a query: the

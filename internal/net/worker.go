@@ -7,8 +7,10 @@
 // re-adapts, so layouts stay in lockstep across processes and across
 // failover attempts), compile the identical plan against the worker's
 // netFabric view, and run the pumps for the fragments this worker was
-// assigned. Execution counters and per-link traffic return to the
-// coordinator in the qdone message.
+// assigned. The qdone message returns to the coordinator what it no
+// longer computes itself: the seq's adaptation record, the compile's
+// join report and operator stats, beside the execution counters and
+// per-link traffic.
 package net
 
 import (
@@ -73,7 +75,10 @@ type worker struct {
 	opt   *optimizer.Optimizer
 	spill string
 
+	// adapt is the record of the last seq adapted (lastSeq), which a
+	// failover retry of that seq reports again.
 	lastSeq int
+	adapt   adaptRecord
 	queryCh chan queryMsg
 	closing chan struct{}
 	meshKA  sync.Once
@@ -323,16 +328,16 @@ func (w *worker) queryLoop() {
 }
 
 // report sends the attempt outcome to the coordinator.
-func (w *worker) report(qid uint64, counters cluster.Counters, links cluster.LinkStats, err error) error {
+func (w *worker) report(done qdoneMsg, err error) error {
 	if err != nil {
-		m := qerrMsg{QID: qid, Msg: err.Error(), Net: IsNetError(err)}
+		m := qerrMsg{QID: done.QID, Msg: err.Error(), Net: IsNetError(err)}
 		var ne *NetError
 		if errors.As(err, &ne) && ne.Peer > 0 && ne.Peer != w.proc {
 			m.Dead = ne.Peer
 		}
 		return w.coord.writeJSON(msgQErr, m)
 	}
-	return w.coord.writeJSON(msgQDone, qdoneMsg{QID: qid, Counters: counters, Links: linksToRecs(links)})
+	return w.coord.writeJSON(msgQDone, done)
 }
 
 // runQuery executes one attempt end to end.
@@ -341,11 +346,12 @@ func (w *worker) runQuery(qm queryMsg) {
 	if at == nil {
 		return // aborted before we dequeued it
 	}
-	counters, links, err := w.attemptRun(qm, at)
+	done, err := w.attemptRun(qm, at)
+	done.QID = qm.QID
 	w.ep.retire(qm.QID, fmt.Errorf("net: attempt %d finished", qm.QID))
 	// An aborted attempt reports its abort error; the coordinator has
 	// tombstoned the qid and discards the stale report.
-	if rerr := w.report(qm.QID, counters, links, err); rerr != nil {
+	if rerr := w.report(done, err); rerr != nil {
 		// An undeliverable outcome leaves the coordinator waiting on this
 		// worker: drop the link so it sees the death and fails over
 		// instead. (A failed write has usually killed the link already;
@@ -354,8 +360,8 @@ func (w *worker) runQuery(qm queryMsg) {
 	}
 }
 
-func (w *worker) attemptRun(qm queryMsg, at *attempt) (cluster.Counters, cluster.LinkStats, error) {
-	var zero cluster.Counters
+func (w *worker) attemptRun(qm queryMsg, at *attempt) (qdoneMsg, error) {
+	var zero qdoneMsg
 	if f := qm.Fault; f != nil && f.Proc == w.proc {
 		w.armFault(f)
 	}
@@ -364,31 +370,25 @@ func (w *worker) attemptRun(qm queryMsg, at *attempt) (cluster.Counters, cluster
 	// catalog → identical bound query in every process.
 	bound, err := qm.Spec.Bind(w.cat)
 	if err != nil {
-		return zero, nil, fmt.Errorf("net: worker %d: bind: %w", w.proc, err)
+		return zero, fmt.Errorf("net: worker %d: bind: %w", w.proc, err)
 	}
 
 	// Adapt exactly once per stream sequence number (a failover retry
-	// reuses its seq and must not re-adapt). The adaptation meter is
-	// discarded: the coordinator's own replica meters migration I/O
-	// into the query's counters — once, not once per process.
+	// reuses its seq and its record). The migration I/O goes into the
+	// record, not the execution counters: the coordinator charges the
+	// query one replica's record — once, not once per process.
 	if qm.Seq > w.lastSeq {
-		if _, err := w.opt.OnQuery(bound.Uses(), &cluster.Meter{}); err != nil {
-			return zero, nil, fmt.Errorf("net: worker %d: adapt: %w", w.proc, err)
+		m := &cluster.Meter{}
+		step, err := w.opt.OnQuery(bound.Uses(), m)
+		if err != nil {
+			return zero, fmt.Errorf("net: worker %d: adapt: %w", w.proc, err)
 		}
-		w.lastSeq = qm.Seq
+		w.lastSeq, w.adapt = qm.Seq, adaptRecord{Seq: qm.Seq, Step: step, IO: m.Reset()}
 	}
 
-	// A worker with no assigned fragments only adapts.
-	mine := 0
-	for _, p := range qm.Assign {
-		if p == w.proc {
-			mine++
-		}
-	}
-	if mine == 0 {
-		return zero, nil, nil
-	}
-
+	// A worker with no assigned fragments compiles too: its report and
+	// join strategies join the coordinator's lockstep check, and its
+	// fabric registers no pump.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
@@ -410,14 +410,14 @@ func (w *worker) attemptRun(qm queryMsg, at *attempt) (cluster.Counters, cluster
 
 	fb, err := newNetFabric(w.ep, at, qex, qm.Assign)
 	if err != nil {
-		return zero, nil, err
+		return zero, err
 	}
 	runner := w.newRunner(qex, recsToWeights(qm.Weights))
 	qex.SetFabric(fb)
-	_, err = runner.CompileSpec(bound)
+	comp, err := runner.CompileSpec(bound)
 	qex.SetFabric(nil)
 	if err != nil {
-		return zero, nil, fmt.Errorf("net: worker %d: compile: %w", w.proc, err)
+		return zero, fmt.Errorf("net: worker %d: compile: %w", w.proc, err)
 	}
 
 	fb.Run(ctx)
@@ -434,9 +434,9 @@ func (w *worker) attemptRun(qm queryMsg, at *attempt) (cluster.Counters, cluster
 		err = ferr
 	}
 	if err != nil {
-		return zero, nil, err
+		return zero, err
 	}
-	return counters, links, nil
+	return qdoneMsg{Counters: counters, Links: linksToRecs(links), Adapt: w.adapt, Report: comp.Report, Ops: comp.OpStats()}, nil
 }
 
 // newRunner replicates the planner configuration every process must

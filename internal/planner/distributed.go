@@ -82,8 +82,10 @@ func (f joinFill) of(hy *exec.HyperJoinOp) func(exec.OpStats) {
 		}
 		hs := hy.Stats()
 		jr.ProbeBlocks += hs.ProbeBlocks
-		if hs.SBlocks > 0 {
-			jr.CHyJ = float64(jr.ProbeBlocks) / float64(hs.SBlocks)
+		// A fragment that holds no group reports no S blocks.
+		jr.SBlocks = max(jr.SBlocks, hs.SBlocks)
+		if jr.SBlocks > 0 {
+			jr.CHyJ = float64(jr.ProbeBlocks) / float64(jr.SBlocks)
 		}
 	}
 }

@@ -82,12 +82,32 @@ type JoinReport struct {
 	Strategy    string
 	CHyJ        float64
 	ProbeBlocks int
-	OutputRows  int
+	// SBlocks is the distinct S blocks a hyper or combination join's
+	// schedule needs (0 for the other strategies): CHyJ is ProbeBlocks
+	// over SBlocks.
+	SBlocks    int
+	OutputRows int
 }
 
 // Report aggregates the per-join reports for a plan run.
 type Report struct {
 	Joins []JoinReport
+}
+
+// Add folds in o, another process's report of the same compiled plan,
+// which ran other fragments of it: output rows and probe reads sum, and
+// CHyJ is recomputed from the summed reads, as the fragments of one
+// process report it. The strategies must already be equal.
+func (r *Report) Add(o *Report) {
+	for i, oj := range o.Joins {
+		j := &r.Joins[i]
+		j.OutputRows += oj.OutputRows
+		j.ProbeBlocks += oj.ProbeBlocks
+		j.SBlocks = max(j.SBlocks, oj.SBlocks)
+		if j.SBlocks > 0 {
+			j.CHyJ = float64(j.ProbeBlocks) / float64(j.SBlocks)
+		}
+	}
 }
 
 // Runner compiles and executes plans against one executor.

@@ -12,14 +12,18 @@
 // The ordering pass also proves emptiness early: if any table's pruned
 // ref set is empty, or any join edge's zone-map unions on the two sides
 // cannot overlap, the whole query provably yields nothing and compiles
-// to the empty stream (a global aggregate still emits its one row).
+// to a gather of empty fragments (a global aggregate still emits its
+// one row).
 //
 // Join-graph edges beyond the ordered left-deep tree — cyclic closing
 // edges, and the extra attribute pairs of multi-attribute edges —
 // become residual equality filters (exec.WhereColsEq) over the joined
-// stream. When greedy ordering permutes the tables, a final projection
-// restores table declaration order, so the ordering is invisible in the
-// results: only the join strategies and intermediate sizes change.
+// stream. A projection then restores table declaration order when
+// greedy ordering permuted the tables, so the ordering is invisible in
+// the results: only the join strategies and intermediate sizes change.
+// For a grouped spec it keeps only the columns the group-by reads. Both
+// run on every node fragment, below the root gather, so the group-by
+// above it reads column indexes that depend on the spec alone.
 //
 // Orderings are memoized in the PlanCache next to the per-join strategy
 // decisions, keyed by the spec fingerprint plus each table's
@@ -28,6 +32,8 @@
 package planner
 
 import (
+	"cmp"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -50,45 +56,62 @@ type specOrder struct {
 
 // CompileSpec lowers a bound spec to an executable operator DAG:
 // greedy (or, under FixedOrder, declaration-order) join ordering, the
-// existing per-join strategy machinery underneath, residual equality
-// filters for graph edges the tree did not consume, and hash
-// aggregation or a declaration-order projection on top.
+// existing per-join strategy machinery underneath, then on every node
+// fragment the residual equality filters for graph edges the tree did
+// not consume and the projection onto the spec's output columns, and
+// above the one root gather only what Top builds. Everything whose
+// column offsets follow the join order — which follows the zone maps —
+// runs below the gather, so the operator above it is a pure function
+// of the spec. A provably empty query compiles to a gather of empty
+// fragments: every host still ends the root stream.
 func (r *Runner) CompileSpec(b *query.Bound) (*Compiled, error) {
 	defer r.memoRefs()()
 	ord := r.cachedSpecOrder(b)
-
+	c := &Compiled{Report: &Report{}}
+	fb := r.Ex.ExecFabric()
+	parts := make([]exec.Operator, fb.N())
 	if ord.empty {
-		c := &Compiled{Report: &Report{}}
-		root := exec.Operator(exec.Empty())
-		if b.Grouped() {
-			// A provably-empty input still owes the scalar-aggregate row.
-			root = r.instrument(c, "groupby", r.Ex.GroupByOp(root, r.groupSpec(b, declOffsets(b))), nil)
+		for i := range parts {
+			parts[i] = exec.Empty()
 		}
-		c.Root = root
-		return c, nil
+	} else {
+		node, offs := r.lowerSpec(b, ord)
+		var err error
+		if parts, err = r.compileDist(node, c); err != nil {
+			return nil, err
+		}
+		pairs := residualPairs(b, ord, offs)
+		cols := outColumns(b, offs)
+		for i, op := range parts {
+			if len(pairs) > 0 {
+				op = r.instrumentAt(c, i, "residual-filter", exec.WhereColsEq(op, pairs), nil)
+			}
+			if cols != nil {
+				op = r.instrumentAt(c, i, "project", exec.Project(op, cols), nil)
+			}
+			parts[i] = op
+		}
 	}
-
-	node, offs := r.lowerSpec(b, ord)
-	c, err := r.Compile(node)
-	if err != nil {
-		return nil, err
-	}
-	root := c.Root
-
-	if pairs := residualPairs(b, ord, offs); len(pairs) > 0 {
-		root = r.instrument(c, "residual-filter", exec.WhereColsEq(root, pairs), nil)
-	}
-
-	switch {
-	case b.Grouped():
-		root = r.instrument(c, "groupby", r.Ex.GroupByOp(root, r.groupSpec(b, offs)), nil)
-	case permuted(ord.seq):
-		// Greedy ordering moved tables around; project back to table
-		// declaration order so results are ordering-independent.
-		root = r.instrument(c, "project", exec.Project(root, declColumns(b, offs)), nil)
-	}
-	c.Root = root
+	c.Root = r.top(c, b, fb.Gather(parts))
 	return c, nil
+}
+
+// Top builds what runs above a compiled spec's root gather, over
+// gather: the group-by of a grouped spec, or gather itself. It reads
+// the spec alone — no layout, no ordering — so a process that never
+// compiles the plan (the TCP coordinator) roots the stream the workers'
+// compiles feed exactly as CompileSpec does.
+func (r *Runner) Top(b *query.Bound, gather exec.Operator) *Compiled {
+	c := &Compiled{Report: &Report{}}
+	c.Root = r.top(c, b, gather)
+	return c
+}
+
+func (r *Runner) top(c *Compiled, b *query.Bound, gather exec.Operator) exec.Operator {
+	if !b.Grouped() {
+		return gather
+	}
+	return r.instrument(c, "groupby", r.Ex.GroupByOp(gather, groupSpec(b)), nil)
 }
 
 // EstimateSpecFootprint prices a spec's peak operator memory the same
@@ -155,17 +178,42 @@ func residualPairs(b *query.Bound, ord specOrder, offs map[int]int) [][2]int {
 	return pairs
 }
 
-// groupSpec maps the bound grouping clauses onto the joined stream's
-// global column indexes.
-func (r *Runner) groupSpec(b *query.Bound, offs map[int]int) exec.GroupBySpec {
+// groupInputs lists the columns a grouped spec's group-by reads, once
+// each, in declaration order (table, then column) — the fragments'
+// projection, so the group-by's column indexes depend on the spec alone.
+func groupInputs(b *query.Bound) []query.BoundCol {
+	var in []query.BoundCol
+	add := func(c query.BoundCol) {
+		if !slices.Contains(in, c) {
+			in = append(in, c)
+		}
+	}
+	for _, c := range b.GroupBy {
+		add(c)
+	}
+	for _, a := range b.Aggs {
+		if a.Table >= 0 {
+			add(query.BoundCol{Table: a.Table, Col: a.Col})
+		}
+	}
+	slices.SortFunc(in, func(x, y query.BoundCol) int {
+		return cmp.Or(cmp.Compare(x.Table, y.Table), cmp.Compare(x.Col, y.Col))
+	})
+	return in
+}
+
+// groupSpec maps the bound grouping clauses onto the projected stream
+// of groupInputs.
+func groupSpec(b *query.Bound) exec.GroupBySpec {
+	in := groupInputs(b)
 	gs := exec.GroupBySpec{}
 	for _, c := range b.GroupBy {
-		gs.GroupCols = append(gs.GroupCols, offs[c.Table]+c.Col)
+		gs.GroupCols = append(gs.GroupCols, slices.Index(in, c))
 	}
 	for _, a := range b.Aggs {
 		as := exec.AggSpec{Fn: aggFn(a.Func), Col: -1}
 		if a.Table >= 0 {
-			as.Col = offs[a.Table] + a.Col
+			as.Col = slices.Index(in, query.BoundCol{Table: a.Table, Col: a.Col})
 		}
 		gs.Aggs = append(gs.Aggs, as)
 	}
@@ -186,37 +234,36 @@ func aggFn(f query.AggFunc) exec.AggFn {
 	return exec.AggCount
 }
 
-// declOffsets lays the tables out in declaration order — the offsets
-// of the provably-empty path, where no join tree exists.
-func declOffsets(b *query.Bound) map[int]int {
-	offs := make(map[int]int, len(b.Tables))
+// outColumns lists, as global indexes of the (possibly permuted)
+// joined stream, the columns each fragment emits: a grouped spec's
+// groupInputs, else every table's columns in declaration order. nil
+// means the joined stream is already exactly that.
+func outColumns(b *query.Bound, offs map[int]int) []int {
+	var cols []int
+	if b.Grouped() {
+		for _, c := range groupInputs(b) {
+			cols = append(cols, offs[c.Table]+c.Col)
+		}
+	} else {
+		for i, t := range b.Tables {
+			for c := 0; c < t.Table.Schema.NumCols(); c++ {
+				cols = append(cols, offs[i]+c)
+			}
+		}
+	}
 	width := 0
-	for i, t := range b.Tables {
-		offs[i] = width
+	for _, t := range b.Tables {
 		width += t.Table.Schema.NumCols()
 	}
-	return offs
-}
-
-// declColumns lists every table's columns in declaration order, as
-// global indexes of the (possibly permuted) joined stream.
-func declColumns(b *query.Bound, offs map[int]int) []int {
-	var cols []int
-	for i, t := range b.Tables {
-		for c := 0; c < t.Table.Schema.NumCols(); c++ {
-			cols = append(cols, offs[i]+c)
+	for i, c := range cols {
+		if c != i {
+			return cols
 		}
+	}
+	if len(cols) == width {
+		return nil
 	}
 	return cols
-}
-
-func permuted(seq []int) bool {
-	for i, ti := range seq {
-		if ti != i {
-			return true
-		}
-	}
-	return false
 }
 
 // planSpecOrder decides the join order from zone-map metadata alone.

@@ -255,9 +255,8 @@ func TestServeExecuteMatchesStream(t *testing.T) {
 
 // TestServeResultOps: a served query reports every compiled operator's
 // stats, and PerNode folds them by execution node — node 0 on the
-// one-node fabric, several nodes on the simulated per-node fabric. The
-// fixture's joins all run as coordinator-side hyper-joins, so a scan
-// of the fact table is the query whose operators run at the nodes.
+// one-node fabric, several nodes on the simulated per-node fabric, where
+// a scan of the fact table runs at every node holding its blocks.
 func TestServeResultOps(t *testing.T) {
 	f := buildFixture(t)
 	preds := []predicate.Predicate{predicate.NewCmp(2, predicate.LT, value.NewInt(400))}

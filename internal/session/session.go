@@ -19,6 +19,10 @@
 //     per-join strategy report, and the metered I/O priced by the §4.2
 //     cost model.
 //
+// Over TCP (Config.Net) the workers run steps 1 and 2 on their own
+// replicas, and the coordinator drains the root gather and merges what
+// they report (net.go).
+//
 // Repartitioning I/O is metered into the triggering query's counters,
 // so per-query SimSeconds reflect adaptation overhead exactly as the
 // paper's per-query latency plots do. All randomness (migration bucket
@@ -128,11 +132,11 @@ type Config struct {
 	Distributed bool
 	// Net switches the exchange transport from the in-process simulated
 	// fabric to a running TCP cluster (see internal/net): queries
-	// dispatch to real worker processes and results gather back over
-	// sockets, with transparent replica failover on worker death. The
-	// session's store must be the coordinator replica of the same
-	// dataset the cluster's workers built, with NumNodes equal to the
-	// cluster's fragment count. Implies Distributed.
+	// dispatch to real worker processes, which adapt their replicas and
+	// compile, and results gather back over sockets, with transparent
+	// replica failover on worker death. The session's store only binds
+	// specs: it must hold the tables of the dataset the cluster's workers
+	// built, and its layout never changes. Implies Distributed.
 	Net *adbnet.Cluster
 }
 
@@ -178,10 +182,11 @@ type Result struct {
 	// RowCount is the result cardinality, set on both paths.
 	RowCount int
 	// Report lists the join strategy picked per join, in plan
-	// post-order.
+	// post-order. Over TCP its numbers sum the workers' reports.
 	Report *planner.Report
 	// Ops holds per-operator stats (rows, batches, inclusive wall ns)
-	// for every operator of the compiled DAG, in compile order.
+	// for every operator of the compiled DAG, in compile order; over TCP
+	// each comes from the process that hosted the operator.
 	Ops []exec.OpStats
 	// Adapt summarizes the smooth-repartitioning work this query
 	// triggered (trees created, rows migrated).
@@ -232,6 +237,7 @@ type Step struct {
 	Seq int
 	// Adapt runs the optimizer on the query's votes, metering migration
 	// I/O into the given meter. nil means the caller already adapted.
+	// Over TCP it is never called: each worker adapts its own replica.
 	Adapt func([]optimizer.TableUse, *cluster.Meter) (optimizer.StepReport, error)
 	// Net, when set, runs the query over the TCP cluster (runNet).
 	Net *adbnet.Cluster
@@ -297,10 +303,10 @@ type NodeLoad struct {
 }
 
 // PerNode folds the per-operator stats by execution node, ascending.
-// Coordinator-side operators (node -1, e.g. a gathered hyper-join) fold
-// into the leading -1 entry. A centralized session runs on the one-node
-// fabric, so its fragments fold into node 0. Empty when every operator
-// ran coordinator-side (a plan of hyper-joins alone).
+// The one operator above the root gather (node -1: a grouped spec's
+// group-by) folds into the leading -1 entry. A centralized session runs
+// on the one-node fabric, so its fragments fold into node 0. Empty when
+// every operator ran above the gather (a provably empty grouped spec).
 func (r *Result) PerNode() []NodeLoad {
 	byNode := map[int]*NodeLoad{}
 	for _, op := range r.Ops {
@@ -322,7 +328,7 @@ func (r *Result) PerNode() []NodeLoad {
 	out := make([]NodeLoad, 0, len(nodes))
 	for _, n := range nodes {
 		if n < 0 && len(byNode) == 1 {
-			// Everything ran coordinator-side; per-node loads would be
+			// Everything ran above the gather; per-node loads would be
 			// meaningless.
 			break
 		}
