@@ -53,7 +53,7 @@ type CostModel struct {
 	// cheaper — exactly the trade §4.1's grouping exists to win.
 	SpillRowFactor float64
 	// BloomSkipFrac is the fraction of a spilled partition's probe rows
-	// the planner expects the join's Bloom filters to spare from the
+	// the planner expects the join's build-key filter to spare from the
 	// spill round-trip (such rows cost nothing — they are dropped
 	// before the run-file write). It discounts only the probe term of
 	// the spill estimate; the build side always pays. Conservative by

@@ -140,7 +140,7 @@ func sameRows(got []tuple.Tuple, rows []tuple.Tuple, want []int) bool {
 // same partitions demoted, the sealed store holding each resident
 // partition's rows in input order, each demoted partition's build runs
 // holding exactly the rows the per-row rule spills, in input order, and
-// every spilled key hash in the partition's Bloom filter.
+// every spilled key hash in the join's filter.
 func TestBuildGatherMatchesPerRowRule(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	midBatch, spilledCases := 0, 0
@@ -204,8 +204,8 @@ func TestBuildGatherMatchesPerRowRule(t *testing.T) {
 					c, p, len(got), len(spilled[p]))
 			}
 			for _, i := range spilled[p] {
-				if !j.spill.bloomAt(p).mayContain(rows[i][0].Hash64()) {
-					t.Fatalf("case %d: partition %d Bloom filter misses spilled row %d", c, p, i)
+				if !j.filter.mayPass(rows[i][0].Hash64()) {
+					t.Fatalf("case %d: the join's filter misses row %d, spilled from partition %d", c, i, p)
 				}
 			}
 		}

@@ -23,9 +23,9 @@
 //     once per 1024 rows rather than once per probe batch.
 //
 // Build stores grow with the rows that arrive. The planner's estimate
-// (JoinOptions.BuildRowsEst) steers only the radix fan-out and the
-// Bloom filters of demoted partitions: it never reserves memory, so a
-// wrong estimate costs no allocation in proportion to its error.
+// (JoinOptions.BuildRowsEst) steers only the radix fan-out: it never
+// reserves memory or sizes a filter, so a wrong estimate costs no
+// allocation in proportion to its error.
 //
 // Under a memory budget, demoted partitions stream rows to run files —
 // queued per partition and gathered once per batch — and the second
@@ -153,7 +153,25 @@ func (j *hashJoinOp) buildTables() error {
 		}
 	}
 	j.sealColTables(bufs)
+	if j.spill != nil {
+		j.hasSpilled = j.spill.anySpilled()
+	}
+	if j.hasSpilled || j.filterSink() != nil {
+		j.sealFilter()
+	}
 	return nil
+}
+
+// sealFilter builds the join's one key filter (bloom.go) over every
+// non-NULL build key: the sealed store's hashes and those the build's
+// spill streams kept, whose budget bytes it returns. Its size comes
+// from their exact count.
+func (j *hashJoinOp) sealFilter() {
+	var kept [][]uint64
+	if j.spill != nil {
+		kept = j.spill.takeKept()
+	}
+	j.filter = newKeyFilter(append(kept, j.cbuild.hashes)...)
 }
 
 // buildWorker routes the build batches it takes from in into its own
@@ -482,11 +500,11 @@ func (j *hashJoinOp) probeWorker(id int, in <-chan *Batch) {
 }
 
 // spillRouteCol queues physical row i, a probe row of a spilled
-// partition, for the run beside the partition's build runs (Bloom
-// negatives skip the round-trip entirely); probeColsBatch writes the
-// queues once the batch is routed.
+// partition, for the run beside the partition's build runs (rows the
+// join's filter rejects skip the round-trip entirely); probeColsBatch
+// writes the queues once the batch is routed.
 func (j *hashJoinOp) spillRouteCol(spw *partSpiller, part int, h uint64, i int, skipped *int64) {
-	if !j.spill.bloomAt(part).mayContain(h) {
+	if !j.filter.mayPass(h) {
 		*skipped++
 		return
 	}

@@ -208,7 +208,7 @@ func genKey(rng *rand.Rand, dist string, kind value.Kind, keyRange int64) value.
 	case "zipfdisjoint":
 		// Steeper than "skewed": the fourth power piles most keys onto a
 		// handful of hot values, so budgeted runs demote skewed
-		// partitions whose Bloom filters then carry few distinct keys.
+		// partitions that then carry few distinct keys.
 		f := rng.Float64()
 		k = int64(f * f * f * f * float64(keyRange))
 	case "zipfdisjointR":

@@ -1,11 +1,15 @@
 package exec
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -40,8 +44,9 @@ func splitSources(rows []tuple.Tuple, n int) []Operator {
 }
 
 // TestKeyFilterNoFalseNegatives: every filter a sealed join publishes
-// passes every key its node's build holds, with and without demoted
-// partitions, and a node whose build is empty rejects every key.
+// passes every key its node's build holds, resident or spilled, with
+// and without demoted partitions, and a node whose build is empty
+// rejects every key.
 func TestKeyFilterNoFalseNegatives(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var keys []int64
@@ -68,7 +73,7 @@ func TestKeyFilterNoFalseNegatives(t *testing.T) {
 			if f == nil {
 				t.Fatalf("budget %d: node %d published no filter", budget, d)
 			}
-			if f.pass != nil {
+			if parts[d].(*hashJoinOp).hasSpilled {
 				demoted++
 			}
 		}
@@ -79,13 +84,13 @@ func TestKeyFilterNoFalseNegatives(t *testing.T) {
 			}
 		}
 		if budget > 0 && demoted == 0 {
-			t.Fatalf("budget %d demoted nothing; the pass bits went untested", budget)
+			t.Fatalf("budget %d demoted nothing; spilled build keys went untested", budget)
 		}
 		if used := ex.Mem.Used(); used != 0 {
 			t.Fatalf("budget %d: %d bytes still charged", budget, used)
 		}
 	}
-	empty := newKeyFilter(nil, 60, 16, nil)
+	empty := newKeyFilter()
 	for i := int64(0); i < 1000; i++ {
 		if h := value.NewInt(i).Hash64(); empty.mayPass(h) {
 			t.Fatalf("an empty build's filter passes %#x", h)
@@ -166,6 +171,60 @@ func TestFilteredShuffleMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestSpillingFilteredShuffleDeterministic drains one budgeted shuffle
+// join whose builds demote partitions, on the 2-node simulated fabric,
+// three times each at GOMAXPROCS 1 and 8. Which partitions demote, and
+// when, depends on how the build workers interleave; the rows and bytes
+// the filtered probe exchange moves must not, because each node's
+// filter holds every build key, resident or spilled.
+func TestSpillingFilteredShuffleDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	rows := func(m int, span int64) []tuple.Tuple {
+		out := make([]tuple.Tuple, m)
+		for i := range out {
+			out[i] = tuple.Tuple{value.NewInt(rng.Int63n(span)), value.NewString(strings.Repeat("x", 8+rng.Intn(24)))}
+		}
+		return out
+	}
+	build, probe := rows(3000, 6000), rows(6000, 60_000)
+	oracle := NestedLoopJoin(build, probe, 0, 0)
+	var first *cluster.Counters
+	for _, procs := range []int{1, 8} {
+		for run := 0; run < 3; run++ {
+			prev := runtime.GOMAXPROCS(procs)
+			ex := New(dfs.NewStore(2, 1, 1), &cluster.Meter{})
+			ex.Mem = NewMemBudget(64 << 10)
+			ex.SpillDir = t.TempDir()
+			ns := ex.EnableNodes(4)
+			_, parts := filteredShuffleJoin(ns, splitSources(build, 2), splitSources(probe, 2))
+			got, err := Collect(Gather(parts...))
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rowsEqualSorted(t, got, oracle)
+			demoted := false
+			for _, p := range parts {
+				demoted = demoted || p.(*hashJoinOp).hasSpilled
+			}
+			if !demoted {
+				t.Fatalf("GOMAXPROCS %d run %d: no partition was demoted", procs, run)
+			}
+			ns.Flush()
+			m := ex.Meter.Snapshot()
+			if first == nil {
+				first = &m
+				continue
+			}
+			if m.ExchRemoteRows != first.ExchRemoteRows || m.ExchFilteredRows != first.ExchFilteredRows || m.ExchBytes != first.ExchBytes {
+				t.Fatalf("GOMAXPROCS %d run %d: remote %.0f rows, filtered %.0f rows, %.0f bytes; the first run read %.0f, %.0f, %.0f",
+					procs, run, m.ExchRemoteRows, m.ExchFilteredRows, m.ExchBytes,
+					first.ExchRemoteRows, first.ExchFilteredRows, first.ExchBytes)
+			}
+		}
+	}
+}
+
 // TestRouteHash pins the one hash route: unfiltered NULL keys go to
 // destination 0, filtered ones and filter rejects are dropped, and a
 // nil filter passes every non-NULL key.
@@ -189,7 +248,7 @@ func TestRouteHash(t *testing.T) {
 		t.Fatalf("unfiltered: dropped %d, lists %v; NULL keys belong at 0", dropped, dIdx)
 	}
 	// Destination dest(2) holds key 2 only; the other passes everything.
-	only2 := newKeyFilter([]uint64{rows[2][0].Hash64()}, 64, 1, nil)
+	only2 := newKeyFilter([]uint64{rows[2][0].Hash64()})
 	filters := make([]*KeyFilter, n)
 	filters[dest(2)] = only2
 	dIdx = [][]int32{nil, nil}
@@ -213,14 +272,15 @@ func TestRouteHash(t *testing.T) {
 }
 
 // TestKeyFilterWireRoundTrip: a filter survives its wire form check for
-// check, and the decoder refuses malformed input.
+// check, and the decoder refuses malformed input: truncated, with a
+// trailing byte, a bad presence byte or a log byte that disagrees with
+// the word count.
 func TestKeyFilterWireRoundTrip(t *testing.T) {
 	var hashes []uint64
 	for i := int64(0); i < 500; i++ {
 		hashes = append(hashes, value.NewInt(i).Hash64())
 	}
-	spilled := func(p int) bool { return p%3 == 0 }
-	for _, f := range []*KeyFilter{nil, newKeyFilter(hashes, 59, 32, nil), newKeyFilter(hashes, 56, 256, spilled), newKeyFilter(nil, 64, 1, nil)} {
+	for _, f := range []*KeyFilter{nil, newKeyFilter(hashes), newKeyFilter(hashes[:3]), newKeyFilter()} {
 		enc := AppendKeyFilter(nil, f)
 		g, err := DecodeKeyFilter(enc)
 		if err != nil {
@@ -246,7 +306,58 @@ func TestKeyFilterWireRoundTrip(t *testing.T) {
 		if _, err := DecodeKeyFilter(append(enc, 0)); err == nil {
 			t.Fatal("decoded a filter with a trailing byte")
 		}
+		corrupt := func(i int, b byte) []byte {
+			c := slices.Clone(enc)
+			c[i] = b
+			return c
+		}
+		bad := [][]byte{corrupt(0, 2)}
+		if f != nil {
+			bad = append(bad, corrupt(1, enc[1]+1), corrupt(1, enc[1]-1))
+		}
+		for _, b := range bad {
+			if _, err := DecodeKeyFilter(b); err == nil {
+				t.Fatalf("decoded %x", b)
+			}
+		}
 	}
+}
+
+// FuzzDecodeKeyFilter: filter frames arrive from peer processes, so the
+// decoder takes any input without panicking and accepts only the forms
+// AppendKeyFilter writes — every accepted input re-encodes to the same
+// bytes — and a filter built from the input, read as key hashes, passes
+// each of them after a round trip.
+func FuzzDecodeKeyFilter(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add(AppendKeyFilter(nil, newKeyFilter()))
+	f.Add(AppendKeyFilter(nil, newKeyFilter([]uint64{1, 2, 3, 1 << 63})))
+	f.Add([]byte{1, 1, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		hs := make([]uint64, len(b)/8)
+		for i := range hs {
+			hs[i] = binary.LittleEndian.Uint64(b[8*i:])
+		}
+		if g, err := DecodeKeyFilter(b); err == nil {
+			if enc := AppendKeyFilter(nil, g); !bytes.Equal(enc, b) {
+				t.Fatalf("accepted %x, which re-encodes as %x", b, enc)
+			}
+			if g != nil {
+				for _, h := range hs {
+					g.mayPass(h)
+				}
+			}
+		}
+		g, err := DecodeKeyFilter(AppendKeyFilter(nil, newKeyFilter(hs)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, h := range hs {
+			if !g.mayPass(h) {
+				t.Fatalf("a filter over %d hashes rejects %#x after a round trip", len(hs), h)
+			}
+		}
+	})
 }
 
 // TestFilteredShuffleLeakWall: a filtered shuffle whose joins never
@@ -361,7 +472,7 @@ func BenchmarkKeyFilter(b *testing.B) {
 	for i := range hashes {
 		hashes[i] = value.NewInt(int64(i)).Hash64()
 	}
-	f := newKeyFilter(hashes[:n], 59, 32, nil)
+	f := newKeyFilter(hashes[:n])
 	for _, c := range []struct {
 		name string
 		keys []uint64

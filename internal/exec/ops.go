@@ -30,7 +30,7 @@ type OpStats struct {
 	// memory pressure (hash joins under a MemBudget); 0 everywhere else.
 	SpilledBytes int64
 	// SpillSkippedRows are probe rows whose spill write the operator's
-	// Bloom filters elided (budgeted hash joins); 0 everywhere else.
+	// build-key filter elided (budgeted hash joins); 0 everywhere else.
 	SpillSkippedRows int64
 }
 
@@ -40,7 +40,7 @@ type byteSpiller interface {
 	SpilledBytes() int64
 }
 
-// spillSkipper is implemented by operators whose Bloom filters can
+// spillSkipper is implemented by operators whose build-key filter can
 // elide spill writes (the budgeted hash join); Instrument surfaces the
 // count in OpStats.
 type spillSkipper interface {

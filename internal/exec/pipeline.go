@@ -494,11 +494,10 @@ type JoinOptions struct {
 	BuildIsRight bool
 	// BuildRowsEst is the planner's build-side cardinality estimate
 	// (zone-map row counts); 0 means unknown. It sizes the radix
-	// fan-out (pickRadixBits) and the Bloom filters of demoted
-	// partitions, and nothing else: build buffers and tables are sized
-	// by the rows that actually arrive. Estimates steer only
-	// performance — a wrong one costs extra recursion or filter
-	// saturation, never correctness or allocation in proportion.
+	// fan-out (pickRadixBits) and nothing else: build buffers, tables
+	// and the key filter are sized by the rows that actually arrive.
+	// Estimates steer only performance — a wrong one costs extra
+	// recursion, never correctness or allocation in proportion.
 	BuildRowsEst int
 }
 
@@ -624,6 +623,9 @@ type hashJoinOp struct {
 	// phase so probe routing never races a demotion.
 	spill      *joinSpill
 	hasSpilled bool
+	// filter is the sealed build's key filter (bloom.go), built when the
+	// probe exchange is filtered or the join has spilled, nil otherwise.
+	filter *KeyFilter
 
 	// p runs the build workers, the probe workers and the second pass.
 	// perr is the probe side's error, published before the probe input
@@ -642,7 +644,7 @@ func (j *hashJoinOp) Open() error {
 		j.spill = newJoinSpill(j)
 	}
 	if err := j.build.Open(); err != nil {
-		j.publishFilter(false)
+		j.publishFilter(nil)
 		return err
 	}
 	if err := j.buildTables(); err != nil {
@@ -652,13 +654,10 @@ func (j *hashJoinOp) Open() error {
 		if j.spill != nil {
 			j.spill.cleanup()
 		}
-		j.publishFilter(false)
+		j.publishFilter(nil)
 		return err
 	}
-	if j.spill != nil {
-		j.hasSpilled = j.spill.anySpilled()
-	}
-	j.publishFilter(true)
+	j.publishFilter(j.filter)
 	if err := j.probe.Open(); err != nil {
 		if j.spill != nil {
 			j.spill.cleanup()
@@ -682,24 +681,22 @@ func (j *hashJoinOp) Open() error {
 	return nil
 }
 
-// publishFilter hands a filtered probe exchange (FilterSink) this
-// join's key filter: over the sealed build's hashes when sealed, else
-// nil, which passes every row, so the exchange's producers never wait
-// on a join that will not seal.
-func (j *hashJoinOp) publishFilter(sealed bool) {
-	fs, ok := j.probe.(FilterSink)
-	if !ok || !fs.Filtered() {
-		return
+// filterSink is the join's probe input when it is a filtered exchange,
+// which waits for the join's key filter; nil otherwise.
+func (j *hashJoinOp) filterSink() FilterSink {
+	if fs, ok := j.probe.(FilterSink); ok && fs.Filtered() {
+		return fs
 	}
-	var f *KeyFilter
-	if sealed {
-		var spilled func(int) bool
-		if j.hasSpilled {
-			spilled = j.spill.isSpilled
-		}
-		f = newKeyFilter(j.cbuild.hashes, j.radixShift, j.nParts, spilled)
+	return nil
+}
+
+// publishFilter hands a filtered probe exchange f: the sealed build's
+// key filter, or nil, which passes every row, when the join will not
+// seal, so the exchange's producers never wait on it.
+func (j *hashJoinOp) publishFilter(f *KeyFilter) {
+	if fs := j.filterSink(); fs != nil {
+		fs.PublishFilter(f)
 	}
-	fs.PublishFilter(f)
 }
 
 // feed is the join's single goroutine over an input's Next (operators

@@ -92,7 +92,7 @@ func TestProducerRoutes(t *testing.T) {
 	for k := int64(0); k < 100; k++ {
 		under100 = append(under100, value.NewInt(k).Hash64())
 	}
-	filters := []*KeyFilter{nil, newKeyFilter(under100, 59, 32, nil), newKeyFilter(nil, 64, 1, nil), nil}
+	filters := []*KeyFilter{nil, newKeyFilter(under100), newKeyFilter(), nil}
 
 	for _, c := range []struct {
 		name    string

@@ -28,11 +28,13 @@
 //     Duplicate-heavy partitions — whose probe rows hit densely and
 //     would all pay the spill round-trip — score low and stay in
 //     memory; wide sparse partitions go to disk first.
-//   - each demoted partition gets a Bloom filter over its build-side
-//     key hashes. Probe rows whose key cannot match skip the spill
-//     write entirely (a negative is exact — every build row of a
-//     demoted partition funnels through the filter before the probe
-//     starts). Skips are metered as SpillSkippedRows.
+//   - the join's one build-key filter (bloom.go) covers the spilled
+//     build keys too: the build's spill streams keep the key hash of
+//     every row they write, and the filter built at seal takes them
+//     with the resident ones. Probe rows of a demoted partition whose
+//     key the filter rejects skip the spill write entirely (a negative
+//     is exact — the filter is complete before the probe starts).
+//     Skips are metered as SpillSkippedRows.
 //   - the second pass re-checks both sides' run sizes before loading
 //     and swaps roles when the probe run is the smaller one, so a
 //     mis-estimated build side degrades into one extra comparison, not
@@ -370,20 +372,19 @@ type joinSpill struct {
 	// one hot key sets one bit no matter how many rows it holds.
 	partRows   []atomic.Int64
 	partSample []atomic.Uint64
-	// blooms[p] is the Bloom filter over partition p's build-side key
-	// hashes, created before the spilled flag is published so any worker
-	// that observes the demotion also observes the filter. Nil exactly
-	// while the partition is in memory.
-	blooms []atomic.Pointer[bloomFilter]
 
-	mu        sync.Mutex // victim selection + run registries
+	mu        sync.Mutex // victim selection, run registries, kept hashes
 	buildRuns [][]*runFile
 	probeRuns [][]*runFile
+	// kept holds the key hashes of every build row the build's spill
+	// streams wrote, one slice per stream, for the join's filter
+	// (sealFilter). Each hash charges the budget 8 bytes.
+	kept [][]uint64
 
 	fileSeq      atomic.Int64
 	spilledRows  atomic.Int64
 	spilledBytes atomic.Int64
-	skipped      atomic.Int64 // probe rows the Bloom filter spared from spilling
+	skipped      atomic.Int64 // probe rows the join's filter spared from spilling
 	reversals    atomic.Int64 // second-pass loads that swapped build/probe roles
 	repartitions atomic.Int64 // second-pass 16-way re-partitionings (white-box test hook)
 	memHeld      atomic.Int64 // net budget bytes this join has charged
@@ -446,7 +447,6 @@ func newJoinSpill(j *hashJoinOp) *joinSpill {
 		partBytes:  make([]atomic.Int64, n),
 		partRows:   make([]atomic.Int64, n),
 		partSample: make([]atomic.Uint64, n),
-		blooms:     make([]atomic.Pointer[bloomFilter], n),
 		buildRuns:  make([][]*runFile, n),
 		probeRuns:  make([][]*runFile, n),
 	}
@@ -468,9 +468,6 @@ func (sp *joinSpill) tempDir() (string, error) {
 }
 
 func (sp *joinSpill) isSpilled(p int) bool { return sp.spilled[p].Load() }
-
-// bloomAt returns partition p's Bloom filter, nil when none exists.
-func (sp *joinSpill) bloomAt(p int) *bloomFilter { return sp.blooms[p].Load() }
 
 func (sp *joinSpill) anySpilled() bool {
 	for p := range sp.spilled {
@@ -536,22 +533,6 @@ func (sp *joinSpill) victimScore(p int) float64 {
 	return float64(bytes) * float64(distinct) / float64(rows)
 }
 
-// demote publishes partition p's demotion: Bloom filter first (sized
-// for the rows seen so far plus the planner's per-partition estimate,
-// whichever is larger), then the spilled flag, so observers of the flag
-// always see the filter.
-func (sp *joinSpill) demote(p int) {
-	est := sp.partRows[p].Load() * 2
-	if per := int64(sp.j.opts.BuildRowsEst / sp.j.nParts); per > est {
-		est = per
-	}
-	if est < 1024 {
-		est = 1024
-	}
-	sp.blooms[p].Store(newBloomFilter(int(est), defaultBloomFPR))
-	sp.spilled[p].Store(true)
-}
-
 // pressure demotes in-memory partitions, best score first, until the
 // budget would fit once pending evictions land. Demotion is a flag
 // flip: the bytes come back as each build worker flushes its share of
@@ -580,7 +561,7 @@ func (sp *joinSpill) pressure() {
 		if best < 0 {
 			return // everything is spilled (or empty); nothing left to demote
 		}
-		sp.demote(best)
+		sp.spilled[best].Store(true)
 		pending += sp.partBytes[best].Load()
 	}
 }
@@ -675,16 +656,17 @@ type partSpiller struct {
 	partQueue
 	sp *joinSpill
 	w  *runWriter
-	// bloom marks a first-pass build-side stream: every row it spills
-	// lands in its partition's Bloom filter — direct writes, evictions
-	// and leftover flushes alike, which is what makes a negative filter
-	// answer exact.
-	bloom bool
-	rb    []int32 // MemBytesRows scratch
+	// keep marks a first-pass build-side stream: it keeps the key hash
+	// of every row it spills — direct writes, evictions and leftover
+	// flushes alike — for the join's filter, which is what makes a
+	// negative filter answer exact.
+	keep   bool
+	hashes []uint64
+	rb     []int32 // MemBytesRows scratch
 }
 
-func (sp *joinSpill) newPartSpiller(name string, nparts int, bloom bool) *partSpiller {
-	return &partSpiller{partQueue: newPartQueue(nparts), sp: sp, w: sp.newRunWriter(name, nparts), bloom: bloom}
+func (sp *joinSpill) newPartSpiller(name string, nparts int, keep bool) *partSpiller {
+	return &partSpiller{partQueue: newPartQueue(nparts), sp: sp, w: sp.newRunWriter(name, nparts), keep: keep}
 }
 
 // firstPassSpiller is worker id's spill stream for one side of the join.
@@ -696,8 +678,9 @@ func (sp *joinSpill) firstPassSpiller(id int, probe bool) *partSpiller {
 }
 
 // spillBatch writes the rows queued from src, one gather per partition,
-// and clears the queues. hv holds src's key hashes (read only by Bloom
-// streams); rowBytes its MemBytesRows, computed here when nil.
+// and clears the queues. hv holds src's key hashes (read only by
+// streams that keep them); rowBytes its MemBytesRows, computed here
+// when nil.
 func (s *partSpiller) spillBatch(src *tuple.Columns, hv []uint64, rowBytes []int32) error {
 	if len(s.touched) == 0 {
 		return nil
@@ -711,8 +694,10 @@ func (s *partSpiller) spillBatch(src *tuple.Columns, hv []uint64, rowBytes []int
 		if err != nil {
 			return
 		}
-		if s.bloom {
-			s.sp.bloomAdd(p, hv, list)
+		if s.keep {
+			for _, i := range list {
+				s.hashes = append(s.hashes, hv[i])
+			}
 		}
 		err = s.w.appendCols(p, src, list, sumRowBytes(rowBytes, list))
 	})
@@ -722,30 +707,15 @@ func (s *partSpiller) spillBatch(src *tuple.Columns, hv []uint64, rowBytes []int
 // writeBuf spills every row of a build buffer into partition p; mem is
 // their MemBytes total.
 func (s *partSpiller) writeBuf(p int, buf *colBuf, mem int64) error {
-	if s.bloom {
-		s.sp.bloomAdd(p, buf.hashes, nil)
+	if s.keep {
+		s.hashes = append(s.hashes, buf.hashes...)
 	}
 	return s.w.appendCols(p, buf.store, nil, mem)
 }
 
-// bloomAdd folds spilled build rows' key hashes into partition p's Bloom
-// filter: hv[i] for each i in idxs, or every hash when idxs is nil. p
-// is demoted, so its filter exists.
-func (sp *joinSpill) bloomAdd(p int, hv []uint64, idxs []int32) {
-	bf := sp.bloomAt(p)
-	if idxs == nil {
-		for _, h := range hv {
-			bf.add(h)
-		}
-		return
-	}
-	for _, i := range idxs {
-		bf.add(hv[i])
-	}
-}
-
 // finishFirstPass seals a first-pass stream, registering each
-// partition's run on the given side.
+// partition's run on the given side, and the hashes the stream kept,
+// which it charges to the budget.
 func (sp *joinSpill) finishFirstPass(s *partSpiller, probe bool) error {
 	runs, err := s.w.finish()
 	for p, rf := range runs {
@@ -753,7 +723,29 @@ func (sp *joinSpill) finishFirstPass(s *partSpiller, probe bool) error {
 			sp.noteRun(p, probe, rf)
 		}
 	}
+	if n := int64(8 * len(s.hashes)); n > 0 {
+		// The stream has written its last row, so this charge demotes
+		// nothing itself; build workers still routing see it.
+		sp.charge(n)
+		sp.mu.Lock()
+		sp.kept = append(sp.kept, s.hashes)
+		sp.mu.Unlock()
+		s.hashes = nil
+	}
 	return err
+}
+
+// takeKept hands the kept build hashes to the join's filter and gives
+// their bytes back to the budget. Called once the build has drained.
+func (sp *joinSpill) takeKept() [][]uint64 {
+	sp.mu.Lock()
+	kept := sp.kept
+	sp.kept = nil
+	sp.mu.Unlock()
+	for _, hs := range kept {
+		sp.release(int64(8 * len(hs)))
+	}
+	return kept
 }
 
 // evict flushes one build worker's resident rows for a freshly demoted
@@ -1156,7 +1148,7 @@ func (j *hashJoinOp) SpilledBytes() int64 {
 	return j.spill.spilledBytes.Load()
 }
 
-// SpillSkippedRows reports the probe rows whose spill write the Bloom
+// SpillSkippedRows reports the probe rows whose spill write the join's
 // filter proved unnecessary; planner instrumentation surfaces it as
 // OpStats.SpillSkippedRows.
 func (j *hashJoinOp) SpillSkippedRows() int64 {

@@ -60,8 +60,6 @@ type netFabric struct {
 
 	runOnce sync.Once
 	wg      sync.WaitGroup
-	errMu   sync.Mutex
-	err     error
 }
 
 // newNetFabric builds one process's fabric view for one attempt. The
@@ -148,8 +146,9 @@ func (f *netFabric) Gather(parts []exec.Operator) exec.Operator {
 	return f.at.root(len(parts))
 }
 
-// Run starts every registered pump. Pump failures fail the whole
-// attempt in this process, unblocking local consumers.
+// Run starts every registered pump. A pump failure fails the whole
+// attempt in this process, unblocking local consumers; the attempt
+// keeps its first failure (attempt.failure).
 func (f *netFabric) Run(ctx context.Context) {
 	f.runOnce.Do(func() {
 		for _, p := range f.pumps {
@@ -157,11 +156,6 @@ func (f *netFabric) Run(ctx context.Context) {
 			go func(p *pump) {
 				defer f.wg.Done()
 				if err := p.run(ctx); err != nil {
-					f.errMu.Lock()
-					if f.err == nil {
-						f.err = err
-					}
-					f.errMu.Unlock()
 					f.at.fail(err)
 				}
 			}(p)
@@ -169,13 +163,8 @@ func (f *netFabric) Run(ctx context.Context) {
 	})
 }
 
-// Wait blocks until every pump exits and returns the first pump error.
-func (f *netFabric) Wait() error {
-	f.wg.Wait()
-	f.errMu.Lock()
-	defer f.errMu.Unlock()
-	return f.err
-}
+// Wait blocks until every pump exits.
+func (f *netFabric) Wait() { f.wg.Wait() }
 
 // netExch is one exchange's handle, shared by its consumers and the
 // pumps this process hosts.

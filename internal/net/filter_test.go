@@ -110,7 +110,7 @@ func TestTCPFilteredShuffle(t *testing.T) {
 		t.Fatalf("%d join rows, oracle %d", got, want)
 	}
 	for _, f := range []*netFabric{fA, fB} {
-		if err := f.Wait(); err != nil {
+		if err := waitPumps(f); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -232,7 +232,7 @@ func TestTCPFilterLeakWall(t *testing.T) {
 			}
 		}
 		for _, f := range []*netFabric{fA, fB} {
-			if err := f.Wait(); !IsNetError(err) {
+			if err := waitPumps(f); !IsNetError(err) {
 				t.Fatalf("a pump returned %v, want the cancellation NetError", err)
 			}
 		}
@@ -259,10 +259,10 @@ func TestTCPFilterLeakWall(t *testing.T) {
 		if err := waitErr(t, a); err != nil && !IsNetError(err) {
 			t.Fatalf("join A returned %v, want success or the abort NetError", err)
 		}
-		if err := fB.Wait(); !errors.Is(err, exec.ErrBlockMissing) {
+		if err := waitPumps(fB); !errors.Is(err, exec.ErrBlockMissing) {
 			t.Fatalf("proc B's pumps returned %v, want ErrBlockMissing", err)
 		}
-		if err := fA.Wait(); err != nil && !IsNetError(err) {
+		if err := waitPumps(fA); err != nil && !IsNetError(err) {
 			t.Fatalf("proc A's pumps returned %v, want success or the abort NetError", err)
 		}
 		finish(t, closePair, exA, exB)
@@ -299,7 +299,7 @@ func TestTCPFilterLeakWall(t *testing.T) {
 			t.Fatalf("join A produced %d rows, oracle %d", len(r.rows), want)
 		}
 		for _, f := range []*netFabric{fA, fB} {
-			if err := f.Wait(); err != nil {
+			if err := waitPumps(f); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -94,7 +94,7 @@ func TestTCPProducerMatchesSim(t *testing.T) {
 	fB.Run(context.Background())
 	got := drain(tcpOps)
 	for _, f := range []*netFabric{fA, fB} {
-		if err := f.Wait(); err != nil {
+		if err := waitPumps(f); err != nil {
 			t.Fatal(err)
 		}
 	}

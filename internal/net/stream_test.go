@@ -403,7 +403,7 @@ func TestRemoteShuffleDeliversColumnar(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range []*netFabric{fA, fB} {
-		if err := f.Wait(); err != nil {
+		if err := waitPumps(f); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -421,19 +421,17 @@ func (w *worker) attemptRun(qm queryMsg, at *attempt) (qdoneMsg, error) {
 	}
 
 	fb.Run(ctx)
-	err = fb.Wait()
+	fb.Wait()
 	if ns := qex.Nodes(); ns != nil {
 		ns.Flush()
 	}
 	counters := qmeter.Reset()
 	links := qmeter.ResetLinks()
-	// The attempt's first failure is its error: an abort or a peer death
-	// cancels ctx, and the pumps then report only the cancellation, which
-	// the coordinator would not recognise as a transport failure to retry.
-	if ferr := at.failure(); ferr != nil {
-		err = ferr
-	}
-	if err != nil {
+	// The attempt's first failure is its error: every pump error fails
+	// the attempt, and after an abort or a peer death cancels ctx the
+	// pumps report only the cancellation, which the coordinator would not
+	// recognise as a transport failure to retry.
+	if err := at.failure(); err != nil {
 		return zero, err
 	}
 	return qdoneMsg{Counters: counters, Links: linksToRecs(links), Adapt: w.adapt, Report: comp.Report, Ops: comp.OpStats()}, nil

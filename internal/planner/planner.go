@@ -130,7 +130,7 @@ type Runner struct {
 	// exact. Difftest injects 10x errors in both directions through it
 	// to prove the dynamic fan-out degrades in speed only, never in
 	// correctness. Strategy costing (estimateHyper etc.) is not scaled —
-	// only what the joins size their partitions and Bloom filters with.
+	// only what the joins size their radix fan-out with.
 	EstScale float64
 	// Cache memoizes per-join strategy decisions across compiles; nil
 	// disables caching (every compile re-prices its joins). See
@@ -249,7 +249,7 @@ const estRowBytes = 64
 // spilled partitions spill with it (the second-pass pairing of the
 // hybrid hash join), each priced at SpillRowFactor per row. The probe
 // term is discounted by BloomSkipFrac — the share of those probe rows
-// the join's Bloom filters are expected to drop before the run-file
+// the join's build-key filter is expected to drop before the run-file
 // write; the build side always pays in full.
 func (r *Runner) spillEstimate(buildRows, probeRows int) float64 {
 	limit := r.Ex.MemLimit()
