@@ -34,9 +34,10 @@ import (
 )
 
 // bloomBitsPerKey is the least filter size per key. The word count
-// rounds up to a power of two, so a filter holds 16–32 bits per key, a
-// fill ratio of about a quarter and a false-positive rate of 0.12–0.23%
-// (measured at 100 to 100,000 keys).
+// rounds up to a power of two, so a filter holds 16–32 bits per key and
+// a fill ratio of 17–30%. Its false-positive rate falls with the bits
+// per key; measured over random hashes it is about 0.4% at 16, 0.15% at
+// 22, 0.08% at 26 and 0.04% at 32 (TestBloomFPRNearTarget).
 const bloomBitsPerKey = 16
 
 // KeyFilter is a hash join's build-key filter, a register-blocked Bloom

@@ -55,7 +55,9 @@ func TestJoinBuildAllocIgnoresEstimate(t *testing.T) {
 // perRowBuild replays the per-row build rule over rows with one worker:
 // every non-NULL row in input order either joins its partition's
 // resident set (charging the budget, demoting on pressure) or, once its
-// partition is demoted, evicts the resident set and spills. It returns
+// partition is demoted, evicts the resident set and spills. A spilled
+// row's kept key hash charges 8 bytes: an evicted row's when it is
+// evicted, a directly spilled row's when its batch ends. It returns
 // each partition's resident and spilled rows as input indices, the
 // demoted set, and how many evictions carried rows of the batch being
 // routed — demotions that fired mid-batch.
@@ -71,13 +73,19 @@ func perRowBuild(tmpl *hashJoinOp, rows []tuple.Tuple, budget int64) (res, spill
 		sp = newJoinSpill(j)
 	}
 	evict := func(p int) {
+		sp.charge(int64(8 * len(res[p])))
 		spilled[p] = append(spilled[p], res[p]...)
 		res[p] = nil
 		sp.partBytes[p].Add(-held[p])
 		sp.release(held[p])
 		held[p] = 0
 	}
+	direct := 0 // rows of the current batch spilled directly
 	for i, r := range rows {
+		if i%DefaultBatchSize == 0 && direct > 0 {
+			sp.charge(int64(8 * direct))
+			direct = 0
+		}
 		if r[0].IsNull() {
 			continue
 		}
@@ -91,6 +99,7 @@ func perRowBuild(tmpl *hashJoinOp, rows []tuple.Tuple, budget int64) (res, spill
 				evict(p)
 			}
 			spilled[p] = append(spilled[p], i)
+			direct++
 			continue
 		}
 		res[p] = append(res[p], i)

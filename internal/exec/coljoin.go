@@ -165,13 +165,15 @@ func (j *hashJoinOp) buildTables() error {
 // sealFilter builds the join's one key filter (bloom.go) over every
 // non-NULL build key: the sealed store's hashes and those the build's
 // spill streams kept, whose budget bytes it returns. Its size comes
-// from their exact count.
+// from their exact count. Under a budget its words stay charged until
+// the join closes (joinSpill.cleanup).
 func (j *hashJoinOp) sealFilter() {
-	var kept [][]uint64
-	if j.spill != nil {
-		kept = j.spill.takeKept()
+	if j.spill == nil {
+		j.filter = newKeyFilter(j.cbuild.hashes)
+		return
 	}
-	j.filter = newKeyFilter(append(kept, j.cbuild.hashes)...)
+	j.filter = newKeyFilter(append(j.spill.takeKept(), j.cbuild.hashes)...)
+	j.spill.charge(int64(8 * len(j.filter.words)))
 }
 
 // buildWorker routes the build batches it takes from in into its own

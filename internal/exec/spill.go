@@ -31,10 +31,13 @@
 //   - the join's one build-key filter (bloom.go) covers the spilled
 //     build keys too: the build's spill streams keep the key hash of
 //     every row they write, and the filter built at seal takes them
-//     with the resident ones. Probe rows of a demoted partition whose
-//     key the filter rejects skip the spill write entirely (a negative
-//     is exact — the filter is complete before the probe starts).
-//     Skips are metered as SpillSkippedRows.
+//     with the resident ones. The kept hashes charge the budget 8 B a
+//     row as they are written, so pressure counts them, and the
+//     filter's words are charged from seal until the join closes.
+//     Probe rows of a demoted partition whose key the filter rejects
+//     skip the spill write entirely (a negative is exact — the filter
+//     is complete before the probe starts). Skips are metered as
+//     SpillSkippedRows.
 //   - the second pass re-checks both sides' run sizes before loading
 //     and swaps roles when the probe run is the smaller one, so a
 //     mis-estimated build side degrades into one extra comparison, not
@@ -378,7 +381,8 @@ type joinSpill struct {
 	probeRuns [][]*runFile
 	// kept holds the key hashes of every build row the build's spill
 	// streams wrote, one slice per stream, for the join's filter
-	// (sealFilter). Each hash charges the budget 8 bytes.
+	// (sealFilter). Each hash charges the budget 8 bytes from when its
+	// row is written until the filter is built.
 	kept [][]uint64
 
 	fileSeq      atomic.Int64
@@ -659,7 +663,9 @@ type partSpiller struct {
 	// keep marks a first-pass build-side stream: it keeps the key hash
 	// of every row it spills — direct writes, evictions and leftover
 	// flushes alike — for the join's filter, which is what makes a
-	// negative filter answer exact.
+	// negative filter answer exact. Each written batch or eviction
+	// charges its hashes 8 B apiece; the charge demotes nothing itself,
+	// the build's next resident-row charge counts it.
 	keep   bool
 	hashes []uint64
 	rb     []int32 // MemBytesRows scratch
@@ -690,6 +696,7 @@ func (s *partSpiller) spillBatch(src *tuple.Columns, hv []uint64, rowBytes []int
 		rowBytes = s.rb
 	}
 	var err error
+	kept := len(s.hashes)
 	s.flush(func(p int, list []int32) {
 		if err != nil {
 			return
@@ -701,6 +708,9 @@ func (s *partSpiller) spillBatch(src *tuple.Columns, hv []uint64, rowBytes []int
 		}
 		err = s.w.appendCols(p, src, list, sumRowBytes(rowBytes, list))
 	})
+	if n := len(s.hashes) - kept; n > 0 {
+		s.sp.charge(int64(8 * n))
+	}
 	return err
 }
 
@@ -709,13 +719,14 @@ func (s *partSpiller) spillBatch(src *tuple.Columns, hv []uint64, rowBytes []int
 func (s *partSpiller) writeBuf(p int, buf *colBuf, mem int64) error {
 	if s.keep {
 		s.hashes = append(s.hashes, buf.hashes...)
+		s.sp.charge(int64(8 * len(buf.hashes)))
 	}
 	return s.w.appendCols(p, buf.store, nil, mem)
 }
 
 // finishFirstPass seals a first-pass stream, registering each
-// partition's run on the given side, and the hashes the stream kept,
-// which it charges to the budget.
+// partition's run on the given side, and hands the hashes the stream
+// kept to the join.
 func (sp *joinSpill) finishFirstPass(s *partSpiller, probe bool) error {
 	runs, err := s.w.finish()
 	for p, rf := range runs {
@@ -723,10 +734,7 @@ func (sp *joinSpill) finishFirstPass(s *partSpiller, probe bool) error {
 			sp.noteRun(p, probe, rf)
 		}
 	}
-	if n := int64(8 * len(s.hashes)); n > 0 {
-		// The stream has written its last row, so this charge demotes
-		// nothing itself; build workers still routing see it.
-		sp.charge(n)
+	if len(s.hashes) > 0 {
 		sp.mu.Lock()
 		sp.kept = append(sp.kept, s.hashes)
 		sp.mu.Unlock()

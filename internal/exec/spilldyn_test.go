@@ -106,11 +106,15 @@ func TestSpillNoReversalWhenBuildSmaller(t *testing.T) {
 
 // TestSpillBloomSkipDisjointKeys probes a spilled build with entirely
 // disjoint keys: the join's filter must drop every probe-side spill
-// write it can. Each probe row routed to a demoted partition that the
-// filter rejects is skipped and metered as SpillSkippedRows, and the
-// only run rows written are the build rows of demoted partitions and
-// the filter's false positives, which stay under 1% of the routed rows.
+// write but its false positives. Each probe row routed to a demoted
+// partition is skipped and metered as SpillSkippedRows unless the
+// filter passes it, and the only run rows written are the build rows
+// of demoted partitions and those false positives. The 1,000 build
+// keys size the filter at 256 words (16.4 bits a key), where these
+// 2,000 probe keys give exactly disjointFalsePos false positives; a
+// filter whose false-positive rate grew writes more.
 func TestSpillBloomSkipDisjointKeys(t *testing.T) {
+	const disjointFalsePos = 13
 	build := keyedRows(1000, func(i int) int64 { return int64(i) })
 	probe := keyedRows(2000, func(i int) int64 { return int64(10_000 + i) })
 
@@ -118,33 +122,31 @@ func TestSpillBloomSkipDisjointKeys(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatalf("disjoint join produced %d rows", len(got))
 	}
-	demotedRows := func(rows []tuple.Tuple) (n, passed int64) {
+	if n := len(hj.filter.words); n != 256 {
+		t.Fatalf("the filter of 1,000 build keys has %d words, want 256", n)
+	}
+	demotedRows := func(rows []tuple.Tuple) int64 {
+		n := int64(0)
 		for _, r := range rows {
-			if h := r[0].Hash64(); hj.spill.isSpilled(int(h >> hj.radixShift)) {
+			if hj.spill.isSpilled(int(r[0].Hash64() >> hj.radixShift)) {
 				n++
-				if hj.filter.mayPass(h) {
-					passed++
-				}
 			}
 		}
-		return n, passed
+		return n
 	}
-	routed, falsePos := demotedRows(probe)
+	routed := demotedRows(probe)
 	if routed == 0 {
 		t.Fatal("no probe row reached a demoted partition")
 	}
-	if 100*falsePos > routed {
-		t.Fatalf("the filter passed %d of %d disjoint probe rows", falsePos, routed)
+	written := hj.spill.spilledRows.Load() - demotedRows(build)
+	if written < 0 || written > disjointFalsePos {
+		t.Fatalf("%d disjoint probe rows written to runs, want at most the filter's %d false positives", written, disjointFalsePos)
 	}
-	if skipped := hj.SpillSkippedRows(); skipped != routed-falsePos {
-		t.Fatalf("the filter skipped %d probe rows, %d reached demoted partitions and %d of them passed it", skipped, routed, falsePos)
+	if skipped := hj.SpillSkippedRows(); skipped != routed-written {
+		t.Fatalf("the filter skipped %d probe rows, %d reached demoted partitions and %d were written", skipped, routed, written)
 	}
-	if c := hj.e.Meter.Snapshot().SpillSkippedRows; c != float64(routed-falsePos) {
-		t.Fatalf("meter saw %.0f skipped rows, want %d", c, routed-falsePos)
-	}
-	buildRows, _ := demotedRows(build)
-	if spilled, want := hj.spill.spilledRows.Load(), buildRows+falsePos; spilled != want {
-		t.Fatalf("%d run rows written, want the %d build rows of demoted partitions and %d false positives", spilled, buildRows, falsePos)
+	if c := hj.e.Meter.Snapshot().SpillSkippedRows; c != float64(routed-written) {
+		t.Fatalf("meter saw %.0f skipped rows, want %d", c, routed-written)
 	}
 }
 
