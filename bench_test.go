@@ -228,9 +228,9 @@ func BenchmarkFig18_CMTWorkload(b *testing.B) {
 }
 
 // BenchmarkGroupingAlgorithms is an ablation of the §4.1 grouping
-// algorithms themselves (not in the paper's figures, but the design
-// choices DESIGN.md calls out): first-fit vs bottom-up vs best-seed
-// greedy on a 128x32 instance.
+// algorithms themselves (not in the paper's figures; internal/hyperjoin
+// implements them): first-fit vs bottom-up vs best-seed greedy on a
+// 128x32 instance.
 func BenchmarkGroupingAlgorithms(b *testing.B) {
 	benchGrouping(b)
 }

@@ -202,6 +202,87 @@ func TestMoveBucketsLineitemAllocatesWhatItKeeps(t *testing.T) {
 	}
 }
 
+// TestMoveBucketsLineitemDeterministic drains lineitem into the partkey
+// tree, buckets picked at random, then rewrites that tree whole
+// (ReplaceTreeData) on orderkey, once at GOMAXPROCS 1 and once at 8.
+// Both migrations route and write on one goroutine per store node, so
+// the schedulers interleave them differently; every destination block
+// (row for row, cell for cell), its zone map and its catalog entry
+// (path, node, row count, zone) must come out the same.
+func TestMoveBucketsLineitemDeterministic(t *testing.T) {
+	run := func(procs int) (drained, rewritten []blockSnapshot) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		d := newLineitemDrain(t, rand.New(rand.NewSource(11)))
+		d.run(t)
+		drained = snapshotTree(t, d.tbl, d.dest)
+		depth := upfront.DepthForBlocks(len(lineitemRows()), 256)
+		nt := twophase.Builder{Schema: tpch.LineitemSchema, JoinAttr: tpch.LOrderKey, JoinLevels: depth / 2, TotalDepth: depth, Seed: 5}.Build(d.tbl.SampleRows)
+		if err := d.tbl.ReplaceTreeData(d.dest, nt, nil); err != nil {
+			t.Fatal(err)
+		}
+		return drained, snapshotTree(t, d.tbl, d.dest)
+	}
+	drained1, rewritten1 := run(1)
+	drained8, rewritten8 := run(8)
+	compareSnapshots(t, "drain", drained1, drained8)
+	compareSnapshots(t, "rewrite", rewritten1, rewritten8)
+}
+
+// blockSnapshot is one live bucket of a tree as the store and the
+// catalog hold it.
+type blockSnapshot struct {
+	ref      core.BlockRef
+	rows     []tuple.Tuple
+	min, max []value.Value
+}
+
+// snapshotTree records every live bucket of tree idx, in bucket order.
+func snapshotTree(t *testing.T, tbl *core.Table, idx int) []blockSnapshot {
+	t.Helper()
+	var out []blockSnapshot
+	for _, ref := range tbl.Refs(idx, nil) {
+		blk, _, err := tbl.Store().GetBlock(ref.Path, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := blockSnapshot{ref: ref, rows: blk.Rows()}
+		for c := 0; c < tbl.Schema.NumCols(); c++ {
+			s.min = append(s.min, blk.Min(c))
+			s.max = append(s.max, blk.Max(c))
+		}
+		out = append(out, s)
+	}
+	if len(out) == 0 {
+		t.Fatalf("tree %d holds no block", idx)
+	}
+	return out
+}
+
+func compareSnapshots(t *testing.T, what string, a, b []blockSnapshot) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: %d blocks at GOMAXPROCS 1, %d at 8", what, len(a), len(b))
+	}
+	for i := range a {
+		ra, rb := a[i].ref, b[i].ref
+		if ra.Bucket != rb.Bucket || ra.Path != rb.Path || ra.Node != rb.Node || ra.Count != rb.Count {
+			t.Fatalf("%s: catalog entry %d differs: bucket %d %s on node %d, %d rows against bucket %d %s on node %d, %d rows",
+				what, i, ra.Bucket, ra.Path, ra.Node, ra.Count, rb.Bucket, rb.Path, rb.Node, rb.Count)
+		}
+		if !sameRows(a[i].rows, b[i].rows) {
+			t.Fatalf("%s: block %s holds different rows", what, ra.Path)
+		}
+		for c := range a[i].min {
+			if !sameValue(a[i].min[c], b[i].min[c]) || !sameValue(a[i].max[c], b[i].max[c]) {
+				t.Fatalf("%s: block %s col %d: zone [%v, %v] against [%v, %v]", what, ra.Path, c, a[i].min[c], a[i].max[c], b[i].min[c], b[i].max[c])
+			}
+			if za, zb := ra.JoinRange(c), rb.JoinRange(c); za.String() != zb.String() {
+				t.Fatalf("%s: block %s col %d: catalog zone %v against %v", what, ra.Path, c, za, zb)
+			}
+		}
+	}
+}
+
 // TestBlockViewSurvivesInPlaceAppend pins what makes in-place
 // migration writes safe for scans: a view taken with AliasRange before
 // an append into the block's reserved capacity still reads its own

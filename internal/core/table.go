@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"adaptdb/internal/block"
 	"adaptdb/internal/cluster"
@@ -394,9 +396,10 @@ const growHeadroom = 1.15
 // move's rate: have + incoming × (rows not yet in the tree / rows this
 // move takes), times growHeadroom. Later moves then write in place.
 // The destination's meta is the block's zone map, which the append
-// extends by the new rows only. A move within one tree, a bucket listed
-// twice or one not live in the source is rejected before anything is
-// read or written.
+// extends by the new rows only. The destinations are written in
+// parallel and entered in the catalog afterwards, in bucket order. A
+// move within one tree, a bucket listed twice or one not live in the
+// source is rejected before anything is read or written.
 func (t *Table) MoveBuckets(fromIdx, toIdx int, buckets []block.ID, meter *cluster.Meter) error {
 	from := t.treeAt(fromIdx)
 	to := t.treeAt(toIdx)
@@ -419,12 +422,17 @@ func (t *Table) MoveBuckets(fromIdx, toIdx int, buckets []block.ID, meter *clust
 	// The rows still to come into the tree, this move's included, per
 	// row of this move, with headroom.
 	rate := float64(t.totalRows-to.Rows()) / float64(max(total, 1)) * growHeadroom
-	return t.regroup(fromIdx, buckets, total, to.Tree, meter, func(dest block.ID, staged *tuple.Columns, idxs []int32) {
+	// Each write fills only its own destination's slot.
+	paths := make([]string, to.Tree.NextBucket())
+	dests, blks, err := t.regroup(fromIdx, buckets, total, to.Tree, meter, func(dest block.ID, staged *tuple.Columns, idxs []int32) *block.Block {
 		have, _ := to.Count(dest)
-		path := t.BlockPath(toIdx, dest)
-		blk := t.store.Append(path, t.Schema, staged, idxs, have+int(float64(len(idxs))*rate))
-		t.record(toIdx, dest, path, blk)
+		paths[dest] = t.BlockPath(toIdx, dest)
+		return t.store.Append(paths[dest], t.Schema, staged, idxs, have+int(float64(len(idxs))*rate))
 	})
+	for k, b := range dests {
+		t.record(toIdx, b, paths[b], blks[k])
+	}
+	return err
 }
 
 // moveScratch holds the buffers a migration stages and groups its rows
@@ -441,6 +449,8 @@ type moveScratch struct {
 	order []int32
 	start []int
 	next  []int
+	// dests lists a move's non-empty destinations in bucket order.
+	dests []block.ID
 }
 
 // regroup is the one staged group-and-write routine of MoveBuckets and
@@ -450,11 +460,19 @@ type moveScratch struct {
 // deletes them. It then routes the staged rows through dst once
 // (Tree.RouteCols) and groups them by destination bucket with a
 // counting sort over dst's bucket IDs (the idiom upfront.Partition
-// loads with), and calls write once per non-empty destination, in
-// bucket order, with the staged rows and that destination's physical
-// row indexes in row order, ready for a columnar gather. The staging
-// set is valid only during write.
-func (t *Table) regroup(fromIdx int, buckets []block.ID, total int, dst *tree.Tree, meter *cluster.Meter, write func(dest block.ID, staged *tuple.Columns, idxs []int32)) error {
+// loads with), and calls write once per non-empty destination with the
+// staged rows and that destination's physical row indexes in row
+// order, ready for a columnar gather. It returns the destinations in
+// bucket order with the block write returned for each. The staging set
+// is valid only during write.
+//
+// Routing and writing run on one goroutine per store node, the
+// executor's rule: RouteCols routes disjoint chunks of the staged rows,
+// and the workers claim destinations from a shared counter, so write
+// must be safe to call concurrently for different destinations. Which
+// worker writes a destination does not change what it writes: the
+// staging, the counting sort and the order of the result are serial.
+func (t *Table) regroup(fromIdx int, buckets []block.ID, total int, dst *tree.Tree, meter *cluster.Meter, write func(dest block.ID, staged *tuple.Columns, idxs []int32) *block.Block) ([]block.ID, []*block.Block, error) {
 	s := &t.mv
 	staged := &s.staged
 	defer staged.Reset(t.Schema.NumCols())
@@ -466,7 +484,7 @@ func (t *Table) regroup(fromIdx int, buckets []block.ID, total int, dst *tree.Tr
 	for _, b := range buckets {
 		blk, local, err := t.store.GetBlock(t.BlockPath(fromIdx, b), 0)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		if meter != nil {
 			meter.AddScan(blk.Len(), local)
@@ -478,15 +496,20 @@ func (t *Table) regroup(fromIdx int, buckets []block.ID, total int, dst *tree.Tr
 		t.dropBlock(fromIdx, b)
 	}
 
+	workers := max(t.store.NumNodes(), 1)
 	n := staged.FullLen()
 	s.dest = resize(s.dest[:0], n)
-	s.route = dst.RouteCols(staged, s.dest, s.route)
+	s.route = dst.RouteCols(staged, s.dest, s.route, workers)
 	s.start = resize(s.start[:0], int(dst.NextBucket())+1)
 	clear(s.start)
 	for _, b := range s.dest {
 		s.start[b+1]++
 	}
+	s.dests = s.dests[:0]
 	for b := 1; b < len(s.start); b++ {
+		if s.start[b] > 0 {
+			s.dests = append(s.dests, block.ID(b-1))
+		}
 		s.start[b] += s.start[b-1]
 	}
 	s.next = append(s.next[:0], s.start...)
@@ -495,12 +518,30 @@ func (t *Table) regroup(fromIdx int, buckets []block.ID, total int, dst *tree.Tr
 		s.order[s.next[b]] = int32(i)
 		s.next[b]++
 	}
-	for b := range s.start[:len(s.start)-1] {
-		if idxs := s.order[s.start[b]:s.start[b+1]]; len(idxs) > 0 {
-			write(block.ID(b), staged, idxs)
+	blks := make([]*block.Block, len(s.dests))
+	var claimed atomic.Int64
+	runWorkers(min(workers, len(s.dests)), func() {
+		for k := int(claimed.Add(1) - 1); k < len(s.dests); k = int(claimed.Add(1) - 1) {
+			b := s.dests[k]
+			blks[k] = write(b, staged, s.order[s.start[b]:s.start[b+1]])
 		}
+	})
+	return s.dests, blks, nil
+}
+
+// runWorkers runs fn on n goroutines, the caller's among them, and
+// returns when every one has.
+func runWorkers(n int, fn func()) {
+	var wg sync.WaitGroup
+	for w := 1; w < n; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn()
+		}()
 	}
-	return nil
+	fn()
+	wg.Wait()
 }
 
 // ReplaceTreeData rewrites one tree in place with a new structure — the
@@ -516,14 +557,11 @@ func (t *Table) ReplaceTreeData(srcIdx int, newTree *tree.Tree, meter *cluster.M
 	if src == nil {
 		return fmt.Errorf("core: no tree %d on %s", srcIdx, t.Name)
 	}
-	var ids []block.ID
-	var parts []*block.Block
-	err := t.regroup(srcIdx, src.LiveBuckets(), src.Rows(), newTree, meter, func(dest block.ID, staged *tuple.Columns, idxs []int32) {
+	ids, parts, err := t.regroup(srcIdx, src.LiveBuckets(), src.Rows(), newTree, meter, func(_ block.ID, staged *tuple.Columns, idxs []int32) *block.Block {
 		nb := block.New(t.Schema)
 		nb.Grow(len(idxs))
 		nb.AppendGather(staged, idxs)
-		ids = append(ids, dest)
-		parts = append(parts, nb)
+		return nb
 	})
 	// A whole tree's staging set is as large as the table; keeping it
 	// for the next move would double the table's memory.

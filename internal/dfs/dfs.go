@@ -8,8 +8,10 @@
 // affecting the correctness of any concurrent queries" — §5.2), and the
 // ability to tell local from remote reads so the cluster cost model can
 // account for locality (§4.2, Fig. 7). Append coordination, done with
-// ZooKeeper in the paper, is a per-store mutex here (see DESIGN.md
-// substitution table).
+// ZooKeeper in the paper, is two locks here: the store's mutex guards
+// the file table, and each file's own lock orders the appends to it, so
+// a migration writes its destination files in parallel (ARCHITECTURE.md,
+// "Columnar batches", describes the migration).
 //
 // A file holds one contiguous block. Smooth repartitioning appends to
 // it once per move, so an append that does not fit grows the block's
@@ -50,6 +52,8 @@ type Store struct {
 type entry struct {
 	blk       *block.Block
 	placement []NodeID
+	// app orders the appends to this file (Append).
+	app sync.Mutex
 }
 
 // NewStore creates a store spanning `nodes` nodes with the given replica
@@ -129,25 +133,31 @@ func (s *Store) isLocal(e *entry, from NodeID) bool {
 // append needs, when that is more): the caller's estimate of what the
 // file will hold once its migration completes. The gather then writes
 // in place, past every scan's view (see the package doc). This is the
-// repartitioning iterator's flush path; several concurrent
-// repartitioners may target the same file, so the whole operation is
-// serialized (the paper uses ZooKeeper for this coordination).
+// repartitioning iterator's flush path. The file is created under the
+// store's mutex; the growth and the gather, the costly part, run under
+// the file's own lock only, so appends to different files proceed in
+// parallel and concurrent appends to one file take turns (the paper
+// uses ZooKeeper for this coordination).
 func (s *Store) Append(path string, sch *schema.Schema, src *tuple.Columns, idxs []int32, capRows int) *block.Block {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	e, ok := s.files[path]
 	if !ok {
-		e = &entry{placement: s.place(path), blk: block.New(sch)}
+		e = &entry{placement: s.place(path)}
 		s.files[path] = e
 	}
 	if e.blk == nil {
 		e.blk = block.New(sch)
 	}
-	if need := e.blk.Len() + len(idxs); e.blk.Cols().Cap() < need {
-		e.blk.Grow(max(need, capRows))
+	blk := e.blk
+	s.mu.Unlock()
+
+	e.app.Lock()
+	defer e.app.Unlock()
+	if need := blk.Len() + len(idxs); blk.Cols().Cap() < need {
+		blk.Grow(max(need, capRows))
 	}
-	e.blk.AppendGather(src, idxs)
-	return e.blk
+	blk.AppendGather(src, idxs)
+	return blk
 }
 
 // Delete removes a file. Deleting a missing file is a no-op, like

@@ -251,10 +251,15 @@ func TestCancelUnblocksBothEnds(t *testing.T) {
 				return
 			}
 			// Do not consume further: leave the item queued so no credit
-			// flows back and the producer wedges in acquire.
+			// flows back and the producer wedges in acquire. Park until
+			// fail has set the error; a bare Wait also wakes on a push,
+			// and fail's broadcast could land after the wake and before
+			// the next Wait, which would then park for good.
 			b.Release()
 			q.mu.Lock()
-			q.cond.Wait() // parks until fail broadcasts
+			for q.err == nil {
+				q.cond.Wait()
+			}
 			q.mu.Unlock()
 		}
 	}()

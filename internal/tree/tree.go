@@ -2,6 +2,7 @@ package tree
 
 import (
 	"fmt"
+	"sync"
 
 	"adaptdb/internal/block"
 	"adaptdb/internal/predicate"
@@ -80,6 +81,10 @@ func (t *Tree) Route(tp tuple.Tuple) block.ID {
 	return n.Bucket
 }
 
+// routeChunk is the fewest rows RouteCols gives one goroutine: a
+// smaller chunk costs more to start than it saves.
+const routeChunk = 4096
+
 // RouteCols routes every physical row of cols at once: dst[i] becomes
 // the bucket Route picks for row i. dst must hold cols.FullLen()
 // entries; any selection is ignored. The rows descend the tree
@@ -87,16 +92,35 @@ func (t *Tree) Route(tp tuple.Tuple) block.ID {
 // its left (cell ≤ cut) and right halves — one loop per node over one
 // column instead of one descent per row. The index vectors live in
 // buf, grown when short and returned for the next call to reuse.
-func (t *Tree) RouteCols(cols *tuple.Columns, dst []block.ID, buf []int32) []int32 {
+//
+// With workers > 1 the rows are cut into up to workers contiguous
+// chunks of at least routeChunk rows, each descending the tree on its
+// own goroutine in its own stretch of the index vectors. A row's bucket
+// depends on its cells alone and each chunk writes only its own rows'
+// entries of dst, so dst is the same for every split.
+func (t *Tree) RouteCols(cols *tuple.Columns, dst []block.ID, buf []int32, workers int) []int32 {
 	n := cols.FullLen()
 	if cap(buf) < 2*n {
 		buf = make([]int32, 2*n)
 	}
 	idx, scratch := buf[:n], buf[n:2*n]
-	for i := range idx {
-		idx[i] = int32(i)
+	route := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			idx[i] = int32(i)
+		}
+		routeNode(t.Root, cols, idx[lo:hi], scratch[lo:hi], dst)
 	}
-	routeNode(t.Root, cols, idx, scratch, dst)
+	chunks := max(min(workers, n/routeChunk), 1)
+	var wg sync.WaitGroup
+	for c := 1; c < chunks; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			route(n*c/chunks, n*(c+1)/chunks)
+		}()
+	}
+	route(0, n/chunks)
+	wg.Wait()
 	return buf
 }
 

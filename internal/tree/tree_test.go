@@ -164,12 +164,24 @@ func TestString(t *testing.T) {
 // column, an all-NULL column and cuts of another kind than the column
 // included.
 func TestRouteColsMatchesRouteQuick(t *testing.T) {
-	f := func(seed int64) bool { return checkRouteCols(t, seed) }
+	f := func(seed int64) bool { return checkRouteCols(t, seed, -1) }
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
-	if !checkRouteCols(t, -1) { // seed -1 routes an empty input
+	if !checkRouteCols(t, -1, -1) { // seed -1 routes an empty input
 		t.Fatal("empty input")
+	}
+}
+
+// TestRouteColsChunkedMatchesRoute routes batches long enough to be cut
+// into chunks that descend the tree on goroutines of their own — two,
+// three and four chunks, with rows left over after an even split — and
+// holds every row to the bucket the boxed route picks.
+func TestRouteColsChunkedMatchesRoute(t *testing.T) {
+	for seed := int64(0); seed < 12; seed++ {
+		if !checkRouteCols(t, seed, 2*routeChunk+int(seed)*routeChunk/5+int(seed)) {
+			t.Fatal("chunked RouteCols disagrees with Route")
+		}
 	}
 }
 
@@ -180,7 +192,7 @@ func FuzzRouteCols(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		if !checkRouteCols(t, seed) {
+		if !checkRouteCols(t, seed, -1) {
 			t.Fatal("RouteCols disagrees with Route")
 		}
 	})
@@ -190,8 +202,9 @@ func FuzzRouteCols(f *testing.F) {
 // tree over five columns — ints (NULL-bearing for some seeds), floats
 // with NaN and −0, strings that some seeds mix with ints, an all-NULL
 // column and dates — and reports whether RouteCols agrees with Route on
-// every row. Seed -1 makes the row set empty.
-func checkRouteCols(t testing.TB, seed int64) bool {
+// every row. The set holds nrows rows, or under 120 when nrows is
+// negative (none for seed -1), and RouteCols may use four workers.
+func checkRouteCols(t testing.TB, seed int64, nrows int) bool {
 	rng := rand.New(rand.NewSource(seed))
 	nullInts, mixed := rng.Intn(2) == 0, rng.Intn(2) == 0
 	cell := func(col int) value.Value {
@@ -236,10 +249,13 @@ func checkRouteCols(t testing.TB, seed int64) bool {
 		schema.Column{Name: "n", Kind: value.Int},
 		schema.Column{Name: "d", Kind: value.Date},
 	), grow(1+rng.Intn(5)), -1, 0)
-	rows := make([]tuple.Tuple, rng.Intn(120))
-	if seed == -1 {
-		rows = nil
+	if nrows < 0 {
+		nrows = rng.Intn(120)
+		if seed == -1 {
+			nrows = 0
+		}
 	}
+	rows := make([]tuple.Tuple, nrows)
 	for i := range rows {
 		rows[i] = make(tuple.Tuple, ncols)
 		for c := range rows[i] {
@@ -252,10 +268,10 @@ func checkRouteCols(t testing.TB, seed int64) bool {
 	for i := range dst {
 		dst[i] = -1
 	}
-	tr.RouteCols(cols, dst, nil)
+	tr.RouteCols(cols, dst, nil, 4)
 	for i, r := range rows {
 		if want := tr.Route(r); dst[i] != want {
-			t.Logf("seed %d, tree %v, row %d %v: RouteCols %d, Route %d", seed, tr, i, r, dst[i], want)
+			t.Logf("seed %d, %d rows, tree %v, row %d %v: RouteCols %d, Route %d", seed, nrows, tr, i, r, dst[i], want)
 			return false
 		}
 	}
