@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"sort"
 
-	"adaptdb/internal/block"
 	"adaptdb/internal/cluster"
 	"adaptdb/internal/core"
 	"adaptdb/internal/predicate"
@@ -54,7 +53,9 @@ type candidate struct {
 }
 
 // Step considers transformations on the given tree of the table and
-// applies up to MaxMovesPerStep of them. It returns the number applied.
+// applies up to MaxMovesPerStep of them, each one core.Table.Resplit,
+// which re-routes and meters the leaf pair's rows as a migration does.
+// It returns the number applied.
 // Join-attribute levels of two-phase trees are never touched: those
 // belong to smooth repartitioning.
 func (a *Adapter) Step(tbl *core.Table, treeIdx int, meter *cluster.Meter) (int, error) {
@@ -64,14 +65,13 @@ func (a *Adapter) Step(tbl *core.Table, treeIdx int, meter *cluster.Meter) (int,
 	if a.Window.Len() == 0 {
 		return 0, nil
 	}
-	ti := tbl.Trees[treeIdx]
 	applied := 0
 	for applied < a.MaxMovesPerStep {
-		cand := a.bestCandidate(tbl, ti)
+		cand := a.bestCandidate(tbl, treeIdx)
 		if cand == nil {
 			break
 		}
-		if err := a.apply(tbl, treeIdx, cand, meter); err != nil {
+		if err := tbl.Resplit(treeIdx, cand.node, cand.attr, cand.cut, meter); err != nil {
 			return applied, err
 		}
 		applied++
@@ -81,7 +81,8 @@ func (a *Adapter) Step(tbl *core.Table, treeIdx int, meter *cluster.Meter) (int,
 
 // bestCandidate scans leaf-pair nodes bottom-up and returns the highest
 // net-benefit transformation, or nil when nothing beats its cost.
-func (a *Adapter) bestCandidate(tbl *core.Table, ti *core.TreeInfo) *candidate {
+func (a *Adapter) bestCandidate(tbl *core.Table, treeIdx int) *candidate {
+	ti := tbl.Trees[treeIdx]
 	predCols := a.Window.PredColumns()
 	if len(predCols) == 0 {
 		return nil
@@ -114,7 +115,7 @@ func (a *Adapter) bestCandidate(tbl *core.Table, ti *core.TreeInfo) *candidate {
 			if col == n.Attr {
 				continue
 			}
-			cut, ok := a.chooseCut(tbl, ti, n, col)
+			cut, ok := a.chooseCut(tbl, treeIdx, n, col)
 			if !ok {
 				continue
 			}
@@ -162,13 +163,13 @@ func (a *Adapter) savedRows(queries []workload.Query, attr int, cut value.Value,
 // chooseCut picks a cut for column col over the rows under node n: the
 // median of the two buckets' sampled values. Returns false when the
 // local data cannot be split on col.
-func (a *Adapter) chooseCut(tbl *core.Table, ti *core.TreeInfo, n *tree.Node, col int) (value.Value, bool) {
+func (a *Adapter) chooseCut(tbl *core.Table, treeIdx int, n *tree.Node, col int) (value.Value, bool) {
 	var vals []value.Value
 	for _, leaf := range []*tree.Node{n.Left, n.Right} {
-		if _, ok := ti.Count(leaf.Bucket); !ok {
+		if _, ok := tbl.Trees[treeIdx].Count(leaf.Bucket); !ok {
 			continue
 		}
-		blk, _, err := tbl.Store().GetBlock(tbl.BlockPath(treeIndexOf(tbl, ti), leaf.Bucket), 0)
+		blk, _, err := tbl.Store().GetBlock(tbl.BlockPath(treeIdx, leaf.Bucket), 0)
 		if err != nil {
 			continue
 		}
@@ -192,58 +193,4 @@ func (a *Adapter) chooseCut(tbl *core.Table, ti *core.TreeInfo, n *tree.Node, co
 		return value.Value{}, false
 	}
 	return med, true
-}
-
-func treeIndexOf(tbl *core.Table, ti *core.TreeInfo) int {
-	for i, t := range tbl.Trees {
-		if t == ti {
-			return i
-		}
-	}
-	return -1
-}
-
-// apply physically performs a transformation: reads the two buckets,
-// swaps the node's split, re-routes the rows, rewrites both blocks and
-// refreshes metadata. Reads and writes are metered like any
-// repartitioning I/O.
-func (a *Adapter) apply(tbl *core.Table, treeIdx int, c *candidate, meter *cluster.Meter) error {
-	ti := tbl.Trees[treeIdx]
-	lB, rB := c.node.Left.Bucket, c.node.Right.Bucket
-	// Both source blocks are read and split before either path is
-	// rewritten: rows go left or right of the new cut by a typed compare
-	// and move by columnar gather, the left bucket's rows first.
-	left := block.New(tbl.Schema)
-	right := block.New(tbl.Schema)
-	var lIdx, rIdx []int32
-	for _, b := range []block.ID{lB, rB} {
-		if _, ok := ti.Count(b); !ok {
-			continue
-		}
-		blk, local, err := tbl.Store().GetBlock(tbl.BlockPath(treeIdx, b), 0)
-		if err != nil {
-			return err
-		}
-		if meter != nil {
-			meter.AddScan(blk.Len(), local)
-			meter.AddRepartWrite(blk.Len())
-		}
-		cols := blk.Cols()
-		key := cols.Col(c.attr)
-		lIdx, rIdx = lIdx[:0], rIdx[:0]
-		for i, n := 0, cols.FullLen(); i < n; i++ {
-			if key.CompareValue(i, c.cut) <= 0 {
-				lIdx = append(lIdx, int32(i))
-			} else {
-				rIdx = append(rIdx, int32(i))
-			}
-		}
-		left.AppendGather(cols, lIdx)
-		right.AppendGather(cols, rIdx)
-	}
-	c.node.Attr = c.attr
-	c.node.Cut = c.cut
-	tbl.RewriteBucket(treeIdx, lB, left)
-	tbl.RewriteBucket(treeIdx, rB, right)
-	return nil
 }

@@ -84,11 +84,9 @@ type Meter struct {
 	mu sync.Mutex
 	c  Counters
 	// links accumulates per-(src,dst) traffic for Weights derivation;
-	// lw prices remote exchange rows per link (nil = flat weight 1).
-	// Both live outside Counters so Counters stays a comparable value
+	// it lives outside Counters so Counters stays a comparable value
 	// type (links.go).
 	links LinkStats
-	lw    LinkWeights
 }
 
 // Counters is a snapshot of metered work. Units are rows (a block read
@@ -119,12 +117,6 @@ type Counters struct {
 	ExchLocalRows, ExchRemoteRows float64
 	// ExchBytes approximates the wire bytes of the remote exchange rows.
 	ExchBytes float64
-	// ExchWeightedRows are the remote exchange rows scaled by the
-	// measured weight of the link each crossed (links.go): with no link
-	// weights installed it equals ExchRemoteRows exactly, so the flat
-	// pricing is the zero-configuration behavior. CostUnits prefers it
-	// over ExchRemoteRows when populated.
-	ExchWeightedRows float64
 	// SpillRows / SpillBytes are hash-join rows (and their run-file
 	// bytes) demoted to disk under memory pressure — each such row is
 	// written once and read back in the second probe pass, which
@@ -166,7 +158,6 @@ func (c *Counters) Add(o Counters) {
 	c.ExchLocalRows += o.ExchLocalRows
 	c.ExchRemoteRows += o.ExchRemoteRows
 	c.ExchBytes += o.ExchBytes
-	c.ExchWeightedRows += o.ExchWeightedRows
 	c.SpillRows += o.SpillRows
 	c.SpillBytes += o.SpillBytes
 	c.SpillSkippedRows += o.SpillSkippedRows
@@ -302,7 +293,6 @@ func (m *Meter) Merge(o Counters) {
 	m.c.ExchLocalRows += o.ExchLocalRows
 	m.c.ExchRemoteRows += o.ExchRemoteRows
 	m.c.ExchBytes += o.ExchBytes
-	m.c.ExchWeightedRows += o.ExchWeightedRows
 	m.c.SpillRows += o.SpillRows
 	m.c.SpillBytes += o.SpillBytes
 	m.c.SpillSkippedRows += o.SpillSkippedRows
@@ -329,14 +319,7 @@ func (c Counters) CostUnits(m CostModel) float64 {
 	u += c.ShuffleRows * (m.CSJ - 1)
 	u += c.IntermediateRows * m.IntermediateShuffleFactor
 	u += c.RepartRows * m.RepartWriteFactor
-	// Weighted rows (per-link pricing, links.go) when populated; the
-	// unweighted counter otherwise — snapshots built before per-link
-	// accounting price exactly as they used to.
-	exch := c.ExchWeightedRows
-	if exch == 0 {
-		exch = c.ExchRemoteRows
-	}
-	u += exch * m.ExchangeRowFactor
+	u += c.ExchRemoteRows * m.ExchangeRowFactor
 	u += c.SpillRows * m.SpillRowFactor
 	return u
 }

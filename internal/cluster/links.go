@@ -4,9 +4,8 @@
 // magnitude faster than a congested cross-rack pair — so the meter
 // records measured bytes and wall time per (src, dst) pair and derives
 // a relative weight per link. The planner scales the network share of
-// its shuffle estimates by the mean observed weight, and CostUnits
-// prices exchanged rows by the weight of the link they actually
-// crossed instead of a cluster-wide constant.
+// its shuffle estimates by the mean observed weight; CostUnits prices
+// every remote exchange row alike.
 package cluster
 
 import "sort"
@@ -60,10 +59,10 @@ func (s LinkStats) Clone() LinkStats {
 	return out
 }
 
-// LinkWeights prices each directed link relative to the cluster mean:
+// LinkWeights weighs each directed link relative to the cluster mean:
 // 1.0 is an average link, 2.0 a link observed twice as slow per byte.
-// The zero/nil map means "unmeasured — every link weighs 1", which
-// reproduces the flat ExchangeRowFactor pricing exactly.
+// The zero/nil map means "unmeasured — every link weighs 1". The
+// planner reads only their Mean.
 type LinkWeights map[LinkKey]float64
 
 // Weights derives relative link weights from measured throughput:
@@ -102,18 +101,6 @@ func (s LinkStats) Weights() LinkWeights {
 	return w
 }
 
-// Of returns the weight of a link, defaulting to 1 for unmeasured
-// links (and for a nil map).
-func (w LinkWeights) Of(k LinkKey) float64 {
-	if w == nil {
-		return 1
-	}
-	if v, ok := w[k]; ok && v > 0 {
-		return v
-	}
-	return 1
-}
-
 // Mean returns the average weight across the map (1 when empty) — the
 // scalar the planner folds into the network share of its shuffle
 // estimates, since at plan time it cannot know which links a shuffle
@@ -150,17 +137,13 @@ func (s LinkStats) Keys() []LinkKey {
 // itself are local (no network), rows delivered to any other node are
 // remote and carry their approximate wire bytes. This is the single
 // accounting point for exchange traffic; exec.Producer calls it.
-// Remote rows accumulate ExchWeightedRows scaled by the installed link
-// weight (1 when no weights are installed, making the weighted counter
-// coincide with ExchRemoteRows), and per-link traffic is recorded for
-// the next Weights derivation.
+// Per-link traffic is recorded for the next Weights derivation.
 func (m *Meter) AddExchangeAt(src, dst int, rows, bytes int, remote bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if remote {
 		m.c.ExchRemoteRows += float64(rows)
 		m.c.ExchBytes += float64(bytes)
-		m.c.ExchWeightedRows += float64(rows) * m.lw.Of(LinkKey{src, dst})
 	} else {
 		m.c.ExchLocalRows += float64(rows)
 	}
@@ -180,14 +163,6 @@ func (m *Meter) AddLinkNanos(src, dst int, bytes int, nanos int64) {
 		m.links = make(LinkStats)
 	}
 	m.links.Add(LinkKey{src, dst}, 0, bytes, nanos)
-}
-
-// SetLinkWeights installs measured per-link weights for subsequent
-// AddExchangeAt calls. Nil restores flat (weight-1) pricing.
-func (m *Meter) SetLinkWeights(w LinkWeights) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.lw = w
 }
 
 // Links returns a copy of the accumulated per-link traffic.

@@ -15,74 +15,47 @@ func TestLinkWeightsDerivation(t *testing.T) {
 	s.Add(LinkKey{0, 2}, 10, 500, 0)       // no timing: ignored
 
 	w := s.Weights()
-	if got := w.Of(LinkKey{0, 1}); !almost(got, 0.5) {
+	if got := w[LinkKey{0, 1}]; !almost(got, 0.5) {
 		t.Errorf("fast link weight = %v, want 0.5", got)
 	}
-	if got := w.Of(LinkKey{1, 0}); !almost(got, 1.5) {
+	if got := w[LinkKey{1, 0}]; !almost(got, 1.5) {
 		t.Errorf("slow link weight = %v, want 1.5", got)
 	}
-	if got := w.Of(LinkKey{0, 2}); got != 1 {
-		t.Errorf("unmeasured link weight = %v, want 1", got)
+	if got, ok := w[LinkKey{0, 2}]; ok {
+		t.Errorf("unmeasured link weighed %v, want no weight", got)
 	}
 	if got := w.Mean(); !almost(got, 1.0) {
 		t.Errorf("mean weight = %v, want 1", got)
 	}
 }
 
-// TestLinkWeightsEmpty: nil/empty stats derive nil weights, and a nil
-// weights map prices every link at 1 — the flat pre-link behavior.
+// TestLinkWeightsEmpty: nil/empty stats derive nil weights, whose mean
+// is 1 — the flat pre-link behavior.
 func TestLinkWeightsEmpty(t *testing.T) {
 	var s LinkStats
 	if w := s.Weights(); w != nil {
 		t.Errorf("empty stats derived weights %v", w)
 	}
 	var w LinkWeights
-	if got := w.Of(LinkKey{3, 4}); got != 1 {
-		t.Errorf("nil weights Of = %v, want 1", got)
-	}
 	if got := w.Mean(); got != 1 {
 		t.Errorf("nil weights Mean = %v, want 1", got)
 	}
 }
 
-// TestAddExchangeAtFlat: without installed weights, AddExchangeAt's
-// weighted counter coincides with ExchRemoteRows, so CostUnits is
-// bit-identical to the flat pricing.
+// TestAddExchangeAtFlat: AddExchangeAt splits rows into remote and
+// local, and CostUnits prices every remote row at ExchangeRowFactor
+// whichever link it crossed; local rows cost nothing.
 func TestAddExchangeAtFlat(t *testing.T) {
 	m := &Meter{}
 	m.AddExchangeAt(0, 1, 100, 4000, true)
+	m.AddExchangeAt(2, 3, 20, 800, true)
 	m.AddExchangeAt(1, 1, 50, 0, false)
 	c := m.Snapshot()
-	if c.ExchRemoteRows != 100 || c.ExchLocalRows != 50 {
+	if c.ExchRemoteRows != 120 || c.ExchLocalRows != 50 {
 		t.Fatalf("rows: remote=%v local=%v", c.ExchRemoteRows, c.ExchLocalRows)
 	}
-	if c.ExchWeightedRows != c.ExchRemoteRows {
-		t.Errorf("unweighted ExchWeightedRows = %v, want %v", c.ExchWeightedRows, c.ExchRemoteRows)
-	}
 	model := Default()
-	flat := Counters{ExchRemoteRows: 100}
-	if got, want := c.CostUnits(model), flat.CostUnits(model); got != want {
-		t.Errorf("CostUnits = %v, want flat %v", got, want)
-	}
-}
-
-// TestAddExchangeAtWeighted: installed weights scale the weighted
-// counter per link, and CostUnits prefers it.
-func TestAddExchangeAtWeighted(t *testing.T) {
-	m := &Meter{}
-	m.SetLinkWeights(LinkWeights{
-		{0, 1}: 2.0,
-		{1, 0}: 0.5,
-	})
-	m.AddExchangeAt(0, 1, 100, 0, true) // ×2
-	m.AddExchangeAt(1, 0, 100, 0, true) // ×0.5
-	m.AddExchangeAt(2, 3, 100, 0, true) // unmeasured ×1
-	c := m.Snapshot()
-	if want := 100*2.0 + 100*0.5 + 100*1.0; !almost(c.ExchWeightedRows, want) {
-		t.Errorf("ExchWeightedRows = %v, want %v", c.ExchWeightedRows, want)
-	}
-	model := Default()
-	if got, want := c.CostUnits(model), c.ExchWeightedRows*model.ExchangeRowFactor; !almost(got, want) {
+	if got, want := c.CostUnits(model), c.ExchRemoteRows*model.ExchangeRowFactor; got != want {
 		t.Errorf("CostUnits = %v, want %v", got, want)
 	}
 }

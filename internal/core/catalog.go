@@ -18,10 +18,12 @@ import (
 // vectors.
 //
 // A catalog is written only by the Table methods that write its blocks
-// (Load, MoveBuckets, ReplaceTreeData, RewriteBucket) and SetPlacement,
-// and never filled lazily: compiles read it concurrently (two serving
+// (Load, MoveBuckets, ReplaceTreeData, Resplit) and SetPlacement, and
+// never filled lazily: compiles read it concurrently (two serving
 // tenants under the layout read lock, TCP workers), and a write happens
-// only while no compile runs on the table.
+// only while no compile runs on the table. Each of those methods, and
+// AddTree and DropTree, moves the table's layout version
+// (Table.Version), which the plan cache keys on.
 type catalog struct {
 	live  []bool
 	count []int

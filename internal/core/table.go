@@ -10,6 +10,12 @@
 // alone, so Refs prunes with one typed loop per predicate column and
 // returns small BlockRefs that point back at the catalog instead of
 // copying each block's zone map.
+//
+// A Table is the only code that changes its layout: smooth migration
+// (MoveBuckets), tree creation and removal (AddTree, DropTree), full
+// repartitioning (ReplaceTreeData), Amoeba's leaf-pair transformation
+// (Resplit) and replica placement (SetPlacement). Each moves the table's
+// layout version, the one signal the plan cache keys on.
 package core
 
 import (
@@ -29,6 +35,7 @@ import (
 	"adaptdb/internal/tuple"
 	"adaptdb/internal/twophase"
 	"adaptdb/internal/upfront"
+	"adaptdb/internal/value"
 )
 
 // TreeInfo pairs a partitioning tree with its block catalog: the live
@@ -80,7 +87,21 @@ type Table struct {
 	store     *dfs.Store
 	totalRows int
 	mv        moveScratch
+	version   atomic.Uint64
 }
+
+// Version reports the table's layout version. Every method that
+// changes the table's trees, blocks or block placement moves it, so a
+// plan compiled from the layout's metadata stays valid while the
+// version stands (the plan cache keys on it). Safe to call
+// concurrently with other readers; a layout change must not overlap
+// any read of the layout.
+func (t *Table) Version() uint64 { return t.version.Load() }
+
+// bump records a layout change. Every method that changes trees,
+// blocks or placement calls it, a failed one too once it has written or
+// dropped anything.
+func (t *Table) bump() { t.version.Add(1) }
 
 // LoadOptions configures the upfront partitioner run for a table.
 type LoadOptions struct {
@@ -183,17 +204,6 @@ func (t *Table) dropBlock(treeIdx int, b block.ID) {
 	t.Trees[treeIdx].cat.drop(b)
 }
 
-// RewriteBucket replaces bucket b of tree treeIdx with blk, or drops the
-// bucket when blk is empty — how Amoeba's transformations write the
-// two buckets they re-split.
-func (t *Table) RewriteBucket(treeIdx int, b block.ID, blk *block.Block) {
-	if blk.Len() == 0 {
-		t.dropBlock(treeIdx, b)
-		return
-	}
-	t.putBlock(treeIdx, b, blk)
-}
-
 // SetPlacement overrides the replica set of a ref's block and moves the
 // catalog's primary replica with it (the Fig. 7 locality experiment
 // forces blocks remote this way).
@@ -204,6 +214,7 @@ func (t *Table) SetPlacement(ref BlockRef, nodes []dfs.NodeID) error {
 	if err := t.store.SetPlacement(ref.Path, nodes); err != nil {
 		return err
 	}
+	t.bump()
 	if ti := t.treeAt(ref.TreeIdx); ti != nil {
 		ti.cat.node[ref.Bucket] = nodes[0]
 	}
@@ -270,6 +281,7 @@ func (t *Table) PrimaryTree() int {
 
 // AddTree registers a new (initially empty) tree and returns its index.
 func (t *Table) AddTree(tr *tree.Tree) int {
+	t.bump()
 	t.Trees = append(t.Trees, t.newTreeInfo(tr))
 	return len(t.Trees) - 1
 }
@@ -285,6 +297,7 @@ func (t *Table) DropTree(idx int) error {
 	if t.Trees[idx].Rows() != 0 {
 		return fmt.Errorf("core: tree %d on %s still holds %d rows", idx, t.Name, t.Trees[idx].Rows())
 	}
+	t.bump()
 	t.Trees[idx] = nil
 	return nil
 }
@@ -453,18 +466,19 @@ type moveScratch struct {
 	dests []block.ID
 }
 
-// regroup is the one staged group-and-write routine of MoveBuckets and
-// ReplaceTreeData. It concatenates buckets of tree fromIdx, as listed,
-// into one staging set (flat range copies, rows as stored; total is
-// their row count), metering each as scan + repartition-write, and
-// deletes them. It then routes the staged rows through dst once
-// (Tree.RouteCols) and groups them by destination bucket with a
-// counting sort over dst's bucket IDs (the idiom upfront.Partition
-// loads with), and calls write once per non-empty destination with the
-// staged rows and that destination's physical row indexes in row
-// order, ready for a columnar gather. It returns the destinations in
-// bucket order with the block write returned for each. The staging set
-// is valid only during write.
+// regroup is the one staged group-and-write routine of MoveBuckets,
+// ReplaceTreeData and Resplit. It concatenates buckets of tree fromIdx,
+// as listed, into one staging set (flat range copies, rows as stored;
+// total is their row count), metering each as scan + repartition-write.
+// A failed read returns before anything changed; otherwise it bumps
+// the layout version and deletes the buckets. It then routes the
+// staged rows through dst once (Tree.RouteCols) and groups them by
+// destination bucket with a counting sort over dst's bucket IDs (the
+// idiom upfront.Partition loads with), and calls write once per
+// non-empty destination with the staged rows and that destination's
+// physical row indexes in row order, ready for a columnar gather. It
+// returns the destinations in bucket order with the block write
+// returned for each. The staging set is valid only during write.
 //
 // Routing and writing run on one goroutine per store node, the
 // executor's rule: RouteCols routes disjoint chunks of the staged rows,
@@ -492,6 +506,7 @@ func (t *Table) regroup(fromIdx int, buckets []block.ID, total int, dst *tree.Tr
 		}
 		staged.AppendRange(blk.Cols(), 0, blk.Len())
 	}
+	t.bump()
 	for _, b := range buckets {
 		t.dropBlock(fromIdx, b)
 	}
@@ -545,24 +560,18 @@ func runWorkers(n int, fn func()) {
 }
 
 // ReplaceTreeData rewrites one tree in place with a new structure — the
-// full-repartitioning baseline (§7.3 "Repartitioning") and Amoeba's
-// selection-driven subtree rebuilds both land here. All rows currently
-// under tree srcIdx are staged in bucket order and re-routed through
-// newTree by regroup, as MoveBuckets moves them, so each new block holds
-// its rows in source order and is allocated once, at its exact row
-// count; the tree metadata is replaced. Costs are metered as scan +
-// repartition-write of everything moved.
+// full-repartitioning baseline (§7.3 "Repartitioning"). All rows
+// currently under tree srcIdx are staged in bucket order and re-routed
+// through newTree by regroup, as MoveBuckets moves them, so each new
+// block holds its rows in source order and is allocated once, at its
+// exact row count; the tree metadata is replaced. Costs are metered as
+// scan + repartition-write of everything moved.
 func (t *Table) ReplaceTreeData(srcIdx int, newTree *tree.Tree, meter *cluster.Meter) error {
 	src := t.treeAt(srcIdx)
 	if src == nil {
 		return fmt.Errorf("core: no tree %d on %s", srcIdx, t.Name)
 	}
-	ids, parts, err := t.regroup(srcIdx, src.LiveBuckets(), src.Rows(), newTree, meter, func(_ block.ID, staged *tuple.Columns, idxs []int32) *block.Block {
-		nb := block.New(t.Schema)
-		nb.Grow(len(idxs))
-		nb.AppendGather(staged, idxs)
-		return nb
-	})
+	ids, parts, err := t.regroup(srcIdx, src.LiveBuckets(), src.Rows(), newTree, meter, t.gatherBlock)
 	// A whole tree's staging set is as large as the table; keeping it
 	// for the next move would double the table's memory.
 	t.mv = moveScratch{}
@@ -575,6 +584,49 @@ func (t *Table) ReplaceTreeData(srcIdx int, newTree *tree.Tree, meter *cluster.M
 		t.putBlock(srcIdx, b, parts[i])
 	}
 	return nil
+}
+
+// Resplit is Amoeba's transformation (§3.2): it swaps the split of n,
+// an internal node of tree treeIdx whose children are both leaves, for
+// (attr, cut) and re-routes the two buckets' rows through it. regroup
+// stages, meters and groups the rows as a migration does — left bucket
+// first, rows as stored — so each side's rows land in one new block,
+// allocated at their exact count; a side left without rows is dropped.
+// The rows are routed through a copy of n, which takes the new split
+// only once every read has succeeded: a failed read leaves the node,
+// the blocks and the catalog as they were.
+func (t *Table) Resplit(treeIdx int, n *tree.Node, attr int, cut value.Value, meter *cluster.Meter) error {
+	ti := t.treeAt(treeIdx)
+	if ti == nil || n == nil || n.Leaf || !n.Left.Leaf || !n.Right.Leaf {
+		return fmt.Errorf("core: no leaf pair to re-split in tree %d of %s", treeIdx, t.Name)
+	}
+	var buckets []block.ID
+	total := 0
+	for _, b := range []block.ID{n.Left.Bucket, n.Right.Bucket} {
+		if c, ok := ti.Count(b); ok {
+			buckets = append(buckets, b)
+			total += c
+		}
+	}
+	pair := tree.NewWithRoot(t.Schema, &tree.Node{Attr: attr, Cut: cut, Left: n.Left, Right: n.Right}, -1, 0)
+	ids, parts, err := t.regroup(treeIdx, buckets, total, pair, meter, t.gatherBlock)
+	if err != nil {
+		return err
+	}
+	n.Attr, n.Cut = attr, cut
+	for i, b := range ids {
+		t.putBlock(treeIdx, b, parts[i])
+	}
+	return nil
+}
+
+// gatherBlock is the regroup write of ReplaceTreeData and Resplit: a
+// new block holding a destination's rows, allocated at their count.
+func (t *Table) gatherBlock(_ block.ID, staged *tuple.Columns, idxs []int32) *block.Block {
+	nb := block.New(t.Schema)
+	nb.Grow(len(idxs))
+	nb.AppendGather(staged, idxs)
+	return nb
 }
 
 // RowsUnder returns the row count currently held by tree idx (0 for

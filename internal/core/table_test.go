@@ -12,6 +12,7 @@ import (
 	"adaptdb/internal/dfs"
 	"adaptdb/internal/predicate"
 	"adaptdb/internal/schema"
+	"adaptdb/internal/tree"
 	"adaptdb/internal/tuple"
 	"adaptdb/internal/twophase"
 	"adaptdb/internal/value"
@@ -667,5 +668,51 @@ func TestBlockPathFormat(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { tbl.BlockPath(3, 12345) }); n > 1 {
 		t.Errorf("BlockPath allocates %.0f times, want 1", n)
+	}
+}
+
+// TestResplitFailedReadKeepsLayout: a re-split whose second read fails
+// leaves the node's split, both buckets, the catalog and the layout
+// version as they were; a node that is not a leaf pair is rejected
+// before anything is read. Once the block is back, the re-split moves
+// the version and keeps every row.
+func TestResplitFailedReadKeepsLayout(t *testing.T) {
+	tbl, store := loadTable(t, genRows(2048, 3), LoadOptions{RowsPerBlock: 128, Seed: 3, JoinAttr: -1})
+	var pair *tree.Node
+	tbl.Trees[0].Tree.Walk(func(n *tree.Node) {
+		if pair == nil && !n.Leaf && n.Left.Leaf && n.Right.Leaf {
+			pair = n
+		}
+	})
+	if err := tbl.Resplit(0, tbl.Trees[0].Tree.Root, 2, value.NewInt(1000), nil); err == nil {
+		t.Fatal("re-split of the root, not a leaf pair, succeeded")
+	}
+	attr, cut, v := pair.Attr, pair.Cut, tbl.Version()
+	refs := tbl.Refs(0, nil)
+	rPath := tbl.BlockPath(0, pair.Right.Bucket)
+	rBlk, _, err := store.GetBlock(rPath, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Delete(rPath)
+	var meter cluster.Meter
+	if err := tbl.Resplit(0, pair, 2, value.NewInt(1000), &meter); err == nil {
+		t.Fatal("re-split over a missing block succeeded")
+	}
+	if pair.Attr != attr || !reflect.DeepEqual(pair.Cut, cut) || tbl.Version() != v {
+		t.Fatalf("failed re-split left split (%d, %v) version %d, want (%d, %v) %d", pair.Attr, pair.Cut, tbl.Version(), attr, cut, v)
+	}
+	if got := tbl.Refs(0, nil); !reflect.DeepEqual(got, refs) {
+		t.Fatal("failed re-split changed the catalog")
+	}
+	if !store.Exists(tbl.BlockPath(0, pair.Left.Bucket)) {
+		t.Fatal("failed re-split dropped the left bucket")
+	}
+	store.PutBlock(rPath, rBlk)
+	if err := tbl.Resplit(0, pair, 2, value.NewInt(1000), &meter); err != nil {
+		t.Fatal(err)
+	}
+	if pair.Attr != 2 || tbl.Version() <= v || countRows(t, tbl) != 2048 {
+		t.Fatalf("re-split: attr %d, version %d -> %d, %d rows", pair.Attr, v, tbl.Version(), countRows(t, tbl))
 	}
 }

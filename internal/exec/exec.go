@@ -130,6 +130,19 @@ func PlanHyper(rRefs []core.BlockRef, rCol int, sRefs []core.BlockRef, sCol int,
 		V: V, Grouping: grouping, ProbeIdx: probeIdx}
 }
 
+// SplitByNode splits the plan's groups among n nodes in one pass: a
+// group goes to the node holding the primary replica of its first
+// build block (mod n), where an unpinned executor runs it (taskNode).
+// Each node's groups keep their order in the plan.
+func (p HyperPlan) SplitByNode(n int) []hyperjoin.Grouping {
+	out := make([]hyperjoin.Grouping, n)
+	for _, g := range p.Grouping {
+		i := int(p.R[g[0]].Node) % n
+		out[i] = append(out[i], g)
+	}
+	return out
+}
+
 // overlapVectors is §4.1.1's overlap test over the refs' zone maps on
 // the join columns: a typed loop when both sides' zones there are int
 // class of one kind (every TPC-H join key), else the boxed reference

@@ -782,13 +782,14 @@ func (j *hashJoinOp) Close() error {
 // yields the effective CHyJ of eq. 2, reported by Stats once the stream
 // is drained.
 //
-// On a node's executor view (NodeSet.At) the operator is that node's
-// fragment of the join: it runs only the groups whose first build
-// block's primary replica the node holds — where an unpinned executor
-// would run them (taskNode), so every block read is metered local or
-// remote exactly as one operator over the whole plan meters it. The
-// fragments of one plan partition its groups, and their Stats sum to
-// that operator's.
+// A fragment (NewHyperFragment) runs only the groups it is given. On
+// a node's executor view (NodeSet.At) it runs the node's share of the
+// plan (HyperPlan.SplitByNode): the groups whose first build block's
+// primary replica the node holds — where an unpinned executor would
+// run them (taskNode), so every block read is metered local or remote
+// exactly as one operator over the whole plan meters it. The fragments
+// of one plan partition its groups, and their Stats sum to that
+// operator's.
 type HyperJoinOp struct {
 	e            *Executor
 	rRefs, sRefs []core.BlockRef
@@ -814,16 +815,13 @@ type HyperJoinOp struct {
 // buildIsRight set — how a join that builds on the plan's right side
 // keeps the plan's (left, right) column order.
 func (e *Executor) NewHyperJoinOp(plan HyperPlan, rPreds, sPreds []predicate.Predicate, buildIsRight bool) *HyperJoinOp {
-	groups := plan.Grouping
-	if e.pinned {
-		n := max(e.Store.NumNodes(), 1)
-		groups = nil
-		for _, g := range plan.Grouping {
-			if dfs.NodeID(int(plan.R[g[0]].Node)%n) == e.pin {
-				groups = append(groups, g)
-			}
-		}
-	}
+	return e.NewHyperFragment(plan, plan.Grouping, rPreds, sPreds, buildIsRight)
+}
+
+// NewHyperFragment is NewHyperJoinOp running only groups, a share of
+// plan's grouping (one node's, from SplitByNode). Stats and Plan still
+// describe the whole plan where they say so.
+func (e *Executor) NewHyperFragment(plan HyperPlan, groups hyperjoin.Grouping, rPreds, sPreds []predicate.Predicate, buildIsRight bool) *HyperJoinOp {
 	return &HyperJoinOp{
 		e: e, rRefs: plan.R, sRefs: plan.S, rPreds: rPreds, sPreds: sPreds,
 		rCol: plan.RCol, sCol: plan.SCol, buildIsRight: buildIsRight, plan: plan, groups: groups, p: pool{e: e},

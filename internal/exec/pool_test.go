@@ -168,8 +168,8 @@ func hyperFragments(t *testing.T, dir string) ([]*HyperJoinOp, []*Executor) {
 	plan := PlanHyper(build, 0, f.ord.Refs(0, nil), 0, 4)
 	views := []*Executor{ex}
 	var frags []*HyperJoinOp
-	for i := 0; i < ns.N(); i++ {
-		h := ns.At(i).NewHyperJoinOp(plan, nil, nil, false)
+	for i, groups := range plan.SplitByNode(ns.N()) {
+		h := ns.At(i).NewHyperFragment(plan, groups, nil, nil, false)
 		if i == 3 && len(h.groups) != 0 {
 			t.Fatalf("node 3's fragment holds %d groups", len(h.groups))
 		}

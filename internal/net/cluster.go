@@ -103,7 +103,6 @@ type Cluster struct {
 	fault   *FaultPlan // armed for the next Begin, one-shot
 
 	linkHist cluster.LinkStats
-	weights  cluster.LinkWeights
 
 	helloCh chan helloMsg
 	readyCh chan readyEvent

@@ -399,7 +399,6 @@ func (w *worker) attemptRun(qm queryMsg, at *attempt) (qdoneMsg, error) {
 	// Per-query executor view: own meter, own budget (split per
 	// fragment by EnableNodes), own spill dir, own node set.
 	qmeter := &cluster.Meter{}
-	qmeter.SetLinkWeights(recsToWeights(qm.Weights))
 	qex := w.ex.ForQuery(exec.QueryCtx{
 		Ctx:         ctx,
 		Meter:       qmeter,

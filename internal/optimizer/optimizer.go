@@ -109,10 +109,10 @@ type StepReport struct {
 	AmoebaTransforms int
 }
 
-// Adapted reports whether the step changed any table's physical layout
-// — the signal the serving layer's plan cache keys on: a true here
-// must bump the touched tables' partitioning epochs so cached
-// fragments compiled against the old layout stop being served.
+// Adapted reports whether the step changed any table's physical
+// layout. The benchmark counts adapting queries with it; the plan
+// cache does not read it, since each table reports its own layout
+// changes (core.Table.Version).
 func (r StepReport) Adapted() bool {
 	return r.MovedRows > 0 || r.CreatedTrees > 0 || r.FullRepartitions > 0 || r.AmoebaTransforms > 0
 }

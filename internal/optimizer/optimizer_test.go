@@ -86,7 +86,7 @@ func TestAdaptiveModeShiftsSmoothly(t *testing.T) {
 
 // TestOnQueryReportsFailedStepPartialWork: a smooth step whose
 // migration fails has already created its tree, and the report returned
-// with the error says so — the serving layer bumps epochs on it.
+// with the error says so.
 func TestOnQueryReportsFailedStepPartialWork(t *testing.T) {
 	tbl := loadTable(t)
 	// Every tree-0 block is gone, so whichever bucket the step picks,

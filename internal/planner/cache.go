@@ -6,15 +6,15 @@
 // strategy, orientation, and the co-partitioned/residual ref split —
 // are pure functions of block metadata and can be replayed.
 //
-// Correctness hinges on the partitioning epoch in the key: every
-// repartitioning step (smooth migration, tree creation, full
-// repartition, amoeba transform) bumps the touched tables' epochs, so
-// a cached fragment compiled against the old layout simply stops being
-// addressable — there is no explicit invalidation walk, and a stale
-// entry can never be served. The cache owner (internal/serve) must
-// guarantee the layout is unchanged while an epoch stands; it does so
-// by bumping epochs under the same write lock that serializes
-// adaptation against in-flight compiles.
+// Correctness hinges on each table's layout version in the key
+// (core.Table.Version): every method that changes a table's trees,
+// blocks or placement — smooth migration, tree creation and removal,
+// full repartitioning, Amoeba's re-split — moves it, so a cached
+// fragment compiled against the old layout simply stops being
+// addressable. There is no explicit invalidation walk, and a stale
+// entry can never be served. The cache's user must only keep layouts
+// from changing while a compile runs; internal/serve does so with the
+// lock that serializes adaptation against in-flight compiles.
 package planner
 
 import (
@@ -100,7 +100,7 @@ func (c *PlanCache) putAny(key string, p any) {
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		// A concurrent compile of the same shape raced us here; both
-		// computed the same plan (same key ⇒ same epoch ⇒ same layout).
+		// computed the same plan (same key ⇒ same layout versions).
 		el.Value.(*cacheEntry).plan = p
 		c.order.MoveToFront(el)
 		return
@@ -133,17 +133,14 @@ func (r *Runner) cachedTableJoin(l *Scan, lCol int, rt *Scan, rCol int) tableJoi
 }
 
 // planKey renders everything planTableJoin's answer depends on:
-// (table, join attr, predicates, partitioning epoch) per side, plus
-// the runner/executor knobs that steer the cost comparison. Epochs
-// come from the Epoch hook; a nil hook pins every table to epoch 0,
-// which is only sound if the layout never changes underneath the
-// cache.
+// (table, layout version, join attr, predicates) per side, plus the
+// runner/executor knobs that steer the cost comparison.
 func (r *Runner) planKey(l *Scan, lCol int, rt *Scan, rCol int) string {
 	var b strings.Builder
 	b.Grow(128)
-	sideKey(&b, l, lCol, r.epochOf(l.Table.Name))
+	sideKey(&b, l, lCol)
 	b.WriteByte('|')
-	sideKey(&b, rt, rCol, r.epochOf(rt.Table.Name))
+	sideKey(&b, rt, rCol)
 	b.WriteByte('|')
 	if r.ForceShuffle {
 		b.WriteByte('F')
@@ -157,17 +154,10 @@ func (r *Runner) planKey(l *Scan, lCol int, rt *Scan, rCol int) string {
 	return b.String()
 }
 
-func (r *Runner) epochOf(table string) uint64 {
-	if r.Epoch == nil {
-		return 0
-	}
-	return r.Epoch(table)
-}
-
-func sideKey(b *strings.Builder, s *Scan, col int, epoch uint64) {
+func sideKey(b *strings.Builder, s *Scan, col int) {
 	b.WriteString(s.Table.Name)
 	b.WriteByte('@')
-	b.WriteString(strconv.FormatUint(epoch, 10))
+	b.WriteString(strconv.FormatUint(s.Table.Version(), 10))
 	b.WriteByte('#')
 	b.WriteString(strconv.Itoa(col))
 	for _, p := range s.Preds {

@@ -63,14 +63,12 @@ func TestPlanCacheDefaultSize(t *testing.T) {
 
 // TestCachedTableJoinHitMissEpoch drives the Runner-side wrapper
 // against a real layout: cold miss, warm hit replaying an identical
-// decision, and a guaranteed miss after the epoch hook reports a bump
+// decision, and a guaranteed miss after either table's layout changes
 // — the stale entry must be unaddressable.
 func TestCachedTableJoinHitMissEpoch(t *testing.T) {
 	f := setup(t, true)
-	epochs := map[string]uint64{}
 	cache := NewPlanCache(0)
 	f.runner.Cache = cache
-	f.runner.Epoch = func(table string) uint64 { return epochs[table] }
 
 	lscan := &Scan{Table: f.line, Preds: []predicate.Predicate{
 		predicate.NewCmp(2, predicate.LT, value.NewInt(1500)),
@@ -93,19 +91,19 @@ func TestCachedTableJoinHitMissEpoch(t *testing.T) {
 		t.Fatalf("after warm: %d hits, want 1", f.runner.CacheHits)
 	}
 
-	// Epoch bump on either side invalidates by making the key
+	// A layout change on either side invalidates by making the key
 	// unreachable.
-	epochs["lineitem"]++
+	relayout(t, f.line)
 	f.runner.cachedTableJoin(lscan, 0, oscan, 0)
 	if f.runner.CacheMisses != 2 {
 		t.Fatalf("after lineitem bump: %d misses, want 2", f.runner.CacheMisses)
 	}
-	epochs["orders"]++
+	relayout(t, f.ord)
 	f.runner.cachedTableJoin(lscan, 0, oscan, 0)
 	if f.runner.CacheMisses != 3 {
 		t.Fatalf("after orders bump: %d misses, want 3", f.runner.CacheMisses)
 	}
-	// Back at the bumped epochs, the refreshed entries hit again.
+	// At the new versions, the refreshed entries hit again.
 	f.runner.cachedTableJoin(lscan, 0, oscan, 0)
 	if f.runner.CacheHits != 2 {
 		t.Fatalf("post-bump repeat: %d hits, want 2", f.runner.CacheHits)
@@ -157,12 +155,10 @@ func TestCachedCompileMatchesFresh(t *testing.T) {
 }
 
 // TestPlanKeyDiscriminates: every input the join decision depends on
-// must show up in the key — tables, columns, predicates, epochs, and
-// the runner knobs that steer the cost comparison.
+// must show up in the key — tables, columns, predicates, layout
+// versions, and the runner knobs that steer the cost comparison.
 func TestPlanKeyDiscriminates(t *testing.T) {
 	f := setup(t, true)
-	epochs := map[string]uint64{}
-	f.runner.Epoch = func(table string) uint64 { return epochs[table] }
 	lscan := func(preds ...predicate.Predicate) *Scan {
 		return &Scan{Table: f.line, Preds: preds}
 	}
@@ -185,9 +181,8 @@ func TestPlanKeyDiscriminates(t *testing.T) {
 	check("pred-value", f.runner.planKey(lscan(predicate.NewCmp(2, predicate.LT, value.NewInt(10))), 0, oscan, 0))
 	check("rtable", f.runner.planKey(lscan(), 0, &Scan{Table: f.cust}, 0))
 
-	epochs["lineitem"] = 1
-	check("epoch", f.runner.planKey(lscan(), 0, oscan, 0))
-	epochs["lineitem"] = 0
+	relayout(t, f.line)
+	check("version", f.runner.planKey(lscan(), 0, oscan, 0))
 
 	f.runner.ForceShuffle = true
 	check("force-shuffle", f.runner.planKey(lscan(), 0, oscan, 0))

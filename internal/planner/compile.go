@@ -69,11 +69,12 @@ func (r *Runner) instrument(c *Compiled, label string, op exec.Operator, onDone 
 }
 
 // hyperOps builds the streaming hyper-join for a decided plan, one
-// fragment per node, each on its node's executor view (which runs the
-// node's groups): together they run the schedule estimateHyper priced,
-// building on the left refs or (when the decision flipped the build
-// side onto the smaller co-partitioned portion) on the right refs,
-// emitting in the plan's (left, right) column order either way.
+// fragment per node, each on its node's executor view running the
+// node's groups (split once, HyperPlan.SplitByNode): together they run
+// the schedule estimateHyper priced, building on the left refs or (when
+// the decision flipped the build side onto the smaller co-partitioned
+// portion) on the right refs, emitting in the plan's (left, right)
+// column order either way.
 func (r *Runner) hyperOps(p tableJoinPlan, l, rt *Scan) []*exec.HyperJoinOp {
 	bPreds, pPreds := l.Preds, rt.Preds
 	if p.flip {
@@ -81,8 +82,8 @@ func (r *Runner) hyperOps(p tableJoinPlan, l, rt *Scan) []*exec.HyperJoinOp {
 	}
 	fb := r.Ex.ExecFabric()
 	out := make([]*exec.HyperJoinOp, fb.N())
-	for i := range out {
-		out[i] = fb.At(i).NewHyperJoinOp(p.hyper, bPreds, pPreds, p.flip)
+	for i, groups := range p.hyper.SplitByNode(fb.N()) {
+		out[i] = fb.At(i).NewHyperFragment(p.hyper, groups, bPreds, pPreds, p.flip)
 	}
 	return out
 }

@@ -136,10 +136,6 @@ type Runner struct {
 	// disables caching (every compile re-prices its joins). See
 	// cache.go for the keying and invalidation contract.
 	Cache *PlanCache
-	// Epoch reports a table's partitioning epoch for cache keys; the
-	// owner bumps it whenever repartitioning changes the table's
-	// layout. nil pins every table to epoch 0 (static layouts only).
-	Epoch func(table string) uint64
 	// CacheHits/CacheMisses count this Runner's own cache lookups —
 	// per-compile observability on top of the cache's global stats.
 	// Runners are single-compile objects in the serving layer, so plain

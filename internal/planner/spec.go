@@ -26,9 +26,9 @@
 // above it reads column indexes that depend on the spec alone.
 //
 // Orderings are memoized in the PlanCache next to the per-join strategy
-// decisions, keyed by the spec fingerprint plus each table's
-// partitioning epoch and the runner knobs — the same epoch-invalidation
-// contract as table-join plans.
+// decisions, keyed by the spec fingerprint plus each table's layout
+// version and the runner knobs — the same invalidation contract as
+// table-join plans.
 package planner
 
 import (
@@ -435,10 +435,10 @@ func rangeUnion(a, b predicate.Range) predicate.Range {
 }
 
 // cachedSpecOrder memoizes planSpecOrder in the plan cache under the
-// spec fingerprint + table epochs + runner knobs. The ordering depends
-// on pruned cardinalities and zone maps, both functions of (layout
-// epoch, predicates), so the epoch-invalidation contract of table-join
-// plans carries over unchanged.
+// spec fingerprint + table layout versions + runner knobs. The
+// ordering depends on pruned cardinalities and zone maps, both
+// functions of (layout, predicates), so the invalidation contract of
+// table-join plans carries over unchanged.
 func (r *Runner) cachedSpecOrder(b *query.Bound) specOrder {
 	if r.Cache == nil {
 		return r.planSpecOrder(b)
@@ -459,7 +459,7 @@ func (r *Runner) cachedSpecOrder(b *query.Bound) specOrder {
 // specKey renders everything planSpecOrder's answer depends on: the
 // spec's logical fingerprint (tables, aliases, predicates, the full
 // join graph, grouping — see query.Bound.Fingerprint), each table's
-// partitioning epoch, and the runner/executor knobs that steer
+// layout version, and the runner/executor knobs that steer
 // ordering and the downstream strategy decisions.
 func (r *Runner) specKey(b *query.Bound) string {
 	var sb strings.Builder
@@ -473,7 +473,7 @@ func (r *Runner) specKey(b *query.Bound) string {
 		}
 		sb.WriteString(t.Table.Name)
 		sb.WriteByte('@')
-		sb.WriteString(strconv.FormatUint(r.epochOf(t.Table.Name), 10))
+		sb.WriteString(strconv.FormatUint(t.Table.Version(), 10))
 	}
 	sb.WriteByte('|')
 	if r.ForceShuffle {

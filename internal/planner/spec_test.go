@@ -260,12 +260,10 @@ func TestSpecGroupByMatchesReference(t *testing.T) {
 }
 
 // TestSpecOrderCached: orderings memoize under the spec key and stop
-// being addressable when a table's epoch moves.
+// being addressable when a table's layout changes.
 func TestSpecOrderCached(t *testing.T) {
 	f := setup(t, true)
-	epoch := uint64(0)
 	f.runner.Cache = NewPlanCache(0)
-	f.runner.Epoch = func(string) uint64 { return epoch }
 	b := bindSpec(t, f, threeWay())
 
 	if _, err := f.runner.CompileSpec(b); err != nil {
@@ -281,15 +279,13 @@ func TestSpecOrderCached(t *testing.T) {
 	if f.runner.CacheHits == 0 {
 		t.Error("second compile should hit the cached ordering")
 	}
-	hits := f.runner.CacheHits
-	epoch++
+	relayout(t, f.line)
 	if _, err := f.runner.CompileSpec(b); err != nil {
 		t.Fatal(err)
 	}
 	if f.runner.CacheMisses <= missesAfterFirst {
-		t.Error("epoch bump should invalidate the cached ordering")
+		t.Error("a layout change should invalidate the cached ordering")
 	}
-	_ = hits
 }
 
 // TestSpecKeyDiscriminates extends the plan-cache key contract to every
@@ -347,14 +343,8 @@ func TestSpecKeyDiscriminates(t *testing.T) {
 	check("fixed-order", key(base))
 	f.runner.FixedOrder = false
 
-	f.runner.Epoch = func(tbl string) uint64 {
-		if tbl == "orders" {
-			return 7
-		}
-		return 0
-	}
-	check("epoch", key(base))
-	f.runner.Epoch = nil
+	relayout(t, f.ord)
+	check("version", key(base))
 
 	for label, k := range seen {
 		if !strings.HasPrefix(k, "S|") {

@@ -364,8 +364,8 @@ func (b *Bound) Uses() []optimizer.TableUse {
 // group-by columns and aggregate clauses — as a canonical string. It is
 // the spec side of the plan-cache key contract: two specs differing in
 // any of those fields fingerprint differently, so they can never share
-// a cached ordering (epochs and runner knobs are the planner's half of
-// the key).
+// a cached ordering (layout versions and runner knobs are the
+// planner's half of the key).
 func (b *Bound) Fingerprint() string {
 	var sb strings.Builder
 	sb.Grow(128)

@@ -6,9 +6,8 @@
 // Ownership rules (the query-context refactor):
 //
 //   - The Service owns what is shared and immutable per query: the
-//     store, the executor template (flags, spill fs), the plan cache,
-//     the global admission budget, and the per-table partitioning
-//     epochs.
+//     store, the executor template (flags, spill fs), the plan cache
+//     and the global admission budget.
 //   - Each query owns what it mutates: a context (cancellation and
 //     deadline), a private cluster.Meter, a MemBudget share sized to
 //     its admission reservation, and — in distributed mode — a private
@@ -22,16 +21,20 @@
 // Concurrency model: table layouts (core.Table) carry no locks, so the
 // Service serializes adaptation against execution with one RWMutex —
 // queries compile and drain under the read lock, repartitioning steps
-// run under the write lock and bump the touched tables' epochs before
-// releasing it. The plan cache keys on those epochs, which is the
-// entire invalidation story:
+// run under the write lock. Each table owns its layout version
+// (core.Table.Version): every method that changes its trees, blocks or
+// placement moves it, a failed one too once it wrote or dropped
+// anything. The plan cache keys on those versions, which is the entire
+// invalidation story:
 //
-//	adapt:  Lock  → migrate blocks → epoch E+1 → Unlock
-//	query:  RLock → session.Run: compile (cache keyed @E) → drain → RUnlock
+//	adapt:  Lock  → migrate blocks (version V → V') → Unlock
+//	query:  RLock → session.Run: compile (cache keyed @V') → drain → RUnlock
 //
-// A cached fragment compiled @E can only be replayed while the layout
-// that produced it is still current; after the bump its key is
+// A cached fragment compiled @V can only be replayed while the layout
+// that produced it is still current; after a change its key is
 // unreachable and the next compile re-prices against the new layout.
+// A table the adapting query touched but did not change keeps its
+// version, and with it its cache entries.
 package serve
 
 import (
@@ -94,11 +97,6 @@ type Service struct {
 	// never overlap a scan.
 	layoutMu sync.RWMutex
 
-	// epochMu guards epochs; bumps happen while layoutMu is held for
-	// writing, reads happen under the read lock from many queries.
-	epochMu sync.Mutex
-	epochs  map[string]uint64
-
 	tenantMu sync.Mutex
 	tenants  map[string]*tenant
 
@@ -132,7 +130,6 @@ func New(store *dfs.Store, cfg Config) *Service {
 		base:    base,
 		adm:     NewAdmission(exec.NewMemBudget(cfg.MemBudget), cfg.MaxQueued),
 		cache:   cache,
-		epochs:  make(map[string]uint64),
 		tenants: make(map[string]*tenant),
 	}
 }
@@ -199,8 +196,8 @@ func (s *Service) Stream(ctx context.Context, tenantID string, q session.Query, 
 	}
 
 	// Compile and drain under the read lock: the layout (and with it
-	// every epoch this compile keys cache entries on) cannot change
-	// until the query finishes. The query's NodeSet is private, so
+	// every layout version this compile keys cache entries on) cannot
+	// change until the query finishes. The query's NodeSet is private, so
 	// flushing its shards into the query meter never races another
 	// query's accounting.
 	s.layoutMu.RLock()
@@ -215,7 +212,6 @@ func (s *Service) Stream(ctx context.Context, tenantID string, q session.Query, 
 		runner.BudgetBlocks = s.cfg.BudgetBlocks
 	}
 	runner.Cache = s.cache
-	runner.Epoch = s.Epoch
 
 	var scratch []byte
 	r, err := session.Run(ctx, session.Step{Runner: runner, Seq: res.Seq}, q, func(b *exec.Batch) error {
@@ -242,26 +238,15 @@ func (s *Service) Stream(ctx context.Context, tenantID string, q session.Query, 
 
 // adapt runs the tenant's optimizer on q's votes: the tenant's own
 // windows vote, and any layout change happens under the write lock —
-// no query is scanning while blocks move. Epoch bumps piggyback on the
-// same critical section, so a reader either sees (old layout, old
-// epoch) or (new, new). A failed step may have changed layouts before
-// it failed, so it bumps too.
+// no query is scanning while blocks move, and a reader sees a table's
+// layout and its version change together.
 func (s *Service) adapt(tenantID string, q session.Query, meter *cluster.Meter) (optimizer.StepReport, error) {
-	uses := q.Uses()
 	t := s.tenant(tenantID)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s.layoutMu.Lock()
 	defer s.layoutMu.Unlock()
-	adapt, err := t.opt.OnQuery(uses, meter)
-	if err != nil || adapt.Adapted() {
-		s.epochMu.Lock()
-		for _, u := range uses {
-			s.epochs[u.Table.Name]++
-		}
-		s.epochMu.Unlock()
-	}
-	return adapt, err
+	return t.opt.OnQuery(q.Uses(), meter)
 }
 
 // footprint estimates a query's peak memory via a throwaway runner
@@ -291,14 +276,6 @@ func (s *Service) queryBudget(est int64) *exec.MemBudget {
 		return nil
 	}
 	return exec.NewMemBudget(est)
-}
-
-// Epoch reports a table's partitioning epoch — the planner cache's
-// invalidation hook.
-func (s *Service) Epoch(table string) uint64 {
-	s.epochMu.Lock()
-	defer s.epochMu.Unlock()
-	return s.epochs[table]
 }
 
 // tenant returns (creating on first use) a tenant's adaptation state.

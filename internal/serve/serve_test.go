@@ -107,7 +107,7 @@ func testConfig() Config {
 
 // staticConfig is testConfig under ModeStatic: queries still vote into
 // the windows but never repartition, for tests that need a stable
-// epoch.
+// layout.
 func staticConfig() Config {
 	cfg := testConfig()
 	cfg.Optimizer.Mode = optimizer.ModeStatic
@@ -115,7 +115,7 @@ func staticConfig() Config {
 }
 
 // staticTenant registers tenant id with a ModeStatic optimizer, so its
-// queries leave layouts and epochs to the service's other tenants.
+// queries leave layouts to the service's other tenants.
 func staticTenant(svc *Service, id string) string {
 	svc.tenants[id] = &tenant{opt: optimizer.New(staticConfig().Optimizer)}
 	return id
@@ -291,8 +291,8 @@ func TestServeResultOps(t *testing.T) {
 }
 
 // TestServePlanCacheHitRepeatMissOnBump: a repeated (tables, attrs,
-// predicates, epoch) compile hits the cache; an adaptation that bumps
-// the epoch makes the next compile miss and re-prices.
+// predicates, layout version) compile hits the cache; an adaptation
+// that changes the layout makes the next compile miss and re-prices.
 func TestServePlanCacheHitRepeatMissOnBump(t *testing.T) {
 	f := buildFixture(t)
 	svc := New(f.store, testConfig())
@@ -320,18 +320,18 @@ func TestServePlanCacheHitRepeatMissOnBump(t *testing.T) {
 			second.Checksum, second.RowCount, first.Checksum, first.RowCount)
 	}
 
-	// Drive adaptation until an epoch bump lands on the fact table. The
+	// Drive adaptation until the fact table's layout changes. The
 	// driver uses a different predicate class (vmax 600) so its own
-	// compiles never repopulate q's key at the new epoch — the post-bump
+	// compiles never repopulate q's key at the new version — the
 	// lookup below must be a genuine cold miss.
-	epoch0 := svc.Epoch("fact")
-	for i := 0; i < 32 && svc.Epoch("fact") == epoch0; i++ {
+	v0 := f.fact.Version()
+	for i := 0; i < 32 && f.fact.Version() == v0; i++ {
 		if _, err := svc.Execute(context.Background(), "t0", f.query(0, 600)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if svc.Epoch("fact") == epoch0 {
-		t.Fatal("adaptive stream never bumped the fact epoch")
+	if f.fact.Version() == v0 {
+		t.Fatal("adaptive stream never changed the fact layout")
 	}
 
 	third, err := svc.Execute(context.Background(), static, q)
@@ -351,9 +351,9 @@ func TestServePlanCacheHitRepeatMissOnBump(t *testing.T) {
 
 // TestServeFailedAdaptationBumpsEpoch: an adaptation step that fails
 // partway has already changed the layout (the smooth step created its
-// tree before the migration's read failed), so it must still bump the
-// epoch — otherwise cached fragments of the old layout keep being
-// served. With fact's donor blocks deleted, the migration fails
+// tree before the migration's read failed), so the table's layout
+// version must still move — otherwise cached fragments of the old
+// layout keep being served. With fact's donor blocks deleted, the migration fails
 // whichever bucket it picks.
 func TestServeFailedAdaptationBumpsEpoch(t *testing.T) {
 	f := buildFixture(t)
@@ -375,15 +375,15 @@ func TestServeFailedAdaptationBumpsEpoch(t *testing.T) {
 		donors[path] = blk
 		f.store.Delete(path)
 	}
-	epoch0 := svc.Epoch("fact")
+	v0 := f.fact.Version()
 	if _, err := svc.Execute(context.Background(), "t0", f.query(0, 600)); err == nil {
 		t.Fatal("adaptation over deleted donor blocks succeeded")
 	}
 	if len(f.fact.LiveTrees()) < 2 {
 		t.Fatalf("the failed step created no tree (trees %v); the test has nothing to break", f.fact.LiveTrees())
 	}
-	if svc.Epoch("fact") == epoch0 {
-		t.Fatal("a failed adaptation that created a tree left the fact epoch unchanged")
+	if f.fact.Version() == v0 {
+		t.Fatal("a failed adaptation that created a tree left the fact layout version unchanged")
 	}
 	for path, blk := range donors {
 		f.store.PutBlock(path, blk)
@@ -405,7 +405,7 @@ func TestServeFailedAdaptationBumpsEpoch(t *testing.T) {
 // TestServeCacheNeverStale is the cached-vs-fresh oracle: the same
 // adaptive stream on twin services — one caching, one compiling fresh
 // every time — must produce identical per-query results. Any stale
-// fragment served past an epoch bump diverges here.
+// fragment served past a layout change diverges here.
 func TestServeCacheNeverStale(t *testing.T) {
 	sched := schedule(16)
 	run := func(disable bool) []uint64 {

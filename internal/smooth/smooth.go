@@ -41,13 +41,7 @@ type Manager struct {
 	// FMin is the minimum number of window queries with a new join
 	// attribute before a tree is created for it (§5.2).
 	FMin int
-	// Depth is the total depth of newly created trees; 0 derives it from
-	// the table's current primary tree.
-	Depth int
-	// JoinLevels for new trees; 0 means half of Depth (the default the
-	// paper evaluates in Fig. 16 and uses everywhere else).
-	JoinLevels int
-	rng        *rand.Rand
+	rng  *rand.Rand
 }
 
 // New returns a manager with the paper's defaults: fmin = 1 (create on
@@ -111,23 +105,20 @@ func (m *Manager) Step(tbl *core.Table, q workload.Query, meter *cluster.Meter) 
 		if n < m.FMin {
 			return res, nil
 		}
-		depth := m.Depth
-		if depth <= 0 {
-			if p := tbl.PrimaryTree(); p >= 0 {
-				depth = tbl.Trees[p].Tree.Depth()
-			}
-			if depth <= 0 {
-				depth = 4
-			}
+		// The new tree is as deep as the primary tree, with half its
+		// levels on the join attribute (the default the paper evaluates
+		// in Fig. 16 and uses everywhere else).
+		depth := 0
+		if p := tbl.PrimaryTree(); p >= 0 {
+			depth = tbl.Trees[p].Tree.Depth()
 		}
-		jl := m.JoinLevels
-		if jl <= 0 {
-			jl = max(depth/2, 1)
+		if depth <= 0 {
+			depth = 4
 		}
 		nt := twophase.Builder{
 			Schema:     tbl.Schema,
 			JoinAttr:   t,
-			JoinLevels: jl,
+			JoinLevels: max(depth/2, 1),
 			TotalDepth: depth,
 			Seed:       m.rng.Int63(),
 		}.Build(tbl.SampleRows)
