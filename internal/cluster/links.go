@@ -8,7 +8,10 @@
 // every remote exchange row alike.
 package cluster
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // LinkKey identifies one directed node pair. Src == Dst is the
 // loopback "link" of same-node deliveries (never weighted — local rows
@@ -70,14 +73,17 @@ type LinkWeights map[LinkKey]float64
 // remote links is 1. Links without timing data (or without traffic)
 // get weight 1. The normalization keeps the CostModel calibration
 // stable — installing weights changes the *relative* pricing of links,
-// not the overall magnitude of simulated seconds.
+// not the overall magnitude of simulated seconds. The mean sums in
+// (src, dst) order, so every process derives the same bits from the
+// same stats.
 func (s LinkStats) Weights() LinkWeights {
 	type nsb struct {
 		k LinkKey
 		v float64
 	}
 	var measured []nsb
-	for k, st := range s {
+	for _, k := range s.Keys() {
+		st := s[k]
 		if k.Src == k.Dst || st.Bytes <= 0 || st.Nanos <= 0 {
 			continue
 		}
@@ -104,30 +110,32 @@ func (s LinkStats) Weights() LinkWeights {
 // Mean returns the average weight across the map (1 when empty) — the
 // scalar the planner folds into the network share of its shuffle
 // estimates, since at plan time it cannot know which links a shuffle
-// will use.
+// will use. It sums in (src, dst) order: float addition does not
+// associate, and map order would let two replicas of one plan price a
+// tied join differently in the last bit.
 func (w LinkWeights) Mean() float64 {
 	if len(w) == 0 {
 		return 1
 	}
 	sum := 0.0
-	for _, v := range w {
-		sum += v
+	for _, k := range sortedLinks(w) {
+		sum += w[k]
 	}
 	return sum / float64(len(w))
 }
 
 // Keys returns the links in deterministic (src, dst) order — for
-// stable test output and reports.
-func (s LinkStats) Keys() []LinkKey {
-	keys := make([]LinkKey, 0, len(s))
-	for k := range s {
+// stable test output and reports, and for every float sum over them.
+func (s LinkStats) Keys() []LinkKey { return sortedLinks(s) }
+
+// sortedLinks returns m's links in (src, dst) order.
+func sortedLinks[V any](m map[LinkKey]V) []LinkKey {
+	keys := make([]LinkKey, 0, len(m))
+	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Src != keys[j].Src {
-			return keys[i].Src < keys[j].Src
-		}
-		return keys[i].Dst < keys[j].Dst
+	slices.SortFunc(keys, func(a, b LinkKey) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
 	})
 	return keys
 }

@@ -1,6 +1,9 @@
 package cluster
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // TestLinkWeightsDerivation: weights come out normalized to mean 1,
 // proportional to measured ns-per-byte, and loopback/untimed links are
@@ -26,6 +29,52 @@ func TestLinkWeightsDerivation(t *testing.T) {
 	}
 	if got := w.Mean(); !almost(got, 1.0) {
 		t.Errorf("mean weight = %v, want 1", got)
+	}
+}
+
+// orderValues are weights whose float sum depends on the order they
+// are added in: 1e16 absorbs a lone 1 but not a 2.
+var orderValues = []float64{1e16, 1, 1, -1e16, 0.1, 0.2, 0.3}
+
+// TestLinkMeanIsOrderFree: Mean and Weights sum in (src, dst) order,
+// so 100 freshly built maps of the same links give bit-identical
+// results even though other orders of the same values give other sums.
+func TestLinkMeanIsOrderFree(t *testing.T) {
+	sum := func(vs []float64) float64 {
+		s := 0.0
+		for _, v := range vs {
+			s += v
+		}
+		return s
+	}
+	rev := append([]float64(nil), orderValues...)
+	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
+		rev[i], rev[j] = rev[j], rev[i]
+	}
+	if sum(orderValues) == sum(rev) {
+		t.Fatalf("the values sum alike in both orders (%v); they test nothing", sum(rev))
+	}
+	// The sorted-key order of the links below is the slice order.
+	link := func(i int) LinkKey { return LinkKey{Src: i / 3, Dst: i%3 + 10} }
+	want := math.Float64bits(sum(orderValues) / float64(len(orderValues)))
+	var wantW uint64
+	for n := 0; n < 100; n++ {
+		w := make(LinkWeights)
+		s := make(LinkStats)
+		for i, v := range orderValues {
+			w[link(i)] = v
+			// ns/B values that, like orderValues, sum differently by order.
+			s.Add(link(i), 1, 1000, int64(1000*(i%3+1))+int64(i))
+		}
+		if got := math.Float64bits(w.Mean()); got != want {
+			t.Fatalf("map %d: Mean bits %#x, want %#x", n, got, want)
+		}
+		got := math.Float64bits(s.Weights().Mean())
+		if n == 0 {
+			wantW = got
+		} else if got != wantW {
+			t.Fatalf("map %d: Weights().Mean bits %#x, want %#x", n, got, wantW)
+		}
 	}
 }
 

@@ -142,7 +142,7 @@ func RunSpecCaseTCP(c SpecCase, dataset string, nodes, workers int) (cluster.Cou
 // SameOutcome checks that a query run over TCP reports what the same
 // query reported on the simulated fabric: the adaptation, every join's
 // strategy, output rows and hyper-join reads, and every operator's
-// label, node and output rows. The TCP coordinator computes none of
+// label, node, output rows and width. The TCP coordinator computes none of
 // these itself; it merges them from the workers. simSeconds also
 // demands bit-equal simulated seconds — only meaningful against the
 // N-node simulated fabric (the one-node fabric prices exchanges by
@@ -157,7 +157,9 @@ func SameOutcome(what string, tcp, sim *session.Result, simSeconds bool) error {
 	if !slices.Equal(tcp.Report.Joins, sim.Report.Joins) {
 		return fmt.Errorf("%s: joins %+v, sim %+v", what, tcp.Report.Joins, sim.Report.Joins)
 	}
-	row := func(op exec.OpStats) string { return fmt.Sprintf("%s@%d:%d", op.Label, op.Node, op.Rows) }
+	row := func(op exec.OpStats) string {
+		return fmt.Sprintf("%s@%d:%d rows of %d cols", op.Label, op.Node, op.Rows, op.Cols)
+	}
 	if len(tcp.Ops) != len(sim.Ops) {
 		return fmt.Errorf("%s: %d operators, sim %d", what, len(tcp.Ops), len(sim.Ops))
 	}

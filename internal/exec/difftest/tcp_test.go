@@ -15,6 +15,7 @@ import (
 func TestMain(m *testing.M) {
 	RegisterSpecDataset()
 	RegisterMixedDataset()
+	registerNarrowDataset()
 	adbnet.MaybeWorker()
 	os.Exit(m.Run())
 }

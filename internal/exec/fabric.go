@@ -55,7 +55,7 @@ type Exchanger interface {
 type Fabric interface {
 	N() int
 	At(i int) *Executor
-	ScanAt(i int, refs []core.BlockRef, preds []predicate.Predicate) Operator
+	ScanAt(i int, refs []core.BlockRef, preds []predicate.Predicate, cols []int) Operator
 	SplitRefs(refs []core.BlockRef) [][]core.BlockRef
 	Shuffle(parts []Operator, key int, c Charge) Exchanger
 	Broadcast(parts []Operator, c Charge) Exchanger
@@ -92,8 +92,8 @@ type centralFabric struct{ e *Executor }
 func (f centralFabric) N() int           { return 1 }
 func (f centralFabric) At(int) *Executor { return f.e }
 
-func (f centralFabric) ScanAt(_ int, refs []core.BlockRef, preds []predicate.Predicate) Operator {
-	return f.e.ScanOp(refs, preds)
+func (f centralFabric) ScanAt(_ int, refs []core.BlockRef, preds []predicate.Predicate, cols []int) Operator {
+	return f.e.ScanOp(refs, preds, cols)
 }
 
 func (f centralFabric) SplitRefs(refs []core.BlockRef) [][]core.BlockRef {
@@ -126,8 +126,8 @@ type simFabric struct{ ns *NodeSet }
 func (f simFabric) N() int             { return f.ns.N() }
 func (f simFabric) At(i int) *Executor { return f.ns.At(i) }
 
-func (f simFabric) ScanAt(i int, refs []core.BlockRef, preds []predicate.Predicate) Operator {
-	return f.ns.ScanAt(i, refs, preds)
+func (f simFabric) ScanAt(i int, refs []core.BlockRef, preds []predicate.Predicate, cols []int) Operator {
+	return f.ns.At(i).ScanOp(refs, preds, cols)
 }
 
 func (f simFabric) SplitRefs(refs []core.BlockRef) [][]core.BlockRef {

@@ -107,7 +107,7 @@ func (ns *NodeSet) SplitRefs(refs []core.BlockRef) [][]core.BlockRef {
 // ScanAt returns node i's share of a table scan: the refs assigned to
 // node i, read on node i's own worker pool and metered into its shard.
 func (ns *NodeSet) ScanAt(i int, refs []core.BlockRef, preds []predicate.Predicate) Operator {
-	return ns.At(i).ScanOp(refs, preds)
+	return ns.At(i).ScanOp(refs, preds, nil)
 }
 
 // Flush folds every node's meter shard into the parent executor's meter

@@ -26,6 +26,9 @@ type OpStats struct {
 	Batches int64
 	Rows    int64
 	WallNs  int64
+	// Cols is the column count of the widest batch the operator emitted
+	// (0 before its first batch): how wide the rows it carried were.
+	Cols int
 	// SpilledBytes is what the operator wrote to disk run files under
 	// memory pressure (hash joins under a MemBudget); 0 everywhere else.
 	SpilledBytes int64
@@ -109,6 +112,7 @@ func (i *Instrumented) Next() (*Batch, error) {
 	if b != nil {
 		i.stats.Batches++
 		i.stats.Rows += int64(b.Len())
+		i.stats.Cols = max(i.stats.Cols, b.cols.NumCols())
 	}
 	fire := b == nil && err == nil && !i.done
 	if fire {

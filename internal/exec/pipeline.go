@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"adaptdb/internal/cluster"
@@ -298,14 +299,16 @@ func (s *Source) Close() error { return nil }
 
 // ScanOp returns an operator that reads the refs' blocks on the
 // executor's bounded worker pool, filters by the predicate conjunction,
-// and streams matching rows as views of the blocks (emitBlock). Block
+// and streams matching rows as views of the blocks' columns cols, in
+// that order (nil: every column; emitBlock). Predicates read the
+// blocks' full width, whatever cols keeps. Block
 // reads are metered as scans. A referenced block that is missing from
 // the store fails the scan with ErrBlockMissing: no front door
 // repartitions during a drain, so a missing block would otherwise mean
 // a silently short answer. Batch order across blocks is
 // nondeterministic when more than one worker runs.
-func (e *Executor) ScanOp(refs []core.BlockRef, preds []predicate.Predicate) Operator {
-	return &scanOp{e: e, refs: refs, preds: preds, p: pool{e: e}}
+func (e *Executor) ScanOp(refs []core.BlockRef, preds []predicate.Predicate, cols []int) Operator {
+	return &scanOp{e: e, refs: refs, preds: preds, cols: cols, p: pool{e: e}}
 }
 
 // TableScanOp returns a scan operator over every live tree of a table
@@ -313,7 +316,7 @@ func (e *Executor) ScanOp(refs []core.BlockRef, preds []predicate.Predicate) Ope
 // data access (§6). With NoPrune set it reads everything and filters
 // row by row.
 func (e *Executor) TableScanOp(tbl *core.Table, preds []predicate.Predicate) Operator {
-	return e.ScanOp(e.TableRefs(tbl, preds), preds)
+	return e.ScanOp(e.TableRefs(tbl, preds), preds, nil)
 }
 
 // TableRefs resolves a table's scan set under the executor's pruning
@@ -352,6 +355,7 @@ type scanOp struct {
 	e     *Executor
 	refs  []core.BlockRef
 	preds []predicate.Predicate
+	cols  []int // the emitted columns, strictly increasing; nil = all
 	p     pool
 }
 
@@ -391,7 +395,9 @@ func (s *scanOp) worker(int) {
 // emitBlock is the scan of one block: filter, then view. The block is
 // cut into chunks of at most DefaultBatchSize rows, and each chunk
 // leaves as an alias batch over the block's own vectors (aliasBatch);
-// with predicates, the kernel narrows the batch's own selection. The
+// with predicates, the kernel narrows the batch's own selection over
+// the full width, and then the batch keeps only the scan's columns
+// (tuple.Columns.KeepCols moves vector headers, never cells). The
 // selection is cleared when every row of the chunk survives, and a
 // chunk with no survivors is skipped. No cell is copied: rows are
 // copied only where they must be — into a hash table, onto the wire, or
@@ -415,6 +421,9 @@ func (s *scanOp) emitBlock(cols *tuple.Columns) bool {
 			case to - from:
 				cb.SetSel(nil)
 			}
+		}
+		if s.cols != nil {
+			b.cols.KeepCols(s.cols)
 		}
 		if !s.p.send(b) {
 			return false
@@ -796,6 +805,9 @@ type HyperJoinOp struct {
 	rPreds       []predicate.Predicate
 	sPreds       []predicate.Predicate
 	rCol, sCol   int
+	// rKeep and sKeep are the build and probe columns the join emits,
+	// strictly increasing (nil: every column); each holds its side's key.
+	rKeep, sKeep []int
 	// buildIsRight emits S‖R instead of R‖S: the planner builds on the
 	// plan's right side and still gets (left, right) column order.
 	buildIsRight bool
@@ -815,17 +827,31 @@ type HyperJoinOp struct {
 // buildIsRight set — how a join that builds on the plan's right side
 // keeps the plan's (left, right) column order.
 func (e *Executor) NewHyperJoinOp(plan HyperPlan, rPreds, sPreds []predicate.Predicate, buildIsRight bool) *HyperJoinOp {
-	return e.NewHyperFragment(plan, plan.Grouping, rPreds, sPreds, buildIsRight)
+	return e.NewHyperFragment(plan, plan.Grouping, rPreds, sPreds, nil, nil, buildIsRight)
 }
 
 // NewHyperFragment is NewHyperJoinOp running only groups, a share of
-// plan's grouping (one node's, from SplitByNode). Stats and Plan still
-// describe the whole plan where they say so.
-func (e *Executor) NewHyperFragment(plan HyperPlan, groups hyperjoin.Grouping, rPreds, sPreds []predicate.Predicate, buildIsRight bool) *HyperJoinOp {
+// plan's grouping (one node's, from SplitByNode), and emitting only the
+// build columns rKeep and probe columns sKeep, each strictly increasing
+// and holding its side's join key (nil: every column). A group's store
+// gathers only the kept build columns, and its output gathers only the
+// kept probe columns. Stats and Plan still describe the whole plan
+// where they say so.
+func (e *Executor) NewHyperFragment(plan HyperPlan, groups hyperjoin.Grouping, rPreds, sPreds []predicate.Predicate, rKeep, sKeep []int, buildIsRight bool) *HyperJoinOp {
 	return &HyperJoinOp{
 		e: e, rRefs: plan.R, sRefs: plan.S, rPreds: rPreds, sPreds: sPreds,
-		rCol: plan.RCol, sCol: plan.SCol, buildIsRight: buildIsRight, plan: plan, groups: groups, p: pool{e: e},
+		rCol: plan.RCol, sCol: plan.SCol, rKeep: rKeep, sKeep: sKeep,
+		buildIsRight: buildIsRight, plan: plan, groups: groups, p: pool{e: e},
 	}
+}
+
+// keptIndex is table column col's index among the columns keep (nil:
+// every column, so col itself).
+func keptIndex(keep []int, col int) int {
+	if keep == nil {
+		return col
+	}
+	return slices.Index(keep, col)
 }
 
 // Stats reports what the hyper-join did; complete only after Next has
@@ -873,9 +899,10 @@ func (h *HyperJoinOp) worker(int) {
 // error).
 //
 // A group is a one-partition hash join over block columns: the R
-// blocks' surviving rows are gathered into one columnar store with
-// their Hash64Column hashes and chained (newColPart), and every S block
-// is probed in place — a selection over the block's own vectors —
+// blocks' surviving rows are gathered into one columnar store of the
+// kept build columns with their Hash64Column hashes and chained
+// (newColPart), and every S block is probed in place — a selection
+// over a view of the block's kept vectors —
 // through the head pass, chain walks and pair-gather emission of coljoin.go,
 // so output batches are columnar (R columns, then S columns, or the
 // reverse with buildIsRight) and no row is boxed.
@@ -888,7 +915,7 @@ func (h *HyperJoinOp) runGroup(group []int, st *colProbe) bool {
 	for _, i := range group {
 		est += h.rRefs[i].Count
 	}
-	gj := onePartJoin(h.e, h.rCol, h.sCol, h.buildIsRight)
+	gj := onePartJoin(h.e, keptIndex(h.rKeep, h.rCol), keptIndex(h.sKeep, h.sCol), h.buildIsRight)
 	var store *tuple.Columns
 	hashes := make([]uint64, 0, est)
 	var hv []uint64
@@ -903,8 +930,9 @@ func (h *HyperJoinOp) runGroup(group []int, st *colProbe) bool {
 		if cols.FullLen() == 0 {
 			continue
 		}
+		kept := cols.View(h.rKeep, nil)
 		if store == nil {
-			store = tuple.NewColumns(cols.NumCols())
+			store = tuple.NewColumns(kept.NumCols())
 			store.Reserve(est)
 		}
 		// NULL never equals NULL in a join: rows of a key column that can
@@ -913,7 +941,7 @@ func (h *HyperJoinOp) runGroup(group []int, st *colProbe) bool {
 		nullable := key.Valid() != nil || key.Boxed() != nil
 		hv = cols.Hash64Column(h.rCol, hv)
 		if len(h.rPreds) == 0 && !nullable {
-			store.AppendRange(cols, 0, cols.FullLen())
+			store.AppendRange(kept, 0, cols.FullLen())
 			hashes = append(hashes, hv...)
 			continue
 		}
@@ -934,7 +962,7 @@ func (h *HyperJoinOp) runGroup(group []int, st *colProbe) bool {
 			sel = sel[:m]
 		}
 		scratch = sel[:0]
-		store.AppendGather(cols, sel)
+		store.AppendGather(kept, sel)
 		for _, r := range sel {
 			hashes = append(hashes, hv[r])
 		}
@@ -968,7 +996,7 @@ func (h *HyperJoinOp) runGroup(group []int, st *colProbe) bool {
 		}
 		// No partition of a group is ever spilled, so the head pass touches
 		// neither a spiller nor the skip counter.
-		gj.probeColsBatch(cols.View(sel), st, nil, nil)
+		gj.probeColsBatch(cols.View(h.sKeep, sel), st, nil, nil)
 		// Pairs index this block's vectors: gather them before moving on.
 		st.flush()
 		if !st.ok {

@@ -48,7 +48,7 @@ func TestScanOpMoreWorkersThanBlocks(t *testing.T) {
 
 func TestScanOpEmptyRefs(t *testing.T) {
 	f := newFixture(t, true)
-	rows, err := Collect(f.ex.ScanOp(nil, nil))
+	rows, err := Collect(f.ex.ScanOp(nil, nil, nil))
 	if err != nil || rows != nil {
 		t.Errorf("empty scan: rows=%v err=%v, want nil/nil", rows, err)
 	}
@@ -173,7 +173,7 @@ func TestMissingBlockFailsTheQuery(t *testing.T) {
 	}{
 		{"scan", func(f *fixture) (Operator, string) {
 			refs := f.line.Refs(0, nil)
-			return f.ex.ScanOp(refs, nil), refs[len(refs)/2].Path
+			return f.ex.ScanOp(refs, nil, nil), refs[len(refs)/2].Path
 		}},
 		{"hyper-join build", func(f *fixture) (Operator, string) {
 			r, s := f.line.Refs(0, nil), f.ord.Refs(0, nil)

@@ -169,7 +169,7 @@ func hyperFragments(t *testing.T, dir string) ([]*HyperJoinOp, []*Executor) {
 	views := []*Executor{ex}
 	var frags []*HyperJoinOp
 	for i, groups := range plan.SplitByNode(ns.N()) {
-		h := ns.At(i).NewHyperFragment(plan, groups, nil, nil, false)
+		h := ns.At(i).NewHyperFragment(plan, groups, nil, nil, nil, nil, false)
 		if i == 3 && len(h.groups) != 0 {
 			t.Fatalf("node 3's fragment holds %d groups", len(h.groups))
 		}

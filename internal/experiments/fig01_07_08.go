@@ -94,7 +94,7 @@ func Fig07(cfg Config) (*Result, error) {
 		meter := &cluster.Meter{}
 		ex := exec.New(store, meter)
 		ex.RoundRobin = true
-		if _, err := exec.Count(ex.ScanOp(refs, nil)); err != nil {
+		if _, err := exec.Count(ex.ScanOp(refs, nil, nil)); err != nil {
 			return nil, err
 		}
 		secs := meter.Snapshot().SimSeconds(model)

@@ -81,8 +81,8 @@ func (f *netFabric) hosts(i int) bool { return f.assign[i] == f.me }
 func (f *netFabric) N() int                  { return f.ns.N() }
 func (f *netFabric) At(i int) *exec.Executor { return f.ns.At(i) }
 
-func (f *netFabric) ScanAt(i int, refs []core.BlockRef, preds []predicate.Predicate) exec.Operator {
-	return f.ns.ScanAt(i, refs, preds)
+func (f *netFabric) ScanAt(i int, refs []core.BlockRef, preds []predicate.Predicate, cols []int) exec.Operator {
+	return f.ns.At(i).ScanOp(refs, preds, cols)
 }
 
 func (f *netFabric) SplitRefs(refs []core.BlockRef) [][]core.BlockRef {

@@ -73,17 +73,17 @@ func (r *Runner) instrument(c *Compiled, label string, op exec.Operator, onDone 
 // node's groups (split once, HyperPlan.SplitByNode): together they run
 // the schedule estimateHyper priced, building on the left refs or (when
 // the decision flipped the build side onto the smaller co-partitioned
-// portion) on the right refs, emitting in the plan's (left, right)
-// column order either way.
+// portion) on the right refs, emitting each scan's columns in the
+// plan's (left, right) order either way.
 func (r *Runner) hyperOps(p tableJoinPlan, l, rt *Scan) []*exec.HyperJoinOp {
-	bPreds, pPreds := l.Preds, rt.Preds
+	b, pr := l, rt
 	if p.flip {
-		bPreds, pPreds = rt.Preds, l.Preds
+		b, pr = rt, l
 	}
 	fb := r.Ex.ExecFabric()
 	out := make([]*exec.HyperJoinOp, fb.N())
 	for i, groups := range p.hyper.SplitByNode(fb.N()) {
-		out[i] = fb.At(i).NewHyperFragment(p.hyper, groups, bPreds, pPreds, p.flip)
+		out[i] = fb.At(i).NewHyperFragment(p.hyper, groups, b.Preds, pr.Preds, b.Cols, pr.Cols, p.flip)
 	}
 	return out
 }

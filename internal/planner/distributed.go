@@ -19,7 +19,11 @@
 //     physical node placement.
 //
 // Scans are split by block placement (dfs.Store primary replicas) so
-// each node reads its own blocks. Every exchange carries the eq. 1
+// each node reads its own blocks, and emit the Scan's columns: a grouped
+// spec's scans and hyper-joins emit only the columns it reads, so its
+// exchanges carry only those. A join's strategy is decided on table
+// columns (Scan.tableCol); its operators join on columns of the scans'
+// output. Every exchange carries the eq. 1
 // charge class of its plan edge: exec.ChargeShuffle for a base table
 // that repartitions, exec.ChargeIntermediate for an intermediate,
 // exec.ChargeNone for a table §4.3 reads in place; an intermediate that
@@ -35,7 +39,6 @@ import (
 
 	"adaptdb/internal/core"
 	"adaptdb/internal/exec"
-	"adaptdb/internal/predicate"
 )
 
 // instrumentAt wraps a node fragment with stats collection tagged with
@@ -139,13 +142,15 @@ func (r *Runner) compileDist(n Node, c *Compiled) ([]exec.Operator, error) {
 // distScan splits a table scan by block placement: node i reads the
 // blocks whose primary replica it holds, on its own worker pool.
 func (r *Runner) distScan(c *Compiled, s *Scan) []exec.Operator {
-	return r.distRefsScan(c, s.Table.Name, r.scanRefs(s), s.Preds)
+	return r.distRefsScan(c, s.Table.Name, r.scanRefs(s), s)
 }
 
 // distTableJoin lowers a base-table ⋈ base-table join to the strategy
 // planTableJoin picks from zone-map metadata, realized across nodes.
+// The strategy is decided on the join's table columns; the operators
+// join on its columns of the scans' output.
 func (r *Runner) distTableJoin(j *Join, l, rt *Scan, c *Compiled) ([]exec.Operator, error) {
-	p := r.cachedTableJoin(l, j.LCol, rt, j.RCol)
+	p := r.cachedTableJoin(l, l.tableCol(j.LCol), rt, rt.tableCol(j.RCol))
 	pair := l.Table.Name + "⋈" + rt.Table.Name
 	switch p.strategy {
 	case StratShuffle:
@@ -182,12 +187,12 @@ func (r *Runner) distTableJoin(j *Join, l, rt *Scan, c *Compiled) ([]exec.Operat
 			}
 		}
 		if len(p.l2) > 0 {
-			residual(joinSide{r.distRefsScan(c, l.Table.Name+":residual", p.l2, l.Preds), j.LCol, refRows(p.l2), exec.ChargeShuffle},
+			residual(joinSide{r.distRefsScan(c, l.Table.Name+":residual", p.l2, l), j.LCol, refRows(p.l2), exec.ChargeShuffle},
 				joinSide{r.distScan(c, rt), j.RCol, refRows(p.r1) + refRows(p.r2), exec.ChargeShuffle})
 		}
 		if len(p.r2) > 0 {
-			residual(joinSide{r.distRefsScan(c, l.Table.Name+":copart", p.l1, l.Preds), j.LCol, refRows(p.l1), exec.ChargeShuffle},
-				joinSide{r.distRefsScan(c, rt.Table.Name+":residual", p.r2, rt.Preds), j.RCol, refRows(p.r2), exec.ChargeShuffle})
+			residual(joinSide{r.distRefsScan(c, l.Table.Name+":copart", p.l1, l), j.LCol, refRows(p.l1), exec.ChargeShuffle},
+				joinSide{r.distRefsScan(c, rt.Table.Name+":residual", p.r2, rt), j.RCol, refRows(p.r2), exec.ChargeShuffle})
 		}
 		parts := make([]exec.Operator, len(hy))
 		for i, h := range hy {
@@ -198,14 +203,16 @@ func (r *Runner) distTableJoin(j *Join, l, rt *Scan, c *Compiled) ([]exec.Operat
 	return nil, fmt.Errorf("planner: unknown strategy %q", p.strategy)
 }
 
-// distRefsScan splits an explicit ref set (a combination join's
-// co-partitioned or residual portion) across the nodes by placement.
-func (r *Runner) distRefsScan(c *Compiled, label string, refs []core.BlockRef, preds []predicate.Predicate) []exec.Operator {
+// distRefsScan splits a ref set of scan s (its pruned refs, or a
+// combination join's co-partitioned or residual portion) across the
+// nodes by placement; each part filters by s's predicates and emits
+// s's columns.
+func (r *Runner) distRefsScan(c *Compiled, label string, refs []core.BlockRef, s *Scan) []exec.Operator {
 	fb := r.Ex.ExecFabric()
 	byNode := fb.SplitRefs(refs)
 	parts := make([]exec.Operator, fb.N())
 	for i := range parts {
-		parts[i] = r.instrumentAt(c, i, "scan("+label+")", fb.ScanAt(i, byNode[i], preds), nil)
+		parts[i] = r.instrumentAt(c, i, "scan("+label+")", fb.ScanAt(i, byNode[i], s.Preds, s.Cols), nil)
 	}
 	return parts
 }
@@ -272,7 +279,7 @@ func (r *Runner) distShuffleParts(c *Compiled, fill func(exec.OpStats), pair str
 // (controls output column order).
 func (r *Runner) distBroadcastJoin(c *Compiled, build []exec.Operator, buildRows, buildCol int, sc *Scan, tblCol int, tblFirst bool) []exec.Operator {
 	fb := r.Ex.ExecFabric()
-	if r.ForceShuffle || sc.Table.TreeFor(tblCol) < 0 {
+	if r.ForceShuffle || sc.Table.TreeFor(sc.tableCol(tblCol)) < 0 {
 		// No tree on the join attribute: both sides hash-exchange.
 		fill := r.reportJoin(c, StratShuffle, nil).of(nil)
 		tbl := joinSide{r.distScan(c, sc), tblCol, refRows(r.scanRefs(sc)), exec.ChargeShuffle}

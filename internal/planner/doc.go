@@ -6,7 +6,10 @@
 //
 // Compile is the engine: scans become ScanOps with predicate pushdown
 // over block refs resolved once per compile (the costing, ordering and
-// scans of one compile share them), base-table joins become
+// scans of one compile share them) — for a grouped spec, each emitting
+// only the join keys and group inputs its table contributes, so the
+// grouped projection happens at the scans, not only above the joins —
+// base-table joins become
 // HyperJoinOp / JoinOp / Concat compositions, and multi-relation joins
 // stream their sub-plan DAGs straight into the next join's build side
 // (§4.3's semi-shuffle: only the intermediate shuffles when the base

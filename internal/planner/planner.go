@@ -17,11 +17,31 @@ type Node interface{ nodeMark }
 // nothing calls it.
 type nodeMark interface{ node() }
 
-// Scan reads one table with predicate pushdown.
+// Scan reads one table with predicate pushdown. Cols lists the table
+// columns it emits, strictly increasing; nil emits every column. A
+// grouped spec's lowering narrows its scans this way (keptCols).
 type Scan struct {
 	nodeMark
 	Table *core.Table
 	Preds []predicate.Predicate
+	Cols  []int
+}
+
+// width is the scan's output column count.
+func (s *Scan) width() int {
+	if s.Cols == nil {
+		return s.Table.Schema.NumCols()
+	}
+	return len(s.Cols)
+}
+
+// tableCol maps column i of the scan's output to its table column —
+// what zone maps, trees and hyper-join plans are indexed by.
+func (s *Scan) tableCol(i int) int {
+	if s.Cols == nil {
+		return i
+	}
+	return s.Cols[i]
 }
 
 // Join joins two sub-plans on the given column indexes of their output
@@ -38,16 +58,17 @@ type Join struct {
 // before parents and left before right; -1 if no join reads it.
 func Uses(n Node) []optimizer.TableUse {
 	var uses []optimizer.TableUse
+	var scans []*Scan
 	// vote charges col of the output starting at leaf first to the leaf
 	// that owns it.
 	vote := func(first, col int) {
 		i := first
-		for col >= uses[i].Table.Schema.NumCols() {
-			col -= uses[i].Table.Schema.NumCols()
+		for col >= scans[i].width() {
+			col -= scans[i].width()
 			i++
 		}
 		if uses[i].JoinAttr < 0 {
-			uses[i].JoinAttr = col
+			uses[i].JoinAttr = scans[i].tableCol(col)
 		}
 	}
 	// visit appends n's leaves and returns the index of its first one.
@@ -56,6 +77,7 @@ func Uses(n Node) []optimizer.TableUse {
 		switch n := n.(type) {
 		case *Scan:
 			uses = append(uses, optimizer.TableUse{Table: n.Table, JoinAttr: -1, Preds: n.Preds})
+			scans = append(scans, n)
 			return len(uses) - 1
 		case *Join:
 			l, r := visit(n.Left), visit(n.Right)

@@ -25,6 +25,16 @@
 // run on every node fragment, below the root gather, so the group-by
 // above it reads column indexes that depend on the spec alone.
 //
+// A grouped spec is projected at its scans too, not only above the
+// joins: each scan emits only its table's keptCols — the join keys of
+// every edge touching the table and the group-by's inputs — so every
+// join, exchange, spill run and wire frame below the final projection
+// carries those columns alone. Join columns, residual pairs and the
+// output projection index that narrowed stream (streamCols); strategy
+// decisions, trees and hyper plans still read table columns
+// (Scan.tableCol). A non-grouped spec returns whole rows, and its
+// scans emit every column.
+//
 // Orderings are memoized in the PlanCache next to the per-join strategy
 // decisions, keyed by the spec fingerprint plus each table's layout
 // version and the runner knobs — the same invalidation contract as
@@ -55,8 +65,9 @@ type specOrder struct {
 }
 
 // CompileSpec lowers a bound spec to an executable operator DAG:
-// greedy (or, under FixedOrder, declaration-order) join ordering, the
-// existing per-join strategy machinery underneath, then on every node
+// greedy (or, under FixedOrder, declaration-order) join ordering, scans
+// narrowed to the columns a grouped spec reads, the existing per-join
+// strategy machinery underneath, then on every node
 // fragment the residual equality filters for graph edges the tree did
 // not consume and the projection onto the spec's output columns, and
 // above the one root gather only what Top builds. Everything whose
@@ -75,13 +86,13 @@ func (r *Runner) CompileSpec(b *query.Bound) (*Compiled, error) {
 			parts[i] = exec.Empty()
 		}
 	} else {
-		node, offs := r.lowerSpec(b, ord)
+		node, sc := r.lowerSpec(b, ord)
 		var err error
 		if parts, err = r.compileDist(node, c); err != nil {
 			return nil, err
 		}
-		pairs := residualPairs(b, ord, offs)
-		cols := outColumns(b, offs)
+		pairs := residualPairs(b, ord, sc)
+		cols := outColumns(b, sc)
 		for i, op := range parts {
 			if len(pairs) > 0 {
 				op = r.instrumentAt(c, i, "residual-filter", exec.WhereColsEq(op, pairs), nil)
@@ -128,19 +139,39 @@ func (r *Runner) EstimateSpecFootprint(b *query.Bound) int64 {
 	return r.EstimateFootprint(node)
 }
 
+// streamCols places the tables of a lowered spec in its joined stream
+// of width columns: table ti's scan emits its columns keep[ti] (nil:
+// every column), and they start at index offs[ti].
+type streamCols struct {
+	offs  []int
+	keep  [][]int
+	width int
+}
+
+// local is table ti's column c as an index of ti's scan output.
+func (s streamCols) local(ti, c int) int {
+	if s.keep[ti] == nil {
+		return c
+	}
+	return slices.Index(s.keep[ti], c)
+}
+
+// at is table ti's column c as an index of the joined stream.
+func (s streamCols) at(ti, c int) int { return s.offs[ti] + s.local(ti, c) }
+
 // lowerSpec builds the left-deep Node tree for a decided ordering and
-// returns it with each table's column offset in the joined output.
-func (r *Runner) lowerSpec(b *query.Bound, ord specOrder) (Node, map[int]int) {
-	offs := make(map[int]int, len(ord.seq))
-	width := 0
+// returns it with the place of each table's columns in the joined
+// output. Each scan emits its table's keptCols, so every join, exchange
+// and spill above it carries only those.
+func (r *Runner) lowerSpec(b *query.Bound, ord specOrder) (Node, streamCols) {
+	sc := streamCols{offs: make([]int, len(b.Tables)), keep: keptCols(b)}
+	scans := make([]*Scan, len(b.Tables))
 	for _, ti := range ord.seq {
-		offs[ti] = width
-		width += b.Tables[ti].Table.Schema.NumCols()
+		scans[ti] = &Scan{Table: b.Tables[ti].Table, Preds: b.Tables[ti].Preds, Cols: sc.keep[ti]}
+		sc.offs[ti] = sc.width
+		sc.width += scans[ti].width()
 	}
-	scan := func(ti int) *Scan {
-		return &Scan{Table: b.Tables[ti].Table, Preds: b.Tables[ti].Preds}
-	}
-	var node Node = scan(ord.seq[0])
+	var node Node = scans[ord.seq[0]]
 	placed := map[int]bool{ord.seq[0]: true}
 	for i := 1; i < len(ord.seq); i++ {
 		ti := ord.seq[i]
@@ -150,17 +181,57 @@ func (r *Runner) lowerSpec(b *query.Bound, ord specOrder) (Node, map[int]int) {
 		if !placed[pTbl] {
 			pTbl, pCol, tCol = e.R, e.RCols[0], e.LCols[0]
 		}
-		node = &Join{Left: node, Right: scan(ti), LCol: offs[pTbl] + pCol, RCol: tCol}
+		node = &Join{Left: node, Right: scans[ti], LCol: sc.at(pTbl, pCol), RCol: sc.local(ti, tCol)}
 		placed[ti] = true
 	}
-	return node, offs
+	return node, sc
+}
+
+// keptCols lists, per table, the columns its scan emits: nil (every
+// column) for a non-grouped spec, which returns whole rows. A grouped
+// spec reads fewer: a table keeps every attribute of every join edge
+// that touches it (the tree's, the residual filters' and the extra
+// pairs of multi-attribute edges) and its groupInputs, ascending. A
+// table that needs none — a one-table COUNT(*) — keeps its first
+// column, so no stream is ever zero columns wide; one that needs all
+// keeps nil.
+func keptCols(b *query.Bound) [][]int {
+	keep := make([][]int, len(b.Tables))
+	if !b.Grouped() {
+		return keep
+	}
+	add := func(ti, c int) {
+		if !slices.Contains(keep[ti], c) {
+			keep[ti] = append(keep[ti], c)
+		}
+	}
+	for _, e := range b.Joins {
+		for ai := range e.LCols {
+			add(e.L, e.LCols[ai])
+			add(e.R, e.RCols[ai])
+		}
+	}
+	for _, c := range groupInputs(b) {
+		add(c.Table, c.Col)
+	}
+	for ti, cols := range keep {
+		if len(cols) == 0 {
+			cols = []int{0}
+		}
+		slices.Sort(cols)
+		keep[ti] = cols
+		if len(cols) == b.Tables[ti].Table.Schema.NumCols() {
+			keep[ti] = nil
+		}
+	}
+	return keep
 }
 
 // residualPairs lists the global column pairs the joined stream must
 // still filter on: every attribute pair of edges the tree skipped
 // (cyclic closing edges) and the second-and-later pairs of
 // multi-attribute tree edges (the tree consumed pair 0).
-func residualPairs(b *query.Bound, ord specOrder, offs map[int]int) [][2]int {
+func residualPairs(b *query.Bound, ord specOrder, sc streamCols) [][2]int {
 	used := make(map[int]bool, len(ord.edges))
 	for _, ei := range ord.edges {
 		used[ei] = true
@@ -172,7 +243,7 @@ func residualPairs(b *query.Bound, ord specOrder, offs map[int]int) [][2]int {
 			start = 1
 		}
 		for ai := start; ai < len(e.LCols); ai++ {
-			pairs = append(pairs, [2]int{offs[e.L] + e.LCols[ai], offs[e.R] + e.RCols[ai]})
+			pairs = append(pairs, [2]int{sc.at(e.L, e.LCols[ai]), sc.at(e.R, e.RCols[ai])})
 		}
 	}
 	return pairs
@@ -234,33 +305,29 @@ func aggFn(f query.AggFunc) exec.AggFn {
 	return exec.AggCount
 }
 
-// outColumns lists, as global indexes of the (possibly permuted)
-// joined stream, the columns each fragment emits: a grouped spec's
-// groupInputs, else every table's columns in declaration order. nil
-// means the joined stream is already exactly that.
-func outColumns(b *query.Bound, offs map[int]int) []int {
+// outColumns lists, as global indexes of the (possibly permuted and
+// narrowed) joined stream, the columns each fragment emits: a grouped
+// spec's groupInputs, else every table's columns in declaration order.
+// nil means the joined stream is already exactly that.
+func outColumns(b *query.Bound, sc streamCols) []int {
 	var cols []int
 	if b.Grouped() {
 		for _, c := range groupInputs(b) {
-			cols = append(cols, offs[c.Table]+c.Col)
+			cols = append(cols, sc.at(c.Table, c.Col))
 		}
 	} else {
 		for i, t := range b.Tables {
 			for c := 0; c < t.Table.Schema.NumCols(); c++ {
-				cols = append(cols, offs[i]+c)
+				cols = append(cols, sc.at(i, c))
 			}
 		}
-	}
-	width := 0
-	for _, t := range b.Tables {
-		width += t.Table.Schema.NumCols()
 	}
 	for i, c := range cols {
 		if c != i {
 			return cols
 		}
 	}
-	if len(cols) == width {
+	if len(cols) == sc.width {
 		return nil
 	}
 	return cols

@@ -561,11 +561,34 @@ func (c *Columns) NarrowSel(narrow func(sel, buf []int32) []int32) {
 	c.sel = out
 }
 
-// View returns a read-only alias of the set under a different
-// selection: it shares every vector with c, so a reader can narrow a
-// set it does not own (a stored block) without touching it.
-func (c *Columns) View(sel []int32) *Columns {
-	return &Columns{vecs: c.vecs, n: c.n, sel: sel}
+// View returns a read-only alias of the set's columns cols, in that
+// order (nil: every column), under a different selection: it shares
+// every vector's storage with c, so a reader can narrow a set it does
+// not own (a stored block) without touching it. Physical row indexes
+// are c's.
+func (c *Columns) View(cols []int, sel []int32) *Columns {
+	v := &Columns{vecs: c.vecs, n: c.n, sel: sel}
+	if cols != nil {
+		v.vecs = make([]ColVec, len(cols))
+		for i, ci := range cols {
+			v.vecs[i] = c.vecs[ci]
+		}
+	}
+	return v
+}
+
+// KeepCols narrows the set to its columns cols, in that order, moving
+// vector headers only: no cell is copied, and the row count and
+// selection stay. cols must be strictly increasing. The headers of the
+// dropped columns are cleared, so they pin nothing. For a set whose
+// vectors it does not own (an AliasRange view): a set that owns its
+// storage would lose the dropped vectors' backing.
+func (c *Columns) KeepCols(cols []int) {
+	for i, ci := range cols {
+		c.vecs[i] = c.vecs[ci]
+	}
+	clear(c.vecs[len(cols):])
+	c.vecs = c.vecs[:len(cols)]
 }
 
 // AliasRange makes the set a read-only view of src's physical rows

@@ -536,7 +536,7 @@ func TestViewSharesVectors(t *testing.T) {
 	rows := colRows(10, 0)
 	c := NewColumns(4)
 	c.AppendRows(rows)
-	v := c.View([]int32{4, 7})
+	v := c.View(nil, []int32{4, 7})
 	if v.Len() != 2 || v.FullLen() != 10 || c.Sel() != nil || c.Len() != 10 {
 		t.Fatalf("view Len=%d FullLen=%d, owner Sel=%v Len=%d", v.Len(), v.FullLen(), c.Sel(), c.Len())
 	}
@@ -544,9 +544,48 @@ func TestViewSharesVectors(t *testing.T) {
 	if &v.Col(0).Ints()[0] != &c.Col(0).Ints()[0] {
 		t.Fatalf("view copied the vectors")
 	}
-	if all := c.View(nil); all.Len() != 10 {
+	if all := c.View(nil, nil); all.Len() != 10 {
 		t.Fatalf("nil-selection view has %d live rows, want 10", all.Len())
 	}
+	n := c.View([]int{3, 1}, []int32{4, 7})
+	if n.NumCols() != 2 || n.Len() != 2 || c.NumCols() != 4 {
+		t.Fatalf("column view has %d cols, %d rows; owner %d cols", n.NumCols(), n.Len(), c.NumCols())
+	}
+	eqRow(t, n, 7, Tuple{rows[7][3], rows[7][1]})
+	if &n.Col(1).Floats()[0] != &c.Col(1).Floats()[0] {
+		t.Fatalf("column view copied the vectors")
+	}
+}
+
+// TestKeepColsNarrowsAlias: an alias narrowed to some of its columns
+// keeps its rows, selection and the kept cells in place, pins none of
+// the dropped vectors, and re-aliases full width afterwards.
+func TestKeepColsNarrowsAlias(t *testing.T) {
+	rows := colRows(200, 7)
+	src := NewColumns(4)
+	src.AppendRows(rows)
+	var a Columns
+	a.AliasRange(src, 64, 200)
+	a.SetSel([]int32{0, 5, 9})
+	a.KeepCols([]int{0, 2})
+	if a.NumCols() != 2 || a.Len() != 3 || a.FullLen() != 136 {
+		t.Fatalf("narrowed alias: %d cols, %d live, %d physical", a.NumCols(), a.Len(), a.FullLen())
+	}
+	for _, i := range a.Sel() {
+		eqRow(t, &a, int(i), Tuple{rows[64+i][0], rows[64+i][2]})
+	}
+	if &a.Col(1).Strs()[0] != &src.Col(2).Strs()[64] {
+		t.Fatalf("KeepCols copied a vector")
+	}
+	if tail := a.vecs[:4][2:]; tail[0].strs != nil || tail[1].ints != nil {
+		t.Fatalf("dropped headers still pin their vectors")
+	}
+	a.DropAlias()
+	a.AliasRange(src, 0, 64)
+	if a.NumCols() != 4 {
+		t.Fatalf("re-aliased set has %d cols, want 4", a.NumCols())
+	}
+	eqRow(t, &a, 10, rows[10])
 }
 
 // TestNarrowSel: a batch kernel narrows through the recycled backing,
