@@ -17,13 +17,17 @@ import (
 )
 
 // buildAlloc reports the bytes one budget-free join over a columnar
-// build of rows (and an empty probe) allocates from Open to drain.
+// build of rows (and an empty probe) allocates from Open to drain. Two
+// collections empty the recycling pools (recycle.go) first, so the
+// count is this join's own, not a function of what earlier joins left
+// behind.
 func buildAlloc(t *testing.T, rows []tuple.Tuple, est int) uint64 {
 	t.Helper()
 	ex := New(dfs.NewStore(2, 1, 1), &cluster.Meter{})
 	ex.Workers = 2
 	op := ex.JoinOp(NewSource(rows), 0, NewSource(nil), 0, JoinOptions{BuildRowsEst: est})
 	var before, after runtime.MemStats
+	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	if _, err := Count(op); err != nil {

@@ -25,7 +25,12 @@
 // Build stores grow with the rows that arrive. The planner's estimate
 // (JoinOptions.BuildRowsEst) steers only the radix fan-out: it never
 // reserves memory or sizes a filter, so a wrong estimate costs no
-// allocation in proportion to its error.
+// allocation in proportion to its error. Every store, hash, link and
+// bucket vector here, and each worker's scratch, is recycled storage
+// (recycle.go): it is taken from the pools as it is needed and handed
+// back once nothing reads it — a worker's buffers at seal, the sealed
+// table at Close or the second pass, a scratch vector when its worker
+// exits.
 //
 // Under a memory budget, demoted partitions stream rows to run files —
 // queued per partition and gathered once per batch — and the second
@@ -41,17 +46,12 @@ import (
 )
 
 // colBuf is one build worker's private slice of one partition: hashes
-// plus a columnar store, appended without locks and grown by append as
-// rows arrive.
+// plus a columnar store, appended without locks. Both are recycled
+// storage that grows by moving into recycled storage twice the size,
+// the outgrown storage going back to the pools.
 type colBuf struct {
 	hashes []uint64
 	store  *tuple.Columns
-}
-
-func (b *colBuf) init(ncols int) {
-	if b.store == nil {
-		b.store = tuple.NewColumns(ncols)
-	}
 }
 
 // addGather retains src's physical rows idxs, in order, under their key
@@ -60,7 +60,9 @@ func (b *colBuf) addGather(src *tuple.Columns, hv []uint64, idxs []int32) {
 	if len(idxs) == 0 {
 		return
 	}
-	b.init(src.NumCols())
+	n := b.len() + len(idxs)
+	b.store = growStore(b.store, src, n)
+	b.hashes = hashPool.grow(b.hashes, n)
 	b.store.AppendGather(src, idxs)
 	for _, i := range idxs {
 		b.hashes = append(b.hashes, hv[i])
@@ -73,7 +75,23 @@ func (b *colBuf) len() int { return len(b.hashes) }
 func (b *colBuf) reset() {
 	b.hashes = b.hashes[:0]
 	if b.store != nil {
-		b.store.Reset(b.store.NumCols())
+		emptyStore(b.store)
+	}
+}
+
+// release hands the buffer's storage back to the pools.
+func (b *colBuf) release() {
+	putStore(b.store)
+	hashPool.put(b.hashes)
+	*b = colBuf{}
+}
+
+// releaseBufs hands back every worker's partition buffers.
+func releaseBufs(bufs [][]colBuf) {
+	for wi := range bufs {
+		for p := range bufs[wi] {
+			bufs[wi][p].release()
+		}
 	}
 }
 
@@ -98,13 +116,33 @@ func (p *colPart) slot(h uint64) uint64 { return (h * bucketMul) >> p.shift }
 // colBuild is the sealed columnar build side: one global store, its row
 // hashes, the chain links over its rows, and a bucket directory per
 // partition. Sealed before the probe phase starts; read-only (and so
-// safely shared) afterwards.
+// safely shared) afterwards, until release hands its storage back.
 type colBuild struct {
 	store  *tuple.Columns
 	hashes []uint64
 	next   []int32 // next[g]: the 1-based row after row g in its chain, 0 at the end
 	parts  []colPart
 	keyVec *tuple.ColVec // store.Col(bCol); nil while the store is empty
+}
+
+// release hands the table's storage back to the pools (nil is
+// ignored). No reader may remain: every worker probing it has exited.
+func (t *colBuild) release() {
+	if t == nil {
+		return
+	}
+	putStore(t.store)
+	hashPool.put(t.hashes)
+	idxPool.put(t.next)
+	for _, p := range t.parts {
+		idxPool.put(p.buckets)
+	}
+}
+
+// dropBuild releases the join's sealed table.
+func (j *hashJoinOp) dropBuild() {
+	j.cbuild.release()
+	j.cbuild = nil
 }
 
 // buildTables drains the build input, partitioning rows by hash radix
@@ -125,6 +163,9 @@ func (j *hashJoinOp) buildTables() error {
 	for i := range bufs {
 		bufs[i] = make([]colBuf, j.nParts)
 	}
+	// Sealing merges and releases the buffers; this catches the rest,
+	// after a failure or of partitions that spilled.
+	defer releaseBufs(bufs)
 	in := make(chan *Batch, w) // one batch queued per build worker
 	var err error
 	go func() {
@@ -172,8 +213,12 @@ func (j *hashJoinOp) sealFilter() {
 		j.filter = newKeyFilter(j.cbuild.hashes)
 		return
 	}
-	j.filter = newKeyFilter(append(j.spill.takeKept(), j.cbuild.hashes)...)
+	kept := j.spill.takeKept()
+	j.filter = newKeyFilter(append(kept, j.cbuild.hashes)...)
 	j.spill.charge(int64(8 * len(j.filter.words)))
+	for _, hs := range kept {
+		hashPool.put(hs)
+	}
 }
 
 // buildWorker routes the build batches it takes from in into its own
@@ -190,6 +235,11 @@ func (j *hashJoinOp) buildWorker(id int, my []colBuf, in <-chan *Batch) {
 	res := newPartQueue(j.nParts) // the batch's resident rows, per partition
 	var hv []uint64
 	var rowBytes []int32 // budgeted builds: the batch's per-row charges
+	defer func() {
+		res.release()
+		hashPool.put(hv)
+		idxPool.put(rowBytes)
+	}()
 	for b := range in {
 		if cerr := j.e.ctxErr(); cerr != nil {
 			j.p.fail(cerr)
@@ -199,9 +249,9 @@ func (j *hashJoinOp) buildWorker(id int, my []colBuf, in <-chan *Batch) {
 			continue // keep draining so the feeder never blocks
 		}
 		cb := b.Cols()
-		hv = cb.Hash64Column(j.bCol, hv)
+		hv = cb.Hash64Column(j.bCol, hashPool.fit(hv, cb.FullLen()))
 		if sp != nil {
-			rowBytes = cb.MemBytesRows(rowBytes)
+			rowBytes = cb.MemBytesRows(idxPool.fit(rowBytes, cb.FullLen()))
 		}
 		n := cb.Len()
 		sel := cb.Sel()
@@ -276,17 +326,19 @@ func joinInput(b *Batch) *Batch {
 // global store (bulk column concatenation — flat memmoves for typed
 // vectors) and chains each partition's rows under its bucket directory.
 // Each table's buckets are sized from the partition's exact row count.
-// Runs single-threaded: the merge is memmove-bound and partition chains
+// Each buffer goes back to the pools as soon as it is merged. Runs
+// single-threaded: the merge is memmove-bound and partition chains
 // index disjoint ranges.
 func (j *hashJoinOp) sealColTables(bufs [][]colBuf) {
 	cb := &colBuild{parts: make([]colPart, j.nParts)}
-	total, ncols := 0, 0
+	total := 0
+	var like *tuple.Columns // a merged buffer's store: the table's shape
 	for wi := range bufs {
 		for p := range bufs[wi] {
 			b := &bufs[wi][p]
 			total += b.len()
 			if b.store != nil && b.store.NumCols() > 0 {
-				ncols = b.store.NumCols()
+				like = b.store
 			}
 		}
 	}
@@ -295,10 +347,9 @@ func (j *hashJoinOp) sealColTables(bufs [][]colBuf) {
 	if total == 0 {
 		return
 	}
-	store := tuple.NewColumns(ncols)
-	store.Reserve(total)
-	hashes := make([]uint64, 0, total)
-	next := make([]int32, total)
+	store := getStore(like, total)
+	hashes := hashPool.get(total)
+	next := idxPool.zeroed(total)
 	for p := 0; p < j.nParts; p++ {
 		base := len(hashes)
 		for wi := range bufs {
@@ -308,7 +359,7 @@ func (j *hashJoinOp) sealColTables(bufs [][]colBuf) {
 			}
 			store.AppendColumns(b.store)
 			hashes = append(hashes, b.hashes...)
-			b.reset()
+			b.release()
 		}
 		n := len(hashes) - base
 		if n == 0 {
@@ -338,7 +389,7 @@ func tableBuckets(n int) int {
 // writing their links into next. Later rows head their chains.
 func newColPart(hashes []uint64, next []int32, base int) colPart {
 	nb := tableBuckets(len(hashes) - base)
-	part := colPart{buckets: make([]int32, nb), shift: uint(64 - bits.TrailingZeros(uint(nb)))}
+	part := colPart{buckets: idxPool.zeroed(nb), shift: uint(64 - bits.TrailingZeros(uint(nb)))}
 	for g := base; g < len(hashes); g++ {
 		s := part.slot(hashes[g])
 		next[g] = part.buckets[s]
@@ -360,14 +411,19 @@ func onePartJoin(e *Executor, bCol, pCol int, buildIsRight bool) *hashJoinOp {
 }
 
 // sealOne installs store, whose rows hash to hashes, as the join's one
-// partition. An empty store leaves the join with nothing to match.
+// partition; the table owns both from here and dropBuild hands them
+// back. An empty store is handed back at once and leaves the join with
+// nothing to match.
 func (j *hashJoinOp) sealOne(store *tuple.Columns, hashes []uint64) {
-	if j.buildRows = len(hashes); j.buildRows > 0 {
-		next := make([]int32, len(hashes))
-		j.cbuild = &colBuild{
-			store: store, hashes: hashes, next: next, keyVec: store.Col(j.bCol),
-			parts: []colPart{newColPart(hashes, next, 0)},
-		}
+	if j.buildRows = len(hashes); j.buildRows == 0 {
+		putStore(store)
+		hashPool.put(hashes)
+		return
+	}
+	next := idxPool.zeroed(len(hashes))
+	j.cbuild = &colBuild{
+		store: store, hashes: hashes, next: next, keyVec: store.Col(j.bCol),
+		parts: []colPart{newColPart(hashes, next, 0)},
 	}
 }
 
@@ -376,9 +432,10 @@ func (j *hashJoinOp) sealOne(store *tuple.Columns, hashes []uint64) {
 // carried across probe batches — and, for a hyper-join worker or a
 // second-pass worker, across groups and spill frames, with j swapped to
 // each unit's one-partition join. The batch goes to sink when it holds
-// exactly DefaultBatchSize rows, and the remainder at emit, when the
+// exactly DefaultBatchSize rows, and the remainder at done, when the
 // worker's stream ends. sink is the pool of the operator the output
-// belongs to: the hash join's own, or the hyper-join's.
+// belongs to: the hash join's own, or the hyper-join's. Its vectors are
+// recycled scratch, handed back at done.
 type colProbe struct {
 	j     *hashJoinOp // the join being probed: build store and column order
 	sink  *pool
@@ -390,6 +447,13 @@ type colProbe struct {
 	cols  *tuple.Columns // current probe batch
 	out   *Batch         // pending output, fewer than DefaultBatchSize rows
 	ok    bool           // false once the consumer closed the stream
+}
+
+func newColProbe(j *hashJoinOp, sink *pool) *colProbe {
+	return &colProbe{
+		j: j, sink: sink, ok: true,
+		bIdxs: idxPool.get(DefaultBatchSize), pIdxs: idxPool.get(DefaultBatchSize),
+	}
 }
 
 func (st *colProbe) addPair(b, p int32) {
@@ -443,6 +507,16 @@ func (st *colProbe) flush() {
 	st.bIdxs, st.pIdxs = st.bIdxs[:0], st.pIdxs[:0]
 }
 
+// done ends the worker's output (emit) and hands its scratch back.
+func (st *colProbe) done() {
+	st.emit()
+	hashPool.put(st.hv)
+	for _, s := range [][]int32{st.rows, st.ents, st.bIdxs, st.pIdxs} {
+		idxPool.put(s)
+	}
+	*st = colProbe{}
+}
+
 // emit ends the worker's output: the pending remainder is sent, or
 // released when the consumer has closed the stream or the join failed.
 func (st *colProbe) emit() {
@@ -477,8 +551,8 @@ func (j *hashJoinOp) probeWorker(id int, in <-chan *Batch) {
 			}
 		}()
 	}
-	st := &colProbe{j: j, sink: &j.p, ok: true}
-	defer st.emit()
+	st := newColProbe(j, &j.p)
+	defer st.done()
 	for pb := range in {
 		if cerr := j.e.ctxErr(); cerr != nil {
 			j.p.fail(cerr)
@@ -522,7 +596,7 @@ func (j *hashJoinOp) spillRouteCol(spw *partSpiller, part int, h uint64, i int, 
 // but collisions still need an exact compare).
 func (j *hashJoinOp) probeColsBatch(cb *tuple.Columns, st *colProbe, spw *partSpiller, skipped *int64) {
 	st.cols = cb
-	st.hv = cb.Hash64Column(j.pCol, st.hv)
+	st.hv = cb.Hash64Column(j.pCol, hashPool.fit(st.hv, cb.FullLen()))
 	j.probeHeads(cb, st, spw, skipped)
 	if len(st.rows) > 0 {
 		t := j.cbuild
@@ -553,9 +627,7 @@ func (j *hashJoinOp) probeColsBatch(cb *tuple.Columns, st *colProbe, spw *partSp
 // only the length advances, so no branch depends on the bucket.
 func (j *hashJoinOp) probeHeads(cb *tuple.Columns, st *colProbe, spw *partSpiller, skipped *int64) {
 	n := cb.Len()
-	if cap(st.rows) < n {
-		st.rows, st.ents = make([]int32, n), make([]int32, n)
-	}
+	st.rows, st.ents = idxPool.fit(st.rows, n), idxPool.fit(st.ents, n)
 	rows, ents := st.rows[:n], st.ents[:n]
 	parts, hv, sel, shift := j.cbuild.parts, st.hv, cb.Sel(), j.radixShift
 	kp := cb.Col(j.pCol)

@@ -92,6 +92,21 @@ func (i *Instrumented) Stats() OpStats {
 	return st
 }
 
+// Filtered reports whether the wrapped operator is a filtered exchange
+// output: a hash join finds the exchange it publishes its key filter to
+// through the wrapper (FilterSink).
+func (i *Instrumented) Filtered() bool {
+	fs, ok := i.child.(FilterSink)
+	return ok && fs.Filtered()
+}
+
+// PublishFilter hands f to the wrapped exchange output, if it is one.
+func (i *Instrumented) PublishFilter(f *KeyFilter) {
+	if fs, ok := i.child.(FilterSink); ok {
+		fs.PublishFilter(f)
+	}
+}
+
 // Open opens the child, charging setup time (a hash join drains its
 // whole build side here) to this operator.
 func (i *Instrumented) Open() error {

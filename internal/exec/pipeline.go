@@ -96,6 +96,18 @@ func (b *Batch) KeepRows(idxs []int32) {
 	b.cols.NarrowSel(func(_, buf []int32) []int32 { return append(buf, idxs...) })
 }
 
+// keepCols narrows the batch to its columns cols, in that order (no
+// column twice), moving vector headers only. A view drops the other
+// headers (tuple.Columns.KeepCols); a batch that owns its vectors keeps
+// their storage for its next use (KeepOwnCols).
+func (b *Batch) keepCols(cols []int) {
+	if b.alias {
+		b.cols.KeepCols(cols)
+		return
+	}
+	b.cols.KeepOwnCols(cols)
+}
+
 // Cols returns the batch's columnar payload (never nil).
 func (b *Batch) Cols() *tuple.Columns { return b.cols }
 
@@ -671,6 +683,7 @@ func (j *hashJoinOp) Open() error {
 		if j.spill != nil {
 			j.spill.cleanup()
 		}
+		j.dropBuild()
 		return err
 	}
 	w := j.e.workers()
@@ -777,7 +790,8 @@ func (j *hashJoinOp) Close() error {
 		// pass, so nothing is reading the run files any more.
 		j.spill.cleanup()
 	}
-	j.cbuild = nil
+	// Nor is any worker probing the table: its storage goes back.
+	j.dropBuild()
 	return j.probe.Close()
 }
 
@@ -879,16 +893,31 @@ func (h *HyperJoinOp) Open() error {
 // worker runs groups until none is left. Its one colProbe carries the
 // pending output batch across groups — every group emits the same
 // columns, and gathered rows do not reference a group's build store —
-// and the remainder leaves when the worker exits.
+// and the remainder leaves when the worker exits. Its build scratch
+// also outlives groups and goes back to the pools with it.
 func (h *HyperJoinOp) worker(int) {
-	st := &colProbe{sink: &h.p, ok: true}
-	defer st.emit()
+	st := newColProbe(nil, &h.p)
+	defer st.done()
+	var sc groupScratch
+	defer sc.release()
 	for {
 		gi, ok := h.p.claim(len(h.groups))
-		if !ok || !h.runGroup(h.groups[gi], st) {
+		if !ok || !h.runGroup(h.groups[gi], st, &sc) {
 			return
 		}
 	}
+}
+
+// groupScratch is a hyper-join worker's build scratch: a block's key
+// hashes and the selection of its rows the group keeps.
+type groupScratch struct {
+	hv  []uint64
+	sel []int32
+}
+
+func (sc *groupScratch) release() {
+	hashPool.put(sc.hv)
+	idxPool.put(sc.sel)
 }
 
 // runGroup executes one group of the §4.1 algorithm: build a join table
@@ -906,10 +935,10 @@ func (h *HyperJoinOp) worker(int) {
 // through the head pass, chain walks and pair-gather emission of coljoin.go,
 // so output batches are columnar (R columns, then S columns, or the
 // reverse with buildIsRight) and no row is boxed.
-func (h *HyperJoinOp) runGroup(group []int, st *colProbe) bool {
+func (h *HyperJoinOp) runGroup(group []int, st *colProbe, sc *groupScratch) bool {
 	// The group's task runs where its first R block lives. Block metadata
-	// knows the group's exact row count up front, so the store is born at
-	// its final size whenever the predicates keep every row.
+	// knows the group's exact row count up front, so the store (recycled
+	// storage, like its hashes) never regrows.
 	node := h.e.taskNode(h.rRefs[group[0]])
 	est := 0
 	for _, i := range group {
@@ -917,12 +946,12 @@ func (h *HyperJoinOp) runGroup(group []int, st *colProbe) bool {
 	}
 	gj := onePartJoin(h.e, keptIndex(h.rKeep, h.rCol), keptIndex(h.sKeep, h.sCol), h.buildIsRight)
 	var store *tuple.Columns
-	hashes := make([]uint64, 0, est)
-	var hv []uint64
-	var scratch []int32
+	var hashes []uint64
 	for _, i := range group {
 		cols, local, err := h.e.getBlock(h.rRefs[i].Path, node)
 		if err != nil {
+			putStore(store)
+			hashPool.put(hashes)
 			h.p.fail(err)
 			return false
 		}
@@ -932,24 +961,25 @@ func (h *HyperJoinOp) runGroup(group []int, st *colProbe) bool {
 		}
 		kept := cols.View(h.rKeep, nil)
 		if store == nil {
-			store = tuple.NewColumns(kept.NumCols())
-			store.Reserve(est)
+			store, hashes = getStore(kept, est), hashPool.get(est)
 		}
 		// NULL never equals NULL in a join: rows of a key column that can
 		// hold one keep only their non-NULL keys.
 		key := cols.Col(h.rCol)
 		nullable := key.Valid() != nil || key.Boxed() != nil
-		hv = cols.Hash64Column(h.rCol, hv)
+		hv := cols.Hash64Column(h.rCol, hashPool.fit(sc.hv, cols.FullLen()))
+		sc.hv = hv
 		if len(h.rPreds) == 0 && !nullable {
 			store.AppendRange(kept, 0, cols.FullLen())
 			hashes = append(hashes, hv...)
 			continue
 		}
+		scratch := idxPool.fit(sc.sel, cols.FullLen())
 		var sel []int32
 		if len(h.rPreds) > 0 {
 			sel = predicate.FilterSel(h.rPreds, cols, nil, scratch)
 		} else {
-			sel = selectedRows(cols, scratch[:0])
+			sel = selectedRows(cols, scratch)
 		}
 		if nullable {
 			m := 0
@@ -961,7 +991,7 @@ func (h *HyperJoinOp) runGroup(group []int, st *colProbe) bool {
 			}
 			sel = sel[:m]
 		}
-		scratch = sel[:0]
+		sc.sel = sel[:0]
 		store.AppendGather(kept, sel)
 		for _, r := range sel {
 			hashes = append(hashes, hv[r])
@@ -972,9 +1002,13 @@ func (h *HyperJoinOp) runGroup(group []int, st *colProbe) bool {
 	union := hyperjoin.Union(h.plan.V, group)
 	probed := 0
 	st.j = gj
-	// Drop the group's table and last block view with the group, not at
-	// the worker's next group.
-	defer func() { st.j, st.cols = nil, nil }()
+	// Hand the group's table back and drop the last block view with the
+	// group, not at the worker's next group: every pair that indexes the
+	// table has been gathered by then.
+	defer func() {
+		gj.dropBuild()
+		st.j, st.cols = nil, nil
+	}()
 	for _, j := range union.Ones() {
 		if j >= len(h.sRefs) {
 			break
@@ -991,8 +1025,8 @@ func (h *HyperJoinOp) runGroup(group []int, st *colProbe) bool {
 		}
 		var sel []int32
 		if len(h.sPreds) > 0 {
-			sel = predicate.FilterSel(h.sPreds, cols, nil, scratch)
-			scratch = sel[:0]
+			sel = predicate.FilterSel(h.sPreds, cols, nil, idxPool.fit(sc.sel, cols.FullLen()))
+			sc.sel = sel[:0]
 		}
 		// No partition of a group is ever spilled, so the head pass touches
 		// neither a spiller nor the skip counter.

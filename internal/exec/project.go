@@ -3,10 +3,12 @@
 // tree: WhereColsEq applies the join-graph edges the ordered tree did
 // not consume (cyclic edges, extra attribute pairs of multi-attribute
 // edges) by narrowing a batch's selection, Project restores declaration
-// column order after greedy ordering permuted the tables by gathering
-// whole vectors, and Empty is the zero-cost plan for queries zone maps
+// column order after greedy ordering permuted the tables by moving
+// vector headers, and Empty is the zero-cost plan for queries zone maps
 // prove produce nothing.
 package exec
+
+import "slices"
 
 // WhereColsEq filters rows where every listed column pair is equal
 // under join-key semantics (NULL never equals anything, matching the
@@ -52,15 +54,21 @@ func (f *colsEqOp) Next() (*Batch, error) {
 
 func (f *colsEqOp) Close() error { return f.child.Close() }
 
-// Project emits only the listed child columns, in the listed order,
-// gathering whole vectors through the child batch's selection.
+// Project emits only the listed child columns, in the listed order. The
+// child's batch itself leaves, its vector headers moved into that order
+// (Batch.keepCols) with no cell copied; only a list that names a column
+// twice gathers the vectors, through the batch's selection, into a new
+// batch.
 func Project(child Operator, cols []int) Operator {
-	return &projectOp{child: child, cols: cols}
+	sorted := slices.Clone(cols)
+	slices.Sort(sorted)
+	return &projectOp{child: child, cols: cols, dup: len(slices.Compact(sorted)) < len(cols)}
 }
 
 type projectOp struct {
 	child  Operator
 	cols   []int
+	dup    bool // cols names a column twice
 	idxbuf []int32
 }
 
@@ -75,6 +83,10 @@ func (p *projectOp) Next() (*Batch, error) {
 		if in.Len() == 0 {
 			in.Release()
 			continue
+		}
+		if !p.dup {
+			in.keepCols(p.cols)
+			return in, nil
 		}
 		cb := in.Cols()
 		idxs := cb.Sel()

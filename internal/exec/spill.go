@@ -66,6 +66,9 @@ import (
 )
 
 const (
+	// spillEncBytes sizes a run writer's first encode buffer: a frame
+	// of spillFrameRows rows of about 128 bytes each.
+	spillEncBytes = spillFrameRows * 128
 	// spillFrameRows is the pending-row count at which a partition
 	// flushes a run-file frame: big enough that frame headers and reads
 	// amortize, small enough that the writer's pending copies stay a
@@ -143,7 +146,9 @@ func releaseRuns(fs spillFS, runs []*runFile) {
 // bufio layer, recording the frame's extent. The file is created at the
 // first flush, so a writer that never spills touches no filesystem. Rows
 // are copied in at append, so callers may recycle their batches right
-// after. The first I/O error is sticky: every later call returns it.
+// after. The pending stores and the bufio layer are recycled storage,
+// handed back at finish. The first I/O error is sticky: every later
+// call returns it.
 type runWriter struct {
 	sp    *joinSpill
 	name  string // file-name stem; a sequence number makes it unique
@@ -166,14 +171,6 @@ func (sp *joinSpill) newRunWriter(name string, nparts int) *runWriter {
 	return &runWriter{sp: sp, name: name, parts: make([]runPart, nparts)}
 }
 
-func (w *runWriter) pending(p, ncols int) *tuple.Columns {
-	pp := &w.parts[p]
-	if pp.pend == nil {
-		pp.pend = tuple.NewColumns(ncols)
-	}
-	return pp.pend
-}
-
 // appendCols buffers src's physical rows idxs — every row when idxs is
 // nil — for partition p, in order: one gather per column. mem is the
 // rows' MemBytes total.
@@ -181,7 +178,16 @@ func (w *runWriter) appendCols(p int, src *tuple.Columns, idxs []int32, mem int6
 	if w.err != nil {
 		return w.err
 	}
-	pend := w.pending(p, src.NumCols())
+	pp := &w.parts[p]
+	k := len(idxs)
+	if idxs == nil {
+		k = src.FullLen()
+	}
+	if pp.pend != nil {
+		k += pp.pend.FullLen()
+	}
+	pp.pend = growStore(pp.pend, src, k)
+	pend := pp.pend
 	if idxs == nil {
 		pend.AppendRange(src, 0, src.FullLen())
 	} else {
@@ -227,7 +233,7 @@ func (w *runWriter) flush(p int) error {
 	pp.run.rows += int64(pp.pend.FullLen())
 	pp.run.diskBytes += n
 	w.off += n
-	pp.pend.Reset(pp.pend.NumCols())
+	emptyStore(pp.pend)
 	return nil
 }
 
@@ -241,7 +247,10 @@ func (w *runWriter) create() error {
 	if err != nil {
 		return err
 	}
-	w.f, w.bw, w.file = f, bufio.NewWriterSize(f, 1<<16), &spillFile{path: path}
+	w.bw = spillWriters.Get().(*bufio.Writer)
+	w.bw.Reset(f)
+	w.enc = bytePool.get(spillEncBytes)
+	w.f, w.file = f, &spillFile{path: path}
 	return nil
 }
 
@@ -256,6 +265,12 @@ func (w *runWriter) finish() ([]*runFile, error) {
 			break
 		}
 	}
+	for p := range w.parts {
+		putStore(w.parts[p].pend)
+		w.parts[p].pend = nil
+	}
+	bytePool.put(w.enc)
+	w.enc = nil
 	if w.f == nil {
 		return nil, w.err
 	}
@@ -265,7 +280,9 @@ func (w *runWriter) finish() ([]*runFile, error) {
 	if cerr := w.f.Close(); w.err == nil {
 		w.err = cerr
 	}
-	w.f = nil
+	w.bw.Reset(nil)
+	spillWriters.Put(w.bw)
+	w.f, w.bw = nil, nil
 	if w.err != nil {
 		return nil, w.err
 	}
@@ -283,9 +300,11 @@ func (w *runWriter) finish() ([]*runFile, error) {
 
 // eachFrame reads every frame of the given runs, run by run in extent
 // (= write) order, handing fn the encoded frame. One ReadAt per frame;
-// the buffer is reused, so fn must not retain it.
+// the buffer is recycled storage, reused across frames and handed back
+// on return, so fn must not retain it.
 func eachFrame(fs spillFS, runs []*runFile, fn func(frame []byte) error) error {
 	var buf []byte
+	defer func() { bytePool.put(buf) }()
 	for _, rf := range runs {
 		path := rf.file.path
 		r, err := fs.Open(path)
@@ -293,9 +312,7 @@ func eachFrame(fs spillFS, runs []*runFile, fn func(frame []byte) error) error {
 			return err
 		}
 		for _, e := range rf.ext {
-			if cap(buf) < int(e.n) {
-				buf = make([]byte, e.n)
-			}
+			buf = bytePool.fit(buf, int(e.n))
 			b := buf[:e.n]
 			if n, err := r.ReadAt(b, e.off); n < len(b) {
 				r.Close()
@@ -324,6 +341,15 @@ func decodeRunFrame(dst *tuple.Columns, frame []byte) error {
 		return fmt.Errorf("exec: spill frame: %w", err)
 	}
 	return nil
+}
+
+// sumRunRows totals the rows of a set of runs.
+func sumRunRows(runs []*runFile) int {
+	n := 0
+	for _, rf := range runs {
+		n += int(rf.rows)
+	}
+	return n
 }
 
 // sumRunBytes totals the in-memory footprint a set of runs would load
@@ -615,13 +641,33 @@ func (sp *joinSpill) cleanup() {
 // partQueue collects one batch's physical rows per partition while the
 // batch is routed, so each partition then takes its rows with one gather
 // instead of a copy per row. Row order within a partition is routing
-// order. Not safe for concurrent use.
+// order. A queue is recycled with the capacity its lists grew to:
+// newPartQueue takes one from partQueues and release hands it back. Not
+// safe for concurrent use.
 type partQueue struct {
 	lists   [][]int32 // per-partition queued physical rows of the batch
 	touched []int     // partitions queued since the last flush
 }
 
-func newPartQueue(nparts int) partQueue { return partQueue{lists: make([][]int32, nparts)} }
+var partQueues = sync.Pool{New: func() any { return new(partQueue) }}
+
+func newPartQueue(nparts int) *partQueue {
+	q := partQueues.Get().(*partQueue)
+	if cap(q.lists) < nparts {
+		q.lists = append(q.lists[:cap(q.lists)], make([][]int32, nparts-cap(q.lists))...)
+	}
+	q.lists = q.lists[:nparts]
+	return q
+}
+
+// release empties the queue and hands it back; it is dead afterwards.
+func (q *partQueue) release() {
+	for p := range q.lists {
+		q.lists[p] = q.lists[p][:0]
+	}
+	q.touched = q.touched[:0]
+	partQueues.Put(q)
+}
 
 // queue marks physical row i of the batch being routed for partition p.
 func (q *partQueue) queue(p, i int) {
@@ -657,7 +703,7 @@ func (q *partQueue) flush(fn func(p int, idxs []int32)) {
 // a batch is routed and written with one gather per partition
 // (spillBatch). Not safe for concurrent use.
 type partSpiller struct {
-	partQueue
+	*partQueue
 	sp *joinSpill
 	w  *runWriter
 	// keep marks a first-pass build-side stream: it keeps the key hash
@@ -692,7 +738,7 @@ func (s *partSpiller) spillBatch(src *tuple.Columns, hv []uint64, rowBytes []int
 		return nil
 	}
 	if rowBytes == nil {
-		s.rb = src.MemBytesRows(s.rb)
+		s.rb = src.MemBytesRows(idxPool.fit(s.rb, src.FullLen()))
 		rowBytes = s.rb
 	}
 	var err error
@@ -702,6 +748,7 @@ func (s *partSpiller) spillBatch(src *tuple.Columns, hv []uint64, rowBytes []int
 			return
 		}
 		if s.keep {
+			s.hashes = hashPool.grow(s.hashes, len(s.hashes)+len(list))
 			for _, i := range list {
 				s.hashes = append(s.hashes, hv[i])
 			}
@@ -718,17 +765,26 @@ func (s *partSpiller) spillBatch(src *tuple.Columns, hv []uint64, rowBytes []int
 // their MemBytes total.
 func (s *partSpiller) writeBuf(p int, buf *colBuf, mem int64) error {
 	if s.keep {
-		s.hashes = append(s.hashes, buf.hashes...)
+		s.hashes = append(hashPool.grow(s.hashes, len(s.hashes)+len(buf.hashes)), buf.hashes...)
 		s.sp.charge(int64(8 * len(buf.hashes)))
 	}
 	return s.w.appendCols(p, buf.store, nil, mem)
+}
+
+// finish ends the stream: its writer's runs (runWriter.finish), and its
+// queue and scratch go back to the pools.
+func (s *partSpiller) finish() ([]*runFile, error) {
+	s.partQueue.release()
+	idxPool.put(s.rb)
+	s.partQueue, s.rb = nil, nil
+	return s.w.finish()
 }
 
 // finishFirstPass seals a first-pass stream, registering each
 // partition's run on the given side, and hands the hashes the stream
 // kept to the join.
 func (sp *joinSpill) finishFirstPass(s *partSpiller, probe bool) error {
-	runs, err := s.w.finish()
+	runs, err := s.finish()
 	for p, rf := range runs {
 		if rf != nil {
 			sp.noteRun(p, probe, rf)
@@ -834,9 +890,9 @@ func (sp *joinSpill) flushLeftovers(bufs [][]colBuf) error {
 func (j *hashJoinOp) secondPass() {
 	sp := j.spill
 	// The first-pass tables are done: their probe stream has drained.
-	// Drop the build store and return every partition's budget bytes —
+	// Hand the table back and return every partition's budget bytes —
 	// that headroom funds the second-pass loads.
-	j.cbuild = nil
+	j.dropBuild()
 	for p := 0; p < j.nParts; p++ {
 		if held := sp.partBytes[p].Swap(0); held != 0 {
 			sp.release(held)
@@ -858,8 +914,8 @@ func (j *hashJoinOp) secondPass() {
 	// The probe workers claimed no task, so the pool's task counter
 	// hands out the spilled partitions.
 	j.p.run(min(j.e.workers(), len(parts)), func(int) {
-		st := &colProbe{sink: &j.p, ok: true}
-		defer st.emit()
+		st := newColProbe(nil, &j.p)
+		defer st.done()
 		for {
 			k, ok := j.p.claim(len(parts))
 			if !ok {
@@ -937,7 +993,8 @@ func (j *hashJoinOp) joinSpilled(st *colProbe, level int, build, probe []*runFil
 // loadAndProbe is the happy second-pass path: the load side fits, so
 // the partition joins exactly like a first-pass partition — one table,
 // one probe stream. reversed marks the table as holding probe-side rows
-// (role reversal), which only flips the emit orientation.
+// (role reversal), which only flips the emit orientation. The runs know
+// their row count, so the load's recycled store never regrows.
 func (j *hashJoinOp) loadAndProbe(st *colProbe, load []*runFile, loadCol int, stream []*runFile, streamCol int, reversed bool) error {
 	fs := j.spill.fs()
 	defer releaseRuns(fs, load)
@@ -947,36 +1004,43 @@ func (j *hashJoinOp) loadAndProbe(st *colProbe, load []*runFile, loadCol int, st
 		defer sem.release(granted)
 	}
 	var store *tuple.Columns
-	frame := tuple.NewColumns(0)
+	frame := getFrame()
+	defer putFrame(frame)
 	var rb []int32
+	defer func() { idxPool.put(rb) }()
 	held := int64(0)
 	defer func() { j.spill.release(held) }()
+	rows := sumRunRows(load)
 	err := eachFrame(fs, load, func(b []byte) error {
 		if err := decodeRunFrame(frame, b); err != nil {
 			return err
 		}
-		rb = frame.MemBytesRows(rb)
+		rb = frame.MemBytesRows(idxPool.fit(rb, frame.FullLen()))
 		n := sumRowBytes(rb, nil)
 		held += n
 		j.spill.charge(n)
-		store = appendRows(store, frame, 0, frame.FullLen())
+		store = appendRows(store, frame, 0, frame.FullLen(), rows)
 		return nil
 	})
 	if err != nil {
+		putStore(store)
 		return err
 	}
 	return j.probeLoaded(st, store, loadCol, stream, streamCol, reversed, frame)
 }
 
-// appendRows appends src's physical rows [from, to) to dst, creating dst
-// on first use.
-func appendRows(dst, src *tuple.Columns, from, to int) *tuple.Columns {
+// appendRows appends src's physical rows [from, to) to dst, a recycled
+// store taken on first use to hold at least want rows, and grown
+// through the pools when it must.
+func appendRows(dst, src *tuple.Columns, from, to, want int) *tuple.Columns {
 	if from >= to {
 		return dst
 	}
-	if dst == nil {
-		dst = tuple.NewColumns(src.NumCols())
+	n := to - from
+	if dst != nil {
+		n += dst.FullLen()
 	}
+	dst = growStore(dst, src, max(n, want))
 	dst.AppendRange(src, from, to)
 	return dst
 }
@@ -987,16 +1051,20 @@ func appendRows(dst, src *tuple.Columns, from, to int) *tuple.Columns {
 // the scratch sc, goes through the first pass's probe. Matches
 // are gathered into the worker's pending output st in j's column
 // order — a reversed load holds probe-side rows, so the view flips
-// BuildIsRight — and leave through j's stream as that batch fills.
+// BuildIsRight — and leave through j's stream as that batch fills. The
+// table takes the store over and hands it back on return; the caller
+// returns its budget bytes.
 func (j *hashJoinOp) probeLoaded(st *colProbe, store *tuple.Columns, loadCol int, stream []*runFile, streamCol int, reversed bool, sc *tuple.Columns) error {
 	if store == nil {
 		return nil
 	}
 	v := onePartJoin(j.e, loadCol, streamCol, j.opts.BuildIsRight != reversed)
-	v.sealOne(store, store.Hash64Column(loadCol, nil))
+	v.sealOne(store, store.Hash64Column(loadCol, hashPool.get(store.FullLen())))
 	st.j = v
-	// The caller frees the store (and its budget bytes) on return.
-	defer func() { st.j, st.cols = nil, nil }()
+	defer func() {
+		v.dropBuild()
+		st.j, st.cols = nil, nil
+	}()
 	return eachFrame(j.spill.fs(), stream, func(b []byte) error {
 		if err := decodeRunFrame(sc, b); err != nil {
 			return err
@@ -1048,8 +1116,10 @@ func (j *hashJoinOp) split(level, shift int, runs []*runFile, col int) ([]*runFi
 	sp := j.spill
 	defer releaseRuns(sp.fs(), runs)
 	spw := sp.newPartSpiller(fmt.Sprintf("sub-l%d", level+1), spillFanout, false)
-	cols := tuple.NewColumns(0)
+	cols := getFrame()
+	defer putFrame(cols)
 	var hv []uint64
+	defer func() { hashPool.put(hv) }()
 	err := eachFrame(sp.fs(), runs, func(frame []byte) error {
 		if err := decodeRunFrame(cols, frame); err != nil {
 			return err
@@ -1057,13 +1127,13 @@ func (j *hashJoinOp) split(level, shift int, runs []*runFile, col int) ([]*runFi
 		if cols.FullLen() == 0 {
 			return nil
 		}
-		hv = cols.Hash64Column(col, hv)
+		hv = cols.Hash64Column(col, hashPool.fit(hv, cols.FullLen()))
 		for i, h := range hv {
 			spw.queue(int((h>>uint(shift))&(spillFanout-1)), i)
 		}
 		return spw.spillBatch(cols, nil, nil)
 	})
-	sub, ferr := spw.w.finish()
+	sub, ferr := spw.finish()
 	if err == nil {
 		err = ferr
 	}
@@ -1106,8 +1176,11 @@ func (j *hashJoinOp) chunkedJoin(st *colProbe, load []*runFile, loadCol int, str
 		defer sem.release(granted)
 	}
 	var chunk *tuple.Columns
-	frame, sc := tuple.NewColumns(0), tuple.NewColumns(0)
+	frame, sc := getFrame(), getFrame()
+	defer putFrame(frame)
+	defer putFrame(sc)
 	var rb []int32
+	defer func() { idxPool.put(rb) }()
 	held := int64(0)
 	probeChunk := func() error {
 		err := j.probeLoaded(st, chunk, loadCol, stream, streamCol, reversed, sc)
@@ -1120,7 +1193,7 @@ func (j *hashJoinOp) chunkedJoin(st *colProbe, load []*runFile, loadCol int, str
 		if err := decodeRunFrame(frame, b); err != nil {
 			return err
 		}
-		rb = frame.MemBytesRows(rb)
+		rb = frame.MemBytesRows(idxPool.fit(rb, frame.FullLen()))
 		from := 0
 		for i, n := range rb {
 			held += int64(n)
@@ -1128,17 +1201,18 @@ func (j *hashJoinOp) chunkedJoin(st *colProbe, load []*runFile, loadCol int, str
 			// worker's slice of the budget fills — either way the chunk
 			// shrinks, never the memory cap.
 			if j.spill.charge(int64(n)) || held >= limit {
-				chunk = appendRows(chunk, frame, from, i+1)
+				chunk = appendRows(chunk, frame, from, i+1, 0)
 				from = i + 1
 				if err := probeChunk(); err != nil {
 					return err
 				}
 			}
 		}
-		chunk = appendRows(chunk, frame, from, frame.FullLen())
+		chunk = appendRows(chunk, frame, from, frame.FullLen(), 0)
 		return nil
 	})
 	if err != nil {
+		putStore(chunk)
 		j.spill.release(held)
 		return err
 	}

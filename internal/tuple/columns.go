@@ -579,16 +579,80 @@ func (c *Columns) View(cols []int, sel []int32) *Columns {
 
 // KeepCols narrows the set to its columns cols, in that order, moving
 // vector headers only: no cell is copied, and the row count and
-// selection stay. cols must be strictly increasing. The headers of the
+// selection stay. cols must not name a column twice. The headers of the
 // dropped columns are cleared, so they pin nothing. For a set whose
 // vectors it does not own (an AliasRange view): a set that owns its
-// storage would lose the dropped vectors' backing.
-func (c *Columns) KeepCols(cols []int) {
-	for i, ci := range cols {
-		c.vecs[i] = c.vecs[ci]
+// storage would lose the dropped vectors' backing (KeepOwnCols).
+func (c *Columns) KeepCols(cols []int) { clear(c.moveCols(cols)) }
+
+// KeepOwnCols is KeepCols for a set that owns its vectors (a pooled
+// batch): the dropped vectors are emptied as Reset empties them and
+// kept behind the set's length, so a later Reset to a wider shape takes
+// their storage back.
+func (c *Columns) KeepOwnCols(cols []int) {
+	dropped := c.moveCols(cols)
+	for i := range dropped {
+		dropped[i].reset()
 	}
-	clear(c.vecs[len(cols):])
+}
+
+// moveCols moves the vectors of columns cols to the front, in that
+// order, by swaps, and truncates the set to them. It returns the other
+// vectors, which now sit behind the set's length.
+func (c *Columns) moveCols(cols []int) []ColVec {
+	n := len(c.vecs)
+	// at[j] is the slot original column j sits in, orig[s] the original
+	// column slot s holds. Slots before i hold cols[:i], so cols[i], named
+	// once, sits at i or behind it.
+	var buf [64]int
+	at, orig := buf[0:0:32], buf[32:32]
+	if n > 32 {
+		at, orig = make([]int, 0, n), make([]int, 0, n)
+	}
+	for j := 0; j < n; j++ {
+		at, orig = append(at, j), append(orig, j)
+	}
+	for i, ci := range cols {
+		s := at[ci]
+		if s == i {
+			continue
+		}
+		c.vecs[i], c.vecs[s] = c.vecs[s], c.vecs[i]
+		oi := orig[i]
+		orig[i], orig[s] = ci, oi
+		at[ci], at[oi] = i, s
+	}
 	c.vecs = c.vecs[:len(cols)]
+	return c.vecs[len(cols):n]
+}
+
+// Recycle empties the set for reuse as another store and returns the
+// row count it then holds before an append reallocates: its Cap before
+// emptying. Each column keeps only the payload vector of the kind it
+// held, and columns behind the set's length are dropped, so a set
+// recycled across stores of other shapes never carries more than one
+// vector per column. String headers are cleared as Reset clears them,
+// so a recycled set pins no payload. A set with no columns returns 0.
+func (c *Columns) Recycle() int {
+	if len(c.vecs) == 0 {
+		return 0
+	}
+	n := c.Cap()
+	for i := range c.vecs {
+		v := &c.vecs[i]
+		switch {
+		case v.boxed != nil:
+		case value.IntClass(v.kind):
+			v.floats, v.strs = nil, nil
+		case v.kind == value.Float:
+			v.ints, v.strs = nil, nil
+		case v.kind == value.String:
+			v.ints, v.floats = nil, nil
+		}
+	}
+	clear(c.vecs[len(c.vecs):cap(c.vecs)])
+	c.Reset(len(c.vecs))
+	return n
 }
 
 // AliasRange makes the set a read-only view of src's physical rows
