@@ -178,19 +178,5 @@ func (a *Adapter) chooseCut(tbl *core.Table, treeIdx int, n *tree.Node, col int)
 			vals = append(vals, cols.Value(col, i))
 		}
 	}
-	if len(vals) < 2 {
-		return value.Value{}, false
-	}
-	sorted := sample.SortValues(vals)
-	med := sorted[(len(sorted)-1)/2]
-	if value.Compare(med, sorted[len(sorted)-1]) == 0 {
-		// Degenerate: median equals max; find a lower distinct value.
-		for i := len(sorted) - 1; i >= 0; i-- {
-			if value.Compare(sorted[i], med) < 0 {
-				return sorted[i], true
-			}
-		}
-		return value.Value{}, false
-	}
-	return med, true
+	return sample.LowerMedianCut(sample.SortValues(vals))
 }

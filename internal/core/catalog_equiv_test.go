@@ -256,25 +256,15 @@ func TestCatalogMatchesReferenceStatic(t *testing.T) {
 // query.
 func TestCatalogMatchesReferenceMixed(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
-		c := difftest.GenMixedCase(seed)
-		store := dfs.NewStore(1+3*int(seed%2), 2, c.Seed)
-		cat := query.Catalog{}
-		for i, st := range []difftest.SpecTable{c.Left, c.Right} {
-			tbl, err := core.Load(store, st.Name, st.Sch, st.Rows, core.LoadOptions{
-				RowsPerBlock: 48, Seed: c.Seed + int64(i), JoinAttr: 0,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cat[st.Name] = tbl
+		w := difftest.GenMixedCase(seed)
+		store, cat, err := w.Load(1 + 3*int(seed%2))
+		if err != nil {
+			t.Fatal(err)
 		}
-		s := session.New(store, session.Config{
-			Optimizer:   optimizer.Config{Mode: c.Mode, WindowSize: 4, EnableAmoeba: c.Amoeba, Seed: c.Seed},
-			Distributed: store.NumNodes() > 1,
-		})
+		s := session.New(store, session.Config{Optimizer: w.Optimizer, Distributed: store.NumNodes() > 1})
 		rng := rand.New(rand.NewSource(seed))
-		for i, mq := range c.Stream {
-			q, err := session.FromSpec(cat, mq.Spec)
+		for i, spec := range w.Stream {
+			q, err := session.FromSpec(cat, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -284,7 +274,8 @@ func TestCatalogMatchesReferenceMixed(t *testing.T) {
 			label := "seed " + strconv.FormatInt(seed, 10) + " query " + strconv.Itoa(i)
 			checkQuery(t, label, q.Spec, rng)
 			for k := 0; k < 4; k++ {
-				for _, tbl := range []*core.Table{cat[c.Left.Name], cat[c.Right.Name]} {
+				for _, st := range w.Tables {
+					tbl := cat[st.Name]
 					checkCatalog(t, label, tbl, probePreds(rng, tbl.Schema.NumCols()))
 				}
 			}

@@ -24,6 +24,7 @@ import (
 	"adaptdb/internal/cluster"
 	"adaptdb/internal/dfs"
 	"adaptdb/internal/optimizer"
+	"adaptdb/internal/query"
 	"adaptdb/internal/serve"
 	"adaptdb/internal/session"
 	"adaptdb/internal/tpch"
@@ -104,7 +105,7 @@ func RunConcurrent(cfg ConcurrentConfig) (*ConcurrentReport, error) {
 	model := cluster.Default()
 	model.Nodes = cfg.Nodes
 
-	build := func() (*serve.Service, *tpch.Tables, error) {
+	build := func() (*serve.Service, query.Catalog, error) {
 		store := dfs.NewStore(cfg.Nodes, 2, cfg.Seed)
 		tbls, err := tpch.LoadAll(store, data, tpch.LoadConfig{RowsPerBlock: cfg.RowsPerBlock, Seed: cfg.Seed})
 		if err != nil {
@@ -115,48 +116,59 @@ func RunConcurrent(cfg ConcurrentConfig) (*ConcurrentReport, error) {
 			Optimizer:   optimizer.Config{Mode: optimizer.ModeAdaptive, WindowSize: 5, Seed: cfg.Seed},
 			MemBudget:   cfg.MemBudget,
 			Distributed: cfg.Distributed,
-		}), tbls, nil
+		}), tbls.Catalog(), nil
 	}
 
-	run := func(svc *serve.Service, tbls *tpch.Tables, rng *rand.Rand, c, qi int) (QueryDigest, error) {
-		in := tpch.NewInstance(sched[qi], data, rng)
-		res, err := svc.Stream(context.Background(), fmt.Sprintf("c%d", c), session.Query{
-			Label: string(sched[qi]), Plan: in.Plan(tbls),
-		}, nil)
+	run := func(svc *serve.Service, cat query.Catalog, rng *rand.Rand, s Step) (QueryDigest, error) {
+		q, err := session.FromSpec(cat, tpch.NewInstance(sched[s.Query], data, rng).Spec())
+		var res *serve.Result
+		if err == nil {
+			res, err = svc.Stream(context.Background(), fmt.Sprintf("c%d", s.Client), q, nil)
+		}
 		if err != nil {
-			return QueryDigest{}, fmt.Errorf("client %d query %d (%s): %w", c, qi, sched[qi], err)
+			return QueryDigest{}, fmt.Errorf("client %d query %d (%s): %w", s.Client, s.Query, sched[s.Query], err)
 		}
 		return QueryDigest{res.Checksum, res.RowCount}, nil
 	}
 
-	rep := &ConcurrentReport{
-		Serial:     make(map[Step]QueryDigest),
-		Concurrent: make(map[Step]QueryDigest),
-		Replayed:   make(map[Step]QueryDigest),
+	// replay runs steps serially on a fresh service; each client draws
+	// its instance parameters from its own stream.
+	replay := func(what string, steps []Step) (map[Step]QueryDigest, error) {
+		svc, cat, err := build()
+		if err != nil {
+			return nil, err
+		}
+		rngs := make([]*rand.Rand, cfg.Clients)
+		for c := range rngs {
+			rngs[c] = clientRng(cfg.Seed, c)
+		}
+		out := make(map[Step]QueryDigest, len(steps))
+		for _, s := range steps {
+			d, err := run(svc, cat, rngs[s.Client], s)
+			if err != nil {
+				return out, fmt.Errorf("%s: %w", what, err)
+			}
+			out[s] = d
+		}
+		return out, nil
 	}
 
 	// Replay 1 — serial oracle, round-robin client order.
-	svc, tbls, err := build()
-	if err != nil {
-		return rep, err
-	}
-	rngs := make([]*rand.Rand, cfg.Clients)
-	for c := range rngs {
-		rngs[c] = clientRng(cfg.Seed, c)
-	}
+	rep := &ConcurrentReport{Concurrent: make(map[Step]QueryDigest)}
+	var roundRobin []Step
 	for qi := 0; qi < cfg.QueriesPerClient; qi++ {
 		for c := 0; c < cfg.Clients; c++ {
-			d, err := run(svc, tbls, rngs[c], c, qi)
-			if err != nil {
-				return rep, fmt.Errorf("serial: %w", err)
-			}
-			rep.Serial[Step{c, qi}] = d
+			roundRobin = append(roundRobin, Step{c, qi})
 		}
+	}
+	var err error
+	if rep.Serial, err = replay("serial", roundRobin); err != nil {
+		return rep, err
 	}
 
 	// Replay 2 — concurrent, one goroutine per client, recording the
 	// arrival interleaving.
-	svc, tbls, err = build()
+	svc, cat, err := build()
 	if err != nil {
 		return rep, err
 	}
@@ -174,7 +186,7 @@ func RunConcurrent(cfg ConcurrentConfig) (*ConcurrentReport, error) {
 				mu.Lock()
 				rep.Log = append(rep.Log, Step{c, qi})
 				mu.Unlock()
-				d, err := run(svc, tbls, rng, c, qi)
+				d, err := run(svc, cat, rng, Step{c, qi})
 				mu.Lock()
 				if err != nil && firstErr == nil {
 					firstErr = fmt.Errorf("concurrent: %w", err)
@@ -195,19 +207,8 @@ func RunConcurrent(cfg ConcurrentConfig) (*ConcurrentReport, error) {
 	// Replay 3 — the recorded interleaving, serially. Per-client query
 	// order is preserved by construction (each goroutine logged its own
 	// steps in order), so each client's rng advances identically.
-	svc, tbls, err = build()
-	if err != nil {
+	if rep.Replayed, err = replay("log replay", rep.Log); err != nil {
 		return rep, err
-	}
-	for c := range rngs {
-		rngs[c] = clientRng(cfg.Seed, c)
-	}
-	for _, s := range rep.Log {
-		d, err := run(svc, tbls, rngs[s.Client], s.Client, s.Query)
-		if err != nil {
-			return rep, fmt.Errorf("log replay: %w", err)
-		}
-		rep.Replayed[Step{s.Client, s.Query}] = d
 	}
 
 	// Cross-check all three.

@@ -16,7 +16,9 @@
 //     exchange drops the rows its node's build-key filter rejects).
 //
 // A case is a pure function of its seed, so every failure is
-// replayable: report the seed, rerun Generate(seed).
+// replayable: report the seed, rerun Generate(seed). Query-spec streams
+// (n-way joins, aggregation, adaptation) run through the differential
+// matrix instead: Run in matrix.go.
 package difftest
 
 import (
@@ -335,64 +337,43 @@ func (c Case) estRows(n int) int {
 // columnar second pass and the estimate-steered fan-out), fed plain and
 // through a selection-vector filter.
 func RunCentralized(c Case) error {
-	oracle := exec.NestedLoopJoin(c.Left, c.Right, c.LCol, c.RCol)
-
-	type variant struct {
-		name         string
-		build, probe []tuple.Tuple
-		bCol, pCol   int
-		opts         exec.JoinOptions
-	}
-	leftOpts := exec.JoinOptions{BuildRowsEst: c.estRows(len(c.Left))}
-	variants := []variant{
-		{"build-left", c.Left, c.Right, c.LCol, c.RCol, leftOpts},
-		{"build-right", c.Right, c.Left, c.RCol, c.LCol,
-			exec.JoinOptions{BuildIsRight: true, BuildRowsEst: c.estRows(len(c.Right))}},
-	}
-	for _, v := range variants {
-		store := dfs.NewStore(2, 1, c.Seed)
-		ex := exec.New(store, &cluster.Meter{})
+	run := func(name string, build exec.Operator, bCol int, probe exec.Operator, pCol int, opts exec.JoinOptions, oracle []tuple.Tuple) error {
+		ex := exec.New(dfs.NewStore(2, 1, c.Seed), &cluster.Meter{})
 		ex.Mem = exec.NewMemBudget(c.Budget)
-		op := ex.JoinOp(exec.NewSource(v.build), v.bCol, exec.NewSource(v.probe), v.pCol, v.opts)
-		got, err := exec.Collect(op)
+		got, err := exec.Collect(ex.JoinOp(build, bCol, probe, pCol, opts))
 		if err != nil {
-			return fmt.Errorf("%s: JoinOp[%s]: %w", c, v.name, err)
+			return fmt.Errorf("%s: JoinOp[%s]: %w", c, name, err)
 		}
-		if err := diffRows("JoinOp["+v.name+"]", got, oracle); err != nil {
+		if err := diffRows("JoinOp["+name+"]", got, oracle); err != nil {
 			return fmt.Errorf("%s: %w", c, err)
 		}
 		if used := ex.Mem.Used(); used != 0 {
-			return fmt.Errorf("%s: JoinOp[%s] leaked %d budget bytes", c, v.name, used)
+			return fmt.Errorf("%s: JoinOp[%s] leaked %d budget bytes", c, name, used)
 		}
+		return nil
+	}
+	oracle := exec.NestedLoopJoin(c.Left, c.Right, c.LCol, c.RCol)
+	leftOpts := exec.JoinOptions{BuildRowsEst: c.estRows(len(c.Left))}
+	if err := run("build-left", exec.NewSource(c.Left), c.LCol, exec.NewSource(c.Right), c.RCol, leftOpts, oracle); err != nil {
+		return err
+	}
+	rightOpts := exec.JoinOptions{BuildIsRight: true, BuildRowsEst: c.estRows(len(c.Right))}
+	if err := run("build-right", exec.NewSource(c.Right), c.RCol, exec.NewSource(c.Left), c.LCol, rightOpts, oracle); err != nil {
+		return err
 	}
 
 	// Selection-vector run: both inputs pass a Where whose survivors
 	// reach the join only through a sparse (possibly empty) selection
 	// vector over the columnar batches. The oracle filters with the same
 	// predicate, so NULL and non-finite comparison semantics cancel out.
-	if pivot, ok := keyPivot(c.Left, c.LCol); ok {
-		lPreds := []predicate.Predicate{predicate.NewCmp(c.LCol, predicate.LT, pivot)}
-		rPreds := []predicate.Predicate{predicate.NewCmp(c.RCol, predicate.LT, pivot)}
-		fOracle := exec.NestedLoopJoin(
-			filterRows(c.Left, lPreds), filterRows(c.Right, rPreds), c.LCol, c.RCol)
-		store := dfs.NewStore(2, 1, c.Seed)
-		ex := exec.New(store, &cluster.Meter{})
-		ex.Mem = exec.NewMemBudget(c.Budget)
-		op := ex.JoinOp(
-			exec.Where(exec.NewSource(c.Left), lPreds), c.LCol,
-			exec.Where(exec.NewSource(c.Right), rPreds), c.RCol, leftOpts)
-		got, err := exec.Collect(op)
-		if err != nil {
-			return fmt.Errorf("%s: JoinOp[selfilter]: %w", c, err)
-		}
-		if err := diffRows("JoinOp[selfilter]", got, fOracle); err != nil {
-			return fmt.Errorf("%s: %w", c, err)
-		}
-		if used := ex.Mem.Used(); used != 0 {
-			return fmt.Errorf("%s: JoinOp[selfilter] leaked %d budget bytes", c, used)
-		}
+	pivot, ok := keyPivot(c.Left, c.LCol)
+	if !ok {
+		return nil
 	}
-	return nil
+	lPreds := []predicate.Predicate{predicate.NewCmp(c.LCol, predicate.LT, pivot)}
+	rPreds := []predicate.Predicate{predicate.NewCmp(c.RCol, predicate.LT, pivot)}
+	return run("selfilter", exec.Where(exec.NewSource(c.Left), lPreds), c.LCol, exec.Where(exec.NewSource(c.Right), rPreds), c.RCol, leftOpts,
+		exec.NestedLoopJoin(filterRows(c.Left, lPreds), filterRows(c.Right, rPreds), c.LCol, c.RCol))
 }
 
 // keyPivot picks a deterministic filter literal from the left side's

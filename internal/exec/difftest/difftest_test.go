@@ -214,8 +214,10 @@ func TestSoak(t *testing.T) {
 			}
 		}
 		if seed%7 == 0 {
-			if err := RunSpecCase(GenSpecCase(seed), nodes[int(seed/7)%len(nodes)]); err != nil {
-				t.Fatal(err)
+			for _, c := range sessionAndServe(nodes[int(seed/7)%len(nodes)]) {
+				if _, err := Run(GenSpecCase(seed), c); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		n++

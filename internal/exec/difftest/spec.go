@@ -1,73 +1,48 @@
-// The spec differential harness: the n-way analogue of the pair-join
-// oracle. Every SpecCase generates a small random query graph — 3–4
-// tables, prefix-connected join edges with occasional multi-attribute
-// and cyclic extras, pushdown predicates, and an optional group-by
-// aggregation — and asserts that the full declarative path (query.Spec
-// → greedy ordering → lowered plan → operators, through both
-// session.Session and serve.Service) reproduces the reference result:
-// an n-way nested-loop join in declaration order followed by a direct
-// reference aggregation. Aggregates are restricted to integer columns
-// so the result is bit-identical across join orders, node counts, and
-// memory budgets.
+// The spec workload generator and the reference evaluation every
+// matrix cell answers to (matrix.go). GenSpecCase draws a small random
+// query graph — 3–4 tables, prefix-connected join edges with occasional
+// multi-attribute and cyclic extras, pushdown predicates, and an
+// optional group-by aggregation. RefSpec evaluates a bound spec the
+// slow way: an n-way nested-loop join in declaration order followed by
+// a direct reference aggregation. Aggregates are restricted to integer
+// columns so the result is bit-identical across join orders, node
+// counts, and memory budgets.
 //
-// A case is a pure function of its seed; failures replay from the seed.
+// A workload is a pure function of its seed; failures replay from the
+// seed.
 package difftest
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sort"
 
 	"adaptdb/internal/core"
-	"adaptdb/internal/dfs"
 	"adaptdb/internal/optimizer"
 	"adaptdb/internal/predicate"
 	"adaptdb/internal/query"
 	"adaptdb/internal/schema"
-	"adaptdb/internal/serve"
-	"adaptdb/internal/session"
 	"adaptdb/internal/tuple"
 	"adaptdb/internal/value"
 )
 
-// SpecTable is one generated relation of a spec case. Preds holds the
-// positional form of the pushdown predicates; the spec carries the
-// same predicates by column name.
+// SpecTable is one relation of a workload.
 type SpecTable struct {
-	Name  string
-	Sch   *schema.Schema
-	Rows  []tuple.Tuple
-	Preds []predicate.Predicate
+	Name string
+	Sch  *schema.Schema
+	Rows []tuple.Tuple
 }
 
-// SpecCase is one generated n-way differential scenario.
-type SpecCase struct {
-	Seed   int64
-	Tables []SpecTable
-	Spec   query.Spec
-	// Budget is the session/serve memory budget in bytes (0 =
-	// unlimited); the acceptance matrix overrides it per run.
-	Budget int64
-}
-
-func (c SpecCase) String() string {
-	sizes := ""
-	for i, t := range c.Tables {
-		if i > 0 {
-			sizes += "/"
-		}
-		sizes += fmt.Sprint(len(t.Rows))
-	}
-	return fmt.Sprintf("spec seed=%d tables=%d rows=%s edges=%d group=%d aggs=%d budget=%d",
-		c.Seed, len(c.Tables), sizes, len(c.Spec.Joins), len(c.Spec.GroupBy), len(c.Spec.Aggs), c.Budget)
-}
-
-// GenSpecCase builds the spec case for a seed — deterministic, so
-// failures replay from the reported seed alone.
-func GenSpecCase(seed int64) SpecCase {
+// GenSpecCase builds the one-query spec workload for a seed —
+// deterministic, so failures replay from the reported seed alone.
+func GenSpecCase(seed int64) Workload {
 	rng := rand.New(rand.NewSource(seed))
-	c := SpecCase{Seed: seed}
+	c := Workload{
+		Gen: "spec", Seed: seed,
+		LoadOpts:  core.LoadOptions{RowsPerBlock: 64, JoinAttr: -1},
+		Optimizer: optimizer.Config{Mode: optimizer.ModeStatic, WindowSize: 4, Seed: seed},
+	}
+	var spec query.Spec
 	nt := 3 + rng.Intn(2)
 
 	// Tables: column 0 is always Int so every table can join; later
@@ -116,22 +91,17 @@ func GenSpecCase(seed int64) SpecCase {
 			}
 			rows[i] = r
 		}
-		// 0–2 pushdown predicates over Int columns, mirrored into the
-		// spec by name below.
+		// 0–2 pushdown predicates over Int columns.
 		var preds []predicate.Predicate
 		for p := rng.Intn(3); p > 0 && len(intCols[t]) > 0; p-- {
 			col := intCols[t][rng.Intn(len(intCols[t]))]
 			op := []predicate.Op{predicate.LT, predicate.LE, predicate.GT, predicate.GE}[rng.Intn(4)]
 			preds = append(preds, predicate.NewCmp(col, op, value.NewInt(rng.Int63n(keyRange))))
 		}
-		c.Tables = append(c.Tables, SpecTable{Name: name, Sch: sch, Rows: rows, Preds: preds})
-		ref := query.TableRef{Name: name}
-		for _, p := range preds {
-			ref.Preds = append(ref.Preds, query.Pred{Col: sch.Name(p.Col), Op: p.Op, Val: p.Val, Vals: p.Vals})
-		}
-		c.Spec.Tables = append(c.Spec.Tables, ref)
+		c.Tables = append(c.Tables, SpecTable{Name: name, Sch: sch, Rows: rows})
+		spec.Tables = append(spec.Tables, query.TableRef{Name: name, Preds: query.NamedPreds(sch, preds)})
 	}
-	c.Spec.Label = fmt.Sprintf("spec-%d", seed)
+	spec.Label = fmt.Sprintf("spec-%d", seed)
 
 	pick := func(t int) query.Col {
 		cix := intCols[t][rng.Intn(len(intCols[t]))]
@@ -146,7 +116,7 @@ func GenSpecCase(seed int64) SpecCase {
 			e.Left = append(e.Left, pick(p))
 			e.Right = append(e.Right, pick(t))
 		}
-		c.Spec.Joins = append(c.Spec.Joins, e)
+		spec.Joins = append(spec.Joins, e)
 	}
 	// 1 in 4 cases closes a cycle (or doubles an edge) — the extra
 	// edge's equalities apply as a residual filter after the join tree.
@@ -156,7 +126,7 @@ func GenSpecCase(seed int64) SpecCase {
 		if b >= a {
 			b++
 		}
-		c.Spec.Joins = append(c.Spec.Joins, query.On(pick(a), pick(b)))
+		spec.Joins = append(spec.Joins, query.On(pick(a), pick(b)))
 	}
 
 	// Aggregation shape: 2 in 5 plain join, 1 in 5 global aggregate,
@@ -165,20 +135,20 @@ func GenSpecCase(seed int64) SpecCase {
 	shape := rng.Intn(5)
 	if shape >= 2 {
 		for g := 1 + rng.Intn(2); g > 0 && shape >= 3; g-- {
-			c.Spec.GroupBy = append(c.Spec.GroupBy, pick(rng.Intn(nt)))
+			spec.GroupBy = append(spec.GroupBy, pick(rng.Intn(nt)))
 		}
-		c.Spec.Aggs = append(c.Spec.Aggs, query.Count())
+		spec.Aggs = append(spec.Aggs, query.Count())
 		for a := 1 + rng.Intn(2); a > 0; a-- {
 			col := pick(rng.Intn(nt))
 			switch rng.Intn(4) {
 			case 0:
-				c.Spec.Aggs = append(c.Spec.Aggs, query.Sum(col))
+				spec.Aggs = append(spec.Aggs, query.Sum(col))
 			case 1:
-				c.Spec.Aggs = append(c.Spec.Aggs, query.Min(col))
+				spec.Aggs = append(spec.Aggs, query.Min(col))
 			case 2:
-				c.Spec.Aggs = append(c.Spec.Aggs, query.Max(col))
+				spec.Aggs = append(spec.Aggs, query.Max(col))
 			default:
-				c.Spec.Aggs = append(c.Spec.Aggs, query.Avg(col))
+				spec.Aggs = append(spec.Aggs, query.Avg(col))
 			}
 		}
 	}
@@ -191,29 +161,35 @@ func GenSpecCase(seed int64) SpecCase {
 			c.Budget = b
 		}
 	}
+	c.Stream = []query.Spec{spec}
 	return c
 }
 
-func (c SpecCase) rowBytes() int64 {
-	var n int64
-	for _, t := range c.Tables {
-		n += rowsMemBytes(t.Rows)
+// RefSpec computes a bound spec's reference result over the tables:
+// filter each table with its predicates (resolved by name against the
+// table's own schema, not taken from the Bound), nested-loop join the
+// tables in declaration order applying every edge's full attribute
+// list, then aggregate directly. The output column order is the
+// declaration-order concatenation of the table schemas — the same
+// layout CompileSpec restores.
+func RefSpec(tables []SpecTable, b *query.Bound) []tuple.Tuple {
+	in := make([][]tuple.Tuple, len(b.Tables))
+	offs := make([]int, len(b.Tables)+1)
+	for i, bt := range b.Tables {
+		for _, t := range tables {
+			if t.Name != bt.Ref.Name {
+				continue
+			}
+			var preds []predicate.Predicate
+			for _, p := range bt.Ref.Preds {
+				preds = append(preds, predicate.Predicate{Col: t.Sch.Index(p.Col), Op: p.Op, Val: p.Val, Vals: p.Vals})
+			}
+			in[i] = filterRows(t.Rows, preds)
+			offs[i+1] = offs[i] + t.Sch.NumCols()
+		}
 	}
-	return n
-}
-
-// RefSpec computes the case's reference result: filter each table with
-// its own predicates, nested-loop join the tables in declaration order
-// applying every edge's full attribute list, then aggregate directly.
-// The output column order is the declaration-order concatenation of
-// the table schemas — the same layout CompileSpec restores.
-func RefSpec(c SpecCase, b *query.Bound) []tuple.Tuple {
-	offs := make([]int, len(c.Tables))
-	for i := 1; i < len(c.Tables); i++ {
-		offs[i] = offs[i-1] + c.Tables[i-1].Sch.NumCols()
-	}
-	cur := filterRows(c.Tables[0].Rows, c.Tables[0].Preds)
-	for t := 1; t < len(c.Tables); t++ {
+	cur := in[0]
+	for t := 1; t < len(in); t++ {
 		// Equality pairs against the already-joined prefix: every edge
 		// whose later endpoint is t lands here exactly once.
 		var pairs [][2]int // (accumulated col, table-t col)
@@ -227,10 +203,9 @@ func RefSpec(c SpecCase, b *query.Bound) []tuple.Tuple {
 				}
 			}
 		}
-		next := filterRows(c.Tables[t].Rows, c.Tables[t].Preds)
 		var out []tuple.Tuple
 		for _, lr := range cur {
-			for _, rr := range next {
+			for _, rr := range in[t] {
 				ok := true
 				for _, p := range pairs {
 					if lr[p[0]].IsNull() || rr[p[1]].IsNull() || !value.Equal(lr[p[0]], rr[p[1]]) {
@@ -365,87 +340,4 @@ func refAggValue(fn query.AggFunc, rows []tuple.Tuple, col int) value.Value {
 		}
 		return fold
 	}
-}
-
-// loadSpecTables loads the case's relations over a fresh nodes-wide
-// store and returns the catalog for binding.
-func loadSpecTables(c SpecCase, nodes int) (*dfs.Store, query.Catalog, error) {
-	store := dfs.NewStore(nodes, 2, c.Seed)
-	cat := query.Catalog{}
-	for i, t := range c.Tables {
-		ct, err := core.Load(store, t.Name, t.Sch, t.Rows, core.LoadOptions{
-			RowsPerBlock: 64, Seed: c.Seed + int64(i), JoinAttr: -1,
-		})
-		if err != nil {
-			return nil, nil, fmt.Errorf("load %s: %w", t.Name, err)
-		}
-		cat[t.Name] = ct
-	}
-	return store, cat, nil
-}
-
-// RunSpecCase runs one case's declarative query end-to-end through both
-// public surfaces — a session stream and a serve.Service request — over
-// a nodes-wide store each, and diffs both results against RefSpec. Each
-// surface gets a freshly loaded store so layouts cannot leak between
-// them.
-func RunSpecCase(c SpecCase, nodes int) error {
-	store, cat, err := loadSpecTables(c, nodes)
-	if err != nil {
-		return fmt.Errorf("%s: %w", c, err)
-	}
-	bound, err := c.Spec.Bind(cat)
-	if err != nil {
-		return fmt.Errorf("%s: bind: %w", c, err)
-	}
-	want := RefSpec(c, bound)
-
-	s := session.New(store, session.Config{
-		Optimizer:   optimizer.Config{Mode: optimizer.ModeStatic, WindowSize: 4, Seed: c.Seed},
-		MemBudget:   c.Budget,
-		Distributed: nodes > 1,
-	})
-	q, err := session.FromSpec(cat, c.Spec)
-	if err != nil {
-		return fmt.Errorf("%s: FromSpec: %w", c, err)
-	}
-	res, err := s.Execute(q)
-	if err != nil {
-		return fmt.Errorf("%s: session[nodes=%d]: %w", c, nodes, err)
-	}
-	if err := diffRows(fmt.Sprintf("session[nodes=%d]", nodes), res.Rows, want); err != nil {
-		return fmt.Errorf("%s: %w", c, err)
-	}
-
-	store2, cat2, err := loadSpecTables(c, nodes)
-	if err != nil {
-		return fmt.Errorf("%s: %w", c, err)
-	}
-	// serve's MemBudget is the admission pool, not a per-operator
-	// budget: a reservation above the pool is shed outright, and the
-	// floor is minReserve. A budgeted case therefore gets a pool large
-	// enough to always admit — the per-query budget is then sized to
-	// the planner's footprint estimate, which is the serving-path
-	// memory pressure this harness checks results under.
-	servePool := c.Budget
-	if servePool > 0 {
-		servePool = 1 << 30
-	}
-	svc := serve.New(store2, serve.Config{
-		Optimizer:   optimizer.Config{Mode: optimizer.ModeStatic, WindowSize: 4, Seed: c.Seed},
-		MemBudget:   servePool,
-		Distributed: nodes > 1,
-	})
-	q2, err := session.FromSpec(cat2, c.Spec)
-	if err != nil {
-		return fmt.Errorf("%s: FromSpec: %w", c, err)
-	}
-	sres, err := svc.Execute(context.Background(), "difftest", q2)
-	if err != nil {
-		return fmt.Errorf("%s: serve[nodes=%d]: %w", c, nodes, err)
-	}
-	if err := diffRows(fmt.Sprintf("serve[nodes=%d]", nodes), sres.Rows, want); err != nil {
-		return fmt.Errorf("%s: %w", c, err)
-	}
-	return nil
 }

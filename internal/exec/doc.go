@@ -19,8 +19,8 @@
 //     the one-node fabric of a centralized executor meters each row at
 //     its exchange's class (fabric.go).
 //   - §6 — ScanOp/TableScanOp implement predicate-based data access
-//     with tree and zone-map pruning; Executor.RoundRobin and NoPrune
-//     are the Fig. 7 locality and §7.3 full-scan baseline switches.
+//     with tree and zone-map pruning; Executor.NoPrune is the §7.3
+//     full-scan baseline switch.
 //
 // The engine is one batched pipeline (pipeline.go): fixed-capacity,
 // columnar Batch chunks stream through Open/Next/Close. Rows enter in

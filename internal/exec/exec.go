@@ -22,10 +22,6 @@ type Executor struct {
 	Meter *cluster.Meter
 	// Workers bounds task parallelism; 0 means one worker per node.
 	Workers int
-	// RoundRobin assigns scan tasks to nodes by block index instead of
-	// replica locality — the Fig. 7 experiment uses it to control the
-	// local-read fraction precisely.
-	RoundRobin bool
 	// NoPrune disables tree and zone-map pruning: scans read every live
 	// block and filter row by row. The "Full Scan" baseline of §7.3 runs
 	// this way.

@@ -381,18 +381,13 @@ func (s *scanOp) Open() error {
 }
 
 func (s *scanOp) worker(int) {
-	n := max(s.e.Store.NumNodes(), 1)
 	for {
 		idx, ok := s.p.claim(len(s.refs))
 		if !ok {
 			return
 		}
 		ref := s.refs[idx]
-		node := s.e.taskNode(ref)
-		if s.e.RoundRobin {
-			node = dfs.NodeID(idx % n)
-		}
-		cols, local, err := s.e.getBlock(ref.Path, node)
+		cols, local, err := s.e.getBlock(ref.Path, s.e.taskNode(ref))
 		if err != nil {
 			s.p.fail(err)
 			return

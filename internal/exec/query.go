@@ -53,15 +53,14 @@ func (e *Executor) ForQuery(q QueryCtx) *Executor {
 		spill = q.SpillDir
 	}
 	v := &Executor{
-		Store:      e.Store,
-		Meter:      meter,
-		Workers:    e.Workers,
-		RoundRobin: e.RoundRobin,
-		NoPrune:    e.NoPrune,
-		Mem:        q.Mem,
-		SpillDir:   spill,
-		fs:         e.fs,
-		ctx:        q.Ctx,
+		Store:    e.Store,
+		Meter:    meter,
+		Workers:  e.Workers,
+		NoPrune:  e.NoPrune,
+		Mem:      q.Mem,
+		SpillDir: spill,
+		fs:       e.fs,
+		ctx:      q.Ctx,
 	}
 	if q.Distributed {
 		v.EnableNodes(0)

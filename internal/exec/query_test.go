@@ -17,7 +17,6 @@ func TestForQueryIsolatesPerQueryState(t *testing.T) {
 	base := New(store, &cluster.Meter{})
 	base.Workers = 3
 	base.NoPrune = true
-	base.RoundRobin = true
 	base.SpillDir = "/base/spill"
 	base.Mem = NewMemBudget(1 << 30)
 
@@ -27,7 +26,7 @@ func TestForQueryIsolatesPerQueryState(t *testing.T) {
 	if q.Meter != m || q.Mem != mem || q.SpillDir != "/q/spill" {
 		t.Fatalf("view didn't take per-query state: %+v", q)
 	}
-	if q.Store != base.Store || !q.NoPrune || !q.RoundRobin || q.Workers != 3 {
+	if q.Store != base.Store || !q.NoPrune || q.Workers != 3 {
 		t.Fatal("view didn't share template store/flags")
 	}
 	// The template is untouched.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"adaptdb/internal/cluster"
+	"adaptdb/internal/core"
 	"adaptdb/internal/dfs"
 	"adaptdb/internal/exec"
 	"adaptdb/internal/planner"
@@ -91,12 +92,20 @@ func Fig07(cfg Config) (*Result, error) {
 				return nil, err
 			}
 		}
+		// Block i is read on node view i mod N, which meters a block it
+		// holds no replica of as a remote read.
 		meter := &cluster.Meter{}
-		ex := exec.New(store, meter)
-		ex.RoundRobin = true
-		if _, err := exec.Count(ex.ScanOp(refs, nil, nil)); err != nil {
-			return nil, err
+		nodes := exec.New(store, meter).EnableNodes(0)
+		shares := make([][]core.BlockRef, nodes.N())
+		for i, ref := range refs {
+			shares[i%nodes.N()] = append(shares[i%nodes.N()], ref)
 		}
+		for i, share := range shares {
+			if _, err := exec.Count(nodes.ScanAt(i, share, nil)); err != nil {
+				return nil, err
+			}
+		}
+		nodes.Flush()
 		secs := meter.Snapshot().SimSeconds(model)
 		if pct == 100 {
 			base = secs

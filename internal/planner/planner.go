@@ -236,24 +236,24 @@ func (r *Runner) estimateHyper(rRefs []core.BlockRef, rCol int, sRefs []core.Blo
 	return build + probe, plan
 }
 
-// estimateShuffle prices a shuffle join with eq. 1: CSJ per row on both
-// sides, plus the spill term when the executor carries a memory budget
-// — a shuffle join materializes its smaller side into one hash table,
-// and rows beyond the budget are demoted to disk run files (write +
-// read-back, priced by SpillRowFactor). Hyper-join never pays this: its
-// §4.1 grouping bounds every build to the block budget, which is
-// exactly the trade the comparison should see under tight memory.
-// Of the CSJ units per row, 1 is the initial read (compute/disk) and
-// CSJ−1 the partition-write + re-read across the network — the share
-// the measured link weights scale.
-func (r *Runner) estimateShuffle(rRefs, sRefs []core.BlockRef) float64 {
-	rRows, sRows := refRows(rRefs), refRows(sRefs)
-	build, probe := rRows, sRows
-	if sRows < rRows {
-		build, probe = sRows, rRows
+// estimateShuffle prices a shuffle join of aRows ⋈ bRows rows (a plain
+// shuffle or a combination plan's residual sub-join) with eq. 1: CSJ
+// per row on both sides, plus the spill term when the executor carries
+// a memory budget — a shuffle join materializes its smaller side into
+// one hash table, and rows beyond the budget are demoted to disk run
+// files (write + read-back, priced by SpillRowFactor). Hyper-join never
+// pays this: its §4.1 grouping bounds every build to the block budget,
+// which is exactly the trade the comparison should see under tight
+// memory. Of the CSJ units per row, 1 is the initial read
+// (compute/disk) and CSJ−1 the partition-write + re-read across the
+// network — the share the measured link weights scale.
+func (r *Runner) estimateShuffle(aRows, bRows int) float64 {
+	build, probe := aRows, bRows
+	if bRows < aRows {
+		build, probe = bRows, aRows
 	}
 	csj := 1 + (r.Model.CSJ-1)*r.netWeight()
-	return csj*float64(rRows+sRows) + r.spillEstimate(build, probe)
+	return csj*float64(aRows+bRows) + r.spillEstimate(build, probe)
 }
 
 // estRowBytes approximates a row's in-memory footprint for spill
@@ -288,19 +288,6 @@ func (r *Runner) spillEstimate(buildRows, probeRows int) float64 {
 	return r.Model.SpillRowFactor * frac * (float64(buildRows) + (1-skip)*float64(probeRows))
 }
 
-// residualShuffle prices one residual sub-join of a combination plan:
-// eq. 1's CSJ on both sides plus the spill term of its hash build
-// (built on the smaller side), mirroring estimateShuffle on row counts
-// instead of ref sets.
-func (r *Runner) residualShuffle(aRows, bRows int) float64 {
-	build, probe := aRows, bRows
-	if bRows < aRows {
-		build, probe = bRows, aRows
-	}
-	csj := 1 + (r.Model.CSJ-1)*r.netWeight()
-	return csj*float64(aRows+bRows) + r.spillEstimate(build, probe)
-}
-
 // tableJoinPlan is the compile-time strategy decision for one
 // base-table ⋈ base-table join: which strategy won the §5.4 cost
 // comparison, the co-partitioned (l1/r1) and residual (l2/r2) block
@@ -328,7 +315,7 @@ func (r *Runner) planTableJoin(l *Scan, lCol int, rt *Scan, rCol int) tableJoinP
 		if !r.ForceShuffle {
 			lRefs := r.allRefs(l.Table, l.Preds)
 			rRefs := r.allRefs(rt.Table, rt.Preds)
-			if hy, plan := r.estimateHyper(lRefs, lCol, rRefs, rCol); hy > 0 && hy < r.estimateShuffle(lRefs, rRefs) {
+			if hy, plan := r.estimateHyper(lRefs, lCol, rRefs, rCol); hy > 0 && hy < r.estimateShuffle(refRows(lRefs), refRows(rRefs)) {
 				return tableJoinPlan{strategy: StratHyper, l1: lRefs, r1: rRefs, hyper: plan}
 			}
 		}
@@ -361,7 +348,7 @@ func (r *Runner) planTableJoin(l *Scan, lCol int, rt *Scan, rCol int) tableJoinP
 	// Case 1: both tables fully co-partitioned. Cost-compare hyper vs
 	// shuffle (§5.4) and pick the winner.
 	if len(p.l2) == 0 && len(p.r2) == 0 {
-		if hyEst >= r.estimateShuffle(p.l1, p.r1) {
+		if hyEst >= r.estimateShuffle(refRows(p.l1), refRows(p.r1)) {
 			return tableJoinPlan{strategy: StratShuffle}
 		}
 		p.strategy = StratHyper
@@ -380,14 +367,13 @@ func (r *Runner) planTableJoin(l *Scan, lCol int, rt *Scan, rCol int) tableJoinP
 	combEst := hyEst
 	if len(p.l2) > 0 {
 		// shuffle(A2 ⋈ B): scan+shuffle A2's rows and all of B again.
-		combEst += r.residualShuffle(refRows(p.l2), refRows(p.r1)+refRows(p.r2))
+		combEst += r.estimateShuffle(refRows(p.l2), refRows(p.r1)+refRows(p.r2))
 	}
 	if len(p.r2) > 0 {
 		// shuffle(A1 ⋈ B2): re-scan+shuffle A1 and B2's residual rows.
-		combEst += r.residualShuffle(refRows(p.l1), refRows(p.r2))
+		combEst += r.estimateShuffle(refRows(p.l1), refRows(p.r2))
 	}
-	if combEst >= r.estimateShuffle(append(append([]core.BlockRef(nil), p.l1...), p.l2...),
-		append(append([]core.BlockRef(nil), p.r1...), p.r2...)) {
+	if combEst >= r.estimateShuffle(refRows(p.l1)+refRows(p.l2), refRows(p.r1)+refRows(p.r2)) {
 		return tableJoinPlan{strategy: StratShuffle}
 	}
 	p.strategy = StratCombination

@@ -42,9 +42,9 @@ func TestSpillEstimateGrowsAsBudgetShrinks(t *testing.T) {
 func TestShuffleEstimateIncludesSpillTerm(t *testing.T) {
 	f := setup(t, false)
 	refs := f.line.AllRefs(nil)
-	base := f.runner.estimateShuffle(refs, refs)
+	base := f.runner.estimateShuffle(refRows(refs), refRows(refs))
 	f.runner.Ex.Mem = exec.NewMemBudget(1024) // starved: nearly everything spills
-	budgeted := f.runner.estimateShuffle(refs, refs)
+	budgeted := f.runner.estimateShuffle(refRows(refs), refRows(refs))
 	if budgeted <= base {
 		t.Errorf("budgeted shuffle estimate %v not above unbudgeted %v", budgeted, base)
 	}

@@ -21,6 +21,7 @@ import (
 	"adaptdb/internal/core"
 	"adaptdb/internal/optimizer"
 	"adaptdb/internal/predicate"
+	"adaptdb/internal/schema"
 	"adaptdb/internal/value"
 )
 
@@ -55,6 +56,16 @@ func Cmp(col string, op predicate.Op, v value.Value) Pred {
 // In builds a membership predicate on a named column.
 func In(col string, vs ...value.Value) Pred {
 	return Pred{Col: col, Op: predicate.In, Vals: vs}
+}
+
+// NamedPreds renders positional predicates in named form against the
+// table's schema, for generators that draw predicates by position.
+func NamedPreds(sch *schema.Schema, preds []predicate.Predicate) []Pred {
+	out := make([]Pred, len(preds))
+	for i, p := range preds {
+		out[i] = Pred{Col: sch.Name(p.Col), Op: p.Op, Val: p.Val, Vals: p.Vals}
+	}
+	return out
 }
 
 // TableRef names one table of the query, with optional alias (for

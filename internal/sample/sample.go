@@ -63,3 +63,22 @@ func SortValues(vs []value.Value) []value.Value {
 	sort.Slice(vs, func(i, j int) bool { return value.Less(vs[i], vs[j]) })
 	return vs
 }
+
+// LowerMedianCut picks a cut over sorted values that splits them into
+// two non-empty sides (≤ cut, > cut): the lower median, at position
+// (n−1)/2, or when that equals the max the largest value below it.
+// Reports false when fewer than two distinct values exist.
+func LowerMedianCut(sorted []value.Value) (value.Value, bool) {
+	if len(sorted) < 2 {
+		return value.Value{}, false
+	}
+	maxV := sorted[len(sorted)-1]
+	if med := sorted[(len(sorted)-1)/2]; value.Compare(med, maxV) != 0 {
+		return med, true
+	}
+	i := sort.Search(len(sorted), func(i int) bool { return value.Compare(sorted[i], maxV) >= 0 })
+	if i == 0 {
+		return value.Value{}, false
+	}
+	return sorted[i-1], true
+}

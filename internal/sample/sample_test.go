@@ -65,3 +65,30 @@ func TestColumn(t *testing.T) {
 		t.Fatalf("Column kept %d values, want 3 (nulls dropped)", len(vs))
 	}
 }
+
+func TestLowerMedianCut(t *testing.T) {
+	ints := func(vs ...int64) []value.Value {
+		out := make([]value.Value, len(vs))
+		for i, v := range vs {
+			out[i] = value.NewInt(v)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		sorted []value.Value
+		want   value.Value
+		ok     bool
+	}{
+		{ints(), value.Value{}, false},
+		{ints(4), value.Value{}, false},
+		{ints(4, 4, 4), value.Value{}, false},
+		{ints(1, 2, 3, 4), value.NewInt(2), true},    // position (n−1)/2
+		{ints(1, 2, 9, 9, 9), value.NewInt(2), true}, // median is the max: step down
+		{append([]value.Value{{}}, ints(5, 5)...), value.Value{}, true},
+	} {
+		got, ok := LowerMedianCut(tc.sorted)
+		if ok != tc.ok || (ok && value.Compare(got, tc.want) != 0) {
+			t.Errorf("LowerMedianCut(%v) = %v, %v; want %v, %v", tc.sorted, got, ok, tc.want, tc.ok)
+		}
+	}
+}

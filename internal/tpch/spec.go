@@ -8,9 +8,7 @@ package tpch
 
 import (
 	"adaptdb/internal/core"
-	"adaptdb/internal/predicate"
 	"adaptdb/internal/query"
-	"adaptdb/internal/schema"
 )
 
 // Catalog exposes the loaded tables under their store names for spec
@@ -25,17 +23,6 @@ func (tb *Tables) Catalog() query.Catalog {
 	return cat
 }
 
-// namedPreds renders positional predicates back to named form against
-// the table's schema — the instance generator works positionally, the
-// spec layer by name.
-func namedPreds(sch *schema.Schema, preds []predicate.Predicate) []query.Pred {
-	out := make([]query.Pred, len(preds))
-	for i, p := range preds {
-		out[i] = query.Pred{Col: sch.Name(p.Col), Op: p.Op, Val: p.Val, Vals: p.Vals}
-	}
-	return out
-}
-
 // Spec builds the declarative form of the instance: the same join
 // graph as Plan, with join order left to the planner's greedy pass.
 // Declaration order matches Plan's hand-built order, so FixedOrder
@@ -44,10 +31,10 @@ func namedPreds(sch *schema.Schema, preds []predicate.Predicate) []query.Pred {
 // customer), §4.3), and the spec votes orders on o_orderkey (its first
 // edge touching orders) where the plan votes o_custkey.
 func (in *Instance) Spec() query.Spec {
-	line := query.TableRef{Name: "lineitem", Preds: namedPreds(LineitemSchema, in.LinePreds)}
-	ord := query.TableRef{Name: "orders", Preds: namedPreds(OrdersSchema, in.OrdPreds)}
-	cust := query.TableRef{Name: "customer", Preds: namedPreds(CustomerSchema, in.CustPreds)}
-	part := query.TableRef{Name: "part", Preds: namedPreds(PartSchema, in.PartPreds)}
+	line := query.TableRef{Name: "lineitem", Preds: query.NamedPreds(LineitemSchema, in.LinePreds)}
+	ord := query.TableRef{Name: "orders", Preds: query.NamedPreds(OrdersSchema, in.OrdPreds)}
+	cust := query.TableRef{Name: "customer", Preds: query.NamedPreds(CustomerSchema, in.CustPreds)}
+	part := query.TableRef{Name: "part", Preds: query.NamedPreds(PartSchema, in.PartPreds)}
 	lo := query.On(query.C("lineitem", "l_orderkey"), query.C("orders", "o_orderkey"))
 	oc := query.On(query.C("orders", "o_custkey"), query.C("customer", "c_custkey"))
 	lp := query.On(query.C("lineitem", "l_partkey"), query.C("part", "p_partkey"))

@@ -94,26 +94,5 @@ func (b Builder) growJoinLevels(rows []tuple.Tuple, joinLevels int, selAttrs []i
 // joinMedian picks the median cut of the join attribute over the local
 // sample, guaranteeing a non-degenerate split (cut strictly below max).
 func joinMedian(rows []tuple.Tuple, attr int) (value.Value, bool) {
-	vals := sample.Column(rows, attr)
-	if len(vals) < 2 {
-		return value.Value{}, false
-	}
-	sorted := sample.SortValues(vals)
-	med := sorted[(len(sorted)-1)/2]
-	maxV := sorted[len(sorted)-1]
-	if value.Compare(med, maxV) == 0 {
-		// Skewed: median equals max. Find the largest value < max.
-		var lower value.Value
-		found := false
-		for _, v := range sorted {
-			if value.Compare(v, maxV) < 0 {
-				lower, found = v, true
-			}
-		}
-		if !found {
-			return value.Value{}, false
-		}
-		med = lower
-	}
-	return med, true
+	return sample.LowerMedianCut(sample.SortValues(sample.Column(rows, attr)))
 }

@@ -147,7 +147,12 @@ func medianCut(rows []tuple.Tuple, attr int) (value.Value, bool) {
 	}
 	// Use the value at the median *position* of the full (non-distinct)
 	// sorted sample when possible, clamped below max, so skewed data still
-	// yields balanced halves.
+	// yields balanced halves. distinct shares sorted's backing array, so
+	// the loop above overwrote sorted's prefix with the distinct values:
+	// when more than (n−1)/2 distinct values exist, the position read
+	// here lands in the distinct list and the cut sits above the lower
+	// median sample.LowerMedianCut picks. Every upfront tree, and every
+	// layout and figure built on one, depends on this cut, so it stays.
 	med := sorted[(len(sorted)-1)/2]
 	if value.Compare(med, distinct[len(distinct)-1]) == 0 {
 		// Median equals max: step down to the previous distinct value.
