@@ -13,6 +13,7 @@ package block
 
 import (
 	"adaptdb/internal/predicate"
+	"adaptdb/internal/recycle"
 	"adaptdb/internal/schema"
 	"adaptdb/internal/tuple"
 	"adaptdb/internal/value"
@@ -27,7 +28,8 @@ type ID int32
 // column count from the first rows appended. Every row of a block has
 // the same arity.
 type Block struct {
-	cols tuple.Columns
+	// cols is nil until the block takes storage, at its first append.
+	cols *tuple.Columns
 	mins []value.Value
 	maxs []value.Value
 }
@@ -45,28 +47,44 @@ func (b *Block) shape(ncols int) {
 	if b.Len() > 0 || len(b.mins) == ncols {
 		return
 	}
-	b.cols.Reset(ncols)
+	if b.cols != nil {
+		b.cols.Reset(ncols)
+	}
 	b.mins = make([]value.Value, ncols)
 	b.maxs = make([]value.Value, ncols)
 }
 
 // Len returns the number of rows.
-func (b *Block) Len() int { return b.cols.FullLen() }
+func (b *Block) Len() int {
+	if b.cols == nil {
+		return 0
+	}
+	return b.cols.FullLen()
+}
+
+// noCols is the column set of a block that never took a column count.
+var noCols tuple.Columns
 
 // Cols returns the block's column vectors. The view is read-only: it
 // carries no selection, is shared by every reader of the block, and
 // stays valid only until the next append.
-func (b *Block) Cols() *tuple.Columns { return &b.cols }
+func (b *Block) Cols() *tuple.Columns {
+	if b.cols == nil {
+		return &noCols
+	}
+	return b.cols
+}
 
 // Rows materializes the block's rows, in order, as boxed tuples over
 // one fresh arena — the accessor for tests and oracles; engine code
 // reads Cols.
 func (b *Block) Rows() []tuple.Tuple {
-	n, ncols := b.Len(), b.cols.NumCols()
+	cols := b.Cols()
+	n, ncols := cols.FullLen(), cols.NumCols()
 	arena := make(tuple.Tuple, n*ncols)
 	rows := make([]tuple.Tuple, n)
 	for i := range rows {
-		rows[i] = b.cols.RowTo(arena[i*ncols:i*ncols:(i+1)*ncols], i)
+		rows[i] = cols.RowTo(arena[i*ncols:i*ncols:(i+1)*ncols], i)
 	}
 	return rows
 }
@@ -79,6 +97,9 @@ func (b *Block) AppendRows(rows []tuple.Tuple) {
 	}
 	b.shape(len(rows[0]))
 	from := b.Len()
+	if b.cols == nil {
+		b.cols = tuple.NewColumns(len(rows[0]))
+	}
 	if from == 0 {
 		b.cols.Reserve(len(rows)) // a loaded block's vectors are born exact-size
 	}
@@ -86,18 +107,42 @@ func (b *Block) AppendRows(rows []tuple.Tuple) {
 	b.extendZones(from)
 }
 
-// Grow makes room for rows rows in every column vector (see
-// tuple.Columns.Grow), so appends up to that count write in place. A
-// view of the block taken with tuple.Columns.AliasRange is capped at its
-// own rows, so it never sees the slots this reserves.
-func (b *Block) Grow(rows int) { b.cols.Grow(rows) }
+// Grow makes room for rows rows in every column vector, so appends up
+// to that count write in place. When the block's storage cannot hold
+// them, its rows move into recycled storage (recycle.GrowStore) shaped
+// like like, the source of the rows to come, of the smallest class
+// that holds them, and the storage it outgrew goes back: growth
+// doubles, and a drained block's vectors are what the next one grows
+// into. A view of the block taken with tuple.Columns.AliasRange is
+// capped at its own rows, so it never sees the slots this reserves; but
+// a move hands the old vectors to their next owner, so no view of the
+// block may outlive a Grow that moves it (the caller's rule: a
+// migration never overlaps a scan).
+func (b *Block) Grow(like *tuple.Columns, rows int) {
+	b.shape(like.NumCols())
+	b.cols = recycle.GrowStore(b.cols, like, rows)
+}
+
+// Release hands the block's column storage back to the recycler and
+// leaves the block empty, its zone map with it. Nothing may read the
+// block, or any view of its vectors, afterwards: a migration releases
+// the blocks it drained once it has staged their rows and deleted them
+// from the store.
+func (b *Block) Release() {
+	if b.cols == nil {
+		return
+	}
+	recycle.PutStore(b.cols)
+	b.cols, b.mins, b.maxs = nil, nil, nil
+}
 
 // AppendGather adds src's physical rows idxs, in order — how migration
 // moves rows between blocks without boxing them. src must have the
-// block's column layout.
+// block's column layout. Storage that cannot take the rows grows
+// first (Grow).
 func (b *Block) AppendGather(src *tuple.Columns, idxs []int32) {
-	b.shape(src.NumCols())
 	from := b.Len()
+	b.Grow(src, from+len(idxs))
 	b.cols.AppendGather(src, idxs)
 	b.extendZones(from)
 }

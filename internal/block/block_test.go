@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"adaptdb/internal/predicate"
+	"adaptdb/internal/recycle"
 	"adaptdb/internal/schema"
 	"adaptdb/internal/tuple"
 	"adaptdb/internal/value"
@@ -307,4 +308,54 @@ func TestAnyInterleavingMatchesRowBuiltZoneMap(t *testing.T) {
 // included), stricter than value.Equal.
 func sameCell(a, b value.Value) bool {
 	return a.K == b.K && a.I == b.I && a.S == b.S && math.Float64bits(a.F) == math.Float64bits(b.F)
+}
+
+// TestReleaseHandsStorageBack: a released block is empty and takes rows
+// again, and its storage has gone to the recycler — with poisoning on,
+// a view taken before the release reads sentinels, not the rows it saw.
+// A growing block hands back the storage it outgrew the same way.
+func TestReleaseHandsStorageBack(t *testing.T) {
+	defer func(p bool) { recycle.Poison = p }(recycle.Poison)
+	recycle.Poison = true
+	rows := make([]tuple.Tuple, 100)
+	for i := range rows {
+		rows[i] = row(int64(i), float64(i)/2, string(rune('a'+i%26)))
+	}
+	viewOf := func(b *Block) *tuple.Columns {
+		var v tuple.Columns
+		v.AliasRange(b.Cols(), 0, b.Len())
+		return &v
+	}
+	poisoned := func(what string, v *tuple.Columns) {
+		t.Helper()
+		if v.Col(0).Ints()[7] != recycle.PoisonInt || v.Col(1).Floats()[7] != recycle.PoisonFloat || v.Col(2).Str(7) != recycle.PoisonStr {
+			t.Fatalf("%s: a view of the handed-back storage still reads row 7: %v", what, v.RowTo(nil, 7))
+		}
+	}
+
+	b := New(sch)
+	b.AppendRows(rows)
+	view := viewOf(b)
+	b.Release()
+	poisoned("release", view)
+	if b.Len() != 0 || len(b.Rows()) != 0 || !b.Range(0).Empty() {
+		t.Fatalf("a released block holds %d rows, zone %v", b.Len(), b.Range(0))
+	}
+	b.AppendRows(rows[:70])
+	if got := b.Rows(); !reflect.DeepEqual(got, rows[:70]) || b.Max(0).Int64() != 69 {
+		t.Fatalf("a released block refilled holds %v, max %v", got, b.Max(0))
+	}
+
+	view = viewOf(b)
+	src := tuple.NewColumns(sch.NumCols())
+	src.AppendRows(rows)
+	idxs := make([]int32, len(rows))
+	for i := range idxs {
+		idxs[i] = int32(i)
+	}
+	b.AppendGather(src, idxs)
+	poisoned("growth", view)
+	if got := b.Rows(); !reflect.DeepEqual(got[:70], rows[:70]) || !reflect.DeepEqual(got[70:], rows) {
+		t.Fatal("a block grown into recycled storage lost or changed rows")
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"adaptdb/internal/block"
 	"adaptdb/internal/core"
 	"adaptdb/internal/dfs"
+	"adaptdb/internal/recycle"
 	"adaptdb/internal/tpch"
 	"adaptdb/internal/tuple"
 	"adaptdb/internal/twophase"
@@ -146,18 +147,21 @@ func TestMoveBucketsLineitemMatchesAppendRows(t *testing.T) {
 }
 
 // TestMoveBucketsLineitemAllocatesWhatItKeeps bounds what a drain
-// allocates: the destination blocks, each grown at most once per move,
-// and the table's reused staging set. It drains the table once into an
+// allocates: the destination blocks' storage, which grows by doubling
+// into the vectors of the blocks the drain empties (the recycler), and
+// the table's reused staging set. It drains the table once into an
 // orderkey tree, as the phase before a join-attribute shift leaves it,
 // then measures the five moves into the partkey tree, buckets picked at
 // random as smooth repartitioning picks them, against the moved rows'
-// column bytes (8 per numeric cell, a 16-byte header per string cell).
-// The blocks' first growth takes about 1.2× those bytes and regrowth
-// about 0.45×, because a bucket's share of one move misjudges its final
-// size by about a third either way; block headers and the catalog take
-// the rest, 1.81× in all. The bound, 2×, fails a drain that regrows a
-// destination on every append (3.9×).
+// column bytes (movedBytes). A drain's first moves ask for smaller
+// storage than the blocks they drain, so they still allocate: this
+// drain took 0.08–0.58× those bytes over 18 runs. The bound is 0.8×.
+// The recycler sheds Puts under the race detector, so the test skips
+// there.
 func TestMoveBucketsLineitemAllocatesWhatItKeeps(t *testing.T) {
+	if recycle.Race {
+		t.Skip("sync.Pool sheds Puts under -race; allocation totals are noise")
+	}
 	rng := rand.New(rand.NewSource(3))
 	d := newLineitemDrain(t, rng)
 	tbl := d.tbl
@@ -187,6 +191,125 @@ func TestMoveBucketsLineitemAllocatesWhatItKeeps(t *testing.T) {
 	runtime.ReadMemStats(&ms)
 	alloc := ms.TotalAlloc - before
 
+	moved := movedBytes(len(rows))
+	t.Logf("drain allocated %d B for %d B of columns (%.2f×)", alloc, moved, float64(alloc)/float64(moved))
+	if float64(alloc) > 0.8*float64(moved) {
+		t.Fatalf("drain allocated %d B, over 0.8× the %d B of column data it moved", alloc, moved)
+	}
+}
+
+// TestMoveBucketsLineitemSteadyDrain measures a drain once migration
+// has reached its steady state: lineitem moves between three trees, an
+// orderkey, a partkey and a suppkey tree, five random moves each, as a
+// join-attribute shift drains one tree into the next. By the third
+// drain every source block was written by an earlier one, and the
+// storage each move drains is what its destinations grow into: it
+// allocated 0.11–0.36× the moved column bytes over 60 runs. The bound
+// is 0.4×; the test skips under the race detector, as the one above
+// does.
+func TestMoveBucketsLineitemSteadyDrain(t *testing.T) {
+	if recycle.Race {
+		t.Skip("sync.Pool sheds Puts under -race; allocation totals are noise")
+	}
+	s := newShiftDrain(t, 5)
+	var alloc uint64
+	for i, attr := range []int{tpch.LOrderKey, tpch.LPartKey, tpch.LSuppKey} {
+		s.addTree(attr, int64(7+i))
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		s.drain(t)
+		runtime.ReadMemStats(&ms)
+		alloc = ms.TotalAlloc - before
+		t.Logf("drain %d allocated %.2f× the moved column bytes", i+1, float64(alloc)/float64(movedBytes(len(lineitemRows()))))
+	}
+	moved := movedBytes(len(lineitemRows()))
+	if float64(alloc) > 0.4*float64(moved) {
+		t.Fatalf("the third drain allocated %d B, over 0.4× the %d B of column data it moved", alloc, moved)
+	}
+}
+
+// BenchmarkMoveBucketsLineitemWarm is BenchmarkMoveBucketsLineitem in
+// the steady state of a shift: each iteration drains lineitem, in five
+// moves of random picks, from the tree the previous drain filled into a
+// new orderkey or partkey tree, so its source blocks were written by a
+// drain and the recycler holds what earlier drains emptied. Two untimed
+// drains warm it; building the trees is untimed. It reports ns and
+// bytes allocated per moved row.
+func BenchmarkMoveBucketsLineitemWarm(b *testing.B) {
+	s := newShiftDrain(b, 1)
+	attrs := []int{tpch.LOrderKey, tpch.LPartKey}
+	for i := 0; i < 2; i++ {
+		s.addTree(attrs[i%2], int64(i))
+		s.drain(b)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var ms runtime.MemStats
+	var alloc uint64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s.addTree(attrs[i%2], int64(2+i))
+		runtime.ReadMemStats(&ms)
+		alloc -= ms.TotalAlloc
+		b.StartTimer()
+		s.drain(b)
+		b.StopTimer()
+		runtime.ReadMemStats(&ms)
+		alloc += ms.TotalAlloc
+	}
+	rows := float64(b.N) * float64(len(lineitemRows()))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rows, "ns/row")
+	b.ReportMetric(float64(alloc)/rows, "B/row")
+}
+
+// shiftDrain is lineitem, loaded upfront with 256 rows per block,
+// drained from tree to tree as a join-attribute shift drains it.
+type shiftDrain struct {
+	tbl      *core.Table
+	rng      *rand.Rand
+	depth    int
+	from, to int
+}
+
+func newShiftDrain(tb testing.TB, seed int64) *shiftDrain {
+	tb.Helper()
+	rows := lineitemRows()
+	tbl, err := core.Load(dfs.NewStore(4, 2, 1), "lineitem", tpch.LineitemSchema, rows, core.LoadOptions{RowsPerBlock: 256, Seed: 1, JoinAttr: -1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &shiftDrain{tbl: tbl, rng: rand.New(rand.NewSource(seed)), depth: upfront.DepthForBlocks(len(rows), 256)}
+}
+
+// addTree adds the next drain's destination, a two-phase tree on attr.
+func (s *shiftDrain) addTree(attr int, seed int64) {
+	s.to = s.tbl.AddTree(twophase.Builder{Schema: tpch.LineitemSchema, JoinAttr: attr, JoinLevels: s.depth / 2, TotalDepth: s.depth, Seed: seed}.Build(s.tbl.SampleRows))
+}
+
+// drain moves every bucket of the current tree into the new one, in
+// five moves of random picks, and drops the emptied tree.
+func (s *shiftDrain) drain(tb testing.TB) {
+	live := s.tbl.Trees[s.from].LiveBuckets()
+	s.rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+	step := (len(live) + 4) / 5
+	for len(live) > 0 {
+		n := min(step, len(live))
+		if err := s.tbl.MoveBuckets(s.from, s.to, live[:n], nil); err != nil {
+			tb.Fatal(err)
+		}
+		live = live[n:]
+	}
+	if err := s.tbl.DropTree(s.from); err != nil {
+		tb.Fatal(err)
+	}
+	s.from = s.to
+}
+
+// movedBytes is the column bytes of n lineitem rows: 8 per numeric
+// cell, a 16-byte header per string cell.
+func movedBytes(n int) uint64 {
 	rowBytes := 0
 	for c := 0; c < tpch.LineitemSchema.NumCols(); c++ {
 		if tpch.LineitemSchema.Kind(c) == value.String {
@@ -195,11 +318,7 @@ func TestMoveBucketsLineitemAllocatesWhatItKeeps(t *testing.T) {
 			rowBytes += 8
 		}
 	}
-	moved := uint64(len(rows) * rowBytes)
-	t.Logf("drain allocated %d B for %d B of columns (%.2f×)", alloc, moved, float64(alloc)/float64(moved))
-	if float64(alloc) > 2*float64(moved) {
-		t.Fatalf("drain allocated %d B, over 2× the %d B of column data it moved", alloc, moved)
-	}
+	return uint64(n * rowBytes)
 }
 
 // TestMoveBucketsLineitemDeterministic drains lineitem into the partkey
@@ -293,7 +412,7 @@ func TestBlockViewSurvivesInPlaceAppend(t *testing.T) {
 	sch := tpch.LineitemSchema
 	blk := block.New(sch)
 	blk.AppendRows(rows[:128])
-	blk.Grow(256)
+	blk.Grow(blk.Cols(), 256)
 	var view tuple.Columns
 	view.AliasRange(blk.Cols(), 0, 128)
 	before := blk.Rows()

@@ -29,6 +29,7 @@ import (
 	"adaptdb/internal/cluster"
 	"adaptdb/internal/dfs"
 	"adaptdb/internal/predicate"
+	"adaptdb/internal/recycle"
 	"adaptdb/internal/sample"
 	"adaptdb/internal/schema"
 	"adaptdb/internal/tree"
@@ -378,20 +379,6 @@ func (t *Table) AllRefs(preds []predicate.Predicate) []BlockRef {
 	return out
 }
 
-// growHeadroom is the margin a migration destination grows by beyond
-// its extrapolated final size (MoveBuckets), and the staging set beyond
-// the move it grows for (regroup). A bucket's share of one move
-// misjudges its final size by about a third either way — buckets are
-// picked at random and each sends its rows to few destinations — so an
-// exact extrapolation regrows often. Draining TPC-H lineitem (sf 0.03,
-// 256-row blocks) between join trees three times, in five random moves
-// each, 14.9% of the appends to an existing block regrew it without
-// headroom and 8.6% at ×1.15 (5.3% at ×1.3), leaving 22% of a drained
-// tree's capacity unused against 11%. The drain of
-// TestMoveBucketsLineitemAllocatesWhatItKeeps allocates least at ×1.15:
-// 1.81× the moved column bytes, against 1.93× at ×1 and 1.84× at ×1.3.
-const growHeadroom = 1.15
-
 // MoveBuckets migrates whole buckets from one tree to another: each
 // row is re-routed through the destination tree on its typed cells and
 // appended to its bucket's block (HDFS-append semantics; coordination
@@ -403,13 +390,13 @@ const growHeadroom = 1.15
 // the picked buckets are staged and grouped by destination once
 // (regroup), and every destination takes all of its rows in a single
 // columnar gather — in source order: buckets as listed, rows as stored.
-// Smooth repartitioning fills a tree over several moves, so a
-// destination whose vectors cannot take its rows grows once, to the
-// rows it will hold when the rest of the table has migrated at this
-// move's rate: have + incoming × (rows not yet in the tree / rows this
-// move takes), times growHeadroom. Later moves then write in place.
-// The destination's meta is the block's zone map, which the append
-// extends by the new rows only. The destinations are written in
+// A destination whose vectors cannot take its rows moves into recycled
+// storage of the smallest class that holds them, so growth doubles
+// (block.Block.Grow); regroup hands the drained source blocks' vectors
+// back before the destinations are written, so in the steady state of
+// a repartitioning a move's destinations grow into the storage the
+// same move drained. The destination's meta is the block's zone map,
+// which the append extends by the new rows only. The destinations are written in
 // parallel and entered in the catalog afterwards, in bucket order. A
 // move within one tree, a bucket listed twice or one not live in the
 // source is rejected before anything is read or written.
@@ -432,15 +419,11 @@ func (t *Table) MoveBuckets(fromIdx, toIdx int, buckets []block.ID, meter *clust
 		seen[b] = true
 		total += n
 	}
-	// The rows still to come into the tree, this move's included, per
-	// row of this move, with headroom.
-	rate := float64(t.totalRows-to.Rows()) / float64(max(total, 1)) * growHeadroom
 	// Each write fills only its own destination's slot.
 	paths := make([]string, to.Tree.NextBucket())
 	dests, blks, err := t.regroup(fromIdx, buckets, total, to.Tree, meter, func(dest block.ID, staged *tuple.Columns, idxs []int32) *block.Block {
-		have, _ := to.Count(dest)
 		paths[dest] = t.BlockPath(toIdx, dest)
-		return t.store.Append(paths[dest], t.Schema, staged, idxs, have+int(float64(len(idxs))*rate))
+		return t.store.Append(paths[dest], t.Schema, staged, idxs)
 	})
 	for k, b := range dests {
 		t.record(toIdx, b, paths[b], blks[k])
@@ -451,19 +434,20 @@ func (t *Table) MoveBuckets(fromIdx, toIdx int, buckets []block.ID, meter *clust
 // moveScratch holds the buffers a migration stages and groups its rows
 // in. It lives on the Table, so the moves of a repartitioning reuse
 // them, and is reset after each move; Columns.Reset clears the string
-// headers, so between moves it pins no row's payload.
+// headers, so between moves it pins no row's payload. The staging set
+// is recycled storage of the class of the largest move so far.
 type moveScratch struct {
-	staged tuple.Columns
-	// rows is the staging capacity reserved so far: moves differ in
-	// size, so a larger one reserves growHeadroom beyond its own rows.
-	rows  int
-	dest  []block.ID
-	route []int32
-	order []int32
-	start []int
-	next  []int
+	staged *tuple.Columns
+	dest   []block.ID
+	route  []int32
+	order  []int32
+	start  []int
+	next   []int
 	// dests lists a move's non-empty destinations in bucket order.
 	dests []block.ID
+	// srcs holds a move's source blocks from staging until they are
+	// deleted and their storage handed back.
+	srcs []*block.Block
 }
 
 // regroup is the one staged group-and-write routine of MoveBuckets,
@@ -471,14 +455,16 @@ type moveScratch struct {
 // as listed, into one staging set (flat range copies, rows as stored;
 // total is their row count), metering each as scan + repartition-write.
 // A failed read returns before anything changed; otherwise it bumps
-// the layout version and deletes the buckets. It then routes the
-// staged rows through dst once (Tree.RouteCols) and groups them by
-// destination bucket with a counting sort over dst's bucket IDs (the
-// idiom upfront.Partition loads with), and calls write once per
-// non-empty destination with the staged rows and that destination's
-// physical row indexes in row order, ready for a columnar gather. It
-// returns the destinations in bucket order with the block write
-// returned for each. The staging set is valid only during write.
+// the layout version, deletes the buckets and hands their blocks'
+// storage to the recycler (block.Block.Release), where the writes find
+// it. It then routes the staged rows through dst once (Tree.RouteCols)
+// and groups them by destination bucket with a counting sort over
+// dst's bucket IDs (the idiom upfront.Partition loads with), and calls
+// write once per non-empty destination with the staged rows and that
+// destination's physical row indexes in row order, ready for a
+// columnar gather. It returns the destinations in bucket order with the
+// block write returned for each. The staging set is valid only during
+// write.
 //
 // Routing and writing run on one goroutine per store node, the
 // executor's rule: RouteCols routes disjoint chunks of the staged rows,
@@ -488,28 +474,34 @@ type moveScratch struct {
 // staging, the counting sort and the order of the result are serial.
 func (t *Table) regroup(fromIdx int, buckets []block.ID, total int, dst *tree.Tree, meter *cluster.Meter, write func(dest block.ID, staged *tuple.Columns, idxs []int32) *block.Block) ([]block.ID, []*block.Block, error) {
 	s := &t.mv
-	staged := &s.staged
-	defer staged.Reset(t.Schema.NumCols())
-	staged.Reset(t.Schema.NumCols())
-	if total > s.rows {
-		s.rows = int(float64(total) * growHeadroom)
+	if s.staged == nil {
+		s.staged = tuple.NewColumns(t.Schema.NumCols())
 	}
-	staged.Reserve(s.rows)
-	for _, b := range buckets {
+	defer func() { recycle.EmptyStore(s.staged) }()
+	s.srcs = s.srcs[:0]
+	for k, b := range buckets {
 		blk, local, err := t.store.GetBlock(t.BlockPath(fromIdx, b), 0)
 		if err != nil {
+			clear(s.srcs)
 			return nil, nil, err
 		}
 		if meter != nil {
 			meter.AddScan(blk.Len(), local)
 			meter.AddRepartWrite(blk.Len())
 		}
-		staged.AppendRange(blk.Cols(), 0, blk.Len())
+		if k == 0 {
+			s.staged = recycle.GrowStore(s.staged, blk.Cols(), total)
+		}
+		s.staged.AppendRange(blk.Cols(), 0, blk.Len())
+		s.srcs = append(s.srcs, blk)
 	}
+	staged := s.staged
 	t.bump()
-	for _, b := range buckets {
+	for k, b := range buckets {
 		t.dropBlock(fromIdx, b)
+		s.srcs[k].Release()
 	}
+	clear(s.srcs)
 
 	workers := max(t.store.NumNodes(), 1)
 	n := staged.FullLen()
@@ -563,8 +555,8 @@ func runWorkers(n int, fn func()) {
 // full-repartitioning baseline (§7.3 "Repartitioning"). All rows
 // currently under tree srcIdx are staged in bucket order and re-routed
 // through newTree by regroup, as MoveBuckets moves them, so each new
-// block holds its rows in source order and is allocated once, at its
-// exact row count; the tree metadata is replaced. Costs are metered as
+// block holds its rows in source order and takes its storage once,
+// from the recycler; the tree metadata is replaced. Costs are metered as
 // scan + repartition-write of everything moved.
 func (t *Table) ReplaceTreeData(srcIdx int, newTree *tree.Tree, meter *cluster.Meter) error {
 	src := t.treeAt(srcIdx)
@@ -573,7 +565,9 @@ func (t *Table) ReplaceTreeData(srcIdx int, newTree *tree.Tree, meter *cluster.M
 	}
 	ids, parts, err := t.regroup(srcIdx, src.LiveBuckets(), src.Rows(), newTree, meter, t.gatherBlock)
 	// A whole tree's staging set is as large as the table; keeping it
-	// for the next move would double the table's memory.
+	// for the next move would double the table's memory, so it goes
+	// back to the recycler.
+	recycle.PutStore(t.mv.staged)
 	t.mv = moveScratch{}
 	if err != nil {
 		return err
@@ -591,7 +585,8 @@ func (t *Table) ReplaceTreeData(srcIdx int, newTree *tree.Tree, meter *cluster.M
 // (attr, cut) and re-routes the two buckets' rows through it. regroup
 // stages, meters and groups the rows as a migration does — left bucket
 // first, rows as stored — so each side's rows land in one new block,
-// allocated at their exact count; a side left without rows is dropped.
+// whose storage is taken once, from the recycler; a side left without
+// rows is dropped.
 // The rows are routed through a copy of n, which takes the new split
 // only once every read has succeeded: a failed read leaves the node,
 // the blocks and the catalog as they were.
@@ -621,10 +616,9 @@ func (t *Table) Resplit(treeIdx int, n *tree.Node, attr int, cut value.Value, me
 }
 
 // gatherBlock is the regroup write of ReplaceTreeData and Resplit: a
-// new block holding a destination's rows, allocated at their count.
+// new block holding a destination's rows.
 func (t *Table) gatherBlock(_ block.ID, staged *tuple.Columns, idxs []int32) *block.Block {
 	nb := block.New(t.Schema)
-	nb.Grow(len(idxs))
 	nb.AppendGather(staged, idxs)
 	return nb
 }

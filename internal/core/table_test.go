@@ -469,7 +469,7 @@ func TestMoveScratchLeavesNoState(t *testing.T) {
 	}
 	emptyScratch := func(tbl *Table) {
 		t.Helper()
-		st := &tbl.mv.staged
+		st := tbl.mv.staged
 		if st.FullLen() != 0 {
 			t.Fatalf("staging set holds %d rows after a move", st.FullLen())
 		}

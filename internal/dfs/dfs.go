@@ -14,14 +14,16 @@
 // "Columnar batches", describes the migration).
 //
 // A file holds one contiguous block. Smooth repartitioning appends to
-// it once per move, so an append that does not fit grows the block's
-// vectors once, to the size its caller extrapolates the file will reach
-// when the migration completes, and every append writes in place into
-// that capacity. Readers never see the reserved slots: a scan views a
-// block through tuple.Columns.AliasRange, whose vectors are capped at
-// the rows it saw, so neither a later append nor the reserve shows
-// through, and an append to the view reallocates instead of writing
-// into the block.
+// it once per move; an append that does not fit moves the block into
+// recycled storage of the smallest size class that holds it, so growth
+// doubles (block.Block.Grow), mostly into the vectors of blocks the
+// same migration drained, and every append writes in place into that
+// capacity. Readers never see the reserved
+// slots: a scan views a block through tuple.Columns.AliasRange, whose
+// vectors are capped at the rows it saw, and an append to the view
+// reallocates instead of writing into the block. A block's storage
+// changes owner when it grows or is drained, so no scan may overlap a
+// migration of its table (ARCHITECTURE.md, "Columnar batches").
 package dfs
 
 import (
@@ -128,17 +130,15 @@ func (s *Store) isLocal(e *entry, from NodeID) bool {
 
 // Append appends src's physical rows idxs, in order, to the block at
 // path (a columnar gather — see block.AppendGather), creating it when
-// absent, and returns the block. When the block's vectors cannot take
-// the rows, it grows them once, to capRows rows (or to exactly what the
-// append needs, when that is more): the caller's estimate of what the
-// file will hold once its migration completes. The gather then writes
-// in place, past every scan's view (see the package doc). This is the
-// repartitioning iterator's flush path. The file is created under the
-// store's mutex; the growth and the gather, the costly part, run under
-// the file's own lock only, so appends to different files proceed in
-// parallel and concurrent appends to one file take turns (the paper
-// uses ZooKeeper for this coordination).
-func (s *Store) Append(path string, sch *schema.Schema, src *tuple.Columns, idxs []int32, capRows int) *block.Block {
+// absent, and returns the block. A block whose vectors cannot take the
+// rows grows first, into storage from the recycler (block.Block.Grow);
+// the gather then writes in place. This is the repartitioning
+// iterator's flush path. The file is created under the store's mutex;
+// the growth and the gather, the costly part, run under the file's own
+// lock only, so appends to different files proceed in parallel and
+// concurrent appends to one file take turns (the paper uses ZooKeeper
+// for this coordination).
+func (s *Store) Append(path string, sch *schema.Schema, src *tuple.Columns, idxs []int32) *block.Block {
 	s.mu.Lock()
 	e, ok := s.files[path]
 	if !ok {
@@ -153,9 +153,6 @@ func (s *Store) Append(path string, sch *schema.Schema, src *tuple.Columns, idxs
 
 	e.app.Lock()
 	defer e.app.Unlock()
-	if need := blk.Len() + len(idxs); blk.Cols().Cap() < need {
-		blk.Grow(max(need, capRows))
-	}
 	blk.AppendGather(src, idxs)
 	return blk
 }

@@ -34,7 +34,7 @@ func appendRows(s *Store, path string, rows ...tuple.Tuple) {
 	for i := range idxs {
 		idxs[i] = int32(i)
 	}
-	s.Append(path, sch, cols, idxs, 0)
+	s.Append(path, sch, cols, idxs)
 }
 
 func TestPutGetBlock(t *testing.T) {

@@ -12,15 +12,16 @@ import (
 
 	"adaptdb/internal/cluster"
 	"adaptdb/internal/dfs"
+	"adaptdb/internal/recycle"
 	"adaptdb/internal/tuple"
 	"adaptdb/internal/value"
 )
 
 // buildAlloc reports the bytes one budget-free join over a columnar
 // build of rows (and an empty probe) allocates from Open to drain. Two
-// collections empty the recycling pools (recycle.go) first, so the
-// count is this join's own, not a function of what earlier joins left
-// behind.
+// collections empty the recycling pools (internal/recycle) first, so
+// the count is this join's own, not a function of what earlier joins
+// left behind.
 func buildAlloc(t *testing.T, rows []tuple.Tuple, est int) uint64 {
 	t.Helper()
 	ex := New(dfs.NewStore(2, 1, 1), &cluster.Meter{})
@@ -42,7 +43,7 @@ func buildAlloc(t *testing.T, rows []tuple.Tuple, est int) uint64 {
 // true build rows the join allocates at most 1.5× what it does with an
 // exact estimate (only the radix fan-out may differ).
 func TestJoinBuildAllocIgnoresEstimate(t *testing.T) {
-	if raceEnabled {
+	if recycle.Race {
 		t.Skip("sync.Pool sheds Puts under -race; allocation totals are noise")
 	}
 	rows := keyedRows(50_000, func(i int) int64 { return int64(i) })

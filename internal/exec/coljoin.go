@@ -27,10 +27,10 @@
 // reserves memory or sizes a filter, so a wrong estimate costs no
 // allocation in proportion to its error. Every store, hash, link and
 // bucket vector here, and each worker's scratch, is recycled storage
-// (recycle.go): it is taken from the pools as it is needed and handed
-// back once nothing reads it — a worker's buffers at seal, the sealed
-// table at Close or the second pass, a scratch vector when its worker
-// exits.
+// (internal/recycle): it is taken from the pools as it is needed and
+// handed back once nothing reads it — a worker's buffers at seal, the
+// sealed table at Close or the second pass, a scratch vector when its
+// worker exits.
 //
 // Under a memory budget, demoted partitions stream rows to run files —
 // queued per partition and gathered once per batch — and the second
@@ -41,6 +41,7 @@ package exec
 import (
 	"math/bits"
 
+	"adaptdb/internal/recycle"
 	"adaptdb/internal/tuple"
 	"adaptdb/internal/value"
 )
@@ -61,8 +62,8 @@ func (b *colBuf) addGather(src *tuple.Columns, hv []uint64, idxs []int32) {
 		return
 	}
 	n := b.len() + len(idxs)
-	b.store = growStore(b.store, src, n)
-	b.hashes = hashPool.grow(b.hashes, n)
+	b.store = recycle.GrowStore(b.store, src, n)
+	b.hashes = hashPool.Grow(b.hashes, n)
 	b.store.AppendGather(src, idxs)
 	for _, i := range idxs {
 		b.hashes = append(b.hashes, hv[i])
@@ -75,14 +76,14 @@ func (b *colBuf) len() int { return len(b.hashes) }
 func (b *colBuf) reset() {
 	b.hashes = b.hashes[:0]
 	if b.store != nil {
-		emptyStore(b.store)
+		recycle.EmptyStore(b.store)
 	}
 }
 
 // release hands the buffer's storage back to the pools.
 func (b *colBuf) release() {
-	putStore(b.store)
-	hashPool.put(b.hashes)
+	recycle.PutStore(b.store)
+	hashPool.Put(b.hashes)
 	*b = colBuf{}
 }
 
@@ -131,11 +132,11 @@ func (t *colBuild) release() {
 	if t == nil {
 		return
 	}
-	putStore(t.store)
-	hashPool.put(t.hashes)
-	idxPool.put(t.next)
+	recycle.PutStore(t.store)
+	hashPool.Put(t.hashes)
+	idxPool.Put(t.next)
 	for _, p := range t.parts {
-		idxPool.put(p.buckets)
+		idxPool.Put(p.buckets)
 	}
 }
 
@@ -217,7 +218,7 @@ func (j *hashJoinOp) sealFilter() {
 	j.filter = newKeyFilter(append(kept, j.cbuild.hashes)...)
 	j.spill.charge(int64(8 * len(j.filter.words)))
 	for _, hs := range kept {
-		hashPool.put(hs)
+		hashPool.Put(hs)
 	}
 }
 
@@ -237,8 +238,8 @@ func (j *hashJoinOp) buildWorker(id int, my []colBuf, in <-chan *Batch) {
 	var rowBytes []int32 // budgeted builds: the batch's per-row charges
 	defer func() {
 		res.release()
-		hashPool.put(hv)
-		idxPool.put(rowBytes)
+		hashPool.Put(hv)
+		idxPool.Put(rowBytes)
 	}()
 	for b := range in {
 		if cerr := j.e.ctxErr(); cerr != nil {
@@ -249,9 +250,9 @@ func (j *hashJoinOp) buildWorker(id int, my []colBuf, in <-chan *Batch) {
 			continue // keep draining so the feeder never blocks
 		}
 		cb := b.Cols()
-		hv = cb.Hash64Column(j.bCol, hashPool.fit(hv, cb.FullLen()))
+		hv = cb.Hash64Column(j.bCol, hashPool.Fit(hv, cb.FullLen()))
 		if sp != nil {
-			rowBytes = cb.MemBytesRows(idxPool.fit(rowBytes, cb.FullLen()))
+			rowBytes = cb.MemBytesRows(idxPool.Fit(rowBytes, cb.FullLen()))
 		}
 		n := cb.Len()
 		sel := cb.Sel()
@@ -347,9 +348,9 @@ func (j *hashJoinOp) sealColTables(bufs [][]colBuf) {
 	if total == 0 {
 		return
 	}
-	store := getStore(like, total)
-	hashes := hashPool.get(total)
-	next := idxPool.zeroed(total)
+	store := recycle.GetStore(like, total)
+	hashes := hashPool.Get(total)
+	next := idxPool.Zeroed(total)
 	for p := 0; p < j.nParts; p++ {
 		base := len(hashes)
 		for wi := range bufs {
@@ -389,7 +390,7 @@ func tableBuckets(n int) int {
 // writing their links into next. Later rows head their chains.
 func newColPart(hashes []uint64, next []int32, base int) colPart {
 	nb := tableBuckets(len(hashes) - base)
-	part := colPart{buckets: idxPool.zeroed(nb), shift: uint(64 - bits.TrailingZeros(uint(nb)))}
+	part := colPart{buckets: idxPool.Zeroed(nb), shift: uint(64 - bits.TrailingZeros(uint(nb)))}
 	for g := base; g < len(hashes); g++ {
 		s := part.slot(hashes[g])
 		next[g] = part.buckets[s]
@@ -416,11 +417,11 @@ func onePartJoin(e *Executor, bCol, pCol int, buildIsRight bool) *hashJoinOp {
 // nothing to match.
 func (j *hashJoinOp) sealOne(store *tuple.Columns, hashes []uint64) {
 	if j.buildRows = len(hashes); j.buildRows == 0 {
-		putStore(store)
-		hashPool.put(hashes)
+		recycle.PutStore(store)
+		hashPool.Put(hashes)
 		return
 	}
-	next := idxPool.zeroed(len(hashes))
+	next := idxPool.Zeroed(len(hashes))
 	j.cbuild = &colBuild{
 		store: store, hashes: hashes, next: next, keyVec: store.Col(j.bCol),
 		parts: []colPart{newColPart(hashes, next, 0)},
@@ -452,7 +453,7 @@ type colProbe struct {
 func newColProbe(j *hashJoinOp, sink *pool) *colProbe {
 	return &colProbe{
 		j: j, sink: sink, ok: true,
-		bIdxs: idxPool.get(DefaultBatchSize), pIdxs: idxPool.get(DefaultBatchSize),
+		bIdxs: idxPool.Get(DefaultBatchSize), pIdxs: idxPool.Get(DefaultBatchSize),
 	}
 }
 
@@ -510,9 +511,9 @@ func (st *colProbe) flush() {
 // done ends the worker's output (emit) and hands its scratch back.
 func (st *colProbe) done() {
 	st.emit()
-	hashPool.put(st.hv)
+	hashPool.Put(st.hv)
 	for _, s := range [][]int32{st.rows, st.ents, st.bIdxs, st.pIdxs} {
-		idxPool.put(s)
+		idxPool.Put(s)
 	}
 	*st = colProbe{}
 }
@@ -596,7 +597,7 @@ func (j *hashJoinOp) spillRouteCol(spw *partSpiller, part int, h uint64, i int, 
 // but collisions still need an exact compare).
 func (j *hashJoinOp) probeColsBatch(cb *tuple.Columns, st *colProbe, spw *partSpiller, skipped *int64) {
 	st.cols = cb
-	st.hv = cb.Hash64Column(j.pCol, hashPool.fit(st.hv, cb.FullLen()))
+	st.hv = cb.Hash64Column(j.pCol, hashPool.Fit(st.hv, cb.FullLen()))
 	j.probeHeads(cb, st, spw, skipped)
 	if len(st.rows) > 0 {
 		t := j.cbuild
@@ -627,7 +628,7 @@ func (j *hashJoinOp) probeColsBatch(cb *tuple.Columns, st *colProbe, spw *partSp
 // only the length advances, so no branch depends on the bucket.
 func (j *hashJoinOp) probeHeads(cb *tuple.Columns, st *colProbe, spw *partSpiller, skipped *int64) {
 	n := cb.Len()
-	st.rows, st.ents = idxPool.fit(st.rows, n), idxPool.fit(st.ents, n)
+	st.rows, st.ents = idxPool.Fit(st.rows, n), idxPool.Fit(st.ents, n)
 	rows, ents := st.rows[:n], st.ents[:n]
 	parts, hv, sel, shift := j.cbuild.parts, st.hv, cb.Sel(), j.radixShift
 	kp := cb.Col(j.pCol)

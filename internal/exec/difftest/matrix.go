@@ -236,11 +236,13 @@ func Run(w Workload, c Cell) (Stats, error) {
 			pool = 1 << 30
 		}
 		svc := serve.New(store, serve.Config{Optimizer: w.Optimizer, MemBudget: pool, Distributed: c.Nodes > 1})
+		var held int64
 		run = func(q session.Query) (*session.Result, error) {
 			res, err := svc.Execute(context.Background(), "difftest", q)
+			held = res.MemHeld
 			return &res.Result, err
 		}
-		charged = func() int64 { return svc.Admission().Stats().Reserved }
+		charged = func() int64 { return svc.Admission().Stats().Reserved + held }
 	} else {
 		if c.Workers > 0 {
 			twinStore, tc, err := w.Load(c.Nodes)
@@ -268,7 +270,7 @@ func Run(w Workload, c Cell) (Stats, error) {
 		}
 		s := session.New(store, cfg)
 		run = s.Execute
-		charged = func() int64 { return budgetUsed(s.Executor()) }
+		charged = s.Executor().MemHeld
 	}
 
 	for i, spec := range w.Stream {
@@ -339,18 +341,6 @@ func matchTwin(what string, twin *session.Session, cat query.Catalog, spec query
 		return fmt.Errorf("%s metered local, remote rows, bytes, dropped rows %v; sim %v", what, exch(res.Counters), exch(sim.Counters))
 	}
 	return SameOutcome(what+" vs sim", res, sim, exact)
-}
-
-// budgetUsed sums what an executor's budget and every node view's share
-// hold charged.
-func budgetUsed(ex *exec.Executor) int64 {
-	used := ex.Mem.Used()
-	if ns := ex.Nodes(); ns != nil {
-		for i := 0; i < ns.N(); i++ {
-			used += ns.At(i).Mem.Used()
-		}
-	}
-	return used
 }
 
 // spillLeftovers lists what a finished query must not leave under the

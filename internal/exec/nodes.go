@@ -70,6 +70,19 @@ func (e *Executor) EnableNodes(workersPerNode int) *NodeSet {
 // executor (which compiles onto the one-node fabric, ExecFabric).
 func (e *Executor) Nodes() *NodeSet { return e.nodes }
 
+// MemHeld returns the bytes still charged to the executor's budget and
+// to every node view's share: 0 once its operators have closed, unless
+// one leaked a charge.
+func (e *Executor) MemHeld() int64 {
+	held := e.Mem.Used()
+	if ns := e.nodes; ns != nil {
+		for _, x := range ns.execs {
+			held += x.Mem.Used()
+		}
+	}
+	return held
+}
+
 // N returns the cluster size.
 func (ns *NodeSet) N() int { return len(ns.execs) }
 

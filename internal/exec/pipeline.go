@@ -24,6 +24,7 @@ import (
 	"adaptdb/internal/dfs"
 	"adaptdb/internal/hyperjoin"
 	"adaptdb/internal/predicate"
+	"adaptdb/internal/recycle"
 	"adaptdb/internal/tuple"
 )
 
@@ -911,8 +912,8 @@ type groupScratch struct {
 }
 
 func (sc *groupScratch) release() {
-	hashPool.put(sc.hv)
-	idxPool.put(sc.sel)
+	hashPool.Put(sc.hv)
+	idxPool.Put(sc.sel)
 }
 
 // runGroup executes one group of the §4.1 algorithm: build a join table
@@ -945,8 +946,8 @@ func (h *HyperJoinOp) runGroup(group []int, st *colProbe, sc *groupScratch) bool
 	for _, i := range group {
 		cols, local, err := h.e.getBlock(h.rRefs[i].Path, node)
 		if err != nil {
-			putStore(store)
-			hashPool.put(hashes)
+			recycle.PutStore(store)
+			hashPool.Put(hashes)
 			h.p.fail(err)
 			return false
 		}
@@ -956,20 +957,20 @@ func (h *HyperJoinOp) runGroup(group []int, st *colProbe, sc *groupScratch) bool
 		}
 		kept := cols.View(h.rKeep, nil)
 		if store == nil {
-			store, hashes = getStore(kept, est), hashPool.get(est)
+			store, hashes = recycle.GetStore(kept, est), hashPool.Get(est)
 		}
 		// NULL never equals NULL in a join: rows of a key column that can
 		// hold one keep only their non-NULL keys.
 		key := cols.Col(h.rCol)
 		nullable := key.Valid() != nil || key.Boxed() != nil
-		hv := cols.Hash64Column(h.rCol, hashPool.fit(sc.hv, cols.FullLen()))
+		hv := cols.Hash64Column(h.rCol, hashPool.Fit(sc.hv, cols.FullLen()))
 		sc.hv = hv
 		if len(h.rPreds) == 0 && !nullable {
 			store.AppendRange(kept, 0, cols.FullLen())
 			hashes = append(hashes, hv...)
 			continue
 		}
-		scratch := idxPool.fit(sc.sel, cols.FullLen())
+		scratch := idxPool.Fit(sc.sel, cols.FullLen())
 		var sel []int32
 		if len(h.rPreds) > 0 {
 			sel = predicate.FilterSel(h.rPreds, cols, nil, scratch)
@@ -1020,7 +1021,7 @@ func (h *HyperJoinOp) runGroup(group []int, st *colProbe, sc *groupScratch) bool
 		}
 		var sel []int32
 		if len(h.sPreds) > 0 {
-			sel = predicate.FilterSel(h.sPreds, cols, nil, idxPool.fit(sc.sel, cols.FullLen()))
+			sel = predicate.FilterSel(h.sPreds, cols, nil, idxPool.Fit(sc.sel, cols.FullLen()))
 			sc.sel = sel[:0]
 		}
 		// No partition of a group is ever spilled, so the head pass touches

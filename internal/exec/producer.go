@@ -71,7 +71,7 @@ func (p *Producer) Run() error {
 	}
 	p.pend, p.dIdx = make([]*Batch, p.N), make([][]int32, p.N)
 	err := p.drain()
-	hashPool.put(p.hv)
+	hashPool.Put(p.hv)
 	p.hv = nil
 	if p.dropped > 0 && p.Meter != nil {
 		p.Meter.AddExchFiltered(p.dropped)
@@ -213,7 +213,7 @@ func selectedRows(cb *tuple.Columns, dst []int32) []int32 {
 // NULL or that its destination's filter rejects; it returns how many
 // rows it dropped.
 func routeHash(cb *tuple.Columns, key int, hv []uint64, dIdx [][]int32, filters []*KeyFilter) ([]uint64, int) {
-	hv = cb.Hash64Column(key, hashPool.fit(hv, cb.FullLen()))
+	hv = cb.Hash64Column(key, hashPool.Fit(hv, cb.FullLen()))
 	n := uint64(len(dIdx))
 	ln, sel := cb.Len(), cb.Sel()
 	kv := cb.Col(key)

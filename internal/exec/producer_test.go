@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"adaptdb/internal/cluster"
+	"adaptdb/internal/recycle"
 	"adaptdb/internal/tuple"
 	"adaptdb/internal/value"
 )
@@ -274,7 +275,7 @@ func TestProducerStopsAtError(t *testing.T) {
 			if len(pending) == 0 {
 				t.Fatal("no batch was pending at the error: the case tests nothing")
 			}
-			if raceEnabled {
+			if recycle.Race {
 				return // the race detector's sync.Pool drops Puts at random
 			}
 			// The released batches are the pool's last Puts on this P, so

@@ -11,6 +11,7 @@ import (
 	"adaptdb/internal/cluster"
 	"adaptdb/internal/core"
 	"adaptdb/internal/dfs"
+	"adaptdb/internal/recycle"
 	"adaptdb/internal/tuple"
 	"adaptdb/internal/value"
 )
@@ -49,7 +50,7 @@ func steadyAlloc(n int, run func()) uint64 {
 // not recycled (a filtered exchange may read it after the join closes),
 // so its bound adds the filter's words.
 func TestRecycledJoinsAllocateLittle(t *testing.T) {
-	if raceEnabled {
+	if recycle.Race {
 		t.Skip("sync.Pool sheds Puts under -race; allocation totals are noise")
 	}
 	const buildRows = 200_000
@@ -144,27 +145,27 @@ func TestRecyclePoisonsReturnedStorage(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		src.AppendRow(tuple.Tuple{value.NewInt(int64(i)), value.NewFloat(float64(i)), value.NewString(fmt.Sprint(i))})
 	}
-	s := getStore(src, src.FullLen())
+	s := recycle.GetStore(src, src.FullLen())
 	s.AppendRange(src, 0, src.FullLen())
 	view := s.View([]int{0, 1, 2}, nil)
-	hs := append(hashPool.get(100), src.Hash64Column(0, nil)...)
-	idx := append(idxPool.get(100), 1, 2, 3)
-	putStore(s)
-	hashPool.put(hs)
-	idxPool.put(idx)
-	if got := view.Col(0).Ints()[7]; got != poisonInt {
+	hs := append(hashPool.Get(100), src.Hash64Column(0, nil)...)
+	idx := append(idxPool.Get(100), 1, 2, 3)
+	recycle.PutStore(s)
+	hashPool.Put(hs)
+	idxPool.Put(idx)
+	if got := view.Col(0).Ints()[7]; got != recycle.PoisonInt {
 		t.Errorf("a view of a returned store reads int %d", got)
 	}
-	if got := view.Col(1).Floats()[7]; got != poisonFloat {
+	if got := view.Col(1).Floats()[7]; got != recycle.PoisonFloat {
 		t.Errorf("a view of a returned store reads float %v", got)
 	}
-	if got := view.Col(2).Str(7); got != poisonStr {
+	if got := view.Col(2).Str(7); got != recycle.PoisonStr {
 		t.Errorf("a view of a returned store reads string %q", got)
 	}
-	if hs[7] != poisonHash || idx[1] != poisonIdx {
+	if hs[7] != recycle.PoisonHash || idx[1] != recycle.PoisonIdx {
 		t.Errorf("returned vectors read hash %#x and index %d", hs[7], idx[1])
 	}
-	again := getStore(src, src.FullLen())
+	again := recycle.GetStore(src, src.FullLen())
 	if again.FullLen() != 0 || again.NumCols() != 3 {
 		t.Fatalf("a recycled store comes back with %d rows in %d columns", again.FullLen(), again.NumCols())
 	}
@@ -172,7 +173,7 @@ func TestRecyclePoisonsReturnedStorage(t *testing.T) {
 	if v := again.Value(2, 1); v.S != "11" {
 		t.Errorf("a recycled store holds %v after an append", v)
 	}
-	if z := idxPool.zeroed(100); z[1] != 0 || z[99] != 0 {
+	if z := idxPool.Zeroed(100); z[1] != 0 || z[99] != 0 {
 		t.Errorf("a zeroed vector reads %d, %d", z[1], z[99])
 	}
 }
@@ -309,23 +310,5 @@ func TestInstrumentedFilteredProbeExchange(t *testing.T) {
 	rowsEqualSorted(t, wrapped, NestedLoopJoin(build, probe, 0, 0))
 	if wm.ExchFilteredRows == 0 || wm.ExchFilteredRows != pm.ExchFilteredRows {
 		t.Fatalf("the filter dropped %.0f probe rows behind the wrapper, %.0f without", wm.ExchFilteredRows, pm.ExchFilteredRows)
-	}
-}
-
-// TestRecycleClasses: every class a get picks holds the rows asked for,
-// by at most twice as many, and storage is filed under a class it
-// fills, so a get of that class finds enough.
-func TestRecycleClasses(t *testing.T) {
-	for n := 1; n < 1<<20; n += 1 + n/97 {
-		c := recycleClass(n)
-		if size := 1 << c; size < n || size >= 2*max(n, 1<<minRecycleClass) {
-			t.Fatalf("%d rows take class %d of %d rows", n, c, size)
-		}
-		if f := fileClass(1 << c); f != c {
-			t.Fatalf("class %d's own size files under class %d", c, f)
-		}
-		if f := fileClass(n); f >= 0 && 1<<f > n {
-			t.Fatalf("capacity %d files under class %d of %d rows", n, f, 1<<f)
-		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"adaptdb/internal/cluster"
 	"adaptdb/internal/dfs"
 	"adaptdb/internal/predicate"
+	"adaptdb/internal/recycle"
 	"adaptdb/internal/tuple"
 	"adaptdb/internal/value"
 )
@@ -56,7 +57,7 @@ func (s *scanOp) drainOut() (rows int) {
 // numeric block allocates per block — a view re-slices the block's
 // vectors, and a filtered one narrows its own recycled selection.
 func TestScanBlockAllocatesNothing(t *testing.T) {
-	if raceEnabled {
+	if recycle.Race {
 		t.Skip("the batch pool sheds batches under the race detector")
 	}
 	cols := scanBlock(700, false).Cols()

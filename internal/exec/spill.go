@@ -62,6 +62,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"adaptdb/internal/recycle"
 	"adaptdb/internal/tuple"
 )
 
@@ -186,7 +187,7 @@ func (w *runWriter) appendCols(p int, src *tuple.Columns, idxs []int32, mem int6
 	if pp.pend != nil {
 		k += pp.pend.FullLen()
 	}
-	pp.pend = growStore(pp.pend, src, k)
+	pp.pend = recycle.GrowStore(pp.pend, src, k)
 	pend := pp.pend
 	if idxs == nil {
 		pend.AppendRange(src, 0, src.FullLen())
@@ -233,7 +234,7 @@ func (w *runWriter) flush(p int) error {
 	pp.run.rows += int64(pp.pend.FullLen())
 	pp.run.diskBytes += n
 	w.off += n
-	emptyStore(pp.pend)
+	recycle.EmptyStore(pp.pend)
 	return nil
 }
 
@@ -249,7 +250,7 @@ func (w *runWriter) create() error {
 	}
 	w.bw = spillWriters.Get().(*bufio.Writer)
 	w.bw.Reset(f)
-	w.enc = bytePool.get(spillEncBytes)
+	w.enc = recycle.Bytes.Get(spillEncBytes)
 	w.f, w.file = f, &spillFile{path: path}
 	return nil
 }
@@ -266,10 +267,10 @@ func (w *runWriter) finish() ([]*runFile, error) {
 		}
 	}
 	for p := range w.parts {
-		putStore(w.parts[p].pend)
+		recycle.PutStore(w.parts[p].pend)
 		w.parts[p].pend = nil
 	}
-	bytePool.put(w.enc)
+	recycle.Bytes.Put(w.enc)
 	w.enc = nil
 	if w.f == nil {
 		return nil, w.err
@@ -304,7 +305,7 @@ func (w *runWriter) finish() ([]*runFile, error) {
 // on return, so fn must not retain it.
 func eachFrame(fs spillFS, runs []*runFile, fn func(frame []byte) error) error {
 	var buf []byte
-	defer func() { bytePool.put(buf) }()
+	defer func() { recycle.Bytes.Put(buf) }()
 	for _, rf := range runs {
 		path := rf.file.path
 		r, err := fs.Open(path)
@@ -312,7 +313,7 @@ func eachFrame(fs spillFS, runs []*runFile, fn func(frame []byte) error) error {
 			return err
 		}
 		for _, e := range rf.ext {
-			buf = bytePool.fit(buf, int(e.n))
+			buf = recycle.Bytes.Fit(buf, int(e.n))
 			b := buf[:e.n]
 			if n, err := r.ReadAt(b, e.off); n < len(b) {
 				r.Close()
@@ -738,7 +739,7 @@ func (s *partSpiller) spillBatch(src *tuple.Columns, hv []uint64, rowBytes []int
 		return nil
 	}
 	if rowBytes == nil {
-		s.rb = src.MemBytesRows(idxPool.fit(s.rb, src.FullLen()))
+		s.rb = src.MemBytesRows(idxPool.Fit(s.rb, src.FullLen()))
 		rowBytes = s.rb
 	}
 	var err error
@@ -748,7 +749,7 @@ func (s *partSpiller) spillBatch(src *tuple.Columns, hv []uint64, rowBytes []int
 			return
 		}
 		if s.keep {
-			s.hashes = hashPool.grow(s.hashes, len(s.hashes)+len(list))
+			s.hashes = hashPool.Grow(s.hashes, len(s.hashes)+len(list))
 			for _, i := range list {
 				s.hashes = append(s.hashes, hv[i])
 			}
@@ -765,7 +766,7 @@ func (s *partSpiller) spillBatch(src *tuple.Columns, hv []uint64, rowBytes []int
 // their MemBytes total.
 func (s *partSpiller) writeBuf(p int, buf *colBuf, mem int64) error {
 	if s.keep {
-		s.hashes = append(hashPool.grow(s.hashes, len(s.hashes)+len(buf.hashes)), buf.hashes...)
+		s.hashes = append(hashPool.Grow(s.hashes, len(s.hashes)+len(buf.hashes)), buf.hashes...)
 		s.sp.charge(int64(8 * len(buf.hashes)))
 	}
 	return s.w.appendCols(p, buf.store, nil, mem)
@@ -775,7 +776,7 @@ func (s *partSpiller) writeBuf(p int, buf *colBuf, mem int64) error {
 // queue and scratch go back to the pools.
 func (s *partSpiller) finish() ([]*runFile, error) {
 	s.partQueue.release()
-	idxPool.put(s.rb)
+	idxPool.Put(s.rb)
 	s.partQueue, s.rb = nil, nil
 	return s.w.finish()
 }
@@ -1007,7 +1008,7 @@ func (j *hashJoinOp) loadAndProbe(st *colProbe, load []*runFile, loadCol int, st
 	frame := getFrame()
 	defer putFrame(frame)
 	var rb []int32
-	defer func() { idxPool.put(rb) }()
+	defer func() { idxPool.Put(rb) }()
 	held := int64(0)
 	defer func() { j.spill.release(held) }()
 	rows := sumRunRows(load)
@@ -1015,7 +1016,7 @@ func (j *hashJoinOp) loadAndProbe(st *colProbe, load []*runFile, loadCol int, st
 		if err := decodeRunFrame(frame, b); err != nil {
 			return err
 		}
-		rb = frame.MemBytesRows(idxPool.fit(rb, frame.FullLen()))
+		rb = frame.MemBytesRows(idxPool.Fit(rb, frame.FullLen()))
 		n := sumRowBytes(rb, nil)
 		held += n
 		j.spill.charge(n)
@@ -1023,7 +1024,7 @@ func (j *hashJoinOp) loadAndProbe(st *colProbe, load []*runFile, loadCol int, st
 		return nil
 	})
 	if err != nil {
-		putStore(store)
+		recycle.PutStore(store)
 		return err
 	}
 	return j.probeLoaded(st, store, loadCol, stream, streamCol, reversed, frame)
@@ -1040,7 +1041,7 @@ func appendRows(dst, src *tuple.Columns, from, to, want int) *tuple.Columns {
 	if dst != nil {
 		n += dst.FullLen()
 	}
-	dst = growStore(dst, src, max(n, want))
+	dst = recycle.GrowStore(dst, src, max(n, want))
 	dst.AppendRange(src, from, to)
 	return dst
 }
@@ -1059,7 +1060,7 @@ func (j *hashJoinOp) probeLoaded(st *colProbe, store *tuple.Columns, loadCol int
 		return nil
 	}
 	v := onePartJoin(j.e, loadCol, streamCol, j.opts.BuildIsRight != reversed)
-	v.sealOne(store, store.Hash64Column(loadCol, hashPool.get(store.FullLen())))
+	v.sealOne(store, store.Hash64Column(loadCol, hashPool.Get(store.FullLen())))
 	st.j = v
 	defer func() {
 		v.dropBuild()
@@ -1119,7 +1120,7 @@ func (j *hashJoinOp) split(level, shift int, runs []*runFile, col int) ([]*runFi
 	cols := getFrame()
 	defer putFrame(cols)
 	var hv []uint64
-	defer func() { hashPool.put(hv) }()
+	defer func() { hashPool.Put(hv) }()
 	err := eachFrame(sp.fs(), runs, func(frame []byte) error {
 		if err := decodeRunFrame(cols, frame); err != nil {
 			return err
@@ -1127,7 +1128,7 @@ func (j *hashJoinOp) split(level, shift int, runs []*runFile, col int) ([]*runFi
 		if cols.FullLen() == 0 {
 			return nil
 		}
-		hv = cols.Hash64Column(col, hashPool.fit(hv, cols.FullLen()))
+		hv = cols.Hash64Column(col, hashPool.Fit(hv, cols.FullLen()))
 		for i, h := range hv {
 			spw.queue(int((h>>uint(shift))&(spillFanout-1)), i)
 		}
@@ -1180,7 +1181,7 @@ func (j *hashJoinOp) chunkedJoin(st *colProbe, load []*runFile, loadCol int, str
 	defer putFrame(frame)
 	defer putFrame(sc)
 	var rb []int32
-	defer func() { idxPool.put(rb) }()
+	defer func() { idxPool.Put(rb) }()
 	held := int64(0)
 	probeChunk := func() error {
 		err := j.probeLoaded(st, chunk, loadCol, stream, streamCol, reversed, sc)
@@ -1193,7 +1194,7 @@ func (j *hashJoinOp) chunkedJoin(st *colProbe, load []*runFile, loadCol int, str
 		if err := decodeRunFrame(frame, b); err != nil {
 			return err
 		}
-		rb = frame.MemBytesRows(idxPool.fit(rb, frame.FullLen()))
+		rb = frame.MemBytesRows(idxPool.Fit(rb, frame.FullLen()))
 		from := 0
 		for i, n := range rb {
 			held += int64(n)
@@ -1212,7 +1213,7 @@ func (j *hashJoinOp) chunkedJoin(st *colProbe, load []*runFile, loadCol int, str
 		return nil
 	})
 	if err != nil {
-		putStore(chunk)
+		recycle.PutStore(chunk)
 		j.spill.release(held)
 		return err
 	}

@@ -44,6 +44,7 @@ import (
 	"adaptdb/internal/core"
 	"adaptdb/internal/exec"
 	"adaptdb/internal/predicate"
+	"adaptdb/internal/recycle"
 )
 
 type netFabric struct {
@@ -250,8 +251,10 @@ type pump struct {
 	exch int
 	prod exec.Producer
 	// enc is the pump's one encode buffer, reused for every remote frame
-	// (a pump sends from its own goroutine only): wire prefix reserved in
-	// front, then the stream header, then the run frame.
+	// (a pump sends from its own goroutine only, and a frame is written
+	// before the next is encoded): wire prefix reserved in front, then
+	// the stream header, then the run frame. It comes from the recycler
+	// at the first remote frame and goes back when the pump ends.
 	enc []byte
 }
 
@@ -280,6 +283,10 @@ func (p *pump) run(ctx context.Context) error {
 		p.prod.Filters = func() ([]*exec.KeyFilter, error) { return p.awaitFilters(ctx) }
 	}
 	p.prod.Deliver = p.send
+	defer func() {
+		recycle.Bytes.Put(p.enc)
+		p.enc = nil
+	}()
 	if err := p.prod.Run(); err != nil {
 		return err
 	}
@@ -327,6 +334,9 @@ func (p *pump) send(d int, b *exec.Batch) error {
 		p.f.at.queueFor(qkey{p.exch, d}).push(inItem{b: b, bytes: wire, from: -1, key: key})
 		return nil
 	}
+	// The buffer is sized by the batch's wire bytes, its credit charge,
+	// so the frame seldom outgrows it while it encodes.
+	p.enc = recycle.Bytes.Fit(p.enc, frameHdrLen+maxStreamHdrLen+exec.BatchWireBytes(b))
 	var prefix [frameHdrLen]byte
 	buf := appendStreamHdr(append(p.enc[:0], prefix[:]...), streamHdr{qid: p.f.qid, exch: p.exch, src: src, dst: d})
 	hdrEnd := len(buf)

@@ -262,6 +262,9 @@ type streamHdr struct {
 	dst  int
 }
 
+// maxStreamHdrLen bounds an encoded streamHdr: four varints.
+const maxStreamHdrLen = 4 * binary.MaxVarintLen64
+
 func appendStreamHdr(b []byte, h streamHdr) []byte {
 	b = binary.AppendUvarint(b, h.qid)
 	b = binary.AppendUvarint(b, uint64(h.exch))

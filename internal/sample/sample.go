@@ -6,8 +6,11 @@
 package sample
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 
 	"adaptdb/internal/tuple"
 	"adaptdb/internal/value"
@@ -59,9 +62,50 @@ func Column(rows []tuple.Tuple, col int) []value.Value {
 }
 
 // SortValues sorts values in place under value.Compare and returns them.
+// Values of one kind — a sample column, whose NULLs Column drops — sort
+// as a vector of their typed payloads (int64s, floats under
+// value.CompareFloat, strings), which then replace them; anything else
+// sorts boxed, under value.Compare. Both are the pattern-defeating
+// quicksort sort.Slice runs, making the same comparisons, and a payload
+// carries every bit of its value, so values that compare equal but
+// differ in bits (−0 and +0, NaNs) come out in the order the boxed
+// sort.Slice left them, and every cut taken from the result is
+// bit-identical to its cut.
 func SortValues(vs []value.Value) []value.Value {
-	sort.Slice(vs, func(i, j int) bool { return value.Less(vs[i], vs[j]) })
+	if len(vs) < 2 {
+		return vs
+	}
+	k := vs[0].K
+	for _, v := range vs[1:] {
+		if v.K != k {
+			k = value.Null
+			break
+		}
+	}
+	switch {
+	case value.IntClass(k):
+		sortPayloads(vs, func(v value.Value) int64 { return v.I }, func(x int64) value.Value { return value.Value{K: k, I: x} }, cmp.Compare[int64])
+	case k == value.Float:
+		sortPayloads(vs, func(v value.Value) float64 { return v.F }, value.NewFloat, value.CompareFloat)
+	case k == value.String:
+		sortPayloads(vs, func(v value.Value) string { return v.S }, value.NewString, strings.Compare)
+	default:
+		slices.SortFunc(vs, value.Compare)
+	}
 	return vs
+}
+
+// sortPayloads sorts vs, values of one kind, through their payloads:
+// get reads one, put makes the value back, compare orders two.
+func sortPayloads[P any](vs []value.Value, get func(value.Value) P, put func(P) value.Value, compare func(a, b P) int) {
+	ps := make([]P, len(vs))
+	for i, v := range vs {
+		ps[i] = get(v)
+	}
+	slices.SortFunc(ps, compare)
+	for i, p := range ps {
+		vs[i] = put(p)
+	}
 }
 
 // LowerMedianCut picks a cut over sorted values that splits them into

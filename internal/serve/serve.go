@@ -152,6 +152,10 @@ type Result struct {
 	// CacheHits/CacheMisses are this query's plan-cache lookups (one
 	// per base-table join in the plan).
 	CacheHits, CacheMisses int
+	// MemHeld is what the query's private memory budget (every node's
+	// share) still had charged when its drain ended: 0 unless an
+	// operator leaked a charge.
+	MemHeld int64
 }
 
 // Execute runs one query for a tenant — admit, adapt, compile, drain —
@@ -202,12 +206,13 @@ func (s *Service) Stream(ctx context.Context, tenantID string, q session.Query, 
 	// query's accounting.
 	s.layoutMu.RLock()
 	defer s.layoutMu.RUnlock()
-	runner := planner.NewRunner(s.base.ForQuery(exec.QueryCtx{
+	qex := s.base.ForQuery(exec.QueryCtx{
 		Ctx:         ctx,
 		Meter:       meter,
 		Mem:         s.queryBudget(est),
 		Distributed: s.cfg.Distributed,
-	}), s.model)
+	})
+	runner := planner.NewRunner(qex, s.model)
 	if s.cfg.BudgetBlocks > 0 {
 		runner.BudgetBlocks = s.cfg.BudgetBlocks
 	}
@@ -231,6 +236,7 @@ func (s *Service) Stream(ctx context.Context, tenantID string, q session.Query, 
 		return nil
 	})
 	res.Result = *r
+	res.MemHeld = qex.MemHeld()
 	res.Adapt = adapt
 	res.CacheHits, res.CacheMisses = runner.CacheHits, runner.CacheMisses
 	return res, err

@@ -53,7 +53,8 @@ type ColVec struct {
 	valid  []uint64      // validity bitmap; nil = every row valid
 
 	// res is the Reserve hint: typed vectors allocate at least this
-	// capacity when the column adopts its kind.
+	// capacity when the column adopts its kind, and a validity bitmap
+	// when it materializes.
 	res int
 }
 
@@ -100,8 +101,12 @@ func (v *ColVec) noteValid(ok bool) {
 		if ok {
 			return
 		}
-		// Materialize: all prior rows are valid.
+		// Materialize: all prior rows are valid. The bitmap honors the
+		// Reserve hint, as the payload vectors do, so Cap stays true.
 		words := i>>6 + 1
+		if c := max(words, (v.res+63)>>6); cap(v.valid) < c {
+			v.valid = make([]uint64, 0, c)
+		}
 		v.valid = append(v.valid[:0], make([]uint64, words)...)
 		for w := 0; w < i>>6; w++ {
 			v.valid[w] = ^uint64(0)
@@ -431,36 +436,11 @@ func (c *Columns) Reset(ncols int) {
 func (c *Columns) NumCols() int { return len(c.vecs) }
 
 // Reserve hints the expected row count: typed vectors allocate at least
-// this capacity when they adopt their kind, so a pre-sized build store
-// never regrows mid-merge.
+// this capacity when they adopt their kind, and validity bitmaps when
+// they materialize, so a pre-sized build store never regrows mid-merge.
 func (c *Columns) Reserve(rows int) {
 	for i := range c.vecs {
 		c.vecs[i].res = rows
-	}
-}
-
-// Grow makes every vector able to hold rows rows, so appends up to that
-// count write in place: a vector with less capacity is reallocated to
-// exactly rows and its cells copied, and a column still without a kind
-// takes rows as its Reserve hint. Grow never shrinks.
-func (c *Columns) Grow(rows int) {
-	for i := range c.vecs {
-		v := &c.vecs[i]
-		switch {
-		case v.boxed != nil:
-			v.boxed = growTo(v.boxed, rows)
-		case value.IntClass(v.kind):
-			v.ints = growTo(v.ints, rows)
-		case v.kind == value.Float:
-			v.floats = growTo(v.floats, rows)
-		case v.kind == value.String:
-			v.strs = growTo(v.strs, rows)
-		default:
-			v.res = max(v.res, rows)
-		}
-		if v.valid != nil {
-			v.valid = growTo(v.valid, (rows+63)>>6)
-		}
 	}
 }
 
@@ -490,17 +470,6 @@ func (c *Columns) Cap() int {
 		n = min(n, k)
 	}
 	return n
-}
-
-// growTo returns s with capacity at least c: s itself when it has it,
-// else a copy in a new array of exactly c, zero beyond len.
-func growTo[T any](s []T, c int) []T {
-	if cap(s) >= c {
-		return s
-	}
-	t := make([]T, len(s), c)
-	copy(t, s)
-	return t
 }
 
 // FullLen returns the physical row count, ignoring any selection.

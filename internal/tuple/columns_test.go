@@ -438,48 +438,6 @@ func TestColumnsReserveAdoptsCapacity(t *testing.T) {
 	}
 }
 
-// TestGrowWritesInPlace pins Grow and Cap: after Grow(n) on a set with
-// rows and an all-NULL column (a validity bitmap and no kind), Cap
-// reports n, every append up to n writes into the same vectors, the rows
-// read back, and Grow never shrinks.
-func TestGrowWritesInPlace(t *testing.T) {
-	rows := colRows(60, 0)
-	for i, r := range rows {
-		rows[i] = append(r, value.Value{}) // a fifth column, all NULL: no kind
-	}
-	c := NewColumns(5)
-	c.AppendRows(rows[:20])
-	c.AppendRow(Tuple{value.NewInt(1), value.NewFloat(2), value.NewString("x"), value.NewDate(3), value.Value{}})
-	c.Grow(200)
-	if got := c.Cap(); got != 200 {
-		t.Fatalf("Cap after Grow(200) = %d", got)
-	}
-	ints, strs := &c.Col(0).Ints()[0], &c.Col(2).Strs()[0]
-	src := NewColumns(5)
-	src.AppendRows(rows[20:])
-	c.AppendRange(src, 0, 30)
-	c.AppendGather(src, []int32{39, 0, 5})
-	if &c.Col(0).Ints()[0] != ints || &c.Col(2).Strs()[0] != strs {
-		t.Fatal("append within the grown capacity reallocated")
-	}
-	if got := c.Cap(); got != 200 {
-		t.Fatalf("Cap after in-place appends = %d, want 200", got)
-	}
-	for i, r := range rows[:20] {
-		eqRow(t, c, i, r)
-	}
-	for i, r := range rows[20:50] {
-		eqRow(t, c, 21+i, r)
-	}
-	eqRow(t, c, 51, rows[59])
-	eqRow(t, c, 52, rows[20])
-	eqRow(t, c, 53, rows[25])
-	c.Grow(10)
-	if got := c.Cap(); got != 200 {
-		t.Fatalf("Grow(10) shrank Cap to %d", got)
-	}
-}
-
 func TestMemBytesRowMatchesTuple(t *testing.T) {
 	rows := colRows(50, 4)
 	c := NewColumns(4)
